@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
-from . import calculus as C
 from .chart import (
     ChartMap,
     EvalContext,
@@ -90,14 +89,9 @@ def _scalar_const(ctx: EvalContext, value: float) -> J.Jet:
     return J.jconst(ctx.space, np.full(ctx.nbatch, float(value)))
 
 
-def _one_form(ctx: EvalContext, comps: dict) -> J.Jet:
+def _one_form(comps: dict) -> J.Jet:
     """Covector jet with the given scalar-jet components (others zero)."""
-    out = J.Jet(ctx.space, np.zeros((_DIM, ctx.space.ncoef, ctx.nbatch)),
-                ctx.space.order)
-    for i, s in comps.items():
-        out.c[i] = s.c
-        out.ok = min(out.ok, s.ok)
-    return out
+    return J.jassemble((_DIM,), comps.items())
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +105,10 @@ def base_coframe(ctx: EvalContext):
         r = BASE_RADIUS
         s1 = J.jsin(c.coord(0))
         s2 = J.jsin(c.coord(2))
-        a1 = _one_form(c, {0: _scalar_const(c, r)})
-        a2 = _one_form(c, {1: r * s1})
-        b1 = _one_form(c, {2: _scalar_const(c, r)})
-        b2 = _one_form(c, {3: r * s2})
+        a1 = _one_form({0: _scalar_const(c, r)})
+        a2 = _one_form({1: r * s1})
+        b1 = _one_form({2: _scalar_const(c, r)})
+        b2 = _one_form({3: r * s2})
         return a1, a2, b1, b2
 
     return ctx.memo(("ansatz", "coframe"), build)
@@ -140,15 +134,12 @@ def base_rotations(ctx: EvalContext):
     def build(c):
         endos = []
         for s2_sign in (1.0, -1.0):
-            out = J.Jet(c.space, np.zeros((_DIM, _DIM, c.space.ncoef, c.nbatch)),
-                        c.space.order)
+            parts = []
             for f, sgn in ((0, 1.0), (1, s2_sign)):
                 sin = J.jsin(c.coord(2 * f))
-                inv = J.jrecip(sin)
-                out.c[2 * f, 2 * f + 1] = (-sgn * sin).c
-                out.c[2 * f + 1, 2 * f] = (sgn * inv).c
-                out.ok = min(out.ok, inv.ok)
-            endos.append(out)
+                parts += [((2 * f, 2 * f + 1), -sgn * sin),
+                          ((2 * f + 1, 2 * f), sgn * J.jrecip(sin))]
+            endos.append(J.jassemble((_DIM, _DIM), parts))
         return tuple(endos)
 
     return ctx.memo(("ansatz", "rotations"), build)
@@ -181,12 +172,12 @@ def connection_forms(ctx: EvalContext, shift=(0, 0)):
         one = _scalar_const(c, 1.0)
         c1 = J.jcos(c.coord(0))
         c2 = J.jcos(c.coord(2))
-        theta = _one_form(c, {
+        theta = _one_form({
             1: (c1 - one) + _scalar_const(c, float(p1)),
             3: (c2 - one) + _scalar_const(c, float(p2)),
             4: one,
         })
-        mu = _one_form(c, {
+        mu = _one_form({
             1: (one - c1) * (1.0 / 6.0),
             3: (c2 - one) * (1.0 / 6.0),
             5: one,
@@ -310,10 +301,7 @@ def _j_evaluator(gauge, conjugate, shift):
 
 def _fiber_evaluator():
     def ev(ctx):
-        out = J.Jet(ctx.space, np.zeros((_DIM, ctx.space.ncoef, ctx.nbatch)),
-                    ctx.space.order)
-        out.c[5] = _scalar_const(ctx, 1.0).c
-        return out
+        return J.jassemble((_DIM,), [(5, _scalar_const(ctx, 1.0))])
 
     return ev
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets as J
-from .chart import DegenerateFrameError, EvalContext, TensorValue, gram_schmidt
+from .chart import EvalContext
 
 __all__ = [
     "metric",
@@ -36,13 +36,6 @@ __all__ = [
     "scalar_curvature",
     "curvature_operator_value",
     "lie_derivative",
-    "orthonormal_frame_value",
-    "christoffel_at",
-    "covariant_derivative_at",
-    "second_covariant_derivative_at",
-    "riemann_at",
-    "ricci_at",
-    "scalar_curvature_at",
 ]
 
 
@@ -185,57 +178,3 @@ def lie_derivative(ctx: EvalContext, xfield: J.Jet, t: J.Jet, kinds: str) -> J.J
             out = out - J.jj(f"m{src},{rest}->{base}", dX, t)
     return out
 
-
-def orthonormal_frame_value(g: np.ndarray, seeds: np.ndarray | None = None, rng=None) -> np.ndarray:
-    """g-orthonormal frame per batch point via Gram-Schmidt.
-
-    Seeds default to the coordinate basis; permuting the seeds permutes
-    the resulting frame correspondingly (the procedure is deterministic).
-    """
-    nb, d = g.shape[0], g.shape[-1]
-    if seeds is None:
-        seeds = np.broadcast_to(np.eye(d), (nb, d, d)).copy()
-    if seeds.ndim == 2:
-        seeds = np.broadcast_to(seeds, (nb,) + seeds.shape).copy()
-    return gram_schmidt(seeds, g)
-
-
-# ---------------------------------------------------------------------------
-# pointwise wrappers
-
-
-def _ctx_at(chart, p, order, mode="exact"):
-    return EvalContext(chart, np.atleast_2d(p), order=order, mode=mode)
-
-
-def christoffel_at(chart, p, mode: str = "exact"):
-    """Christoffel symbols at a single point; returns TensorValue ('ull')."""
-    ctx = _ctx_at(chart, p, order=1, mode=mode)
-    return TensorValue(christoffel(ctx).val, "ull", ctx.points)
-
-
-def covariant_derivative_at(chart, p, field, kinds: str, mode: str = "exact"):
-    ctx = _ctx_at(chart, p, order=2, mode=mode)
-    out, k = covd(ctx, field(ctx), kinds)
-    return TensorValue(out.val, k, ctx.points)
-
-
-def second_covariant_derivative_at(chart, p, field, kinds: str, mode: str = "exact"):
-    ctx = _ctx_at(chart, p, order=3, mode=mode)
-    out, k = second_covd_field(ctx, field, kinds, key=("at", id(field)))
-    return TensorValue(out.val, k, ctx.points)
-
-
-def riemann_at(chart, p, mode: str = "exact"):
-    ctx = _ctx_at(chart, p, order=2, mode=mode)
-    return TensorValue(riemann(ctx).val, "ulll", ctx.points)
-
-
-def ricci_at(chart, p, mode: str = "exact"):
-    ctx = _ctx_at(chart, p, order=2, mode=mode)
-    return TensorValue(ricci(ctx).val, "ll", ctx.points)
-
-
-def scalar_curvature_at(chart, p, mode: str = "exact"):
-    ctx = _ctx_at(chart, p, order=2, mode=mode)
-    return float(scalar_curvature(ctx).val[0])

@@ -1,4 +1,4 @@
-"""Charts, evaluation contexts and pointwise value types.
+"""Charts, evaluation contexts and sampling helpers.
 
 A :class:`ChartMap` is a named open coordinate box together with a set of
 field evaluators.  Evaluators are written once, against jets: each takes
@@ -13,8 +13,6 @@ finite differences, while all *derived* computations stay identical.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "ConfigError",
     "ChartMap",
     "EvalContext",
-    "TensorValue",
     "sample_points",
     "unit_tangent_vectors",
     "gram_schmidt",
@@ -129,9 +126,10 @@ class ChartMap:
 class EvalContext:
     """Jets of every requested field at a fixed batch of chart points.
 
-    ``order`` is the derivative budget: expressions consuming more than
-    ``order`` derivative levels in total raise through the jets' ``ok``
-    bookkeeping instead of returning garbage.
+    ``order`` is the derivative budget: root jets live in
+    ``jetspace(dim, order)``, every derivative taken lands one order lower,
+    and reading the value of a jet differentiated more than ``order`` times
+    raises instead of returning garbage.
     """
 
     def __init__(self, chart: ChartMap, points: np.ndarray, order: int, mode: str = "exact"):
@@ -155,7 +153,7 @@ class EvalContext:
         return self.points.shape[0]
 
     def coord(self, i: int) -> J.Jet:
-        return J.Jet(self.space, self.coords.c[i], self.coords.ok)
+        return self.coords[i]
 
     def root(self, name: str) -> J.Jet:
         """Jet of a chart evaluator (memoized)."""
@@ -179,44 +177,6 @@ class EvalContext:
         if key not in self._memo:
             self._memo[key] = builder(self)
         return self._memo[key]
-
-
-@dataclass
-class TensorValue:
-    """Pointwise tensor components with index-character bookkeeping.
-
-    ``kinds`` is one character per tensor axis: 'u' (contravariant) or 'l'
-    (covariant).  ``components`` has the batch axis first.
-    """
-
-    components: np.ndarray
-    kinds: str
-    points: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def valence(self):
-        return (self.kinds.count("u"), self.kinds.count("l"))
-
-    def _musical(self, axis, g, ginv, to):
-        k = list(self.kinds)
-        if k[axis] == to:
-            return self
-        mat = g if to == "l" else ginv
-        n = self.components.ndim - 1
-        src = chr(ord("a") + axis)
-        letters = [chr(ord("a") + i) for i in range(n)]
-        out_letters = letters.copy()
-        out_letters[axis] = "Z"
-        spec = f"z{''.join(letters)},z{src}Z->z{''.join(out_letters)}"
-        comp = np.einsum(spec, self.components, mat)
-        k[axis] = to
-        return TensorValue(comp, "".join(k), self.points)
-
-    def lower(self, axis: int, g: np.ndarray, ginv: np.ndarray) -> "TensorValue":
-        return self._musical(axis, g, ginv, "l")
-
-    def raise_(self, axis: int, g: np.ndarray, ginv: np.ndarray) -> "TensorValue":
-        return self._musical(axis, g, ginv, "u")
 
 
 # ---------------------------------------------------------------------------

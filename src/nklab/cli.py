@@ -11,7 +11,8 @@ Run two suites on one model with more samples and a custom tolerance::
     nklab --suite gray,nk-core --model s3s3 --samples 40 --tol.gray-5 1e-7
 
 Exit status: 0 when every check passed (expected failures count as
-passing), 1 when any check failed, 2 for usage or configuration errors.
+passing), 1 when any check failed, 2 for usage errors, 3 when the run
+itself raised (an internal error).
 """
 from __future__ import annotations
 
@@ -131,8 +132,8 @@ def main(argv=None) -> int:
                         seed=args.seed, tol_overrides=overrides,
                         mode=args.deriv_mode)
     except Exception as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
     if not results:
         print("error: no checks selected for this (model, suite) choice",

@@ -24,14 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets as J
-from .calculus import christoffel, covd, metric, metric_inv
+from .calculus import covd, metric_inv
 
 __all__ = [
     "perm_sign",
     "alt",
     "wedge",
     "interior",
-    "sharp",
     "flat",
     "form_ip",
     "form_norm2",
@@ -41,7 +40,6 @@ __all__ = [
     "codifferential",
     "form_laplacian_field",
     "split_form_types",
-    "split_endo_types",
     "TypeSplit2Form",
 ]
 
@@ -122,16 +120,12 @@ def wedge_jet(a: J.Jet, p: int, b: J.Jet, q: int) -> J.Jet:
         for pos, src in enumerate(perm):
             inv[src] = pos
         out += sign * prod.c.transpose(inv + extra)
-    return J.Jet(a.space, out, prod.ok)
+    return J.Jet(prod.space, out)
 
 
 def interior(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Contraction of a vector into the first slot, batch-first values."""
     return np.einsum("bi,bi...->b...", x, a)
-
-
-def sharp(a: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    return np.einsum("bij,bj->bi", ginv, a)
 
 
 def flat(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -193,7 +187,7 @@ def hodge(a: np.ndarray, p: int, g: np.ndarray, ginv: np.ndarray, orientation: f
 def d_form(ctx, w: J.Jet, p: int) -> J.Jet:
     """Exterior derivative of a p-form jet -> (p+1)-form jet."""
     grad = J.jgrad(w)
-    return J.Jet(ctx.space, (p + 1) * alt(grad.c, p + 1), grad.ok)
+    return J.Jet(grad.space, (p + 1) * alt(grad.c, p + 1))
 
 
 def codifferential(ctx, w: J.Jet, p: int) -> J.Jet:
@@ -239,8 +233,3 @@ def split_form_types(a: np.ndarray, jmat: np.ndarray) -> TypeSplit2Form:
     ajj = np.einsum("bai,bcj,bac->bij", jmat, jmat, a)
     return TypeSplit2Form(invariant=0.5 * (a + ajj), anti=0.5 * (a - ajj))
 
-
-def split_endo_types(endo: np.ndarray, jmat: np.ndarray) -> TypeSplit2Form:
-    """Commuting ('invariant') / anti-commuting ('anti') parts of an endo."""
-    jaj = np.einsum("bij,bjk,bkl->bil", jmat, endo, jmat)
-    return TypeSplit2Form(invariant=0.5 * (endo - jaj), anti=0.5 * (endo + jaj))

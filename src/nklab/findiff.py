@@ -1,13 +1,9 @@
 """Richardson-extrapolated central differences.
 
-Two jobs:
-
-* ``fd_jet`` builds a :class:`~nklab.jets.Jet` for a black-box value
-  function by stencil evaluation.  Plugging these in as the root jets of a
-  chart gives the "extrapolated-differences" engine mode -- an independent
-  cross-check of the exact-propagation arithmetic.
-* ``fd_partial`` estimates a single mixed partial, used directly by oracle
-  tests (e.g. the Koszul-formula Christoffel oracle).
+``fd_jet`` builds a :class:`~nklab.jets.Jet` for a black-box value function
+by stencil evaluation.  Plugging these in as the root jets of a chart gives
+the "extrapolated-differences" engine mode -- an independent cross-check of
+the exact-propagation arithmetic.
 
 Central differences have O(h^2) truncation error; one Richardson level
 ((4 D_{h/2} - D_h)/3) pushes that to O(h^4).
@@ -20,9 +16,9 @@ import math
 
 import numpy as np
 
-from .jets import Jet, JetSpace, jetspace
+from .jets import Jet, JetSpace
 
-__all__ = ["fd_partial", "fd_jet", "default_step"]
+__all__ = ["fd_jet", "default_step"]
 
 # 1-d central stencils for the k-th derivative, as (offset, weight / h^k).
 _STENCILS = {
@@ -92,22 +88,5 @@ def fd_jet(f, points: np.ndarray, space: JetSpace, h: float | None = None) -> Je
     c = der / fac[:, None]
     # The value row needs no extrapolation; keep it exact.
     c[..., 0, :] = np.moveaxis(np.asarray(f(points), dtype=float), 0, -1)
-    return Jet(space, c, space.order)
+    return Jet(space, c)
 
-
-def fd_partial(f, points: np.ndarray, multi, h: float | None = None) -> np.ndarray:
-    """Single Richardson-extrapolated mixed partial; (nbatch, *tshape)."""
-    nv = len(multi)
-    order = sum(multi)
-    if h is None:
-        h = default_step(order)
-
-    def one(step):
-        acc = None
-        for off, w in _stencil_for(tuple(multi)):
-            v = w * np.asarray(f(points + step * np.array(off)), dtype=float)
-            acc = v if acc is None else acc + v
-        return acc / step ** order
-
-    d1, d2 = one(h), one(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0

@@ -13,11 +13,13 @@ lexicographic order; ``c[..., k, :]`` is the coefficient of the monomial
 by the factorials, so the value of the jet at displacement h is simply
 ``sum_k c[..., k, :] * h^{m_k}``.
 
-Each jet carries ``ok``, the derivative order up to which its coefficients
-are trustworthy.  Multiplying two jets keeps ``min`` of the operands' ok;
-taking a partial derivative lowers it by one.  Downstream code asserts
-``ok >= 0`` before reading values, which turns silent order-budget
-overruns into hard errors.
+A jet stores only the coefficients it can trust.  Monomials are sorted by
+degree, so the coefficients of degree <= k are a prefix of the array, and
+a jet's space *is* its trust order: ``c.shape[-2] == space.ncoef``.
+Binary operations work in the lower-order operand's space (truncated
+Taylor propagation); a partial derivative lands one order lower.  A jet
+differentiated past its order has an empty space, and reading its value
+raises, which turns silent order-budget overruns into hard errors.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "JetSpace",
     "Jet",
     "jetspace",
+    "jassemble",
     "seed_coordinates",
     "jconst",
     "jj",
@@ -95,9 +98,9 @@ class JetSpace:
                 mt = tuple(x + y for x, y in zip(ma, mb))
                 pairs.append((self.index[mt], ia, ib))
         pairs.sort()
-        tgt = np.array([p[0] for p in pairs])
-        self.mul_a = np.array([p[1] for p in pairs])
-        self.mul_b = np.array([p[2] for p in pairs])
+        tgt = np.array([p[0] for p in pairs], dtype=np.int64)
+        self.mul_a = np.array([p[1] for p in pairs], dtype=np.int64)
+        self.mul_b = np.array([p[2] for p in pairs], dtype=np.int64)
         # Every target index occurs (the pair (m, 0) exists), so segment
         # starts align one-to-one with coefficient indices.
         self.mul_seg = np.searchsorted(tgt, np.arange(self.ncoef))
@@ -132,8 +135,16 @@ class Jet:
     """Batched jet of a tensor-valued function.  See module docstring."""
 
     space: JetSpace
-    c: np.ndarray  # (*tshape, ncoef, nbatch)
-    ok: int
+    c: np.ndarray  # (*tshape, space.ncoef, nbatch)
+
+    def __post_init__(self):
+        if self.c.shape[-2] != self.space.ncoef:
+            raise ValueError("coefficient axis does not match the jet space")
+
+    @property
+    def ok(self) -> int:
+        """Derivative order up to which the coefficients are exact."""
+        return self.space.order
 
     @property
     def tshape(self):
@@ -146,47 +157,78 @@ class Jet:
     @property
     def val(self) -> np.ndarray:
         """Value part, batch axis first: shape (nbatch, *tshape)."""
-        if self.ok < 0:
+        if self.space.order < 0:
             raise ValueError("jet consumed more derivative orders than seeded")
         return np.moveaxis(self.c[..., 0, :], -1, 0)
 
+    def __getitem__(self, index) -> "Jet":
+        """Index the tensor axes (coefficient and batch axes stay last)."""
+        return Jet(self.space, self.c[index])
+
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.space, self.c + other.c, min(self.ok, other.ok))
+            sp = _lower(self, other)
+            return Jet(sp, _prefix(self, sp) + _prefix(other, sp))
         out = self.c.copy()
         out[..., 0, :] = out[..., 0, :] + other
-        return Jet(self.space, out, self.ok)
+        return Jet(self.space, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.space, self.c - other.c, min(self.ok, other.ok))
+            sp = _lower(self, other)
+            return Jet(sp, _prefix(self, sp) - _prefix(other, sp))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Jet(self.space, -self.c, self.ok)
+        return Jet(self.space, -self.c)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             return jj(",->", self, other)
-        return Jet(self.space, self.c * other, self.ok)
+        return Jet(self.space, self.c * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * jrecip(other)
-        return Jet(self.space, self.c / other, self.ok)
+        return Jet(self.space, self.c / other)
 
     def transpose(self, *axes) -> "Jet":
         """Permute tensor axes (coefficient and batch axes stay last)."""
         n = len(self.tshape)
         perm = list(axes) + [n, n + 1]
-        return Jet(self.space, self.c.transpose(perm), self.ok)
+        return Jet(self.space, self.c.transpose(perm))
+
+
+def _lower(*jets: Jet) -> JetSpace:
+    """The space of the least-trusted jet: where a combination of them lives."""
+    return min((x.space for x in jets), key=lambda sp: sp.order)
+
+
+def _prefix(x: Jet, space: JetSpace) -> np.ndarray:
+    """Coefficients of ``x`` truncated to ``space`` (a view)."""
+    return x.c[..., :space.ncoef, :]
+
+
+def jassemble(tshape, parts) -> Jet:
+    """Jet of shape ``tshape`` built from ``(index, jet)`` parts, zero elsewhere.
+
+    ``index`` addresses the tensor axes (e.g. ``np.s_[:3, 3:]``) and each
+    part's tensor shape must fit it.  The result is trusted as far as its
+    least-trusted part.
+    """
+    parts = list(parts)
+    sp = _lower(*(x for _, x in parts))
+    c = np.zeros((*tshape, sp.ncoef, parts[0][1].nbatch))
+    for index, x in parts:
+        c[index] = _prefix(x, sp)
+    return Jet(sp, c)
 
 
 def seed_coordinates(space: JetSpace, points: np.ndarray) -> Jet:
@@ -203,7 +245,7 @@ def seed_coordinates(space: JetSpace, points: np.ndarray) -> Jet:
         e = tuple(1 if i == v else 0 for i in range(nv))
         if space.order >= 1:
             c[v, space.index[e], :] = 1.0
-    return Jet(space, c, space.order)
+    return Jet(space, c)
 
 
 def jconst(space: JetSpace, values: np.ndarray, batch_last: bool = False) -> Jet:
@@ -217,7 +259,7 @@ def jconst(space: JetSpace, values: np.ndarray, batch_last: bool = False) -> Jet
     nb = values.shape[-1]
     c = np.zeros((*tshape, space.ncoef, nb))
     c[..., 0, :] = values
-    return Jet(space, c, space.order)
+    return Jet(space, c)
 
 
 def _split_spec(spec: str):
@@ -229,23 +271,24 @@ def _split_spec(spec: str):
 def jj(spec: str, x: Jet, y: Jet) -> Jet:
     """Binary einsum over tensor axes of two jets, e.g. ``jj('ab,b->a', g, v)``.
 
-    Coefficient multiplication uses the space's pair table; 'p' and 'z' are
-    reserved for the pair and batch axes.
+    Coefficient multiplication uses the pair table of the lower-order
+    operand's space, which only indexes the prefix both operands share;
+    'p' and 'z' are reserved for the pair and batch axes.
     """
-    sp = x.space
+    sp = _lower(x, y)
     a, b, rhs = _split_spec(spec)
     ga = x.c[..., sp.mul_a, :]
     gb = y.c[..., sp.mul_b, :]
     prod = np.einsum(f"{a}pz,{b}pz->{rhs}pz", ga, gb)
     out = np.add.reduceat(prod, sp.mul_seg, axis=-2)
-    return Jet(sp, out, min(x.ok, y.ok))
+    return Jet(sp, out)
 
 
 def jc(spec: str, const: np.ndarray, x: Jet) -> Jet:
     """Einsum of a plain constant array (no batch axis) with a jet."""
     a, b, rhs = _split_spec(spec)
     out = np.einsum(f"{a},{b}pz->{rhs}pz", const, x.c)
-    return Jet(x.space, out, x.ok)
+    return Jet(x.space, out)
 
 
 def jb(spec: str, const_b: np.ndarray, x: Jet) -> Jet:
@@ -253,28 +296,32 @@ def jb(spec: str, const_b: np.ndarray, x: Jet) -> Jet:
     a, b, rhs = _split_spec(spec)
     cb = np.moveaxis(np.asarray(const_b, dtype=float), 0, -1)
     out = np.einsum(f"{a}z,{b}pz->{rhs}pz", cb, x.c)
-    return Jet(x.space, out, x.ok)
+    return Jet(x.space, out)
 
 
 def junary(spec: str, x: Jet) -> Jet:
     """Unary einsum (trace / transpose / diagonal) on the tensor axes."""
     lhs, rhs = spec.split("->")
     out = np.einsum(f"{lhs}pz->{rhs}pz", x.c)
-    return Jet(x.space, out, x.ok)
+    return Jet(x.space, out)
+
+
+def _derivative_space(sp: JetSpace):
+    """Space one order lower, with the rows of ``dsrc``/``dfac`` that feed it."""
+    low = jetspace(sp.nvars, sp.order - 1)
+    return low, sp.dsrc[:, :low.ncoef], sp.dfac[:, :low.ncoef, None]
 
 
 def jpartial(x: Jet, var: int) -> Jet:
     """Partial derivative along coordinate ``var``; costs one order of trust."""
-    sp = x.space
-    out = x.c[..., sp.dsrc[var], :] * sp.dfac[var][:, None]
-    return Jet(sp, out, x.ok - 1)
+    low, src, fac = _derivative_space(x.space)
+    return Jet(low, x.c[..., src[var], :] * fac[var])
 
 
 def jgrad(x: Jet) -> Jet:
     """Stack all partials; the new derivative axis becomes tensor axis 0."""
-    sp = x.space
-    out = np.stack([x.c[..., sp.dsrc[v], :] * sp.dfac[v][:, None] for v in range(sp.nvars)])
-    return Jet(sp, out, x.ok - 1)
+    low, src, fac = _derivative_space(x.space)
+    return Jet(low, np.stack([x.c[..., src[v], :] * fac[v] for v in range(low.nvars)]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +337,11 @@ def jcompose(u: Jet, coeffs: list[np.ndarray]) -> Jet:
     sp = u.space
     du = u.c.copy()
     du[..., 0, :] = 0.0
-    dU = Jet(sp, du, u.ok)
+    dU = Jet(sp, du)
     res = jconst(sp, coeffs[-1], batch_last=True)
     for k in range(len(coeffs) - 2, -1, -1):
         res = jj(",->", res, dU) + jconst(sp, coeffs[k], batch_last=True)
-    return Jet(sp, res.c, u.ok)
+    return res
 
 
 def _series_cycle(u: Jet, f0, f1, f2, f3):
@@ -396,13 +443,11 @@ def jmatinv(g: Jet) -> Jet:
     inv0j = jconst(sp, inv0)
     dg = g.c.copy()
     dg[..., 0, :] = 0.0
-    n = jb("ab,bc->ac", inv0, Jet(sp, dg, g.ok))  # N = g0^{-1} (g - g0)
+    n = jb("ab,bc->ac", inv0, Jet(sp, dg))  # N = g0^{-1} (g - g0)
     eye = jconst(sp, np.broadcast_to(np.eye(d), g0.shape).copy())
     acc = eye
     term = eye
     for _ in range(sp.order):
-        term = jj("ab,bc->ac", term, n)
-        term = Jet(sp, -term.c, term.ok)
+        term = -jj("ab,bc->ac", term, n)
         acc = acc + term
-    out = jj("ab,bc->ac", acc, inv0j)
-    return Jet(sp, out.c, g.ok)
+    return jj("ab,bc->ac", acc, inv0j)

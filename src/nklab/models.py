@@ -47,7 +47,6 @@ __all__ = [
     "qlog_v",
     "octonion_cross_table",
     "transition_s3s3",
-    "eval_value",
 ]
 
 # Metric scale for which S3 x S3 has constant type 1 (scal = 30): the type
@@ -110,10 +109,6 @@ def qlog_v(q: np.ndarray) -> np.ndarray:
 # quaternion helpers (jet level)
 
 
-def _jslice(x: J.Jet, sl) -> J.Jet:
-    return J.Jet(x.space, x.c[sl], x.ok)
-
-
 def _jqmul(a: J.Jet, b: J.Jet) -> J.Jet:
     outer = J.jj("j,k->jk", a, b)
     return J.jc("ijk,jk->i", _QT, outer)
@@ -125,7 +120,7 @@ def _qexp_jet(x: J.Jet) -> J.Jet:
     c = J.jentire(s, J.COS_SQRT)
     sc = J.jentire(s, J.SINC_SQRT)
     vec = J.jj(",a->a", sc, x)
-    return J.Jet(x.space, np.concatenate([c.c[None], vec.c], axis=0), min(c.ok, vec.ok))
+    return J.jassemble((4,), [(0, c), (np.s_[1:], vec)])
 
 
 def _transport_jet(x: J.Jet) -> J.Jet:
@@ -163,11 +158,6 @@ class ModelBundle:
         return self.charts[0]
 
 
-def eval_value(chart: ChartMap, name: str, points: np.ndarray) -> np.ndarray:
-    ctx = EvalContext(chart, points, order=0)
-    return ctx.root(name).val
-
-
 def _fix_orientation_nk6(chart: ChartMap) -> None:
     """Orient the chart so the coordinate volume matches Omega^3 / 6."""
     p = chart.center()[None, :]
@@ -186,21 +176,16 @@ def _fix_orientation_nk6(chart: ChartMap) -> None:
 
 _J_ALG = np.kron(np.array([[-1.0, 2.0], [-2.0, 1.0]]) / math.sqrt(3.0), np.eye(3))
 _J_SWAP = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(3))
+# tensor-axis blocks of the two S3 factors
+_XX, _YY, _XY, _YX = np.s_[:3, :3], np.s_[3:, 3:], np.s_[:3, 3:], np.s_[3:, :3]
 
 
 def _s3s3_frames(ctx: EvalContext):
     def build(c):
-        x = _jslice(c.coords, slice(0, 3))
-        y = _jslice(c.coords, slice(3, 6))
-        tx = _transport_jet(x)
-        ty = _transport_jet(y)
-        nb = c.nbatch
-        m = J.Jet(c.space, np.zeros((6, 6, c.space.ncoef, nb)), min(tx.ok, ty.ok))
-        m.c[:3, :3] = tx.c
-        m.c[3:, 3:] = ty.c
-        minv = J.Jet(c.space, np.zeros_like(m.c), m.ok)
-        minv.c[:3, :3] = J.jmatinv(tx).c
-        minv.c[3:, 3:] = J.jmatinv(ty).c
+        tx = _transport_jet(c.coords[:3])
+        ty = _transport_jet(c.coords[3:])
+        m = J.jassemble((6, 6), [(_XX, tx), (_YY, ty)])
+        minv = J.jassemble((6, 6), [(_XX, J.jmatinv(tx)), (_YY, J.jmatinv(ty))])
         return m, minv
 
     return ctx.memo("s3s3_frames", build)
@@ -209,18 +194,12 @@ def _s3s3_frames(ctx: EvalContext):
 def _s3s3_metric_evaluator(c_scale: float, cross: bool = True):
     def ev(ctx):
         m, _ = _s3s3_frames(ctx)
-        tx = _jslice(m, (slice(0, 3), slice(0, 3)))
-        ty = _jslice(m, (slice(3, 6), slice(3, 6)))
-        gxx = J.jj("ai,aj->ij", tx, tx)
-        gyy = J.jj("ai,aj->ij", ty, ty)
-        g = J.Jet(ctx.space, np.zeros((6, 6, ctx.space.ncoef, ctx.nbatch)), min(gxx.ok, gyy.ok))
-        g.c[:3, :3] = gxx.c
-        g.c[3:, 3:] = gyy.c
+        tx, ty = m[_XX], m[_YY]
+        parts = [(_XX, J.jj("ai,aj->ij", tx, tx)), (_YY, J.jj("ai,aj->ij", ty, ty))]
         if cross:
-            gxy = J.jj("ai,aj->ij", tx, ty)
-            g.c[:3, 3:] = -0.5 * gxy.c
-            g.c[3:, :3] = -0.5 * np.swapaxes(gxy.c, 0, 1)
-        return c_scale * g
+            gxy = -0.5 * J.jj("ai,aj->ij", tx, ty)
+            parts += [(_XY, gxy), (_YX, gxy.transpose(1, 0))]
+        return c_scale * J.jassemble((6, 6), parts)
 
     return ev
 
@@ -251,23 +230,20 @@ def _s3s3_xi_left_evaluator(c_scale: float, p0: np.ndarray, axis=(1.0, 0.0, 0.0)
     bp = qmul_v(qmul_v(qconj_v(p0), bq), p0)  # Ad_{p0^{-1}} b
 
     def ev(ctx):
-        x = _jslice(ctx.coords, slice(0, 3))
-        e = _qexp_jet(x)
+        e = _qexp_jet(ctx.coords[:3])
         bj = J.jconst(ctx.space, np.broadcast_to(bp, (ctx.nbatch, 4)).copy())
-        w = _jqmul(_jqmul(J.Jet(e.space, qconj_jet_c(e), e.ok), bj), e)
+        w = _jqmul(_jqmul(_qconj_jet(e), bj), e)
         _, minv = _s3s3_frames(ctx)
-        nb = ctx.nbatch
-        v = J.Jet(ctx.space, np.zeros((6, ctx.space.ncoef, nb)), w.ok)
-        v.c[:3] = w.c[1:]
+        v = J.jassemble((6,), [(np.s_[:3], w[1:])])
         return J.jj("AB,B->A", minv, v)
 
     return ev
 
 
-def qconj_jet_c(q: J.Jet) -> np.ndarray:
+def _qconj_jet(q: J.Jet) -> J.Jet:
     c = q.c.copy()
     c[1:] *= -1
-    return c
+    return J.Jet(q.space, c)
 
 
 _S3S3_CENTERS = {
@@ -373,17 +349,15 @@ def _s6_embed(ctx: EvalContext, pole: float):
         s = J.jj("a,a->", u, u)
         w = J.jrecip(1.0 + s)
         nb = c.nbatch
-        phi = J.Jet(c.space, np.zeros((7, c.space.ncoef, nb)), min(u.ok, w.ok))
-        phi.c[:6] = J.jj(",a->a", 2.0 * w, u).c
-        phi.c[6] = (pole * (s - 1.0) * w).c
+        phi = J.jassemble((7,), [(np.s_[:6], J.jj(",a->a", 2.0 * w, u)),
+                                 (6, pole * (s - 1.0) * w)])
         w2 = J.jj(",->", w, w)
         eye = J.jconst(c.space, np.broadcast_to(np.eye(6), (nb, 6, 6)).copy())
         outer = J.jj("a,i->ai", u, u)
-        p = J.Jet(c.space, np.zeros((6, 7, c.space.ncoef, nb)), min(u.ok, w2.ok))
         # d_i Phi_a = 2 w delta_ai - 4 w^2 u_a u_i ; d_i Phi_7 = pole * 4 w^2 u_i
         pa = J.jj(",ia->ia", 2.0 * w, eye) - J.jj(",ai->ia", 4.0 * w2, outer)
-        p.c[:, :6] = pa.c
-        p.c[:, 6] = J.jj(",i->i", 4.0 * pole * w2, u).c
+        p = J.jassemble((6, 7), [(np.s_[:, :6], pa),
+                                 (np.s_[:, 6], J.jj(",i->i", 4.0 * pole * w2, u))])
         return phi, p
 
     return ctx.memo(("s6_embed", pole), build)
@@ -461,14 +435,11 @@ def _s2s2_metric_evaluator(r1: float, r2: float):
     def ev(ctx):
         sin1 = J.jsin(ctx.coord(0))
         sin2 = J.jsin(ctx.coord(2))
-        nb = ctx.nbatch
-        g = J.Jet(ctx.space, np.zeros((4, 4, ctx.space.ncoef, nb)), min(sin1.ok, sin2.ok))
-        one = J.jconst(ctx.space, np.ones((nb,)))
-        g.c[0, 0] = (r1 * r1 * one).c
-        g.c[1, 1] = (r1 * r1 * J.jj(",->", sin1, sin1)).c
-        g.c[2, 2] = (r2 * r2 * one).c
-        g.c[3, 3] = (r2 * r2 * J.jj(",->", sin2, sin2)).c
-        return g
+        one = J.jconst(ctx.space, np.ones((ctx.nbatch,)))
+        return J.jassemble((4, 4), [((0, 0), r1 * r1 * one),
+                                    ((1, 1), r1 * r1 * J.jj(",->", sin1, sin1)),
+                                    ((2, 2), r2 * r2 * one),
+                                    ((3, 3), r2 * r2 * J.jj(",->", sin2, sin2))])
 
     return ev
 
@@ -477,15 +448,11 @@ def _s2s2_rot_evaluator(signs=(1.0, 1.0)):
     """Block rotation: j(d_phi) = d_psi / sin(phi), j(d_psi) = -sin(phi) d_phi."""
 
     def ev(ctx):
-        nb = ctx.nbatch
-        out = J.Jet(ctx.space, np.zeros((4, 4, ctx.space.ncoef, nb)), ctx.space.order)
+        parts = []
         for f, sgn in enumerate(signs):
             sin = J.jsin(ctx.coord(2 * f))
-            inv = J.jrecip(sin)
-            out.c[2 * f, 2 * f + 1] = (-sgn * sin).c
-            out.c[2 * f + 1, 2 * f] = (sgn * inv).c
-            out.ok = min(out.ok, sin.ok)
-        return out
+            parts += [((2 * f, 2 * f + 1), -sgn * sin), ((2 * f + 1, 2 * f), sgn * J.jrecip(sin))]
+        return J.jassemble((4, 4), parts)
 
     return ev
 

@@ -31,7 +31,7 @@ from .exterior import (
     form_norm2,
     wedge,
 )
-from .nkcore import d_omega, j_field, nabla_j, omega_field
+from .nkcore import _maxabs, d_omega, j_field, nabla_j, omega_field
 
 __all__ = [
     "Reduction",
@@ -56,10 +56,6 @@ __all__ = [
 ]
 
 _SQ3 = math.sqrt(3.0)
-
-
-def _maxabs(a) -> float:
-    return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
 # ---------------------------------------------------------------------------

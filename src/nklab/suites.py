@@ -15,7 +15,7 @@ residual is *supposed* to exceed the tolerance on a particular model
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -515,9 +515,13 @@ _SOURCES = {
 
 
 def _extract(data: dict, key) -> float:
-    if isinstance(key, tuple):
-        return float(max(abs(float(data[k])) for k in key))
-    return float(abs(float(data[key])))
+    """Largest |residual| over ``key`` (a name or a tuple of names).
+
+    ``np.max`` propagates NaN whatever its position, so a non-finite
+    residual always fails the ``residual <= tol`` comparison.
+    """
+    keys = key if isinstance(key, tuple) else (key,)
+    return float(np.max(np.abs([float(data[k]) for k in keys])))
 
 
 def run_suite(model: str, suite: str, samples: int = 20, seed: int = 0,

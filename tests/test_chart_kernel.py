@@ -17,7 +17,6 @@ from nklab.chart import (
     DegenerateMetricError,
     EvalContext,
     OutOfDomainError,
-    TensorValue,
     sample_points,
     unit_tangent_vectors,
 )
@@ -35,11 +34,7 @@ def _conformal_chart():
 
     def metric(ctx):
         f = J.jexp(2.0 * ctx.coord(0))
-        out = J.Jet(ctx.space, np.zeros((2, 2, ctx.space.ncoef, ctx.nbatch)), ctx.space.order)
-        out.c[0, 0] = f.c
-        out.c[1, 1] = f.c
-        out.ok = f.ok
-        return out
+        return J.jassemble((2, 2), [((0, 0), f), ((1, 1), f)])
 
     return ChartMap("conf", [(-1.0, 1.0)] * 2, {"metric": metric})
 
@@ -80,6 +75,12 @@ class TestChartValidation:
         pts = sample_points(ch, 64, np.random.default_rng(0))
         assert np.all(ch.contains(pts))
 
+    def test_unit_tangent_vectors(self, rng):
+        g = np.broadcast_to(np.diag([1.0, 4.0, 9.0]), (5, 3, 3)).copy()
+        v = unit_tangent_vectors(g, rng, n_per_point=2)
+        norms = np.einsum("zni,zij,znj->zn", v, g, v)
+        assert np.allclose(norms, 1.0, atol=1e-12)
+
 
 class TestKernel:
     def test_flat_christoffel_vanishes(self):
@@ -113,12 +114,8 @@ class TestKernel:
 
         def metric(ctx):
             s = J.jsin(ctx.coord(0))
-            out = J.Jet(ctx.space, np.zeros((2, 2, ctx.space.ncoef, ctx.nbatch)),
-                        ctx.space.order)
-            out.c[0, 0] = J.jconst(ctx.space, np.full(ctx.nbatch, r * r)).c
-            out.c[1, 1] = (r * r * s * s).c
-            out.ok = s.ok
-            return out
+            return J.jassemble((2, 2), [((0, 0), J.jconst(ctx.space, np.full(ctx.nbatch, r * r))),
+                                        ((1, 1), r * r * s * s)])
 
         ch = ChartMap("sphere", [(0.4, math.pi - 0.4), (-2.0, 2.0)], {"metric": metric})
         ctx = EvalContext(ch, np.array([[1.1, 0.3], [0.8, -1.0]]), order=3)
@@ -151,21 +148,3 @@ class TestKernel:
         assert ctx.memo("k", build) == 42
         assert len(calls) == 1
 
-
-class TestTensorValue:
-    def test_musical_roundtrip(self, rng):
-        g = np.eye(3) * 2.0
-        gi = np.linalg.inv(g)
-        comps = rng.normal(size=(4, 3, 3))
-        tv = TensorValue(comps, "ll")
-        up = tv.raise_(0, g[None], gi[None])
-        assert up.kinds == "ul"
-        back = up.lower(0, g[None], gi[None])
-        assert np.allclose(back.components, comps)
-        assert tv.valence == (0, 2)
-
-    def test_unit_tangent_vectors(self, rng):
-        g = np.broadcast_to(np.diag([1.0, 4.0, 9.0]), (5, 3, 3)).copy()
-        v = unit_tangent_vectors(g, rng, n_per_point=2)
-        norms = np.einsum("zni,zij,znj->zn", v, g, v)
-        assert np.allclose(norms, 1.0, atol=1e-12)

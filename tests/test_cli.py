@@ -67,6 +67,14 @@ class TestExitCodes:
         assert code == 0
         assert "XFAIL" in capsys.readouterr().out
 
+    def test_internal_error(self, monkeypatch, capsys):
+        def boom(**kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(suites, "run", boom)
+        assert cli.main(["--suite", "gray", "--samples", "6", "--quiet"]) == 3
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
 
 class TestListing:
     def test_list_checks(self, capsys):

@@ -122,11 +122,7 @@ class TestDifferential:
         p = np.array([[0.1, 0.2, 0.3]])
         ctx = EvalContext(ch, p, order=2)
         x, y, z = (ctx.coord(i) for i in range(3))
-        a = J.Jet(ctx.space, np.zeros((3, ctx.space.ncoef, 1)), ctx.space.order)
-        a.c[0] = (x * x).c
-        a.c[1] = (y * z).c
-        a.c[2] = (x * z).c
-        a.ok = 2
+        a = J.jassemble((3,), [(0, x * x), (1, y * z), (2, x * z)])
         div = 2 * p[0, 0] + p[0, 2] + p[0, 0]
         got = E.codifferential(ctx, a, 1).val
         assert np.allclose(got, -div, atol=1e-12)

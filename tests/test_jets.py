@@ -13,7 +13,7 @@ finite = st.floats(min_value=-3.0, max_value=3.0,
 def _scalar_pair(space, values):
     pts = np.asarray(values, dtype=float).reshape(-1, space.nvars)
     co = J.seed_coordinates(space, pts)
-    return [J.Jet(space, co.c[i], co.ok) for i in range(space.nvars)], pts
+    return [co[i] for i in range(space.nvars)], pts
 
 
 class TestAlgebra:
@@ -100,11 +100,8 @@ class TestEinsumBridge:
     def test_jj_matrix_vector(self):
         sp = J.jetspace(2, 1)
         pts = np.array([[0.2, 0.3]])
-        co = J.seed_coordinates(sp, pts)
-        x = J.Jet(sp, co.c[0], co.ok)
-        m = J.Jet(sp, np.zeros((2, 2, sp.ncoef, 1)), sp.order)
-        m.c[0, 0] = x.c
-        m.c[1, 1] = x.c
+        x = J.seed_coordinates(sp, pts)[0]
+        m = J.jassemble((2, 2), [((0, 0), x), ((1, 1), x)])
         v = J.jconst(sp, np.array([[1.0, 2.0]]))
         out = J.jj("ij,j->i", m, v)
         assert np.allclose(out.val[0], [0.2, 0.4])
@@ -118,13 +115,9 @@ class TestEinsumBridge:
     def test_jmatinv(self):
         sp = J.jetspace(2, 2)
         pts = np.array([[0.1, -0.2], [0.6, 0.4]])
-        co = J.seed_coordinates(sp, pts)
-        x = J.Jet(sp, co.c[0], co.ok)
-        g = J.Jet(sp, np.zeros((2, 2, sp.ncoef, 2)), sp.order)
+        x = J.seed_coordinates(sp, pts)[0]
         two = J.jconst(sp, np.full(2, 2.0))
-        g.c[0, 0] = (two + x * x).c
-        g.c[1, 1] = two.c
-        g.c[0, 1] = g.c[1, 0] = x.c
+        g = J.jassemble((2, 2), [((0, 0), two + x * x), ((1, 1), two), ((0, 1), x), ((1, 0), x)])
         gi = J.jmatinv(g)
         iden = J.jj("ij,jk->ik", g, gi)
         eye = np.eye(2)[:, :, None, None]
@@ -148,3 +141,67 @@ class TestConstAndBatch:
         m = J.jconst(sp, np.arange(12.0).reshape(2, 2, 3))
         t = m.transpose(1, 0)
         assert np.allclose(t.val, np.swapaxes(m.val, 1, 2))
+
+
+def _truncate(x, order):
+    sp = J.jetspace(x.space.nvars, order)
+    return J.Jet(sp, x.c[..., :sp.ncoef, :])
+
+
+def _operands(a, b):
+    """Order-3 scalar jets f, g and a 2x2 matrix jet m at the point (a, b)."""
+    sp = J.jetspace(2, 3)
+    (x, y), _ = _scalar_pair(sp, [[a, b], [b, -a]])
+    f = J.jsin(x * y) + x
+    g = J.jexp(y) - x * x
+    two = J.jconst(sp, np.full(2, 2.0))
+    m = J.jassemble((2, 2), [((0, 0), two + x * x), ((1, 1), two + y * y),
+                             ((0, 1), x * y), ((1, 0), 0.5 * x)])
+    return f, g, m
+
+
+_TRUST_OPS = {
+    "jj": lambda f, g, m: J.jj(",->", f, g),
+    "jj-mixed": lambda f, g, m: J.jj("ab,->ab", m, g),
+    "add": lambda f, g, m: f + g,
+    "sub": lambda f, g, m: f - g,
+    "jmatinv": lambda f, g, m: J.jmatinv(m),
+    "jsin": lambda f, g, m: J.jsin(f),
+}
+
+
+class TestTrust:
+    @pytest.mark.parametrize("op", sorted(_TRUST_OPS))
+    @given(a=st.floats(min_value=-1.0, max_value=1.0), b=st.floats(min_value=-1.0, max_value=1.0))
+    @settings(max_examples=15, deadline=None)
+    def test_truncation_commutes_with_ops(self, op, a, b):
+        full = _operands(a, b)
+        # "jj-mixed" keeps the matrix at order 3: the result takes the lower order
+        low = [x if (op == "jj-mixed" and i == 2) else _truncate(x, 2) for i, x in enumerate(full)]
+        got = _TRUST_OPS[op](*low)
+        want = _TRUST_OPS[op](*full)
+        assert got.ok == 2
+        assert np.array_equal(got.c, _truncate(want, 2).c)
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (4, 1)])
+    def test_jgrad_drops_one_order(self, n, k):
+        sp = J.jetspace(n, k)
+        co = J.seed_coordinates(sp, np.full((2, n), 0.3))
+        f = J.jsin(J.jj("a,a->", co, co))
+        grad = J.jgrad(f)
+        assert grad.c.shape[-2] == J.jetspace(n, k - 1).ncoef
+        assert grad.ok == k - 1
+        assert J.jpartial(f, 0).space is grad.space
+
+    def test_value_past_budget_raises(self):
+        sp = J.jetspace(2, 1)
+        (x, y), _ = _scalar_pair(sp, [[0.1, 0.2]])
+        once = J.jgrad(x * y)
+        assert np.allclose(once.val, [[0.2, 0.1]])
+        with pytest.raises(ValueError):
+            J.jgrad(once).val
+
+    def test_mismatched_coefficients_rejected(self):
+        sp = J.jetspace(2, 2)
+        with pytest.raises(ValueError):
+            J.Jet(sp, np.zeros((J.jetspace(2, 1).ncoef, 1)))

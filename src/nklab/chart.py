@@ -8,8 +8,10 @@ quantity (curvature, Laplacians, Lie derivatives) is obtained by exact
 coefficient manipulation -- no re-evaluation, no step size.
 
 The context also implements the "extrapolated-differences" engine mode:
-root evaluators are then sampled on stencils and their jets rebuilt by
-finite differences, while all *derived* computations stay identical.
+each root evaluator is then sampled once, at order 0, on the whole
+Richardson stencil of the batch, and its jet rebuilt by finite differences
+(:func:`~nklab.findiff.fd_jet`), while all *derived* computations stay
+identical.
 """
 
 from __future__ import annotations

@@ -6,13 +6,16 @@ the "extrapolated-differences" engine mode -- an independent cross-check of
 the exact-propagation arithmetic.
 
 Central differences have O(h^2) truncation error; one Richardson level
-((4 D_{h/2} - D_h)/3) pushes that to O(h^4).
+((4 D_{h/2} - D_h)/3) pushes that to O(h^4).  Every stencil point of both
+step sizes goes to the value function in one batched call; the zero offset
+is among them, so the value row comes from the same call, unextrapolated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,43 +53,50 @@ def _stencil_for(multi) -> list[tuple[tuple, float]]:
     return out
 
 
-def _raw_partials(f, points: np.ndarray, space: JetSpace, h: float) -> np.ndarray:
-    """All mixed partials of f at given step, no extrapolation.
+@lru_cache(maxsize=None)
+def _plan(space: JetSpace):
+    """Stencil plan of a jet space: (offsets, terms, fac).
 
-    ``f(points) -> (nbatch, *tshape)``; result (*tshape, ncoef, nbatch)
-    holds derivative values (not yet divided by factorials).
+    ``offsets`` (noff, nvars) lists every distinct stencil offset, the zero
+    offset first; ``terms[k]`` is monomial k's ``[(offset index, weight)]``
+    in ``_stencil_for`` order; ``fac`` holds the factorial divisors.
     """
-    offsets = {}
-    for m in space.monomials:
-        for off, _ in _stencil_for(m):
-            offsets.setdefault(off, None)
-    offs = list(offsets)
-    vals = {}
-    for off in offs:
-        p = points + h * np.array(off)
-        vals[off] = np.asarray(f(p), dtype=float)
-    sample = next(iter(vals.values()))
-    tshape = sample.shape[1:]
-    nb = sample.shape[0]
-    out = np.zeros((*tshape, space.ncoef, nb))
-    for k, m in enumerate(space.monomials):
-        acc = np.zeros((nb, *tshape))
-        for off, w in _stencil_for(m):
-            acc = acc + w * vals[off]
-        out[..., k, :] = np.moveaxis(acc, 0, -1) / h ** sum(m)
-    return out
+    index = {(0,) * space.nvars: 0}
+    terms = [[(index.setdefault(off, len(index)), w) for off, w in _stencil_for(m)]
+             for m in space.monomials]
+    offsets = np.array(list(index), dtype=float)
+    fac = np.array([math.prod(math.factorial(mi) for mi in m) for m in space.monomials])
+    return offsets, terms, fac
 
 
 def fd_jet(f, points: np.ndarray, space: JetSpace, h: float | None = None) -> Jet:
-    """Jet of a black-box function by Richardson-extrapolated stencils."""
+    """Jet of a black-box function by Richardson-extrapolated stencils.
+
+    ``f(points) -> (nbatch, *tshape)`` is called once, on the stencil points
+    of steps h and h/2 stacked as ``(2 * noff * nbatch, nvars)``.
+    """
     if h is None:
         h = default_step(space.order)
-    d1 = _raw_partials(f, points, space, h)
-    d2 = _raw_partials(f, points, space, h / 2.0)
-    der = (4.0 * d2 - d1) / 3.0
-    fac = np.array([math.prod(math.factorial(mi) for mi in m) for m in space.monomials])
-    c = der / fac[:, None]
+    offsets, terms, fac = _plan(space)
+    steps = (h, h / 2.0)
+    nb = points.shape[0]
+    pts = points + np.array(steps)[:, None, None, None] * offsets[None, :, None, :]
+    flat = np.asarray(f(pts.reshape(-1, points.shape[1])), dtype=float)
+    tshape = flat.shape[1:]
+    vals = flat.reshape(2, len(offsets), nb, *tshape)
+    raw = []
+    for row in terms:
+        acc = np.zeros((2, nb, *tshape))
+        for i, w in row:
+            acc = acc + w * vals[:, i]
+        raw.append(acc)
+    # (2, ncoef, nb, *tshape) -> (2, *tshape, ncoef, nb), C-ordered as
+    # downstream contractions round by memory layout; divided by step^degree.
+    hpow = np.array([[s ** sum(m) for m in space.monomials] for s in steps])
+    raw = np.ascontiguousarray(np.moveaxis(np.stack(raw, axis=1), (1, 2), (-2, -1)))
+    d1 = raw[0] / hpow[0][:, None]
+    d2 = raw[1] / hpow[1][:, None]
+    c = (4.0 * d2 - d1) / 3.0 / fac[:, None]
     # The value row needs no extrapolation; keep it exact.
-    c[..., 0, :] = np.moveaxis(np.asarray(f(points), dtype=float), 0, -1)
+    c[..., 0, :] = np.moveaxis(vals[0, 0], 0, -1)
     return Jet(space, c)
-

@@ -67,6 +67,13 @@ class TestExitCodes:
         assert code == 0
         assert "XFAIL" in capsys.readouterr().out
 
+    def test_fd_backend_run(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        code = cli.main(["--deriv-mode", "fd", "--suite", "gray,nk-core",
+                         "--samples", "4", "--quiet", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 54
+
     def test_internal_error(self, monkeypatch, capsys):
         def boom(**kwargs):
             raise RuntimeError("boom")

@@ -64,6 +64,14 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def _signed_add(out: np.ndarray, sign: int, term: np.ndarray) -> None:
+    """``out += sign * term`` for ``sign = +-1``, without a temporary."""
+    if sign > 0:
+        out += term
+    else:
+        out -= term
+
+
 def alt(arr: np.ndarray, p: int) -> np.ndarray:
     """Antisymmetrize the first ``p`` axes (extra axes ride along)."""
     if p <= 1:
@@ -72,7 +80,7 @@ def alt(arr: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros_like(arr)
     for perm in itertools.permutations(range(p)):
         axes = list(perm) + list(range(p, p + extra))
-        out += perm_sign(perm) * arr.transpose(axes)
+        _signed_add(out, perm_sign(perm), arr.transpose(axes))
     return out / math.factorial(p)
 
 
@@ -98,7 +106,7 @@ def _wedge_core(a, b, p, q):
         inv = [0] * (p + q)
         for pos, src in enumerate(perm):
             inv[src] = pos
-        out += sign * prod.transpose(inv + inv_axes_extra)
+        _signed_add(out, sign, prod.transpose(inv + inv_axes_extra))
     return out
 
 
@@ -119,7 +127,7 @@ def wedge_jet(a: J.Jet, p: int, b: J.Jet, q: int) -> J.Jet:
         inv = [0] * (p + q)
         for pos, src in enumerate(perm):
             inv[src] = pos
-        out += sign * prod.c.transpose(inv + extra)
+        _signed_add(out, sign, prod.c.transpose(inv + extra))
     return J.Jet(prod.space, out)
 
 

@@ -20,6 +20,17 @@ Binary operations work in the lower-order operand's space (truncated
 Taylor propagation); a partial derivative lands one order lower.  A jet
 differentiated past its order has an empty space, and reading its value
 raises, which turns silent order-budget overruns into hard errors.
+
+Multiplication (``jj``) is one batched GEMM per call.  Coefficient t of a
+product is the sum, over the monomial pairs (a, b) with m_a + m_b = m_t, of
+the tensor products of coefficient a of one operand and b of the other.
+``JetSpace`` lists those pairs per target in a padded segment table of
+shape ``(ncoef, W)``, W being the largest pair count of one target.  ``jj``
+gathers both operands through it to ``(ncoef, nbatch, S, L, W*K)`` and
+``(ncoef, nbatch, S, W*K, R)`` (S, L, K, R: the shared, left, contracted
+and right tensor axes of the spec, each flattened), so ``np.matmul`` sums
+over pairs and contracted axes in its inner dimension.  A padded slot
+reads a zero row in both operands and adds exactly zero.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +99,8 @@ class JetSpace:
         self.degree = np.array([sum(m) for m in self.monomials])
 
         # Multiplication table: all coefficient pairs (a, b) whose monomial
-        # product still fits in the space, pre-sorted by target index so a
-        # single reduceat performs the segment sums.
+        # product still fits in the space, sorted by target index.  jj reads
+        # only the segment table below; the flat one gives the pair count.
         pairs = []
         for ia, ma in enumerate(self.monomials):
             da = sum(ma)
@@ -101,9 +113,17 @@ class JetSpace:
         tgt = np.array([p[0] for p in pairs], dtype=np.int64)
         self.mul_a = np.array([p[1] for p in pairs], dtype=np.int64)
         self.mul_b = np.array([p[2] for p in pairs], dtype=np.int64)
-        # Every target index occurs (the pair (m, 0) exists), so segment
-        # starts align one-to-one with coefficient indices.
-        self.mul_seg = np.searchsorted(tgt, np.arange(self.ncoef))
+        # Segment table: row t lists the pairs whose product lands on
+        # coefficient t, padded to the longest segment W with index ncoef.
+        # jj appends a zero row at index ncoef to both operands, so a padded
+        # slot multiplies 0 by 0, and coefficient t is the sum over one row.
+        count = np.bincount(tgt, minlength=self.ncoef)
+        width = int(count.max()) if self.ncoef else 0
+        slot = np.arange(len(tgt)) - np.repeat(np.cumsum(count) - count, count)
+        self.seg_a = np.full((self.ncoef, width), self.ncoef, dtype=np.int64)
+        self.seg_b = np.full((self.ncoef, width), self.ncoef, dtype=np.int64)
+        self.seg_a[tgt, slot] = self.mul_a
+        self.seg_b[tgt, slot] = self.mul_b
 
         # Partial-derivative tables: d/dx_v of coefficient of m comes from
         # the coefficient of m + e_v scaled by (m_v + 1).
@@ -262,26 +282,124 @@ def jconst(space: JetSpace, values: np.ndarray, batch_last: bool = False) -> Jet
     return Jet(space, c)
 
 
+#: Letters that name the coefficient and batch axes in the einsum specs of
+#: ``jc``, ``jb`` and ``junary``.  ``jj``, ``jc`` and ``jb`` refuse a spec
+#: that uses them, so one spec means the same in every jet product.
+_RESERVED = "pz"
+
+
+@lru_cache(maxsize=None)
 def _split_spec(spec: str):
     lhs, rhs = spec.split("->")
     a, b = lhs.split(",")
+    for ch in spec:
+        if ch in _RESERVED:
+            raise ValueError(f"jet spec {spec!r} uses the reserved letter {ch!r}")
     return a, b, rhs
+
+
+class _Plan(NamedTuple):
+    """How ``jj`` lays out one ``(spec, tshape x, tshape y)`` as a matmul."""
+
+    sum_x: tuple  # axes of x summed away (letter in x only)
+    sum_y: tuple
+    perm_x: tuple  # x.c axes -> (nbatch, *shared, *left, coef, *contracted)
+    perm_y: tuple  # y.c axes -> (nbatch, *shared, coef, *contracted, *right)
+    shape_x: tuple  # (*shared, *left) and (*contracted) sizes around coef
+    shape_y: tuple  # (*shared) and (*contracted, *right) sizes around coef
+    S: int
+    L: int
+    K: int
+    R: int
+    out_shape: tuple  # (*shared, *left, *right)
+    out_perm: tuple  # matmul result axes -> (*rhs, coef, nbatch)
+
+
+@lru_cache(maxsize=None)
+def _jj_plan(spec: str, tx: tuple, ty: tuple) -> _Plan:
+    a, b, rhs = _split_spec(spec)
+    size = {}
+    for letters, shape in ((a, tx), (b, ty)):
+        if len(letters) != len(shape) or len(set(letters)) != len(letters):
+            raise ValueError(f"jet spec {spec!r} does not fit tensor shapes {tx}, {ty}")
+        for ch, n in zip(letters, shape):
+            if size.setdefault(ch, n) != n:
+                raise ValueError(f"jet spec {spec!r}: axis {ch!r} has sizes {size[ch]} and {n}")
+    if len(set(rhs)) != len(rhs) or not set(rhs) <= set(a + b):
+        raise ValueError(f"jet spec {spec!r} has a bad output")
+    shared = [ch for ch in rhs if ch in a and ch in b]
+    left = [ch for ch in rhs if ch in a and ch not in b]
+    right = [ch for ch in rhs if ch in b and ch not in a]
+    con = [ch for ch in a if ch in b and ch not in rhs]
+    ka = [ch for ch in a if ch in b or ch in rhs]
+    kb = [ch for ch in b if ch in a or ch in rhs]
+    na, nb = len(ka), len(kb)
+
+    def dims(letters):
+        return tuple(size[ch] for ch in letters)
+
+    order = shared + left + right
+    return _Plan(
+        sum_x=tuple(i for i, ch in enumerate(a) if ch not in ka),
+        sum_y=tuple(i for i, ch in enumerate(b) if ch not in kb),
+        perm_x=(na + 1, *(ka.index(ch) for ch in shared + left), na,
+                *(ka.index(ch) for ch in con)),
+        perm_y=(nb + 1, *(kb.index(ch) for ch in shared), nb,
+                *(kb.index(ch) for ch in con + right)),
+        shape_x=(dims(shared + left), dims(con)),
+        shape_y=(dims(shared), dims(con + right)),
+        S=math.prod(dims(shared)), L=math.prod(dims(left)),
+        K=math.prod(dims(con)), R=math.prod(dims(right)),
+        out_shape=dims(order),
+        out_perm=(*(2 + order.index(ch) for ch in rhs), 0, 1),
+    )
+
+
+def _gather(c: np.ndarray, seg: np.ndarray, perm: tuple, before: tuple, after: tuple) -> np.ndarray:
+    """Coefficient rows ``seg`` of ``c``, laid out as ``(nbatch, B, ncoef, W, A)``.
+
+    ``perm`` moves ``c``'s axes to ``(nbatch, *before, coef, *after)``; the
+    tensor axes before and after the coefficient axis merge into B and A.
+    Index ``ncoef`` in ``seg`` reads a zero row appended after the ncoef
+    coefficients ``seg`` addresses.
+    """
+    n, w = seg.shape
+    nb = c.shape[-1]
+    if w == 1:  # order 0: the single pair (0, 0), nothing to gather or pad
+        return np.ascontiguousarray(c[..., :n, :].transpose(perm)).reshape(
+            nb, math.prod(before), n, w, math.prod(after))
+    lead = (slice(None),) * (1 + len(before))
+    rows = np.empty((nb, *before, n + 1, *after))
+    rows[lead + (slice(None, n),)] = c[..., :n, :].transpose(perm)
+    rows[lead + (n,)] = 0.0
+    return rows.reshape(nb, math.prod(before), n + 1, math.prod(after)).take(seg, axis=2)
 
 
 def jj(spec: str, x: Jet, y: Jet) -> Jet:
     """Binary einsum over tensor axes of two jets, e.g. ``jj('ab,b->a', g, v)``.
 
-    Coefficient multiplication uses the pair table of the lower-order
-    operand's space, which only indexes the prefix both operands share;
-    'p' and 'z' are reserved for the pair and batch axes.
+    Works in the lower-order operand's space ``sp``.  Tensor letters are
+    sorted into shared (both operands and the output), left (x and the
+    output), contracted (both operands only) and right (y and the output);
+    a letter in one operand only is summed away first.  Both operands are
+    gathered through the segment tables ``sp.seg_a``/``sp.seg_b`` to
+    ``(ncoef, nbatch, S, L, W*K)`` and ``(ncoef, nbatch, S, W*K, R)``, so a
+    single ``np.matmul`` sums over the W pairs of every output coefficient
+    and the K contracted entries at once.  The letters in ``_RESERVED`` are
+    rejected, and so is a letter repeated within one operand.
     """
+    _split_spec(spec)  # refuse reserved letters before reading the operands
+    p = _jj_plan(spec, x.tshape, y.tshape)
     sp = _lower(x, y)
-    a, b, rhs = _split_spec(spec)
-    ga = x.c[..., sp.mul_a, :]
-    gb = y.c[..., sp.mul_b, :]
-    prod = np.einsum(f"{a}pz,{b}pz->{rhs}pz", ga, gb)
-    out = np.add.reduceat(prod, sp.mul_seg, axis=-2)
-    return Jet(sp, out)
+    n, w = sp.seg_a.shape
+    nb = x.nbatch
+    ga = _gather(x.c.sum(axis=p.sum_x) if p.sum_x else x.c, sp.seg_a, p.perm_x, *p.shape_x)
+    gb = _gather(y.c.sum(axis=p.sum_y) if p.sum_y else y.c, sp.seg_b, p.perm_y, *p.shape_y)
+    prod = np.matmul(ga.reshape(nb, p.S, p.L, n, w * p.K).transpose(3, 0, 1, 2, 4),
+                     gb.transpose(2, 0, 1, 3, 4).reshape(n, nb, p.S, w * p.K, p.R))
+    del ga, gb  # free the gathers before the output copy
+    out = prod.reshape(n, nb, *p.out_shape).transpose(p.out_perm)
+    return Jet(sp, np.ascontiguousarray(out))
 
 
 def jc(spec: str, const: np.ndarray, x: Jet) -> Jet:

@@ -44,3 +44,10 @@ def test_jet_attributes_the_tracer_reads():
     assert x.space is J.jetspace(2, 2)
     assert x.c.shape[-2] == x.space.ncoef
     assert x.ok == x.space.order
+
+
+@pytest.mark.parametrize("nvars", [4, 6])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_pair_count_the_tracer_sizes_jj_by(tracing, nvars, order):
+    # perfbench/run.py --self-check asserts the same equality
+    assert len(J.jetspace(nvars, order).mul_a) == tracing.trusted_pairs(nvars, order, order)

@@ -112,6 +112,21 @@ class TestEinsumBridge:
         with pytest.raises(Exception):
             J.jj("p,p->", a, a)
 
+    @pytest.mark.parametrize("spec", ["p,p->", "az,a->", "a,b->ap"])
+    def test_reserved_letter_named_before_any_array_work(self, spec):
+        # operands that are not jets: the spec must be refused before they are read
+        letter = next(ch for ch in spec if ch in "pz")
+        with pytest.raises(ValueError, match=f"'{letter}'"):
+            J.jj(spec, None, None)
+
+    @pytest.mark.parametrize("spec", ["aa,a->a", "ab,b->aa", "ab,b->c", "abc,b->a"])
+    def test_malformed_spec_rejected(self, spec):
+        sp = J.jetspace(1, 1)
+        a = J.jconst(sp, np.ones((1, 2, 2)))
+        b = J.jconst(sp, np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            J.jj(spec, a, b)
+
     def test_jmatinv(self):
         sp = J.jetspace(2, 2)
         pts = np.array([[0.1, -0.2], [0.6, 0.4]])
@@ -205,3 +220,77 @@ class TestTrust:
         sp = J.jetspace(2, 2)
         with pytest.raises(ValueError):
             J.Jet(sp, np.zeros((J.jetspace(2, 1).ncoef, 1)))
+
+
+def _reduceat_jj(spec, x, y):
+    """Reference kernel: gather every coefficient pair, one einsum, reduceat.
+
+    Builds its own pair table from the monomials, so it shares no index
+    table with ``jj``.
+    """
+    sp = J._lower(x, y)
+    pairs = sorted((sp.index[tuple(u + v for u, v in zip(ma, mb))], ia, ib)
+                   for ia, ma in enumerate(sp.monomials)
+                   for ib, mb in enumerate(sp.monomials)
+                   if sum(ma) + sum(mb) <= sp.order)
+    tgt, ia, ib = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    lhs, rhs = spec.split("->")
+    a, b = lhs.split(",")
+    prod = np.einsum(f"{a}pz,{b}pz->{rhs}pz", x.c[..., ia, :], y.c[..., ib, :])
+    return np.add.reduceat(prod, np.searchsorted(tgt, np.arange(sp.ncoef)), axis=-2)
+
+
+# every spec class the lab uses, and a letter summed away; the tensor sizes
+# differ per letter so that a transposed output cannot pass
+_KERNEL_SPECS = {
+    "ab,bc->ac": ((2, 3), (3, 2)),  # contraction
+    "ai,i->a": ((3, 2), (2,)),
+    "c,de->cde": ((2,), (3, 2)),  # outer product
+    "ab,ab->": ((2, 3), (2, 3)),  # every letter contracted
+    "iab,ib->ai": ((3, 2, 2), (3, 2)),  # i shared by both operands and the output
+    ",->": ((), ()),  # scalar
+    ",ai->ia": ((), (2, 3)),  # permuted output
+    "mib,amc->iabc": ((2, 3, 2), (3, 2, 2)),  # 3-tensor contractions
+    "mic,abm->iabc": ((2, 3, 2), (3, 2, 2)),
+    "xac,ac->x": ((2, 3, 2), (3, 2)),
+    "ab,bc->c": ((3, 2), (2, 3)),  # a summed away before the product
+}
+
+
+def _random_jet(rng, nvars, order, tshape, nbatch):
+    sp = J.jetspace(nvars, order)
+    return J.Jet(sp, rng.uniform(-1.0, 1.0, size=(*tshape, sp.ncoef, nbatch)))
+
+
+class TestSegmentKernel:
+    @pytest.mark.parametrize("spec", sorted(_KERNEL_SPECS))
+    @pytest.mark.parametrize("nvars", [4, 6])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("nbatch", [1, 50])
+    def test_matches_reduceat_kernel(self, spec, nvars, order, nbatch):
+        rng = np.random.default_rng(order + 10 * nvars + nbatch)
+        ta, tb = _KERNEL_SPECS[spec]
+        x = _random_jet(rng, nvars, order, ta, nbatch)
+        y = _random_jet(rng, nvars, order, tb, nbatch)
+        # same order, and each operand in turn the higher-order one
+        low_x = _truncate(x, max(order - 1, 0))
+        low_y = _truncate(y, max(order - 1, 0))
+        for u, v in ((x, y), (low_x, y), (x, low_y)):
+            got = J.jj(spec, u, v)
+            want = _reduceat_jj(spec, u, v)
+            assert got.space is J._lower(u, v)
+            assert got.c.shape == want.shape
+            assert np.max(np.abs(got.c - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nvars,order", [(1, 0), (2, 1), (4, 3), (6, 3), (4, 4)])
+    def test_segment_table_lists_every_pair_once(self, nvars, order):
+        sp = J.jetspace(nvars, order)
+        real = sp.seg_a < sp.ncoef
+        assert np.array_equal(real, sp.seg_b < sp.ncoef)
+        assert sp.seg_a.shape == (sp.ncoef, real.sum(axis=1).max())
+        mono = np.array(sp.monomials)
+        target = np.broadcast_to(np.arange(sp.ncoef)[:, None], real.shape)[real]
+        got = sorted(zip(target, sp.seg_a[real], sp.seg_b[real]))
+        want = sorted((sp.index[tuple(mono[a] + mono[b])], a, b)
+                      for a, b in zip(sp.mul_a, sp.mul_b))
+        assert got == want

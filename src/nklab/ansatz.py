@@ -44,6 +44,7 @@ from .chart import (
     EvalContext,
     ConfigError,
     InvariantViolation,
+    contract,
     sample_points,
 )
 from .exterior import d_form, wedge_jet
@@ -329,10 +330,10 @@ def _certify_chart(chart: ChartMap, samples: int, seed: int, tol: float) -> None
     sq = np.einsum("zab,zbc->zac", jm, jm) + np.eye(_DIM)
     if np.max(np.abs(sq)) > tol:
         raise InvariantViolation("acs_square", float(np.max(np.abs(sq))))
-    compat = np.einsum("zai,zab,zbj->zij", jm, g, jm) - g
+    compat = contract("zai,zab,zbj->zij", jm, g, jm) - g
     if np.max(np.abs(compat)) > tol:
         raise InvariantViolation("acs_compatibility", float(np.max(np.abs(compat))))
-    unit = np.abs(np.sqrt(np.einsum("zi,zij,zj->z", xi, g, xi)) - 1.0)
+    unit = np.abs(np.sqrt(contract("zi,zij,zj->z", xi, g, xi)) - 1.0)
     if np.max(unit) > tol:
         raise InvariantViolation("fiber_unit_length", float(np.max(unit)))
 
@@ -444,8 +445,8 @@ def gauge_equivalence_residual(shift=(1, -1), samples: int = 10,
     jinv[4, 3] = p2
     ctx_a = EvalContext(base.chart, pts, order=0)
     ctx_b = EvalContext(shifted.chart, mapped, order=0)
-    g_pull = np.einsum("ai,zab,bj->zij", jac, ctx_b.root("metric").val, jac)
-    j_pull = np.einsum("ia,zab,bj->zij", jinv, ctx_b.root("J").val, jac)
+    g_pull = contract("ai,zab,bj->zij", jac, ctx_b.root("metric").val, jac)
+    j_pull = contract("ia,zab,bj->zij", jinv, ctx_b.root("J").val, jac)
     return {
         "metric": float(np.max(np.abs(ctx_a.root("metric").val - g_pull))),
         "J": float(np.max(np.abs(ctx_a.root("J").val - j_pull))),

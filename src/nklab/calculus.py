@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets as J
-from .chart import EvalContext
+from .chart import EvalContext, contract
 
 __all__ = [
     "metric",
@@ -153,7 +153,7 @@ def curvature_operator_value(ctx: EvalContext, alpha: np.ndarray) -> np.ndarray:
     """
     rl = riemann_lower(ctx).val
     gi = metric_inv(ctx).val
-    up = np.einsum("bka,blc,bac->bkl", gi, gi, alpha)
+    up = contract("bka,blc,bac->bkl", gi, gi, alpha)
     return -0.5 * np.einsum("bkl,bklij->bij", up, rl)
 
 

@@ -1,4 +1,4 @@
-"""Charts, evaluation contexts and sampling helpers.
+"""Charts, evaluation contexts, sampling helpers and value-level contraction.
 
 A :class:`ChartMap` is a named open coordinate box together with a set of
 field evaluators.  Evaluators are written once, against jets: each takes
@@ -15,6 +15,8 @@ identical.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "sample_points",
     "unit_tangent_vectors",
     "gram_schmidt",
+    "contract",
 ]
 
 
@@ -182,6 +185,56 @@ class EvalContext:
 
 
 # ---------------------------------------------------------------------------
+# value-level helpers
+
+
+@lru_cache(maxsize=None)
+def _contract_plan(spec: str, shapes: tuple) -> tuple:
+    """Steps ``(positions, two-operand spec)`` of ``contract``, greedy order.
+
+    ``np.einsum_path`` picks which operands to contract next.  Each step
+    pops two of them (highest position first) and appends the intermediate,
+    which keeps the letters that a later operand or the output still needs.
+    A path step over more operands, which the path's memory limit can
+    produce, is taken as a chain of pairs through its own intermediate.
+    """
+    lhs, out = spec.split("->")
+    terms = lhs.split(",")
+    path = np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes),
+                          optimize="greedy")[0][1:]
+    steps = []
+    for group in path:
+        group = sorted(group, reverse=True)
+        for k in range(1, len(group)):
+            pos = tuple(group[:2]) if k == 1 else (len(terms) - 1, group[k])
+            taken = [terms.pop(i) for i in pos]
+            live = set(out).union(*terms)
+            new = "".join(dict.fromkeys(ch for t in taken for ch in t if ch in live))
+            new = new if terms else out
+            terms.append(new)
+            steps.append((pos, f"{','.join(taken)}->{new}"))
+    return tuple(steps)
+
+
+def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, *ops)`` for three or more operands, contracted pairwise.
+
+    Without ``optimize``, numpy runs a multi-operand einsum as one nested
+    loop over every index at once; a chain of two-operand einsums in the
+    order ``np.einsum_path(optimize="greedy")`` finds costs only the sum of
+    the pair sizes.  The order is planned once per spec and operand shapes.
+    The steps themselves are plain einsums: ``optimize=`` would route them
+    through ``tensordot`` and BLAS, which raised the lab's peak memory.
+    Explicit letters only (no ellipsis).
+    """
+    ops = list(ops)
+    for pos, sub in _contract_plan(spec, tuple(np.shape(o) for o in ops)):
+        taken = [ops.pop(i) for i in pos]
+        ops.append(np.einsum(sub, *taken))
+    return ops[0]
+
+
+# ---------------------------------------------------------------------------
 # sampling helpers
 
 
@@ -203,7 +256,7 @@ def unit_tangent_vectors(g: np.ndarray, rng, n_per_point: int = 1, project=None)
     v = rng.standard_normal((nb, n_per_point, d))
     if project is not None:
         v = project(v)
-    nrm = np.sqrt(np.einsum("bnd,bde,bne->bn", v, g, v))
+    nrm = np.sqrt(contract("bnd,bde,bne->bn", v, g, v))
     if np.any(nrm < 1e-8):
         raise DegenerateFrameError("sampled tangent vector collapsed under projection")
     return v / nrm[..., None]
@@ -215,9 +268,9 @@ def gram_schmidt(vectors: np.ndarray, g: np.ndarray) -> np.ndarray:
     k = out.shape[1]
     for i in range(k):
         for j in range(i):
-            proj = np.einsum("bd,bde,be->b", out[:, i], g, out[:, j])
+            proj = contract("bd,bde,be->b", out[:, i], g, out[:, j])
             out[:, i] -= proj[:, None] * out[:, j]
-        nrm = np.sqrt(np.einsum("bd,bde,be->b", out[:, i], g, out[:, i]))
+        nrm = np.sqrt(contract("bd,bde,be->b", out[:, i], g, out[:, i]))
         if np.any(nrm < 1e-10):
             raise DegenerateFrameError("Gram-Schmidt received linearly dependent seeds")
         out[:, i] /= nrm[:, None]

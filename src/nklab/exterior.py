@@ -5,6 +5,13 @@ batch-first arrays ``(nbatch, d, ..., d)``; jet-level routines take jets.
 Conventions:
 
 * (a ^ b) = (p+q)!/(p!q!) Alt(a x b), so (dx1 ^ dx2)(e1, e2) = 1.
+  The wedge takes forms: its inputs must be antisymmetric.  It is computed
+  in the packed antisymmetric basis, on the C(d, p+q) increasing
+  multi-indices I, as the signed sum over (p, q)-shuffles of
+  a_{I[chosen]} b_{I[rest]}; one gather through a cached (slot, sign)
+  table then unpacks the full array, which is exactly antisymmetric.
+  ``wedge_packed`` returns the packed components, so a top-degree
+  product is one number per point, not a d^d array.
 * (d a)_{i0..ip} = (p+1) Alt(grad a) -- the usual coordinate exterior
   derivative.
 * <a, b> on p-forms contracts all indices and divides by p!.
@@ -25,11 +32,13 @@ import numpy as np
 
 from . import jets as J
 from .calculus import covd, metric_inv
+from .chart import contract
 
 __all__ = [
     "perm_sign",
     "alt",
     "wedge",
+    "wedge_packed",
     "interior",
     "flat",
     "form_ip",
@@ -85,50 +94,116 @@ def alt(arr: np.ndarray, p: int) -> np.ndarray:
 
 
 def _shuffles(p: int, q: int):
+    """``(sign, chosen, rest)`` for every (p, q)-shuffle of p + q slots."""
     for chosen in itertools.combinations(range(p + q), p):
         sign = (-1) ** (sum(chosen) - p * (p - 1) // 2)
         rest = [i for i in range(p + q) if i not in chosen]
-        yield sign, list(chosen) + rest
+        yield sign, list(chosen), rest
 
 
-def _wedge_core(a, b, p, q):
-    """Wedge on tensor-axes-first arrays with one trailing batch-like group."""
-    extra_a = a.ndim - p
-    prod = np.tensordot(a, b, axes=0) if extra_a == 0 else None
-    if prod is None:
-        # merge trailing axes by elementwise broadcast: a (..p.., E), b (..q.., E)
-        sa = "".join(_LETTERS[:p])
-        sb = "".join(_LETTERS[p:p + q])
-        prod = np.einsum(f"{sa}...,{sb}...->{sa}{sb}...", a, b)
-    out = np.zeros_like(prod)
-    inv_axes_extra = list(range(p + q, prod.ndim))
-    for sign, perm in _shuffles(p, q):
-        inv = [0] * (p + q)
-        for pos, src in enumerate(perm):
-            inv[src] = pos
-        _signed_add(out, sign, prod.transpose(inv + inv_axes_extra))
-    return out
+def _flat(idx: np.ndarray, d: int) -> np.ndarray:
+    """Row-major flat position in (d,)*k of each row of multi-indices ``idx``."""
+    return idx @ d ** np.arange(idx.shape[-1] - 1, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def _combinations(d: int, k: int) -> np.ndarray:
+    """The C(d, k) increasing multi-indices of length k, in lexicographic order."""
+    combos = list(itertools.combinations(range(d), k))
+    return np.array(combos, dtype=np.intp).reshape(len(combos), k)
+
+
+@lru_cache(maxsize=None)
+def _shuffle_table(d: int, p: int, q: int):
+    """Gather table of the packed wedge of a p-form and a q-form on R^d.
+
+    Row s, column c: the flat positions of a_{I[chosen]} and b_{I[rest]} for
+    shuffle s and the c-th increasing multi-index I; and each shuffle's sign.
+    """
+    combos = _combinations(d, p + q)
+    rows = [(sign, _flat(combos[:, chosen], d), _flat(combos[:, rest], d))
+            for sign, chosen, rest in _shuffles(p, q)]
+    sign, ia, ib = zip(*rows)
+    return np.array(ia), np.array(ib), np.array(sign, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _unpack_table(d: int, k: int):
+    """``(slot, sign)`` of every entry J of a k-form on R^d.
+
+    Entry J equals ``sign[J] * packed[slot[J]]``: ``slot`` is the rank of
+    sorted(J) among the increasing multi-indices and ``sign`` the parity of
+    J's inversions.  sorted(J) is the set of J's entries, so it is ranked
+    by its bit mask; a J with a repeated index sets fewer than k bits,
+    matches no multi-index and gets slot C(d, k), which ``_unpack`` pads
+    with zero.
+    """
+    # small integer types: the table of a 6-form has 6^6 entries and is cached
+    idx = np.indices((d,) * k, dtype=np.int8).reshape(k, d**k)
+    inversions = np.zeros(d**k, dtype=np.int8)
+    for i, j in itertools.combinations(range(k), 2):
+        inversions += idx[i] > idx[j]
+    mask = np.zeros(d**k, dtype=np.intp)
+    for row in idx:
+        mask |= 1 << row.astype(np.intp)
+    combos = _combinations(d, k)
+    rank = np.full(2**d, len(combos), dtype=np.min_scalar_type(len(combos)))
+    rank[(1 << combos).sum(axis=1)] = np.arange(len(combos))
+    return rank[mask], 1 - 2 * (inversions % 2)
+
+
+def _unpack(packed: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Full antisymmetric array ``(d,)*k + rest`` from packed ``(C(d, k), *rest)``."""
+    slot, sign = _unpack_table(d, k)
+    padded = np.concatenate([packed, np.zeros((1,) + packed.shape[1:])])
+    out = padded[slot]
+    out *= sign.reshape((-1,) + (1,) * (packed.ndim - 1))
+    return out.reshape((d,) * k + packed.shape[1:])
+
+
+def _packed_wedge(a: np.ndarray, p: int, b: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Packed wedge on tensor-axes-first arrays; trailing axes ride along."""
+    ia, ib, sign = _shuffle_table(d, p, q)
+    af = a.reshape((d**p,) + a.shape[p:])
+    bf = b.reshape((d**q,) + b.shape[q:])
+    return np.tensordot(sign, af[ia] * bf[ib], axes=1)
+
+
+def wedge_packed(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
+    """Components of a ^ b on the increasing multi-indices, batch first.
+
+    Shape ``(nbatch, C(d, p + q))``, columns in lexicographic order of the
+    multi-indices; a top-degree product (p + q = d) is the single column 0.
+    ``a`` and ``b`` must be forms (antisymmetric).
+    """
+    d = a.shape[1] if p else b.shape[1]
+    return _packed_wedge(np.moveaxis(a, 0, -1), p, np.moveaxis(b, 0, -1), q, d).T
 
 
 def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
-    """Wedge of batch-first form values."""
-    av = np.moveaxis(a, 0, -1)
-    bv = np.moveaxis(b, 0, -1)
-    return np.moveaxis(_wedge_core(av, bv, p, q), -1, 0)
+    """Wedge of batch-first form values; ``a`` and ``b`` must be antisymmetric.
+
+    The product is computed on the C(d, p + q) increasing multi-indices and
+    unpacked, so the result is exactly antisymmetric (zero for p + q > d).
+    """
+    d = a.shape[1] if p else b.shape[1]
+    return np.moveaxis(_unpack(wedge_packed(a, p, b, q).T, d, p + q), -1, 0)
 
 
 def wedge_jet(a: J.Jet, p: int, b: J.Jet, q: int) -> J.Jet:
+    """Wedge of form jets, through ``wedge``'s shuffle and unpack tables.
+
+    The packed shuffle sum is taken on the tensor axes of the jet product
+    ``a (x) b``, coefficient by coefficient; ``a`` and ``b`` must be forms.
+    """
+    d = a.tshape[0] if p else b.tshape[0]
     sa = "".join(_LETTERS[:p])
     sb = "".join(_LETTERS[p:p + q])
     prod = J.jj(f"{sa},{sb}->{sa}{sb}", a, b)
-    out = np.zeros_like(prod.c)
-    extra = [p + q, p + q + 1]
-    for sign, perm in _shuffles(p, q):
-        inv = [0] * (p + q)
-        for pos, src in enumerate(perm):
-            inv[src] = pos
-        _signed_add(out, sign, prod.c.transpose(inv + extra))
-    return J.Jet(prod.space, out)
+    ia, ib, sign = _shuffle_table(d, p, q)
+    outer = prod.c.reshape((d ** (p + q),) + prod.c.shape[p + q:])
+    packed = np.tensordot(sign, outer[ia * d**q + ib], axes=1)
+    return J.Jet(prod.space, _unpack(packed, d, p + q))
 
 
 def interior(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -170,10 +245,7 @@ def form_norm2(a: np.ndarray, p: int, ginv: np.ndarray, full: bool = False) -> n
 
 @lru_cache(maxsize=None)
 def levi_civita(d: int) -> np.ndarray:
-    eps = np.zeros((d,) * d)
-    for perm in itertools.permutations(range(d)):
-        eps[perm] = perm_sign(perm)
-    return eps
+    return _unpack(np.ones(1), d, d)
 
 
 def hodge(a: np.ndarray, p: int, g: np.ndarray, ginv: np.ndarray, orientation: float = 1.0) -> np.ndarray:
@@ -238,6 +310,6 @@ class TypeSplit2Form:
 
 
 def split_form_types(a: np.ndarray, jmat: np.ndarray) -> TypeSplit2Form:
-    ajj = np.einsum("bai,bcj,bac->bij", jmat, jmat, a)
+    ajj = contract("bai,bcj,bac->bij", jmat, jmat, a)
     return TypeSplit2Form(invariant=0.5 * (a + ajj), anti=0.5 * (a - ajj))
 

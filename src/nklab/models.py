@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
-from .chart import ChartMap, ConfigError, EvalContext
-from .exterior import wedge
+from .chart import ChartMap, ConfigError, EvalContext, contract
+from .exterior import wedge, wedge_packed
 
 __all__ = [
     "ModelBundle",
@@ -77,7 +77,8 @@ for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
 
 
 def qmul_v(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,...j,...k->...i", _QT, a, b)
+    a, b = np.broadcast_arrays(a, b)
+    return contract("ijk,zj,zk->zi", _QT, a.reshape(-1, 4), b.reshape(-1, 4)).reshape(a.shape)
 
 
 def qconj_v(q: np.ndarray) -> np.ndarray:
@@ -165,8 +166,7 @@ def _fix_orientation_nk6(chart: ChartMap) -> None:
     g = ctx.root("metric").val
     jm = ctx.root("J").val
     om = np.einsum("bki,bkj->bij", jm, g)
-    om3 = wedge(wedge(om, 2, om, 2), 4, om, 2)
-    comp = om3[0, 0, 1, 2, 3, 4, 5] / 6.0
+    comp = wedge_packed(wedge(om, 2, om, 2), 4, om, 2)[0, 0] / 6.0
     ref = math.sqrt(float(np.linalg.det(g[0])))
     chart.orientation = 1.0 if comp / ref > 0 else -1.0
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import calculus as C
 from . import jets as J
-from .chart import EvalContext, NonEinsteinBaseError
+from .chart import EvalContext, NonEinsteinBaseError, contract
 from .exterior import (
     codifferential,
     d_form,
@@ -285,7 +285,7 @@ def verify_killing_unit(ctx: EvalContext, red: Reduction) -> dict:
     """Unit length and invariance of the metric and of J along the field."""
     g = C.metric(ctx)
     xi = red.xi(ctx)
-    n2 = np.einsum("zi,zij,zj->z", xi.val, g.val, xi.val)
+    n2 = contract("zi,zij,zj->z", xi.val, g.val, xi.val)
     out = {"unit_length": _maxabs(np.sqrt(n2) - 1.0)}
     out["killing"] = _maxabs(C.lie_derivative(ctx, xi, g, "ll").val)
     out["preserves_j"] = _maxabs(C.lie_derivative(ctx, xi, j_field(ctx), "ul").val)
@@ -357,7 +357,7 @@ def acs_check(ctx: EvalContext, red: Reduction) -> dict:
     gi = C.metric_inv(ctx).val
     dz = red.dzeta(ctx).val
     a_endo = np.einsum("zij,zja->zai", dz, gi)   # dzeta(X,Y) = g(AX, Y)
-    jaj = np.einsum("zab,zbc,zci->zai", jv, a_endo, jv)
+    jaj = contract("zab,zbc,zci->zai", jv, a_endo, jv)
     out["dzeta_invariant_part"] = _maxabs(0.5 * (a_endo - jaj) - 2.0 * jh)
     out["dzeta_anti_part"] = _maxabs(0.5 * (a_endo + jaj) + k_e)
     out["a_is_2_nabla_xi"] = _maxabs(a_endo - 2.0 * red.nabla_xi(ctx).val)
@@ -368,7 +368,7 @@ def acs_check(ctx: EvalContext, red: Reduction) -> dict:
     om_k = red.omega_endo(ctx, "K").val
     rhs = (np.einsum("za,zpq->zpaq", xi, om_i)
            + np.einsum("za,zpq->zpaq", jxi, om_k))
-    resid = np.einsum("zpi,zpaq,zqj->ziaj", pi, nj - rhs, pi)
+    resid = contract("zpi,zpaq,zqj->ziaj", pi, nj - rhs, pi)
     out["torsion_via_ik"] = _maxabs(resid)
     return out
 
@@ -383,7 +383,7 @@ def transversal_parallel_check(ctx: EvalContext, red: Reduction) -> dict:
     for item, getter in (("i", red.i_endo), ("k", red.k_endo)):
         cov = C.covd(ctx, getter(ctx), "ul")[0].val  # (z, x, a, j)
         low = np.einsum("zxaj,zab->zxbj", cov, g)
-        proj = np.einsum("zxp,zxbj,zbc,zjq->zpcq", pi, low, pi, pi)
+        proj = contract("zxp,zxbj,zbc,zjq->zpcq", pi, low, pi, pi)
         out[f"parallel_{item}"] = _maxabs(proj)
     return out
 
@@ -400,7 +400,7 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     dz = red.dzeta(ctx).val
     out = {}
 
-    dz_moved = np.einsum("zai,zbj,zab->zij", jv, jv, dz)
+    dz_moved = contract("zai,zbj,zab->zij", jv, jv, dz)
     dz11 = 0.5 * (dz + dz_moved)
     dz20 = 0.5 * (dz - dz_moved)
     out["norm_dzeta11"] = float(np.mean(form_norm2(dz11, 2, gi)))
@@ -409,7 +409,7 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     out["norm_dzeta20_dev"] = _maxabs(form_norm2(dz20, 2, gi) - 2.0)
 
     jh = red.jhat(ctx).val
-    n_jh = np.einsum("zai,zbj,zab,zij->z", jh, jh, g, gi)
+    n_jh = contract("zai,zbj,zab,zij->z", jh, jh, g, gi)
     out["norm_jhat"] = float(np.mean(n_jh))
     out["norm_jhat_dev"] = _maxabs(n_jh - 4.0)
 
@@ -440,7 +440,7 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     # contraction of nabla Omega against nabla xi
     n_om = C.covd_field(ctx, omega_field, "ll", key="omega")[0].val  # (z,a,i,j)
     n_xi = C.covd(ctx, red.xi(ctx), "u")[0].val                     # (z,b,m)
-    contr = np.einsum("zab,zamj,zbm->zj", gi, n_om, n_xi)
+    contr = contract("zab,zamj,zbm->zj", gi, n_om, n_xi)
     out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * red.jzeta(ctx).val)
 
     # spectrum of the deformed metric relative to g, and of sigma
@@ -462,7 +462,7 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     # reconstruction of g from the deformed metric
     rec = (4.0 / 3.0) * (g0 - 0.5 * np.einsum("zia,zaj->zij", g0, sg))
     pi = red.pi_h(ctx).val
-    out["g_from_g0"] = _maxabs(np.einsum("zpi,zpq,zqj->zij", pi, rec - g, pi))
+    out["g_from_g0"] = _maxabs(contract("zpi,zpq,zqj->zij", pi, rec - g, pi))
     return out
 
 
@@ -589,7 +589,7 @@ def g0_connection_check(ctx: EvalContext, red: Reduction) -> dict:
     half = term - 0.5 * np.einsum("zab,zxby->zxay", sg, term)
     rhs = (1.0 / 3.0) * np.einsum("zxay,zaq->zxyq", half, g0v)
 
-    resid = np.einsum("zxp,zyq,zwr,zxyw->zpqr", pi, pi, pi, diff - rhs)
+    resid = contract("zxp,zyq,zwr,zxyw->zpqr", pi, pi, pi, diff - rhs)
     out = {"difference_tensor": _maxabs(resid)}
 
     # (pi + sigma/2)(pi - sigma/2) = (3/4) pi
@@ -614,9 +614,9 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
     out = {}
 
     out["i0_square"] = _maxabs(np.einsum("zab,zbi->zai", i0v, i0v) + pi)
-    moved_g0 = np.einsum("zai,zbj,zab->zij", i0v, i0v, g0v)
+    moved_g0 = contract("zai,zbj,zab->zij", i0v, i0v, g0v)
     out["i0_compatible"] = _maxabs(
-        np.einsum("zpi,zpq,zqj->zij", pi, moved_g0 - g0v, pi))
+        contract("zpi,zpq,zqj->zij", pi, moved_g0 - g0v, pi))
 
     om_i = red.omega_endo(ctx, "I").val
     out["omega_i_via_i0"] = _maxabs(om_i - (2.0 / _SQ3)
@@ -635,7 +635,7 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
     out["omega_k_anti_part"] = _maxabs(anti.val - (2.0 / 3.0) * (2.0 * om_k - om_jh))
 
     om_j = red.omega_j_form(ctx)
-    moved_j = np.einsum("zai,zbj,zab->zij", i0v, i0v, om_j.val)
+    moved_j = contract("zai,zbj,zab->zij", i0v, i0v, om_j.val)
     out["omega_j_anti_invariant"] = _maxabs(moved_j + om_j.val)
 
     re_p, im_p = red.psi_form(ctx)
@@ -660,7 +660,7 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
     # parallelism under the deformed connection, horizontally projected
     def hproj(cov):
         # cov: (z, x, a, j) endo-valued; sandwich all slots with pi
-        return np.einsum("zxp,zab,zxbq,zqj->zpaj", pi, pi, cov, pi)
+        return contract("zxp,zab,zxbq,zqj->zpaj", pi, pi, cov, pi)
 
     gam0 = red.g0_christoffel(ctx)
     cov_i0 = C.covd(ctx, i0, "ul", gamma=gam0)[0].val
@@ -670,7 +670,7 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
 
     def fproj(cov):
         # cov: (z, x, i, j) form-valued
-        return np.einsum("zxp,zxab,zai,zbj->zpij", pi, cov, pi, pi)
+        return contract("zxp,zxab,zai,zbj->zpij", pi, cov, pi, pi)
 
     cov_re = C.covd(ctx, re_p, "ll", gamma=gam0)[0].val
     cov_im = C.covd(ctx, im_p, "ll", gamma=gam0)[0].val
@@ -757,14 +757,14 @@ def sekigawa_terms_at(chart, points, mode: str = "exact",
     no = nab_om.val                          # (z, x, i, j)
 
     # phi(X, Y) = <nabla_{Jhat X} Omega, nabla_Y Omega>
-    inner = np.einsum("zxij,zia,zjb,zyab->zxy", no, giv, giv, no) / 2.0
+    inner = contract("zxij,zia,zjb,zyab->zxy", no, giv, giv, no) / 2.0
     phi = np.einsum("zmx,zmy->zxy", jhat, inner)
     out["norm_phi"] = float(np.mean(
-        np.einsum("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)))
+        contract("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)))
 
     # |nabla Omega|^2 and the rough Laplacian of Omega
     out["norm_nabla_omega"] = float(np.mean(
-        np.einsum("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0))
+        contract("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0))
     d2om = C.second_covd_field(ctx, om_f, "ll", key="base_omega")[0].val
     rough = -np.einsum("zab,zabij->zij", giv, d2om)
     out["norm_rough_omega"] = float(np.mean(form_norm2(rough, 2, giv)))
@@ -804,8 +804,8 @@ def sekigawa_terms_at(chart, points, mode: str = "exact",
     lhs = lap_sstar - 8.0 * delta_pair
     rhs = (-8.0 * r2
            - form_norm2(rough, 2, giv)
-           - np.einsum("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)
-           - (scal / 4.0) * np.einsum(
+           - contract("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)
+           - (scal / 4.0) * contract(
                "zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0)
     out["lhs"] = float(np.mean(np.abs(lhs)))
     out["rhs"] = float(np.mean(np.abs(rhs)))
@@ -834,7 +834,7 @@ def base_kahler_check(chart, points, mode: str = "exact") -> dict:
         out[f"{nm.lower()}_square"] = _maxabs(
             np.einsum("zab,zbi->zai", ev, ev) + eye)
         out[f"{nm.lower()}_compatible"] = _maxabs(
-            np.einsum("zai,zbj,zab->zij", ev, ev, gv) - gv)
+            contract("zai,zbj,zab->zij", ev, ev, gv) - gv)
         out[f"{nm.lower()}_parallel"] = _maxabs(
             C.covd(ctx, e, "ul")[0].val)
 
@@ -874,7 +874,7 @@ def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng=None) -> d
     # horizontal-horizontal part of nabla sigma (Levi-Civita) vanishes
     pi = red.pi_h(ctx).val
     cov_sg = C.covd(ctx, red.sigma(ctx), "ul")[0].val
-    proj = np.einsum("zxp,zab,zxbj,zjq->zpaq", pi, pi, cov_sg, pi)
+    proj = contract("zxp,zab,zxbj,zjq->zpaq", pi, pi, cov_sg, pi)
     out["sigma_transversal_parallel"] = _maxabs(proj)
 
     # distributions spanned by xi with the +1 eigenspace of sigma, and its

@@ -1,0 +1,82 @@
+"""Pairwise contraction of multi-operand einsums (``chart.contract``).
+
+Every value-level einsum with three or more operands goes through
+``contract``; numpy's own multi-operand einsum runs one nested loop over
+all indices, which cost the lab most of its value-level time.
+"""
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nklab
+from nklab.chart import _contract_plan, contract
+
+_SRC = Path(nklab.__file__).resolve().parent
+_MODULES = sorted(_SRC.glob("*.py"))
+
+
+def _calls(tree):
+    """(call, enclosing function name) for every call in ``tree``."""
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+            else:
+                if isinstance(child, ast.Call):
+                    yield child, fn
+                yield from walk(child, fn)
+
+    yield from walk(tree, None)
+
+
+def _name(func):
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _contract_specs():
+    specs = set()
+    for path in _MODULES:
+        for call, _ in _calls(ast.parse(path.read_text())):
+            if _name(call.func) == "contract" and isinstance(call.args[0], ast.Constant):
+                specs.add((path.stem, call.args[0].value))
+    return sorted(specs)
+
+
+_SPECS = _contract_specs()
+
+
+def test_scan_finds_the_routed_specs():
+    modules = {m for m, _ in _SPECS}
+    assert {"ansatz", "calculus", "chart", "exterior", "models", "nkcore", "reduction"} <= modules
+    assert len(_SPECS) >= 30
+
+
+# lab shapes: one point (the single-point checks) or lab-fd's 20 samples,
+# 3 tangent vectors per point, dimension 6; the greedy order depends on them
+@pytest.mark.parametrize("batch", [1, 20])
+@pytest.mark.parametrize("module,spec", _SPECS)
+def test_contract_equals_einsum(module, spec, batch):
+    sizes = {"z": batch, "b": batch, "n": 3}
+    rng = np.random.default_rng(0)
+    ops = [rng.standard_normal([sizes.get(ch, 6) for ch in term])
+           for term in spec.split("->")[0].split(",")]
+    steps = _contract_plan(spec, tuple(op.shape for op in ops))
+    assert all(len(pos) == 2 for pos, _ in steps)
+    want = np.einsum(spec, *ops)
+    got = contract(spec, *ops)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_no_multi_operand_einsum_outside_contract():
+    offenders = []
+    for path in _MODULES:
+        for call, fn in _calls(ast.parse(path.read_text())):
+            if _name(call.func) != "einsum" or (path.stem, fn) == ("chart", "contract"):
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            if starred or len(call.args) >= 4:
+                offenders.append(f"{path.name}:{call.lineno}")
+    assert offenders == []

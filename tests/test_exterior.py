@@ -1,4 +1,6 @@
 """Exterior algebra and Hodge operators against textbook identities."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,3 +153,80 @@ class TestTypeSplit:
         assert np.allclose(binv, sp.invariant, atol=1e-12)
         banti = np.einsum("zai,zab,zbj->zij", jm, sp.anti, jm)
         assert np.allclose(banti, -sp.anti, atol=1e-12)
+
+
+# Dense reference: the outer-product-and-shuffle kernel the packed wedge
+# replaced.  It sums every (p, q)-shuffle of the full d^(p+q) outer product.
+def _dense_shuffle_sum(prod, p, q):
+    """Shuffle sum over the first p + q axes of ``prod`` (extra axes ride along)."""
+    out = np.zeros_like(prod)
+    extra = list(range(p + q, prod.ndim))
+    for chosen in combinations(range(p + q), p):
+        sign = (-1) ** (sum(chosen) - p * (p - 1) // 2)
+        perm = list(chosen) + [i for i in range(p + q) if i not in chosen]
+        inv = [0] * (p + q)
+        for pos, src in enumerate(perm):
+            inv[src] = pos
+        out += sign * prod.transpose(inv + extra)
+    return out
+
+
+def _dense_wedge(a, p, b, q):
+    """Batch-first wedge through the full outer product."""
+    av, bv = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
+    prod = av.reshape(av.shape[:p] + (1,) * q + av.shape[p:]) * bv
+    return np.moveaxis(_dense_shuffle_sum(prod, p, q), -1, 0)
+
+
+_FORMS = {}
+
+
+def _form(d, p, seed):
+    """A random antisymmetric batch of two p-forms on R^d (cached)."""
+    key = (d, p, seed)
+    if key not in _FORMS:
+        raw = np.random.default_rng([d, p, seed]).normal(size=(2,) + (d,) * p)
+        _FORMS[key] = _alt_batch(raw, p) if p > 1 else raw
+    return _FORMS[key]
+
+
+_DEGREES = [(d, p, q) for d in (3, 4, 6) for p in range(d + 1) for q in range(d + 1)
+            if 1 <= p + q <= d]
+
+
+class TestPackedWedge:
+    @pytest.mark.parametrize("d,p,q", _DEGREES)
+    def test_matches_dense_shuffle_kernel(self, d, p, q):
+        a, b = _form(d, p, 0), _form(d, q, 1)
+        got = E.wedge(a, p, b, q)
+        want = _dense_wedge(a, p, b, q)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-13
+        # the packed columns are the increasing multi-indices, in order
+        cols = [want[(slice(None),) + ix] for ix in combinations(range(d), p + q)]
+        assert np.max(np.abs(E.wedge_packed(a, p, b, q) - np.stack(cols, axis=1))) < 1e-13
+
+    @pytest.mark.parametrize("d,p,q", [(3, 2, 2), (3, 1, 3), (4, 2, 3), (4, 1, 4), (6, 3, 4)])
+    def test_above_top_degree_is_zero(self, d, p, q):
+        got = E.wedge(_form(d, p, 0), p, _form(d, q, 1), q)
+        assert got.shape == (2,) + (d,) * (p + q)
+        assert not np.any(got)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_jet_matches_dense_shuffle_kernel(self, p, q):
+        d = 4
+        ch = ChartMap("flat4", [(-1.0, 1.0)] * d, {"metric": lambda c: J.jconst(
+            c.space, np.broadcast_to(np.eye(d), (c.nbatch, d, d)).copy())})
+        ctx = EvalContext(ch, np.array([[0.1, -0.2, 0.3, 0.05], [0.4, 0.2, -0.1, -0.3]]), order=2)
+        x = [ctx.coord(i) for i in range(d)]
+        a = E.d_form(ctx, J.jsin(x[0] * x[1]) + x[2] * x[3], 0)
+        b = E.d_form(ctx, x[1] * x[1] * x[2] + J.jcos(x[3]), 0)
+        if p == 2:
+            a = E.d_form(ctx, J.jj(",c->c", x[3], a), 1)
+        if q == 2:
+            b = E.d_form(ctx, J.jj(",c->c", x[0], b), 1)
+        letters = "cdef"
+        prod = J.jj(f"{letters[:p]},{letters[p:p + q]}->{letters[:p + q]}", a, b)
+        got = E.wedge_jet(a, p, b, q)
+        assert got.space is prod.space
+        assert np.max(np.abs(got.c - _dense_shuffle_sum(prod.c, p, q))) < 1e-13

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
+from . import nkcore as NK
 from .chart import (
     ChartMap,
     EvalContext,
@@ -48,7 +49,8 @@ from .chart import (
     sample_points,
 )
 from .exterior import d_form, wedge_jet
-from .models import ModelBundle
+from .models import ModelBundle, sphere_rotation
+from .reduction import Reduction, verify_killing_unit
 
 __all__ = [
     "BASE_RADIUS",
@@ -133,15 +135,7 @@ def base_rotations(ctx: EvalContext):
     with equal orientations for I0 and opposite ones for Jhat."""
 
     def build(c):
-        endos = []
-        for s2_sign in (1.0, -1.0):
-            parts = []
-            for f, sgn in ((0, 1.0), (1, s2_sign)):
-                sin = J.jsin(c.coord(2 * f))
-                parts += [((2 * f, 2 * f + 1), -sgn * sin),
-                          ((2 * f + 1, 2 * f), sgn * J.jrecip(sin))]
-            endos.append(J.jassemble((_DIM, _DIM), parts))
-        return tuple(endos)
+        return tuple(sphere_rotation(c, _DIM, (1.0, s2_sign)) for s2_sign in (1.0, -1.0))
 
     return ctx.memo(("ansatz", "rotations"), build)
 
@@ -383,31 +377,26 @@ def certify_nk(bundle: ModelBundle = None, samples: int = 20, seed: int = 0) -> 
     the Killing property of the fiber field, the curvature anchors of the
     two connection forms, and the twisted parallel equation.
     """
-    from . import nkcore as NK
-
     if bundle is None:
         bundle = assemble()
     chart = bundle.chart
     rng = np.random.default_rng(seed)
-    struct = NK.NKStructure(chart)
-    out = dict(NK.check_nearly_kahler(struct, samples=samples, seed=seed))
-
     pts = sample_points(chart, samples, rng)
-    alpha = NK.constant_type_samples(chart, pts, rng)
+    ctx1 = EvalContext(chart, pts, order=1)
+    out = dict(NK.check_nearly_kahler(ctx1))
+
+    alpha = NK.constant_type_samples(ctx1, rng)
     out["alpha_mean_err"] = float(abs(np.mean(alpha) - 1.0))
     out["alpha_spread"] = float(np.max(alpha) - np.min(alpha))
 
     ctx3 = EvalContext(chart, pts[: max(2, samples // 3)], order=3)
     out.update(NK.einstein_and_ricci_star_check(ctx3))
 
-    from .reduction import Reduction, verify_killing_unit
-
     red = Reduction(bundle.killing[bundle.default_killing])
     ctx2 = EvalContext(chart, pts[: max(2, samples // 2)], order=2)
     for k, v in verify_killing_unit(ctx2, red).items():
         out[f"fiber_{k}"] = v
 
-    ctx1 = EvalContext(chart, pts, order=1)
     out.update(connection_residuals(ctx1, bundle.meta.get("shift", (0, 0))))
     out["twisted_parallel"] = twisted_parallel_residual(
         ctx1, bundle.meta["gauge"], bundle.meta["conjugate"],

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
-from .chart import ChartMap, ConfigError, EvalContext, contract
+from .chart import ChartMap, ConfigError, EvalContext, contract, sample_points
 from .exterior import wedge, wedge_packed
 
 __all__ = [
@@ -314,12 +314,11 @@ def calibrate_scale(samples: int = 12, seed: int = 0) -> float:
     alpha(c) = alpha(1)/c.
     """
     from .nkcore import constant_type_samples
-    from .chart import sample_points
 
-    bundle = build_s3s3(scale=1.0, charts=("a",))
+    chart = build_s3s3(scale=1.0, charts=("a",)).chart
     rng = np.random.default_rng(seed)
-    pts = sample_points(bundle.chart, samples, rng)
-    alphas = constant_type_samples(bundle.chart, pts, rng, pairs_per_point=4)
+    ctx = EvalContext(chart, sample_points(chart, samples, rng), 1)
+    alphas = constant_type_samples(ctx, rng, pairs_per_point=4)
     return float(np.mean(alphas))
 
 
@@ -444,17 +443,18 @@ def _s2s2_metric_evaluator(r1: float, r2: float):
     return ev
 
 
-def _s2s2_rot_evaluator(signs=(1.0, 1.0)):
-    """Block rotation: j(d_phi) = d_psi / sin(phi), j(d_psi) = -sin(phi) d_phi."""
+def sphere_rotation(ctx: EvalContext, dim: int, signs=(1.0, 1.0)) -> J.Jet:
+    """(dim, dim) endomorphism jet rotating each round-sphere factor by 90 degrees.
 
-    def ev(ctx):
-        parts = []
-        for f, sgn in enumerate(signs):
-            sin = J.jsin(ctx.coord(2 * f))
-            parts += [((2 * f, 2 * f + 1), -sgn * sin), ((2 * f + 1, 2 * f), sgn * J.jrecip(sin))]
-        return J.jassemble((4, 4), parts)
-
-    return ev
+    Factor f has polar coordinates (phi, psi) = (x_2f, x_2f+1); the rotation
+    is j(d_phi) = d_psi / sin(phi), j(d_psi) = -sin(phi) d_phi, reversed
+    where ``signs[f]`` is -1.  Coordinates past the factors are sent to zero.
+    """
+    parts = []
+    for f, sgn in enumerate(signs):
+        sin = J.jsin(ctx.coord(2 * f))
+        parts += [((2 * f, 2 * f + 1), -sgn * sin), ((2 * f + 1, 2 * f), sgn * J.jrecip(sin))]
+    return J.jassemble((dim, dim), parts)
 
 
 def build_s2s2(radii: tuple[float, float] | None = None) -> ModelBundle:
@@ -463,8 +463,8 @@ def build_s2s2(radii: tuple[float, float] | None = None) -> ModelBundle:
     box = [(0.5, math.pi - 0.5), (-2.5, 2.5)] * 2
     ev = {
         "metric": _s2s2_metric_evaluator(r1, r2),
-        "I0": _s2s2_rot_evaluator((1.0, 1.0)),
-        "Jhat": _s2s2_rot_evaluator((1.0, -1.0)),
+        "I0": lambda ctx: sphere_rotation(ctx, 4, (1.0, 1.0)),
+        "Jhat": lambda ctx: sphere_rotation(ctx, 4, (1.0, -1.0)),
     }
     ch = ChartMap("s2s2:main", box, ev, orientation=1.0, meta={"radii": (r1, r2)})
     return ModelBundle(name="s2s2", kind="base4", charts=[ch], meta={"radii": (r1, r2)})

@@ -1,12 +1,14 @@
 """Verification suite for six-dimensional strict nearly Kahler structures.
 
-Everything here consumes a chart carrying ``metric`` and ``J`` evaluators
-and measures residuals of the identities that characterize the geometry:
-skewness of the intrinsic torsion, the classical first-order identities,
-the constant-type property with its four-argument polarization, adapted
-frames with the canonical expansions of the torsion 3-form, the Einstein
-and star-Ricci normalizations, and the Laplacian eigenvalue equations of
-the fundamental 2-form.
+Every check takes an :class:`~nklab.chart.EvalContext` on a chart carrying
+``metric`` and ``J`` evaluators; the context fixes the points, the jet
+order and the derivative backend.  The checks measure residuals of the
+identities that characterize the geometry: skewness of the intrinsic
+torsion, the classical first-order identities, the constant-type property
+with its four-argument polarization, adapted frames with the canonical
+expansions of the torsion 3-form, the Einstein and star-Ricci
+normalizations, and the Laplacian eigenvalue equations of the fundamental
+2-form.
 
 Residual functions return plain ``{name: float}`` dictionaries so that
 suite runners and tests can apply their own tolerances.  Nothing in this
@@ -29,7 +31,6 @@ from .chart import (
     EvalContext,
     contract,
     gram_schmidt,
-    sample_points,
     unit_tangent_vectors,
 )
 from .exterior import (
@@ -44,9 +45,7 @@ from .exterior import (
 )
 
 __all__ = [
-    "NKStructure",
     "AdaptedFrame",
-    "ConstantTypeReport",
     "j_field",
     "omega_field",
     "nabla_j",
@@ -57,7 +56,6 @@ __all__ = [
     "type_tensor_check",
     "constant_type_at",
     "constant_type_samples",
-    "constant_type_report",
     "adapted_frame_at",
     "frame_expansion_check",
     "elementary_identity_check",
@@ -67,19 +65,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# structure handle and basic fields
-
-
-@dataclass(frozen=True)
-class NKStructure:
-    """Handle binding a chart to the names of its metric and J evaluators."""
-
-    chart: ChartMap
-    metric_name: str = "metric"
-    j_name: str = "J"
-
-    def context(self, points, order: int = 2, mode: str = "exact") -> EvalContext:
-        return EvalContext(self.chart, np.atleast_2d(points), order, mode=mode)
+# basic fields
 
 
 def j_field(ctx: EvalContext) -> J.Jet:
@@ -125,18 +111,14 @@ def _maxabs(a) -> float:
 # defining condition
 
 
-def check_nearly_kahler(structure: NKStructure, samples: int = 20, seed: int = 0,
-                        order: int = 1, mode: str = "exact") -> dict:
-    """Residuals of the defining data on a batch of chart points.
+def check_nearly_kahler(ctx: EvalContext) -> dict:
+    """Residuals of the defining data at the context's points (order >= 1).
 
     Checks that J is an isometric almost complex structure and that the
     covariant derivative of J is skew in its first two arguments (the
     nearly Kahler condition).  ``torsion_scale`` reports max |nabla J| so
     callers can distinguish the strict case from the Kahler one.
     """
-    rng = np.random.default_rng(seed)
-    pts = sample_points(structure.chart, samples, rng)
-    ctx = structure.context(pts, order=order, mode=mode)
     g = C.metric(ctx).val
     jv = j_field(ctx).val
     psi = psi_lower(ctx).val
@@ -252,13 +234,14 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
 # constant type
 
 
-def constant_type_at(structure: NKStructure, p, x, y, mode: str = "exact") -> float:
+def constant_type_at(chart: ChartMap, p, x, y) -> float:
     """Rayleigh quotient |(nabla_X J)Y|^2 / (|X|^2 |Y|^2 - g(X,Y)^2 - g(JX,Y)^2).
 
-    Raises ``DegeneratePairError`` when Y lies in the J-invariant plane
-    spanned by X and JX, where the denominator vanishes.
+    Evaluated with exact jets at the single chart point ``p``.  Raises
+    ``DegeneratePairError`` when Y lies in the J-invariant plane spanned by
+    X and JX, where the denominator vanishes.
     """
-    ctx = structure.context(np.atleast_2d(p), order=1, mode=mode)
+    ctx = EvalContext(chart, p, order=1)
     g = C.metric(ctx).val[0]
     jv = j_field(ctx).val[0]
     nj = nabla_j(ctx).val[0]
@@ -275,9 +258,8 @@ def constant_type_at(structure: NKStructure, p, x, y, mode: str = "exact") -> fl
     return float((v @ g @ v) / den)
 
 
-def constant_type_samples(chart: ChartMap, pts, rng, pairs_per_point: int = 4) -> np.ndarray:
-    """Vectorized type-constant samples over random tangent pairs."""
-    ctx = EvalContext(chart, np.atleast_2d(pts), 1)
+def constant_type_samples(ctx: EvalContext, rng, pairs_per_point: int = 4) -> np.ndarray:
+    """Type-constant samples over random tangent pairs at the context's points."""
     g = C.metric(ctx).val
     jv = j_field(ctx).val
     nj = nabla_j(ctx).val
@@ -292,25 +274,6 @@ def constant_type_samples(chart: ChartMap, pts, rng, pairs_per_point: int = 4) -
     v = contract("ziaj,zni,znj->zna", nj, x, y)
     num = contract("zna,zab,znb->zn", v, g, v)
     return (num / den).ravel()
-
-
-@dataclass(frozen=True)
-class ConstantTypeReport:
-    values: np.ndarray
-    mean: float
-    spread: float
-
-    @property
-    def count(self) -> int:
-        return int(self.values.size)
-
-
-def constant_type_report(structure: NKStructure, n_points: int = 50, seed: int = 0,
-                         pairs_per_point: int = 4) -> ConstantTypeReport:
-    rng = np.random.default_rng(seed)
-    pts = sample_points(structure.chart, n_points, rng)
-    vals = constant_type_samples(structure.chart, pts, rng, pairs_per_point)
-    return ConstantTypeReport(vals, float(np.mean(vals)), float(np.max(vals) - np.min(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +314,10 @@ def _adapted_frames(g, jv, nj, e1, e3) -> np.ndarray:
     return np.stack([e1, je1, e3, je3, e5, je5], axis=1)
 
 
-def adapted_frame_at(structure: NKStructure, p, e1_seed=None, e3_seed=None,
-                     rng=None, mode: str = "exact") -> AdaptedFrame:
-    ctx = structure.context(np.atleast_2d(p), order=1, mode=mode)
+def adapted_frame_at(chart: ChartMap, p, e1_seed=None, e3_seed=None,
+                     rng=None) -> AdaptedFrame:
+    """Adapted frame at the single chart point ``p``, with exact jets."""
+    ctx = EvalContext(chart, p, order=1)
     g = C.metric(ctx).val
     d = g.shape[-1]
     if rng is None:
@@ -393,23 +357,22 @@ for _a, _b in ((0, 1), (2, 3), (4, 5)):
     _OMEGA_PATTERN[_b, _a] = -1.0
 
 
-def frame_expansion_check(structure: NKStructure, pts, rng=None, mode: str = "exact") -> dict:
+def frame_expansion_check(ctx: EvalContext, rng=None) -> dict:
     """Expand psi, its Hodge dual, and Omega in adapted frames.
 
-    The frame components must reproduce the fixed integer patterns; this
-    pins the normalization and the orientation conventions at once.
+    One frame per context point.  The frame components must reproduce the
+    fixed integer patterns; this pins the normalization and the
+    orientation conventions at once.
     """
-    pts = np.atleast_2d(pts)
     if rng is None:
         rng = np.random.default_rng(1)
-    ctx = structure.context(pts, order=1, mode=mode)
     g = C.metric(ctx).val
     gi = C.metric_inv(ctx).val
     om = omega_field(ctx).val
     psi = psi_lower(ctx).val
-    star_psi = hodge(psi, 3, g, gi, structure.chart.orientation)
+    star_psi = hodge(psi, 3, g, gi, ctx.chart.orientation)
     # per point, e1 then e3: the draws of one adapted_frame_at call each
-    seeds = rng.standard_normal((pts.shape[0], 2, g.shape[-1]))
+    seeds = rng.standard_normal((ctx.nbatch, 2, g.shape[-1]))
     e = _adapted_frames(g, j_field(ctx).val, nabla_j(ctx).val, seeds[:, 0], seeds[:, 1])
     pf = contract("zai,zbj,zck,zijk->zabc", e, e, e, psi)
     spf = contract("zai,zbj,zck,zijk->zabc", e, e, e, star_psi)

@@ -10,7 +10,9 @@ residuals of the identities they satisfy.
 
 Conventions: endomorphism arrays are indexed ``E[a, i]`` for E^a_i (apply
 on the left), 2-forms of an endomorphism are ``omega_E(X, Y) = g(E X, Y)``,
-and all residual functions return ``{name: float}`` dictionaries.
+and every residual function takes an :class:`~nklab.chart.EvalContext`
+(points, jet order and derivative backend) and returns a ``{name: float}``
+dictionary.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "KillingData",
     "TransversalStructures",
     "ReducedKahlerData",
-    "CanonicalConnection",
     "verify_killing_unit",
     "foliation_checks",
     "build_transversals",
@@ -248,11 +249,6 @@ class ReducedKahlerData:
     g0: np.ndarray
 
 
-@dataclass(frozen=True)
-class CanonicalConnection:
-    gamma_bar: np.ndarray
-
-
 def build_killing_data(ctx: EvalContext, red: Reduction) -> KillingData:
     return KillingData(red.name, red.xi(ctx).val, red.zeta(ctx).val,
                        red.jxi(ctx).val, red.jzeta(ctx).val, red.dzeta(ctx).val)
@@ -271,10 +267,6 @@ def build_reduced_kahler(ctx: EvalContext, red: Reduction) -> ReducedKahlerData:
     return ReducedKahlerData(red.i0(ctx).val, red.omega_j_form(ctx).val,
                              re_p.val + 1j * im_p.val, red.zeta_prime(ctx).val,
                              red.g0(ctx).val)
-
-
-def build_canonical_connection(ctx: EvalContext, red: Reduction) -> CanonicalConnection:
-    return CanonicalConnection(red.gamma_bar(ctx).val)
 
 
 # ---------------------------------------------------------------------------
@@ -695,16 +687,15 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
 # integrand identity on the four-dimensional base
 
 
-def sekigawa_terms_at(chart, points, mode: str = "exact",
-                      einstein_tol: float = 1e-6) -> dict:
+def sekigawa_terms_at(ctx: EvalContext, einstein_tol: float = 1e-6) -> dict:
     """Terms of the integral identity for almost Kahler Einstein 4-metrics.
 
-    The chart must carry ``metric`` and ``Jhat`` evaluators on a
-    4-dimensional base.  Raises ``NonEinsteinBaseError`` when the metric
-    is not Einstein, since the identity is derived under that hypothesis.
-    Returns every named term together with both sides of the identity.
+    The context (order >= 4) must be on a 4-dimensional base chart carrying
+    ``metric`` and ``Jhat`` evaluators.  Raises ``NonEinsteinBaseError``
+    when the metric is not Einstein, since the identity is derived under
+    that hypothesis.  Returns every named term together with both sides of
+    the identity.
     """
-    ctx = EvalContext(chart, np.atleast_2d(points), 4, mode=mode)
     g = C.metric(ctx)
     gi = C.metric_inv(ctx)
     scal = C.scalar_curvature(ctx).val
@@ -715,11 +706,8 @@ def sekigawa_terms_at(chart, points, mode: str = "exact",
             f"base metric is not Einstein (residual {_maxabs(ein):.3e}); "
             "the integrand identity does not apply")
 
-    def jhat_f(c):
-        return c.root("Jhat")
-
     def om_f(c):
-        return J.jj("ai,aj->ij", jhat_f(c), C.metric(c))
+        return J.jj("ai,aj->ij", c.root("Jhat"), C.metric(c))
 
     def rop_f(c):
         gic = C.metric_inv(c)
@@ -813,21 +801,20 @@ def sekigawa_terms_at(chart, points, mode: str = "exact",
     return out
 
 
-def base_kahler_check(chart, points, mode: str = "exact") -> dict:
+def base_kahler_check(ctx: EvalContext) -> dict:
     """Kahler-Einstein normalization of the 4-dimensional base model.
 
-    Requires ``metric``, ``I0`` and ``Jhat`` evaluators: the integrable
-    structure must be parallel, the opposite-orientation structure too,
-    both fundamental forms closed, and the metric Einstein with constant
-    twelve.
+    The context (order >= 2) needs ``metric``, ``I0`` and ``Jhat``
+    evaluators: the integrable structure must be parallel, the
+    opposite-orientation structure too, both fundamental forms closed, and
+    the metric Einstein with constant twelve.
     """
-    ctx = EvalContext(chart, np.atleast_2d(points), 2, mode=mode)
     g = C.metric(ctx)
     gv = g.val
     ric = C.ricci(ctx).val
     out = {"einstein_12": _maxabs(ric - 12.0 * gv)}
 
-    eye = np.eye(chart.dim)
+    eye = np.eye(ctx.chart.dim)
     for nm in ("I0", "Jhat"):
         e = ctx.root(nm)
         ev = e.val
@@ -837,11 +824,8 @@ def base_kahler_check(chart, points, mode: str = "exact") -> dict:
             contract("zai,zbj,zab->zij", ev, ev, gv) - gv)
         out[f"{nm.lower()}_parallel"] = _maxabs(
             C.covd(ctx, e, "ul")[0].val)
-
-        def om_f(c, _nm=nm):
-            return J.jj("ai,aj->ij", c.root(_nm), C.metric(c))
-
-        out[f"{nm.lower()}_form_closed"] = _maxabs(d_form(ctx, om_f(ctx), 2).val)
+        om = J.jj("ai,aj->ij", e, g)
+        out[f"{nm.lower()}_form_closed"] = _maxabs(d_form(ctx, om, 2).val)
 
     i0 = ctx.root("I0").val
     jh = ctx.root("Jhat").val

@@ -7,6 +7,17 @@ from one of the shared computations.  The runner executes the selected
 (model, suite) pairs, reusing contexts and intermediate results within
 a model, and emits one :class:`~nklab.report.CheckResult` per check.
 
+Each model of a run gets one session.  Its ``ctx(order)`` is the one place
+that decides where a check looks: every source computation takes the
+session's context of the order it needs, so all of them share the run's
+points and derivative backend (``mode``).  Contexts of order 1 and 2 hold
+all ``samples`` points; those of order 3 and 4 hold the first quarter of
+them.  Two sources also look at other charts: ``homothety`` builds
+contexts on rescaled copies of ``s3s3`` with the session's backend, and
+``gauge`` compares gauge-shifted copies of ``ansatz`` (coordinates and
+values only, no derivatives of chart fields).  ``agree`` compares with the
+``s3s3`` session of the same run.
+
 Expected failures are declared in :data:`XFAIL`: those are checks whose
 residual is *supposed* to exceed the tolerance on a particular model
 (negative controls).  An expected failure that passes is reported as
@@ -15,10 +26,12 @@ residual is *supposed* to exceed the tolerance on a particular model
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ansatz as A
 from . import models as M
 from . import nkcore as NK
 from . import reduction as R
@@ -284,32 +297,47 @@ def checks_for(suite: str, model: str) -> list[CheckSpec]:
 # shared per-model computations
 
 
-class _Session:
-    """Builds each intermediate computation once per (model, run)."""
+class _Sessions(dict):
+    """The sessions of one run by model name, each built on first use."""
 
-    def __init__(self, model: str, samples: int, seed: int, mode: str = "exact"):
+    def __init__(self, samples: int, seed: int, mode: str):
+        super().__init__()
+        self.args = (samples, seed, mode)
+
+    def __missing__(self, model: str) -> "_Session":
+        session = self[model] = _Session(model, *self.args, peers=self)
+        return session
+
+
+class _Session:
+    """Builds each intermediate computation once per (model, run).
+
+    ``peers``, the run's session table, is held weakly: a strong link back
+    would be a reference cycle keeping the run's sessions alive after it.
+    """
+
+    def __init__(self, model: str, samples: int, seed: int, mode: str,
+                 peers: _Sessions):
         self.model = model
         self.samples = max(2, int(samples))
         self.seed = int(seed)
         self.mode = mode
         self.bundle = M.build_model(model)
         self.chart = self.bundle.chart
-        self.rng = np.random.default_rng(seed)
-        self.pts = sample_points(self.chart, self.samples, self.rng)
+        self.pts = sample_points(self.chart, self.samples,
+                                 np.random.default_rng(seed))
         self.quantiles: dict = {}
         self._cache: dict = {}
         self._ctx: dict = {}
+        self._peers = weakref.ref(peers)
 
     def ctx(self, order: int) -> EvalContext:
+        """The context of ``order`` over this session's points and backend."""
         if order not in self._ctx:
             n = self.samples if order <= 2 else max(2, self.samples // 4)
             self._ctx[order] = EvalContext(self.chart, self.pts[:n], order,
                                            mode=self.mode)
         return self._ctx[order]
-
-    @property
-    def struct(self) -> NK.NKStructure:
-        return NK.NKStructure(self.chart)
 
     @property
     def red(self) -> R.Reduction:
@@ -323,8 +351,7 @@ class _Session:
 
 
 def _src_nk(s):
-    return NK.check_nearly_kahler(s.struct, samples=s.samples, seed=s.seed,
-                                  mode=s.mode)
+    return NK.check_nearly_kahler(s.ctx(1))
 
 
 def _src_gray(s):
@@ -340,10 +367,7 @@ def _src_type(s):
 
 
 def _src_frame(s):
-    n = max(2, s.samples // 4)
-    return NK.frame_expansion_check(s.struct, s.pts[:n],
-                                    np.random.default_rng(s.seed + 3),
-                                    mode=s.mode)
+    return NK.frame_expansion_check(s.ctx(1), np.random.default_rng(s.seed + 3))
 
 
 def _src_elem(s):
@@ -360,7 +384,7 @@ def _src_lapom(s):
 
 def _src_ctype(s):
     rng = np.random.default_rng(s.seed + 5)
-    alpha = NK.constant_type_samples(s.chart, s.pts, rng)
+    alpha = NK.constant_type_samples(s.ctx(1), rng)
     dev = np.abs(alpha - 1.0)
     s.quantiles["ctype"] = {
         "q25": float(np.quantile(dev, 0.25)),
@@ -380,7 +404,7 @@ def _src_homothety(s):
         b = M.build_s3s3(scale=factor * M.S3S3_SCALE, charts=("a",))
         rng = np.random.default_rng(s.seed + 6)
         pts = sample_points(b.chart, max(4, s.samples // 2), rng)
-        alpha = NK.constant_type_samples(b.chart, pts, rng)
+        alpha = NK.constant_type_samples(EvalContext(b.chart, pts, 1, mode=s.mode), rng)
         worst = max(worst, float(np.max(np.abs(factor * alpha - 1.0))))
     return {"scaled_spread": worst}
 
@@ -427,20 +451,17 @@ def _src_canon(s):
 
 
 def _src_base(s):
-    return R.base_kahler_check(s.chart, s.pts)
+    return R.base_kahler_check(s.ctx(2))
 
 
 def _src_sek(s):
-    n = max(2, s.samples // 4)
-    out = dict(R.sekigawa_terms_at(s.chart, s.pts[:n], mode=s.mode))
+    out = dict(R.sekigawa_terms_at(s.ctx(4)))
     out["scal_48_dev"] = abs(out["scal"] - 48.0)
     out["sstar_48_dev"] = abs(out["sstar"] - 48.0)
     return out
 
 
 def _src_conn(s):
-    from . import ansatz as A
-
     ctx = s.ctx(2)
     meta = s.bundle.meta
     out = dict(A.connection_residuals(ctx, meta.get("shift", (0, 0))))
@@ -451,8 +472,6 @@ def _src_conn(s):
 
 
 def _src_gauge(s):
-    from . import ansatz as A
-
     found = A.gauge_search(samples=min(6, s.samples), seed=s.seed)
     ok = found.gauge == A.DEFAULT_GAUGE and not found.conjugate
     eq = A.gauge_equivalence_residual((1, -1), samples=min(8, s.samples),
@@ -466,18 +485,11 @@ def _src_gauge(s):
 
 def _src_agree(s):
     """Reduced invariants of the assembled model vs the homogeneous one."""
-    keys = ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta")
-    mine = R.norms_and_laplacian_checks(s.ctx(3), s.red)
-    psi_mine = R.kahler_projection_check(s.ctx(3), s.red)["psi_norm"]
-    other = M.build_model("s3s3")
-    red2 = R.Reduction(other.killing[other.default_killing])
-    pts = sample_points(other.chart, max(2, s.samples // 4),
-                        np.random.default_rng(s.seed + 8))
-    octx = EvalContext(other.chart, pts, 3, mode=s.mode)
-    theirs = R.norms_and_laplacian_checks(octx, red2)
-    psi_theirs = R.kahler_projection_check(octx, red2)["psi_norm"]
-    out = {k: abs(mine[k] - theirs[k]) for k in keys}
-    out["psi_norm"] = abs(psi_mine - psi_theirs)
+    other = s._peers()["s3s3"]
+    mine, theirs = s.get("norms"), other.get("norms")
+    out = {k: abs(mine[k] - theirs[k])
+           for k in ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta")}
+    out["psi_norm"] = abs(s.get("kahler")["psi_norm"] - other.get("kahler")["psi_norm"])
     return out
 
 
@@ -532,7 +544,10 @@ def run_suite(model: str, suite: str, samples: int = 20, seed: int = 0,
     if not specs:
         return []
     tol_overrides = tol_overrides or {}
-    s = session if session is not None else _Session(model, samples, seed, mode)
+    if session is None:
+        sessions = _Sessions(samples, seed, mode)   # the session holds it weakly
+        session = sessions[model]
+    s = session
     results = []
     for spec in specs:
         tol = float(tol_overrides.get(spec.check, spec.tol))
@@ -570,7 +585,7 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     """
     suite_names = list(SUITES) if suites is None else list(suites)
     results = []
-    sessions: dict = {}
+    sessions = _Sessions(samples, seed, mode)
     for suite in suite_names:
         if suite not in SUITES:
             raise KeyError(f"unknown suite '{suite}' (known: {sorted(SUITES)})")
@@ -580,8 +595,6 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
                 for sp in CHECKS if sp.suite == suite)
         ]
         for model in targets:
-            if model not in sessions:
-                sessions[model] = _Session(model, samples, seed, mode)
             results.extend(run_suite(model, suite, samples, seed,
                                      tol_overrides, mode,
                                      session=sessions[model]))

@@ -60,9 +60,7 @@ def test_01_curvature_anchors(s6, s2s2):
     b.below("unit six-sphere is Einstein with constant 5", e["ricci"], 1e-6)
     b.below("unit six-sphere scalar curvature is 30",
             abs(e["scal_value"] - 30.0), 1e-6)
-    base = R.base_kahler_check(
-        s2s2.chart, sample_points(s2s2.chart, SAMPLES_DEEP,
-                                  np.random.default_rng(1)))
+    base = R.base_kahler_check(_ctx(s2s2, 2, SAMPLES_DEEP, seed=1))
     b.below("small two-sphere product is Einstein with constant 12",
             base["einstein_12"], 1e-7)
     b.finish()
@@ -82,8 +80,8 @@ def test_02_torsion_identity_suite(s3s3, s6):
         ortho = NK.orthogonality_residuals(ctx, rng)
         b.below(f"torsion orthogonal to both arguments ({name})",
                 ortho["torsion_orthogonality"], 1e-9)
-        frame = NK.frame_expansion_check(NK.NKStructure(bundle.chart),
-                                         ctx.points[:6], rng)
+        frame = NK.frame_expansion_check(
+            EvalContext(bundle.chart, ctx.points[:6], 1), rng)
         b.below(f"adapted-frame expansion of the torsion 3-form ({name})",
                 frame["psi"], 1e-7)
         b.below(f"adapted-frame expansion of its Hodge dual ({name})",
@@ -101,7 +99,7 @@ def test_03_constant_type(s3s3, s6):
     for bundle in (s3s3, s6):
         rng = np.random.default_rng(3)
         pts = sample_points(bundle.chart, 50, rng)
-        alpha = NK.constant_type_samples(bundle.chart, pts, rng,
+        alpha = NK.constant_type_samples(EvalContext(bundle.chart, pts, 1), rng,
                                          pairs_per_point=4)
         assert alpha.size == 200
         b.below(f"type constant alpha = 1 over 200 point/plane pairs "
@@ -111,7 +109,7 @@ def test_03_constant_type(s3s3, s6):
         sb = M.build_s3s3(scale=factor * M.S3S3_SCALE, charts=("a",))
         rng = np.random.default_rng(4)
         pts = sample_points(sb.chart, 20, rng)
-        alpha = NK.constant_type_samples(sb.chart, pts, rng)
+        alpha = NK.constant_type_samples(EvalContext(sb.chart, pts, 1), rng)
         worst = max(worst, float(np.max(np.abs(factor * alpha - 1.0))))
     b.below("alpha scales as the inverse metric factor across three scales",
             worst, 1e-8)
@@ -217,8 +215,7 @@ def test_08_canonical_connection(s3s3):
 
 def test_09_base_curvature_identity(s2s2):
     b = _Battery()
-    pts = sample_points(s2s2.chart, SAMPLES_DEEP, np.random.default_rng(9))
-    sek = R.sekigawa_terms_at(s2s2.chart, pts)
+    sek = R.sekigawa_terms_at(_ctx(s2s2, 4, SAMPLES_DEEP, seed=9))
     assert all(np.isfinite(v) for v in sek.values())
     b.below("curvature-defect identity, left side", abs(sek["lhs"]), 1e-5)
     b.below("curvature-defect identity, right side", abs(sek["rhs"]), 1e-5)
@@ -273,8 +270,7 @@ def test_11_negative_controls(s6, s3s3_product):
         worst_dev = min(worst_dev, res["unit_length"])
     b.above("no six-sphere candidate has constant unit length",
             worst_dev, 0.05)
-    nk = NK.check_nearly_kahler(NK.NKStructure(s3s3_product.chart),
-                                samples=SAMPLES, seed=15)
+    nk = NK.check_nearly_kahler(_ctx(s3s3_product, 1, SAMPLES, seed=15))
     b.below("product structure is almost Hermitian", nk["j_square"], 1e-8)
     b.above("product structure fails the nearly Kahler condition",
             nk["nk_condition"], 0.1)

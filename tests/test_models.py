@@ -138,8 +138,8 @@ class TestKillingFields:
 
     def test_flat_control_has_no_torsion(self):
         b = M.build_flat_kahler()
-        st = NK.NKStructure(b.chart)
-        res = NK.check_nearly_kahler(st, samples=6, seed=0)
+        pts = sample_points(b.chart, 6, np.random.default_rng(0))
+        res = NK.check_nearly_kahler(EvalContext(b.chart, pts, 1))
         assert res["torsion_scale"] == 0.0
         assert res["j_square"] < 1e-14
 

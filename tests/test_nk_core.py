@@ -20,8 +20,7 @@ def nk_bundle(request):
 
 class TestDefiningConditions:
     def test_check_nearly_kahler(self, nk_bundle):
-        st = NK.NKStructure(nk_bundle.chart)
-        res = NK.check_nearly_kahler(st, samples=8, seed=1)
+        res = NK.check_nearly_kahler(_ctx(nk_bundle, n=8, order=1, seed=1))
         assert res["j_square"] < 1e-12
         assert res["compatible"] < 1e-12
         assert res["nk_condition"] < 1e-12
@@ -56,18 +55,15 @@ class TestTorsionIdentities:
 
 class TestAdaptedFrames:
     def test_frame_expansions(self, nk_bundle):
-        st = NK.NKStructure(nk_bundle.chart)
-        pts = sample_points(nk_bundle.chart, 3, np.random.default_rng(5))
-        res = NK.frame_expansion_check(st, pts)
+        res = NK.frame_expansion_check(_ctx(nk_bundle, n=3, order=1, seed=5))
         assert res["omega"] < 1e-11
         assert res["psi"] < 1e-10
         assert res["star_psi"] < 1e-10
 
     def test_frame_is_orthonormal(self, nk_bundle):
-        st = NK.NKStructure(nk_bundle.chart)
         p = nk_bundle.chart.center()
-        fr = NK.adapted_frame_at(st, p)
-        ctx = st.context(p[None, :], order=1)
+        fr = NK.adapted_frame_at(nk_bundle.chart, p)
+        ctx = EvalContext(nk_bundle.chart, p[None, :], 1)
         from nklab import calculus as C
 
         g = C.metric(ctx).val[0]
@@ -80,13 +76,12 @@ class TestConstantType:
         ch = nk_bundle.chart
         rng = np.random.default_rng(6)
         pts = sample_points(ch, 12, rng)
-        alpha = NK.constant_type_samples(ch, pts, rng)
+        alpha = NK.constant_type_samples(EvalContext(ch, pts, 1), rng)
         assert np.max(np.abs(alpha - 1.0)) < 1e-12
 
     def test_single_pair_route(self, nk_bundle):
-        st = NK.NKStructure(nk_bundle.chart)
         p = nk_bundle.chart.center()
-        ctx = st.context(p[None, :], order=1)
+        ctx = EvalContext(nk_bundle.chart, p[None, :], 1)
         from nklab import calculus as C
 
         g = C.metric(ctx).val[0]
@@ -100,24 +95,16 @@ class TestConstantType:
                 y = y - (y @ g @ w) / (w @ g @ w) * w
             if y @ g @ y > 1e-6:
                 break
-        val = NK.constant_type_at(st, p, x, y)
+        val = NK.constant_type_at(nk_bundle.chart, p, x, y)
         assert abs(val - 1.0) < 1e-10
 
     def test_degenerate_pair_raises(self, nk_bundle):
-        st = NK.NKStructure(nk_bundle.chart)
         p = nk_bundle.chart.center()
-        ctx = st.context(p[None, :], order=1)
+        ctx = EvalContext(nk_bundle.chart, p[None, :], 1)
         jm = NK.j_field(ctx).val[0]
         x = np.eye(6)[0]
         with pytest.raises(DegeneratePairError):
-            NK.constant_type_at(st, p, x, jm @ x)   # y in span{x, Jx}
-
-    def test_report_object(self, nk_bundle):
-        rep = NK.constant_type_report(NK.NKStructure(nk_bundle.chart),
-                                      n_points=10, seed=7)
-        assert abs(rep.mean - 1.0) < 1e-12
-        assert rep.spread < 1e-12
-        assert rep.count >= 10
+            NK.constant_type_at(nk_bundle.chart, p, x, jm @ x)   # y in span{x, Jx}
 
     def test_homothety_scaling(self):
         # alpha multiplies by 1/c when the metric multiplies by c
@@ -125,7 +112,7 @@ class TestConstantType:
             b = M.build_s3s3(scale=factor * M.S3S3_SCALE, charts=("a",))
             rng = np.random.default_rng(8)
             pts = sample_points(b.chart, 6, rng)
-            alpha = NK.constant_type_samples(b.chart, pts, rng)
+            alpha = NK.constant_type_samples(EvalContext(b.chart, pts, 1), rng)
             assert np.max(np.abs(factor * alpha - 1.0)) < 1e-10
 
 
@@ -147,14 +134,13 @@ class TestCurvature:
 
 class TestNegativeControls:
     def test_product_structure_not_nk(self, s3s3_product):
-        st = NK.NKStructure(s3s3_product.chart)
-        res = NK.check_nearly_kahler(st, samples=8, seed=9)
+        res = NK.check_nearly_kahler(_ctx(s3s3_product, n=8, order=1, seed=9))
         assert res["j_square"] < 1e-12          # still an ACS
         assert res["compatible"] < 1e-12        # still compatible
         assert res["nk_condition"] > 0.1        # but not nearly Kahler
 
     def test_flat_kahler_is_torsion_free(self):
         b = M.build_flat_kahler()
-        res = NK.check_nearly_kahler(NK.NKStructure(b.chart), samples=5, seed=0)
+        res = NK.check_nearly_kahler(_ctx(b, n=5, order=1))
         assert res["nk_condition"] == 0.0
         assert res["torsion_scale"] == 0.0

@@ -145,11 +145,11 @@ class TestReducedKahler:
 class TestBaseGeometry:
     def test_base_kahler(self, s2s2):
         pts = sample_points(s2s2.chart, 6, np.random.default_rng(14))
-        _assert_all_below(R.base_kahler_check(s2s2.chart, pts), 1e-12)
+        _assert_all_below(R.base_kahler_check(EvalContext(s2s2.chart, pts, 2)), 1e-12)
 
     def test_sekigawa_trivial_case(self, s2s2):
         pts = sample_points(s2s2.chart, 3, np.random.default_rng(15))
-        res = R.sekigawa_terms_at(s2s2.chart, pts)
+        res = R.sekigawa_terms_at(EvalContext(s2s2.chart, pts, 4))
         assert abs(res["scal"] - 48.0) < 1e-11
         assert abs(res["sstar"] - 48.0) < 1e-11
         for k in ("norm_phi", "norm_nabla_omega", "norm_r_anti"):
@@ -161,7 +161,7 @@ class TestBaseGeometry:
         b = M.build_s2s2(radii=(0.3, 0.5))
         pts = sample_points(b.chart, 2, np.random.default_rng(16))
         with pytest.raises(NonEinsteinBaseError):
-            R.sekigawa_terms_at(b.chart, pts)
+            R.sekigawa_terms_at(EvalContext(b.chart, pts, 4))
 
 
 class TestReductionOnS6:

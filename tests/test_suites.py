@@ -1,9 +1,12 @@
-"""Check runner: how residuals are turned into verdicts."""
+"""Check runner: how residuals are turned into verdicts, and sessions."""
+import gc
 import math
+import weakref
 
 import pytest
 
 from nklab import suites
+from nklab.chart import EvalContext
 
 
 class TestExtract:
@@ -15,3 +18,47 @@ class TestExtract:
 
     def test_largest_magnitude(self):
         assert suites._extract({"a": -3e-9, "b": 1e-9}, ("a", "b")) == 3e-9
+
+
+class TestSessions:
+    def test_fd_run_evaluates_no_exact_derivatives(self, monkeypatch):
+        # every context of order >= 1 whose roots a fd run evaluates is in fd
+        # mode; order-0 contexts (chart validation, orientation, fd stencils)
+        # need no derivatives
+        seen = set()
+        root = EvalContext.root
+
+        def spy(ctx, name):
+            seen.add((ctx.chart.name, ctx.order, ctx.mode))
+            return root(ctx, name)
+
+        monkeypatch.setattr(EvalContext, "root", spy)
+        results = suites.run(mode="fd", samples=4)
+        assert results
+        exact = sorted((c, o) for c, o, m in seen if o >= 1 and m != "fd")
+        assert not exact, f"exact contexts in a fd run: {exact}"
+        assert {o for _, o, _ in seen} >= {1, 2, 3, 4}
+
+    def test_run_releases_its_sessions(self, monkeypatch):
+        # with the cycle collector off, only reference counts can free the
+        # sessions: a reference cycle through the session table would keep
+        # every session of the run, and all its contexts, alive
+        made = []
+        init = suites._Session.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(suites._Session, "__init__", tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            results = suites.run(models=("s6", "ansatz"), suites=("nk-core", "ansatz"),
+                                 samples=4)
+            alive = [ref() is not None for ref in made]
+        finally:
+            gc.enable()
+        assert {r.model for r in results} == {"s6", "ansatz"}
+        assert len(made) == 3   # and s3s3, for the ansatz agreement check
+        assert not any(alive)

@@ -66,7 +66,6 @@ __all__ = [
     "GaugeSearchResult",
     "gauge_search",
     "assemble",
-    "build_ansatz",
     "certify_nk",
     "gauge_equivalence_residual",
 ]
@@ -86,6 +85,7 @@ _DIM = 6
 _VERT_WEIGHT = 1.0 / 12.0       # theta (x) theta coefficient
 _BASE_WEIGHT = 4.0 / 3.0        # pulled-back base metric coefficient
 _CROSS_WEIGHT = 1.0 / (2.0 * math.sqrt(3.0))
+_CERTIFY_TOL = 1e-6             # pointwise algebra residual at assembly
 
 
 def _scalar_const(ctx: EvalContext, value: float) -> J.Jet:
@@ -198,9 +198,8 @@ def connection_residuals(ctx: EvalContext, shift=(0, 0)) -> dict:
 # the tautological (0,2)-form
 
 
-def tautological_pair(ctx: EvalContext, gauge, conjugate: bool = False,
-                      shift=(0, 0), scale: float = TAUT_NORMALIZATION):
-    """(Re Phi, Im Phi) for Phi = scale * e^{i gamma} (a1 - i a2)^(b1 - i b2).
+def tautological_pair(ctx: EvalContext, gauge, conjugate: bool = False, shift=(0, 0)):
+    """(Re Phi, Im Phi) for Phi = TAUT_NORMALIZATION e^{i gamma} (a1 - i a2)^(b1 - i b2).
 
     ``gamma = t1 + n1 psi1 + n2 psi2`` with (n1, n2) = gauge + shift.
     ``conjugate`` replaces the factor 1-forms by their complex conjugates.
@@ -216,11 +215,11 @@ def tautological_pair(ctx: EvalContext, gauge, conjugate: bool = False,
         gamma = c.coord(4) + float(n1) * c.coord(1) + float(n2) * c.coord(3)
         cg = J.jcos(gamma)
         sg = J.jsin(gamma)
-        re = scale * (J.jj(",ij->ij", cg, p_re) - J.jj(",ij->ij", sg, p_im))
-        im = scale * (J.jj(",ij->ij", sg, p_re) + J.jj(",ij->ij", cg, p_im))
+        re = TAUT_NORMALIZATION * (J.jj(",ij->ij", cg, p_re) - J.jj(",ij->ij", sg, p_im))
+        im = TAUT_NORMALIZATION * (J.jj(",ij->ij", sg, p_re) + J.jj(",ij->ij", cg, p_im))
         return re, im
 
-    return ctx.memo(("ansatz", "taut", (n1, n2, s, scale)), build)
+    return ctx.memo(("ansatz", "taut", (n1, n2, s)), build)
 
 
 def twisted_parallel_residual(ctx: EvalContext, gauge, conjugate: bool = False,
@@ -241,17 +240,15 @@ class GaugeSearchResult:
     table: dict = field(repr=False)
 
 
-def gauge_search(samples: int = 6, seed: int = 0, span: int = 2) -> GaugeSearchResult:
-    """Scan integer gauges (and the conjugate option) for the one that
-    makes the twisted parallel equation hold; smallest residual wins,
-    with the non-conjugate representative preferred on ties."""
-    chart = _build_chart(DEFAULT_GAUGE, False, (0, 0), False)
-    pts = sample_points(chart, samples, np.random.default_rng(seed))
-    ctx = EvalContext(chart, pts, order=1)
+def gauge_search(ctx: EvalContext) -> GaugeSearchResult:
+    """Scan the integer gauges in [-2, 2]^2 (and the conjugate option) for
+    the one that makes the twisted parallel equation hold at the context's
+    points (order >= 1); smallest residual wins, with the non-conjugate
+    representative preferred on ties."""
     table = {}
     best = None
-    for n1 in range(-span, span + 1):
-        for n2 in range(-span, span + 1):
+    for n1 in range(-2, 3):
+        for n2 in range(-2, 3):
             for conj in (False, True):
                 val = twisted_parallel_residual(ctx, (n1, n2), conj)
                 table[(n1, n2, conj)] = val
@@ -313,28 +310,27 @@ def _build_chart(gauge, conjugate, shift, printed) -> ChartMap:
                           "shift": tuple(shift)})
 
 
-def _certify_chart(chart: ChartMap, samples: int, seed: int, tol: float) -> None:
+def _certify_chart(chart: ChartMap) -> None:
     """Raise unless J is a g-compatible almost complex structure and the
-    fiber field has unit length."""
-    pts = sample_points(chart, samples, np.random.default_rng(seed))
+    fiber field has unit length, to ``_CERTIFY_TOL`` at 12 chart points."""
+    pts = sample_points(chart, 12, np.random.default_rng(0))
     ctx = EvalContext(chart, pts, order=0)
     g = ctx.root("metric").val
     jm = ctx.root("J").val
     xi = ctx.root("xi:fiber").val
     sq = np.einsum("zab,zbc->zac", jm, jm) + np.eye(_DIM)
-    if np.max(np.abs(sq)) > tol:
+    if np.max(np.abs(sq)) > _CERTIFY_TOL:
         raise InvariantViolation("acs_square", float(np.max(np.abs(sq))))
     compat = contract("zai,zab,zbj->zij", jm, g, jm) - g
-    if np.max(np.abs(compat)) > tol:
+    if np.max(np.abs(compat)) > _CERTIFY_TOL:
         raise InvariantViolation("acs_compatibility", float(np.max(np.abs(compat))))
     unit = np.abs(np.sqrt(contract("zi,zij,zj->z", xi, g, xi)) - 1.0)
-    if np.max(unit) > tol:
+    if np.max(unit) > _CERTIFY_TOL:
         raise InvariantViolation("fiber_unit_length", float(np.max(unit)))
 
 
 def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
-             printed_coefficients: bool = False, certify: bool = True,
-             samples: int = 12, seed: int = 0, tol: float = 1e-6) -> ModelBundle:
+             printed_coefficients: bool = False, certify: bool = True) -> ModelBundle:
     """Build the model bundle.
 
     With the default (corrected) weights the assembled structure passes
@@ -347,7 +343,7 @@ def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
         raise ConfigError("gauge must be a pair of integers")
     ch = _build_chart(g, conjugate, tuple(shift), printed_coefficients)
     if certify:
-        _certify_chart(ch, samples, seed, tol)
+        _certify_chart(ch)
     from .models import _fix_orientation_nk6
 
     _fix_orientation_nk6(ch)
@@ -359,10 +355,6 @@ def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
         default_killing="fiber",
         meta={"gauge": g, "conjugate": conjugate, "shift": tuple(shift)},
     )
-
-
-def build_ansatz() -> ModelBundle:
-    return assemble()
 
 
 # ---------------------------------------------------------------------------

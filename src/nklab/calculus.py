@@ -65,11 +65,12 @@ def christoffel_of(ctx: EvalContext, metric_field, key: str) -> J.Jet:
     return ctx.memo(("christoffel_of", key), lambda c: _christoffel_from(metric_field(c)))
 
 
-def covd(ctx: EvalContext, t: J.Jet, kinds: str, gamma: J.Jet | None = None) -> tuple[J.Jet, str]:
+def covd(ctx: EvalContext, t: J.Jet, kinds: str, gamma: J.Jet | None = None) -> J.Jet:
     """Covariant derivative; the new covariant slot becomes tensor axis 0.
 
-    (covd T)[i, ...] = nabla_i T[...]; pass ``gamma`` to differentiate with
-    respect to a connection other than the chart Levi-Civita one.
+    (covd T)[i, ...] = nabla_i T[...], a tensor of kinds ``"l" + kinds``;
+    pass ``gamma`` to differentiate with respect to a connection other than
+    the chart Levi-Civita one.
     """
     if gamma is None:
         gamma = christoffel(ctx)
@@ -86,29 +87,21 @@ def covd(ctx: EvalContext, t: J.Jet, kinds: str, gamma: J.Jet | None = None) -> 
         else:
             corr = J.jj(f"mi{src},{rest}->i{base}", gamma, t)
             out = out - corr
-    return out, "l" + kinds
+    return out
 
 
-def covd_field(ctx: EvalContext, field, kinds: str, key, gamma_key=None, gamma_field=None) -> tuple[J.Jet, str]:
+def covd_field(ctx: EvalContext, field, kinds: str, key) -> J.Jet:
     """Memoized covariant derivative of a field callable (ctx -> Jet)."""
-
-    def build(c):
-        gamma = None
-        if gamma_field is not None:
-            gamma = christoffel_of(c, gamma_field, gamma_key)
-        return covd(c, field(c), kinds, gamma=gamma)[0]
-
-    return ctx.memo(("covd", key, gamma_key), build), "l" + kinds
+    return ctx.memo(("covd", key), lambda c: covd(c, field(c), kinds))
 
 
-def second_covd_field(ctx: EvalContext, field, kinds: str, key) -> tuple[J.Jet, str]:
+def second_covd_field(ctx: EvalContext, field, kinds: str, key) -> J.Jet:
     """nabla^2_{i,j} of a field: covd applied twice; axes (i, j, ...)."""
 
     def build(c):
-        first, k1 = covd(c, field(c), kinds)
-        return covd(c, first, k1)[0]
+        return covd(c, covd(c, field(c), kinds), "l" + kinds)
 
-    return ctx.memo(("covd2", key), build), "ll" + kinds
+    return ctx.memo(("covd2", key), build)
 
 
 def riemann(ctx: EvalContext) -> J.Jet:

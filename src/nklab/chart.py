@@ -116,9 +116,9 @@ class ChartMap:
         if np.max(np.abs(g - np.swapaxes(g, -1, -2))) > 1e-12:
             raise DegenerateMetricError(f"metric on chart '{self.name}' is not symmetric")
 
-    def contains(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        lo = np.array([b[0] for b in self.box]) + margin
-        hi = np.array([b[1] for b in self.box]) - margin
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        lo = np.array([b[0] for b in self.box])
+        hi = np.array([b[1] for b in self.box])
         return np.all((points > lo) & (points < hi), axis=-1)
 
     def center(self) -> np.ndarray:
@@ -238,27 +238,21 @@ def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
 # sampling helpers
 
 
-def sample_points(chart: ChartMap, n: int, rng, margin_frac: float = 0.05) -> np.ndarray:
-    """Uniform points in the chart box, keeping a safety margin off the walls."""
+def sample_points(chart: ChartMap, n: int, rng) -> np.ndarray:
+    """Uniform points in the chart box, 5% of each width off the walls."""
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     w = hi - lo
-    return rng.uniform(lo + margin_frac * w, hi - margin_frac * w, size=(n, chart.dim))
+    return rng.uniform(lo + 0.05 * w, hi - 0.05 * w, size=(n, chart.dim))
 
 
-def unit_tangent_vectors(g: np.ndarray, rng, n_per_point: int = 1, project=None) -> np.ndarray:
-    """Random g-unit tangent vectors, shape (nbatch, n_per_point, dim).
-
-    ``project`` optionally maps raw vectors (e.g. onto a distribution)
-    before normalization.
-    """
+def unit_tangent_vectors(g: np.ndarray, rng, n_per_point: int = 1) -> np.ndarray:
+    """Random g-unit tangent vectors, shape (nbatch, n_per_point, dim)."""
     nb, d = g.shape[0], g.shape[-1]
     v = rng.standard_normal((nb, n_per_point, d))
-    if project is not None:
-        v = project(v)
     nrm = np.sqrt(contract("bnd,bde,bne->bn", v, g, v))
     if np.any(nrm < 1e-8):
-        raise DegenerateFrameError("sampled tangent vector collapsed under projection")
+        raise DegenerateFrameError("sampled tangent vector is degenerate")
     return v / nrm[..., None]
 
 

@@ -56,6 +56,19 @@ def split_tolerance_args(argv):
     return rest, overrides
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"      # argparse reports "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nklab",
@@ -67,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="comma-separated suites or 'all'; known: "
                         f"{', '.join(S.SUITES)}")
-    p.add_argument("--samples", type=int, default=20,
+    p.add_argument("--samples", type=_int_at_least(1), default=20,
                    help="sample points per chart (default 20)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="random seed for sampling (default 0)")
     p.add_argument("--deriv-mode", choices=("exact", "fd"), default="exact",
                    help="derivative backend: exact jets or finite differences")
@@ -86,9 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _list_checks() -> None:
     width = max(len(c.check) for c in S.CHECKS)
     for spec in S.CHECKS:
-        models = spec.models if spec.models is not None else S.SUITES[spec.suite]
         print(f"{spec.check:{width}s}  suite={spec.suite:10s} "
-              f"tol={spec.tol:<8.0e} models={','.join(models)}")
+              f"tol={spec.tol:<8.0e} models={','.join(spec.models)}")
     print(f"{len(S.CHECKS)} checks; expected failures: "
           + "; ".join(f"{c} on ({s}, {m})" for (s, m, c) in sorted(S.XFAIL)))
 

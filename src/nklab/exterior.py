@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import jets as J
 from .calculus import covd, metric_inv
-from .chart import contract
 
 __all__ = [
     "perm_sign",
@@ -40,7 +38,6 @@ __all__ = [
     "wedge",
     "wedge_packed",
     "interior",
-    "flat",
     "form_ip",
     "form_norm2",
     "levi_civita",
@@ -48,8 +45,6 @@ __all__ = [
     "d_form",
     "codifferential",
     "form_laplacian_field",
-    "split_form_types",
-    "TypeSplit2Form",
 ]
 
 # axis-label alphabet for generated einsum specs; 'b' is reserved for the
@@ -211,10 +206,6 @@ def interior(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi...->b...", x, a)
 
 
-def flat(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.einsum("bij,bj->bi", g, x)
-
-
 def _raise_all(a: np.ndarray, p: int, ginv: np.ndarray) -> np.ndarray:
     out = a
     labels = list(_LETTERS[:p])
@@ -272,7 +263,7 @@ def d_form(ctx, w: J.Jet, p: int) -> J.Jet:
 
 def codifferential(ctx, w: J.Jet, p: int) -> J.Jet:
     """delta w = -g^{ij} (nabla w)_{i j ...} -> (p-1)-form jet."""
-    nab, _ = covd(ctx, w, "l" * p)
+    nab = covd(ctx, w, "l" * p)
     gi = metric_inv(ctx)
     rest = _LETTERS[2:p + 1]
     return -1.0 * J.jj(f"ij,ij{rest}->{rest}", gi, nab)
@@ -295,21 +286,3 @@ def form_laplacian_field(field, p: int):
         return t1 + t2
 
     return lap
-
-
-# ---------------------------------------------------------------------------
-# type decomposition with respect to an almost complex structure
-
-
-@dataclass
-class TypeSplit2Form:
-    """J-invariant / J-anti-invariant parts of a 2-form (batch-first values)."""
-
-    invariant: np.ndarray   # (1,1) part: a(JX, JY) = a(X, Y)
-    anti: np.ndarray        # (2,0)+(0,2) part: a(JX, JY) = -a(X, Y)
-
-
-def split_form_types(a: np.ndarray, jmat: np.ndarray) -> TypeSplit2Form:
-    ajj = contract("bai,bcj,bac->bij", jmat, jmat, a)
-    return TypeSplit2Form(invariant=0.5 * (a + ajj), anti=0.5 * (a - ajj))
-

@@ -69,14 +69,14 @@ def _plan(space: JetSpace):
     return offsets, terms, fac
 
 
-def fd_jet(f, points: np.ndarray, space: JetSpace, h: float | None = None) -> Jet:
+def fd_jet(f, points: np.ndarray, space: JetSpace) -> Jet:
     """Jet of a black-box function by Richardson-extrapolated stencils.
 
     ``f(points) -> (nbatch, *tshape)`` is called once, on the stencil points
-    of steps h and h/2 stacked as ``(2 * noff * nbatch, nvars)``.
+    of steps h = ``default_step(order)`` and h/2 stacked as
+    ``(2 * noff * nbatch, nvars)``.
     """
-    if h is None:
-        h = default_step(space.order)
+    h = default_step(space.order)
     offsets, terms, fac = _plan(space)
     steps = (h, h / 2.0)
     nb = points.shape[0]

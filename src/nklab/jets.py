@@ -96,7 +96,6 @@ class JetSpace:
         self.monomials = _monomials(nvars, order)
         self.ncoef = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degree = np.array([sum(m) for m in self.monomials])
 
         # Multiplication table: all coefficient pairs (a, b) whose monomial
         # product still fits in the space, sorted by target index.  jj reads

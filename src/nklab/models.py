@@ -522,9 +522,9 @@ MODEL_BUILDERS = {
 
 def build_model(name: str) -> ModelBundle:
     if name == "ansatz":
-        from .ansatz import build_ansatz
+        from .ansatz import assemble
 
-        return build_ansatz()
+        return assemble()
     if name not in MODEL_BUILDERS:
         raise ConfigError(f"unknown model '{name}' (known: {sorted(MODEL_BUILDERS) + ['ansatz']})")
     return MODEL_BUILDERS[name]()

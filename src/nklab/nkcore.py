@@ -8,7 +8,8 @@ torsion, the classical first-order identities, the constant-type property
 with its four-argument polarization, adapted frames with the canonical
 expansions of the torsion 3-form, the Einstein and star-Ricci
 normalizations, and the Laplacian eigenvalue equations of the fundamental
-2-form.
+2-form.  The one check without a context, :func:`constant_type_at`, takes
+a chart, one point and one tangent pair, and uses exact jets.
 
 Residual functions return plain ``{name: float}`` dictionaries so that
 suite runners and tests can apply their own tolerances.  Nothing in this
@@ -17,7 +18,6 @@ module asserts; deciding pass/fail is the caller's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -45,7 +45,6 @@ from .exterior import (
 )
 
 __all__ = [
-    "AdaptedFrame",
     "j_field",
     "omega_field",
     "nabla_j",
@@ -56,7 +55,6 @@ __all__ = [
     "type_tensor_check",
     "constant_type_at",
     "constant_type_samples",
-    "adapted_frame_at",
     "frame_expansion_check",
     "elementary_identity_check",
     "einstein_and_ricci_star_check",
@@ -84,7 +82,7 @@ def omega_field(ctx: EvalContext) -> J.Jet:
 
 def nabla_j(ctx: EvalContext) -> J.Jet:
     """Covariant derivative of J; axes (i, a, j) for (nabla_i J)^a_j."""
-    return C.covd_field(ctx, j_field, "ul", key="J")[0]
+    return C.covd_field(ctx, j_field, "ul", key="J")
 
 
 def psi_lower(ctx: EvalContext) -> J.Jet:
@@ -173,7 +171,7 @@ def gray_identities_check(ctx: EvalContext) -> dict:
     out["gray4"] = _maxabs(lhs4 - rhs4)
 
     # 2 g((nabla2_{W,X} J) Y, Z) = - cyclic_{X,Y,Z} g((nabla_W J) X, (nabla_Y J) JZ)
-    d2j = C.second_covd_field(ctx, j_field, "ul", key="J")[0].val  # (z, w, x, a, j)
+    d2j = C.second_covd_field(ctx, j_field, "ul", key="J").val  # (z, w, x, a, j)
     lhs5 = 2.0 * np.einsum("zwxay,zaq->zwxyq", d2j, g)
     t = contract("zwax,zab,zybm,zmq->zwxyq", nj, g, nj, jv)
     rhs5 = -(t + np.einsum("zwxyq->zwqxy", t) + np.einsum("zwxyq->zwyqx", t))
@@ -181,13 +179,13 @@ def gray_identities_check(ctx: EvalContext) -> dict:
     return out
 
 
-def orthogonality_residuals(ctx: EvalContext, rng, n_per_point: int = 3) -> dict:
-    """(nabla_X J) Y is orthogonal to X, JX, Y and JY."""
+def orthogonality_residuals(ctx: EvalContext, rng) -> dict:
+    """(nabla_X J) Y is orthogonal to X, JX, Y and JY; 3 pairs per point."""
     g = C.metric(ctx).val
     jv = j_field(ctx).val
     nj = nabla_j(ctx).val
-    x = unit_tangent_vectors(g, rng, n_per_point)
-    y = unit_tangent_vectors(g, rng, n_per_point)
+    x = unit_tangent_vectors(g, rng, 3)
+    y = unit_tangent_vectors(g, rng, 3)
     v = contract("ziaj,zni,znj->zna", nj, x, y)
     worst = 0.0
     for w in (x, y, np.einsum("zai,zni->zna", jv, x), np.einsum("zai,zni->zna", jv, y)):
@@ -224,7 +222,7 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
     sq = contract("ziaj,zi,zj->za", nj, x, ajy)
     out["square_minus_norm"] = _maxabs(sq + y)
 
-    d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega")[0].val
+    d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
     rough = -np.einsum("zab,zabij->zij", gi, d2om)
     out["rough_laplacian"] = _maxabs(rough - 4.0 * om)
     return out
@@ -280,20 +278,6 @@ def constant_type_samples(ctx: EvalContext, rng, pairs_per_point: int = 4) -> np
 # adapted frames
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """Orthonormal frame (e1, Je1, e3, Je3, e5, Je5) with e5 = (nabla_{e1} J) e3.
-
-    ``vectors`` holds the frame as rows; ``gram_residual`` is the maximal
-    deviation of the Gram matrix from the identity and doubles as a
-    certificate that the structure has type constant one at the point.
-    """
-
-    point: np.ndarray
-    vectors: np.ndarray
-    gram_residual: float
-
-
 def _adapted_frames(g, jv, nj, e1, e3) -> np.ndarray:
     """Adapted frames from seeds ``e1``, ``e3``, batched over the first axis.
 
@@ -312,22 +296,6 @@ def _adapted_frames(g, jv, nj, e1, e3) -> np.ndarray:
     je3 = np.einsum("zai,zi->za", jv, e3)
     je5 = np.einsum("zai,zi->za", jv, e5)
     return np.stack([e1, je1, e3, je3, e5, je5], axis=1)
-
-
-def adapted_frame_at(chart: ChartMap, p, e1_seed=None, e3_seed=None,
-                     rng=None) -> AdaptedFrame:
-    """Adapted frame at the single chart point ``p``, with exact jets."""
-    ctx = EvalContext(chart, p, order=1)
-    g = C.metric(ctx).val
-    d = g.shape[-1]
-    if rng is None:
-        rng = np.random.default_rng(0)
-    e1 = np.asarray(e1_seed, dtype=float) if e1_seed is not None else rng.standard_normal(d)
-    e3 = np.asarray(e3_seed, dtype=float) if e3_seed is not None else rng.standard_normal(d)
-    frame = _adapted_frames(g, j_field(ctx).val, nabla_j(ctx).val, e1[None], e3[None])[0]
-    gram = frame @ g[0] @ frame.T
-    return AdaptedFrame(np.asarray(p, dtype=float), frame,
-                        _maxabs(gram - np.eye(d)))
 
 
 def _signed_skew3(entries, d: int = 6) -> np.ndarray:
@@ -371,7 +339,7 @@ def frame_expansion_check(ctx: EvalContext, rng=None) -> dict:
     om = omega_field(ctx).val
     psi = psi_lower(ctx).val
     star_psi = hodge(psi, 3, g, gi, ctx.chart.orientation)
-    # per point, e1 then e3: the draws of one adapted_frame_at call each
+    # per point, the e1 seed then the e3 seed
     seeds = rng.standard_normal((ctx.nbatch, 2, g.shape[-1]))
     e = _adapted_frames(g, j_field(ctx).val, nabla_j(ctx).val, seeds[:, 0], seeds[:, 1])
     pf = contract("zai,zbj,zck,zijk->zabc", e, e, e, psi)
@@ -464,7 +432,7 @@ def laplacian_omega_check(ctx: EvalContext) -> dict:
     """
     gi = C.metric_inv(ctx).val
     om = omega_field(ctx).val
-    d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega")[0].val
+    d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
     rough = -np.einsum("zab,zabij->zij", gi, d2om)
     lap = form_laplacian_field(omega_field, 2)(ctx).val
     scal = C.scalar_curvature(ctx).val

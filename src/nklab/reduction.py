@@ -5,7 +5,8 @@ Killing vector field evaluator, this module builds the induced objects --
 the dual 1-forms, the vertical/horizontal splitting, the three transversal
 anticommuting almost complex structures, the endomorphisms entering the
 torsion of the splitting, the deformed metric whose horizontal part is
-Kahler, and the canonical Hermitian connection -- and measures the
+Kahler, and the canonical Hermitian connection -- as context-memoized
+jets behind the accessors of :class:`Reduction`, and measures the
 residuals of the identities they satisfy.
 
 Conventions: endomorphism arrays are indexed ``E[a, i]`` for E^a_i (apply
@@ -18,7 +19,6 @@ dictionary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,19 +37,14 @@ from .nkcore import _maxabs, d_omega, j_field, nabla_j, omega_field
 
 __all__ = [
     "Reduction",
-    "KillingData",
-    "TransversalStructures",
-    "ReducedKahlerData",
     "verify_killing_unit",
     "foliation_checks",
-    "build_transversals",
     "acs_check",
     "transversal_parallel_check",
     "norms_and_laplacian_checks",
     "djxi_check",
     "lie_derivative_suite",
     "g0_connection_check",
-    "build_reduced_kahler",
     "kahler_projection_check",
     "base_kahler_check",
     "sekigawa_terms_at",
@@ -57,6 +52,9 @@ __all__ = [
 ]
 
 _SQ3 = math.sqrt(3.0)
+
+#: Largest Einstein-tensor residual under which the base counts as Einstein.
+_EINSTEIN_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,7 @@ class Reduction:
         """Endomorphism (nabla xi)[a, i] = nabla_i xi^a."""
 
         def build(c):
-            cov = C.covd(c, self.xi(c), "u")[0]
+            cov = C.covd(c, self.xi(c), "u")
             return J.junary("ia->ai", cov)
 
         return self._m(ctx, "nabla_xi", build)
@@ -214,67 +212,11 @@ class Reduction:
 
 
 # ---------------------------------------------------------------------------
-# value snapshots
-
-
-@dataclass(frozen=True)
-class KillingData:
-    name: str
-    xi: np.ndarray
-    zeta: np.ndarray
-    jxi: np.ndarray
-    jzeta: np.ndarray
-    dzeta: np.ndarray
-
-
-@dataclass(frozen=True)
-class TransversalStructures:
-    i_endo: np.ndarray
-    k_endo: np.ndarray
-    jhat: np.ndarray
-    sigma: np.ndarray
-    pi_h: np.ndarray
-    omega_i: np.ndarray
-    omega_k: np.ndarray
-    omega_jhat: np.ndarray
-    g0: np.ndarray
-
-
-@dataclass(frozen=True)
-class ReducedKahlerData:
-    i0: np.ndarray
-    omega_j: np.ndarray
-    psi: np.ndarray        # complex components
-    zeta_prime: np.ndarray
-    g0: np.ndarray
-
-
-def build_killing_data(ctx: EvalContext, red: Reduction) -> KillingData:
-    return KillingData(red.name, red.xi(ctx).val, red.zeta(ctx).val,
-                       red.jxi(ctx).val, red.jzeta(ctx).val, red.dzeta(ctx).val)
-
-
-def build_transversals(ctx: EvalContext, red: Reduction) -> TransversalStructures:
-    return TransversalStructures(
-        red.i_endo(ctx).val, red.k_endo(ctx).val, red.jhat(ctx).val,
-        red.sigma(ctx).val, red.pi_h(ctx).val,
-        red.omega_endo(ctx, "I").val, red.omega_endo(ctx, "K").val,
-        red.omega_endo(ctx, "jhat").val, red.g0(ctx).val)
-
-
-def build_reduced_kahler(ctx: EvalContext, red: Reduction) -> ReducedKahlerData:
-    re_p, im_p = red.psi_form(ctx)
-    return ReducedKahlerData(red.i0(ctx).val, red.omega_j_form(ctx).val,
-                             re_p.val + 1j * im_p.val, red.zeta_prime(ctx).val,
-                             red.g0(ctx).val)
-
-
-# ---------------------------------------------------------------------------
 # Killing field and foliation
 
 
 def verify_killing_unit(ctx: EvalContext, red: Reduction) -> dict:
-    """Unit length and invariance of the metric and of J along the field."""
+    """Unit length and invariance of g, J, Omega and d Omega (order >= 2)."""
     g = C.metric(ctx)
     xi = red.xi(ctx)
     n2 = contract("zi,zij,zj->z", xi.val, g.val, xi.val)
@@ -282,17 +224,15 @@ def verify_killing_unit(ctx: EvalContext, red: Reduction) -> dict:
     out["killing"] = _maxabs(C.lie_derivative(ctx, xi, g, "ll").val)
     out["preserves_j"] = _maxabs(C.lie_derivative(ctx, xi, j_field(ctx), "ul").val)
     out["preserves_omega"] = _maxabs(C.lie_derivative(ctx, xi, omega_field(ctx), "ll").val)
-    if ctx.order >= 2:
-        out["preserves_d_omega"] = _maxabs(
-            C.lie_derivative(ctx, xi, d_omega(ctx), "lll").val)
+    out["preserves_d_omega"] = _maxabs(C.lie_derivative(ctx, xi, d_omega(ctx), "lll").val)
     return out
 
 
 def foliation_checks(ctx: EvalContext, red: Reduction) -> dict:
     """The orbits of xi and J xi are totally geodesic and commute."""
     xi, jxi = red.xi(ctx), red.jxi(ctx)
-    cov_xi = C.covd(ctx, xi, "u")[0].val       # (z, i, a)
-    cov_jxi = C.covd(ctx, jxi, "u")[0].val
+    cov_xi = C.covd(ctx, xi, "u").val       # (z, i, a)
+    cov_jxi = C.covd(ctx, jxi, "u").val
     xv, jv = xi.val, jxi.val
     out = {
         "acc_xi_xi": _maxabs(np.einsum("zi,zia->za", xv, cov_xi)),
@@ -373,7 +313,7 @@ def transversal_parallel_check(ctx: EvalContext, red: Reduction) -> dict:
     pi = red.pi_h(ctx).val
     out = {}
     for item, getter in (("i", red.i_endo), ("k", red.k_endo)):
-        cov = C.covd(ctx, getter(ctx), "ul")[0].val  # (z, x, a, j)
+        cov = C.covd(ctx, getter(ctx), "ul").val  # (z, x, a, j)
         low = np.einsum("zxaj,zab->zxbj", cov, g)
         proj = contract("zxp,zxbj,zbc,zjq->zpcq", pi, low, pi, pi)
         out[f"parallel_{item}"] = _maxabs(proj)
@@ -430,8 +370,8 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     out["codifferential_jzeta"] = _maxabs(codifferential(ctx, red.jzeta(ctx), 1).val)
 
     # contraction of nabla Omega against nabla xi
-    n_om = C.covd_field(ctx, omega_field, "ll", key="omega")[0].val  # (z,a,i,j)
-    n_xi = C.covd(ctx, red.xi(ctx), "u")[0].val                     # (z,b,m)
+    n_om = C.covd_field(ctx, omega_field, "ll", key="omega").val  # (z,a,i,j)
+    n_xi = C.covd(ctx, red.xi(ctx), "u").val                     # (z,b,m)
     contr = contract("zab,zamj,zbm->zj", gi, n_om, n_xi)
     out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * red.jzeta(ctx).val)
 
@@ -574,8 +514,8 @@ def g0_connection_check(ctx: EvalContext, red: Reduction) -> dict:
 
     diff = np.einsum("zaxy,zaq->zxyq", gam0 - gam, g0v)
 
-    cov_sigma = C.covd(ctx, red.sigma(ctx), "ul")[0].val   # (z, x, a, y)
-    cov_jhat = C.covd(ctx, red.jhat(ctx), "ul")[0].val
+    cov_sigma = C.covd(ctx, red.sigma(ctx), "ul").val   # (z, x, a, y)
+    cov_jhat = C.covd(ctx, red.jhat(ctx), "ul").val
     k_e = red.k_endo(ctx).val
     term = cov_sigma + np.einsum("zmx,zmay->zxay", k_e, cov_jhat)
     half = term - 0.5 * np.einsum("zab,zxby->zxay", sg, term)
@@ -655,17 +595,17 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
         return contract("zxp,zab,zxbq,zqj->zpaj", pi, pi, cov, pi)
 
     gam0 = red.g0_christoffel(ctx)
-    cov_i0 = C.covd(ctx, i0, "ul", gamma=gam0)[0].val
+    cov_i0 = C.covd(ctx, i0, "ul", gamma=gam0).val
     out["i0_parallel"] = _maxabs(hproj(cov_i0))
-    cov_k = C.covd(ctx, red.k_endo(ctx), "ul", gamma=gam0)[0].val
+    cov_k = C.covd(ctx, red.k_endo(ctx), "ul", gamma=gam0).val
     out["k_parallel"] = _maxabs(hproj(cov_k))
 
     def fproj(cov):
         # cov: (z, x, i, j) form-valued
         return contract("zxp,zxab,zai,zbj->zpij", pi, cov, pi, pi)
 
-    cov_re = C.covd(ctx, re_p, "ll", gamma=gam0)[0].val
-    cov_im = C.covd(ctx, im_p, "ll", gamma=gam0)[0].val
+    cov_re = C.covd(ctx, re_p, "ll", gamma=gam0).val
+    cov_im = C.covd(ctx, im_p, "ll", gamma=gam0).val
     out["psi_parallel"] = max(_maxabs(fproj(cov_re)), _maxabs(fproj(cov_im)))
 
     # normalized circle action: zeta'(xi') = 1 and L_{xi'} Psi = i Psi
@@ -687,7 +627,7 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
 # integrand identity on the four-dimensional base
 
 
-def sekigawa_terms_at(ctx: EvalContext, einstein_tol: float = 1e-6) -> dict:
+def sekigawa_terms_at(ctx: EvalContext) -> dict:
     """Terms of the integral identity for almost Kahler Einstein 4-metrics.
 
     The context (order >= 4) must be on a 4-dimensional base chart carrying
@@ -701,7 +641,7 @@ def sekigawa_terms_at(ctx: EvalContext, einstein_tol: float = 1e-6) -> dict:
     scal = C.scalar_curvature(ctx).val
     ric = C.ricci(ctx).val
     ein = ric - (scal[:, None, None] / 4.0) * g.val
-    if _maxabs(ein) > einstein_tol:
+    if _maxabs(ein) > _EINSTEIN_TOL:
         raise NonEinsteinBaseError(
             f"base metric is not Einstein (residual {_maxabs(ein):.3e}); "
             "the integrand identity does not apply")
@@ -728,11 +668,11 @@ def sekigawa_terms_at(ctx: EvalContext, einstein_tol: float = 1e-6) -> dict:
     out["laplacian_sstar"] = float(np.mean(lap_sstar))
 
     # divergence of the pairing of the star-Ricci form with nabla Omega
-    nab_om = C.covd_field(ctx, om_f, "ll", key="base_omega")[0]
+    nab_om = C.covd_field(ctx, om_f, "ll", key="base_omega")
 
     def pair_f(c):
         gic = C.metric_inv(c)
-        no = C.covd_field(c, om_f, "ll", key="base_omega")[0]
+        no = C.covd_field(c, om_f, "ll", key="base_omega")
         up1 = J.jj("ia,xij->xaj", gic, no)
         up = J.jj("jc,xaj->xac", gic, up1)
         return 0.5 * J.jj("xac,ac->x", up, rop_f(c))
@@ -753,7 +693,7 @@ def sekigawa_terms_at(ctx: EvalContext, einstein_tol: float = 1e-6) -> dict:
     # |nabla Omega|^2 and the rough Laplacian of Omega
     out["norm_nabla_omega"] = float(np.mean(
         contract("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0))
-    d2om = C.second_covd_field(ctx, om_f, "ll", key="base_omega")[0].val
+    d2om = C.second_covd_field(ctx, om_f, "ll", key="base_omega").val
     rough = -np.einsum("zab,zabij->zij", giv, d2om)
     out["norm_rough_omega"] = float(np.mean(form_norm2(rough, 2, giv)))
 
@@ -823,7 +763,7 @@ def base_kahler_check(ctx: EvalContext) -> dict:
         out[f"{nm.lower()}_compatible"] = _maxabs(
             contract("zai,zbj,zab->zij", ev, ev, gv) - gv)
         out[f"{nm.lower()}_parallel"] = _maxabs(
-            C.covd(ctx, e, "ul")[0].val)
+            C.covd(ctx, e, "ul").val)
         om = J.jj("ai,aj->ij", e, g)
         out[f"{nm.lower()}_form_closed"] = _maxabs(d_form(ctx, om, 2).val)
 
@@ -838,18 +778,16 @@ def base_kahler_check(ctx: EvalContext) -> dict:
 # canonical Hermitian connection
 
 
-def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng=None) -> dict:
+def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng) -> dict:
     """The torsion-adapted connection preserves g, J and the splitting
     into the two parallel rank-3 distributions exchanged by J."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     gb = red.gamma_bar(ctx)
     g = C.metric(ctx)
     out = {}
-    out["metric_parallel"] = _maxabs(C.covd(ctx, g, "ll", gamma=gb)[0].val)
-    out["j_parallel"] = _maxabs(C.covd(ctx, j_field(ctx), "ul", gamma=gb)[0].val)
+    out["metric_parallel"] = _maxabs(C.covd(ctx, g, "ll", gamma=gb).val)
+    out["j_parallel"] = _maxabs(C.covd(ctx, j_field(ctx), "ul", gamma=gb).val)
 
-    cov_xi = C.covd(ctx, red.xi(ctx), "u", gamma=gb)[0].val  # (z, i, a)
+    cov_xi = C.covd(ctx, red.xi(ctx), "u", gamma=gb).val  # (z, i, a)
     sg = red.sigma(ctx).val
     jh = red.jhat(ctx).val
     target = np.einsum("zab,zbi->zai", sg + np.eye(ctx.chart.dim), jh)
@@ -857,7 +795,7 @@ def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng=None) -> d
 
     # horizontal-horizontal part of nabla sigma (Levi-Civita) vanishes
     pi = red.pi_h(ctx).val
-    cov_sg = C.covd(ctx, red.sigma(ctx), "ul")[0].val
+    cov_sg = C.covd(ctx, red.sigma(ctx), "ul").val
     proj = contract("zxp,zab,zxbj,zjq->zpaq", pi, pi, cov_sg, pi)
     out["sigma_transversal_parallel"] = _maxabs(proj)
 
@@ -874,7 +812,7 @@ def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng=None) -> d
         np.einsum("zab,zbi->zai", jval, pi_e.val)
         - np.einsum("zab,zbi->zai", pi_f.val, np.einsum("zab,zbi->zai", jval, pi_e.val)))
 
-    out["e_projector_parallel"] = _maxabs(C.covd(ctx, pi_e, "ul", gamma=gb)[0].val)
+    out["e_projector_parallel"] = _maxabs(C.covd(ctx, pi_e, "ul", gamma=gb).val)
 
     worst = 0.0
     d = ctx.chart.dim
@@ -883,8 +821,8 @@ def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng=None) -> d
         wj = J.jconst(ctx.space, np.broadcast_to(w, (ctx.nbatch, d)).copy())
         y_plus = J.jj("ai,i->a", pi_e, wj)
         y_minus = J.jj("ai,i->a", pi_f, wj)
-        cov_p = C.covd(ctx, y_plus, "u", gamma=gb)[0].val   # (z, u, a)
-        cov_m = C.covd(ctx, y_minus, "u", gamma=gb)[0].val
+        cov_p = C.covd(ctx, y_plus, "u", gamma=gb).val   # (z, u, a)
+        cov_m = C.covd(ctx, y_minus, "u", gamma=gb).val
         eye = np.eye(d)
         worst = max(worst,
                     _maxabs(np.einsum("zab,zub->zua", eye - pi_e.val, cov_p)),

@@ -2,21 +2,22 @@
 
 Every verification exposed by the library is registered here as a named
 check: a kebab-case identifier, the suite it belongs to, the models it
-applies to, a default tolerance, and a recipe extracting its residual
+applies to (the suite's own models from :data:`SUITES` unless the entry
+narrows them), a default tolerance, and a recipe extracting its residual
 from one of the shared computations.  The runner executes the selected
-(model, suite) pairs, reusing contexts and intermediate results within
-a model, and emits one :class:`~nklab.report.CheckResult` per check.
+(model, suite) pairs, reusing contexts and intermediate results within a
+model, and emits one :class:`~nklab.report.CheckResult` per check.
 
 Each model of a run gets one session.  Its ``ctx(order)`` is the one place
 that decides where a check looks: every source computation takes the
 session's context of the order it needs, so all of them share the run's
 points and derivative backend (``mode``).  Contexts of order 1 and 2 hold
 all ``samples`` points; those of order 3 and 4 hold the first quarter of
-them.  Two sources also look at other charts: ``homothety`` builds
-contexts on rescaled copies of ``s3s3`` with the session's backend, and
-``gauge`` compares gauge-shifted copies of ``ansatz`` (coordinates and
-values only, no derivatives of chart fields).  ``agree`` compares with the
-``s3s3`` session of the same run.
+them; the gauge scan of ``gauge`` takes the first 6 points.  Two sources
+also look at other charts: ``homothety`` builds contexts on rescaled
+copies of ``s3s3`` with the session's backend, and ``gauge`` compares
+gauge-shifted copies of ``ansatz`` (values only, no derivatives of chart
+fields).  ``agree`` compares with the ``s3s3`` session of the same run.
 
 Expected failures are declared in :data:`XFAIL`: those are checks whose
 residual is *supposed* to exceed the tolerance on a particular model
@@ -49,7 +50,7 @@ __all__ = [
     "run",
 ]
 
-MODEL_NAMES = ("s3s3", "s6", "s2s2", "s3s3-product", "ansatz")
+MODEL_NAMES = (*M.MODEL_BUILDERS, "ansatz")
 
 #: suite name -> models it covers by default
 SUITES = {
@@ -78,12 +79,14 @@ class CheckSpec:
     source: str
     key: object                 # str or tuple of str (max over keys)
     tol: float
+    models: tuple               # the models the check runs on
     value_key: str | None = None
-    models: tuple | None = None  # None = suite default
 
 
-def _spec(*a, **k) -> CheckSpec:
-    return CheckSpec(*a, **k)
+def _spec(check, suite, source, key, tol, value_key=None, models=None) -> CheckSpec:
+    """A registry entry; ``models`` defaults to the suite's own models."""
+    return CheckSpec(check, suite, source, key, tol,
+                     SUITES[suite] if models is None else models, value_key)
 
 
 CHECKS: list[CheckSpec] = [
@@ -283,14 +286,7 @@ CHECKS: list[CheckSpec] = [
 
 
 def checks_for(suite: str, model: str) -> list[CheckSpec]:
-    out = []
-    for spec in CHECKS:
-        if spec.suite != suite:
-            continue
-        allowed = spec.models if spec.models is not None else SUITES[suite]
-        if model in allowed:
-            out.append(spec)
-    return out
+    return [spec for spec in CHECKS if spec.suite == suite and model in spec.models]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +468,9 @@ def _src_conn(s):
 
 
 def _src_gauge(s):
-    found = A.gauge_search(samples=min(6, s.samples), seed=s.seed)
+    # 6 points: the 50-gauge scan takes 0.05 s there and 0.2 s at 50 points
+    # (2-vCPU Xeon); at seeds 0-3 the best wrong gauge still reads > 0.15
+    found = A.gauge_search(EvalContext(s.chart, s.pts[:6], 1, mode=s.mode))
     ok = found.gauge == A.DEFAULT_GAUGE and not found.conjugate
     eq = A.gauge_equivalence_residual((1, -1), samples=min(8, s.samples),
                                       seed=s.seed)
@@ -536,20 +534,12 @@ def _extract(data: dict, key) -> float:
     return float(np.max(np.abs([float(data[k]) for k in keys])))
 
 
-def run_suite(model: str, suite: str, samples: int = 20, seed: int = 0,
-              tol_overrides: dict | None = None, mode: str = "exact",
-              session: "_Session | None" = None) -> list[CheckResult]:
-    """Execute every check of ``suite`` applicable to ``model``."""
-    specs = checks_for(suite, model)
-    if not specs:
-        return []
+def run_suite(model: str, suite: str, s: _Session,
+              tol_overrides: dict | None = None) -> list[CheckResult]:
+    """Execute every check of ``suite`` applicable to ``model`` in session ``s``."""
     tol_overrides = tol_overrides or {}
-    if session is None:
-        sessions = _Sessions(samples, seed, mode)   # the session holds it weakly
-        session = sessions[model]
-    s = session
     results = []
-    for spec in specs:
+    for spec in checks_for(suite, model):
         tol = float(tol_overrides.get(spec.check, spec.tol))
         t0 = time.perf_counter()
         try:
@@ -590,12 +580,7 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
         if suite not in SUITES:
             raise KeyError(f"unknown suite '{suite}' (known: {sorted(SUITES)})")
         targets = SUITES[suite] if models is None else [
-            m for m in models if any(
-                m in (sp.models if sp.models is not None else SUITES[suite])
-                for sp in CHECKS if sp.suite == suite)
-        ]
+            m for m in models if checks_for(suite, m)]
         for model in targets:
-            results.extend(run_suite(model, suite, samples, seed,
-                                     tol_overrides, mode,
-                                     session=sessions[model]))
+            results.extend(run_suite(model, suite, sessions[model], tol_overrides))
     return results

@@ -50,8 +50,8 @@ class TestGaugeScan:
         for other in ((0, 0), (-1, 0), (1, 1), (-2, -1)):
             assert A.twisted_parallel_residual(ctx1, other) > 1e-3, other
 
-    def test_search_recovers_default(self):
-        res = A.gauge_search(samples=4, seed=22)
+    def test_search_recovers_default(self, ctx1):
+        res = A.gauge_search(ctx1)
         assert res.gauge == A.DEFAULT_GAUGE
         assert res.conjugate is False
         assert res.residual < 1e-13

@@ -42,6 +42,14 @@ class TestExitCodes:
         assert cli.main(["--tol.no-such-check=1e-4"]) == 2
         assert "unknown check" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--samples", "0"],
+                                      ["--samples", "-5"]])
+    def test_usage_error_out_of_range_number(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
     def test_usage_error_empty_selection(self, capsys):
         # base suite runs only on s2s2; forcing another model selects nothing
         assert cli.main(["--suite", "base", "--model", "s6"]) == 2

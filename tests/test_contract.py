@@ -49,7 +49,7 @@ _SPECS = _contract_specs()
 
 def test_scan_finds_the_routed_specs():
     modules = {m for m, _ in _SPECS}
-    assert {"ansatz", "calculus", "chart", "exterior", "models", "nkcore", "reduction"} <= modules
+    assert {"ansatz", "calculus", "chart", "models", "nkcore", "reduction"} <= modules
     assert len(_SPECS) >= 30
 
 

@@ -140,21 +140,6 @@ class TestDifferential:
         assert np.allclose(jet, val)
 
 
-class TestTypeSplit:
-    def test_split_reconstructs_and_projects(self, rng):
-        d = 4
-        jm = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        jm = np.broadcast_to(jm, (3, d, d)).copy()
-        a = _alt_batch(rng.normal(size=(3, d, d)), 2)
-        sp = E.split_form_types(a, jm)
-        assert np.allclose(sp.invariant + sp.anti, a, atol=1e-12)
-        # invariant part commutes with J in form sense: b(JX, JY) = b(X, Y)
-        binv = np.einsum("zai,zab,zbj->zij", jm, sp.invariant, jm)
-        assert np.allclose(binv, sp.invariant, atol=1e-12)
-        banti = np.einsum("zai,zab,zbj->zij", jm, sp.anti, jm)
-        assert np.allclose(banti, -sp.anti, atol=1e-12)
-
-
 # Dense reference: the outer-product-and-shuffle kernel the packed wedge
 # replaced.  It sums every (p, q)-shuffle of the full d^(p+q) outer product.
 def _dense_shuffle_sum(prod, p, q):

@@ -62,12 +62,15 @@ class TestAdaptedFrames:
 
     def test_frame_is_orthonormal(self, nk_bundle):
         p = nk_bundle.chart.center()
-        fr = NK.adapted_frame_at(nk_bundle.chart, p)
         ctx = EvalContext(nk_bundle.chart, p[None, :], 1)
         from nklab import calculus as C
 
-        g = C.metric(ctx).val[0]
-        gram = fr.vectors @ g @ fr.vectors.T
+        g = C.metric(ctx).val
+        rng = np.random.default_rng(0)
+        e1, e3 = rng.standard_normal(6), rng.standard_normal(6)
+        frame = NK._adapted_frames(g, NK.j_field(ctx).val, NK.nabla_j(ctx).val,
+                                   e1[None], e3[None])[0]
+        gram = frame @ g[0] @ frame.T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
 

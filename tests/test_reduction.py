@@ -42,6 +42,11 @@ class TestKillingData:
         _, red, _ = setup
         _assert_all_below(R.verify_killing_unit(ctx2, red), 1e-12)
 
+    def test_unit_killing_needs_order_two(self, setup):
+        ch, red, pts = setup
+        with pytest.raises(ValueError, match="derivative orders"):
+            R.verify_killing_unit(EvalContext(ch, pts, order=1), red)
+
     def test_foliation(self, ctx2, setup):
         _, red, _ = setup
         _assert_all_below(R.foliation_checks(ctx2, red), 1e-12)
@@ -50,11 +55,11 @@ class TestKillingData:
         _, red, _ = setup
         from nklab import calculus as C
 
-        kd = R.build_killing_data(ctx2, red)
-        assert kd.xi.shape[-1] == 6
+        xi, zeta, dzeta = red.xi(ctx2).val, red.zeta(ctx2).val, red.dzeta(ctx2).val
+        assert xi.shape[-1] == 6
         g = C.metric(ctx2).val
-        assert np.max(np.abs(kd.zeta - np.einsum("zij,zj->zi", g, kd.xi))) < 1e-14
-        assert np.max(np.abs(kd.dzeta + np.swapaxes(kd.dzeta, 1, 2))) < 1e-14
+        assert np.max(np.abs(zeta - np.einsum("zij,zj->zi", g, xi))) < 1e-14
+        assert np.max(np.abs(dzeta + np.swapaxes(dzeta, 1, 2))) < 1e-14
 
     def test_scaled_field_fails_unit_check(self, s3s3):
         # |2 xi|^2 - 1 = 3: the advertised failure of the doubled field
@@ -84,10 +89,9 @@ class TestTransversalStructures:
 
     def test_build_transversals(self, ctx2, setup):
         _, red, _ = setup
-        tr = R.build_transversals(ctx2, red)
-        h = tr.pi_h
+        h = red.pi_h(ctx2).val
         assert np.max(np.abs(np.einsum("zab,zbc->zac", h, h) - h)) < 1e-12
-        assert np.max(np.abs(np.trace(tr.sigma, axis1=1, axis2=2))) < 1e-12
+        assert np.max(np.abs(np.trace(red.sigma(ctx2).val, axis1=1, axis2=2))) < 1e-12
 
     def test_norms_and_laplacians(self, ctx3, setup):
         _, red, _ = setup
@@ -132,8 +136,7 @@ class TestReducedKahler:
 
     def test_build_reduced_kahler(self, ctx3, setup):
         _, red, _ = setup
-        rk = R.build_reduced_kahler(ctx3, red)
-        assert rk.zeta_prime.shape[-1] == 6
+        assert red.zeta_prime(ctx3).val.shape[-1] == 6
 
     def test_canonical_connection(self, ctx3, setup):
         _, red, _ = setup

@@ -227,8 +227,10 @@ def twisted_parallel_residual(ctx: EvalContext, gauge, conjugate: bool = False,
     """Max component of d Phi - i theta ^ Phi at the context's points."""
     re, im = tautological_pair(ctx, gauge, conjugate, shift)
     theta, _ = connection_forms(ctx, shift)
-    res_re = d_form(ctx, re, 2) + wedge_jet(theta, 1, im, 2)
-    res_im = d_form(ctx, im, 2) - wedge_jet(theta, 1, re, 2)
+    d_re, d_im = d_form(ctx, re, 2), d_form(ctx, im, 2)
+    theta = theta.truncate(d_re.space)  # so both wedges are computed in it
+    res_re = d_re + wedge_jet(theta, 1, im, 2)
+    res_im = d_im - wedge_jet(theta, 1, re, 2)
     return float(max(np.max(np.abs(res_re.val)), np.max(np.abs(res_im.val))))
 
 

@@ -13,6 +13,13 @@ Sign conventions (pinned by the quantitative anchors in the test suite):
 
 All functions take an :class:`~nklab.chart.EvalContext` and return jets;
 derived jets are memoized on the context.
+
+Orders: a derivative lands one order below its argument, so a caller
+that adds a product to a derivative truncates the product's operands to
+the derivative's space first (``Jet.truncate``).  ``covd`` does so for
+its Christoffel corrections, ``riemann`` for its Gamma.Gamma term and
+``lie_derivative`` for its transport terms.  Memoized jets are kept at
+their full order, since other consumers read all of it.
 """
 
 from __future__ import annotations
@@ -48,8 +55,8 @@ def metric_inv(ctx: EvalContext) -> J.Jet:
 
 
 def _christoffel_from(g: J.Jet) -> J.Jet:
-    ginv = J.jmatinv(g)
     dg = J.jgrad(g)  # (i, a, b) = d_i g_ab
+    ginv = J.jmatinv(g.truncate(dg.space))  # it only meets s, one order lower
     s = J.junary("ijl->lij", dg) + J.junary("jil->lij", dg) - J.junary("lij->lij", dg)
     return 0.5 * J.jj("kl,lij->kij", ginv, s)
 
@@ -75,6 +82,8 @@ def covd(ctx: EvalContext, t: J.Jet, kinds: str, gamma: J.Jet | None = None) -> 
     if gamma is None:
         gamma = christoffel(ctx)
     out = J.jgrad(t)
+    # so each correction is computed in out's space
+    gamma, t = gamma.truncate(out.space), t.truncate(out.space)
     n = len(kinds)
     letters = [chr(ord("a") + q) for q in range(n)]
     base = "".join(letters)
@@ -96,10 +105,13 @@ def covd_field(ctx: EvalContext, field, kinds: str, key) -> J.Jet:
 
 
 def second_covd_field(ctx: EvalContext, field, kinds: str, key) -> J.Jet:
-    """nabla^2_{i,j} of a field: covd applied twice; axes (i, j, ...)."""
+    """nabla^2_{i,j} of a field: covd applied twice; axes (i, j, ...).
+
+    The inner derivative is ``covd_field(ctx, field, kinds, key)``.
+    """
 
     def build(c):
-        return covd(c, covd(c, field(c), kinds), "l" + kinds)
+        return covd(c, covd_field(c, field, kinds, key), "l" + kinds)
 
     return ctx.memo(("covd2", key), build)
 
@@ -110,10 +122,11 @@ def riemann(ctx: EvalContext) -> J.Jet:
     def build(c):
         gam = christoffel(c)
         dgam = J.jgrad(gam)  # (i, l, j, k)
+        gam = gam.truncate(dgam.space)
         t1 = J.junary("iljk->lijk", dgam)
         t2 = J.junary("jlik->lijk", dgam)
         q1 = J.jj("lim,mjk->lijk", gam, gam)
-        q2 = J.jj("ljm,mik->lijk", gam, gam)
+        q2 = q1.transpose(0, 2, 1, 3)  # Gamma^l_{jm} Gamma^m_{ik}: q1 with i <-> j
         return t1 - t2 + q1 - q2
 
     return ctx.memo("riemann", build)
@@ -156,12 +169,13 @@ def lie_derivative(ctx: EvalContext, xfield: J.Jet, t: J.Jet, kinds: str) -> J.J
     (L_X T) = X^m d_m T + sum_lower (d_a X^m) T[..m..]
                         - sum_upper (d_m X^a) T[..m..].
     """
-    dX = J.jgrad(xfield)  # (i, a) = d_i X^a
-    dT = J.jgrad(t)
     n = len(kinds)
     letters = [chr(ord("a") + q) for q in range(n)]
     base = "".join(letters)
-    out = J.jj(f"m,m{base}->{base}", xfield, dT)
+    out = J.jj(f"m,m{base}->{base}", xfield, J.jgrad(t))
+    # so each term is computed in out's space
+    dX = J.jgrad(xfield).truncate(out.space)  # (i, a) = d_i X^a
+    t = t.truncate(out.space)
     for q, kind in enumerate(kinds):
         src = letters[q]
         rest = base.replace(src, "m")

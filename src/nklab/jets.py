@@ -21,6 +21,15 @@ Taylor propagation); a partial derivative lands one order lower.  A jet
 differentiated past its order has an empty space, and reading its value
 raises, which turns silent order-budget overruns into hard errors.
 
+Truncation is exact: the coefficients of degree <= k of a product depend
+only on those of degree <= k of its operands.  ``Jet.truncate`` takes that
+prefix, and it is the one place a jet is cut to a lower space: ``jj``,
+``+``, ``-`` and ``jassemble`` call it.  A caller that adds a product to a
+derivative (a Christoffel correction to ``jgrad``, say) truncates the
+product's operands to the derivative's space first -- one operand is
+enough, since ``jj`` works in the lower space.  Otherwise the product
+computes a top order that the sum then throws away.
+
 Multiplication (``jj``) is one batched GEMM per call.  Coefficient t of a
 product is the sum, over the monomial pairs (a, b) with m_a + m_b = m_t, of
 the tensor products of coefficient a of one operand and b of the other.
@@ -180,6 +189,17 @@ class Jet:
             raise ValueError("jet consumed more derivative orders than seeded")
         return np.moveaxis(self.c[..., 0, :], -1, 0)
 
+    def truncate(self, space: JetSpace) -> "Jet":
+        """This jet cut to ``space``: its coefficients of degree <= space.order.
+
+        The coefficients are a view.  A jet that holds no more than ``space``
+        is returned as it is, so ``x.truncate(y.space)`` lives in the lower
+        of the two spaces.
+        """
+        if space.order >= self.space.order:
+            return self
+        return Jet(space, self.c[..., :space.ncoef, :])
+
     def __getitem__(self, index) -> "Jet":
         """Index the tensor axes (coefficient and batch axes stay last)."""
         return Jet(self.space, self.c[index])
@@ -187,7 +207,7 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             sp = _lower(self, other)
-            return Jet(sp, _prefix(self, sp) + _prefix(other, sp))
+            return Jet(sp, self.truncate(sp).c + other.truncate(sp).c)
         out = self.c.copy()
         out[..., 0, :] = out[..., 0, :] + other
         return Jet(self.space, out)
@@ -197,7 +217,7 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             sp = _lower(self, other)
-            return Jet(sp, _prefix(self, sp) - _prefix(other, sp))
+            return Jet(sp, self.truncate(sp).c - other.truncate(sp).c)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -230,11 +250,6 @@ def _lower(*jets: Jet) -> JetSpace:
     return min((x.space for x in jets), key=lambda sp: sp.order)
 
 
-def _prefix(x: Jet, space: JetSpace) -> np.ndarray:
-    """Coefficients of ``x`` truncated to ``space`` (a view)."""
-    return x.c[..., :space.ncoef, :]
-
-
 def jassemble(tshape, parts) -> Jet:
     """Jet of shape ``tshape`` built from ``(index, jet)`` parts, zero elsewhere.
 
@@ -246,7 +261,7 @@ def jassemble(tshape, parts) -> Jet:
     sp = _lower(*(x for _, x in parts))
     c = np.zeros((*tshape, sp.ncoef, parts[0][1].nbatch))
     for index, x in parts:
-        c[index] = _prefix(x, sp)
+        c[index] = x.truncate(sp).c
     return Jet(sp, c)
 
 
@@ -357,19 +372,19 @@ def _jj_plan(spec: str, tx: tuple, ty: tuple) -> _Plan:
 def _gather(c: np.ndarray, seg: np.ndarray, perm: tuple, before: tuple, after: tuple) -> np.ndarray:
     """Coefficient rows ``seg`` of ``c``, laid out as ``(nbatch, B, ncoef, W, A)``.
 
-    ``perm`` moves ``c``'s axes to ``(nbatch, *before, coef, *after)``; the
-    tensor axes before and after the coefficient axis merge into B and A.
-    Index ``ncoef`` in ``seg`` reads a zero row appended after the ncoef
-    coefficients ``seg`` addresses.
+    ``c`` holds the ncoef coefficients ``seg`` addresses.  ``perm`` moves
+    its axes to ``(nbatch, *before, coef, *after)``; the tensor axes before
+    and after the coefficient axis merge into B and A.  Index ``ncoef`` in
+    ``seg`` reads a zero row appended after the coefficients.
     """
     n, w = seg.shape
     nb = c.shape[-1]
     if w == 1:  # order 0: the single pair (0, 0), nothing to gather or pad
-        return np.ascontiguousarray(c[..., :n, :].transpose(perm)).reshape(
+        return np.ascontiguousarray(c.transpose(perm)).reshape(
             nb, math.prod(before), n, w, math.prod(after))
     lead = (slice(None),) * (1 + len(before))
     rows = np.empty((nb, *before, n + 1, *after))
-    rows[lead + (slice(None, n),)] = c[..., :n, :].transpose(perm)
+    rows[lead + (slice(None, n),)] = c.transpose(perm)
     rows[lead + (n,)] = 0.0
     return rows.reshape(nb, math.prod(before), n + 1, math.prod(after)).take(seg, axis=2)
 
@@ -377,19 +392,21 @@ def _gather(c: np.ndarray, seg: np.ndarray, perm: tuple, before: tuple, after: t
 def jj(spec: str, x: Jet, y: Jet) -> Jet:
     """Binary einsum over tensor axes of two jets, e.g. ``jj('ab,b->a', g, v)``.
 
-    Works in the lower-order operand's space ``sp``.  Tensor letters are
-    sorted into shared (both operands and the output), left (x and the
-    output), contracted (both operands only) and right (y and the output);
-    a letter in one operand only is summed away first.  Both operands are
-    gathered through the segment tables ``sp.seg_a``/``sp.seg_b`` to
-    ``(ncoef, nbatch, S, L, W*K)`` and ``(ncoef, nbatch, S, W*K, R)``, so a
-    single ``np.matmul`` sums over the W pairs of every output coefficient
-    and the K contracted entries at once.  The letters in ``_RESERVED`` are
-    rejected, and so is a letter repeated within one operand.
+    Works in the lower-order operand's space ``sp``: both operands are
+    truncated to it first.  Tensor letters are sorted into shared (both
+    operands and the output), left (x and the output), contracted (both
+    operands only) and right (y and the output); a letter in one operand
+    only is summed away first.  Both operands are gathered through the
+    segment tables ``sp.seg_a``/``sp.seg_b`` to ``(ncoef, nbatch, S, L,
+    W*K)`` and ``(ncoef, nbatch, S, W*K, R)``, so a single ``np.matmul``
+    sums over the W pairs of every output coefficient and the K contracted
+    entries at once.  The letters in ``_RESERVED`` are rejected, and so is
+    a letter repeated within one operand.
     """
     _split_spec(spec)  # refuse reserved letters before reading the operands
     p = _jj_plan(spec, x.tshape, y.tshape)
     sp = _lower(x, y)
+    x, y = x.truncate(sp), y.truncate(sp)
     n, w = sp.seg_a.shape
     nb = x.nbatch
     ga = _gather(x.c.sum(axis=p.sum_x) if p.sum_x else x.c, sp.seg_a, p.perm_x, *p.shape_x)

@@ -318,7 +318,7 @@ def calibrate_scale(samples: int = 12, seed: int = 0) -> float:
     chart = build_s3s3(scale=1.0, charts=("a",)).chart
     rng = np.random.default_rng(seed)
     ctx = EvalContext(chart, sample_points(chart, samples, rng), 1)
-    alphas = constant_type_samples(ctx, rng, pairs_per_point=4)
+    alphas = constant_type_samples(ctx, rng)
     return float(np.mean(alphas))
 
 

@@ -256,13 +256,14 @@ def constant_type_at(chart: ChartMap, p, x, y) -> float:
     return float((v @ g @ v) / den)
 
 
-def constant_type_samples(ctx: EvalContext, rng, pairs_per_point: int = 4) -> np.ndarray:
-    """Type-constant samples over random tangent pairs at the context's points."""
+def constant_type_samples(ctx: EvalContext, rng) -> np.ndarray:
+    """Type-constant samples over 4 random tangent pairs at each of the
+    context's points."""
     g = C.metric(ctx).val
     jv = j_field(ctx).val
     nj = nabla_j(ctx).val
-    x = unit_tangent_vectors(g, rng, pairs_per_point)
-    y = unit_tangent_vectors(g, rng, pairs_per_point)
+    x = unit_tangent_vectors(g, rng, 4)
+    y = unit_tangent_vectors(g, rng, 4)
     gxy = contract("zni,zij,znj->zn", x, g, y)
     jx = np.einsum("zai,zni->zna", jv, x)
     gjxy = contract("zna,zab,znb->zn", jx, g, y)

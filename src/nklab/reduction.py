@@ -647,19 +647,27 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
             "the integrand identity does not apply")
 
     def om_f(c):
-        return J.jj("ai,aj->ij", c.root("Jhat"), C.metric(c))
+        return c.memo(("sek", "omega"),
+                      lambda c: J.jj("ai,aj->ij", c.root("Jhat"), C.metric(c)))
 
     def rop_f(c):
-        gic = C.metric_inv(c)
-        omu1 = J.jj("ka,kl->al", gic, om_f(c))
-        omu = J.jj("lb,al->ab", gic, omu1)
-        return -0.5 * J.jj("kl,klij->ij", omu, C.riemann_lower(c))
+        def build(c):
+            rl = C.riemann_lower(c)
+            gic = C.metric_inv(c).truncate(rl.space)
+            omu1 = J.jj("ka,kl->al", gic, om_f(c))
+            omu = J.jj("lb,al->ab", gic, omu1)
+            return -0.5 * J.jj("kl,klij->ij", omu, rl)
+
+        return c.memo(("sek", "rop"), build)
 
     def sstar_f(c):
-        gic = C.metric_inv(c)
-        r1 = J.jj("ia,ij->aj", gic, rop_f(c))
-        ru = J.jj("jb,aj->ab", gic, r1)
-        return J.jj("ab,ab->", ru, om_f(c))
+        def build(c):
+            gic = C.metric_inv(c)
+            r1 = J.jj("ia,ij->aj", gic, rop_f(c))
+            ru = J.jj("jb,aj->ab", gic, r1)
+            return J.jj("ab,ab->", ru, om_f(c))
+
+        return c.memo(("sek", "sstar"), build)
 
     out = {"scal": float(np.mean(scal))}
     out["sstar"] = float(np.mean(sstar_f(ctx).val))
@@ -671,11 +679,12 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
     nab_om = C.covd_field(ctx, om_f, "ll", key="base_omega")
 
     def pair_f(c):
-        gic = C.metric_inv(c)
+        rop = rop_f(c)
+        gic = C.metric_inv(c).truncate(rop.space)
         no = C.covd_field(c, om_f, "ll", key="base_omega")
         up1 = J.jj("ia,xij->xaj", gic, no)
         up = J.jj("jc,xaj->xac", gic, up1)
-        return 0.5 * J.jj("xac,ac->x", up, rop_f(c))
+        return 0.5 * J.jj("xac,ac->x", up, rop)
 
     delta_pair = codifferential(ctx, pair_f(ctx), 1).val
     out["div_rho_nabla_omega"] = float(np.mean(np.abs(delta_pair)))
@@ -801,11 +810,11 @@ def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng) -> dict:
 
     # distributions spanned by xi with the +1 eigenspace of sigma, and its
     # J-image: both are preserved by the connection
-    xi, jxi = red.xi(ctx), red.jxi(ctx)
     p_plus = 0.5 * (red.pi_h(ctx) + red.sigma(ctx))
     p_minus = 0.5 * (red.pi_h(ctx) - red.sigma(ctx))
-    pi_e = p_plus + J.jj("a,i->ai", xi, red.zeta(ctx))
-    pi_f = p_minus + J.jj("a,i->ai", jxi, red.jzeta(ctx))
+    # the products are computed in the projectors' space
+    pi_e = p_plus + J.jj("a,i->ai", red.xi(ctx).truncate(p_plus.space), red.zeta(ctx))
+    pi_f = p_minus + J.jj("a,i->ai", red.jxi(ctx).truncate(p_minus.space), red.jzeta(ctx))
 
     jval = j_field(ctx).val
     out["j_maps_e_to_f"] = _maxabs(

@@ -99,8 +99,7 @@ def test_03_constant_type(s3s3, s6):
     for bundle in (s3s3, s6):
         rng = np.random.default_rng(3)
         pts = sample_points(bundle.chart, 50, rng)
-        alpha = NK.constant_type_samples(EvalContext(bundle.chart, pts, 1), rng,
-                                         pairs_per_point=4)
+        alpha = NK.constant_type_samples(EvalContext(bundle.chart, pts, 1), rng)
         assert alpha.size == 200
         b.below(f"type constant alpha = 1 over 200 point/plane pairs "
                 f"({bundle.name})", np.max(alpha) - np.min(alpha), 1e-7)

@@ -1,0 +1,322 @@
+"""Every jet product runs only to the order its result keeps.
+
+A derivative lands one order below its argument, so a product added to a
+derivative has to be computed in the derivative's space: computed one
+order higher, its top order is thrown away by ``+``.  These tests spy on
+``jets.jj`` to check that the calculus functions, the ansatz residual and
+a whole lab run compute no coefficient that is then discarded, and they
+compare each truncated function with its untruncated formula, kept here.
+"""
+import importlib
+import pkgutil
+import sys
+import weakref
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import nklab
+from nklab import ansatz as A
+from nklab import calculus as C
+from nklab import exterior as E
+from nklab import jets as J
+from nklab import nkcore as NK
+from nklab import suites
+from nklab.chart import EvalContext, sample_points
+from nklab.exterior import d_form, wedge_jet
+
+ORDERS = [1, 2, 3, 4]
+MODELS = ["s3s3", "s6"]
+XI = {"s3s3": "xi:diag", "s6": "xi:rot01"}
+
+
+def _ctx(bundle, order):
+    pts = sample_points(bundle.chart, 3, np.random.default_rng(order))
+    return EvalContext(bundle.chart, pts, order)
+
+
+def _nklab_modules():
+    return [importlib.import_module(f"nklab.{m.name}")
+            for m in pkgutil.iter_modules(nklab.__path__)]
+
+
+def _wrap(monkeypatch, orig, after):
+    """Bind, in every nklab namespace that holds ``orig``, a wrapper that
+    calls ``after(out, *args)`` on each call's output."""
+
+    def wrapper(*args):
+        out = orig(*args)
+        after(out, *args)
+        return out
+
+    for mod in _nklab_modules():
+        for name, val in list(vars(mod).items()):
+            if val is orig:
+                monkeypatch.setattr(mod, name, wrapper)
+
+
+def _wrap_jj(monkeypatch, after):
+    _wrap(monkeypatch, J.jj, lambda out, spec, x, y: after(spec, x, y, out))
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """The outputs of the ``jj`` calls made from here on."""
+    outs = []
+    _wrap_jj(monkeypatch, lambda spec, x, y, out: outs.append(out))
+    return outs
+
+
+def _assert_products_in(outs, space):
+    assert outs, "no jet product was made"
+    assert [o.space.order for o in outs] == [space.order] * len(outs)
+
+
+def _assert_same(new, ref, *inputs, rel=1e-14):
+    """``new`` equals ``ref`` to ``rel`` of the largest coefficient of ``ref``
+    and of the ``inputs`` (a result that cancels to zero is rounding noise)."""
+    assert new.space is ref.space
+    scale = max(float(np.max(np.abs(x.c), initial=0.0)) for x in (ref, *inputs))
+    assert float(np.max(np.abs(new.c - ref.c), initial=0.0)) <= rel * scale
+
+
+# ---------------------------------------------------------------------------
+# the untruncated formulas: operands at full order, cut only by + and -
+
+
+def _covd_ref(ctx, t, kinds, gamma=None):
+    gamma = C.christoffel(ctx) if gamma is None else gamma
+    out = J.jgrad(t)
+    letters = [chr(ord("a") + q) for q in range(len(kinds))]
+    base = "".join(letters)
+    for q, kind in enumerate(kinds):
+        src = letters[q]
+        rest = base.replace(src, "m")
+        if kind == "u":
+            out = out + J.jj(f"{src}im,{rest}->i{base}", gamma, t)
+        else:
+            out = out - J.jj(f"mi{src},{rest}->i{base}", gamma, t)
+    return out
+
+
+def _christoffel_ref(g):
+    ginv = J.jmatinv(g)
+    dg = J.jgrad(g)
+    s = J.junary("ijl->lij", dg) + J.junary("jil->lij", dg) - J.junary("lij->lij", dg)
+    return 0.5 * J.jj("kl,lij->kij", ginv, s)
+
+
+def _riemann_ref(ctx):
+    gam = C.christoffel(ctx)
+    dgam = J.jgrad(gam)
+    t1 = J.junary("iljk->lijk", dgam)
+    t2 = J.junary("jlik->lijk", dgam)
+    q1 = J.jj("lim,mjk->lijk", gam, gam)
+    q2 = J.jj("ljm,mik->lijk", gam, gam)
+    return t1 - t2 + q1 - q2
+
+
+def _lie_ref(xfield, t, kinds):
+    dX = J.jgrad(xfield)
+    dT = J.jgrad(t)
+    letters = [chr(ord("a") + q) for q in range(len(kinds))]
+    base = "".join(letters)
+    out = J.jj(f"m,m{base}->{base}", xfield, dT)
+    for q, kind in enumerate(kinds):
+        src = letters[q]
+        rest = base.replace(src, "m")
+        if kind == "l":
+            out = out + J.jj(f"{src}m,{rest}->{base}", dX, t)
+        else:
+            out = out - J.jj(f"m{src},{rest}->{base}", dX, t)
+    return out
+
+
+def _twisted_ref(ctx, gauge, conjugate):
+    re, im = A.tautological_pair(ctx, gauge, conjugate)
+    theta, _ = A.connection_forms(ctx)
+    res_re = d_form(ctx, re, 2) + wedge_jet(theta, 1, im, 2)
+    res_im = d_form(ctx, im, 2) - wedge_jet(theta, 1, re, 2)
+    return float(max(np.max(np.abs(res_re.val)), np.max(np.abs(res_im.val))))
+
+
+# ---------------------------------------------------------------------------
+# (a) products run in the result's space, (d) and match the formulas
+
+
+def _covd_cases(ctx):
+    cases = [(NK.j_field(ctx), "ul", None), (NK.omega_field(ctx), "ll", None)]
+    if ctx.order >= 2:
+        low = J.jetspace(ctx.space.nvars, ctx.order - 2)
+        cases += [(NK.nabla_j(ctx), "lul", None),               # a derived tensor
+                  (ctx.root("J"), "ul", C.christoffel(ctx).truncate(low))]  # a lower gamma
+    return cases
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("model", MODELS)
+def test_covd(request, model, order, monkeypatch):
+    ctx = _ctx(request.getfixturevalue(model), order)
+    for t, kinds, gamma in _covd_cases(ctx):
+        outs = []
+        with monkeypatch.context() as mp:
+            _wrap_jj(mp, lambda spec, x, y, out: outs.append(out))
+            new = C.covd(ctx, t, kinds, gamma=gamma)
+        _assert_products_in(outs, new.space)
+        _assert_same(new, _covd_ref(ctx, t, kinds, gamma), t)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("model", MODELS)
+def test_christoffel(request, model, order, monkeypatch):
+    ctx = _ctx(request.getfixturevalue(model), order)
+    g = C.metric(ctx)
+    outs = []
+    with monkeypatch.context() as mp:
+        _wrap_jj(mp, lambda spec, x, y, out: outs.append(out))
+        new = C._christoffel_from(g)
+    _assert_products_in(outs, new.space)
+    _assert_same(new, _christoffel_ref(g), g)
+    _assert_same(C.christoffel(ctx), new, rel=0.0)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("model", MODELS)
+def test_riemann(request, model, order, spy):
+    ctx = _ctx(request.getfixturevalue(model), order)
+    C.christoffel(ctx)
+    spy.clear()
+    new = C.riemann(ctx)
+    # (b) one Gamma.Gamma product: the other term is its transpose
+    assert len(spy) == 1
+    _assert_products_in(spy, new.space)
+    _assert_same(new, _riemann_ref(ctx), C.christoffel(ctx))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("model", MODELS)
+def test_lie_derivative(request, model, order, monkeypatch):
+    ctx = _ctx(request.getfixturevalue(model), order)
+    xi = ctx.root(XI[model])
+    cases = [(C.metric(ctx), "ll"), (NK.j_field(ctx), "ul")]
+    if order >= 2:
+        cases.append((NK.nabla_j(ctx), "lul"))  # lower than the field
+    for t, kinds in cases:
+        outs = []
+        with monkeypatch.context() as mp:
+            _wrap_jj(mp, lambda spec, x, y, out: outs.append(out))
+            new = C.lie_derivative(ctx, xi, t, kinds)
+        _assert_products_in(outs, new.space)
+        _assert_same(new, _lie_ref(xi, t, kinds), t)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_twisted_parallel_residual(ansatz_bundle, order, monkeypatch):
+    ctx = _ctx(ansatz_bundle, order)
+    wedge_space = J.jetspace(ctx.space.nvars, order - 1)
+    for gauge, conjugate in ((A.DEFAULT_GAUGE, False), ((0, 0), False), ((1, -2), True)):
+        A.tautological_pair(ctx, gauge, conjugate)
+        A.connection_forms(ctx)
+        outs = []
+        with monkeypatch.context() as mp:
+            _wrap_jj(mp, lambda spec, x, y, out: outs.append(out))
+            new = A.twisted_parallel_residual(ctx, gauge, conjugate)
+        _assert_products_in(outs, wedge_space)
+        ref = _twisted_ref(ctx, gauge, conjugate)
+        assert abs(new - ref) <= 1e-14 * max(ref, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# (c) the second covariant derivative reuses the memoized first one
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("field,kinds,key", [(NK.j_field, "ul", "J"),
+                                             (NK.omega_field, "ll", "omega")])
+def test_second_covd_reuses_covd_field(request, model, order, field, kinds, key, spy):
+    ctx = _ctx(request.getfixturevalue(model), order)
+    first = C.covd_field(ctx, field, kinds, key)
+    field(ctx)
+    spy.clear()
+    new = C.second_covd_field(ctx, field, kinds, key)
+    # only the outer derivative's slot corrections, one per slot of first
+    assert len(spy) == len(kinds) + 1
+    assert all(o.tshape == new.tshape for o in spy)
+    _assert_same(new, _covd_ref(ctx, _covd_ref(ctx, field(ctx), kinds), "l" + kinds), first)
+    assert first is C.covd_field(ctx, field, kinds, key)
+
+
+# ---------------------------------------------------------------------------
+# (e) a whole lab run computes no coefficient that a consumer throws away
+
+
+class _Discarded:
+    """Products (``jj`` and ``wedge_jet`` outputs) that a later ``jj``, ``+``
+    or ``-`` truncates and that no context memo holds."""
+
+    def __init__(self):
+        self.live = {}      # id of a live product -> its token
+        self.where = {}     # token -> the function that made it
+        self.cut = set()
+        self.held = set()
+
+    def made(self, out):
+        token = len(self.where)
+        caller = sys._getframe(3).f_code  # made <- after <- wrapper <- caller
+        self.where[token] = f"{caller.co_qualname} ({caller.co_filename.rsplit('/', 1)[-1]})"
+        self.live[id(out)] = token
+        weakref.finalize(out, self.live.pop, id(out), None)
+
+    def consumed(self, operand, out):
+        if isinstance(operand, J.Jet) and operand.space.order > out.space.order:
+            token = self.live.get(id(operand))
+            if token is not None:
+                self.cut.add(token)
+
+    def hold(self, value):
+        for x in value if isinstance(value, tuple) else (value,):
+            token = self.live.get(id(x))
+            if token is not None:
+                self.held.add(token)
+
+    def count(self):
+        return Counter(self.where[t] for t in self.cut - self.held)
+
+
+def test_lab_computes_no_discarded_orders(monkeypatch):
+    rec = _Discarded()
+
+    def after_jj(out, spec, x, y):
+        rec.consumed(x, out)
+        rec.consumed(y, out)
+        rec.made(out)
+
+    _wrap(monkeypatch, J.jj, after_jj)
+    _wrap(monkeypatch, E.wedge_jet, lambda out, *args: rec.made(out))
+
+    def consumer(op):
+        def wrapped(self, other):
+            out = op(self, other)
+            rec.consumed(self, out)
+            rec.consumed(other, out)
+            return out
+        return wrapped
+
+    def holder(get):
+        def wrapped(self, *args):
+            out = get(self, *args)
+            rec.hold(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(J.Jet, "__add__", consumer(J.Jet.__add__))
+    monkeypatch.setattr(J.Jet, "__sub__", consumer(J.Jet.__sub__))
+    monkeypatch.setattr(EvalContext, "root", holder(EvalContext.root))
+    monkeypatch.setattr(EvalContext, "memo", holder(EvalContext.memo))
+    results = suites.run(samples=4, mode="exact")
+    assert results and rec.where
+    discarded = rec.count()
+    assert not discarded, (f"{sum(discarded.values())} products computed above the "
+                           f"order their consumer keeps: {dict(discarded)}")

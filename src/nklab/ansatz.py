@@ -40,6 +40,7 @@ import numpy as np
 
 from . import jets as J
 from . import nkcore as NK
+from .calculus import metric_inv
 from .chart import (
     ChartMap,
     EvalContext,
@@ -287,7 +288,7 @@ def _j_evaluator(gauge, conjugate, shift):
         theta, mu = connection_forms(ctx, shift)
         _, im = tautological_pair(ctx, gauge, conjugate, shift)
         om = _CROSS_WEIGHT * wedge_jet(mu, 1, theta, 1) + 0.5 * im
-        gi = J.jmatinv(ctx.root("metric"))
+        gi = metric_inv(ctx)
         return J.jj("aj,jm->ma", om, gi)
 
     return ev
@@ -307,9 +308,7 @@ def _build_chart(gauge, conjugate, shift, printed) -> ChartMap:
         "J": _j_evaluator(gauge, conjugate, shift),
         "xi:fiber": _fiber_evaluator(),
     }
-    return ChartMap("ansatz:main", box, ev, orientation=1.0,
-                    meta={"gauge": tuple(gauge), "conjugate": conjugate,
-                          "shift": tuple(shift)})
+    return ChartMap("ansatz:main", box, ev, orientation=1.0)
 
 
 def _certify_chart(chart: ChartMap) -> None:
@@ -351,7 +350,6 @@ def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
     _fix_orientation_nk6(ch)
     return ModelBundle(
         name="ansatz",
-        kind="nk6",
         charts=[ch],
         killing={"fiber": "xi:fiber"},
         default_killing="fiber",

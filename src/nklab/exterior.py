@@ -12,8 +12,11 @@ Conventions:
   table then unpacks the full array, which is exactly antisymmetric.
   ``wedge_packed`` returns the packed components, so a top-degree
   product is one number per point, not a d^d array.
-* (d a)_{i0..ip} = (p+1) Alt(grad a) -- the usual coordinate exterior
-  derivative.
+* d is the packed (1, p)-shuffle sum of the gradient, the same kernel as
+  the jet wedge: (d a)_I = sum_k (-1)^k d_{I_k} a_{I without I_k} on each
+  increasing multi-index I, then unpacked.  This is the usual coordinate
+  exterior derivative, (p+1) Alt(grad a) on forms.  d takes forms: it
+  reads only the increasing-index components of its argument.
 * <a, b> on p-forms contracts all indices and divides by p!.
 * delta = codifferential: (delta a) = -g^{ij} (nabla a)_{i j ...}; the form
   Laplacian d delta + delta d is then nonnegative on functions.
@@ -33,8 +36,6 @@ from . import jets as J
 from .calculus import covd, metric_inv
 
 __all__ = [
-    "perm_sign",
-    "alt",
     "wedge",
     "wedge_packed",
     "interior",
@@ -50,42 +51,6 @@ __all__ = [
 # axis-label alphabet for generated einsum specs; 'b' is reserved for the
 # batch axis and must not appear here
 _LETTERS = "cdefghijklmn"
-
-
-def perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cyc = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cyc += 1
-        if cyc % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _signed_add(out: np.ndarray, sign: int, term: np.ndarray) -> None:
-    """``out += sign * term`` for ``sign = +-1``, without a temporary."""
-    if sign > 0:
-        out += term
-    else:
-        out -= term
-
-
-def alt(arr: np.ndarray, p: int) -> np.ndarray:
-    """Antisymmetrize the first ``p`` axes (extra axes ride along)."""
-    if p <= 1:
-        return arr
-    extra = arr.ndim - p
-    out = np.zeros_like(arr)
-    for perm in itertools.permutations(range(p)):
-        axes = list(perm) + list(range(p, p + extra))
-        _signed_add(out, perm_sign(perm), arr.transpose(axes))
-    return out / math.factorial(p)
 
 
 def _shuffles(p: int, q: int):
@@ -156,6 +121,18 @@ def _unpack(packed: np.ndarray, d: int, k: int) -> np.ndarray:
     return out.reshape((d,) * k + packed.shape[1:])
 
 
+def _shuffle_sum(t: np.ndarray, d: int, p: int, q: int) -> np.ndarray:
+    """Signed (p, q)-shuffle sum of ``t`` on the increasing multi-indices, unpacked.
+
+    ``t`` is tensor-axes-first, ``(d,)*(p+q) + rest``; component I of the
+    result is the sum over shuffles of sign * t[I[chosen], I[rest]].  Only
+    these entries of ``t`` are read, and the result is exactly antisymmetric.
+    """
+    ia, ib, sign = _shuffle_table(d, p, q)
+    flat = t.reshape((d ** (p + q),) + t.shape[p + q:])
+    return _unpack(np.tensordot(sign, flat[ia * d**q + ib], axes=1), d, p + q)
+
+
 def _packed_wedge(a: np.ndarray, p: int, b: np.ndarray, q: int, d: int) -> np.ndarray:
     """Packed wedge on tensor-axes-first arrays; trailing axes ride along."""
     ia, ib, sign = _shuffle_table(d, p, q)
@@ -195,10 +172,7 @@ def wedge_jet(a: J.Jet, p: int, b: J.Jet, q: int) -> J.Jet:
     sa = "".join(_LETTERS[:p])
     sb = "".join(_LETTERS[p:p + q])
     prod = J.jj(f"{sa},{sb}->{sa}{sb}", a, b)
-    ia, ib, sign = _shuffle_table(d, p, q)
-    outer = prod.c.reshape((d ** (p + q),) + prod.c.shape[p + q:])
-    packed = np.tensordot(sign, outer[ia * d**q + ib], axes=1)
-    return J.Jet(prod.space, _unpack(packed, d, p + q))
+    return J.Jet(prod.space, _shuffle_sum(prod.c, d, p, q))
 
 
 def interior(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -256,9 +230,13 @@ def hodge(a: np.ndarray, p: int, g: np.ndarray, ginv: np.ndarray, orientation: f
 
 
 def d_form(ctx, w: J.Jet, p: int) -> J.Jet:
-    """Exterior derivative of a p-form jet -> (p+1)-form jet."""
+    """Exterior derivative of a p-form jet -> (p+1)-form jet.
+
+    The (1, p)-shuffle sum of ``jgrad(w)``; ``w`` must be a form, since only
+    its increasing-index components are read.
+    """
     grad = J.jgrad(w)
-    return J.Jet(grad.space, (p + 1) * alt(grad.c, p + 1))
+    return J.Jet(grad.space, _shuffle_sum(grad.c, grad.tshape[0], 1, p))
 
 
 def codifferential(ctx, w: J.Jet, p: int) -> J.Jet:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
+from .calculus import metric_inv
 from .chart import ChartMap, ConfigError, EvalContext, contract, sample_points
 from .exterior import wedge, wedge_packed
 
@@ -148,7 +149,6 @@ class ModelBundle:
     """A registered geometry: charts plus roles of its field evaluators."""
 
     name: str
-    kind: str                       # 'nk6' or 'base4'
     charts: list
     killing: dict = field(default_factory=dict)   # candidate -> evaluator name
     default_killing: str | None = None
@@ -265,12 +265,11 @@ def build_s3s3(scale: float | None = None, charts=("a", "b")) -> ModelBundle:
             "xi:diag": _s3s3_xi_diag_evaluator(c_scale),
             "xi:left": _s3s3_xi_left_evaluator(c_scale, p0),
         }
-        ch = ChartMap(f"s3s3:{key}", box, ev, meta={"centers": (p0, q0), "scale": c_scale})
+        ch = ChartMap(f"s3s3:{key}", box, ev, meta={"centers": (p0, q0)})
         _fix_orientation_nk6(ch)
         chart_list.append(ch)
     return ModelBundle(
         name="s3s3",
-        kind="nk6",
         charts=chart_list,
         killing={"diag": "xi:diag", "left": "xi:left"},
         default_killing="diag",
@@ -284,14 +283,13 @@ def build_s3s3_product() -> ModelBundle:
     This is *not* nearly Kahler; it exists as the negative control.
     """
     box = [(-0.8, 0.8)] * 6
-    p0, q0 = _S3S3_CENTERS["a"]
     ev = {
         "metric": _s3s3_metric_evaluator(1.0, cross=False),
         "J": _s3s3_J_evaluator(_J_SWAP),
     }
-    ch = ChartMap("s3s3-product:a", box, ev, meta={"centers": (p0, q0)})
+    ch = ChartMap("s3s3-product:a", box, ev)
     _fix_orientation_nk6(ch)
-    return ModelBundle(name="s3s3-product", kind="nk6", charts=[ch])
+    return ModelBundle(name="s3s3-product", charts=[ch])
 
 
 def transition_s3s3(bundle: ModelBundle, i_from: int, i_to: int, coords: np.ndarray) -> np.ndarray:
@@ -373,7 +371,7 @@ def _s6_metric_evaluator(pole: float):
 def _s6_J_evaluator(pole: float):
     def ev(ctx):
         phi, p = _s6_embed(ctx, pole)
-        gi = J.jmatinv(J.jj("iA,jA->ij", p, p))
+        gi = metric_inv(ctx)
         amb = J.jj("B,jC->BjC", phi, p)
         cross = J.jc("ABC,BjC->Aj", _OCT, amb)   # (Phi x P_j)_A
         proj = J.jj("kA,Aj->kj", p, cross)
@@ -385,7 +383,7 @@ def _s6_J_evaluator(pole: float):
 def _s6_rotation_evaluator(pole: float, amat: np.ndarray):
     def ev(ctx):
         phi, p = _s6_embed(ctx, pole)
-        gi = J.jmatinv(J.jj("iA,jA->ij", p, p))
+        gi = metric_inv(ctx)
         w = J.jc("AB,B->A", amat, phi)
         down = J.jj("kA,A->k", p, w)
         return J.jj("ik,k->i", gi, down)
@@ -413,16 +411,14 @@ def build_s6() -> ModelBundle:
         ev = {"metric": _s6_metric_evaluator(pole), "J": _s6_J_evaluator(pole)}
         for rname, amat in rot_specs.items():
             ev[f"xi:{rname}"] = _s6_rotation_evaluator(pole, amat)
-        ch = ChartMap(f"s6:{key}", box, ev, meta={"pole": pole})
+        ch = ChartMap(f"s6:{key}", box, ev)
         _fix_orientation_nk6(ch)
         charts.append(ch)
     return ModelBundle(
         name="s6",
-        kind="nk6",
         charts=charts,
         killing={k: f"xi:{k}" for k in rot_specs},
         default_killing="rot01",
-        meta={},
     )
 
 
@@ -466,8 +462,8 @@ def build_s2s2(radii: tuple[float, float] | None = None) -> ModelBundle:
         "I0": lambda ctx: sphere_rotation(ctx, 4, (1.0, 1.0)),
         "Jhat": lambda ctx: sphere_rotation(ctx, 4, (1.0, -1.0)),
     }
-    ch = ChartMap("s2s2:main", box, ev, orientation=1.0, meta={"radii": (r1, r2)})
-    return ModelBundle(name="s2s2", kind="base4", charts=[ch], meta={"radii": (r1, r2)})
+    ch = ChartMap("s2s2:main", box, ev, orientation=1.0)
+    return ModelBundle(name="s2s2", charts=[ch])
 
 
 def build_killing_field(bundle: ModelBundle, direction=(0.0, 0.0, 1.0), family: str = "diag") -> str:
@@ -509,7 +505,7 @@ def build_flat_kahler() -> ModelBundle:
         return J.jconst(ctx.space, np.broadcast_to(jmat, (ctx.nbatch, 6, 6)).copy())
 
     ch = ChartMap("flat:c3", [(-1.0, 1.0)] * 6, {"metric": ev_g, "J": ev_j}, orientation=1.0)
-    return ModelBundle(name="flat", kind="nk6", charts=[ch])
+    return ModelBundle(name="flat", charts=[ch])
 
 
 MODEL_BUILDERS = {

@@ -18,8 +18,6 @@ module asserts; deciding pass/fail is the caller's job.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
 from . import calculus as C
@@ -34,6 +32,8 @@ from .chart import (
     unit_tangent_vectors,
 )
 from .exterior import (
+    _combinations,
+    _unpack,
     codifferential,
     d_form,
     form_laplacian_field,
@@ -299,31 +299,22 @@ def _adapted_frames(g, jv, nj, e1, e3) -> np.ndarray:
     return np.stack([e1, je1, e3, je3, e5, je5], axis=1)
 
 
-def _signed_skew3(entries, d: int = 6) -> np.ndarray:
-    t = np.zeros((d, d, d))
-    for i, j, k, s in entries:
-        for perm in permutations(range(3)):
-            idx = tuple((i, j, k)[q] for q in perm)
-            sign = 1
-            pl = list(perm)
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    if pl[a] > pl[b]:
-                        sign = -sign
-            t[idx] = s * sign
-    return t
+def _frame_form(k: int, entries: dict) -> np.ndarray:
+    """The k-form on R^6 with the given components on increasing indices."""
+    rank = {tuple(c): n for n, c in enumerate(_combinations(6, k).tolist())}
+    packed = np.zeros(len(rank))
+    for idx, value in entries.items():
+        packed[rank[idx]] = value
+    return _unpack(packed, 6, k)
 
 
 # frame-component patterns of the torsion 3-form, its Hodge dual, and the
 # fundamental form in an adapted frame
-_PSI_PATTERN = _signed_skew3([(0, 2, 4, 1.0), (0, 3, 5, -1.0),
-                              (1, 2, 5, -1.0), (1, 3, 4, -1.0)])
-_STAR_PSI_PATTERN = _signed_skew3([(1, 3, 5, -1.0), (1, 2, 4, 1.0),
-                                   (0, 3, 4, 1.0), (0, 2, 5, 1.0)])
-_OMEGA_PATTERN = np.zeros((6, 6))
-for _a, _b in ((0, 1), (2, 3), (4, 5)):
-    _OMEGA_PATTERN[_a, _b] = 1.0
-    _OMEGA_PATTERN[_b, _a] = -1.0
+_PSI_PATTERN = _frame_form(3, {(0, 2, 4): 1.0, (0, 3, 5): -1.0,
+                               (1, 2, 5): -1.0, (1, 3, 4): -1.0})
+_STAR_PSI_PATTERN = _frame_form(3, {(1, 3, 5): -1.0, (1, 2, 4): 1.0,
+                                    (0, 3, 4): 1.0, (0, 2, 5): 1.0})
+_OMEGA_PATTERN = _frame_form(2, {(0, 1): 1.0, (2, 3): 1.0, (4, 5): 1.0})
 
 
 def frame_expansion_check(ctx: EvalContext, rng=None) -> dict:

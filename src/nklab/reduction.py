@@ -24,7 +24,7 @@ import numpy as np
 
 from . import calculus as C
 from . import jets as J
-from .chart import EvalContext, NonEinsteinBaseError, contract
+from .chart import EvalContext, NonEinsteinBaseError, contract, gram_schmidt
 from .exterior import (
     codifferential,
     d_form,
@@ -32,6 +32,7 @@ from .exterior import (
     form_laplacian_field,
     form_norm2,
     wedge,
+    wedge_jet,
 )
 from .nkcore import _maxabs, d_omega, j_field, nabla_j, omega_field
 
@@ -159,9 +160,7 @@ class Reduction:
         """Horizontal part of the fundamental form: Omega - zeta ^ J zeta."""
 
         def build(c):
-            prod = J.jj("i,j->ij", self.zeta(c), self.jzeta(c))
-            wedge2 = prod - J.junary("ij->ji", prod)
-            return omega_field(c) - wedge2
+            return omega_field(c) - wedge_jet(self.zeta(c), 1, self.jzeta(c), 1)
 
         return self._m(ctx, "omega_j", build)
 
@@ -335,10 +334,11 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     dz_moved = contract("zai,zbj,zab->zij", jv, jv, dz)
     dz11 = 0.5 * (dz + dz_moved)
     dz20 = 0.5 * (dz - dz_moved)
-    out["norm_dzeta11"] = float(np.mean(form_norm2(dz11, 2, gi)))
-    out["norm_dzeta11_dev"] = _maxabs(form_norm2(dz11, 2, gi) - 8.0)
-    out["norm_dzeta20"] = float(np.mean(form_norm2(dz20, 2, gi)))
-    out["norm_dzeta20_dev"] = _maxabs(form_norm2(dz20, 2, gi) - 2.0)
+    n11, n20 = form_norm2(dz11, 2, gi), form_norm2(dz20, 2, gi)
+    out["norm_dzeta11"] = float(np.mean(n11))
+    out["norm_dzeta11_dev"] = _maxabs(n11 - 8.0)
+    out["norm_dzeta20"] = float(np.mean(n20))
+    out["norm_dzeta20_dev"] = _maxabs(n20 - 2.0)
 
     jh = red.jhat(ctx).val
     n_jh = contract("zai,zbj,zab,zij->z", jh, jh, g, gi)
@@ -346,8 +346,9 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     out["norm_jhat_dev"] = _maxabs(n_jh - 4.0)
 
     djz = red.djzeta(ctx).val
-    out["norm_djzeta"] = float(np.mean(form_norm2(djz, 2, gi, full=True)))
-    out["norm_djzeta_dev"] = _maxabs(form_norm2(djz, 2, gi, full=True) - 36.0)
+    n_djz = form_norm2(djz, 2, gi, full=True)
+    out["norm_djzeta"] = float(np.mean(n_djz))
+    out["norm_djzeta_dev"] = _maxabs(n_djz - 36.0)
 
     om = omega_field(ctx).val
     out["ip_dzeta_omega"] = _maxabs(form_ip(dz, om, 2, gi))
@@ -376,20 +377,22 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * red.jzeta(ctx).val)
 
     # spectrum of the deformed metric relative to g, and of sigma
-    g0 = red.g0(ctx).val
     ell = np.linalg.cholesky(g)
-    x = np.linalg.solve(ell, g0)
-    m = np.swapaxes(np.linalg.solve(ell, np.swapaxes(x, 1, 2)), 1, 2)
-    spec = np.sort(np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))), axis=1)
-    out["g0_spectrum"] = _maxabs(spec - np.array([0.5, 0.5, 1.0, 1.0, 1.5, 1.5]))
+
+    def g_spectrum(b):
+        """Sorted eigenvalues of the bilinear form b relative to g."""
+        x = np.linalg.solve(ell, b)
+        m = np.swapaxes(np.linalg.solve(ell, np.swapaxes(x, 1, 2)), 1, 2)
+        return np.sort(np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))), axis=1)
+
+    g0 = red.g0(ctx).val
+    out["g0_spectrum"] = _maxabs(g_spectrum(g0) - np.array([0.5, 0.5, 1.0, 1.0, 1.5, 1.5]))
 
     sg = red.sigma(ctx).val
     out["sigma_trace"] = _maxabs(np.einsum("zaa->z", sg))
     sflat = np.einsum("zia,zaj->zij", g, sg)
-    xs = np.linalg.solve(ell, sflat)
-    ms = np.swapaxes(np.linalg.solve(ell, np.swapaxes(xs, 1, 2)), 1, 2)
-    sspec = np.sort(np.linalg.eigvalsh(0.5 * (ms + np.swapaxes(ms, 1, 2))), axis=1)
-    out["sigma_spectrum"] = _maxabs(sspec - np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]))
+    out["sigma_spectrum"] = _maxabs(g_spectrum(sflat)
+                                    - np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]))
 
     # reconstruction of g from the deformed metric
     rec = (4.0 / 3.0) * (g0 - 0.5 * np.einsum("zia,zaj->zij", g0, sg))
@@ -442,8 +445,7 @@ def lie_derivative_suite(ctx: EvalContext, red: Reduction) -> dict:
     om_k = red.omega_endo(ctx, "K")
     om_jh = red.omega_endo(ctx, "jhat")
     om_i = red.omega_endo(ctx, "I")
-    zjz = J.jj("i,j->ij", red.zeta(ctx), red.jzeta(ctx))
-    zjz_w = zjz - J.junary("ij->ji", zjz)
+    zjz_w = wedge_jet(red.zeta(ctx), 1, red.jzeta(ctx), 1)
 
     out["omega"] = _maxabs(lie(omega_field(ctx), "ll")
                            - 4.0 * om_k.val + 2.0 * om_jh.val)
@@ -696,54 +698,36 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
     # phi(X, Y) = <nabla_{Jhat X} Omega, nabla_Y Omega>
     inner = contract("zxij,zia,zjb,zyab->zxy", no, giv, giv, no) / 2.0
     phi = np.einsum("zmx,zmy->zxy", jhat, inner)
-    out["norm_phi"] = float(np.mean(
-        contract("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)))
+    norm_phi = contract("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)
+    out["norm_phi"] = float(np.mean(norm_phi))
 
     # |nabla Omega|^2 and the rough Laplacian of Omega
-    out["norm_nabla_omega"] = float(np.mean(
-        contract("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0))
+    norm_nabla_om = contract("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0
+    out["norm_nabla_omega"] = float(np.mean(norm_nabla_om))
     d2om = C.second_covd_field(ctx, om_f, "ll", key="base_omega").val
     rough = -np.einsum("zab,zabij->zij", giv, d2om)
-    out["norm_rough_omega"] = float(np.mean(form_norm2(rough, 2, giv)))
+    norm_rough = form_norm2(rough, 2, giv)
+    out["norm_rough_omega"] = float(np.mean(norm_rough))
 
-    # curvature block on anti-invariant 2-forms, anti-linear part
-    nb = ctx.nbatch
-    rl = C.riemann_lower(ctx).val
-    r2 = np.zeros(nb)
-    rng = np.random.default_rng(0)
-    for z in range(nb):
-        f1 = rng.standard_normal(4)
-        f1 /= math.sqrt(f1 @ gv[z] @ f1)
-        f2 = jhat[z] @ f1
-        raw = rng.standard_normal(4)
-        raw -= (raw @ gv[z] @ f1) * f1 + (raw @ gv[z] @ f2) * f2
-        f3 = raw / math.sqrt(raw @ gv[z] @ raw)
-        f4 = jhat[z] @ f3
-        cov = [gv[z] @ f for f in (f1, f2, f3, f4)]
-
-        def wf(a, b):
-            return np.einsum("i,j->ij", a, b) - np.einsum("i,j->ij", b, a)
-
-        b1 = (wf(cov[0], cov[2]) - wf(cov[1], cov[3])) / math.sqrt(2.0)
-        b2 = (wf(cov[0], cov[3]) + wf(cov[1], cov[2])) / math.sqrt(2.0)
-        bmat = np.zeros((2, 2))
-        basis = (b1, b2)
-        for a_i, ba in enumerate(basis):
-            rba = -0.5 * np.einsum("kl,klij->ij",
-                                   giv[z] @ ba @ giv[z], rl[z])
-            for b_i, bb in enumerate(basis):
-                bmat[a_i, b_i] = form_ip(rba[None], bb[None], 2, giv[z][None])[0]
-        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        banti = 0.5 * (bmat + rot @ bmat @ rot)
-        r2[z] = np.sum(banti**2)
+    # curvature block on anti-invariant 2-forms, anti-linear part, in the
+    # basis b1, b2 built from a Jhat-adapted frame f1, Jhat f1, f3, Jhat f3
+    seeds = np.random.default_rng(0).standard_normal((ctx.nbatch, 2, 4))
+    jseed = np.einsum("zai,zi->za", jhat, seeds[:, 0])
+    f = gram_schmidt(np.stack([seeds[:, 0], jseed, seeds[:, 1]], axis=1), gv)
+    f = np.concatenate([f, np.einsum("zai,zi->za", jhat, f[:, 2])[:, None]], axis=1)
+    cov = np.einsum("zij,zkj->kzi", gv, f)
+    b1 = (wedge(cov[0], 1, cov[2], 1) - wedge(cov[1], 1, cov[3], 1)) / math.sqrt(2.0)
+    b2 = (wedge(cov[0], 1, cov[3], 1) + wedge(cov[1], 1, cov[2], 1)) / math.sqrt(2.0)
+    basis = (b1, b2)
+    bmat = np.array([[form_ip(C.curvature_operator_value(ctx, ba), bb, 2, giv)
+                      for bb in basis] for ba in basis]).transpose(2, 0, 1)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    banti = 0.5 * (bmat + rot @ bmat @ rot)
+    r2 = np.sum(banti**2, axis=(1, 2))
     out["norm_r_anti"] = float(np.mean(r2))
 
     lhs = lap_sstar - 8.0 * delta_pair
-    rhs = (-8.0 * r2
-           - form_norm2(rough, 2, giv)
-           - contract("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)
-           - (scal / 4.0) * contract(
-               "zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0)
+    rhs = -8.0 * r2 - norm_rough - norm_phi - (scal / 4.0) * norm_nabla_om
     out["lhs"] = float(np.mean(np.abs(lhs)))
     out["rhs"] = float(np.mean(np.abs(rhs)))
     out["identity_residual"] = _maxabs(lhs - rhs)

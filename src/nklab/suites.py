@@ -322,7 +322,6 @@ class _Session:
         self.chart = self.bundle.chart
         self.pts = sample_points(self.chart, self.samples,
                                  np.random.default_rng(seed))
-        self.quantiles: dict = {}
         self._cache: dict = {}
         self._ctx: dict = {}
         self._peers = weakref.ref(peers)
@@ -382,7 +381,7 @@ def _src_ctype(s):
     rng = np.random.default_rng(s.seed + 5)
     alpha = NK.constant_type_samples(s.ctx(1), rng)
     dev = np.abs(alpha - 1.0)
-    s.quantiles["ctype"] = {
+    quantiles = {
         "q25": float(np.quantile(dev, 0.25)),
         "q50": float(np.quantile(dev, 0.50)),
         "q75": float(np.quantile(dev, 0.75)),
@@ -390,7 +389,8 @@ def _src_ctype(s):
         "pairs": int(alpha.size),
     }
     return {"constant_type": float(np.max(dev)),
-            "constant_type_spread": float(np.max(alpha) - np.min(alpha))}
+            "constant_type_spread": float(np.max(alpha) - np.min(alpha)),
+            "quantiles": quantiles}
 
 
 def _src_homothety(s):
@@ -547,17 +547,17 @@ def run_suite(model: str, suite: str, s: _Session,
             residual = _extract(data, spec.key)
             value = (float(data[spec.value_key])
                      if spec.value_key is not None else None)
+            quant = data.get("quantiles")
             detail = ""
             status = "pass" if residual <= tol else "fail"
         except Exception as e:  # pragma: no cover - defensive
-            residual, value = float("nan"), None
+            residual, value, quant = float("nan"), None, None
             status, detail = "error", f"{type(e).__name__}: {e}"
         seconds = time.perf_counter() - t0
         reason = XFAIL.get((suite, model, spec.check))
         if reason is not None and status in ("pass", "fail"):
             status = "xfail" if status == "fail" else "xpass"
             detail = reason
-        quant = s.quantiles.get(spec.source)
         results.append(CheckResult(
             check=spec.check, suite=suite, model=model, status=status,
             residual=residual, tolerance=tol, value=value, quantiles=quant,

@@ -65,7 +65,6 @@ class TestGaugeScan:
 
 class TestAssembly:
     def test_assemble_certifies(self, ansatz_bundle):
-        assert ansatz_bundle.kind == "nk6"
         assert ansatz_bundle.default_killing == "fiber"
         assert ansatz_bundle.meta["gauge"] == A.DEFAULT_GAUGE
 

@@ -1,5 +1,6 @@
 """Exterior algebra and Hodge operators against textbook identities."""
-from itertools import combinations
+import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -11,17 +12,24 @@ from nklab import jets as J
 from nklab.chart import ChartMap, EvalContext
 
 
+def _sign(perm):
+    """Parity of a permutation of range(n), by its inversions."""
+    return (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+
+
+def _alt(arr, p):
+    """Antisymmetrize the first ``p`` axes (extra axes ride along): the sum
+    over all p! permutations, the dense reference for d."""
+    out = np.zeros_like(arr)
+    extra = list(range(p, arr.ndim))
+    for perm in permutations(range(p)):
+        out += _sign(perm) * arr.transpose(list(perm) + extra)
+    return out / math.factorial(p)
+
+
 def _alt_batch(a, p):
-    # alt() expects the batch axis last in its trailing slots; easiest is
-    # to antisymmetrise with the batch axis first via transpose tricks.
-    out = np.zeros_like(a)
-    from itertools import permutations
-    import math as _m
-    idx = list(range(1, p + 1))
-    for perm in permutations(idx):
-        sign = E.perm_sign([q - 1 for q in perm])
-        out += sign * np.transpose(a, (0,) + tuple(perm))
-    return out / _m.factorial(p)
+    """``_alt`` on the p axes after the leading batch axis."""
+    return np.moveaxis(_alt(np.moveaxis(a, 0, -1), p), -1, 0)
 
 
 class TestWedgeAlgebra:
@@ -98,6 +106,17 @@ def _scalar_field_chart():
     return ChartMap("flat3", [(-1.0, 1.0)] * 3, {"metric": metric})
 
 
+def _form_jet(space, d, p, seed, nbatch=2):
+    """A jet each of whose coefficients is an exactly antisymmetric p-tensor."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((d,) * p + (space.ncoef, nbatch))
+    for idx in combinations(range(d), p):
+        val = rng.normal(size=(space.ncoef, nbatch))
+        for perm in permutations(range(p)):
+            c[tuple(idx[k] for k in perm)] = _sign(perm) * val
+    return J.Jet(space, c)
+
+
 class TestDifferential:
     def test_d_squared_zero(self):
         ch = _scalar_field_chart()
@@ -128,6 +147,22 @@ class TestDifferential:
         div = 2 * p[0, 0] + p[0, 2] + p[0, 0]
         got = E.codifferential(ctx, a, 1).val
         assert np.allclose(got, -div, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_matches_dense_alternating_sum(self, d, order, p):
+        # d w = (p+1) Alt(grad w), summed over all (p+1)! permutations
+        w = _form_jet(J.jetspace(d, order), d, p, seed=d * 100 + order * 10 + p)
+        got = E.d_form(None, w, p)
+        want = (p + 1) * _alt(J.jgrad(w).c, p + 1)
+        assert got.space is J.jgrad(w).space
+        assert np.max(np.abs(got.c - want)) < 1e-13
+        # exactly antisymmetric: permuting the slots multiplies by the sign
+        extra = list(range(p + 1, got.c.ndim))
+        for perm in permutations(range(p + 1)):
+            moved = got.c.transpose(list(perm) + extra)
+            assert np.array_equal(moved, _sign(perm) * got.c), perm
 
     def test_wedge_jet_matches_value_wedge(self):
         ch = _scalar_field_chart()

@@ -3,13 +3,17 @@
 Residual names follow the check functions; each block asserts the whole
 dictionary at once so a regression reports every offending identity.
 """
+import math
+
 import numpy as np
 import pytest
 
+from nklab import calculus as C
 from nklab import jets as J
 from nklab import models as M
 from nklab import reduction as R
 from nklab.chart import EvalContext, NonEinsteinBaseError, sample_points
+from nklab.exterior import form_ip
 
 
 def _assert_all_below(res: dict, tol: float, skip=()):
@@ -160,11 +164,65 @@ class TestBaseGeometry:
         assert abs(res["lhs"]) < 1e-9 and abs(res["rhs"]) < 1e-9
         assert res["identity_residual"] < 1e-9
 
+    def test_norm_r_anti_on_nonzero_curvature(self, s2s2):
+        # on s2s2 the block is ~1e-63, so the context is seeded with a random
+        # algebraic curvature tensor, the Kulkarni-Nomizu product of two
+        # random symmetric forms at each point
+        pts = sample_points(s2s2.chart, 5, np.random.default_rng(18))
+        ctx = EvalContext(s2s2.chart, pts, 4)
+        rng = np.random.default_rng(19)
+        h, k = (a + np.swapaxes(a, 1, 2) for a in rng.normal(size=(2, 5, 4, 4)))
+        kn = (np.einsum("zil,zjk->zijkl", h, k) + np.einsum("zjk,zil->zijkl", h, k)
+              - np.einsum("zik,zjl->zijkl", h, k) - np.einsum("zjl,zik->zijkl", h, k))
+        fake = J.jconst(J.jetspace(4, 2), kn)
+        ctx.memo("riemann_lower", lambda c: fake)
+        got = R.sekigawa_terms_at(ctx)["norm_r_anti"]
+        want = _norm_r_anti_per_point(ctx, kn)
+        assert want > 1.0
+        assert abs(got - want) <= 1e-13 * want
+
     def test_uneven_radii_rejected(self):
         b = M.build_s2s2(radii=(0.3, 0.5))
         pts = sample_points(b.chart, 2, np.random.default_rng(16))
         with pytest.raises(NonEinsteinBaseError):
             R.sekigawa_terms_at(EvalContext(b.chart, pts, 4))
+
+
+def _norm_r_anti_per_point(ctx, rl):
+    """Mean squared anti-linear block of the curvature operator on the
+    Jhat-anti-invariant 2-forms, one point at a time."""
+    gv = C.metric(ctx).val
+    giv = C.metric_inv(ctx).val
+    jhat = ctx.root("Jhat").val
+    nb = ctx.nbatch
+    r2 = np.zeros(nb)
+    rng = np.random.default_rng(0)
+    for z in range(nb):
+        f1 = rng.standard_normal(4)
+        f1 /= math.sqrt(f1 @ gv[z] @ f1)
+        f2 = jhat[z] @ f1
+        raw = rng.standard_normal(4)
+        raw -= (raw @ gv[z] @ f1) * f1 + (raw @ gv[z] @ f2) * f2
+        f3 = raw / math.sqrt(raw @ gv[z] @ raw)
+        f4 = jhat[z] @ f3
+        cov = [gv[z] @ f for f in (f1, f2, f3, f4)]
+
+        def wf(a, b):
+            return np.einsum("i,j->ij", a, b) - np.einsum("i,j->ij", b, a)
+
+        b1 = (wf(cov[0], cov[2]) - wf(cov[1], cov[3])) / math.sqrt(2.0)
+        b2 = (wf(cov[0], cov[3]) + wf(cov[1], cov[2])) / math.sqrt(2.0)
+        bmat = np.zeros((2, 2))
+        basis = (b1, b2)
+        for a_i, ba in enumerate(basis):
+            rba = -0.5 * np.einsum("kl,klij->ij",
+                                   giv[z] @ ba @ giv[z], rl[z])
+            for b_i, bb in enumerate(basis):
+                bmat[a_i, b_i] = form_ip(rba[None], bb[None], 2, giv[z][None])[0]
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        banti = 0.5 * (bmat + rot @ bmat @ rot)
+        r2[z] = np.sum(banti**2)
+    return float(np.mean(r2))
 
 
 class TestReductionOnS6:

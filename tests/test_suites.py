@@ -62,3 +62,21 @@ class TestSessions:
         assert {r.model for r in results} == {"s6", "ansatz"}
         assert len(made) == 3   # and s3s3, for the ansatz agreement check
         assert not any(alive)
+
+
+class TestQuantiles:
+    def test_only_constant_type_rows_carry_quantiles(self):
+        results = suites.run(models=("s6", "ansatz"), suites=("nk-core", "ansatz"),
+                             samples=4)
+        ctype = {"constant-type", "constant-type-spread", "ansatz-constant-type"}
+        assert ctype <= {r.check for r in results}
+        for r in results:
+            if r.check not in ctype:
+                assert r.quantiles is None, r.check
+                continue
+            q = r.quantiles
+            assert set(q) == {"q25", "q50", "q75", "max", "pairs"}, r.check
+            assert 0.0 <= q["q25"] <= q["q50"] <= q["q75"] <= q["max"]
+            assert q["pairs"] > 0
+            if r.check != "constant-type-spread":
+                assert q["max"] == r.residual

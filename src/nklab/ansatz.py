@@ -396,19 +396,22 @@ def certify_nk(bundle: ModelBundle = None, samples: int = 20, seed: int = 0) -> 
     return out
 
 
-def gauge_equivalence_residual(shift=(1, -1), samples: int = 10,
-                               seed: int = 0) -> dict:
+def gauge_equivalence_residual(reference: ModelBundle, shift=(1, -1),
+                               samples: int = 10, seed: int = 0) -> dict:
     """Shifting the connection gauge is a coordinate change in t1.
 
-    The model with phase gauge (n1+p1, n2+p2) and connection shifted by
-    p1 dpsi1 + p2 dpsi2 pulls back to the reference model under
-    t1 -> t1 - p1 psi1 - p2 psi2.  Compare metric and J at mapped points.
+    ``reference`` is an assembled model.  Shifting its phase gauge by
+    (p1, p2) while adding p1 dpsi1 + p2 dpsi2 to its connection gives a
+    model that pulls back to it under t1 -> t1 - p1 psi1 - p2 psi2.  Only
+    the shifted model is assembled here; compare metric and J at mapped
+    points.
     """
     p1, p2 = shift
-    base = assemble(certify=False)
-    shifted = assemble(shift=shift, certify=False)
+    meta = reference.meta
+    shifted = assemble(meta["gauge"], meta["conjugate"],
+                       (meta["shift"][0] + p1, meta["shift"][1] + p2), certify=False)
     rng = np.random.default_rng(seed)
-    pts = sample_points(base.chart, samples, rng)
+    pts = sample_points(reference.chart, samples, rng)
     # restrict psi and t1 so both the point and its image stay in the box
     width = 2.4 / max(1.0, abs(p1) + abs(p2))
     pts[:, 1] = rng.uniform(-width, width, size=samples)
@@ -424,7 +427,7 @@ def gauge_equivalence_residual(shift=(1, -1), samples: int = 10,
     jinv = np.eye(_DIM)
     jinv[4, 1] = p1
     jinv[4, 3] = p2
-    ctx_a = EvalContext(base.chart, pts, order=0)
+    ctx_a = EvalContext(reference.chart, pts, order=0)
     ctx_b = EvalContext(shifted.chart, mapped, order=0)
     g_pull = contract("ai,zab,bj->zij", jac, ctx_b.root("metric").val, jac)
     j_pull = contract("ia,zab,bj->zij", jinv, ctx_b.root("J").val, jac)

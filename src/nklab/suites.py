@@ -8,6 +8,13 @@ from one of the shared computations.  The runner executes the selected
 (model, suite) pairs, reusing contexts and intermediate results within a
 model, and emits one :class:`~nklab.report.CheckResult` per check.
 
+The run goes model by model: each model's pairs run back to back, and once
+its last pair is done every session's contexts, with all their memoized
+jets, are released, so peak memory follows the largest model rather than
+the whole run.  A session keeps only its small dictionaries of source
+results.  The rows are still emitted in suite order, as if the suites had
+run one after the other.
+
 Each model of a run gets one session.  Its ``ctx(order)`` is the one place
 that decides where a check looks: every source computation takes the
 session's context of the order it needs, so all of them share the run's
@@ -16,8 +23,10 @@ all ``samples`` points; those of order 3 and 4 hold the first quarter of
 them; the gauge scan of ``gauge`` takes the first 6 points.  Two sources
 also look at other charts: ``homothety`` builds contexts on rescaled
 copies of ``s3s3`` with the session's backend, and ``gauge`` compares
-gauge-shifted copies of ``ansatz`` (values only, no derivatives of chart
-fields).  ``agree`` compares with the ``s3s3`` session of the same run.
+the session's ``ansatz`` with a gauge-shifted copy (values only, no
+derivatives of chart fields).  ``agree`` compares with the cached results
+of the ``s3s3`` session of the same run, building that session first when
+the run has not visited ``s3s3`` yet.
 
 Expected failures are declared in :data:`XFAIL`: those are checks whose
 residual is *supposed* to exceed the tolerance on a particular model
@@ -294,7 +303,11 @@ def checks_for(suite: str, model: str) -> list[CheckSpec]:
 
 
 class _Sessions(dict):
-    """The sessions of one run by model name, each built on first use."""
+    """The sessions of one run by model name, each built on first use.
+
+    A session outlives its model's last suite, but only with its source
+    results: ``run`` releases every session's contexts after each model.
+    """
 
     def __init__(self, samples: int, seed: int, mode: str):
         super().__init__()
@@ -308,8 +321,11 @@ class _Sessions(dict):
 class _Session:
     """Builds each intermediate computation once per (model, run).
 
-    ``peers``, the run's session table, is held weakly: a strong link back
-    would be a reference cycle keeping the run's sessions alive after it.
+    Contexts are built on demand and dropped by :meth:`release`; the
+    source results in ``_cache`` stay, so ``agree`` on a later model reads
+    them without recomputing.  ``peers``, the run's session table, is held
+    weakly: a strong link back would be a reference cycle keeping the run's
+    sessions alive after it.
     """
 
     def __init__(self, model: str, samples: int, seed: int, mode: str,
@@ -333,6 +349,10 @@ class _Session:
             self._ctx[order] = EvalContext(self.chart, self.pts[:n], order,
                                            mode=self.mode)
         return self._ctx[order]
+
+    def release(self) -> None:
+        """Drop the contexts and their jets; cached source results stay."""
+        self._ctx.clear()
 
     @property
     def red(self) -> R.Reduction:
@@ -472,8 +492,8 @@ def _src_gauge(s):
     # (2-vCPU Xeon); at seeds 0-3 the best wrong gauge still reads > 0.15
     found = A.gauge_search(EvalContext(s.chart, s.pts[:6], 1, mode=s.mode))
     ok = found.gauge == A.DEFAULT_GAUGE and not found.conjugate
-    eq = A.gauge_equivalence_residual((1, -1), samples=min(8, s.samples),
-                                      seed=s.seed)
+    eq = A.gauge_equivalence_residual(s.bundle, (1, -1),
+                                      samples=min(8, s.samples), seed=s.seed)
     return {
         "search_residual": found.residual if ok else 1.0 + found.residual,
         "equiv_metric": eq["metric"],
@@ -571,16 +591,27 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     """Execute the selected suites over the selected models.
 
     With no explicit model list, each suite runs over its default models;
-    with an explicit one, only the intersection runs.
+    with an explicit one, only the intersection runs.  The (suite, model)
+    pairs run model by model, in order of first appearance, and every
+    session's contexts are released after each model's last pair.  The
+    rows come back in suite order, as if the suites had run one after the
+    other.
     """
     suite_names = list(SUITES) if suites is None else list(suites)
-    results = []
-    sessions = _Sessions(samples, seed, mode)
+    pairs = []
     for suite in suite_names:
         if suite not in SUITES:
             raise KeyError(f"unknown suite '{suite}' (known: {sorted(SUITES)})")
         targets = SUITES[suite] if models is None else [
             m for m in models if checks_for(suite, m)]
-        for model in targets:
-            results.extend(run_suite(model, suite, sessions[model], tol_overrides))
-    return results
+        pairs += [(suite, model) for model in targets]
+    rows = [None] * len(pairs)
+    sessions = _Sessions(samples, seed, mode)
+    for model in dict.fromkeys(model for _, model in pairs):
+        for i, (suite, m) in enumerate(pairs):
+            if m == model:
+                rows[i] = run_suite(model, suite, sessions[model], tol_overrides)
+        # peers too: ``agree`` may have built the s3s3 session's contexts
+        for session in sessions.values():
+            session.release()
+    return [r for block in rows for r in block]

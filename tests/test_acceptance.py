@@ -241,7 +241,7 @@ def test_10_assembled_model(ansatz_bundle, s3s3):
     b.below("assembled model: Killing covector equals the second potential",
             np.max(np.abs(zeta.val - mu.val)), 1e-6)
 
-    eq = A.gauge_equivalence_residual((1, -1), samples=10, seed=12)
+    eq = A.gauge_equivalence_residual(ansatz_bundle, (1, -1), samples=10, seed=12)
     b.below("gauge shift is a pure coordinate change",
             max(eq["metric"], eq["J"]), 1e-8)
 

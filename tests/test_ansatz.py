@@ -95,8 +95,15 @@ class TestAssembly:
 
 class TestGaugeEquivalence:
     @pytest.mark.parametrize("shift", [(1, -1), (2, 1)])
-    def test_shift_is_coordinate_change(self, shift):
-        res = A.gauge_equivalence_residual(shift, samples=8, seed=25)
+    def test_shift_is_coordinate_change(self, ansatz_bundle, shift):
+        res = A.gauge_equivalence_residual(ansatz_bundle, shift, samples=8, seed=25)
+        assert res["metric"] < 1e-12
+        assert res["J"] < 1e-12
+
+    def test_shift_is_relative_to_the_reference(self):
+        # the shifted side keeps the reference's gauge, conjugation and shift
+        ref = A.assemble(gauge=(0, 1), conjugate=True, shift=(1, 0), certify=False)
+        res = A.gauge_equivalence_residual(ref, (1, -1), samples=8, seed=25)
         assert res["metric"] < 1e-12
         assert res["J"] < 1e-12
 

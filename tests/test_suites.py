@@ -1,6 +1,8 @@
 """Check runner: how residuals are turned into verdicts, and sessions."""
+import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import pytest
@@ -62,6 +64,125 @@ class TestSessions:
         assert {r.model for r in results} == {"s6", "ansatz"}
         assert len(made) == 3   # and s3s3, for the ansatz agreement check
         assert not any(alive)
+
+
+def _track_contexts(monkeypatch):
+    """(model, weakref) for every context a session builds from now on."""
+    made = []
+    ctx = suites._Session.ctx
+
+    def tracked(self, order):
+        fresh = order not in self._ctx
+        out = ctx(self, order)
+        if fresh:
+            made.append((self.model, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(suites._Session, "ctx", tracked)
+    return made
+
+
+def _alive(made):
+    return sorted({model for model, ref in made if ref() is not None})
+
+
+def _suite_major(models, suite_names, samples, mode):
+    """The rows of the suites run one after the other on one session table."""
+    sessions = suites._Sessions(samples, 0, mode)
+    rows = []
+    for suite in suite_names or suites.SUITES:
+        targets = suites.SUITES[suite] if models is None else [
+            m for m in models if suites.checks_for(suite, m)]
+        for model in targets:
+            rows += suites.run_suite(model, suite, sessions[model])
+    return rows
+
+
+def _fields(rows):
+    return [dataclasses.replace(r, seconds=0.0) for r in rows]
+
+
+class TestModelMajor:
+    def test_only_the_current_model_has_contexts(self, monkeypatch):
+        # with the cycle collector off, reference counts alone must free a
+        # model's contexts once its last suite is done
+        made = _track_contexts(monkeypatch)
+        get = suites._Session.get
+        computed, strays = [], []
+
+        def checked(self, source):
+            if source not in self._cache:
+                computed.append(self.model)
+                alive = _alive(made)
+                if set(alive) - {self.model}:
+                    strays.append((self.model, source, alive))
+            return get(self, source)
+
+        monkeypatch.setattr(suites._Session, "get", checked)
+        gc.collect()
+        gc.disable()
+        try:
+            results = suites.run(samples=4)
+        finally:
+            gc.enable()
+        assert len(results) == 212
+        assert not strays
+        assert set(computed) == set(suites.MODEL_NAMES)
+        assert {model for model, _ in made} == set(suites.MODEL_NAMES)
+
+    def test_peer_contexts_are_released_with_the_requester(self, monkeypatch):
+        # an ansatz-only run builds the s3s3 session just for ansatz-agreement;
+        # with the run's session table held, neither session keeps a context
+        made = _track_contexts(monkeypatch)
+        tables = []
+        init = suites._Sessions.__init__
+
+        def kept(self, *args):
+            init(self, *args)
+            tables.append(self)
+
+        monkeypatch.setattr(suites._Sessions, "__init__", kept)
+        gc.collect()
+        gc.disable()
+        try:
+            results = suites.run(suites=["ansatz"], samples=4)
+            alive = _alive(made)
+        finally:
+            gc.enable()
+        assert {r.model for r in results} == {"ansatz"}
+        assert sorted(tables[0]) == ["ansatz", "s3s3"]
+        assert {model for model, _ in made} == {"ansatz", "s3s3"}
+        assert not alive
+        assert {"norms", "kahler"} <= set(tables[0]["s3s3"]._cache)
+
+    @pytest.mark.parametrize("models, suite_names, mode", [
+        (None, None, "exact"),
+        (None, None, "fd"),
+        (("ansatz", "s2s2", "s6", "s3s3"), ("ansatz", "canonical", "base", "gray"),
+         "exact"),
+    ])
+    def test_rows_in_suite_order(self, models, suite_names, mode):
+        # the last case runs ansatz first, so s3s3 is first built as its peer
+        # and built again when its own suites run
+        want = _suite_major(models, suite_names, 4, mode)
+        got = suites.run(models=models, suites=suite_names, samples=4, mode=mode)
+        assert _fields(got) == _fields(want)
+
+    def test_memory_follows_the_largest_model(self):
+        # warm up first, so the lru and contraction-plan caches are filled
+        suites.run(samples=8)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for model in (None, *suites.MODEL_NAMES):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                suites.run(models=None if model is None else [model], samples=8)
+                peaks[model] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        full = peaks.pop(None)
+        assert full <= 1.2 * max(peaks.values()), (full, peaks)
 
 
 class TestQuantiles:

@@ -199,6 +199,20 @@ def connection_residuals(ctx: EvalContext, shift=(0, 0)) -> dict:
 # the tautological (0,2)-form
 
 
+def _phi(ctx: EvalContext, n1, n2, s):
+    """(Re Phi, Im Phi) for gauge (n1, n2) and conjugation sign s, each may be per-batch."""
+    a1, a2, b1, b2 = base_coframe(ctx)
+    p_re = wedge_jet(a1, 1, b1, 1) - wedge_jet(a2, 1, b2, 1)
+    # jet first: an array on the left would treat the jet as an array element
+    p_im = (wedge_jet(a1, 1, b2, 1) + wedge_jet(a2, 1, b1, 1)) * -s
+    gamma = ctx.coord(4) + ctx.coord(1) * n1 + ctx.coord(3) * n2
+    cg = J.jcos(gamma)
+    sg = J.jsin(gamma)
+    re = TAUT_NORMALIZATION * (J.jj(",ij->ij", cg, p_re) - J.jj(",ij->ij", sg, p_im))
+    im = TAUT_NORMALIZATION * (J.jj(",ij->ij", sg, p_re) + J.jj(",ij->ij", cg, p_im))
+    return re, im
+
+
 def tautological_pair(ctx: EvalContext, gauge, conjugate: bool = False, shift=(0, 0)):
     """(Re Phi, Im Phi) for Phi = TAUT_NORMALIZATION e^{i gamma} (a1 - i a2)^(b1 - i b2).
 
@@ -208,31 +222,24 @@ def tautological_pair(ctx: EvalContext, gauge, conjugate: bool = False, shift=(0
     n1 = gauge[0] + shift[0]
     n2 = gauge[1] + shift[1]
     s = -1.0 if conjugate else 1.0
+    return ctx.memo(("ansatz", "taut", (n1, n2, s)),
+                    lambda c: _phi(c, float(n1), float(n2), s))
 
-    def build(c):
-        a1, a2, b1, b2 = base_coframe(c)
-        p_re = wedge_jet(a1, 1, b1, 1) - wedge_jet(a2, 1, b2, 1)
-        p_im = -s * (wedge_jet(a1, 1, b2, 1) + wedge_jet(a2, 1, b1, 1))
-        gamma = c.coord(4) + float(n1) * c.coord(1) + float(n2) * c.coord(3)
-        cg = J.jcos(gamma)
-        sg = J.jsin(gamma)
-        re = TAUT_NORMALIZATION * (J.jj(",ij->ij", cg, p_re) - J.jj(",ij->ij", sg, p_im))
-        im = TAUT_NORMALIZATION * (J.jj(",ij->ij", sg, p_re) + J.jj(",ij->ij", cg, p_im))
-        return re, im
 
-    return ctx.memo(("ansatz", "taut", (n1, n2, s)), build)
+def _twisted_parallel(ctx: EvalContext, re: J.Jet, im: J.Jet, shift=(0, 0)) -> np.ndarray:
+    """Max component of d Phi - i theta ^ Phi at each of the context's points."""
+    theta, _ = connection_forms(ctx, shift)
+    d_re, d_im = d_form(ctx, re, 2), d_form(ctx, im, 2)
+    theta = theta.truncate(d_re.space)  # so both wedges are computed in it
+    res = (d_re + wedge_jet(theta, 1, im, 2), d_im - wedge_jet(theta, 1, re, 2))
+    return np.max([np.abs(r.val).reshape(ctx.nbatch, -1).max(axis=1) for r in res], axis=0)
 
 
 def twisted_parallel_residual(ctx: EvalContext, gauge, conjugate: bool = False,
                               shift=(0, 0)) -> float:
     """Max component of d Phi - i theta ^ Phi at the context's points."""
     re, im = tautological_pair(ctx, gauge, conjugate, shift)
-    theta, _ = connection_forms(ctx, shift)
-    d_re, d_im = d_form(ctx, re, 2), d_form(ctx, im, 2)
-    theta = theta.truncate(d_re.space)  # so both wedges are computed in it
-    res_re = d_re + wedge_jet(theta, 1, im, 2)
-    res_im = d_im - wedge_jet(theta, 1, re, 2)
-    return float(max(np.max(np.abs(res_re.val)), np.max(np.abs(res_im.val))))
+    return float(np.max(_twisted_parallel(ctx, re, im, shift)))
 
 
 @dataclass
@@ -247,17 +254,16 @@ def gauge_search(ctx: EvalContext) -> GaugeSearchResult:
     """Scan the integer gauges in [-2, 2]^2 (and the conjugate option) for
     the one that makes the twisted parallel equation hold at the context's
     points (order >= 1); smallest residual wins, with the non-conjugate
-    representative preferred on ties."""
-    table = {}
-    best = None
-    for n1 in range(-2, 3):
-        for n2 in range(-2, 3):
-            for conj in (False, True):
-                val = twisted_parallel_residual(ctx, (n1, n2), conj)
-                table[(n1, n2, conj)] = val
-                key = (val, conj)
-                if best is None or key < (table[best], best[2]):
-                    best = (n1, n2, conj)
+    representative preferred on ties.  The 50 candidates run as one batch:
+    the points tiled once per candidate, gauge and sign as arrays over it."""
+    cands = [(n1, n2, conj) for n1 in range(-2, 3) for n2 in range(-2, 3)
+             for conj in (False, True)]
+    n1, n2, conj = (np.repeat(np.array(col, dtype=float), ctx.nbatch) for col in zip(*cands))
+    tiled = EvalContext(ctx.chart, np.tile(ctx.points, (len(cands), 1)), ctx.order,
+                        mode=ctx.mode)
+    worst = _twisted_parallel(tiled, *_phi(tiled, n1, n2, 1.0 - 2.0 * conj))
+    table = dict(zip(cands, map(float, worst.reshape(len(cands), -1).max(axis=1))))
+    best = min(table, key=lambda k: (table[k], k[2]))  # the first of equal keys
     return GaugeSearchResult(gauge=best[:2], conjugate=best[2],
                              residual=table[best], table=table)
 

@@ -39,7 +39,10 @@ gathers both operands through it to ``(ncoef, nbatch, S, L, W*K)`` and
 ``(ncoef, nbatch, S, W*K, R)`` (S, L, K, R: the shared, left, contracted
 and right tensor axes of the spec, each flattened), so ``np.matmul`` sums
 over pairs and contracted axes in its inner dimension.  A padded slot
-reads a zero row in both operands and adds exactly zero.
+reads a zero row in both operands and adds exactly zero.  At order 0 a
+jet is its value and ``jj`` is one ``np.einsum``.  A constant enters as an
+array (``jc``, ``jb``, or ``jet + array`` on the value row), never as a jet
+built only to be multiplied.
 """
 
 from __future__ import annotations
@@ -377,11 +380,8 @@ def _gather(c: np.ndarray, seg: np.ndarray, perm: tuple, before: tuple, after: t
     and after the coefficient axis merge into B and A.  Index ``ncoef`` in
     ``seg`` reads a zero row appended after the coefficients.
     """
-    n, w = seg.shape
+    n = seg.shape[0]
     nb = c.shape[-1]
-    if w == 1:  # order 0: the single pair (0, 0), nothing to gather or pad
-        return np.ascontiguousarray(c.transpose(perm)).reshape(
-            nb, math.prod(before), n, w, math.prod(after))
     lead = (slice(None),) * (1 + len(before))
     rows = np.empty((nb, *before, n + 1, *after))
     rows[lead + (slice(None, n),)] = c.transpose(perm)
@@ -400,13 +400,16 @@ def jj(spec: str, x: Jet, y: Jet) -> Jet:
     segment tables ``sp.seg_a``/``sp.seg_b`` to ``(ncoef, nbatch, S, L,
     W*K)`` and ``(ncoef, nbatch, S, W*K, R)``, so a single ``np.matmul``
     sums over the W pairs of every output coefficient and the K contracted
-    entries at once.  The letters in ``_RESERVED`` are rejected, and so is
-    a letter repeated within one operand.
+    entries at once; at order 0 it is one ``np.einsum``.  The letters in
+    ``_RESERVED`` are rejected, and so is a letter repeated within one
+    operand.
     """
-    _split_spec(spec)  # refuse reserved letters before reading the operands
+    a, b, rhs = _split_spec(spec)  # refuse reserved letters before reading the operands
     p = _jj_plan(spec, x.tshape, y.tshape)
     sp = _lower(x, y)
     x, y = x.truncate(sp), y.truncate(sp)
+    if sp.order == 0:  # one pair, nothing to gather
+        return Jet(sp, np.einsum(f"{a}pz,{b}pz->{rhs}pz", x.c, y.c))
     n, w = sp.seg_a.shape
     nb = x.nbatch
     ga = _gather(x.c.sum(axis=p.sum_x) if p.sum_x else x.c, sp.seg_a, p.perm_x, *p.shape_x)
@@ -466,15 +469,18 @@ def jcompose(u: Jet, coeffs: list[np.ndarray]) -> Jet:
     """Compose a scalar jet with a univariate Taylor series.
 
     ``coeffs[k]`` is ``f^{(k)}(u0)/k!`` as an array over the batch.  Horner
-    evaluation in the nilpotent part ``u - u0``.
+    evaluation in the nilpotent part ``u - u0``, the coefficients entering
+    as arrays.
     """
     sp = u.space
+    if sp.order == 0:
+        return jconst(sp, coeffs[0], batch_last=True)
     du = u.c.copy()
     du[..., 0, :] = 0.0
     dU = Jet(sp, du)
-    res = jconst(sp, coeffs[-1], batch_last=True)
-    for k in range(len(coeffs) - 2, -1, -1):
-        res = jj(",->", res, dU) + jconst(sp, coeffs[k], batch_last=True)
+    res = Jet(sp, du * coeffs[-1]) + coeffs[-2]
+    for k in range(len(coeffs) - 3, -1, -1):
+        res = jj(",->", res, dU) + coeffs[k]
     return res
 
 
@@ -568,20 +574,20 @@ def jmatinv(g: Jet) -> Jet:
 
     Writing g = g0 (I + N) with N nilpotent in the truncated algebra,
     g^{-1} = (I + sum (-N)^j) g0^{-1}; the series terminates at the jet
-    order, so the result is exact.
+    order, so the result is exact.  I and g0^{-1} enter as arrays, so only
+    the powers of N call ``jj``.
     """
     sp = g.space
-    d = g.tshape[-1]
     g0 = np.moveaxis(g.c[..., 0, :], -1, 0)  # (B, d, d)
     inv0 = np.linalg.inv(g0)
-    inv0j = jconst(sp, inv0)
+    if sp.order == 0:
+        return jconst(sp, inv0)
     dg = g.c.copy()
     dg[..., 0, :] = 0.0
     n = jb("ab,bc->ac", inv0, Jet(sp, dg))  # N = g0^{-1} (g - g0)
-    eye = jconst(sp, np.broadcast_to(np.eye(d), g0.shape).copy())
-    acc = eye
-    term = eye
-    for _ in range(sp.order):
+    term = -n
+    acc = term + np.eye(g.tshape[-1])[..., None]
+    for _ in range(sp.order - 1):
         term = -jj("ab,bc->ac", term, n)
         acc = acc + term
-    return jj("ab,bc->ac", acc, inv0j)
+    return jb("bc,ab->ac", inv0, acc)

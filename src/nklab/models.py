@@ -132,12 +132,9 @@ def _transport_jet(x: J.Jet) -> J.Jet:
     a = J.jentire(four_s, J.SINC_SQRT)       # sinc(2 sqrt s)
     v = J.jentire(s, J.VERSINE_RATIO)        # (1 - cos 2 sqrt s) / (2 s)
     u = J.jentire(s, J.SINC_DEFECT)          # (1 - a) / s
-    nb = x.nbatch
-    eye = J.jconst(x.space, np.broadcast_to(np.eye(3), (nb, 3, 3)).copy())
     cross = J.jc("abc,b->ac", _EPS3, x)      # (x cross .)[a, c]
     outer = J.jj("a,d->ad", x, x)
-    t = J.jj(",ad->ad", a, eye) - J.jj(",ad->ad", v, cross) + J.jj(",ad->ad", u, outer)
-    return t
+    return J.jc("ad,->ad", np.eye(3), a) - J.jj(",ad->ad", v, cross) + J.jj(",ad->ad", u, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +225,11 @@ def _s3s3_xi_left_evaluator(c_scale: float, p0: np.ndarray, axis=(1.0, 0.0, 0.0)
     b = np.array(axis) / np.linalg.norm(axis) / math.sqrt(c_scale)
     bq = np.concatenate([[0.0], b])
     bp = qmul_v(qmul_v(qconj_v(p0), bq), p0)  # Ad_{p0^{-1}} b
+    right_bp = np.einsum("ijk,k->ij", _QT, bp)  # q -> q bp, as a matrix
 
     def ev(ctx):
         e = _qexp_jet(ctx.coords[:3])
-        bj = J.jconst(ctx.space, np.broadcast_to(bp, (ctx.nbatch, 4)).copy())
-        w = _jqmul(_jqmul(_qconj_jet(e), bj), e)
+        w = _jqmul(J.jc("ij,j->i", right_bp, _qconj_jet(e)), e)
         _, minv = _s3s3_frames(ctx)
         v = J.jassemble((6,), [(np.s_[:3], w[1:])])
         return J.jj("AB,B->A", minv, v)
@@ -345,14 +342,12 @@ def _s6_embed(ctx: EvalContext, pole: float):
         u = c.coords
         s = J.jj("a,a->", u, u)
         w = J.jrecip(1.0 + s)
-        nb = c.nbatch
         phi = J.jassemble((7,), [(np.s_[:6], J.jj(",a->a", 2.0 * w, u)),
                                  (6, pole * (s - 1.0) * w)])
         w2 = J.jj(",->", w, w)
-        eye = J.jconst(c.space, np.broadcast_to(np.eye(6), (nb, 6, 6)).copy())
         outer = J.jj("a,i->ai", u, u)
         # d_i Phi_a = 2 w delta_ai - 4 w^2 u_a u_i ; d_i Phi_7 = pole * 4 w^2 u_i
-        pa = J.jj(",ia->ia", 2.0 * w, eye) - J.jj(",ai->ia", 4.0 * w2, outer)
+        pa = J.jc("ia,->ia", np.eye(6), 2.0 * w) - J.jj(",ai->ia", 4.0 * w2, outer)
         p = J.jassemble((6, 7), [(np.s_[:, :6], pa),
                                  (np.s_[:, 6], J.jj(",i->i", 4.0 * pole * w2, u))])
         return phi, p

@@ -811,9 +811,8 @@ def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng) -> dict:
     d = ctx.chart.dim
     for _ in range(3):
         w = rng.standard_normal(d)
-        wj = J.jconst(ctx.space, np.broadcast_to(w, (ctx.nbatch, d)).copy())
-        y_plus = J.jj("ai,i->a", pi_e, wj)
-        y_minus = J.jj("ai,i->a", pi_f, wj)
+        y_plus = J.jc("i,ai->a", w, pi_e)
+        y_minus = J.jc("i,ai->a", w, pi_f)
         cov_p = C.covd(ctx, y_plus, "u", gamma=gb).val   # (z, u, a)
         cov_m = C.covd(ctx, y_minus, "u", gamma=gb).val
         eye = np.eye(d)

@@ -57,6 +57,14 @@ class TestGaugeScan:
         assert res.residual < 1e-13
         assert len(res.table) == 50    # 5 x 5 gauges x {plain, conjugate}
 
+    def test_batched_scan_matches_one_candidate_at_a_time(self, ctx1):
+        ctx = EvalContext(ctx1.chart, ctx1.points, order=1)
+        res = A.gauge_search(ctx)
+        want = {(n1, n2, conj): A.twisted_parallel_residual(ctx, (n1, n2), conj)
+                for n1 in range(-2, 3) for n2 in range(-2, 3) for conj in (False, True)}
+        assert list(res.table) == list(want)
+        assert res.table == want  # the same arithmetic per point: bit-identical
+
     def test_conjugate_scan_is_distinct(self, ctx1):
         plain = A.twisted_parallel_residual(ctx1, A.DEFAULT_GAUGE, conjugate=False)
         conj = A.twisted_parallel_residual(ctx1, A.DEFAULT_GAUGE, conjugate=True)

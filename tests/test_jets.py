@@ -294,3 +294,141 @@ class TestSegmentKernel:
         want = sorted((sp.index[tuple(mono[a] + mono[b])], a, b)
                       for a, b in zip(sp.mul_a, sp.mul_b))
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# order 0 is one einsum; constants enter products as arrays
+
+# order-0 signatures the lab runs (spec: tensor shapes), plus a letter
+# summed away before the product, which no lab spec has
+_ORDER0_SPECS = {
+    ",ad->ad": ((), (3, 3)),
+    ",->": ((), ()),
+    "i,j->ij": ((6,), (6,)),  # outer products
+    "c,de->cde": ((6,), (6, 6)),
+    "B,jC->BjC": ((7,), (6, 7)),
+    "bm,am->ab": ((6, 6), (6, 6)),
+    "ai,aj->ij": ((3, 3), (3, 3)),
+    "kA,Aj->kj": ((6, 7), (7, 6)),
+    "a,a->": ((3,), (3,)),
+    "m,mab->ab": ((6,), (6, 6, 6)),
+    "mia,mbc->iabc": ((6, 6, 6), (6, 6, 6)),
+    "mic,abm->iabc": ((6, 6, 6), (6, 6, 6)),
+    "mia,m->ia": ((4, 4, 4), (4,)),
+    "ab,bc->c": ((3, 2), (2, 3)),
+}
+
+
+class TestOrderZero:
+    @pytest.mark.parametrize("spec", sorted(_ORDER0_SPECS))
+    @pytest.mark.parametrize("nbatch", [1, 37])
+    def test_matches_segment_kernel(self, spec, nbatch):
+        rng = np.random.default_rng(nbatch)
+        ta, tb = _ORDER0_SPECS[spec]
+        x = _random_jet(rng, 6, 0, ta, nbatch)
+        y = _random_jet(rng, 6, 0, tb, nbatch)
+        got = J.jj(spec, x, y)
+        want = _reduceat_jj(spec, x, y)
+        assert got.space is x.space
+        assert got.c.shape == want.shape
+        assert np.max(np.abs(got.c - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", [",ad->ad", ",->", "c,de->cde", "bm,am->ab", "ab,bc->c"])
+    def test_nan_reaches_the_same_entries(self, spec):
+        rng = np.random.default_rng(3)
+        ta, tb = _ORDER0_SPECS[spec]
+        x = _random_jet(rng, 6, 0, ta, 5)
+        y = _random_jet(rng, 6, 0, tb, 5)
+        x.c[(0,) * len(ta) + (0, 1)] = np.nan
+        y.c[(-1,) * len(tb) + (0, 3)] = np.nan
+        got = J.jj(spec, x, y).c
+        want = _reduceat_jj(spec, x, y)
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        fin = ~np.isnan(want)
+        assert np.max(np.abs(got[fin] - want[fin])) <= 1e-13 * np.max(np.abs(want[fin]))
+
+
+def _neumann_matinv(g):
+    """``jmatinv`` with I and g0^-1 as constant jets: order + 1 products."""
+    sp = g.space
+    d = g.tshape[-1]
+    g0 = np.moveaxis(g.c[..., 0, :], -1, 0)
+    inv0 = np.linalg.inv(g0)
+    dg = g.c.copy()
+    dg[..., 0, :] = 0.0
+    n = J.jb("ab,bc->ac", inv0, J.Jet(sp, dg))
+    eye = J.jconst(sp, np.broadcast_to(np.eye(d), g0.shape).copy())
+    acc = term = eye
+    for _ in range(sp.order):
+        term = -J.jj("ab,bc->ac", term, n)
+        acc = acc + term
+    return J.jj("ab,bc->ac", acc, J.jconst(sp, inv0))
+
+
+def _horner_compose(u, coeffs):
+    """``jcompose`` with every coefficient as a constant jet."""
+    sp = u.space
+    du = u.c.copy()
+    du[..., 0, :] = 0.0
+    dU = J.Jet(sp, du)
+    res = J.jconst(sp, coeffs[-1], batch_last=True)
+    for k in range(len(coeffs) - 2, -1, -1):
+        res = J.jj(",->", res, dU) + J.jconst(sp, coeffs[k], batch_last=True)
+    return res
+
+
+def _count_jj(monkeypatch):
+    calls = []
+    orig = J.jj
+
+    def counted(spec, x, y):
+        calls.append(spec)
+        return orig(spec, x, y)
+
+    monkeypatch.setattr(J, "jj", counted)
+    return calls
+
+
+def _matrix_jet(rng, order):
+    """A 3x3 matrix jet whose value is well conditioned."""
+    g = _random_jet(rng, 3, order, (3, 3), 4)
+    g.c[..., 0, :] += 3.0 * np.eye(3)[..., None]
+    return g
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_jmatinv_matches_neumann_form_and_inverse(self, order):
+        g = _matrix_jet(np.random.default_rng(order), order)
+        got = J.jmatinv(g)
+        want = _neumann_matinv(g)
+        assert got.space is g.space
+        assert np.max(np.abs(got.c - want.c)) <= 1e-13 * np.max(np.abs(want.c))
+        assert np.allclose(got.val, np.linalg.inv(g.val), rtol=1e-14, atol=0.0)
+        iden = J.jj("ab,bc->ac", g, got).c
+        iden[..., 0, :] -= np.eye(3)[..., None]
+        assert np.max(np.abs(iden)) < 1e-13
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_jcompose_matches_horner_form(self, order):
+        rng = np.random.default_rng(order)
+        u = _random_jet(rng, 3, order, (), 4)
+        coeffs = list(rng.uniform(-1.0, 1.0, size=(order + 1, 4)))
+        got = J.jcompose(u, coeffs)
+        want = _horner_compose(u, coeffs)
+        assert got.space is u.space
+        assert np.max(np.abs(got.c - want.c)) <= 1e-13 * np.max(np.abs(want.c))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_products_only_of_two_jets(self, order, monkeypatch):
+        rng = np.random.default_rng(order)
+        g = _matrix_jet(rng, order)
+        u = _random_jet(rng, 3, order, (), 4)
+        coeffs = list(rng.uniform(-1.0, 1.0, size=(order + 1, 4)))
+        calls = _count_jj(monkeypatch)
+        J.jmatinv(g)
+        assert len(calls) == max(order - 1, 0)
+        calls.clear()
+        J.jcompose(u, coeffs)
+        assert len(calls) == max(len(coeffs) - 2, 0)

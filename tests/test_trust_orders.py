@@ -6,6 +6,8 @@ order higher, its top order is thrown away by ``+``.  These tests spy on
 ``jets.jj`` to check that the calculus functions, the ansatz residual and
 a whole lab run compute no coefficient that is then discarded, and they
 compare each truncated function with its untruncated formula, kept here.
+A product with a constant jet spends its pair work on zeros, so the lab
+is also checked to multiply no jet built by ``jconst``.
 """
 import importlib
 import pkgutil
@@ -45,8 +47,8 @@ def _wrap(monkeypatch, orig, after):
     """Bind, in every nklab namespace that holds ``orig``, a wrapper that
     calls ``after(out, *args)`` on each call's output."""
 
-    def wrapper(*args):
-        out = orig(*args)
+    def wrapper(*args, **kwargs):
+        out = orig(*args, **kwargs)
         after(out, *args)
         return out
 
@@ -320,3 +322,29 @@ def test_lab_computes_no_discarded_orders(monkeypatch):
     discarded = rec.count()
     assert not discarded, (f"{sum(discarded.values())} products computed above the "
                            f"order their consumer keeps: {dict(discarded)}")
+
+
+# ---------------------------------------------------------------------------
+# (f) a constant enters a product as an array, never as a jet built by jconst
+
+
+def test_lab_multiplies_no_constant_jet(monkeypatch):
+    """A jet from ``jconst`` carries only zero derivative coefficients, so
+    a product with it above order 0 spends its pair work on zeros; the
+    constant belongs in ``jc``/``jb`` or on the value row."""
+    consts = {}
+    where = Counter()
+
+    def after_jj(out, spec, x, y):
+        if out.space.order >= 1 and (id(x) in consts or id(y) in consts):
+            caller = sys._getframe(2).f_code  # after <- wrapper <- caller
+            where[f"{caller.co_qualname} ({spec})"] += 1
+
+    def after_jconst(out, *args):
+        consts[id(out)] = out  # held, so the id is not reused
+
+    _wrap(monkeypatch, J.jj, after_jj)
+    _wrap(monkeypatch, J.jconst, after_jconst)
+    results = suites.run(samples=4, mode="exact")
+    assert results and consts
+    assert not where, f"{sum(where.values())} products by a constant jet: {dict(where)}"

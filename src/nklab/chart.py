@@ -8,10 +8,11 @@ quantity (curvature, Laplacians, Lie derivatives) is obtained by exact
 coefficient manipulation -- no re-evaluation, no step size.
 
 The context also implements the "extrapolated-differences" engine mode:
-each root evaluator is then sampled once, at order 0, on the whole
-Richardson stencil of the batch, and its jet rebuilt by finite differences
-(:func:`~nklab.findiff.fd_jet`), while all *derived* computations stay
-identical.
+the first root a context needs makes it sample every chart evaluator at
+once, at order 0, on the whole Richardson stencil of the batch, so the
+roots share the model intermediates they have in common; each jet is then
+rebuilt by finite differences (:func:`~nklab.findiff.fd_jet`), while all
+*derived* computations stay identical.
 """
 
 from __future__ import annotations
@@ -170,12 +171,32 @@ class EvalContext:
             if self.mode == "exact":
                 self._memo[key] = fn(self)
             else:
-                def values(pts, _fn=fn):
-                    sub = EvalContext(self.chart, pts, order=0)
-                    return _fn(sub).val
-
-                self._memo[key] = fd_jet(values, self.points, self.space)
+                self._fd_roots(name)
         return self._memo[key]
+
+    def _fd_roots(self, name: str) -> None:
+        """Memoize the fd root jets of every field not memoized yet.
+
+        One order-0 context on the stencil evaluates them all, so they
+        share its intermediates, and is dropped afterwards.  A field other
+        than ``name`` that raises there is left out: it raises when it is
+        requested itself.
+        """
+        names = [n for n in self.chart.evaluators if ("root", n) not in self._memo]
+
+        def values(pts):
+            sub = EvalContext(self.chart, pts, order=0)
+            out = {}
+            for n in names:
+                try:
+                    out[n] = self.chart.evaluators[n](sub).val
+                except Exception:
+                    if n == name:
+                        raise
+            return out
+
+        for n, jet in fd_jet(values, self.points, self.space).items():
+            self._memo[("root", n)] = jet
 
     def memo(self, key, builder):
         """Cache arbitrary derived jets under a hashable key."""

@@ -25,8 +25,9 @@ also look at other charts: ``homothety`` builds contexts on rescaled
 copies of ``s3s3`` with the session's backend, and ``gauge`` compares
 the session's ``ansatz`` with a gauge-shifted copy (values only, no
 derivatives of chart fields).  ``agree`` compares with the cached results
-of the ``s3s3`` session of the same run, building that session first when
-the run has not visited ``s3s3`` yet.
+of the ``s3s3`` session of the same run, building that session first, after
+releasing its own model's contexts, when the run has not visited ``s3s3``
+yet.
 
 Expected failures are declared in :data:`XFAIL`: those are checks whose
 residual is *supposed* to exceed the tolerance on a particular model
@@ -502,12 +503,18 @@ def _src_gauge(s):
 
 
 def _src_agree(s):
-    """Reduced invariants of the assembled model vs the homogeneous one."""
+    """Reduced invariants of the assembled model vs the homogeneous one.
+
+    ``agree`` is the model's last source: its contexts are released before
+    the peer's sources run, which may build the whole ``s3s3`` session.
+    """
+    mine, psi = s.get("norms"), s.get("kahler")["psi_norm"]
+    s.release()
     other = s._peers()["s3s3"]
-    mine, theirs = s.get("norms"), other.get("norms")
+    theirs = other.get("norms")
     out = {k: abs(mine[k] - theirs[k])
            for k in ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta")}
-    out["psi_norm"] = abs(s.get("kahler")["psi_norm"] - other.get("kahler")["psi_norm"])
+    out["psi_norm"] = abs(psi - other.get("kahler")["psi_norm"])
     return out
 
 

@@ -1,12 +1,17 @@
-"""Richardson stencil jets: one batched call, exact arithmetic order kept."""
+"""Richardson stencil jets: one batched call per context, exact arithmetic order kept."""
 import math
 
 import numpy as np
 import pytest
 
+from nklab import chart as C
 from nklab import findiff as F
 from nklab import jets as J
-from nklab.chart import ChartMap, EvalContext, OutOfDomainError
+from nklab import models as M
+from nklab.chart import (ChartMap, DegenerateFrameError, EvalContext, OutOfDomainError,
+                         sample_points)
+from nklab.findiff import fd_jet
+from nklab.suites import MODEL_NAMES
 
 A = np.array([[0.7, -1.3, 0.4], [1.1, 0.2, -0.9]])
 
@@ -60,7 +65,7 @@ def test_one_call_on_every_stencil_point(points, order):
 
     def f(p):
         calls.append(p.shape)
-        return _sin_ax(p)
+        return {"x": _sin_ax(p)}
 
     F.fd_jet(f, points, space)
     assert calls == [(2 * noff * len(points), 3)]
@@ -70,7 +75,7 @@ def test_one_call_on_every_stencil_point(points, order):
 def test_bit_identical_to_per_offset_loop(points, order):
     space = J.jetspace(3, order)
     h = F.default_step(order)
-    jet = F.fd_jet(_sin_ax, points, space)
+    jet = F.fd_jet(lambda p: {"x": _sin_ax(p)}, points, space)["x"]
     assert jet.space is space
     assert np.array_equal(jet.c, _reference(_sin_ax, points, space, h))
 
@@ -82,12 +87,12 @@ def test_polynomial_reproduced(points, order):
     coords = J.seed_coordinates(space, points)
     xyz = [coords[i] for i in range(3)]
     exact = J.jassemble((2,), [((i,), e) for i, e in enumerate(_poly(*xyz, cubic))])
-    jet = F.fd_jet(lambda p: np.stack(_poly(*p.T, cubic), axis=1), points, space)
+    jet = F.fd_jet(lambda p: {"x": np.stack(_poly(*p.T, cubic), axis=1)}, points, space)["x"]
     assert np.max(np.abs(jet.c - exact.c)) < 1e-8
 
 
 def test_value_row_is_f_at_points(points):
-    jet = F.fd_jet(_sin_ax, points, J.jetspace(3, 3))
+    jet = F.fd_jet(lambda p: {"x": _sin_ax(p)}, points, J.jetspace(3, 3))["x"]
     assert np.array_equal(jet.val, _sin_ax(points))
 
 
@@ -101,3 +106,94 @@ def test_stencil_leaving_the_box_raises():
     ctx = EvalContext(chart, near_wall, order=3, mode="fd")
     with pytest.raises(OutOfDomainError):
         ctx.root("metric")
+
+
+def test_fields_combined_side_by_side(points):
+    # a scalar and a matrix field in one call: each as if combined alone
+    space = J.jetspace(3, 3)
+    fields = {"s": lambda p: _sin_ax(p)[:, 0],
+              "m": lambda p: _sin_ax(p)[:, :, None] * p[:, None, :]}
+    jets = F.fd_jet(lambda p: {k: f(p) for k, f in fields.items()}, points, space)
+    for k, f in fields.items():
+        assert np.array_equal(jets[k].c, _reference(f, points, space, F.default_step(3)))
+
+
+# ---------------------------------------------------------------------------
+# fd root jets of a context: one stencil evaluation for all of its fields
+
+
+def _per_root(ctx, name):
+    """A root's fd jet the per-root way: a fresh order-0 stencil context for
+    this field alone, then one Richardson term at a time."""
+    space, nb = ctx.space, ctx.nbatch
+    index = {(0,) * space.nvars: 0}
+    terms = [[(index.setdefault(off, len(index)), w) for off, w in F._stencil_for(m)]
+             for m in space.monomials]
+    offsets = np.array(list(index), dtype=float)
+    steps = (F.default_step(space.order), F.default_step(space.order) / 2.0)
+    pts = ctx.points + np.array(steps)[:, None, None, None] * offsets[None, :, None, :]
+    sub = EvalContext(ctx.chart, pts.reshape(-1, space.nvars), order=0)
+    flat = np.asarray(ctx.chart.evaluators[name](sub).val, dtype=float)
+    vals = flat.reshape(2, len(offsets), nb, *flat.shape[1:])
+    raw = []
+    for row in terms:
+        acc = np.zeros((2, nb, *flat.shape[1:]))
+        for i, w in row:
+            acc = acc + w * vals[:, i]
+        raw.append(acc)
+    hpow = np.array([[s ** sum(m) for m in space.monomials] for s in steps])
+    fac = np.array([math.prod(math.factorial(mi) for mi in m) for m in space.monomials])
+    raw = np.moveaxis(np.stack(raw, axis=1), (1, 2), (-2, -1))
+    d1 = raw[0] / hpow[0][:, None]
+    d2 = raw[1] / hpow[1][:, None]
+    c = (4.0 * d2 - d1) / 3.0 / fac[:, None]
+    c[..., 0, :] = np.moveaxis(vals[0, 0], 0, -1)
+    return c
+
+
+@pytest.fixture()
+def stencil_calls(monkeypatch):
+    """The field names of every ``fd_jet`` call ``chart`` makes from now on."""
+    calls = []
+
+    def spy(f, points, space):
+        out = fd_jet(f, points, space)
+        calls.append(sorted(out))
+        return out
+
+    monkeypatch.setattr(C, "fd_jet", spy)
+    return calls
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_one_stencil_call_per_context(model, stencil_calls):
+    for chart in M.build_model(model).charts:
+        pts = sample_points(chart, 3, np.random.default_rng(1))
+        for order in (1, 2, 3, 4):
+            ctx = EvalContext(chart, pts, order, mode="fd")
+            stencil_calls.clear()
+            jets = {name: ctx.root(name) for name in chart.evaluators}
+            assert stencil_calls == [sorted(chart.evaluators)], (chart.name, order)
+            for name, jet in jets.items():
+                assert np.array_equal(jet.c, _per_root(ctx, name)), (chart.name, order, name)
+
+
+def test_a_field_failing_on_the_stencil_raises_only_when_requested(stencil_calls):
+    def bad(ctx):
+        if ctx.nbatch > 2:      # only on the stencil, never at the context's points
+            raise DegenerateFrameError("no frame on the stencil")
+        return ctx.coord(0)
+
+    def metric(ctx):
+        return J.jconst(ctx.space, np.broadcast_to(np.eye(2), (ctx.nbatch, 2, 2)).copy())
+
+    chart = ChartMap("flat", [(-1.0, 1.0)] * 2, {"metric": metric, "bad": bad})
+    pts = np.array([[0.0, 0.0], [0.3, -0.2]])
+    assert EvalContext(chart, pts, order=2).root("bad").c.shape == (6, 2)
+    ctx = EvalContext(chart, pts, order=2, mode="fd")
+    assert ctx.root("metric").c.shape == (2, 2, 6, 2)
+    assert stencil_calls == [["metric"]]
+    with pytest.raises(DegenerateFrameError):
+        ctx.root("bad")
+    with pytest.raises(DegenerateFrameError):
+        EvalContext(chart, pts, order=2, mode="fd").root("bad")

@@ -86,6 +86,25 @@ def _alive(made):
     return sorted({model for model, ref in made if ref() is not None})
 
 
+def _track_computes(monkeypatch, made):
+    """Models of every source computed from now on, and the strays: each
+    (model, source, models with live contexts) computed while a context of
+    another model was alive."""
+    computed, strays = [], []
+    get = suites._Session.get
+
+    def checked(self, source):
+        if source not in self._cache:
+            computed.append(self.model)
+            alive = _alive(made)
+            if set(alive) - {self.model}:
+                strays.append((self.model, source, alive))
+        return get(self, source)
+
+    monkeypatch.setattr(suites._Session, "get", checked)
+    return computed, strays
+
+
 def _suite_major(models, suite_names, samples, mode):
     """The rows of the suites run one after the other on one session table."""
     sessions = suites._Sessions(samples, 0, mode)
@@ -107,18 +126,7 @@ class TestModelMajor:
         # with the cycle collector off, reference counts alone must free a
         # model's contexts once its last suite is done
         made = _track_contexts(monkeypatch)
-        get = suites._Session.get
-        computed, strays = [], []
-
-        def checked(self, source):
-            if source not in self._cache:
-                computed.append(self.model)
-                alive = _alive(made)
-                if set(alive) - {self.model}:
-                    strays.append((self.model, source, alive))
-            return get(self, source)
-
-        monkeypatch.setattr(suites._Session, "get", checked)
+        computed, strays = _track_computes(monkeypatch, made)
         gc.collect()
         gc.disable()
         try:
@@ -155,6 +163,21 @@ class TestModelMajor:
         assert not alive
         assert {"norms", "kahler"} <= set(tables[0]["s3s3"]._cache)
 
+    def test_peer_sources_run_after_the_requester_is_released(self, monkeypatch):
+        # ansatz-agreement is ansatz's last source; the s3s3 session it
+        # builds in an ansatz-only run computes with no ansatz context alive
+        made = _track_contexts(monkeypatch)
+        computed, strays = _track_computes(monkeypatch, made)
+        gc.collect()
+        gc.disable()
+        try:
+            results = suites.run(models=["ansatz"], samples=4)
+        finally:
+            gc.enable()
+        assert {r.model for r in results} == {"ansatz"}
+        assert "s3s3" in computed
+        assert not strays
+
     @pytest.mark.parametrize("models, suite_names, mode", [
         (None, None, "exact"),
         (None, None, "fd"),
@@ -183,6 +206,38 @@ class TestModelMajor:
             tracemalloc.stop()
         full = peaks.pop(None)
         assert full <= 1.2 * max(peaks.values()), (full, peaks)
+
+    def test_ansatz_alone_peaks_no_higher_than_the_full_lab(self, monkeypatch):
+        # the s3s3 session that ansatz-agreement builds in an ansatz-only run
+        # fits in the memory that the released ansatz contexts leave behind
+        suites.run(samples=8)
+        agree = suites._SOURCES["agree"]
+        seen = {}
+
+        def measured(s):
+            # tracemalloc keeps one peak: keep the run's so far, then reset
+            seen["before"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = agree(s)
+            seen["rise"] = tracemalloc.get_traced_memory()[1] - start
+            return out
+
+        monkeypatch.setitem(suites._SOURCES, "agree", measured)
+        peaks, rises = {}, {}
+        tracemalloc.start()
+        try:
+            for models in (None, ("ansatz",)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                suites.run(models=models, samples=8)
+                peak = max(seen["before"], tracemalloc.get_traced_memory()[1])
+                peaks[models], rises[models] = peak - base, seen["rise"]
+        finally:
+            tracemalloc.stop()
+        assert peaks[("ansatz",)] <= peaks[None], peaks
+        # beyond the ansatz contexts, agree allocates only its small results
+        assert rises[("ansatz",)] < 2 ** 16, rises
 
 
 class TestQuantiles:

@@ -8,16 +8,21 @@ from one of the shared computations.  The runner executes the selected
 (model, suite) pairs, reusing contexts and intermediate results within a
 model, and emits one :class:`~nklab.report.CheckResult` per check.
 
-The run goes model by model: each model's pairs run back to back, and once
-its last pair is done every session's contexts, with all their memoized
-jets, are released, so peak memory follows the largest model rather than
-the whole run.  A session keeps only its small dictionaries of source
-results.  The rows are still emitted in suite order, as if the suites had
-run one after the other.
+The run goes model by model.  Each model first computes the shared sources
+its selected checks read, grouped by the context order each source declares
+in :data:`_SOURCES`: by ascending order, in check order within an order.  A
+context, with all its memoized jets, is released as soon as the model's last
+source of its order is done, so one context is alive at a time and peak
+memory follows the largest context rather than a model's or the whole run's.
+The context-free sources run last, with no context alive.  The rows are then
+read from the cached results and emitted in suite order, as if the suites
+had run one after the other; a source that raised is cached as its error,
+and every row that reads it reports that error.  A session keeps only its
+small dictionaries of source results.
 
 Each model of a run gets one session.  Its ``ctx(order)`` is the one place
-that decides where a check looks: every source computation takes the
-session's context of the order it needs, so all of them share the run's
+that decides where a check looks: every source computation is handed the
+session's context of its declared order, so all of them share the run's
 points and derivative backend (``mode``).  Contexts of order 1 and 2 hold
 all ``samples`` points; those of order 3 and 4 hold the first quarter of
 them; the gauge scan of ``gauge`` takes the first 6 points.  Two sources
@@ -26,7 +31,7 @@ copies of ``s3s3`` with the session's backend, and ``gauge`` compares
 the session's ``ansatz`` with a gauge-shifted copy (values only, no
 derivatives of chart fields).  ``agree`` compares with the cached results
 of the ``s3s3`` session of the same run, building that session first, after
-releasing its own model's contexts, when the run has not visited ``s3s3``
+releasing its own model's context, when the run has not visited ``s3s3``
 yet.
 
 Expected failures are declared in :data:`XFAIL`: those are checks whose
@@ -36,6 +41,8 @@ residual is *supposed* to exceed the tolerance on a particular model
 """
 from __future__ import annotations
 
+import contextlib
+import math
 import time
 import weakref
 from dataclasses import dataclass
@@ -340,6 +347,7 @@ class _Session:
         self.pts = sample_points(self.chart, self.samples,
                                  np.random.default_rng(seed))
         self._cache: dict = {}
+        self._unbilled: dict = {}
         self._ctx: dict = {}
         self._peers = weakref.ref(peers)
 
@@ -361,46 +369,83 @@ class _Session:
         return R.Reduction(name)
 
     def get(self, source: str) -> dict:
+        """The result of ``source``, computed on first use.
+
+        A source that raises is cached as its error, raised again to every
+        reader; its traceback is dropped, so it keeps no context alive.
+        """
         if source not in self._cache:
-            self._cache[source] = _SOURCES[source](self)
-        return self._cache[source]
+            order, fn = _SOURCES[source]
+            t0 = time.perf_counter()
+            try:
+                out = fn(self) if order is None else fn(self, self.ctx(order))
+            except Exception as e:
+                out = err = e
+                while err is not None:
+                    err.__traceback__ = None
+                    err = err.__cause__ or err.__context__
+            self._cache[source] = out
+            self._unbilled[source] = time.perf_counter() - t0
+        out = self._cache[source]
+        if isinstance(out, Exception):
+            raise out.with_traceback(None)
+        return out
+
+    def bill(self, source: str) -> float:
+        """Compute seconds of ``source``: its first reader gets them, later ones 0."""
+        return self._unbilled.pop(source, 0.0)
+
+    def compute(self, sources) -> None:
+        """Compute ``sources`` grouped by context order, one context alive.
+
+        Sources with a context run first, by ascending order and, within an
+        order, as listed; each context is released after its order's last
+        source.  The context-free ones run last, with no context alive.
+        """
+        ordered = sorted(sources, key=lambda name: (
+            math.inf if _SOURCES[name][0] is None else _SOURCES[name][0]))
+        for name, nxt in zip(ordered, ordered[1:] + [None]):
+            with contextlib.suppress(Exception):   # cached; raised to its readers
+                self.get(name)
+            if nxt is None or _SOURCES[nxt][0] != _SOURCES[name][0]:
+                self.release()
 
 
-def _src_nk(s):
-    return NK.check_nearly_kahler(s.ctx(1))
+def _src_nk(s, ctx):
+    return NK.check_nearly_kahler(ctx)
 
 
-def _src_gray(s):
-    return NK.gray_identities_check(s.ctx(2))
+def _src_gray(s, ctx):
+    return NK.gray_identities_check(ctx)
 
 
-def _src_ortho(s):
-    return NK.orthogonality_residuals(s.ctx(2), np.random.default_rng(s.seed + 1))
+def _src_ortho(s, ctx):
+    return NK.orthogonality_residuals(ctx, np.random.default_rng(s.seed + 1))
 
 
-def _src_type(s):
-    return NK.type_tensor_check(s.ctx(2), np.random.default_rng(s.seed + 2))
+def _src_type(s, ctx):
+    return NK.type_tensor_check(ctx, np.random.default_rng(s.seed + 2))
 
 
-def _src_frame(s):
-    return NK.frame_expansion_check(s.ctx(1), np.random.default_rng(s.seed + 3))
+def _src_frame(s, ctx):
+    return NK.frame_expansion_check(ctx, np.random.default_rng(s.seed + 3))
 
 
-def _src_elem(s):
-    return NK.elementary_identity_check(s.ctx(2), np.random.default_rng(s.seed + 4))
+def _src_elem(s, ctx):
+    return NK.elementary_identity_check(ctx, np.random.default_rng(s.seed + 4))
 
 
-def _src_einstein(s):
-    return NK.einstein_and_ricci_star_check(s.ctx(3))
+def _src_einstein(s, ctx):
+    return NK.einstein_and_ricci_star_check(ctx)
 
 
-def _src_lapom(s):
-    return NK.laplacian_omega_check(s.ctx(3))
+def _src_lapom(s, ctx):
+    return NK.laplacian_omega_check(ctx)
 
 
-def _src_ctype(s):
+def _src_ctype(s, ctx):
     rng = np.random.default_rng(s.seed + 5)
-    alpha = NK.constant_type_samples(s.ctx(1), rng)
+    alpha = NK.constant_type_samples(ctx, rng)
     dev = np.abs(alpha - 1.0)
     quantiles = {
         "q25": float(np.quantile(dev, 0.25)),
@@ -426,60 +471,59 @@ def _src_homothety(s):
     return {"scaled_spread": worst}
 
 
-def _src_killing(s):
-    return R.verify_killing_unit(s.ctx(2), s.red)
+def _src_killing(s, ctx):
+    return R.verify_killing_unit(ctx, s.red)
 
 
-def _src_foliation(s):
-    return R.foliation_checks(s.ctx(2), s.red)
+def _src_foliation(s, ctx):
+    return R.foliation_checks(ctx, s.red)
 
 
-def _src_acs(s):
-    return R.acs_check(s.ctx(2), s.red)
+def _src_acs(s, ctx):
+    return R.acs_check(ctx, s.red)
 
 
-def _src_tpar(s):
-    return R.transversal_parallel_check(s.ctx(2), s.red)
+def _src_tpar(s, ctx):
+    return R.transversal_parallel_check(ctx, s.red)
 
 
-def _src_norms(s):
-    return R.norms_and_laplacian_checks(s.ctx(3), s.red)
+def _src_norms(s, ctx):
+    return R.norms_and_laplacian_checks(ctx, s.red)
 
 
-def _src_djxi(s):
-    return R.djxi_check(s.ctx(2), s.red)
+def _src_djxi(s, ctx):
+    return R.djxi_check(ctx, s.red)
 
 
-def _src_lie(s):
-    return R.lie_derivative_suite(s.ctx(2), s.red)
+def _src_lie(s, ctx):
+    return R.lie_derivative_suite(ctx, s.red)
 
 
-def _src_g0conn(s):
-    return R.g0_connection_check(s.ctx(3), s.red)
+def _src_g0conn(s, ctx):
+    return R.g0_connection_check(ctx, s.red)
 
 
-def _src_kahler(s):
-    return R.kahler_projection_check(s.ctx(3), s.red)
+def _src_kahler(s, ctx):
+    return R.kahler_projection_check(ctx, s.red)
 
 
-def _src_canon(s):
-    return R.canonical_connection_checks(s.ctx(3), s.red,
+def _src_canon(s, ctx):
+    return R.canonical_connection_checks(ctx, s.red,
                                          rng=np.random.default_rng(s.seed + 7))
 
 
-def _src_base(s):
-    return R.base_kahler_check(s.ctx(2))
+def _src_base(s, ctx):
+    return R.base_kahler_check(ctx)
 
 
-def _src_sek(s):
-    out = dict(R.sekigawa_terms_at(s.ctx(4)))
+def _src_sek(s, ctx):
+    out = dict(R.sekigawa_terms_at(ctx))
     out["scal_48_dev"] = abs(out["scal"] - 48.0)
     out["sstar_48_dev"] = abs(out["sstar"] - 48.0)
     return out
 
 
-def _src_conn(s):
-    ctx = s.ctx(2)
+def _src_conn(s, ctx):
     meta = s.bundle.meta
     out = dict(A.connection_residuals(ctx, meta.get("shift", (0, 0))))
     out["twisted_parallel"] = A.twisted_parallel_residual(
@@ -505,7 +549,8 @@ def _src_gauge(s):
 def _src_agree(s):
     """Reduced invariants of the assembled model vs the homogeneous one.
 
-    ``agree`` is the model's last source: its contexts are released before
+    ``agree`` runs after the model's sources with a context.  It computes
+    its own inputs if no check read them, and releases their context before
     the peer's sources run, which may build the whole ``s3s3`` session.
     """
     mine, psi = s.get("norms"), s.get("kahler")["psi_norm"]
@@ -518,32 +563,35 @@ def _src_agree(s):
     return out
 
 
+#: source name -> (order of the session context it reads, function).  A
+#: source of order k is called as ``fn(session, session.ctx(k))``; one of
+#: order None takes no session context and is called as ``fn(session)``.
 _SOURCES = {
-    "nk": _src_nk,
-    "gray": _src_gray,
-    "ortho": _src_ortho,
-    "type": _src_type,
-    "frame": _src_frame,
-    "elem": _src_elem,
-    "einstein": _src_einstein,
-    "lapom": _src_lapom,
-    "ctype": _src_ctype,
-    "homothety": _src_homothety,
-    "killing": _src_killing,
-    "foliation": _src_foliation,
-    "acs": _src_acs,
-    "tpar": _src_tpar,
-    "norms": _src_norms,
-    "djxi": _src_djxi,
-    "lie": _src_lie,
-    "g0conn": _src_g0conn,
-    "kahler": _src_kahler,
-    "canon": _src_canon,
-    "base": _src_base,
-    "sek": _src_sek,
-    "conn": _src_conn,
-    "gauge": _src_gauge,
-    "agree": _src_agree,
+    "nk": (1, _src_nk),
+    "gray": (2, _src_gray),
+    "ortho": (2, _src_ortho),
+    "type": (2, _src_type),
+    "frame": (1, _src_frame),
+    "elem": (2, _src_elem),
+    "einstein": (3, _src_einstein),
+    "lapom": (3, _src_lapom),
+    "ctype": (1, _src_ctype),
+    "homothety": (None, _src_homothety),
+    "killing": (2, _src_killing),
+    "foliation": (2, _src_foliation),
+    "acs": (2, _src_acs),
+    "tpar": (2, _src_tpar),
+    "norms": (3, _src_norms),
+    "djxi": (2, _src_djxi),
+    "lie": (2, _src_lie),
+    "g0conn": (3, _src_g0conn),
+    "kahler": (3, _src_kahler),
+    "canon": (3, _src_canon),
+    "base": (2, _src_base),
+    "sek": (4, _src_sek),
+    "conn": (2, _src_conn),
+    "gauge": (None, _src_gauge),
+    "agree": (None, _src_agree),
 }
 
 
@@ -563,12 +611,16 @@ def _extract(data: dict, key) -> float:
 
 def run_suite(model: str, suite: str, s: _Session,
               tol_overrides: dict | None = None) -> list[CheckResult]:
-    """Execute every check of ``suite`` applicable to ``model`` in session ``s``."""
+    """The rows of every check of ``suite`` applicable to ``model`` in session ``s``.
+
+    ``run`` has computed the sources already, so this only reads results; a
+    source still missing is computed here.  Each row's ``seconds`` is its
+    source's compute time if it is the source's first reader, else 0.
+    """
     tol_overrides = tol_overrides or {}
     results = []
     for spec in checks_for(suite, model):
         tol = float(tol_overrides.get(spec.check, spec.tol))
-        t0 = time.perf_counter()
         try:
             data = s.get(spec.source)
             residual = _extract(data, spec.key)
@@ -577,10 +629,9 @@ def run_suite(model: str, suite: str, s: _Session,
             quant = data.get("quantiles")
             detail = ""
             status = "pass" if residual <= tol else "fail"
-        except Exception as e:  # pragma: no cover - defensive
+        except Exception as e:
             residual, value, quant = float("nan"), None, None
             status, detail = "error", f"{type(e).__name__}: {e}"
-        seconds = time.perf_counter() - t0
         reason = XFAIL.get((suite, model, spec.check))
         if reason is not None and status in ("pass", "fail"):
             status = "xfail" if status == "fail" else "xpass"
@@ -588,7 +639,7 @@ def run_suite(model: str, suite: str, s: _Session,
         results.append(CheckResult(
             check=spec.check, suite=suite, model=model, status=status,
             residual=residual, tolerance=tol, value=value, quantiles=quant,
-            samples=s.samples, seed=s.seed, seconds=round(seconds, 4),
+            samples=s.samples, seed=s.seed, seconds=round(s.bill(spec.source), 4),
             detail=detail))
     return results
 
@@ -598,11 +649,11 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     """Execute the selected suites over the selected models.
 
     With no explicit model list, each suite runs over its default models;
-    with an explicit one, only the intersection runs.  The (suite, model)
-    pairs run model by model, in order of first appearance, and every
-    session's contexts are released after each model's last pair.  The
-    rows come back in suite order, as if the suites had run one after the
-    other.
+    with an explicit one, only the intersection runs.  The models run in
+    order of first appearance: each computes the sources its checks read,
+    grouped by context order (:meth:`_Session.compute`), and every session's
+    contexts are released after it.  The rows come back in suite order, as
+    if the suites had run one after the other.
     """
     suite_names = list(SUITES) if suites is None else list(suites)
     pairs = []
@@ -615,6 +666,9 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     rows = [None] * len(pairs)
     sessions = _Sessions(samples, seed, mode)
     for model in dict.fromkeys(model for _, model in pairs):
+        sessions[model].compute(dict.fromkeys(
+            spec.source for suite, m in pairs if m == model
+            for spec in checks_for(suite, m)))
         for i, (suite, m) in enumerate(pairs):
             if m == model:
                 rows[i] = run_suite(model, suite, sessions[model], tol_overrides)

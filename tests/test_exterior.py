@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nklab import calculus as C
 from nklab import exterior as E
 from nklab import jets as J
-from nklab.chart import ChartMap, EvalContext
+from nklab.chart import ChartMap, EvalContext, sample_points
 
 
 def _sign(perm):
@@ -250,3 +251,52 @@ class TestPackedWedge:
         got = E.wedge_jet(a, p, b, q)
         assert got.space is prod.space
         assert np.max(np.abs(got.c - _dense_shuffle_sum(prod.c, p, q))) < 1e-13
+
+
+def _packed_form(d, p, nbatch, rng):
+    """A random batch-first p-form, exactly antisymmetric: unpacked from its
+    increasing components, so every entry is +-1 times one of them."""
+    packed = rng.normal(size=(math.comb(d, p), nbatch))
+    return np.moveaxis(E._unpack(packed, d, p), -1, 0)
+
+
+@pytest.fixture(scope="module", params=["s3s3", "s6"])
+def chart_metric(request):
+    """The metric and its inverse of a model's chart at 8 sampled points."""
+    chart = request.getfixturevalue(request.param).chart
+    pts = sample_points(chart, 8, np.random.default_rng(5))
+    ctx = EvalContext(chart, pts, 1)
+    return chart, C.metric(ctx).val, C.metric_inv(ctx).val
+
+
+class TestPackedHodge:
+    @pytest.mark.parametrize("p", range(7))
+    def test_columns_of_the_full_star(self, chart_metric, p):
+        chart, g, gi = chart_metric
+        a = _packed_form(6, p, 8, np.random.default_rng(p)) if p else g[:, 0, 0]
+        full = E.hodge(a, p, g, gi, chart.orientation)
+        cols = [full[(slice(None),) + ix] for ix in combinations(range(6), 6 - p)]
+        want = np.stack(cols, axis=1)
+        got = E.hodge_packed(a, p, g, gi, chart.orientation)
+        assert got.shape == want.shape == (8, math.comb(6, p))
+        if p <= 1:
+            assert np.array_equal(got, want)
+        else:   # hodge sums p! equal terms and divides by p!
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_five_form_residuals_equal_the_full_arrays(self, chart_metric):
+        # the two 5-form residuals of nkcore.elementary_identity_check, on
+        # random forms: packed, and through the full (8, 6**5) arrays
+        chart, g, gi = chart_metric
+        rng = np.random.default_rng(11)
+        x, jx = _packed_form(6, 1, 8, rng), _packed_form(6, 1, 8, rng)
+        om, om_om = _packed_form(6, 2, 8, rng), _packed_form(6, 4, 8, rng)
+        dom = _packed_form(6, 3, 8, rng)
+        ori = chart.orientation
+        packed = (E.hodge_packed(x, 1, g, gi, ori) - 0.5 * E.wedge_packed(jx, 1, om_om, 4),
+                  E.wedge_packed(om, 2, dom, 3))
+        full = (E.hodge(x, 1, g, gi, ori) - 0.5 * E.wedge(jx, 1, om_om, 4),
+                E.wedge(om, 2, dom, 3))
+        for got, want in zip(packed, full):
+            assert got.shape == (8, 6) and want.shape == (8,) + (6,) * 5
+            assert np.max(np.abs(got)) == np.max(np.abs(want)) > 0

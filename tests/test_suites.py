@@ -2,6 +2,7 @@
 import dataclasses
 import gc
 import math
+import time
 import tracemalloc
 import weakref
 
@@ -209,35 +210,120 @@ class TestModelMajor:
 
     def test_ansatz_alone_peaks_no_higher_than_the_full_lab(self, monkeypatch):
         # the s3s3 session that ansatz-agreement builds in an ansatz-only run
-        # fits in the memory that the released ansatz contexts leave behind
+        # computes after every ansatz context is gone, so it adds only its
+        # own context's working set
         suites.run(samples=8)
-        agree = suites._SOURCES["agree"]
+        made = _track_contexts(monkeypatch)
+        order, agree = suites._SOURCES["agree"]
         seen = {}
 
-        def measured(s):
-            # tracemalloc keeps one peak: keep the run's so far, then reset
-            seen["before"] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            out = agree(s)
-            seen["rise"] = tracemalloc.get_traced_memory()[1] - start
-            return out
+        def watched(s):
+            seen["alive"] = _alive(made)
+            return agree(s)
 
-        monkeypatch.setitem(suites._SOURCES, "agree", measured)
-        peaks, rises = {}, {}
+        monkeypatch.setitem(suites._SOURCES, "agree", (order, watched))
+        peaks, alive = {}, {}
         tracemalloc.start()
         try:
             for models in (None, ("ansatz",)):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 suites.run(models=models, samples=8)
-                peak = max(seen["before"], tracemalloc.get_traced_memory()[1])
-                peaks[models], rises[models] = peak - base, seen["rise"]
+                peaks[models] = tracemalloc.get_traced_memory()[1] - base
+                alive[models] = seen["alive"]
         finally:
             tracemalloc.stop()
         assert peaks[("ansatz",)] <= peaks[None], peaks
-        # beyond the ansatz contexts, agree allocates only its small results
-        assert rises[("ansatz",)] < 2 ** 16, rises
+        assert "ansatz" not in alive[("ansatz",)], alive
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("models, mode", [
+        (None, "exact"),
+        (None, "fd"),
+        (("ansatz",), "exact"),
+    ])
+    def test_one_context_alive_each_built_once(self, monkeypatch, models, mode):
+        made = _track_contexts(monkeypatch)
+        asked, built, crowded, computing = [], [], [], []
+        ctx, get = suites._Session.ctx, suites._Session.get
+
+        def spied_ctx(self, order):
+            asked.append((computing[-1], order))
+            if order not in self._ctx:
+                built.append((self.model, order))
+                if _alive(made):
+                    crowded.append((self.model, order, _alive(made)))
+            return ctx(self, order)
+
+        def spied_get(self, source):
+            computing.append(source)
+            try:
+                return get(self, source)
+            finally:
+                computing.pop()
+
+        monkeypatch.setattr(suites._Session, "ctx", spied_ctx)
+        monkeypatch.setattr(suites._Session, "get", spied_get)
+        gc.collect()
+        gc.disable()
+        try:
+            results = suites.run(models=models, samples=4, mode=mode)
+        finally:
+            gc.enable()
+        assert results and not any(r.status == "error" for r in results)
+        wrong = sorted({(src, o) for src, o in asked if suites._SOURCES[src][0] != o})
+        assert not wrong, f"sources asking for another order: {wrong}"
+        assert not crowded, f"contexts built while another was alive: {crowded}"
+        if models is None:
+            # in an ansatz-only run, agree builds ansatz's order-3 context a
+            # second time for its inputs norms and kahler, which no row reads
+            assert len(built) == len(set(built)), built
+
+    def test_error_rows_read_one_cached_error(self, monkeypatch):
+        calls = []
+
+        def broken(s, ctx):
+            calls.append(s.model)
+            try:
+                raise ValueError(ctx.order)   # its traceback holds ctx
+            except ValueError as e:
+                raise RuntimeError(f"no norms on {s.model}") from e
+
+        monkeypatch.setitem(suites._SOURCES, "norms", (3, broken))
+        made = _track_contexts(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            results = suites.run(models=("s3s3", "ansatz"), suites=("reduction", "ansatz"),
+                                 samples=4)
+            alive = _alive(made)
+        finally:
+            gc.enable()
+        readers = {spec.check for spec in suites.CHECKS if spec.source == "norms"}
+        readers.add("ansatz-agreement")   # agree reads the model's norms first
+        errors = [r for r in results if r.status == "error"]
+        assert {r.check for r in errors} == readers
+        assert len(errors) == len([r for r in results if r.check in readers])
+        for r in errors:
+            assert r.detail == f"RuntimeError: no norms on {r.model}", r
+            assert math.isnan(r.residual)
+        assert sorted(calls) == ["ansatz", "s3s3"]
+        assert not alive   # a cached error holds no context
+
+    def test_compute_time_goes_to_the_first_reader(self, monkeypatch):
+        order, ctype = suites._SOURCES["ctype"]
+
+        def slow(s, ctx):
+            time.sleep(0.05)
+            return ctype(s, ctx)
+
+        monkeypatch.setitem(suites._SOURCES, "ctype", (order, slow))
+        results = suites.run(models=("s6",), suites=("nk-core",), samples=4)
+        readers = [r for r in results if r.check.startswith("constant-type")]
+        assert [r.check for r in readers] == ["constant-type", "constant-type-spread"]
+        assert readers[0].seconds >= 0.05
+        assert readers[1].seconds == 0.0
 
 
 class TestQuantiles:

@@ -184,15 +184,13 @@ def connection_forms(ctx: EvalContext, shift=(0, 0)):
 
 
 def connection_residuals(ctx: EvalContext, shift=(0, 0)) -> dict:
-    """Curvature anchors: d theta = -12 omega_I0 and d mu = 2 omega_Jhat."""
+    """Curvature anchors d theta = -12 omega_I0 and d mu = 2 omega_Jhat, per point."""
     theta, mu = connection_forms(ctx, shift)
     w1, w2 = _area_forms(ctx)
-    r1 = d_form(ctx, theta, 1) + 12.0 * (w1 + w2)
-    r2 = d_form(ctx, mu, 1) - 2.0 * (w1 - w2)
-    return {
-        "dtheta_plus_12_omega_i0": float(np.max(np.abs(r1.val))),
-        "dmu_minus_2_omega_jhat": float(np.max(np.abs(r2.val))),
-    }
+    r1 = d_form(theta, 1) + 12.0 * (w1 + w2)
+    r2 = d_form(mu, 1) - 2.0 * (w1 - w2)
+    return {"dtheta_plus_12_omega_i0": NK._maxabs(r1.val),
+            "dmu_minus_2_omega_jhat": NK._maxabs(r2.val)}
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +227,16 @@ def tautological_pair(ctx: EvalContext, gauge, conjugate: bool = False, shift=(0
 def _twisted_parallel(ctx: EvalContext, re: J.Jet, im: J.Jet, shift=(0, 0)) -> np.ndarray:
     """Max component of d Phi - i theta ^ Phi at each of the context's points."""
     theta, _ = connection_forms(ctx, shift)
-    d_re, d_im = d_form(ctx, re, 2), d_form(ctx, im, 2)
+    d_re, d_im = d_form(re, 2), d_form(im, 2)
     theta = theta.truncate(d_re.space)  # so both wedges are computed in it
-    res = (d_re + wedge_jet(theta, 1, im, 2), d_im - wedge_jet(theta, 1, re, 2))
-    return np.max([np.abs(r.val).reshape(ctx.nbatch, -1).max(axis=1) for r in res], axis=0)
+    return np.maximum(NK._maxabs((d_re + wedge_jet(theta, 1, im, 2)).val),
+                      NK._maxabs((d_im - wedge_jet(theta, 1, re, 2)).val))
 
 
 def twisted_parallel_residual(ctx: EvalContext, gauge, conjugate: bool = False,
-                              shift=(0, 0)) -> float:
-    """Max component of d Phi - i theta ^ Phi at the context's points."""
-    re, im = tautological_pair(ctx, gauge, conjugate, shift)
-    return float(np.max(_twisted_parallel(ctx, re, im, shift)))
+                              shift=(0, 0)) -> np.ndarray:
+    """Max component of d Phi - i theta ^ Phi at each of the context's points."""
+    return _twisted_parallel(ctx, *tautological_pair(ctx, gauge, conjugate, shift), shift)
 
 
 @dataclass
@@ -325,15 +322,13 @@ def _certify_chart(chart: ChartMap) -> None:
     g = ctx.root("metric").val
     jm = ctx.root("J").val
     xi = ctx.root("xi:fiber").val
-    sq = np.einsum("zab,zbc->zac", jm, jm) + np.eye(_DIM)
-    if np.max(np.abs(sq)) > _CERTIFY_TOL:
-        raise InvariantViolation("acs_square", float(np.max(np.abs(sq))))
-    compat = contract("zai,zab,zbj->zij", jm, g, jm) - g
-    if np.max(np.abs(compat)) > _CERTIFY_TOL:
-        raise InvariantViolation("acs_compatibility", float(np.max(np.abs(compat))))
-    unit = np.abs(np.sqrt(contract("zi,zij,zj->z", xi, g, xi)) - 1.0)
-    if np.max(unit) > _CERTIFY_TOL:
-        raise InvariantViolation("fiber_unit_length", float(np.max(unit)))
+    for identity, r in (
+            ("acs_square", np.einsum("zab,zbc->zac", jm, jm) + np.eye(_DIM)),
+            ("acs_compatibility", contract("zai,zab,zbj->zij", jm, g, jm) - g),
+            ("fiber_unit_length", np.sqrt(contract("zi,zij,zj->z", xi, g, xi)) - 1.0)):
+        worst = float(np.max(np.abs(r)))
+        if not worst <= _CERTIFY_TOL:
+            raise InvariantViolation(identity, worst)
 
 
 def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
@@ -373,7 +368,8 @@ def certify_nk(bundle: ModelBundle = None, samples: int = 20, seed: int = 0) -> 
     Covers the defining conditions (almost complex, metric-compatible,
     skew covariant derivative), the type constant, the Einstein anchors,
     the Killing property of the fiber field, the curvature anchors of the
-    two connection forms, and the twisted parallel equation.
+    two connection forms, and the twisted parallel equation.  Residuals are
+    per point of each check's context; the two ``alpha_*`` entries are scalars.
     """
     if bundle is None:
         bundle = assemble()

@@ -114,7 +114,8 @@ class ChartMap:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError as e:
             raise DegenerateMetricError(f"metric on chart '{self.name}' is not positive definite") from e
-        if np.max(np.abs(g - np.swapaxes(g, -1, -2))) > 1e-12:
+        # cholesky does not raise on NaN; the symmetry test fails on it
+        if not np.max(np.abs(g - np.swapaxes(g, -1, -2))) <= 1e-12:
             raise DegenerateMetricError(f"metric on chart '{self.name}' is not symmetric")
 
     def contains(self, points: np.ndarray) -> np.ndarray:

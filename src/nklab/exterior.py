@@ -260,7 +260,7 @@ def hodge_packed(a: np.ndarray, p: int, g: np.ndarray, ginv: np.ndarray,
     return orientation * (sign * au[:, slot]) * sqg[:, None]
 
 
-def d_form(ctx, w: J.Jet, p: int) -> J.Jet:
+def d_form(w: J.Jet, p: int) -> J.Jet:
     """Exterior derivative of a p-form jet -> (p+1)-form jet.
 
     The (1, p)-shuffle sum of ``jgrad(w)``; ``w`` must be a form, since only
@@ -282,16 +282,10 @@ def form_laplacian_field(field, p: int):
     """Return ctx -> Jet computing (d delta + delta d) of a p-form field."""
 
     def lap(ctx):
-        def df(c):
-            return d_form(c, field(c), p)
-
-        def cf(c):
-            return codifferential(c, field(c), p)
-
-        t1 = codifferential(ctx, df(ctx), p + 1)
+        w = field(ctx)
+        t1 = codifferential(ctx, d_form(w, p), p + 1)
         if p == 0:
             return t1
-        t2 = d_form(ctx, cf(ctx), p - 1)
-        return t1 + t2
+        return t1 + d_form(codifferential(ctx, w, p), p - 1)
 
     return lap

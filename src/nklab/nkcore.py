@@ -11,9 +11,12 @@ normalizations, and the Laplacian eigenvalue equations of the fundamental
 2-form.  The one check without a context, :func:`constant_type_at`, takes
 a chart, one point and one tangent pair, and uses exact jets.
 
-Residual functions return plain ``{name: float}`` dictionaries so that
-suite runners and tests can apply their own tolerances.  Nothing in this
-module asserts; deciding pass/fail is the caller's job.
+Residual functions return ``{name: array}`` dictionaries: each residual
+is a float array of shape ``(nbatch,)``, the max of its absolute value at
+each context point (over every axis but the batch axis), and a reported
+value such as ``scal_value`` is its per-point array.  Reducing over the
+points and deciding pass/fail against a tolerance is the caller's job
+(:mod:`nklab.suites` in the lab); nothing in this module asserts.
 """
 
 from __future__ import annotations
@@ -97,13 +100,14 @@ def psi_lower(ctx: EvalContext) -> J.Jet:
 
 def d_omega(ctx: EvalContext) -> J.Jet:
     def build(c):
-        return d_form(c, omega_field(c), 2)
+        return d_form(omega_field(c), 2)
 
     return ctx.memo("domega", build)
 
 
-def _maxabs(a) -> float:
-    return float(np.max(np.abs(a))) if np.size(a) else 0.0
+def _maxabs(a) -> np.ndarray:
+    """max |a| at each point: over every axis but the first (batch) one."""
+    return np.abs(a).max(axis=tuple(range(1, np.ndim(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +126,10 @@ def check_nearly_kahler(ctx: EvalContext) -> dict:
     jv = j_field(ctx).val
     psi = psi_lower(ctx).val
 
-    r_j2 = _maxabs(np.einsum("zab,zbc->zac", jv, jv) + np.eye(ctx.chart.dim))
-    r_compat = _maxabs(contract("zai,zab,zbj->zij", jv, g, jv) - g)
-    r_nk = _maxabs(psi + np.swapaxes(psi, 1, 2))
-    r_skew12 = _maxabs(psi + np.swapaxes(psi, 2, 3))
     return {
-        "j_square": r_j2,
-        "compatible": r_compat,
-        "nk_condition": r_nk,
-        "skew_last_pair": r_skew12,
+        "j_square": _maxabs(np.einsum("zab,zbc->zac", jv, jv) + np.eye(ctx.chart.dim)),
+        "compatible": _maxabs(contract("zai,zab,zbj->zij", jv, g, jv) - g),
+        "nk_condition": _maxabs(psi + np.swapaxes(psi, 1, 2)),
         "torsion_scale": _maxabs(psi),
     }
 
@@ -188,10 +187,9 @@ def orthogonality_residuals(ctx: EvalContext, rng) -> dict:
     x = unit_tangent_vectors(g, rng, 3)
     y = unit_tangent_vectors(g, rng, 3)
     v = contract("ziaj,zni,znj->zna", nj, x, y)
-    worst = 0.0
-    for w in (x, y, np.einsum("zai,zni->zna", jv, x), np.einsum("zai,zni->zna", jv, y)):
-        worst = max(worst, _maxabs(contract("zna,zab,znb->zn", v, g, w)))
-    return {"torsion_orthogonality": worst}
+    ws = (x, y, np.einsum("zai,zni->zna", jv, x), np.einsum("zai,zni->zna", jv, y))
+    return {"torsion_orthogonality": np.max(
+        [_maxabs(contract("zna,zab,znb->zn", v, g, w)) for w in ws], axis=0)}
 
 
 def type_tensor_check(ctx: EvalContext, rng) -> dict:
@@ -259,7 +257,7 @@ def constant_type_at(chart: ChartMap, p, x, y) -> float:
 
 def constant_type_samples(ctx: EvalContext, rng) -> np.ndarray:
     """Type-constant samples over 4 random tangent pairs at each of the
-    context's points."""
+    context's points, shape (nbatch, 4)."""
     g = C.metric(ctx).val
     jv = j_field(ctx).val
     nj = nabla_j(ctx).val
@@ -273,7 +271,7 @@ def constant_type_samples(ctx: EvalContext, rng) -> np.ndarray:
         raise DegeneratePairError("sampled tangent pair too close to a J-plane")
     v = contract("ziaj,zni,znj->zna", nj, x, y)
     num = contract("zna,zab,znb->zn", v, g, v)
-    return (num / den).ravel()
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +405,7 @@ def einstein_and_ricci_star_check(ctx: EvalContext) -> dict:
     out = {}
     out["ricci"] = _maxabs(ric - 5.0 * g)
     out["scal"] = _maxabs(scal - 30.0)
-    out["scal_value"] = float(np.mean(scal))
+    out["scal_value"] = scal.copy()   # not a view: it outlives the jet
 
     t = np.einsum("zcj,zmibc->zmibj", jv, riem)
     ric_star = np.einsum("zbm,zmibj->zij", jv, t)

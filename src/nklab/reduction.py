@@ -12,8 +12,11 @@ residuals of the identities they satisfy.
 Conventions: endomorphism arrays are indexed ``E[a, i]`` for E^a_i (apply
 on the left), 2-forms of an endomorphism are ``omega_E(X, Y) = g(E X, Y)``,
 and every residual function takes an :class:`~nklab.chart.EvalContext`
-(points, jet order and derivative backend) and returns a ``{name: float}``
-dictionary.
+(points, jet order and derivative backend) and returns a ``{name: array}``
+dictionary, as in :mod:`nklab.nkcore`: each residual is a float array of
+shape ``(nbatch,)``, the max of its absolute value at each point, and the
+pinned norms (``norm_*``, ``psi_norm``) are per-point arrays too.  Only
+:func:`sekigawa_terms_at` reports means over the points, for its named terms.
 """
 
 from __future__ import annotations
@@ -85,10 +88,10 @@ class Reduction:
         return self._m(ctx, "jzeta", lambda c: J.jj("ij,j->i", C.metric(c), self.jxi(c)))
 
     def dzeta(self, ctx) -> J.Jet:
-        return self._m(ctx, "dzeta", lambda c: d_form(c, self.zeta(c), 1))
+        return self._m(ctx, "dzeta", lambda c: d_form(self.zeta(c), 1))
 
     def djzeta(self, ctx) -> J.Jet:
-        return self._m(ctx, "djzeta", lambda c: d_form(c, self.jzeta(c), 1))
+        return self._m(ctx, "djzeta", lambda c: d_form(self.jzeta(c), 1))
 
     def nabla_xi(self, ctx) -> J.Jet:
         """Endomorphism (nabla xi)[a, i] = nabla_i xi^a."""
@@ -265,9 +268,9 @@ def acs_check(ctx: EvalContext, red: Reduction) -> dict:
         return np.einsum("zab,zbi->zai", a, b)
 
     out = {}
-    out["kills_vertical"] = max(
-        _maxabs(np.einsum("zai,zi->za", e, v))
-        for e in (i_e, k_e, jh, sg) for v in (xi, jxi))
+    out["kills_vertical"] = np.max(
+        [_maxabs(np.einsum("zai,zi->za", e, v))
+         for e in (i_e, k_e, jh, sg) for v in (xi, jxi)], axis=0)
     out["i_square"] = _maxabs(mm(i_e, i_e) + pi)
     out["k_square"] = _maxabs(mm(k_e, k_e) + pi)
     out["jhat_square"] = _maxabs(mm(jh, jh) + pi)
@@ -335,19 +338,19 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     dz11 = 0.5 * (dz + dz_moved)
     dz20 = 0.5 * (dz - dz_moved)
     n11, n20 = form_norm2(dz11, 2, gi), form_norm2(dz20, 2, gi)
-    out["norm_dzeta11"] = float(np.mean(n11))
+    out["norm_dzeta11"] = n11
     out["norm_dzeta11_dev"] = _maxabs(n11 - 8.0)
-    out["norm_dzeta20"] = float(np.mean(n20))
+    out["norm_dzeta20"] = n20
     out["norm_dzeta20_dev"] = _maxabs(n20 - 2.0)
 
     jh = red.jhat(ctx).val
     n_jh = contract("zai,zbj,zab,zij->z", jh, jh, g, gi)
-    out["norm_jhat"] = float(np.mean(n_jh))
+    out["norm_jhat"] = n_jh
     out["norm_jhat_dev"] = _maxabs(n_jh - 4.0)
 
     djz = red.djzeta(ctx).val
     n_djz = form_norm2(djz, 2, gi, full=True)
-    out["norm_djzeta"] = float(np.mean(n_djz))
+    out["norm_djzeta"] = n_djz
     out["norm_djzeta_dev"] = _maxabs(n_djz - 36.0)
 
     om = omega_field(ctx).val
@@ -407,7 +410,7 @@ def djxi_check(ctx: EvalContext, red: Reduction) -> dict:
     def beta_field(c):
         return J.jj("i,iab->ab", red.jxi(c), d_omega(c))
 
-    dbeta = d_form(ctx, beta_field(ctx), 2).val
+    dbeta = d_form(beta_field(ctx), 2).val
     rhs = -12.0 * wedge(red.jzeta(ctx).val, 1, omega_field(ctx).val, 2)
     return {"d_interior_jxi_domega": _maxabs(dbeta - rhs)}
 
@@ -485,13 +488,10 @@ def lie_derivative_suite(ctx: EvalContext, red: Reduction) -> dict:
 
     # everything is also invariant along xi itself
     xi = red.xi(ctx)
-    inv = max(
-        _maxabs(C.lie_derivative(ctx, xi, red.g0(ctx), "ll").val),
-        _maxabs(C.lie_derivative(ctx, xi, om_i, "ll").val),
-        _maxabs(C.lie_derivative(ctx, xi, om_k, "ll").val),
-        _maxabs(C.lie_derivative(ctx, xi, jh, "ul").val),
-    )
-    out["xi_invariance"] = inv
+    out["xi_invariance"] = np.max(
+        [_maxabs(C.lie_derivative(ctx, xi, t, kinds).val)
+         for t, kinds in ((red.g0(ctx), "ll"), (om_i, "ll"), (om_k, "ll"), (jh, "ul"))],
+        axis=0)
     return out
 
 
@@ -559,7 +559,7 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
     # omega0_jhat = dzeta / 2, and it is closed
     om0 = red.omega0_jhat(ctx)
     out["omega0_jhat_half_dzeta"] = _maxabs(om0.val - 0.5 * red.dzeta(ctx).val)
-    out["omega0_jhat_closed"] = _maxabs(d_form(ctx, om0, 2).val)
+    out["omega0_jhat_closed"] = _maxabs(d_form(om0, 2).val)
 
     # type split of omega_K with respect to i0
     om_k = red.omega_endo(ctx, "K").val
@@ -588,7 +588,7 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
 
     g0i = red.g0_inv_val(ctx)
     n2 = form_norm2(re_p.val, 2, g0i) + form_norm2(im_p.val, 2, g0i)
-    out["psi_norm"] = float(np.mean(n2))
+    out["psi_norm"] = n2
     out["psi_norm_dev"] = _maxabs(n2 - 64.0 / 3.0)
 
     # parallelism under the deformed connection, horizontally projected
@@ -608,20 +608,20 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
 
     cov_re = C.covd(ctx, re_p, "ll", gamma=gam0).val
     cov_im = C.covd(ctx, im_p, "ll", gamma=gam0).val
-    out["psi_parallel"] = max(_maxabs(fproj(cov_re)), _maxabs(fproj(cov_im)))
+    out["psi_parallel"] = np.maximum(_maxabs(fproj(cov_re)), _maxabs(fproj(cov_im)))
 
     # normalized circle action: zeta'(xi') = 1 and L_{xi'} Psi = i Psi
     zp = red.zeta_prime(ctx)
     xip = (1.0 / (2.0 * _SQ3)) * red.jxi(ctx)
     out["zeta_prime_pairing"] = _maxabs(
         np.einsum("zi,zi->z", zp.val, xip.val) - 1.0)
-    dzp = d_form(ctx, zp, 1).val
+    dzp = d_form(zp, 1).val
     out["dzeta_prime_omega_i"] = _maxabs(dzp + 6.0 * _SQ3 * om_i)
     out["dzeta_prime_i0"] = _maxabs(
         dzp + 12.0 * np.einsum("zai,zaj->zij", i0v, g0v))
     lre = C.lie_derivative(ctx, xip, re_p, "ll").val
     lim = C.lie_derivative(ctx, xip, im_p, "ll").val
-    out["phase_equation"] = max(_maxabs(lre + im_p.val), _maxabs(lim - re_p.val))
+    out["phase_equation"] = np.maximum(_maxabs(lre + im_p.val), _maxabs(lim - re_p.val))
     return out
 
 
@@ -635,17 +635,17 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
     The context (order >= 4) must be on a 4-dimensional base chart carrying
     ``metric`` and ``Jhat`` evaluators.  Raises ``NonEinsteinBaseError``
     when the metric is not Einstein, since the identity is derived under
-    that hypothesis.  Returns every named term together with both sides of
-    the identity.
+    that hypothesis.  Returns every named term and both sides of the
+    identity as means over the points, and ``identity_residual`` per point.
     """
     g = C.metric(ctx)
     gi = C.metric_inv(ctx)
     scal = C.scalar_curvature(ctx).val
     ric = C.ricci(ctx).val
-    ein = ric - (scal[:, None, None] / 4.0) * g.val
-    if _maxabs(ein) > _EINSTEIN_TOL:
+    ein = np.max(np.abs(ric - (scal[:, None, None] / 4.0) * g.val))
+    if not ein <= _EINSTEIN_TOL:
         raise NonEinsteinBaseError(
-            f"base metric is not Einstein (residual {_maxabs(ein):.3e}); "
+            f"base metric is not Einstein (residual {ein:.3e}); "
             "the integrand identity does not apply")
 
     def om_f(c):
@@ -758,7 +758,7 @@ def base_kahler_check(ctx: EvalContext) -> dict:
         out[f"{nm.lower()}_parallel"] = _maxabs(
             C.covd(ctx, e, "ul").val)
         om = J.jj("ai,aj->ij", e, g)
-        out[f"{nm.lower()}_form_closed"] = _maxabs(d_form(ctx, om, 2).val)
+        out[f"{nm.lower()}_form_closed"] = _maxabs(d_form(om, 2).val)
 
     i0 = ctx.root("I0").val
     jh = ctx.root("Jhat").val
@@ -807,17 +807,13 @@ def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng) -> dict:
 
     out["e_projector_parallel"] = _maxabs(C.covd(ctx, pi_e, "ul", gamma=gb).val)
 
-    worst = 0.0
     d = ctx.chart.dim
+    eye = np.eye(d)
+    split = []
     for _ in range(3):
         w = rng.standard_normal(d)
-        y_plus = J.jc("i,ai->a", w, pi_e)
-        y_minus = J.jc("i,ai->a", w, pi_f)
-        cov_p = C.covd(ctx, y_plus, "u", gamma=gb).val   # (z, u, a)
-        cov_m = C.covd(ctx, y_minus, "u", gamma=gb).val
-        eye = np.eye(d)
-        worst = max(worst,
-                    _maxabs(np.einsum("zab,zub->zua", eye - pi_e.val, cov_p)),
-                    _maxabs(np.einsum("zab,zub->zua", eye - pi_f.val, cov_m)))
-    out["splitting_parallel"] = worst
+        for proj in (pi_e, pi_f):
+            cov = C.covd(ctx, J.jc("i,ai->a", w, proj), "u", gamma=gb).val  # (z, u, a)
+            split.append(_maxabs(np.einsum("zab,zub->zua", eye - proj.val, cov)))
+    out["splitting_parallel"] = np.max(split, axis=0)
     return out

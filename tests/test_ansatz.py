@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 
 from nklab import ansatz as A
+from nklab import jets as J
 from nklab import reduction as R
 from nklab.chart import (
     ConfigError,
     DegenerateMetricError,
     EvalContext,
+    InvariantViolation,
     sample_points,
 )
 
@@ -22,8 +24,8 @@ def ctx1():
 class TestConnectionForms:
     def test_curvature_anchors(self, ctx1):
         res = A.connection_residuals(ctx1)
-        assert res["dtheta_plus_12_omega_i0"] < 1e-13
-        assert res["dmu_minus_2_omega_jhat"] < 1e-13
+        assert np.max(res["dtheta_plus_12_omega_i0"]) < 1e-13
+        assert np.max(res["dmu_minus_2_omega_jhat"]) < 1e-13
 
     def test_coframe_is_orthonormal_for_base_metric(self, ctx1):
         frame = A.base_coframe(ctx1)
@@ -46,9 +48,9 @@ class TestConnectionForms:
 
 class TestGaugeScan:
     def test_twisted_residual_vanishes_only_at_default(self, ctx1):
-        assert A.twisted_parallel_residual(ctx1, A.DEFAULT_GAUGE) < 1e-13
+        assert np.max(A.twisted_parallel_residual(ctx1, A.DEFAULT_GAUGE)) < 1e-13
         for other in ((0, 0), (-1, 0), (1, 1), (-2, -1)):
-            assert A.twisted_parallel_residual(ctx1, other) > 1e-3, other
+            assert np.max(A.twisted_parallel_residual(ctx1, other)) > 1e-3, other
 
     def test_search_recovers_default(self, ctx1):
         res = A.gauge_search(ctx1)
@@ -60,14 +62,14 @@ class TestGaugeScan:
     def test_batched_scan_matches_one_candidate_at_a_time(self, ctx1):
         ctx = EvalContext(ctx1.chart, ctx1.points, order=1)
         res = A.gauge_search(ctx)
-        want = {(n1, n2, conj): A.twisted_parallel_residual(ctx, (n1, n2), conj)
+        want = {(n1, n2, conj): float(np.max(A.twisted_parallel_residual(ctx, (n1, n2), conj)))
                 for n1 in range(-2, 3) for n2 in range(-2, 3) for conj in (False, True)}
         assert list(res.table) == list(want)
         assert res.table == want  # the same arithmetic per point: bit-identical
 
     def test_conjugate_scan_is_distinct(self, ctx1):
-        plain = A.twisted_parallel_residual(ctx1, A.DEFAULT_GAUGE, conjugate=False)
-        conj = A.twisted_parallel_residual(ctx1, A.DEFAULT_GAUGE, conjugate=True)
+        plain = np.max(A.twisted_parallel_residual(ctx1, A.DEFAULT_GAUGE, conjugate=False))
+        conj = np.max(A.twisted_parallel_residual(ctx1, A.DEFAULT_GAUGE, conjugate=True))
         assert plain < 1e-13 and conj > 1e-3
 
 
@@ -84,21 +86,28 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             A.assemble(gauge=(0.5, 1))
 
+    def test_nan_fiber_field_fails_certification(self):
+        ch = A._build_chart(A.DEFAULT_GAUGE, False, (0, 0), False)
+        ch.evaluators["xi:fiber"] = lambda ctx: J.jconst(
+            ctx.space, np.full((ctx.nbatch, 6), np.nan))
+        with pytest.raises(InvariantViolation, match="fiber_unit_length"):
+            A._certify_chart(ch)
+
     def test_wrong_gauge_breaks_structure_not_algebra(self):
         b = A.assemble(gauge=(0, 0), certify=False)
         cert = A.certify_nk(b, samples=6, seed=23)
-        assert cert["j_square"] < 1e-12          # pointwise algebra intact
-        assert cert["nk_condition"] > 0.1        # geometry broken
+        assert np.max(cert["j_square"]) < 1e-12          # pointwise algebra intact
+        assert np.max(cert["nk_condition"]) > 0.1        # geometry broken
         assert cert["alpha_spread"] > 0.1
 
     def test_certification_dict(self, ansatz_bundle):
         cert = A.certify_nk(ansatz_bundle, samples=10, seed=24)
-        assert cert["nk_condition"] < 1e-12
+        assert np.max(cert["nk_condition"]) < 1e-12
         assert cert["alpha_mean_err"] < 1e-12
-        assert abs(cert["scal_value"] - 30.0) < 1e-11
-        assert cert["fiber_unit_length"] == 0.0
-        assert cert["fiber_killing"] == 0.0
-        assert cert["twisted_parallel"] < 1e-13
+        assert abs(np.mean(cert["scal_value"]) - 30.0) < 1e-11
+        assert np.max(cert["fiber_unit_length"]) == 0.0
+        assert np.max(cert["fiber_killing"]) == 0.0
+        assert np.max(cert["twisted_parallel"]) < 1e-13
 
 
 class TestGaugeEquivalence:
@@ -118,8 +127,8 @@ class TestGaugeEquivalence:
     def test_shifted_model_still_certifies(self):
         b = A.assemble(shift=(1, -1))
         cert = A.certify_nk(b, samples=6, seed=26)
-        assert cert["nk_condition"] < 1e-12
-        assert cert["twisted_parallel"] < 1e-13
+        assert np.max(cert["nk_condition"]) < 1e-12
+        assert np.max(cert["twisted_parallel"]) < 1e-13
 
 
 class TestReductionAgreement:
@@ -135,9 +144,9 @@ class TestReductionAgreement:
         na = R.norms_and_laplacian_checks(ctx_a, red_a)
         nh = R.norms_and_laplacian_checks(ctx_h, red_h)
         for key in ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta"):
-            assert abs(na[key] - nh[key]) < 1e-11, key
-        pa = R.kahler_projection_check(ctx_a, red_a)["psi_norm"]
-        ph = R.kahler_projection_check(ctx_h, red_h)["psi_norm"]
+            assert abs(np.mean(na[key]) - np.mean(nh[key])) < 1e-11, key
+        pa = np.mean(R.kahler_projection_check(ctx_a, red_a)["psi_norm"])
+        ph = np.mean(R.kahler_projection_check(ctx_h, red_h)["psi_norm"])
         assert abs(pa - ph) < 1e-11
 
     def test_zeta_prime_is_first_connection_form(self, ansatz_bundle):

@@ -59,6 +59,15 @@ class TestChartValidation:
         with pytest.raises(DegenerateMetricError):
             ChartMap("bad", [(-1, 1)] * 2, {"metric": metric})
 
+    def test_metric_nan_at_some_points_rejected(self):
+        def metric(ctx):
+            m = np.broadcast_to(np.eye(2), (ctx.nbatch, 2, 2)).copy()
+            m[ctx.points[:, 0] > 0.0] = np.nan
+            return J.jconst(ctx.space, m)
+
+        with pytest.raises(DegenerateMetricError):
+            ChartMap("bad", [(-1, 1)] * 2, {"metric": metric})
+
     def test_out_of_domain(self):
         ch = _flat_chart()
         with pytest.raises(OutOfDomainError):

@@ -124,8 +124,8 @@ class TestDifferential:
         ctx = EvalContext(ch, np.array([[0.2, -0.1, 0.4]]), order=3)
         x, y, z = (ctx.coord(i) for i in range(3))
         f = J.jsin(x * y) + z * z * x
-        df = E.d_form(ctx, f, 0)
-        ddf = E.d_form(ctx, df, 1)
+        df = E.d_form(f, 0)
+        ddf = E.d_form(df, 1)
         assert np.max(np.abs(ddf.val)) < 1e-13
 
     def test_gradient_components(self):
@@ -134,7 +134,7 @@ class TestDifferential:
         ctx = EvalContext(ch, p, order=1)
         x, y, z = (ctx.coord(i) for i in range(3))
         f = x * y * z
-        df = E.d_form(ctx, f, 0).val
+        df = E.d_form(f, 0).val
         want = np.array([p[0, 1] * p[0, 2], p[0, 0] * p[0, 2], p[0, 0] * p[0, 1]])
         assert np.allclose(df[0], want)
 
@@ -155,7 +155,7 @@ class TestDifferential:
     def test_matches_dense_alternating_sum(self, d, order, p):
         # d w = (p+1) Alt(grad w), summed over all (p+1)! permutations
         w = _form_jet(J.jetspace(d, order), d, p, seed=d * 100 + order * 10 + p)
-        got = E.d_form(None, w, p)
+        got = E.d_form(w, p)
         want = (p + 1) * _alt(J.jgrad(w).c, p + 1)
         assert got.space is J.jgrad(w).space
         assert np.max(np.abs(got.c - want)) < 1e-13
@@ -169,8 +169,8 @@ class TestDifferential:
         ch = _scalar_field_chart()
         ctx = EvalContext(ch, np.array([[0.4, -0.3, 0.1]]), order=1)
         x, y, _ = (ctx.coord(i) for i in range(3))
-        a = E.d_form(ctx, x * y, 0)
-        b = E.d_form(ctx, y, 0)
+        a = E.d_form(x * y, 0)
+        b = E.d_form(y, 0)
         jet = E.wedge_jet(a, 1, b, 1).val
         val = E.wedge(a.val, 1, b.val, 1)
         assert np.allclose(jet, val)
@@ -240,12 +240,12 @@ class TestPackedWedge:
             c.space, np.broadcast_to(np.eye(d), (c.nbatch, d, d)).copy())})
         ctx = EvalContext(ch, np.array([[0.1, -0.2, 0.3, 0.05], [0.4, 0.2, -0.1, -0.3]]), order=2)
         x = [ctx.coord(i) for i in range(d)]
-        a = E.d_form(ctx, J.jsin(x[0] * x[1]) + x[2] * x[3], 0)
-        b = E.d_form(ctx, x[1] * x[1] * x[2] + J.jcos(x[3]), 0)
+        a = E.d_form(J.jsin(x[0] * x[1]) + x[2] * x[3], 0)
+        b = E.d_form(x[1] * x[1] * x[2] + J.jcos(x[3]), 0)
         if p == 2:
-            a = E.d_form(ctx, J.jj(",c->c", x[3], a), 1)
+            a = E.d_form(J.jj(",c->c", x[3], a), 1)
         if q == 2:
-            b = E.d_form(ctx, J.jj(",c->c", x[0], b), 1)
+            b = E.d_form(J.jj(",c->c", x[0], b), 1)
         letters = "cdef"
         prod = J.jj(f"{letters[:p]},{letters[p:p + q]}->{letters[:p + q]}", a, b)
         got = E.wedge_jet(a, p, b, q)

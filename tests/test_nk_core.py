@@ -21,10 +21,10 @@ def nk_bundle(request):
 class TestDefiningConditions:
     def test_check_nearly_kahler(self, nk_bundle):
         res = NK.check_nearly_kahler(_ctx(nk_bundle, n=8, order=1, seed=1))
-        assert res["j_square"] < 1e-12
-        assert res["compatible"] < 1e-12
-        assert res["nk_condition"] < 1e-12
-        assert res["torsion_scale"] > 1e-3   # strict, not Kahler
+        assert np.max(res["j_square"]) < 1e-12
+        assert np.max(res["compatible"]) < 1e-12
+        assert np.max(res["nk_condition"]) < 1e-12
+        assert np.max(res["torsion_scale"]) > 1e-3   # strict, not Kahler
 
     def test_psi_totally_skew(self, nk_bundle):
         ctx = _ctx(nk_bundle)
@@ -37,28 +37,28 @@ class TestTorsionIdentities:
     def test_gray_identities(self, nk_bundle):
         res = NK.gray_identities_check(_ctx(nk_bundle))
         for k in ("gray1", "gray2", "gray3", "gray4"):
-            assert res[k] < 1e-12, k
-        assert res["gray5"] < 1e-11
+            assert np.max(res[k]) < 1e-12, k
+        assert np.max(res["gray5"]) < 1e-11
 
     def test_orthogonality(self, nk_bundle):
         res = NK.orthogonality_residuals(_ctx(nk_bundle), np.random.default_rng(2))
-        assert res["torsion_orthogonality"] < 1e-12
+        assert np.max(res["torsion_orthogonality"]) < 1e-12
 
     def test_type_tensor(self, nk_bundle):
         res = NK.type_tensor_check(_ctx(nk_bundle), np.random.default_rng(3))
-        assert max(res.values()) < 1e-11
+        assert np.max(list(res.values())) < 1e-11
 
     def test_elementary_identities(self, nk_bundle):
         res = NK.elementary_identity_check(_ctx(nk_bundle), np.random.default_rng(4))
-        assert max(res.values()) < 1e-11, res
+        assert np.max(list(res.values())) < 1e-11, res
 
 
 class TestAdaptedFrames:
     def test_frame_expansions(self, nk_bundle):
         res = NK.frame_expansion_check(_ctx(nk_bundle, n=3, order=1, seed=5))
-        assert res["omega"] < 1e-11
-        assert res["psi"] < 1e-10
-        assert res["star_psi"] < 1e-10
+        assert np.max(res["omega"]) < 1e-11
+        assert np.max(res["psi"]) < 1e-10
+        assert np.max(res["star_psi"]) < 1e-10
 
     def test_frame_is_orthonormal(self, nk_bundle):
         p = nk_bundle.chart.center()
@@ -122,28 +122,28 @@ class TestConstantType:
 class TestCurvature:
     def test_einstein_and_ricci_star(self, nk_bundle):
         res = NK.einstein_and_ricci_star_check(_ctx(nk_bundle, n=3, order=3))
-        assert res["ricci"] < 1e-11
-        assert res["scal"] < 1e-10
-        assert abs(res["scal_value"] - 30.0) < 1e-10
-        assert res["ricci_star"] < 1e-11
-        assert res["ricci_star_operator_route"] < 1e-11
+        assert np.max(res["ricci"]) < 1e-11
+        assert np.max(res["scal"]) < 1e-10
+        assert abs(np.mean(res["scal_value"]) - 30.0) < 1e-10
+        assert np.max(res["ricci_star"]) < 1e-11
+        assert np.max(res["ricci_star_operator_route"]) < 1e-11
 
     def test_laplacians(self, nk_bundle):
         res = NK.laplacian_omega_check(_ctx(nk_bundle, n=2, order=3))
-        assert res["rough_laplacian"] < 1e-10      # nabla*nabla Omega = 4 Omega
-        assert res["hodge_laplacian"] < 1e-10      # Delta Omega = 12 Omega
-        assert res["weitzenboeck"] < 1e-10
+        assert np.max(res["rough_laplacian"]) < 1e-10      # nabla*nabla Omega = 4 Omega
+        assert np.max(res["hodge_laplacian"]) < 1e-10      # Delta Omega = 12 Omega
+        assert np.max(res["weitzenboeck"]) < 1e-10
 
 
 class TestNegativeControls:
     def test_product_structure_not_nk(self, s3s3_product):
         res = NK.check_nearly_kahler(_ctx(s3s3_product, n=8, order=1, seed=9))
-        assert res["j_square"] < 1e-12          # still an ACS
-        assert res["compatible"] < 1e-12        # still compatible
-        assert res["nk_condition"] > 0.1        # but not nearly Kahler
+        assert np.max(res["j_square"]) < 1e-12          # still an ACS
+        assert np.max(res["compatible"]) < 1e-12        # still compatible
+        assert np.max(res["nk_condition"]) > 0.1        # but not nearly Kahler
 
     def test_flat_kahler_is_torsion_free(self):
         b = M.build_flat_kahler()
         res = NK.check_nearly_kahler(_ctx(b, n=5, order=1))
-        assert res["nk_condition"] == 0.0
-        assert res["torsion_scale"] == 0.0
+        assert np.max(res["nk_condition"]) == 0.0
+        assert np.max(res["torsion_scale"]) == 0.0

@@ -6,8 +6,10 @@ import time
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
+from nklab import nkcore as NK
 from nklab import suites
 from nklab.chart import EvalContext
 
@@ -21,6 +23,81 @@ class TestExtract:
 
     def test_largest_magnitude(self):
         assert suites._extract({"a": -3e-9, "b": 1e-9}, ("a", "b")) == 3e-9
+
+
+def _row(results, check):
+    (row,) = [r for r in results if r.check == check]
+    return row
+
+
+class TestNanFails:
+    """A NaN in one sub-residual of a combined residual fails the row."""
+
+    def test_homothety(self, monkeypatch):
+        monkeypatch.setattr(NK, "constant_type_samples",
+                            lambda ctx, rng: np.full((ctx.nbatch, 4), np.nan))
+        row = _row(suites.run(models=("s3s3",), suites=("nk-core",), samples=4),
+                   "homothety")
+        assert math.isnan(row.residual) and row.status == "fail"
+
+    def test_torsion_orthogonality(self, monkeypatch):
+        # the second of the four contractions of orthogonality_residuals
+        seen = []
+        contract = NK.contract
+
+        def second_nan(spec, *ops):
+            out = contract(spec, *ops)
+            if spec == "zna,zab,znb->zn":
+                seen.append(spec)
+                if len(seen) == 2:
+                    out = out * np.nan
+            return out
+
+        monkeypatch.setattr(NK, "contract", second_nan)
+        row = _row(suites.run(models=("s3s3",), suites=("gray",), samples=4),
+                   "torsion-orthogonality")
+        assert len(seen) == 4
+        assert math.isnan(row.residual) and row.status == "fail"
+
+
+#: source -> its keys that are not per-point (None: all of them); the
+#: ``suites`` docstring states each one's merge rule
+_SCALAR_KEYS = {
+    "ctype": ("constant_type_spread",),
+    "gauge": ("search_residual", "equiv_metric", "equiv_j"),
+    "agree": None,
+    "sek": ("laplacian_sstar", "div_rho_nabla_omega", "norm_phi", "norm_nabla_omega",
+            "norm_rough_omega", "norm_r_anti", "lhs", "rhs", "sstar", "sstar_48_dev"),
+}
+
+
+class TestPerPointContract:
+    def test_scalar_keys_are_documented(self):
+        for source, keys in _SCALAR_KEYS.items():
+            for name in keys or (source,):
+                assert f"``{name}``" in suites.__doc__, name
+
+    def test_every_read_key_is_per_point_or_a_listed_scalar(self):
+        sessions = suites._Sessions(4, 0, "exact")
+        for model in suites.MODEL_NAMES:
+            s = sessions[model]
+            specs = [spec for spec in suites.CHECKS if model in spec.models]
+            s.compute(dict.fromkeys(spec.source for spec in specs))
+            for spec in specs:
+                order = suites._SOURCES[spec.source][0]
+                # homothety evaluates on its own max(4, samples // 2) points
+                n = s.ctx(order).nbatch if order is not None else max(4, s.samples // 2)
+                s.release()
+                keys = spec.key if isinstance(spec.key, tuple) else (spec.key,)
+                scalars = _SCALAR_KEYS.get(spec.source, ())
+                for key in keys + ((spec.value_key,) if spec.value_key else ()):
+                    v = s.get(spec.source)[key]
+                    where = (model, spec.source, key)
+                    if scalars is None or key in scalars:
+                        assert isinstance(v, float), where
+                    else:
+                        assert isinstance(v, np.ndarray), where
+                        assert v.dtype == np.float64 and v.shape == (n,), where
 
 
 class TestSessions:

@@ -188,9 +188,19 @@ class Jet:
     @property
     def val(self) -> np.ndarray:
         """Value part, batch axis first: shape (nbatch, *tshape)."""
+        return np.moveaxis(self.value_row, -1, 0)
+
+    @property
+    def value_row(self) -> np.ndarray:
+        """Value part, batch axis last: shape (*tshape, nbatch), a view.
+
+        Every read of a jet's value goes through here, so a jet that has
+        consumed more derivative orders than were seeded (empty space) raises
+        ``ValueError`` rather than an ``IndexError`` from the empty row.
+        """
         if self.space.order < 0:
             raise ValueError("jet consumed more derivative orders than seeded")
-        return np.moveaxis(self.c[..., 0, :], -1, 0)
+        return self.c[..., 0, :]
 
     def truncate(self, space: JetSpace) -> "Jet":
         """This jet cut to ``space``: its coefficients of degree <= space.order.
@@ -212,7 +222,7 @@ class Jet:
             sp = _lower(self, other)
             return Jet(sp, self.truncate(sp).c + other.truncate(sp).c)
         out = self.c.copy()
-        out[..., 0, :] = out[..., 0, :] + other
+        out[..., 0, :] = self.value_row + other
         return Jet(self.space, out)
 
     __radd__ = __add__
@@ -465,6 +475,13 @@ def jgrad(x: Jet) -> Jet:
 # scalar function composition
 
 
+def _nilpotent(x: Jet) -> Jet:
+    """``x`` minus its value: the part that vanishes at the points."""
+    dx = Jet(x.space, x.c.copy())
+    dx.value_row[...] = 0.0
+    return dx
+
+
 def jcompose(u: Jet, coeffs: list[np.ndarray]) -> Jet:
     """Compose a scalar jet with a univariate Taylor series.
 
@@ -475,10 +492,8 @@ def jcompose(u: Jet, coeffs: list[np.ndarray]) -> Jet:
     sp = u.space
     if sp.order == 0:
         return jconst(sp, coeffs[0], batch_last=True)
-    du = u.c.copy()
-    du[..., 0, :] = 0.0
-    dU = Jet(sp, du)
-    res = Jet(sp, du * coeffs[-1]) + coeffs[-2]
+    dU = _nilpotent(u)
+    res = Jet(sp, dU.c * coeffs[-1]) + coeffs[-2]
     for k in range(len(coeffs) - 3, -1, -1):
         res = jj(",->", res, dU) + coeffs[k]
     return res
@@ -486,7 +501,7 @@ def jcompose(u: Jet, coeffs: list[np.ndarray]) -> Jet:
 
 def _series_cycle(u: Jet, f0, f1, f2, f3):
     """Series whose derivatives cycle with period 4 (sin/cos)."""
-    u0 = u.c[..., 0, :]
+    u0 = u.value_row
     cyc = [f0(u0), f1(u0), f2(u0), f3(u0)]
     coeffs = [cyc[k % 4] / math.factorial(k) for k in range(u.space.order + 1)]
     return jcompose(u, coeffs)
@@ -501,14 +516,14 @@ def jcos(u: Jet) -> Jet:
 
 
 def jexp(u: Jet) -> Jet:
-    u0 = u.c[..., 0, :]
+    u0 = u.value_row
     e = np.exp(u0)
     coeffs = [e / math.factorial(k) for k in range(u.space.order + 1)]
     return jcompose(u, coeffs)
 
 
 def jsqrt(u: Jet) -> Jet:
-    u0 = u.c[..., 0, :]
+    u0 = u.value_row
     coeffs = [np.sqrt(u0)]
     for k in range(1, u.space.order + 1):
         coeffs.append(coeffs[-1] * (0.5 - (k - 1)) / (k * u0))
@@ -516,13 +531,13 @@ def jsqrt(u: Jet) -> Jet:
 
 
 def jrecip(u: Jet) -> Jet:
-    u0 = u.c[..., 0, :]
+    u0 = u.value_row
     coeffs = [(-1.0) ** k * u0 ** (-k - 1) for k in range(u.space.order + 1)]
     return jcompose(u, coeffs)
 
 
 def jlog(u: Jet) -> Jet:
-    u0 = u.c[..., 0, :]
+    u0 = u.value_row
     coeffs = [np.log(u0)]
     for k in range(1, u.space.order + 1):
         coeffs.append((-1.0) ** (k + 1) * u0 ** (-k) / k)
@@ -536,7 +551,7 @@ def jentire(u: Jet, series: np.ndarray) -> Jet:
     u0^{m-k}``; for the rapidly decaying series used here (sinc-type) the
     sum converges to machine precision well before ``m = len(series)``.
     """
-    u0 = u.c[..., 0, :]
+    u0 = u.value_row
     M = len(series)
     coeffs = []
     for k in range(u.space.order + 1):
@@ -578,13 +593,10 @@ def jmatinv(g: Jet) -> Jet:
     the powers of N call ``jj``.
     """
     sp = g.space
-    g0 = np.moveaxis(g.c[..., 0, :], -1, 0)  # (B, d, d)
-    inv0 = np.linalg.inv(g0)
+    inv0 = np.linalg.inv(g.val)  # (B, d, d)
     if sp.order == 0:
         return jconst(sp, inv0)
-    dg = g.c.copy()
-    dg[..., 0, :] = 0.0
-    n = jb("ab,bc->ac", inv0, Jet(sp, dg))  # N = g0^{-1} (g - g0)
+    n = jb("ab,bc->ac", inv0, _nilpotent(g))  # N = g0^{-1} (g - g0)
     term = -n
     acc = term + np.eye(g.tshape[-1])[..., None]
     for _ in range(sp.order - 1):

@@ -9,10 +9,10 @@ from one of the shared computations.  The runner executes the selected
 model, and emits one :class:`~nklab.report.CheckResult` per check.
 
 The run goes model by model.  Each model first computes the shared sources
-its selected checks read, grouped by the context order each source declares
-in :data:`_SOURCES`: by ascending order, in check order within an order.  A
+its selected checks read, grouped by the context key each source declares
+in :data:`_SOURCES`: by ascending key, in check order within a key.  A
 context, with all its memoized jets, is released as soon as the model's last
-source of its order is done, so one context is alive at a time and peak
+source of its key is done, so one context is alive at a time and peak
 memory follows the largest context rather than a model's or the whole run's.
 The context-free sources run last, with no context alive.  The rows are then
 read from the cached results and emitted in suite order, as if the suites
@@ -20,19 +20,24 @@ had run one after the other; a source that raised is cached as its error,
 and every row that reads it reports that error.  A session keeps only its
 small dictionaries of source results.
 
-Each model of a run gets one session.  Its ``ctx(order)`` is the one place
+Each model of a run gets one session.  Its ``ctx(key)`` is the one place
 that decides where a check looks: every source computation is handed the
-session's context of its declared order, so all of them share the run's
-points and derivative backend (``mode``).  Contexts of order 1 and 2 hold
-all ``samples`` points; those of order 3 and 4 hold the first quarter of
-them; the gauge scan of ``gauge`` takes the first 6 points.  Two sources
-also look at other charts: ``homothety`` builds contexts on rescaled
-copies of ``s3s3`` with the session's backend, and ``gauge`` compares
-the session's ``ansatz`` with a gauge-shifted copy (values only, no
-derivatives of chart fields).  ``agree`` compares with the cached results
-of the ``s3s3`` session of the same run, building that session first, after
-releasing its own model's context, when the run has not visited ``s3s3``
-yet.
+session's context of its declared key ``(order, share)``, so all of them
+share the run's points and derivative backend (``mode``).  The context
+holds jets of ``order`` on the first ``samples // share`` points (at least
+2).  A source's order is the lowest one whose jets its reads still trust:
+every check reads values only, so a source that differentiates its chart
+fields k times declares order k, and one order lower it raises
+``ValueError``.  ``share`` thins the points of the costly sources:
+``einstein``, ``lapom``, ``norms``, ``g0conn``, ``kahler``, ``canon`` and
+``sek`` read the first quarter.  The gauge scan of ``gauge`` takes the
+first 6 points.  Two sources also look at other charts: ``homothety``
+builds contexts on rescaled copies of ``s3s3`` with the session's backend,
+and ``gauge`` compares the session's ``ansatz`` with a gauge-shifted copy
+(values only, no derivatives of chart fields).  ``agree`` compares with the
+cached results of the ``s3s3`` session of the same run, building that
+session first, after releasing its own model's context, when the run has
+not visited ``s3s3`` yet.
 
 Residuals are reduced here and nowhere else.  For each key a check reads,
 a source returns a float array of shape ``(nbatch,)``: the max of |residual|
@@ -59,7 +64,6 @@ residual is *supposed* to exceed the tolerance on a particular model
 from __future__ import annotations
 
 import contextlib
-import math
 import time
 import weakref
 from dataclasses import dataclass
@@ -368,13 +372,14 @@ class _Session:
         self._ctx: dict = {}
         self._peers = weakref.ref(peers)
 
-    def ctx(self, order: int) -> EvalContext:
-        """The context of ``order`` over this session's points and backend."""
-        if order not in self._ctx:
-            n = self.samples if order <= 2 else max(2, self.samples // 4)
-            self._ctx[order] = EvalContext(self.chart, self.pts[:n], order,
-                                           mode=self.mode)
-        return self._ctx[order]
+    def ctx(self, key: tuple) -> EvalContext:
+        """The context of ``key = (order, share)`` over this session's backend:
+        jets of ``order`` on the first ``samples // share`` points, at least 2."""
+        if key not in self._ctx:
+            order, share = key
+            pts = self.pts[:max(2, self.samples // share)]
+            self._ctx[key] = EvalContext(self.chart, pts, order, mode=self.mode)
+        return self._ctx[key]
 
     def release(self) -> None:
         """Drop the contexts and their jets; cached source results stay."""
@@ -392,10 +397,10 @@ class _Session:
         reader; its traceback is dropped, so it keeps no context alive.
         """
         if source not in self._cache:
-            order, fn = _SOURCES[source]
+            key, fn = _SOURCES[source]
             t0 = time.perf_counter()
             try:
-                out = fn(self) if order is None else fn(self, self.ctx(order))
+                out = fn(self) if key is None else fn(self, self.ctx(key))
             except Exception as e:
                 out = err = e
                 while err is not None:
@@ -413,14 +418,14 @@ class _Session:
         return self._unbilled.pop(source, 0.0)
 
     def compute(self, sources) -> None:
-        """Compute ``sources`` grouped by context order, one context alive.
+        """Compute ``sources`` grouped by context key, one context alive.
 
-        Sources with a context run first, by ascending order and, within an
-        order, as listed; each context is released after its order's last
+        Sources with a context run first, by ascending key and, within a
+        key, as listed; each context is released after its key's last
         source.  The context-free ones run last, with no context alive.
         """
         ordered = sorted(sources, key=lambda name: (
-            math.inf if _SOURCES[name][0] is None else _SOURCES[name][0]))
+            _SOURCES[name][0] is None, _SOURCES[name][0] or ()))
         for name, nxt in zip(ordered, ordered[1:] + [None]):
             with contextlib.suppress(Exception):   # cached; raised to its readers
                 self.get(name)
@@ -574,33 +579,34 @@ def _src_agree(s):
     return out
 
 
-#: source name -> (order of the session context it reads, function).  A
-#: source of order k is called as ``fn(session, session.ctx(k))``; one of
-#: order None takes no session context and is called as ``fn(session)``.
+#: source name -> (context key, function).  A source of key ``(order, share)``
+#: is called as ``fn(session, session.ctx(key))``, the key chosen by the rule
+#: of the module docstring; one of key None takes no session context and is
+#: called as ``fn(session)``.
 _SOURCES = {
-    "nk": (1, _src_nk),
-    "gray": (2, _src_gray),
-    "ortho": (2, _src_ortho),
-    "type": (2, _src_type),
-    "frame": (1, _src_frame),
-    "elem": (2, _src_elem),
-    "einstein": (3, _src_einstein),
-    "lapom": (3, _src_lapom),
-    "ctype": (1, _src_ctype),
+    "nk": ((1, 1), _src_nk),
+    "gray": ((2, 1), _src_gray),
+    "ortho": ((1, 1), _src_ortho),
+    "type": ((2, 1), _src_type),
+    "frame": ((1, 1), _src_frame),
+    "elem": ((1, 1), _src_elem),
+    "einstein": ((2, 4), _src_einstein),
+    "lapom": ((2, 4), _src_lapom),
+    "ctype": ((1, 1), _src_ctype),
     "homothety": (None, _src_homothety),
-    "killing": (2, _src_killing),
-    "foliation": (2, _src_foliation),
-    "acs": (2, _src_acs),
-    "tpar": (2, _src_tpar),
-    "norms": (3, _src_norms),
-    "djxi": (2, _src_djxi),
-    "lie": (2, _src_lie),
-    "g0conn": (3, _src_g0conn),
-    "kahler": (3, _src_kahler),
-    "canon": (3, _src_canon),
-    "base": (2, _src_base),
-    "sek": (4, _src_sek),
-    "conn": (2, _src_conn),
+    "killing": ((2, 1), _src_killing),
+    "foliation": ((1, 1), _src_foliation),
+    "acs": ((1, 1), _src_acs),
+    "tpar": ((2, 1), _src_tpar),
+    "norms": ((2, 4), _src_norms),
+    "djxi": ((2, 1), _src_djxi),
+    "lie": ((2, 1), _src_lie),
+    "g0conn": ((2, 4), _src_g0conn),
+    "kahler": ((2, 4), _src_kahler),
+    "canon": ((2, 4), _src_canon),
+    "base": ((2, 1), _src_base),
+    "sek": ((4, 4), _src_sek),
+    "conn": ((1, 1), _src_conn),
     "gauge": (None, _src_gauge),
     "agree": (None, _src_agree),
 }
@@ -663,7 +669,7 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     With no explicit model list, each suite runs over its default models;
     with an explicit one, only the intersection runs.  The models run in
     order of first appearance: each computes the sources its checks read,
-    grouped by context order (:meth:`_Session.compute`), and every session's
+    grouped by context key (:meth:`_Session.compute`), and every session's
     contexts are released after it.  The rows come back in suite order, as
     if the suites had run one after the other.
     """

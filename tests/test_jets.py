@@ -216,6 +216,20 @@ class TestTrust:
         with pytest.raises(ValueError):
             J.jgrad(once).val
 
+    @pytest.mark.parametrize("fn", [
+        J.jmatinv, J.jsin, J.jcos, J.jexp, J.jsqrt, J.jrecip, J.jlog,
+        lambda u: J.jentire(u, J.SINC_SQRT),
+        lambda u: J.jcompose(u, [np.ones(2), np.ones(2)]),
+    ])
+    def test_functions_of_an_empty_jet_raise_the_trust_error(self, fn):
+        # a jet differentiated past its seeded order has no value row left
+        sp = J.jetspace(2, 0)
+        x = J.jconst(sp, np.full((2, 2, 2), 0.5) + np.eye(2))
+        empty = J.jgrad(x if fn is J.jmatinv else x[0, 0])[0]
+        assert empty.c.shape[-2] == 0
+        with pytest.raises(ValueError, match="derivative orders"):
+            fn(empty)
+
     def test_mismatched_coefficients_rejected(self):
         sp = J.jetspace(2, 2)
         with pytest.raises(ValueError):

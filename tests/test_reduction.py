@@ -17,7 +17,7 @@ from nklab.exterior import form_ip
 
 
 def _assert_all_below(res: dict, tol: float, skip=()):
-    bad = {k: v for k, v in res.items() if k not in skip and np.max(np.abs(v)) > tol}
+    bad = {k: v for k, v in res.items() if k not in skip and not np.max(np.abs(v)) <= tol}
     assert not bad, f"residuals above {tol}: {bad}"
 
 

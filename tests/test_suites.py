@@ -100,6 +100,39 @@ class TestPerPointContract:
                         assert v.dtype == np.float64 and v.shape == (n,), where
 
 
+def _lab_sources():
+    """model -> the sources with a context that the default exact lab computes."""
+    out = {}
+    for suite, models in suites.SUITES.items():
+        for model in models:
+            out.setdefault(model, {}).update(
+                (spec.source, None) for spec in suites.checks_for(suite, model)
+                if suites._SOURCES[spec.source][0] is not None)
+    return out
+
+
+class TestMinimalOrders:
+    """Each source's declared order is the lowest its reads trust, so no
+    context computes coefficients that no check reads."""
+
+    def test_each_declared_order_is_the_lowest(self):
+        sessions = suites._Sessions(4, 0, "exact")
+        for model, sources in _lab_sources().items():
+            s = sessions[model]
+            for source in sources:
+                (order, share), fn = suites._SOURCES[source]
+                at = fn(s, s.ctx((order, share)))
+                with pytest.raises(ValueError, match="derivative orders"):
+                    fn(s, s.ctx((order - 1, share)))
+                if source in ("einstein", "elem"):
+                    above = fn(s, s.ctx((order + 1, share)))
+                    # residuals are rounding-sized differences of O(1) terms
+                    scale = max(1.0, *(np.max(np.abs(v)) for v in above.values()))
+                    for key, v in above.items():
+                        assert np.max(np.abs(at[key] - v)) <= 1e-13 * scale, (model, key)
+            s.release()
+
+
 class TestSessions:
     def test_fd_run_evaluates_no_exact_derivatives(self, monkeypatch):
         # every context of order >= 1 whose roots a fd run evaluates is in fd
@@ -117,7 +150,8 @@ class TestSessions:
         assert results
         exact = sorted((c, o) for c, o, m in seen if o >= 1 and m != "fd")
         assert not exact, f"exact contexts in a fd run: {exact}"
-        assert {o for _, o, _ in seen} >= {1, 2, 3, 4}
+        declared = {key[0] for key, _ in suites._SOURCES.values() if key is not None}
+        assert {o for _, o, _ in seen} >= declared
 
     def test_run_releases_its_sessions(self, monkeypatch):
         # with the cycle collector off, only reference counts can free the
@@ -367,7 +401,7 @@ class TestSchedule:
             except ValueError as e:
                 raise RuntimeError(f"no norms on {s.model}") from e
 
-        monkeypatch.setitem(suites._SOURCES, "norms", (3, broken))
+        monkeypatch.setitem(suites._SOURCES, "norms", (suites._SOURCES["norms"][0], broken))
         made = _track_contexts(monkeypatch)
         gc.collect()
         gc.disable()

@@ -19,7 +19,9 @@ that adds a product to a derivative truncates the product's operands to
 the derivative's space first (``Jet.truncate``).  ``covd`` does so for
 its Christoffel corrections, ``riemann`` for its Gamma.Gamma term and
 ``lie_derivative`` for its transport terms.  Memoized jets are kept at
-their full order, since other consumers read all of it.
+their full order, since other consumers read all of it -- except the
+metric inverse, which ``metric_inv`` builds at the order it is asked
+for: most of its readers take only its value or a low order.
 """
 
 from __future__ import annotations
@@ -50,8 +52,21 @@ def metric(ctx: EvalContext) -> J.Jet:
     return ctx.root("metric")
 
 
-def metric_inv(ctx: EvalContext) -> J.Jet:
-    return ctx.memo("metric_inv", lambda c: J.jmatinv(metric(c)))
+def metric_inv(ctx: EvalContext, order: int | None = None) -> J.Jet:
+    """g^{-1} at ``order`` (the context's by default), memoized per order.
+
+    An inverse already built at ``order`` or above is truncated, not
+    recomputed.  A value reader asks for order 0, a product for its own
+    order, so that ``jj`` truncates no inverse it is given.
+    """
+    order = ctx.order if order is None else order
+    space = J.jetspace(ctx.space.nvars, order)
+    built = ctx.memo("metric_inv", lambda c: {})  # order -> inverse
+    for k in range(order, ctx.order + 1):
+        if k in built:
+            return built[k].truncate(space)
+    built[order] = J.jmatinv(metric(ctx).truncate(space))
+    return built[order]
 
 
 def _christoffel_from(g: J.Jet) -> J.Jet:
@@ -147,7 +162,8 @@ def ricci(ctx: EvalContext) -> J.Jet:
 
 def scalar_curvature(ctx: EvalContext) -> J.Jet:
     def build(c):
-        return J.jj("jk,jk->", ricci(c), metric_inv(c))
+        ric = ricci(c)
+        return J.jj("jk,jk->", ric, metric_inv(c, ric.space.order))
 
     return ctx.memo("scalar_curvature", build)
 
@@ -158,7 +174,7 @@ def curvature_operator_value(ctx: EvalContext, alpha: np.ndarray) -> np.ndarray:
     ``alpha`` is (nbatch, d, d) covariant antisymmetric.
     """
     rl = riemann_lower(ctx).val
-    gi = metric_inv(ctx).val
+    gi = metric_inv(ctx, 0).val
     up = contract("bka,blc,bac->bkl", gi, gi, alpha)
     return -0.5 * np.einsum("bkl,bklij->bij", up, rl)
 

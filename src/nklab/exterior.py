@@ -273,7 +273,7 @@ def d_form(w: J.Jet, p: int) -> J.Jet:
 def codifferential(ctx, w: J.Jet, p: int) -> J.Jet:
     """delta w = -g^{ij} (nabla w)_{i j ...} -> (p-1)-form jet."""
     nab = covd(ctx, w, "l" * p)
-    gi = metric_inv(ctx)
+    gi = metric_inv(ctx, nab.space.order)
     rest = _LETTERS[2:p + 1]
     return -1.0 * J.jj(f"ij,ij{rest}->{rest}", gi, nab)
 

@@ -106,8 +106,16 @@ def d_omega(ctx: EvalContext) -> J.Jet:
 
 
 def _maxabs(a) -> np.ndarray:
-    """max |a| at each point: over every axis but the first (batch) one."""
-    return np.abs(a).max(axis=tuple(range(1, np.ndim(a))))
+    """max |a| at each point: over every axis but the first (batch) one.
+
+    |a| is written batch-first in C order, so each point's entries form
+    one contiguous row and the max runs along it.  A ``Jet.val`` is a view
+    with the batch axis last in memory; reduced in place, its max would
+    step through memory with a stride.  A NaN entry makes its point's max
+    NaN.
+    """
+    a = np.abs(a, order="C")
+    return a.reshape(len(a), -1).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +209,7 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
     fundamental form.
     """
     g = C.metric(ctx).val
-    gi = C.metric_inv(ctx).val
+    gi = C.metric_inv(ctx, 0).val
     jv = j_field(ctx).val
     om = omega_field(ctx).val
     psi = psi_lower(ctx).val
@@ -326,7 +334,7 @@ def frame_expansion_check(ctx: EvalContext, rng=None) -> dict:
     if rng is None:
         rng = np.random.default_rng(1)
     g = C.metric(ctx).val
-    gi = C.metric_inv(ctx).val
+    gi = C.metric_inv(ctx, 0).val
     om = omega_field(ctx).val
     psi = psi_lower(ctx).val
     star_psi = hodge(psi, 3, g, gi, ctx.chart.orientation)
@@ -348,7 +356,7 @@ def frame_expansion_check(ctx: EvalContext, rng=None) -> dict:
 def elementary_identity_check(ctx: EvalContext, rng) -> dict:
     """Pointwise interior-product, Hodge and wedge identities of Omega."""
     g = C.metric(ctx).val
-    gi = C.metric_inv(ctx).val
+    gi = C.metric_inv(ctx, 0).val
     jv = j_field(ctx).val
     om_jet = omega_field(ctx)
     om = om_jet.val
@@ -423,7 +431,7 @@ def laplacian_omega_check(ctx: EvalContext) -> dict:
     The two routes are tied together by the curvature term of the
     Weitzenboeck formula on 2-forms, which is verified as well.
     """
-    gi = C.metric_inv(ctx).val
+    gi = C.metric_inv(ctx, 0).val
     om = omega_field(ctx).val
     d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
     rough = -np.einsum("zab,zabij->zij", gi, d2om)

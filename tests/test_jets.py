@@ -446,3 +446,76 @@ class TestConstantOperands:
         calls.clear()
         J.jcompose(u, coeffs)
         assert len(calls) == max(len(coeffs) - 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# functions of a jet against their reference forms
+
+# jb signatures: (constant shape without the batch axis, jet tensor shape);
+# the sizes differ per letter so that a transposed output cannot pass
+_JB_SPECS = {
+    "ab,bc->ac": ((2, 3), (3, 4)),  # jmatinv's two products
+    "bc,ab->ac": ((3, 4), (2, 3)),
+    "ab,b->a": ((2, 3), (3,)),
+    "a,bc->cab": ((2,), (3, 4)),  # outer product, permuted output
+    "ab,ab->": ((2, 3), (2, 3)),  # scalar output
+    ",->": ((), ()),
+    "iab,ib->ai": ((3, 2, 4), (3, 4)),  # i shared by both operands and the output
+    "ab,bc->c": ((2, 3), (3, 4)),  # a summed away from the constant
+    "ab,bcd->ac": ((2, 3), (3, 4, 2)),  # d summed away from the jet
+}
+
+
+def _maclaurin_sum(u, series):
+    """sum_m a_m u^m, term by term, each power of u a jet product."""
+    acc = J.Jet(u.space, np.zeros_like(u.c)) + series[0]
+    pw = u
+    for a in series[1:]:
+        acc = acc + a * pw
+        pw = pw * u
+    return acc
+
+
+class TestFunctionKernels:
+    @pytest.mark.parametrize("spec", sorted(_JB_SPECS))
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    @pytest.mark.parametrize("nbatch", [1, 7])
+    def test_jb_matches_einsum(self, spec, order, nbatch):
+        rng = np.random.default_rng(order + 10 * nbatch)
+        tc, tx = _JB_SPECS[spec]
+        const = rng.uniform(-1.0, 1.0, size=(nbatch, *tc))
+        x = _random_jet(rng, 3, order, tx, nbatch)
+        lhs, rhs = spec.split("->")
+        a, b = lhs.split(",")
+        want = np.einsum(f"{a}z,{b}pz->{rhs}pz", np.moveaxis(const, 0, -1), x.c)
+        got = J.jb(spec, const, x)
+        assert got.space is x.space
+        assert got.c.shape == want.shape
+        assert np.max(np.abs(got.c - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", ["pa,ab->b", "ab,bz->a", "a,b->ap"])
+    def test_jb_refuses_reserved_letters(self, spec):
+        letter = next(ch for ch in spec if ch in "pz")
+        with pytest.raises(ValueError, match=f"'{letter}'"):
+            J.jb(spec, None, None)
+
+    @pytest.mark.parametrize("name", ["SINC_SQRT", "COS_SQRT", "VERSINE_RATIO", "SINC_DEFECT"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_jentire_matches_maclaurin_sum(self, name, order):
+        series = getattr(J, name)
+        rng = np.random.default_rng(order)
+        # a square norm like the exponential charts' s = |x|^2, 4 s included
+        x = _random_jet(rng, 3, order, (3,), 6)
+        u = 2.0 * J.jj("a,a->", x, x)
+        got = J.jentire(u, series)
+        want = _maclaurin_sum(u, series)
+        assert got.space is u.space
+        assert np.max(np.abs(got.c - want.c)) <= 2e-15 * np.max(np.abs(want.c))
+
+    @pytest.mark.parametrize("nvars,order", [(1, 0), (2, 1), (4, 3), (6, 2)])
+    def test_jgrad_stacks_the_partials(self, nvars, order):
+        x = _random_jet(np.random.default_rng(order), nvars, order, (2, 3), 5)
+        got = J.jgrad(x)
+        want = np.stack([J.jpartial(x, v).c for v in range(nvars)])
+        assert got.space is J.jpartial(x, 0).space
+        assert np.array_equal(got.c, want)

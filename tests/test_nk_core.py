@@ -147,3 +147,18 @@ class TestNegativeControls:
         res = NK.check_nearly_kahler(_ctx(b, n=5, order=1))
         assert np.max(res["nk_condition"]) == 0.0
         assert np.max(res["torsion_scale"]) == 0.0
+
+
+@pytest.mark.parametrize("batch_last", [True, False])
+def test_maxabs_is_the_max_per_point_and_fails_nan(batch_last):
+    """``_maxabs`` reads a ``Jet.val`` view (batch axis last in memory) and a
+    batch-first array alike, and a NaN anywhere in a point makes its max NaN."""
+    c = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 5, 3, 2, 6))
+    a = np.moveaxis(c[..., 0, :], -1, 0)  # (6, 4, 5, 3), strided like Jet.val
+    a = a if batch_last else np.ascontiguousarray(a)
+    a[2, 3, 4, 1] = np.nan
+    got = NK._maxabs(a)
+    want = np.array([np.max(np.abs(a[z])) for z in range(6)])
+    assert got.shape == (6,)
+    assert np.array_equal(np.isnan(got), np.arange(6) == 2)
+    assert np.array_equal(got, want, equal_nan=True)

@@ -7,7 +7,9 @@ order higher, its top order is thrown away by ``+``.  These tests spy on
 a whole lab run compute no coefficient that is then discarded, and they
 compare each truncated function with its untruncated formula, kept here.
 A product with a constant jet spends its pair work on zeros, so the lab
-is also checked to multiply no jet built by ``jconst``.
+is also checked to multiply no jet built by ``jconst``.  The metric
+inverse is built per order, and each product is checked to be handed it
+at its own order.
 """
 import importlib
 import pkgutil
@@ -348,3 +350,51 @@ def test_lab_multiplies_no_constant_jet(monkeypatch):
     results = suites.run(samples=4, mode="exact")
     assert results and consts
     assert not where, f"{sum(where.values())} products by a constant jet: {dict(where)}"
+
+
+# ---------------------------------------------------------------------------
+# (g) the metric inverse is built at the order its reader needs
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_metric_inv_per_order(request, model):
+    bundle = request.getfixturevalue(model)
+    ctx = _ctx(bundle, 3)
+    g = C.metric(ctx)
+    full = C.metric_inv(ctx)
+    assert full.space is ctx.space
+    for k in range(ctx.order + 1):
+        sp = J.jetspace(ctx.space.nvars, k)
+        got = C.metric_inv(ctx, k)
+        assert got.space is sp
+        _assert_same(got, J.jmatinv(g.truncate(sp)), g)
+        # truncated from the full-order memo, not recomputed
+        assert np.array_equal(got.c, full.truncate(sp).c)
+        assert np.shares_memory(got.c, full.c)
+    # an order above every one built so far is built, not cut from below
+    ctx = _ctx(bundle, 3)
+    low = C.metric_inv(ctx, 1)
+    assert C.metric_inv(ctx, 2).space.order == 2
+    assert C.metric_inv(ctx, 1) is low
+
+
+def test_lab_takes_each_metric_inverse_at_its_product_order(monkeypatch):
+    """A product handed a metric inverse above its own order computes
+    coefficients of the inverse that ``jj`` truncates away."""
+    inverses = {}
+    where = Counter()
+
+    def after_metric_inv(out, *args):
+        inverses[id(out)] = out  # held, so the id is not reused
+
+    def after_jj(out, spec, x, y):
+        for operand in (x, y):
+            if id(operand) in inverses and operand.space.order > out.space.order:
+                caller = sys._getframe(2).f_code  # after <- wrapper <- caller
+                where[f"{caller.co_qualname} ({spec})"] += 1
+
+    _wrap(monkeypatch, C.metric_inv, after_metric_inv)
+    _wrap(monkeypatch, J.jj, after_jj)
+    results = suites.run(samples=4, mode="exact")
+    assert results and inverses
+    assert not where, f"{sum(where.values())} products truncate a metric inverse: {dict(where)}"

@@ -283,9 +283,10 @@ def form_laplacian_field(field, p: int):
 
     def lap(ctx):
         w = field(ctx)
-        t1 = codifferential(ctx, d_form(w, p), p + 1)
         if p == 0:
-            return t1
-        return t1 + d_form(codifferential(ctx, w, p), p - 1)
+            return codifferential(ctx, d_form(w, p), p + 1)
+        # delta w first: it reads the metric inverse one order above delta d w
+        t2 = d_form(codifferential(ctx, w, p), p - 1)
+        return codifferential(ctx, d_form(w, p), p + 1) + t2
 
     return lap

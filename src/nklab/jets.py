@@ -44,13 +44,15 @@ jet is its value and ``jj`` is one ``np.einsum``.  A constant enters as an
 array (``jc``, ``jb``, or ``jet + array`` on the value row), never as a jet
 built only to be multiplied.
 
-``jb`` (a per-batch constant times a jet) is a batched GEMM on the same
-plan, the constant being an order-0 left operand broadcast over the
-coefficient axis.  Order-0 ``jj`` and ``jc`` stay ``np.einsum``: their
-big calls are the finite-difference stencil batches, where einsum runs
-along the contiguous batch axis, while matmul needs the batch axis
-outside its matrices and pays a transposing copy.  Both were tried on
-matmul, and the fd lab got slower (24% for ``jj``, 6% for ``jc``).
+``jb`` (a per-batch constant times a jet) is a batched GEMM too, the
+constant being an order-0 left operand broadcast over the coefficient
+axis; the product is written through a view of the jet layout, so the
+result needs no transposing copy.  Order-0 ``jj`` and ``jc`` stay
+``np.einsum``: their big calls are the finite-difference stencil
+batches, where einsum runs along the contiguous batch axis, while matmul
+needs the batch axis outside its matrices and pays a transposing copy.
+Both were tried on matmul, and the fd lab got slower (24% for ``jj``,
+6% for ``jc``).
 """
 
 from __future__ import annotations
@@ -446,24 +448,74 @@ def jc(spec: str, const: np.ndarray, x: Jet) -> Jet:
     return Jet(x.space, out)
 
 
+class _BPlan(NamedTuple):
+    """How ``jb`` lays out one ``(spec, cshape, tshape)`` as a matmul.
+
+    Every output letter but one of the constant's (the matrix row) and one
+    of the jet's (the matrix column) is a broadcast axis of its own, so the
+    result is written through a view of the final ``(*rhs, ncoef, nbatch)``
+    array.
+    """
+
+    sum_c: tuple  # constant axes summed away (letter in the constant only)
+    sum_x: tuple
+    perm_c: tuple  # constant axes (*kept, nbatch) -> (nbatch, *outer, row, *con)
+    perm_x: tuple  # jet axes (*kept, coef, nbatch) -> (coef, nbatch, *outer, *con, col)
+    shape_c: tuple  # (*outer or 1, row or 1, K)
+    shape_x: tuple  # (*outer or 1, K, col or 1)
+    rhs_shape: tuple  # (*rhs)
+    out_shape: tuple  # (*rhs, 1 for a missing row, 1 for a missing col)
+    out_perm: tuple  # (*out_shape, coef, nbatch) -> (coef, nbatch, *outer, row, col)
+
+
+@lru_cache(maxsize=None)
+def _jb_plan(spec: str, tc: tuple, tx: tuple) -> _BPlan:
+    p = _jj_plan(spec, tc, tx)  # checks the spec against the shapes
+    a, b, rhs = _split_spec(spec)
+    size = dict(zip(a, tc)) | dict(zip(b, tx))
+    ka = [ch for ch in a if ch in b or ch in rhs]
+    kb = [ch for ch in b if ch in a or ch in rhs]
+    con = [ch for ch in ka if ch not in rhs]
+    row = [ch for ch in rhs if ch not in b][-1:]
+    col = [ch for ch in rhs if ch not in a][-1:]
+    outer = [ch for ch in rhs if ch not in row + col]
+    r, u = len(rhs), 2 - len(row) - len(col)  # u unit axes stand in for a missing row or col
+    return _BPlan(
+        sum_c=p.sum_x, sum_x=p.sum_y,
+        perm_c=(len(ka), *(ka.index(ch) for ch in outer + row + con if ch in ka)),
+        perm_x=(len(kb), len(kb) + 1, *(kb.index(ch) for ch in outer + con + col if ch in kb)),
+        shape_c=(*(size[ch] if ch in ka else 1 for ch in outer),
+                 math.prod(size[ch] for ch in row), math.prod(size[ch] for ch in con)),
+        shape_x=(*(size[ch] if ch in kb else 1 for ch in outer),
+                 math.prod(size[ch] for ch in con), math.prod(size[ch] for ch in col)),
+        rhs_shape=tuple(size[ch] for ch in rhs),
+        out_shape=(*(size[ch] for ch in rhs), *(1,) * u),
+        out_perm=(r + u, r + u + 1, *(rhs.index(ch) for ch in outer),
+                  rhs.index(row[0]) if row else r,
+                  rhs.index(col[0]) if col else r + u - 1),
+    )
+
+
 def jb(spec: str, const_b: np.ndarray, x: Jet) -> Jet:
     """Einsum of a per-batch constant (shape (nbatch, *cshape)) with a jet.
 
-    One ``np.matmul`` on the ``_jj_plan`` layout: the constant is the left
-    operand as an order-0 jet, ``(nbatch, S, L, K)``, broadcast over the
-    coefficient axis of the right one, ``(ncoef, nbatch, S, K, R)``.
+    One ``np.matmul``: the constant, ``(nbatch, *outer, row, K)``, is
+    broadcast over the coefficient axis of the jet, ``(ncoef, nbatch,
+    *outer, K, col)`` (``_jb_plan``), and the product is written straight
+    into the jet layout, with no transposing copy of the result.
     """
     _split_spec(spec)  # refuse reserved letters before reading the operands
     const_b = np.asarray(const_b, dtype=float)
-    p = _jj_plan(spec, const_b.shape[1:], x.tshape)
-    cb = np.moveaxis(const_b, 0, -1)[..., None, :]  # (*cshape, 1, nbatch)
-    cb = cb.sum(axis=p.sum_x) if p.sum_x else cb
-    xc = x.c.sum(axis=p.sum_y) if p.sum_y else x.c
+    p = _jb_plan(spec, const_b.shape[1:], x.tshape)
+    cb = np.moveaxis(const_b, 0, -1)  # (*cshape, nbatch)
+    cb = cb.sum(axis=p.sum_c) if p.sum_c else cb
+    xc = x.c.sum(axis=p.sum_x) if p.sum_x else x.c
     n, nb = xc.shape[-2:]
-    left = cb.transpose(p.perm_x).reshape(nb, p.S, p.L, p.K)
-    right = xc.transpose(p.perm_y).reshape(nb, p.S, n, p.K, p.R).transpose(2, 0, 1, 3, 4)
-    out = np.matmul(left, right).reshape(n, nb, *p.out_shape).transpose(p.out_perm)
-    return Jet(x.space, np.ascontiguousarray(out))
+    out = np.empty((*p.rhs_shape, n, nb))
+    view = out.reshape(*p.out_shape, n, nb).transpose(p.out_perm)  # unit axes only: a view
+    np.matmul(cb.transpose(p.perm_c).reshape(nb, *p.shape_c),
+              xc.transpose(p.perm_x).reshape(n, nb, *p.shape_x), out=view)
+    return Jet(x.space, out)
 
 
 def junary(spec: str, x: Jet) -> Jet:

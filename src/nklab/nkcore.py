@@ -106,16 +106,8 @@ def d_omega(ctx: EvalContext) -> J.Jet:
 
 
 def _maxabs(a) -> np.ndarray:
-    """max |a| at each point: over every axis but the first (batch) one.
-
-    |a| is written batch-first in C order, so each point's entries form
-    one contiguous row and the max runs along it.  A ``Jet.val`` is a view
-    with the batch axis last in memory; reduced in place, its max would
-    step through memory with a stride.  A NaN entry makes its point's max
-    NaN.
-    """
-    a = np.abs(a, order="C")
-    return a.reshape(len(a), -1).max(axis=1)
+    """max |a| at each point: over every axis but the first (batch) one."""
+    return np.abs(a).max(axis=tuple(range(1, np.ndim(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +423,11 @@ def laplacian_omega_check(ctx: EvalContext) -> dict:
     The two routes are tied together by the curvature term of the
     Weitzenboeck formula on 2-forms, which is verified as well.
     """
-    gi = C.metric_inv(ctx, 0).val
+    lap = form_laplacian_field(omega_field, 2)(ctx).val
+    gi = C.metric_inv(ctx, 0).val  # after lap, whose codifferentials ask higher orders
     om = omega_field(ctx).val
     d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
     rough = -np.einsum("zab,zabij->zij", gi, d2om)
-    lap = form_laplacian_field(omega_field, 2)(ctx).val
     scal = C.scalar_curvature(ctx).val
     rop = C.curvature_operator_value(ctx, om)
 

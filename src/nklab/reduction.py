@@ -329,11 +329,20 @@ def transversal_parallel_check(ctx: EvalContext, red: Reduction) -> dict:
 def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     """Pinned norms of the reduced data and eigenform equations."""
     g = C.metric(ctx).val
-    gi = C.metric_inv(ctx, 0).val
     jv = j_field(ctx).val
     dz = red.dzeta(ctx).val
     out = {}
 
+    # eigenform equations of the dual 1-forms
+    lap_z = form_laplacian_field(red.zeta, 1)(ctx).val
+    out["laplacian_zeta"] = _maxabs(lap_z - 10.0 * red.zeta(ctx).val)
+    lap_jz = form_laplacian_field(red.jzeta, 1)(ctx).val
+    out["laplacian_jzeta"] = _maxabs(lap_jz - 18.0 * red.jzeta(ctx).val)
+    out["codifferential_jzeta"] = _maxabs(codifferential(ctx, red.jzeta(ctx), 1).val)
+
+    # read after J and the codifferentials, which ask the inverse at higher
+    # orders, so that its value is cut from theirs
+    gi = C.metric_inv(ctx, 0).val
     dz_moved = contract("zai,zbj,zab->zij", jv, jv, dz)
     dz11 = 0.5 * (dz + dz_moved)
     dz20 = 0.5 * (dz - dz_moved)
@@ -365,13 +374,6 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
         np.einsum("zi,zijk->zjk", red.xi(ctx).val, dom) - 3.0 * om_i)
     out["interior_jxi_domega"] = _maxabs(
         np.einsum("zi,zijk->zjk", red.jxi(ctx).val, dom) - 3.0 * om_k)
-
-    # eigenform equations of the dual 1-forms
-    lap_z = form_laplacian_field(red.zeta, 1)(ctx).val
-    out["laplacian_zeta"] = _maxabs(lap_z - 10.0 * red.zeta(ctx).val)
-    lap_jz = form_laplacian_field(red.jzeta, 1)(ctx).val
-    out["laplacian_jzeta"] = _maxabs(lap_jz - 18.0 * red.jzeta(ctx).val)
-    out["codifferential_jzeta"] = _maxabs(codifferential(ctx, red.jzeta(ctx), 1).val)
 
     # contraction of nabla Omega against nabla xi
     n_om = C.covd_field(ctx, omega_field, "ll", key="omega").val  # (z,a,i,j)
@@ -639,7 +641,6 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
     identity as means over the points, and ``identity_residual`` per point.
     """
     g = C.metric(ctx)
-    gi = C.metric_inv(ctx, 0)
     scal = C.scalar_curvature(ctx).val
     ric = C.ricci(ctx).val
     ein = np.max(np.abs(ric - (scal[:, None, None] / 4.0) * g.val))
@@ -692,7 +693,9 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
     delta_pair = codifferential(ctx, pair_f(ctx), 1).val
     out["div_rho_nabla_omega"] = float(np.mean(np.abs(delta_pair)))
 
-    gv, giv = g.val, gi.val
+    # read after rop_f and codifferential, so the value is cut from their
+    # inverse, not built on its own
+    gv, giv = g.val, C.metric_inv(ctx, 0).val
     jhat = ctx.root("Jhat").val
     no = nab_om.val                          # (z, x, i, j)
 

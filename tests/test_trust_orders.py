@@ -398,3 +398,39 @@ def test_lab_takes_each_metric_inverse_at_its_product_order(monkeypatch):
     results = suites.run(samples=4, mode="exact")
     assert results and inverses
     assert not where, f"{sum(where.values())} products truncate a metric inverse: {dict(where)}"
+
+
+def _inverse_builds(monkeypatch):
+    """ctx id -> (ctx, orders of the metric inverses it builds), from here on."""
+    builds = {}
+
+    def after_jmatinv(out, g):
+        frame = sys._getframe(2)  # after <- wrapper <- caller
+        if frame.f_code is C.metric_inv.__code__:
+            ctx = frame.f_locals["ctx"]  # held, so the id is not reused
+            builds.setdefault(id(ctx), (ctx, []))[1].append(out.space.order)
+
+    _wrap(monkeypatch, J.jmatinv, after_jmatinv)
+    return builds
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+def test_reduction_and_base_build_one_metric_inverse_per_context(monkeypatch, mode):
+    """A check that reads the inverse's value and multiplies by it too reads
+    the value last, so the value is cut from the product's inverse and the
+    context builds no second, order-0 one (``norms_and_laplacian_checks``,
+    ``sekigawa_terms_at``, ``form_laplacian_field``)."""
+    builds = _inverse_builds(monkeypatch)
+    results = suites.run(suites=["reduction", "base"], samples=4, mode=mode)
+    assert results and builds
+    twice = {ctx.order: orders for ctx, orders in builds.values() if len(orders) > 1}
+    assert not twice, f"contexts (by order) that build more than one inverse: {twice}"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_laplacian_omega_check_builds_one_metric_inverse(request, monkeypatch, model):
+    ctx = _ctx(request.getfixturevalue(model), 2)
+    builds = _inverse_builds(monkeypatch)
+    NK.laplacian_omega_check(ctx)
+    # order 1 for the codifferentials, or 2 where the chart's J reads it
+    assert [len(orders) for _, orders in builds.values()] == [1]

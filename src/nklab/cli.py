@@ -10,9 +10,14 @@ Run two suites on one model with more samples and a custom tolerance::
 
     nklab --suite gray,nk-core --model s3s3 --samples 40 --tol.gray-5 1e-7
 
+Compare two reports row by row (status changes, largest residual drift)::
+
+    nklab --diff before.jsonl after.jsonl
+
 Exit status: 0 when every check passed (expected failures count as
 passing), 1 when any check failed, 2 for usage errors, 3 when the run
-itself raised (an internal error).
+itself raised (an internal error).  With ``--diff``: 0 when no row changed
+status, 1 when one did, 2 when a report cannot be read.
 """
 from __future__ import annotations
 
@@ -93,6 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the check registry and exit")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-check lines, print only the summary")
+    p.add_argument("--diff", nargs=2, metavar=("A.jsonl", "B.jsonl"), default=None,
+                   help="compare two reports by (suite, check, model) instead "
+                        "of running: status changes and the largest residual drift")
     return p
 
 
@@ -117,6 +125,15 @@ def main(argv=None) -> int:
     if args.list_checks:
         _list_checks()
         return 0
+
+    if args.diff:
+        try:
+            d = REP.diff_reports(*(REP.read_jsonl(path) for path in args.diff))
+        except (OSError, ValueError, TypeError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        print(REP.format_diff(d))
+        return 1 if d["changes"] else 0
 
     unknown = set(overrides) - {c.check for c in S.CHECKS}
     if unknown:

@@ -367,8 +367,7 @@ def _s6_J_evaluator(pole: float):
     def ev(ctx):
         phi, p = _s6_embed(ctx, pole)
         gi = metric_inv(ctx)
-        amb = J.jj("B,jC->BjC", phi, p)
-        cross = J.jc("ABC,BjC->Aj", _OCT, amb)   # (Phi x P_j)_A
+        cross = J.jj("AC,jC->Aj", J.jc("ABC,B->AC", _OCT, phi), p)   # (Phi x P_j)_A
         proj = J.jj("kA,Aj->kj", p, cross)
         return J.jj("ik,kj->ij", gi, proj)
 

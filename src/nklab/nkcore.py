@@ -76,10 +76,16 @@ def j_field(ctx: EvalContext) -> J.Jet:
 
 
 def omega_field(ctx: EvalContext) -> J.Jet:
-    """Fundamental 2-form Omega_{ij} = g(J e_i, e_j)."""
+    """Fundamental 2-form Omega_{ij} = g(J e_i, e_j), antisymmetrized.
+
+    J.g is antisymmetric only as far as J is g-orthogonal, which fd root
+    jets hold only to their accuracy in their derivative coefficients; the
+    form routines read one triangle, so Omega is made a form here.
+    """
 
     def build(c):
-        return J.jj("ki,kj->ij", c.root("J"), C.metric(c))
+        jg = J.jj("ki,kj->ij", c.root("J"), C.metric(c))
+        return 0.5 * (jg - jg.transpose(1, 0))
 
     return ctx.memo("omega", build)
 

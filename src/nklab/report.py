@@ -2,11 +2,13 @@
 
 One record per executed check; records serialise as JSON lines so runs
 can be archived and diffed.  The JSON schema is flat and sorted so the
-files are stable under re-runs with the same inputs.
+files are stable under re-runs with the same inputs.  :func:`diff_reports`
+matches the rows of two reports by (suite, check, model).
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -15,6 +17,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "CheckResult",
     "write_jsonl",
+    "read_jsonl",
+    "diff_reports",
+    "format_diff",
     "default_report_path",
     "format_line",
     "summarize",
@@ -62,6 +67,75 @@ def write_jsonl(results, path: str) -> str:
         for r in results:
             fh.write(r.to_json() + "\n")
     return path
+
+
+def read_jsonl(path: str) -> list[CheckResult]:
+    """The rows of a report written by :func:`write_jsonl`."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            d = json.loads(line)
+            if d.pop("schema", None) != SCHEMA_VERSION:
+                raise ValueError(f"{path}: not a schema-{SCHEMA_VERSION} report row")
+            rows.append(CheckResult(**d))
+    return rows
+
+
+def _by_key(rows) -> dict:
+    out = {}
+    for r in rows:
+        key = (r.suite, r.check, r.model)
+        if key in out:
+            raise ValueError(f"two rows for {'/'.join(key[:2])} on {key[2]}")
+        out[key] = r
+    return out
+
+
+def _drift(a: float, b: float) -> float:
+    """|b - a|; two NaNs agree, one NaN is an infinite drift."""
+    if math.isnan(a) and math.isnan(b):
+        return 0.0
+    d = abs(b - a)
+    return math.inf if math.isnan(d) else d
+
+
+def diff_reports(old, new) -> dict:
+    """Rows of two runs matched by (suite, check, model).
+
+    ``changes`` lists ``(key, old status, new status)`` for each row whose
+    status differs, a row missing from one run having status None;
+    ``drift`` is ``(|residual change|, key)`` of the row whose residual
+    moved most, or None when no row is in both runs.
+    """
+    a, b = _by_key(old), _by_key(new)
+    both = [k for k in a if k in b]
+    changes = [(k, a[k].status if k in a else None, b[k].status if k in b else None)
+               for k in dict.fromkeys([*a, *b])
+               if k not in a or k not in b or a[k].status != b[k].status]
+    drift = max(((_drift(a[k].residual, b[k].residual), k) for k in both),
+                key=lambda x: x[0], default=None)
+    return {"old": a, "new": b, "compared": len(both), "changes": changes,
+            "drift": drift}
+
+
+def format_diff(d: dict) -> str:
+    def name(key):
+        return f"{key[0]}/{key[1]} on {key[2]}"
+
+    def residual(rows, key):
+        return f"{rows[key].residual:.3e}" if key in rows else "-"
+
+    lines = [f"STATUS  {name(k)}: {s0 or 'absent'} -> {s1 or 'absent'}  (residual "
+             f"{residual(d['old'], k)} -> {residual(d['new'], k)})"
+             for k, s0, s1 in d["changes"]]
+    if d["drift"] is not None:
+        size, k = d["drift"]
+        lines.append(f"largest residual drift {size:.2e}: {name(k)} "
+                     f"({residual(d['old'], k)} -> {residual(d['new'], k)})")
+    lines.append(f"{d['compared']} rows in both runs, {len(d['changes'])} status changes")
+    return "\n".join(lines)
 
 
 def default_report_path() -> str | None:

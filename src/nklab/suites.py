@@ -11,10 +11,12 @@ model, and emits one :class:`~nklab.report.CheckResult` per check.
 The run goes model by model.  Each model first computes the shared sources
 its selected checks read, grouped by the context key each source declares
 in :data:`_SOURCES`: by ascending key, in check order within a key.  A
-context, with all its memoized jets, is released as soon as the model's last
-source of its key is done, so one context is alive at a time and peak
-memory follows the largest context rather than a model's or the whole run's.
-The context-free sources run last, with no context alive.  The rows are then
+working context, with all its memoized jets, is released as soon as the
+model's last source of its key is done, so one working context is alive at
+a time, beside the session's root context (below), and peak memory follows
+the largest context rather than a model's or the whole run's.  The root
+context goes after the model's last source whose context reads it, and the
+context-free sources run last, with no context alive.  The rows are then
 read from the cached results and emitted in suite order, as if the suites
 had run one after the other; a source that raised is cached as its error,
 and every row that reads it reports that error.  A session keeps only its
@@ -30,14 +32,29 @@ every check reads values only, so a source that differentiates its chart
 fields k times declares order k, and one order lower it raises
 ``ValueError``.  ``share`` thins the points of the costly sources:
 ``einstein``, ``lapom``, ``norms``, ``g0conn``, ``kahler``, ``canon`` and
-``sek`` read the first quarter.  The gauge scan of ``gauge`` takes the
-first 6 points.  Two sources also look at other charts: ``homothety``
-builds contexts on rescaled copies of ``s3s3`` with the session's backend,
-and ``gauge`` compares the session's ``ansatz`` with a gauge-shifted copy
-(values only, no derivatives of chart fields).  ``agree`` compares with the
-cached results of the ``s3s3`` session of the same run, building that
-session first, after releasing its own model's context, when the run has
-not visited ``s3s3`` yet.
+``sek`` read the first quarter.
+
+In exact mode the chart's root jets (metric, J, Killing fields) are built
+once per session, in its root context: jets of the root order on all the
+session's points, each field evaluated on its first read.  Every exact
+context at or below that order reads them cut to its own order and point
+prefix (:class:`~nklab.chart.EvalContext` ``roots``); truncation of a Taylor
+jet is exact, so only rounding tells the cut jets from ones built at their
+own order.  The root order of a model is the highest order of the share-1
+keys of the sources its checks read (2, and 1 for ``s3s3-product``), fixed
+by :data:`CHECKS` and :data:`_SOURCES` rather than by the sources a run
+selects, so every run and every suite order rounds the roots alike.  A
+context above it (``sek``'s order 4) builds its own roots, and so do fd
+contexts: the Richardson step depends on the order, so an fd jet cut to a
+lower order is not that order's fd jet.
+
+The gauge scan of ``gauge`` takes the first 6 points.  Two sources also
+look at other charts: ``homothety`` builds contexts on rescaled copies of
+``s3s3`` with the session's backend, and ``gauge`` compares the session's
+``ansatz`` with a gauge-shifted copy (values only, no derivatives of chart
+fields).  ``agree`` compares with the cached results of the ``s3s3``
+session of the same run, building that session first, after releasing its
+own model's contexts, when the run has not visited ``s3s3`` yet.
 
 Residuals are reduced here and nowhere else.  For each key a check reads,
 a source returns a float array of shape ``(nbatch,)``: the max of |residual|
@@ -370,20 +387,36 @@ class _Session:
         self._cache: dict = {}
         self._unbilled: dict = {}
         self._ctx: dict = {}
+        self.root_order = _root_order(model)
+        self._roots: EvalContext | None = None
         self._peers = weakref.ref(peers)
 
     def ctx(self, key: tuple) -> EvalContext:
         """The context of ``key = (order, share)`` over this session's backend:
-        jets of ``order`` on the first ``samples // share`` points, at least 2."""
+        jets of ``order`` on the first ``samples // share`` points, at least 2.
+        An exact one at or below the root order reads its root jets from
+        :meth:`roots`."""
         if key not in self._ctx:
             order, share = key
             pts = self.pts[:max(2, self.samples // share)]
-            self._ctx[key] = EvalContext(self.chart, pts, order, mode=self.mode)
+            roots = (self.roots() if self.mode == "exact" and order <= self.root_order
+                     else None)
+            self._ctx[key] = EvalContext(self.chart, pts, order, mode=self.mode,
+                                         roots=roots)
         return self._ctx[key]
 
+    def roots(self) -> EvalContext:
+        """The root context: exact jets of the root order on all the session's
+        points, each chart field evaluated on its first read."""
+        if self._roots is None:
+            self._roots = EvalContext(self.chart, self.pts, self.root_order)
+        return self._roots
+
     def release(self) -> None:
-        """Drop the contexts and their jets; cached source results stay."""
+        """Drop the contexts, the root context too, and their jets; cached
+        source results stay."""
         self._ctx.clear()
+        self._roots = None
 
     @property
     def red(self) -> R.Reduction:
@@ -418,19 +451,23 @@ class _Session:
         return self._unbilled.pop(source, 0.0)
 
     def compute(self, sources) -> None:
-        """Compute ``sources`` grouped by context key, one context alive.
+        """Compute ``sources`` grouped by context key, one working context alive.
 
         Sources with a context run first, by ascending key and, within a
-        key, as listed; each context is released after its key's last
-        source.  The context-free ones run last, with no context alive.
+        key, as listed; each working context is dropped after its key's last
+        source, the root context after the last source whose context reads
+        it.  The context-free ones run last, with no context alive.
         """
         ordered = sorted(sources, key=lambda name: (
             _SOURCES[name][0] is None, _SOURCES[name][0] or ()))
         for name, nxt in zip(ordered, ordered[1:] + [None]):
             with contextlib.suppress(Exception):   # cached; raised to its readers
                 self.get(name)
-            if nxt is None or _SOURCES[nxt][0] != _SOURCES[name][0]:
+            next_key = None if nxt is None else _SOURCES[nxt][0]
+            if next_key is None or next_key[0] > self.root_order:
                 self.release()
+            elif next_key != _SOURCES[name][0]:
+                self._ctx.clear()
 
 
 def _src_nk(s, ctx):
@@ -610,6 +647,15 @@ _SOURCES = {
     "gauge": (None, _src_gauge),
     "agree": (None, _src_agree),
 }
+
+
+def _root_order(model: str) -> int:
+    """Order of the root context of ``model``'s sessions: the highest order
+    of the share-1 keys of the sources its checks read.  It follows from the
+    tables, not from the checks a run selects, so every run of the model
+    builds the same roots and rounds them alike."""
+    keys = {_SOURCES[spec.source][0] for spec in CHECKS if model in spec.models}
+    return max((order for order, share in keys - {None} if share == 1), default=0)
 
 
 # ---------------------------------------------------------------------------

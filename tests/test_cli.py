@@ -139,3 +139,53 @@ class TestReports:
         text = capsys.readouterr().out
         assert "PASS" not in text   # per-check lines suppressed
         assert "6 checks" in text or "passed" in text
+
+
+class TestDiff:
+    def _report(self, tmp_path, name, argv):
+        path = tmp_path / name
+        cli.main([*argv, "--out", str(path), "--quiet"])
+        return path
+
+    def test_same_run_has_no_changes(self, tmp_path, capsys):
+        argv = ["--suite", "gray", "--model", "s6", "--samples", "6"]
+        a = self._report(tmp_path, "a.jsonl", argv)
+        b = self._report(tmp_path, "b.jsonl", argv)
+        capsys.readouterr()
+        assert cli.main(["--diff", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "STATUS" not in out
+        assert "largest residual drift 0.00e+00" in out
+        assert "13 rows in both runs, 0 status changes" in out
+
+    def test_status_change_and_drift(self, tmp_path, capsys):
+        argv = ["--suite", "gray", "--model", "s6", "--samples", "6"]
+        a = self._report(tmp_path, "a.jsonl", argv)
+        b = self._report(tmp_path, "b.jsonl", [*argv, "--tol.gray-1=1e-300"])
+        rows = [json.loads(line) for line in b.read_text().splitlines()]
+        rows[1]["residual"] *= 4.0      # gray-2 drifts, keeping its status
+        b.write_text("".join(json.dumps(r) + "\n" for r in rows[:-1]))
+        old = {r.check: r for r in report.read_jsonl(a)}
+        capsys.readouterr()
+        assert cli.main(["--diff", str(a), str(b)]) == 1
+        out = capsys.readouterr().out
+        assert "STATUS  gray/gray-1 on s6: pass -> fail" in out
+        last = old[rows[-1]["check"]]
+        assert f"STATUS  gray/{last.check} on s6: {last.status} -> absent" in out
+        assert (f"largest residual drift {3.0 * old['gray-2'].residual:.2e}: "
+                "gray/gray-2 on s6") in out
+        assert "12 rows in both runs, 2 status changes" in out
+
+    def test_nan_residuals_agree(self):
+        row = report.CheckResult("c", "s", "m", "error", float("nan"), 1e-8)
+        d = report.diff_reports([row], [row])
+        assert d["changes"] == [] and d["drift"] == (0.0, ("s", "c", "m"))
+        other = report.CheckResult("c", "s", "m", "error", 1.0, 1e-8)
+        assert report.diff_reports([row], [other])["drift"][0] == float("inf")
+
+    def test_unreadable_report(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"check": "x"}\n')
+        assert cli.main(["--diff", str(bad), str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert cli.main(["--diff", str(tmp_path / "none.jsonl"), str(bad)]) == 2

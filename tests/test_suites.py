@@ -165,37 +165,56 @@ class TestSessions:
             made.append(weakref.ref(self))
 
         monkeypatch.setattr(suites._Session, "__init__", tracked)
+        contexts = _track_contexts(monkeypatch)
         gc.collect()
         gc.disable()
         try:
             results = suites.run(models=("s6", "ansatz"), suites=("nk-core", "ansatz"),
                                  samples=4)
             alive = [ref() is not None for ref in made]
+            alive_contexts = _alive(contexts)
         finally:
             gc.enable()
         assert {r.model for r in results} == {"s6", "ansatz"}
         assert len(made) == 3   # and s3s3, for the ansatz agreement check
         assert not any(alive)
+        assert _models(contexts, "root") == {"s6", "ansatz", "s3s3"}
+        assert not alive_contexts
 
 
 def _track_contexts(monkeypatch):
-    """(model, weakref) for every context a session builds from now on."""
+    """(model, kind, weakref) for every context a session builds from now on:
+    kind "root" for a session's root context, "work" for the contexts it
+    hands to sources."""
     made = []
-    ctx = suites._Session.ctx
+    ctx, roots = suites._Session.ctx, suites._Session.roots
 
     def tracked(self, order):
         fresh = order not in self._ctx
         out = ctx(self, order)
         if fresh:
-            made.append((self.model, weakref.ref(out)))
+            made.append((self.model, "work", weakref.ref(out)))
+        return out
+
+    def tracked_roots(self):
+        fresh = self._roots is None
+        out = roots(self)
+        if fresh:
+            made.append((self.model, "root", weakref.ref(out)))
         return out
 
     monkeypatch.setattr(suites._Session, "ctx", tracked)
+    monkeypatch.setattr(suites._Session, "roots", tracked_roots)
     return made
 
 
-def _alive(made):
-    return sorted({model for model, ref in made if ref() is not None})
+def _alive(made, kinds=("work", "root")):
+    return sorted({model for model, kind, ref in made
+                   if kind in kinds and ref() is not None})
+
+
+def _models(made, kind):
+    return {model for model, k, _ in made if k == kind}
 
 
 def _track_computes(monkeypatch, made):
@@ -236,19 +255,22 @@ def _fields(rows):
 class TestModelMajor:
     def test_only_the_current_model_has_contexts(self, monkeypatch):
         # with the cycle collector off, reference counts alone must free a
-        # model's contexts once its last suite is done
+        # model's contexts, its root context too, once its last suite is done
         made = _track_contexts(monkeypatch)
         computed, strays = _track_computes(monkeypatch, made)
         gc.collect()
         gc.disable()
         try:
             results = suites.run(samples=4)
+            alive = _alive(made)
         finally:
             gc.enable()
         assert len(results) == 212
         assert not strays
+        assert not alive
         assert set(computed) == set(suites.MODEL_NAMES)
-        assert {model for model, _ in made} == set(suites.MODEL_NAMES)
+        assert _models(made, "work") == set(suites.MODEL_NAMES)
+        assert _models(made, "root") == set(suites.MODEL_NAMES)
 
     def test_peer_contexts_are_released_with_the_requester(self, monkeypatch):
         # an ansatz-only run builds the s3s3 session just for ansatz-agreement;
@@ -271,7 +293,7 @@ class TestModelMajor:
             gc.enable()
         assert {r.model for r in results} == {"ansatz"}
         assert sorted(tables[0]) == ["ansatz", "s3s3"]
-        assert {model for model, _ in made} == {"ansatz", "s3s3"}
+        assert _models(made, "work") == _models(made, "root") == {"ansatz", "s3s3"}
         assert not alive
         assert {"norms", "kahler"} <= set(tables[0]["s3s3"]._cache)
 
@@ -363,7 +385,12 @@ class TestSchedule:
             asked.append((computing[-1], order))
             if order not in self._ctx:
                 built.append((self.model, order))
-                if _alive(made):
+                # the model's own root context may be alive, for a context
+                # that reads it; nothing else
+                roots = set(_alive(made, ("root",)))
+                if order[0] <= self.root_order:
+                    roots.discard(self.model)
+                if _alive(made, ("work",)) or roots:
                     crowded.append((self.model, order, _alive(made)))
             return ctx(self, order)
 

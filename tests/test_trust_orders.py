@@ -9,7 +9,8 @@ compare each truncated function with its untruncated formula, kept here.
 A product with a constant jet spends its pair work on zeros, so the lab
 is also checked to multiply no jet built by ``jconst``.  The metric
 inverse is built per order, and each product is checked to be handed it
-at its own order.
+at its own order.  In exact mode a session evaluates each chart field
+once, at its root order, and its contexts read the cut root jets.
 """
 import importlib
 import pkgutil
@@ -24,7 +25,9 @@ import nklab
 from nklab import ansatz as A
 from nklab import calculus as C
 from nklab import exterior as E
+from nklab import chart as CH
 from nklab import jets as J
+from nklab import models as M
 from nklab import nkcore as NK
 from nklab import suites
 from nklab.chart import EvalContext, sample_points
@@ -434,3 +437,99 @@ def test_laplacian_omega_check_builds_one_metric_inverse(request, monkeypatch, m
     NK.laplacian_omega_check(ctx)
     # order 1 for the codifferentials, or 2 where the chart's J reads it
     assert [len(orders) for _, orders in builds.values()] == [1]
+
+
+# ---------------------------------------------------------------------------
+# (h) an exact session evaluates each chart field once, at its root order
+
+
+def _session_contexts(monkeypatch):
+    """(model, context) for each context a session hands a source from now
+    on; held, so ids are not reused."""
+    made = []
+    ctx = suites._Session.ctx
+
+    def tracked(self, key):
+        out = ctx(self, key)
+        made.append((self.model, out))
+        return out
+
+    monkeypatch.setattr(suites._Session, "ctx", tracked)
+    return made
+
+
+def _spy_evaluators(monkeypatch):
+    """(model, field, context) for each chart evaluator call of the bundles
+    that ``build_model`` makes from now on."""
+    calls = []
+    build = M.build_model
+
+    def spied(name):
+        bundle = build(name)
+        for chart in bundle.charts:
+            for field, fn in chart.evaluators.items():
+                def ev(ctx, fn=fn, field=field):
+                    calls.append((name, field, ctx))
+                    return fn(ctx)
+                chart.evaluators[field] = ev
+        return bundle
+
+    monkeypatch.setattr(M, "build_model", spied)
+    return calls
+
+
+def test_exact_session_evaluates_each_chart_field_once(monkeypatch):
+    """The contexts sources build for themselves (homothety, the gauge scan
+    and gauge equivalence) and ``sek``'s order-4 context, above the root
+    order, evaluate their own roots."""
+    made = _session_contexts(monkeypatch)
+    calls = _spy_evaluators(monkeypatch)
+    results = suites.run(samples=4)
+    assert results and calls
+    session = {id(c) for _, c in made} | {id(c._roots) for _, c in made
+                                          if c._roots is not None}
+    runs = {}
+    for model, field, ctx in calls:
+        if id(ctx) in session and ctx.order <= suites._root_order(model):
+            runs.setdefault((model, field), []).append((ctx.order, ctx.nbatch))
+    assert {model for model, _ in runs} == set(suites.MODEL_NAMES)
+    again = {k: v for k, v in runs.items() if len(v) > 1}
+    assert not again, f"fields evaluated more than once (order, points): {again}"
+
+
+def test_fd_session_contexts_build_their_own_roots(monkeypatch):
+    """An fd jet cut to a lower order is not that order's fd jet (the
+    Richardson step depends on the order), so fd contexts share no roots."""
+    made = _session_contexts(monkeypatch)
+    seen = []
+    orig = CH.fd_jet
+
+    def fd_jet(values, points, space):
+        seen.append((points, space))   # held, so ids are not reused
+        return orig(values, points, space)
+
+    monkeypatch.setattr(CH, "fd_jet", fd_jet)
+    results = suites.run(samples=4, mode="fd")
+    assert results and made
+    stencils = {(id(points), id(space)) for points, space in seen}
+    missing = sorted({(model, c.order, c.nbatch) for model, c in made
+                      if (id(c.points), id(c.space)) not in stencils})
+    assert not missing, f"session contexts without their own fd roots: {missing}"
+
+
+@pytest.mark.parametrize("model", suites.MODEL_NAMES)
+def test_shared_roots_equal_own_roots(model):
+    """Each exact session context's root jets, cut from the root context,
+    equal those its own evaluators make on its points and order: 1.4e-15
+    relative at most (``s3s3`` J in the (2, 4) context at 8 samples; every
+    model and key at seeds 0-3 and 4, 8 and 50 samples)."""
+    s = suites._Sessions(8, 0, "exact")[model]
+    keys = {suites._SOURCES[spec.source][0] for spec in suites.CHECKS
+            if model in spec.models} - {None}
+    keys = {key for key in keys if key[0] <= s.root_order}
+    assert keys
+    for key in sorted(keys):
+        ctx = s.ctx(key)
+        own = EvalContext(s.chart, ctx.points, ctx.order)
+        for name in s.chart.evaluators:
+            _assert_same(ctx.root(name), own.root(name), rel=1e-14)

@@ -87,6 +87,9 @@ _VERT_WEIGHT = 1.0 / 12.0       # theta (x) theta coefficient
 _BASE_WEIGHT = 4.0 / 3.0        # pulled-back base metric coefficient
 _CROSS_WEIGHT = 1.0 / (2.0 * math.sqrt(3.0))
 _CERTIFY_TOL = 1e-6             # pointwise algebra residual at assembly
+# points per batch of the gauge scan: the 50 candidates tiled over the
+# lab's 6 points in one 300-point batch set the ansatz suite's memory peak
+_SCAN_POINTS = 64
 
 
 def _scalar_const(ctx: EvalContext, value: float) -> J.Jet:
@@ -251,15 +254,21 @@ def gauge_search(ctx: EvalContext) -> GaugeSearchResult:
     """Scan the integer gauges in [-2, 2]^2 (and the conjugate option) for
     the one that makes the twisted parallel equation hold at the context's
     points (order >= 1); smallest residual wins, with the non-conjugate
-    representative preferred on ties.  The 50 candidates run as one batch:
-    the points tiled once per candidate, gauge and sign as arrays over it."""
+    representative preferred on ties.  The 50 candidates run in batches of
+    at most ``_SCAN_POINTS`` points (and at least one candidate): the
+    points tiled once per candidate, gauge and sign as arrays over them."""
     cands = [(n1, n2, conj) for n1 in range(-2, 3) for n2 in range(-2, 3)
              for conj in (False, True)]
-    n1, n2, conj = (np.repeat(np.array(col, dtype=float), ctx.nbatch) for col in zip(*cands))
-    tiled = EvalContext(ctx.chart, np.tile(ctx.points, (len(cands), 1)), ctx.order,
-                        mode=ctx.mode)
-    worst = _twisted_parallel(tiled, *_phi(tiled, n1, n2, 1.0 - 2.0 * conj))
-    table = dict(zip(cands, map(float, worst.reshape(len(cands), -1).max(axis=1))))
+    step = max(1, _SCAN_POINTS // ctx.nbatch)
+    table = {}
+    for i in range(0, len(cands), step):
+        batch = cands[i:i + step]
+        n1, n2, conj = (np.repeat(np.array(col, dtype=float), ctx.nbatch)
+                        for col in zip(*batch))
+        tiled = EvalContext(ctx.chart, np.tile(ctx.points, (len(batch), 1)), ctx.order,
+                            mode=ctx.mode)
+        worst = _twisted_parallel(tiled, *_phi(tiled, n1, n2, 1.0 - 2.0 * conj))
+        table.update(zip(batch, map(float, worst.reshape(len(batch), -1).max(axis=1))))
     best = min(table, key=lambda k: (table[k], k[2]))  # the first of equal keys
     return GaugeSearchResult(gauge=best[:2], conjugate=best[2],
                              residual=table[best], table=table)

@@ -17,6 +17,11 @@ each context point (over every axis but the batch axis), and a reported
 value such as ``scal_value`` is its per-point array.  Reducing over the
 points and deciding pass/fail against a tolerance is the caller's job
 (:mod:`nklab.suites` in the lab); nothing in this module asserts.
+
+A check that takes an ``rng`` draws its random probes from it with
+``standard_normal``, each draw with the context's points on its first
+axis, so the lab can hand a chunk of points its rows of draws made for
+all the points.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ and every residual function takes an :class:`~nklab.chart.EvalContext`
 (points, jet order and derivative backend) and returns a ``{name: array}``
 dictionary, as in :mod:`nklab.nkcore`: each residual is a float array of
 shape ``(nbatch,)``, the max of its absolute value at each point, and the
-pinned norms (``norm_*``, ``psi_norm``) are per-point arrays too.  Only
-:func:`sekigawa_terms_at` reports means over the points, for its named terms.
+pinned norms (``norm_*``, ``psi_norm``) and the terms of
+:func:`sekigawa_terms_at` are per-point arrays too.
 """
 
 from __future__ import annotations
@@ -631,14 +631,16 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
 # integrand identity on the four-dimensional base
 
 
-def sekigawa_terms_at(ctx: EvalContext) -> dict:
+def sekigawa_terms_at(ctx: EvalContext, rng=None) -> dict:
     """Terms of the integral identity for almost Kahler Einstein 4-metrics.
 
     The context (order >= 4) must be on a 4-dimensional base chart carrying
     ``metric`` and ``Jhat`` evaluators.  Raises ``NonEinsteinBaseError``
     when the metric is not Einstein, since the identity is derived under
-    that hypothesis.  Returns every named term and both sides of the
-    identity as means over the points, and ``identity_residual`` per point.
+    that hypothesis.  Returns every named term, |lhs|, |rhs| and
+    ``identity_residual`` at each point.  ``rng`` draws the seeds of the
+    frames of the curvature block, one ``(nbatch, 2, 4)`` draw (default: a
+    generator seeded 0).
     """
     g = C.metric(ctx)
     scal = C.scalar_curvature(ctx).val
@@ -673,11 +675,10 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
 
         return c.memo(("sek", "sstar"), build)
 
-    out = {"scal": float(np.mean(scal))}
-    out["sstar"] = float(np.mean(sstar_f(ctx).val))
+    out = {"scal": scal, "sstar": sstar_f(ctx).val}
 
     lap_sstar = form_laplacian_field(sstar_f, 0)(ctx).val
-    out["laplacian_sstar"] = float(np.mean(lap_sstar))
+    out["laplacian_sstar"] = lap_sstar
 
     # divergence of the pairing of the star-Ricci form with nabla Omega
     nab_om = C.covd_field(ctx, om_f, "ll", key="base_omega")
@@ -691,7 +692,7 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
         return 0.5 * J.jj("xac,ac->x", up, rop)
 
     delta_pair = codifferential(ctx, pair_f(ctx), 1).val
-    out["div_rho_nabla_omega"] = float(np.mean(np.abs(delta_pair)))
+    out["div_rho_nabla_omega"] = np.abs(delta_pair)
 
     # read after rop_f and codifferential, so the value is cut from their
     # inverse, not built on its own
@@ -703,19 +704,20 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
     inner = contract("zxij,zia,zjb,zyab->zxy", no, giv, giv, no) / 2.0
     phi = np.einsum("zmx,zmy->zxy", jhat, inner)
     norm_phi = contract("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)
-    out["norm_phi"] = float(np.mean(norm_phi))
+    out["norm_phi"] = norm_phi
 
     # |nabla Omega|^2 and the rough Laplacian of Omega
     norm_nabla_om = contract("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0
-    out["norm_nabla_omega"] = float(np.mean(norm_nabla_om))
+    out["norm_nabla_omega"] = norm_nabla_om
     d2om = C.second_covd_field(ctx, om_f, "ll", key="base_omega").val
     rough = -np.einsum("zab,zabij->zij", giv, d2om)
     norm_rough = form_norm2(rough, 2, giv)
-    out["norm_rough_omega"] = float(np.mean(norm_rough))
+    out["norm_rough_omega"] = norm_rough
 
     # curvature block on anti-invariant 2-forms, anti-linear part, in the
     # basis b1, b2 built from a Jhat-adapted frame f1, Jhat f1, f3, Jhat f3
-    seeds = np.random.default_rng(0).standard_normal((ctx.nbatch, 2, 4))
+    rng = np.random.default_rng(0) if rng is None else rng
+    seeds = rng.standard_normal((ctx.nbatch, 2, 4))
     jseed = np.einsum("zai,zi->za", jhat, seeds[:, 0])
     f = gram_schmidt(np.stack([seeds[:, 0], jseed, seeds[:, 1]], axis=1), gv)
     f = np.concatenate([f, np.einsum("zai,zi->za", jhat, f[:, 2])[:, None]], axis=1)
@@ -728,12 +730,12 @@ def sekigawa_terms_at(ctx: EvalContext) -> dict:
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     banti = 0.5 * (bmat + rot @ bmat @ rot)
     r2 = np.sum(banti**2, axis=(1, 2))
-    out["norm_r_anti"] = float(np.mean(r2))
+    out["norm_r_anti"] = r2
 
     lhs = lap_sstar - 8.0 * delta_pair
     rhs = -8.0 * r2 - norm_rough - norm_phi - (scal / 4.0) * norm_nabla_om
-    out["lhs"] = float(np.mean(np.abs(lhs)))
-    out["rhs"] = float(np.mean(np.abs(rhs)))
+    out["lhs"] = np.abs(lhs)
+    out["rhs"] = np.abs(rhs)
     out["identity_residual"] = _maxabs(lhs - rhs)
     return out
 

@@ -101,23 +101,36 @@ def _drift(a: float, b: float) -> float:
     return math.inf if math.isnan(d) else d
 
 
+def _largest(pairs):
+    """The ``(drift, key)`` pair of largest drift, or None for no pairs."""
+    return max(pairs, key=lambda x: x[0], default=None)
+
+
 def diff_reports(old, new) -> dict:
     """Rows of two runs matched by (suite, check, model).
 
     ``changes`` lists ``(key, old status, new status)`` for each row whose
     status differs, a row missing from one run having status None;
     ``drift`` is ``(|residual change|, key)`` of the row whose residual
-    moved most, or None when no row is in both runs.
+    moved most, or None when no row is in both runs; ``value_drift`` is the
+    same for ``value``, over the rows of both runs that carry one in either
+    (a value in one run only is an infinite drift); ``quantile_changes``
+    lists the keys of the rows whose ``quantiles`` differ.
     """
     a, b = _by_key(old), _by_key(new)
     both = [k for k in a if k in b]
     changes = [(k, a[k].status if k in a else None, b[k].status if k in b else None)
                for k in dict.fromkeys([*a, *b])
                if k not in a or k not in b or a[k].status != b[k].status]
-    drift = max(((_drift(a[k].residual, b[k].residual), k) for k in both),
-                key=lambda x: x[0], default=None)
+    drift = _largest((_drift(a[k].residual, b[k].residual), k) for k in both)
+    value_drift = _largest(
+        (math.inf if None in (a[k].value, b[k].value) else _drift(a[k].value, b[k].value), k)
+        for k in both if (a[k].value, b[k].value) != (None, None))
+    quantile_changes = [k for k in both if json.dumps(a[k].quantiles, sort_keys=True)
+                        != json.dumps(b[k].quantiles, sort_keys=True)]
     return {"old": a, "new": b, "compared": len(both), "changes": changes,
-            "drift": drift}
+            "drift": drift, "value_drift": value_drift,
+            "quantile_changes": quantile_changes}
 
 
 def format_diff(d: dict) -> str:
@@ -134,6 +147,12 @@ def format_diff(d: dict) -> str:
         size, k = d["drift"]
         lines.append(f"largest residual drift {size:.2e}: {name(k)} "
                      f"({residual(d['old'], k)} -> {residual(d['new'], k)})")
+    if d["value_drift"] is not None:
+        size, k = d["value_drift"]
+        lines.append(f"largest value drift {size:.2e}: {name(k)} "
+                     f"({d['old'][k].value} -> {d['new'][k].value})")
+    lines += [f"QUANTILES  {name(k)}: {d['old'][k].quantiles} -> {d['new'][k].quantiles}"
+              for k in d["quantile_changes"]]
     lines.append(f"{d['compared']} rows in both runs, {len(d['changes'])} status changes")
     return "\n".join(lines)
 

@@ -8,38 +8,69 @@ from one of the shared computations.  The runner executes the selected
 (model, suite) pairs, reusing contexts and intermediate results within a
 model, and emits one :class:`~nklab.report.CheckResult` per check.
 
-The run goes model by model.  Each model first computes the shared sources
-its selected checks read, grouped by the context key each source declares
-in :data:`_SOURCES`: by ascending key, in check order within a key.  A
+The run goes model by model, and each model's session walks its points
+chunk by chunk.  The session's points are cut into consecutive chunks of
+:data:`CHUNK` points, in order (:meth:`_Session.chunks`).  No chunk, and
+no key's part of a chunk (below), holds fewer than :data:`MIN_CHUNK`
+points unless the whole session or key does: a chunk start that falls
+less than that below the last point of the session or of a key moves
+down by :data:`MIN_CHUNK` points (:func:`_chunks`).  So every chunk
+starts at a multiple of 8, and each point keeps its place in the 8-point
+blocks of numpy's vector loops; with parts of at least 8 points, every
+source's per-point arrays then agree bit for bit with one large batch.
+Measured: a part of one to three points takes other numpy paths, and a
+chunk starting at 60, 65 or 68 of 260 points changes exact rows.  The
+loop is chunk-major.  For each chunk, the model computes the
+shared sources its selected checks read on that chunk's share of their
+points, grouped by the context key each source declares in
+:data:`_SOURCES`: by ascending key, in check order within a key.  A
 working context, with all its memoized jets, is released as soon as the
-model's last source of its key is done, so one working context is alive at
-a time, beside the session's root context (below), and peak memory follows
-the largest context rather than a model's or the whole run's.  The root
-context goes after the model's last source whose context reads it, and the
-context-free sources run last, with no context alive.  The rows are then
-read from the cached results and emitted in suite order, as if the suites
-had run one after the other; a source that raised is cached as its error,
-and every row that reads it reports that error.  A session keeps only its
-small dictionaries of source results.
+chunk's last source of its key is done, the chunk's root context (below)
+after its last source whose context reads it, and every context at the
+chunk's end.  So one working context on one chunk is alive at a time,
+beside that chunk's root context, and peak memory follows the largest
+context on one chunk, not the sample count.  Each source returns per-point
+arrays for a chunk, which are written to their rows of the source's
+arrays for all its points.  After the last chunk, its finishing step
+(:data:`_FINISH`, if it has one) computes its scalar keys from those,
+once.  A multi-chunk run thus computes the same arrays as one batch, and
+every scalar by the same formula.  The context-free sources run last,
+once every source with a context is finished and cached, with no context
+alive.  The rows are then read from the cached results
+and emitted in suite order, as if the suites had run one after the other;
+a source that raised on any chunk is cached as its error, and every row
+that reads it reports that error.  A session keeps only its source
+results, and once its model's rows are out only the ``s3s3`` session
+keeps them, for the ``agree`` of a later model.
 
 Each model of a run gets one session.  Its ``ctx(key)`` is the one place
 that decides where a check looks: every source computation is handed the
 session's context of its declared key ``(order, share)``, so all of them
-share the run's points and derivative backend (``mode``).  The context
-holds jets of ``order`` on the first ``samples // share`` points (at least
-2).  A source's order is the lowest one whose jets its reads still trust:
+share the run's points and derivative backend (``mode``).  A key's points
+are the first ``samples // share`` points of the session (at least 2); the
+part of them inside a chunk is a prefix of the chunk, which the context
+holds, with jets of ``order``; a chunk with none of them skips the key.  A
+source's order is the lowest one whose jets its reads still trust:
 every check reads values only, so a source that differentiates its chart
 fields k times declares order k, and one order lower it raises
 ``ValueError``.  ``share`` thins the points of the costly sources:
 ``einstein``, ``lapom``, ``norms``, ``g0conn``, ``kahler``, ``canon`` and
 ``sek`` read the first quarter.
 
+A point's residuals do not depend on its chunk.  The sources with random
+probes (``ortho``, ``type``, ``frame``, ``elem``, ``ctype``, ``sek``'s frame
+seeds and ``homothety``) draw them through :meth:`_Session.probes`: each
+draw is made once, from the source's own seed and in the source's order,
+for all the points the source reads, and each chunk reads its rows.  With
+one chunk these are the generator's own draws.  ``canon``'s three probe
+directions are the same at every point, drawn from the same seed per chunk.
+
 In exact mode the chart's root jets (metric, J, Killing fields) are built
-once per session, in its root context: jets of the root order on all the
-session's points, each field evaluated on its first read.  Every exact
-context at or below that order reads them cut to its own order and point
-prefix (:class:`~nklab.chart.EvalContext` ``roots``); truncation of a Taylor
-jet is exact, so only rounding tells the cut jets from ones built at their
+once per chunk, in its root context: jets of the root order on the chunk's
+points, each field evaluated on its first read.  Every exact context at or
+below that order reads them cut to its own order and point prefix
+(:class:`~nklab.chart.EvalContext` ``roots``); truncation of a Taylor jet
+is exact, so only rounding tells the cut jets from ones built at their
 own order.  The root order of a model is the highest order of the share-1
 keys of the sources its checks read (2, and 1 for ``s3s3-product``), fixed
 by :data:`CHECKS` and :data:`_SOURCES` rather than by the sources a run
@@ -50,28 +81,28 @@ lower order is not that order's fd jet.
 
 The gauge scan of ``gauge`` takes the first 6 points.  Two sources also
 look at other charts: ``homothety`` builds contexts on rescaled copies of
-``s3s3`` with the session's backend, and ``gauge`` compares the session's
+``s3s3`` with the session's backend, on its own ``max(4, samples // 2)``
+points, chunked by the same rule, and ``gauge`` compares the session's
 ``ansatz`` with a gauge-shifted copy (values only, no derivatives of chart
 fields).  ``agree`` compares with the cached results of the ``s3s3``
-session of the same run, building that session first, after releasing its
-own model's contexts, when the run has not visited ``s3s3`` yet.
+session of the same run, building that session first when the run has not
+visited ``s3s3`` yet.
 
 Residuals are reduced here and nowhere else.  For each key a check reads,
 a source returns a float array of shape ``(nbatch,)``: the max of |residual|
 at each point it evaluated.  :func:`_extract` takes a row's residual as the
 ``np.max`` over points and keys, which propagates NaN; a row's ``value`` is
-the ``np.mean`` of its ``value_key`` array.  A max of per-point maxima is
-exact, so chunks of points merge by ``np.max``.  The scalar keys, with their
-merge rules:
+the ``np.mean`` of its ``value_key`` array.  The scalar keys, each computed
+once from the per-point arrays of its source over all its points:
 
-* ``constant_type_spread``: max - min over pairs (max of maxima - min of minima);
+* ``constant_type_spread``: max - min of the type constant over all pairs,
+  with the ``ctype`` quantiles and pair count;
 * ``search_residual``: a selection over gauges, on its own 6 points;
 * ``equiv_metric``, ``equiv_j``: gauge-equivalence maxima on their own 8 points;
-* the ``agree`` keys: differences of two models' means (weighted means merge);
+* the ``agree`` keys: differences of two models' means;
 * ``sek``'s Sekigawa mean terms ``laplacian_sstar``, ``div_rho_nabla_omega``,
   ``norm_phi``, ``norm_nabla_omega``, ``norm_rough_omega``, ``norm_r_anti``,
-  ``lhs``, ``rhs``, ``sstar`` (weighted means merge) and ``sstar_48_dev``
-  (|``sstar`` - 48| after the merge).
+  ``lhs``, ``rhs``, ``sstar`` and ``sstar_48_dev`` (|``sstar`` - 48|).
 
 Expected failures are declared in :data:`XFAIL`: those are checks whose
 residual is *supposed* to exceed the tolerance on a particular model
@@ -80,7 +111,7 @@ residual is *supposed* to exceed the tolerance on a particular model
 """
 from __future__ import annotations
 
-import contextlib
+import bisect
 import time
 import weakref
 from dataclasses import dataclass
@@ -348,11 +379,74 @@ def checks_for(suite: str, model: str) -> list[CheckSpec]:
 # shared per-model computations
 
 
+#: Points per chunk: a session, and ``homothety``, evaluate their points
+#: this many at a time.
+CHUNK = 64
+
+#: The fewest points in a chunk, and in a key's part of one; chunks start
+#: at its multiples.
+MIN_CHUNK = 8
+
+
+def _chunks(n: int, ends=()) -> list[slice]:
+    """Consecutive slices of :data:`CHUNK` points covering ``range(n)`` in
+    order, each starting at a multiple of :data:`MIN_CHUNK`.  A slice start
+    less than :data:`MIN_CHUNK` points below ``n`` or one of ``ends`` (the
+    point counts of the keys) moves down by :data:`MIN_CHUNK` when the
+    slice before keeps that many points, and goes otherwise; so no slice,
+    and no part of one up to an end, holds fewer than :data:`MIN_CHUNK`
+    points unless it starts at 0."""
+    bounds = [*range(0, n, CHUNK), n]
+    for end in sorted({*ends, n}):
+        i = bisect.bisect_left(bounds, end) - 1   # the slice that holds end
+        if i > 0 and end - bounds[i] < MIN_CHUNK:
+            if bounds[i] - bounds[i - 1] >= 2 * MIN_CHUNK:
+                bounds[i] -= MIN_CHUNK
+            else:
+                del bounds[i]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _stripped(e: Exception) -> Exception:
+    """``e`` with its tracebacks, and those of its causes, dropped, so a
+    cached error keeps no context alive."""
+    err = e
+    while err is not None:
+        err.__traceback__ = None
+        err = err.__cause__ or err.__context__
+    return e
+
+
+class _Probes:
+    """The random probes of a source, for the points of one chunk.
+
+    A check draws its probes as from an rng, with ``standard_normal``, each
+    draw with the points on its first axis.  Each draw is made once, on
+    its first request, for all ``n`` points of the source, from ``rng`` in
+    the order the check asks, and kept in ``draws``; the k-th request of a
+    chunk reads its ``rows`` of the k-th draw.
+    """
+
+    def __init__(self, draws: list, rng, n: int, rows: slice):
+        self._draws, self._rng, self._n, self._rows = draws, rng, n, rows
+        self._k = 0
+
+    def standard_normal(self, shape):
+        if self._k == len(self._draws):
+            self._draws.append(self._rng.standard_normal((self._n, *shape[1:])))
+        out = self._draws[self._k][self._rows]
+        self._k += 1
+        if out.shape != tuple(shape):
+            raise ValueError(f"a probe draw of shape {tuple(shape)} is not "
+                             f"the chunk's rows {out.shape}")
+        return out
+
+
 class _Sessions(dict):
     """The sessions of one run by model name, each built on first use.
 
     A session outlives its model's last suite, but only with its source
-    results: ``run`` releases every session's contexts after each model.
+    results: its contexts go at the end of each chunk.
     """
 
     def __init__(self, samples: int, seed: int, mode: str):
@@ -367,11 +461,12 @@ class _Sessions(dict):
 class _Session:
     """Builds each intermediate computation once per (model, run).
 
-    Contexts are built on demand and dropped by :meth:`release`; the
-    source results in ``_cache`` stay, so ``agree`` on a later model reads
-    them without recomputing.  ``peers``, the run's session table, is held
-    weakly: a strong link back would be a reference cycle keeping the run's
-    sessions alive after it.
+    Contexts are built on demand for the current chunk and dropped by
+    :meth:`release`; the source results in ``_cache`` stay until ``run``
+    has the model's rows, and those of :data:`_PEER` for good, so ``agree``
+    on a later model reads them without recomputing.  ``peers``, the run's
+    session table, is held weakly: a strong link back would be a reference
+    cycle keeping the run's sessions alive after it.
     """
 
     def __init__(self, model: str, samples: int, seed: int, mode: str,
@@ -387,30 +482,57 @@ class _Session:
         self._cache: dict = {}
         self._unbilled: dict = {}
         self._ctx: dict = {}
+        self._draws: dict = {}
         self.root_order = _root_order(model)
         self._roots: EvalContext | None = None
+        # the chunk being computed; all the points outside ``compute``
+        self._chunk = slice(0, self.samples)
         self._peers = weakref.ref(peers)
 
+    def npoints(self, key: tuple) -> int:
+        """How many of the session's points a source of ``key = (order,
+        share)`` reads: the first ``samples // share``, at least 2."""
+        return max(2, self.samples // key[1])
+
     def ctx(self, key: tuple) -> EvalContext:
-        """The context of ``key = (order, share)`` over this session's backend:
-        jets of ``order`` on the first ``samples // share`` points, at least 2.
-        An exact one at or below the root order reads its root jets from
-        :meth:`roots`."""
+        """The context of ``key = (order, share)`` on the current chunk: jets
+        of ``order`` on the chunk's part of the key's points, a prefix of the
+        chunk.  An exact one at or below the root order reads its root jets
+        from :meth:`roots`."""
         if key not in self._ctx:
-            order, share = key
-            pts = self.pts[:max(2, self.samples // share)]
+            order = key[0]
             roots = (self.roots() if self.mode == "exact" and order <= self.root_order
                      else None)
-            self._ctx[key] = EvalContext(self.chart, pts, order, mode=self.mode,
-                                         roots=roots)
+            self._ctx[key] = EvalContext(self.chart, self.pts[self._rows(key)], order,
+                                         mode=self.mode, roots=roots)
         return self._ctx[key]
 
+    def chunks(self) -> list[slice]:
+        """The session's chunks (:func:`_chunks`), cut so that no key's
+        part of a chunk holds fewer than :data:`MIN_CHUNK` points unless
+        the key does.  The keys come from :data:`_SOURCES`, not from the
+        sources a run selects, so every run cuts the points alike."""
+        keys = {key for key, _ in _SOURCES.values() if key is not None}
+        return _chunks(self.samples, {self.npoints(key) for key in keys})
+
+    def _rows(self, key: tuple) -> slice:
+        """The indices of the key's points in the current chunk."""
+        return slice(self._chunk.start, min(self._chunk.stop, self.npoints(key)))
+
     def roots(self) -> EvalContext:
-        """The root context: exact jets of the root order on all the session's
-        points, each chart field evaluated on its first read."""
+        """The root context: exact jets of the root order on the current
+        chunk's points, each chart field evaluated on its first read."""
         if self._roots is None:
-            self._roots = EvalContext(self.chart, self.pts, self.root_order)
+            self._roots = EvalContext(self.chart, self.pts[self._chunk], self.root_order)
         return self._roots
+
+    def probes(self, source: str, seed: int) -> _Probes:
+        """The probes of ``source`` at its points in the current chunk: draws
+        of a generator seeded ``seed``, each made once for all the source's
+        points (:class:`_Probes`)."""
+        draws = self._draws.setdefault(source, ([], np.random.default_rng(seed)))
+        key = _SOURCES[source][0]
+        return _Probes(*draws, self.npoints(key), self._rows(key))
 
     def release(self) -> None:
         """Drop the contexts, the root context too, and their jets; cached
@@ -426,21 +548,11 @@ class _Session:
     def get(self, source: str) -> dict:
         """The result of ``source``, computed on first use.
 
-        A source that raises is cached as its error, raised again to every
-        reader; its traceback is dropped, so it keeps no context alive.
+        A source that raised is cached as its error, raised again to every
+        reader with no traceback.
         """
         if source not in self._cache:
-            key, fn = _SOURCES[source]
-            t0 = time.perf_counter()
-            try:
-                out = fn(self) if key is None else fn(self, self.ctx(key))
-            except Exception as e:
-                out = err = e
-                while err is not None:
-                    err.__traceback__ = None
-                    err = err.__cause__ or err.__context__
-            self._cache[source] = out
-            self._unbilled[source] = time.perf_counter() - t0
+            self.compute((source,))
         out = self._cache[source]
         if isinstance(out, Exception):
             raise out.with_traceback(None)
@@ -451,23 +563,73 @@ class _Session:
         return self._unbilled.pop(source, 0.0)
 
     def compute(self, sources) -> None:
-        """Compute ``sources`` grouped by context key, one working context alive.
+        """Compute those of ``sources`` not computed yet, chunk-major.
 
-        Sources with a context run first, by ascending key and, within a
-        key, as listed; each working context is dropped after its key's last
-        source, the root context after the last source whose context reads
-        it.  The context-free ones run last, with no context alive.
+        For each chunk, the sources with a context whose key has points in
+        it run by ascending key and, within a key, as listed; each working
+        context is dropped after the chunk's last source of its key, the
+        root context after the last source whose context reads it, and all
+        of them after the chunk's last source.  A source's per-point arrays
+        for a chunk go to their rows of its arrays for all its points, made
+        on its first chunk; after the last chunk they are finished and
+        cached.  The context-free sources run last, with no context alive.
+        A source that raises on a chunk skips the later ones and is cached
+        as its error.
         """
-        ordered = sorted(sources, key=lambda name: (
-            _SOURCES[name][0] is None, _SOURCES[name][0] or ()))
-        for name, nxt in zip(ordered, ordered[1:] + [None]):
-            with contextlib.suppress(Exception):   # cached; raised to its readers
-                self.get(name)
-            next_key = None if nxt is None else _SOURCES[nxt][0]
-            if next_key is None or next_key[0] > self.root_order:
-                self.release()
-            elif next_key != _SOURCES[name][0]:
-                self._ctx.clear()
+        todo = [name for name in dict.fromkeys(sources) if name not in self._cache]
+        keyed = sorted((name for name in todo if _SOURCES[name][0] is not None),
+                       key=lambda name: _SOURCES[name][0])
+        merged = dict.fromkeys(keyed)   # None, then the arrays, or the error
+        clock = dict.fromkeys(todo, 0.0)
+        try:
+            for self._chunk in self.chunks():
+                live = [name for name in keyed if not isinstance(merged[name], Exception)
+                        and self._chunk.start < self.npoints(_SOURCES[name][0])]
+                for name, nxt in zip(live, live[1:] + [None]):
+                    key, fn = _SOURCES[name]
+                    t0 = time.perf_counter()
+                    try:
+                        merged[name] = _stored(merged[name], fn(self, self.ctx(key)),
+                                               self._rows(key), self.npoints(key))
+                    except Exception as e:
+                        merged[name] = _stripped(e)
+                    clock[name] += time.perf_counter() - t0
+                    next_key = None if nxt is None else _SOURCES[nxt][0]
+                    if next_key is None or next_key[0] > self.root_order:
+                        self.release()
+                    elif next_key != key:
+                        self._ctx.clear()
+        finally:
+            self.release()
+            self._chunk = slice(0, self.samples)
+        # every merged source is cached before a context-free one runs: those
+        # (agree) may read them
+        for name in [*keyed, *(name for name in todo if name not in merged)]:
+            t0 = time.perf_counter()
+            try:
+                if name not in merged:
+                    out = _SOURCES[name][1](self)
+                else:
+                    out = merged.pop(name)
+                    if name in _FINISH and not isinstance(out, Exception):
+                        out = _FINISH[name](out)
+            except Exception as e:
+                out = _stripped(e)
+            self._draws.pop(name, None)
+            self._cache[name] = out
+            self._unbilled[name] = clock[name] + time.perf_counter() - t0
+
+
+def _stored(out: dict | None, part: dict, rows: slice, n: int) -> dict:
+    """``out``, a source's per-point arrays for all its ``n`` points (None
+    before its first chunk), with a chunk's arrays ``part`` written to
+    their ``rows``.  Made on the first chunk, they keep no per-chunk arrays
+    alive between the later chunks' temporaries."""
+    if out is None:
+        out = {k: np.empty((n, *v.shape[1:]), v.dtype) for k, v in part.items()}
+    for k, v in part.items():
+        out[k][rows] = v
+    return out
 
 
 def _src_nk(s, ctx):
@@ -479,19 +641,19 @@ def _src_gray(s, ctx):
 
 
 def _src_ortho(s, ctx):
-    return NK.orthogonality_residuals(ctx, np.random.default_rng(s.seed + 1))
+    return NK.orthogonality_residuals(ctx, s.probes("ortho", s.seed + 1))
 
 
 def _src_type(s, ctx):
-    return NK.type_tensor_check(ctx, np.random.default_rng(s.seed + 2))
+    return NK.type_tensor_check(ctx, s.probes("type", s.seed + 2))
 
 
 def _src_frame(s, ctx):
-    return NK.frame_expansion_check(ctx, np.random.default_rng(s.seed + 3))
+    return NK.frame_expansion_check(ctx, s.probes("frame", s.seed + 3))
 
 
 def _src_elem(s, ctx):
-    return NK.elementary_identity_check(ctx, np.random.default_rng(s.seed + 4))
+    return NK.elementary_identity_check(ctx, s.probes("elem", s.seed + 4))
 
 
 def _src_einstein(s, ctx):
@@ -503,24 +665,33 @@ def _src_lapom(s, ctx):
 
 
 def _src_ctype(s, ctx):
-    rng = np.random.default_rng(s.seed + 5)
-    alpha = NK.constant_type_samples(ctx, rng)    # (nbatch, pairs per point)
-    dev = np.abs(alpha - 1.0)
+    # (nbatch, pairs per point)
+    return {"alpha": NK.constant_type_samples(ctx, s.probes("ctype", s.seed + 5))}
+
+
+def _finish_ctype(out):
+    dev = np.abs(out["alpha"] - 1.0)
     quantiles = {**{f"q{q}": float(np.quantile(dev, q / 100)) for q in (25, 50, 75)},
-                 "max": float(np.max(dev)), "pairs": int(alpha.size)}
+                 "max": float(np.max(dev)), "pairs": int(dev.size)}
     return {"constant_type": dev.max(axis=1),
-            "constant_type_spread": float(np.max(alpha) - np.min(alpha)),
+            "constant_type_spread": float(np.max(out["alpha"]) - np.min(out["alpha"])),
             "quantiles": quantiles}
 
 
 def _src_homothety(s):
-    """alpha scales inversely with the metric: c * alpha(c * c0) == 1, per point."""
+    """alpha scales inversely with the metric: c * alpha(c * c0) == 1, per
+    point, on ``max(4, samples // 2)`` points of each rescaled chart, taken
+    chunk by chunk."""
+    n = max(4, s.samples // 2)
     per_scale = []
     for factor in (0.5, 1.0, 2.0):
-        b = M.build_s3s3(scale=factor * M.S3S3_SCALE, charts=("a",))
+        chart = M.build_s3s3(scale=factor * M.S3S3_SCALE, charts=("a",)).chart
         rng = np.random.default_rng(s.seed + 6)
-        pts = sample_points(b.chart, max(4, s.samples // 2), rng)
-        alpha = NK.constant_type_samples(EvalContext(b.chart, pts, 1, mode=s.mode), rng)
+        pts, draws = sample_points(chart, n, rng), []   # the probes follow the points
+        alpha = np.concatenate([
+            NK.constant_type_samples(EvalContext(chart, pts[rows], 1, mode=s.mode),
+                                     _Probes(draws, rng, n, rows))
+            for rows in _chunks(n)])
         per_scale.append(np.abs(factor * alpha - 1.0).max(axis=1))
     return {"scaled_spread": np.max(per_scale, axis=0)}
 
@@ -571,9 +742,13 @@ def _src_base(s, ctx):
 
 
 def _src_sek(s, ctx):
-    out = dict(R.sekigawa_terms_at(ctx))
-    out["sstar_48_dev"] = abs(out["sstar"] - 48.0)
-    return out
+    return R.sekigawa_terms_at(ctx, s.probes("sek", 0))
+
+
+def _finish_sek(out):
+    means = {k: float(np.mean(v)) for k, v in out.items() if k != "identity_residual"}
+    return {**means, "identity_residual": out["identity_residual"],
+            "sstar_48_dev": abs(means["sstar"] - 48.0)}
 
 
 def _src_conn(s, ctx):
@@ -599,16 +774,21 @@ def _src_gauge(s):
     }
 
 
+#: The one model whose results a source of another model reads (``agree``).
+_PEER = "s3s3"
+
+
 def _src_agree(s):
     """Reduced invariants of the assembled model vs the homogeneous one.
 
-    ``agree`` runs after the model's sources with a context.  It computes
-    its own inputs if no check read them, and releases their context before
-    the peer's sources run, which may build the whole ``s3s3`` session.
+    ``agree`` runs after the model's sources with a context, with none
+    alive.  It computes its own inputs, and the peer's, if no check read
+    them; the peer's may build the whole ``s3s3`` session.
     """
+    s.compute(("norms", "kahler"))
     mine, psi = s.get("norms"), s.get("kahler")["psi_norm"]
-    s.release()
-    other = s._peers()["s3s3"]
+    other = s._peers()[_PEER]
+    other.compute(("norms", "kahler"))
     theirs = other.get("norms")
     out = {k: abs(np.mean(mine[k]) - np.mean(theirs[k]))
            for k in ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta")}
@@ -617,9 +797,10 @@ def _src_agree(s):
 
 
 #: source name -> (context key, function).  A source of key ``(order, share)``
-#: is called as ``fn(session, session.ctx(key))``, the key chosen by the rule
-#: of the module docstring; one of key None takes no session context and is
-#: called as ``fn(session)``.
+#: is called once per chunk as ``fn(session, session.ctx(key))``, the key
+#: chosen by the rule of the module docstring, and returns per-point arrays;
+#: one of key None takes no session context and is called once as
+#: ``fn(session)``.
 _SOURCES = {
     "nk": ((1, 1), _src_nk),
     "gray": ((2, 1), _src_gray),
@@ -647,6 +828,12 @@ _SOURCES = {
     "gauge": (None, _src_gauge),
     "agree": (None, _src_agree),
 }
+
+
+#: source name -> its finishing step: it maps the source's merged per-point
+#: arrays to its result, computing the scalar keys.  Without one, the merged
+#: arrays are the result.
+_FINISH = {"ctype": _finish_ctype, "sek": _finish_sek}
 
 
 def _root_order(model: str) -> int:
@@ -715,9 +902,10 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     With no explicit model list, each suite runs over its default models;
     with an explicit one, only the intersection runs.  The models run in
     order of first appearance: each computes the sources its checks read,
-    grouped by context key (:meth:`_Session.compute`), and every session's
-    contexts are released after it.  The rows come back in suite order, as
-    if the suites had run one after the other.
+    chunk by chunk (:meth:`_Session.compute`), and keeps no context after,
+    nor, but for :data:`_PEER`, any result once its rows are out.
+    The rows come back in suite order, as if the suites had run one after
+    the other.
     """
     suite_names = list(SUITES) if suites is None else list(suites)
     pairs = []
@@ -736,7 +924,6 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
         for i, (suite, m) in enumerate(pairs):
             if m == model:
                 rows[i] = run_suite(model, suite, sessions[model], tol_overrides)
-        # peers too: ``agree`` may have built the s3s3 session's contexts
-        for session in sessions.values():
-            session.release()
+        if model != _PEER:
+            sessions[model]._cache.clear()   # its per-point arrays grow with the samples
     return [r for block in rows for r in block]

@@ -183,6 +183,25 @@ class TestDiff:
         other = report.CheckResult("c", "s", "m", "error", 1.0, 1e-8)
         assert report.diff_reports([row], [other])["drift"][0] == float("inf")
 
+    def test_value_drift_and_quantile_changes(self, capsys):
+        def row(check, value=None, quantiles=None):
+            return report.CheckResult(check, "s", "m", "pass", 1e-9, 1e-8,
+                                      value=value, quantiles=quantiles)
+
+        old = [row("a", 2.0), row("b", None, {"q50": 1e-12, "pairs": 8}), row("c")]
+        new = [row("a", 2.0 + 2**-51), row("b", None, {"q50": 2e-12, "pairs": 8}), row("c")]
+        d = report.diff_reports(old, new)
+        assert d["value_drift"] == (2**-51, ("s", "a", "m"))
+        assert d["quantile_changes"] == [("s", "b", "m")]
+        assert report.diff_reports(old, old)["value_drift"] == (0.0, ("s", "a", "m"))
+        assert report.diff_reports(old, old)["quantile_changes"] == []
+        text = report.format_diff(d)
+        assert "largest value drift 4.44e-16: s/a on m (2.0 -> 2.0000000000000004)" in text
+        assert "QUANTILES  s/b on m" in text
+        # a value in one run only is an infinite drift
+        gone = report.diff_reports(old, [row("a"), *new[1:]])
+        assert gone["value_drift"] == (float("inf"), ("s", "a", "m"))
+
     def test_unreadable_report(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"check": "x"}\n')

@@ -2,6 +2,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import time
 import tracemalloc
 import weakref
@@ -183,24 +184,24 @@ class TestSessions:
 
 
 def _track_contexts(monkeypatch):
-    """(model, kind, weakref) for every context a session builds from now on:
-    kind "root" for a session's root context, "work" for the contexts it
-    hands to sources."""
+    """(model, kind, weakref, chunk start) for every context a session builds
+    from now on: kind "root" for a chunk's root context, "work" for the
+    contexts it hands to sources."""
     made = []
     ctx, roots = suites._Session.ctx, suites._Session.roots
 
-    def tracked(self, order):
-        fresh = order not in self._ctx
-        out = ctx(self, order)
+    def tracked(self, key):
+        fresh = key not in self._ctx
+        out = ctx(self, key)
         if fresh:
-            made.append((self.model, "work", weakref.ref(out)))
+            made.append((self.model, "work", weakref.ref(out), self._chunk.start))
         return out
 
     def tracked_roots(self):
         fresh = self._roots is None
         out = roots(self)
         if fresh:
-            made.append((self.model, "root", weakref.ref(out)))
+            made.append((self.model, "root", weakref.ref(out), self._chunk.start))
         return out
 
     monkeypatch.setattr(suites._Session, "ctx", tracked)
@@ -209,30 +210,45 @@ def _track_contexts(monkeypatch):
 
 
 def _alive(made, kinds=("work", "root")):
-    return sorted({model for model, kind, ref in made
+    return sorted({model for model, kind, ref, _ in made
                    if kind in kinds and ref() is not None})
 
 
 def _models(made, kind):
-    return {model for model, k, _ in made if k == kind}
+    return {model for model, k, _, _ in made if k == kind}
+
+
+def _spy_sources(monkeypatch, before=None):
+    """Wrap every ``_SOURCES`` function from now on.  Returns ``calls``, one
+    (model, source, chunk start, order, points) per call (order and points
+    of the context handed, None for a context-free source).
+    ``before(session, source)`` runs before each call."""
+    calls = []
+    for name, (key, fn) in list(suites._SOURCES.items()):
+        def spied(s, *ctx, name=name, fn=fn):
+            if before is not None:
+                before(s, name)
+            calls.append((s.model, name, s._chunk.start,
+                          *((ctx[0].order, ctx[0].nbatch) if ctx else (None, None))))
+            return fn(s, *ctx)
+
+        monkeypatch.setitem(suites._SOURCES, name, (key, spied))
+    return calls
 
 
 def _track_computes(monkeypatch, made):
-    """Models of every source computed from now on, and the strays: each
-    (model, source, models with live contexts) computed while a context of
-    another model was alive."""
+    """Models of every source computation from now on (one per chunk for a
+    source with a context), and the strays: each (model, source, models with
+    live contexts) computed while a context of another model was alive."""
     computed, strays = [], []
-    get = suites._Session.get
 
-    def checked(self, source):
-        if source not in self._cache:
-            computed.append(self.model)
-            alive = _alive(made)
-            if set(alive) - {self.model}:
-                strays.append((self.model, source, alive))
-        return get(self, source)
+    def before(s, source):
+        computed.append(s.model)
+        alive = _alive(made)
+        if set(alive) - {s.model}:
+            strays.append((s.model, source, alive))
 
-    monkeypatch.setattr(suites._Session, "get", checked)
+    _spy_sources(monkeypatch, before)
     return computed, strays
 
 
@@ -296,6 +312,8 @@ class TestModelMajor:
         assert _models(made, "work") == _models(made, "root") == {"ansatz", "s3s3"}
         assert not alive
         assert {"norms", "kahler"} <= set(tables[0]["s3s3"]._cache)
+        # its rows are out, and no other model reads its results
+        assert not tables[0]["ansatz"]._cache
 
     def test_peer_sources_run_after_the_requester_is_released(self, monkeypatch):
         # ansatz-agreement is ansatz's last source; the s3s3 session it
@@ -371,51 +389,72 @@ class TestModelMajor:
 
 
 class TestSchedule:
-    @pytest.mark.parametrize("models, mode", [
-        (None, "exact"),
-        (None, "fd"),
-        (("ansatz",), "exact"),
+    @pytest.mark.parametrize("models, suite_names, mode, chunk, samples", [
+        pytest.param(None, None, "exact", 64, 4, id="None-exact"),
+        pytest.param(None, None, "fd", 64, 4, id="None-fd"),
+        pytest.param(("ansatz",), None, "exact", 64, 4, id="models2-exact"),
+        # the chunks [0:8] and [8:20]
+        pytest.param(None, None, "exact", 8, 20, id="None-exact-two-chunks"),
+        pytest.param(None, None, "fd", 8, 20, id="None-fd-two-chunks"),
+        # agree, a context-free source, comes before norms and kahler
+        pytest.param(None, ("ansatz", "reduction"), "exact", 64, 4,
+                     id="agree-first-exact"),
     ])
-    def test_one_context_alive_each_built_once(self, monkeypatch, models, mode):
+    def test_one_context_alive_each_built_once(self, monkeypatch, models, suite_names,
+                                               mode, chunk, samples):
+        # per chunk: each key's context is built once, on the chunk's part of
+        # the key's points, with at most the model's own root context of the
+        # chunk alive beside it
+        monkeypatch.setattr(suites, "CHUNK", chunk)
         made = _track_contexts(monkeypatch)
-        asked, built, crowded, computing = [], [], [], []
-        ctx, get = suites._Session.ctx, suites._Session.get
+        calls = _spy_sources(monkeypatch)
+        asked, built, crowded = [], [], []
+        ctx, compute = suites._Session.ctx, suites._Session.compute
 
-        def spied_ctx(self, order):
-            asked.append((computing[-1], order))
-            if order not in self._ctx:
-                built.append((self.model, order))
-                # the model's own root context may be alive, for a context
-                # that reads it; nothing else
-                roots = set(_alive(made, ("root",)))
-                if order[0] <= self.root_order:
-                    roots.discard(self.model)
+        def spied_ctx(self, key):
+            # compute hands each source its own key's context; a source
+            # asks for none itself
+            if sys._getframe(1).f_code is not compute.__code__:
+                asked.append(key)
+            if key not in self._ctx:
+                start = self._chunk.start
+                built.append((self.model, start, key))
+                roots = {(model, at) for model, kind, ref, at in made
+                         if kind == "root" and ref() is not None}
+                if key[0] <= self.root_order:
+                    roots.discard((self.model, start))
                 if _alive(made, ("work",)) or roots:
-                    crowded.append((self.model, order, _alive(made)))
-            return ctx(self, order)
-
-        def spied_get(self, source):
-            computing.append(source)
-            try:
-                return get(self, source)
-            finally:
-                computing.pop()
+                    crowded.append((self.model, start, key, _alive(made)))
+            return ctx(self, key)
 
         monkeypatch.setattr(suites._Session, "ctx", spied_ctx)
-        monkeypatch.setattr(suites._Session, "get", spied_get)
         gc.collect()
         gc.disable()
         try:
-            results = suites.run(models=models, samples=4, mode=mode)
+            results = suites.run(models=models, suites=suite_names, samples=samples,
+                                 mode=mode)
         finally:
             gc.enable()
         assert results and not any(r.status == "error" for r in results)
-        wrong = sorted({(src, o) for src, o in asked if suites._SOURCES[src][0] != o})
-        assert not wrong, f"sources asking for another order: {wrong}"
+        assert not asked, f"contexts asked for outside compute: {asked}"
         assert not crowded, f"contexts built while another was alive: {crowded}"
-        if models is None:
-            # in an ansatz-only run, agree builds ansatz's order-3 context a
-            # second time for its inputs norms and kahler, which no row reads
+        chunks = suites._Sessions(samples, 0, mode)["s3s3"].chunks()
+        assert len(chunks) == (2 if chunk == 8 else 1)
+        for model, source, start, order, points in calls:
+            key = suites._SOURCES[source][0]
+            if key is None:
+                continue
+            n = max(2, samples // key[1])
+            (rows,) = [c for c in chunks if c.start == start]
+            assert start < n and order == key[0], (model, source, start)
+            assert points == min(rows.stop, n) - start, (model, source, start)
+        # each source once per chunk
+        per_chunk = {(model, source, start) for model, source, start, *_ in calls}
+        assert len(per_chunk) == len(calls), calls
+        if models is None and suite_names is None:
+            # in an ansatz-only run, agree computes ansatz's norms and kahler,
+            # which no row reads, in a second pass over the chunks; and when
+            # ansatz runs before s3s3, agree computes s3s3's in a pass of its own
             assert len(built) == len(set(built)), built
 
     def test_error_rows_read_one_cached_error(self, monkeypatch):
@@ -480,3 +519,150 @@ class TestQuantiles:
             assert q["pairs"] > 0
             if r.check != "constant-type-spread":
                 assert q["max"] == r.residual
+
+
+# ---------------------------------------------------------------------------
+# chunks
+
+
+class TestChunks:
+    @pytest.mark.parametrize("n", [2, 7, 8, 63, 64, 65, 71, 72, 100, 128, 135, 136, 1000])
+    def test_chunks_cover_every_point_once_in_order(self, n):
+        chunks = suites._chunks(n)
+        assert [i for rows in chunks for i in range(n)[rows]] == list(range(n))
+        sizes = [rows.stop - rows.start for rows in chunks]
+        assert min(sizes) >= min(n, suites.MIN_CHUNK), sizes
+        assert max(sizes) < suites.CHUNK + suites.MIN_CHUNK, sizes
+        # a chunk starts where a whole batch has whole SIMD blocks
+        assert all(rows.start % suites.MIN_CHUNK == 0 for rows in chunks)
+
+    def test_a_small_remainder_takes_points_from_the_chunk_before(self, monkeypatch):
+        assert suites._chunks(130) == [slice(0, 64), slice(64, 120), slice(120, 130)]
+        monkeypatch.setattr(suites, "CHUNK", 8)
+        # with 8-point chunks, moving down reaches the start before: it goes
+        assert suites._chunks(20) == [slice(0, 8), slice(8, 20)]
+        assert suites._chunks(24) == [slice(0, 8), slice(8, 16), slice(16, 24)]
+        assert suites._chunks(5) == [slice(0, 5)]
+
+    def test_a_chunk_start_just_below_a_keys_end_moves_down(self, monkeypatch):
+        # 260 samples: [0:64] + [64:65] would leave the 65-point quarter key
+        # a 1-point part
+        assert suites._chunks(260, {65, 260}) == [
+            slice(0, 56), slice(56, 128), slice(128, 192), slice(192, 248), slice(248, 260)]
+        monkeypatch.setattr(suites, "CHUNK", 16)
+        assert suites._chunks(68, {17, 68}) == [
+            slice(0, 8), slice(8, 32), slice(32, 48), slice(48, 56), slice(56, 68)]
+
+    def test_no_keys_part_of_a_chunk_is_small(self):
+        s = suites._Session.__new__(suites._Session)
+        shares = {key[1] for key, _ in suites._SOURCES.values() if key is not None}
+        for s.samples in [*range(2, 300), 1000, 1027, 4099, 10_000]:
+            chunks = s.chunks()
+            n = s.samples
+            assert [i for rows in chunks for i in range(n)[rows]] == list(range(n))
+            sizes = [rows.stop - rows.start for rows in chunks]
+            assert min(sizes) >= min(n, suites.MIN_CHUNK), (n, sizes)
+            assert max(sizes) <= suites.CHUNK + suites.MIN_CHUNK, (n, sizes)
+            assert all(rows.start % suites.MIN_CHUNK == 0 for rows in chunks), n
+            for share in shares:
+                k = s.npoints((0, share))
+                parts = [min(rows.stop, k) - rows.start for rows in chunks if rows.start < k]
+                assert min(parts) >= min(k, suites.MIN_CHUNK), (n, share, parts)
+
+
+def _computed(monkeypatch, chunk, model, mode, samples, sources):
+    monkeypatch.setattr(suites, "CHUNK", chunk)
+    s = suites._Sessions(samples, 0, mode)[model]
+    s.compute(sources)
+    return {source: s.get(source) for source in sources}
+
+
+def _assert_same(a, b, where):
+    assert a.keys() == b.keys(), where
+    for key, v in a.items():
+        if isinstance(v, np.ndarray):
+            assert v.shape == b[key].shape and np.array_equal(v, b[key]), (where, key)
+        else:
+            assert v == b[key], (where, key)
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+@pytest.mark.parametrize("model", suites.MODEL_NAMES)
+def test_a_points_results_do_not_depend_on_its_chunk(monkeypatch, model, mode):
+    # each source with a context, on 16 of its points as one chunk and as the
+    # chunks [0:8] and [8:16]: its probes are drawn for all its points at once;
+    # and the quarter-share ones on 17 points, which 16-point chunks would
+    # leave a 1-point part: [0:8] and [8:17]
+    sources = _lab_sources()[model]
+    for share, points, chunk in ((1, 16, 8), (4, 16, 8), (4, 17, 16)):
+        mine = [source for source in sources if suites._SOURCES[source][0][1] == share]
+        whole = _computed(monkeypatch, 64, model, mode, points * share, mine)
+        split = _computed(monkeypatch, chunk, model, mode, points * share, mine)
+        for source in mine:
+            _assert_same(whole[source], split[source], (model, mode, source, points))
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+def test_homothety_does_not_depend_on_its_chunks(monkeypatch, mode):
+    # 32 samples: homothety's own 16 points, as one chunk and as two
+    whole = _computed(monkeypatch, 64, "s3s3", mode, 32, ["homothety"])
+    split = _computed(monkeypatch, 8, "s3s3", mode, 32, ["homothety"])
+    assert whole["homothety"]["scaled_spread"].shape == (16,)
+    _assert_same(whole["homothety"], split["homothety"], mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+def test_chunked_rows_equal_one_chunk(monkeypatch, mode):
+    # every model at 20 samples, as one chunk and as the chunks [0:8], [8:20]:
+    # status, residual, value and quantiles bit for bit
+    want = suites.run(samples=20, mode=mode)
+    monkeypatch.setattr(suites, "CHUNK", 8)
+    got = suites.run(samples=20, mode=mode)
+    assert {r.model for r in got} == set(suites.MODEL_NAMES)
+    assert _fields(got) == _fields(want)
+
+
+def test_memory_does_not_grow_with_the_samples(monkeypatch):
+    # with 8-point chunks, 64 samples peak as 16 do: one chunk's contexts,
+    # plus the per-point arrays
+    monkeypatch.setattr(suites, "CHUNK", 8)
+    suites.run(models=("s3s3",), samples=16)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for samples in (16, 64):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            suites.run(models=("s3s3",), samples=samples)
+            peaks[samples] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks[64] <= 1.2 * peaks[16], peaks
+
+
+def test_the_gauge_scan_does_not_set_the_peak(monkeypatch):
+    # the 50-candidate scan runs in batches of at most 64 points, so it
+    # peaks no higher than the ansatz suite's other sources
+    run = dict(models=("ansatz",), suites=("ansatz",), samples=8)
+    suites.run(**run)
+    peaks = {}
+    for name, (key, fn) in list(suites._SOURCES.items()):
+        def measured(s, *ctx, name=name, fn=fn):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                return fn(s, *ctx)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1] - base
+                peaks[name] = max(peaks.get(name, 0), peak)
+
+        monkeypatch.setitem(suites._SOURCES, name, (key, measured))
+    tracemalloc.start()
+    try:
+        suites.run(**run)
+    finally:
+        tracemalloc.stop()
+    gauge = peaks.pop("gauge")
+    # agree's peak includes the norms and kahler it computes
+    peaks.pop("agree")
+    assert gauge <= max(peaks.values()), (gauge, peaks)

@@ -9,10 +9,11 @@ coefficient manipulation -- no re-evaluation, no step size.
 
 The context also implements the "extrapolated-differences" engine mode:
 the first root a context needs makes it sample every chart evaluator at
-once, at order 0, on the whole Richardson stencil of the batch, so the
-roots share the model intermediates they have in common; each jet is then
-rebuilt by finite differences (:func:`~nklab.findiff.fd_jet`), while all
-*derived* computations stay identical.
+once, at order 0, on the Richardson stencil of the batch, one block of
+stencil points at a time (:data:`~nklab.findiff.BLOCK`), so the roots
+share the model intermediates they have in common within a block; each
+jet is then rebuilt by finite differences (:func:`~nklab.findiff.fd_jet`),
+while all *derived* computations stay identical.
 """
 
 from __future__ import annotations
@@ -198,22 +199,23 @@ class EvalContext:
     def _fd_roots(self, name: str) -> None:
         """Memoize the fd root jets of every field not memoized yet.
 
-        One order-0 context on the stencil evaluates them all, so they
-        share its intermediates, and is dropped afterwards.  A field other
-        than ``name`` that raises there is left out: it raises when it is
-        requested itself.
+        For each block of stencil points, one order-0 context evaluates
+        them all, so they share its intermediates, and is dropped
+        afterwards.  A field other than ``name`` that raises on a block is
+        left out from then on: it raises when it is requested itself.
         """
         names = [n for n in self.chart.evaluators if ("root", n) not in self._memo]
 
         def values(pts):
             sub = EvalContext(self.chart, pts, order=0)
             out = {}
-            for n in names:
+            for n in tuple(names):
                 try:
                     out[n] = self.chart.evaluators[n](sub).val
                 except Exception:
                     if n == name:
                         raise
+                    names.remove(n)
             return out
 
         for n, jet in fd_jet(values, self.points, self.space).items():
@@ -228,6 +230,18 @@ class EvalContext:
 
 # ---------------------------------------------------------------------------
 # value-level helpers
+
+
+@lru_cache(maxsize=None)
+def _batch_operands(spec: str) -> tuple:
+    """Positions of the operands that lead with the batch letter of
+    ``spec``: the output's first letter, where every operand that has it
+    has it first; none otherwise."""
+    lhs, out = spec.split("->")
+    terms = lhs.split(",")
+    if not out or any(out[0] in t[1:] for t in terms):
+        return ()
+    return tuple(i for i, t in enumerate(terms) if t[0] == out[0])
 
 
 @lru_cache(maxsize=None)
@@ -264,13 +278,21 @@ def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
     Without ``optimize``, numpy runs a multi-operand einsum as one nested
     loop over every index at once; a chain of two-operand einsums in the
     order ``np.einsum_path(optimize="greedy")`` finds costs only the sum of
-    the pair sizes.  The order is planned once per spec and operand shapes.
-    The steps themselves are plain einsums: ``optimize=`` would route them
-    through ``tensordot`` and BLAS, which raised the lab's peak memory.
+    the pair sizes.  The order is planned once per spec and operand shapes,
+    a batch axis (:func:`_batch_operands`) of :data:`~nklab.jets.MIN_CHUNK`
+    points or more taken as that many: the greedy order of the lab's specs
+    is the same at every such batch size, so chunks and stencil blocks of
+    any size share one plan, and a batch smaller than that, which only a
+    whole batch can be, is planned at its own size.  The steps themselves
+    are plain einsums: ``optimize=`` would route them through
+    ``tensordot`` and BLAS, which raised the lab's peak memory.
     Explicit letters only (no ellipsis).
     """
     ops = list(ops)
-    for pos, sub in _contract_plan(spec, tuple(np.shape(o) for o in ops)):
+    shapes = [np.shape(o) for o in ops]
+    for i in _batch_operands(spec):
+        shapes[i] = (min(shapes[i][0], J.MIN_CHUNK), *shapes[i][1:])
+    for pos, sub in _contract_plan(spec, tuple(shapes)):
         taken = [ops.pop(i) for i in pos]
         ops.append(np.einsum(sub, *taken))
     return ops[0]

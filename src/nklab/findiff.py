@@ -7,11 +7,14 @@ gives the "extrapolated-differences" engine mode -- an independent
 cross-check of the exact-propagation arithmetic.
 
 Central differences have O(h^2) truncation error; one Richardson level
-((4 D_{h/2} - D_h)/3) pushes that to O(h^4).  Every stencil point of both
-step sizes goes to the value function in one batched call; the zero offset
-is among them, so the value row comes from the same call, unextrapolated.
-The combination runs over all fields at once, one slot of a padded term
-table at a time, so every coefficient still sums its terms in stencil order.
+((4 D_{h/2} - D_h)/3) pushes that to O(h^4).  The stencil points of both
+step sizes go to the value function in blocks of :data:`BLOCK` points, cut
+by the batch rule of :func:`~nklab.jets.chunks`, so each point rounds as
+in one batch and memory does not grow with the stencil; the zero offset is
+among them, so the value row comes from the same calls, unextrapolated.
+Each block's values go straight into one value table.  The combination
+runs over all fields at once, one slot of a padded term table at a time,
+so every coefficient still sums its terms in stencil order.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, JetSpace
+from .jets import Jet, JetSpace, chunks
 
 __all__ = ["fd_jet", "default_step"]
+
+#: Stencil points per call of the value function.
+BLOCK = 1024
 
 # 1-d central stencils for the k-th derivative, as (offset, weight / h^k).
 _STENCILS = {
@@ -82,11 +88,12 @@ def _plan(space: JetSpace):
 def fd_jet(f, points: np.ndarray, space: JetSpace) -> dict[str, Jet]:
     """Jets of black-box fields by Richardson-extrapolated stencils.
 
-    ``f(points) -> {name: (nbatch, *tshape)}`` is called once, on the
-    stencil points of steps h = ``default_step(order)`` and h/2 stacked as
-    ``(2 * noff * nbatch, nvars)``; the result maps the same names to jets.
-    All fields are combined at once, over their flattened tensor axes side
-    by side, one padded term slot at a time: each coefficient sums its
+    ``f(points) -> {name: (npoints, *tshape)}`` is called on the stencil
+    points of steps h = ``default_step(order)`` and h/2, stacked as
+    ``(2 * noff * nbatch, nvars)`` and cut into blocks (:data:`BLOCK`);
+    the result maps the names that every block returned to jets.  All
+    fields are combined at once, over their flattened tensor axes side by
+    side, one padded term slot at a time: each coefficient sums its
     stencil terms in ``_stencil_for`` order, as a per-term loop would.
     """
     h = default_step(space.order)
@@ -94,26 +101,46 @@ def fd_jet(f, points: np.ndarray, space: JetSpace) -> dict[str, Jet]:
     steps = (h, h / 2.0)
     noff, nb = len(offsets), points.shape[0]
     pts = points + np.array(steps)[:, None, None, None] * offsets[None, :, None, :]
-    fields = {name: np.asarray(v, dtype=float)
-              for name, v in f(pts.reshape(-1, points.shape[1])).items()}
-    shapes = {name: v.shape[1:] for name, v in fields.items()}
-    sizes = [math.prod(t) for t in shapes.values()]
-    starts = np.cumsum([0] + sizes)
-    # (2, noff + 1, nb, F): every field's values, then the zero row
-    vals = np.zeros((2, noff + 1, nb, sum(sizes)))
-    for v, lo, n in zip(fields.values(), starts, sizes):
-        vals[:, :noff, :, lo:lo + n] = v.reshape(2, noff, nb, n)
-    acc = np.zeros((2, space.ncoef, nb, vals.shape[-1]))
-    for p in range(idx.shape[1]):
-        acc += wts[:, p, None, None] * vals[:, idx[:, p]]
-    # (2, ncoef, nb, F) -> (2, F, ncoef, nb), C-ordered as downstream
-    # contractions round by memory layout; divided by step^degree.
-    hpow = np.array([[s ** sum(m) for m in space.monomials] for s in steps])
-    raw = np.ascontiguousarray(np.moveaxis(acc, -1, 1))
-    d1 = raw[0] / hpow[0][:, None]
-    d2 = raw[1] / hpow[1][:, None]
-    c = (4.0 * d2 - d1) / 3.0 / fac[:, None]
+    pts = pts.reshape(-1, points.shape[1])
+    # (2 * noff + 1, nb, F): every field's values, step by step, then the
+    # zero row that padded slots read
+    vals = None
+    for rows in chunks(len(pts), BLOCK):
+        block = f(pts[rows])
+        if vals is None:
+            shapes = {name: np.shape(v)[1:] for name, v in block.items()}
+            bounds = np.cumsum([0, *map(math.prod, shapes.values())])
+            cols = {name: slice(a, b) for name, a, b in zip(shapes, bounds, bounds[1:])}
+            vals = np.empty((2 * noff + 1, nb, bounds[-1]))
+            vals[-1] = 0.0
+            flat = vals[:-1].reshape(len(pts), -1)
+        shapes = {name: t for name, t in shapes.items() if name in block}
+        for name in shapes:
+            v = block.pop(name)
+            flat[rows, cols[name]] = np.reshape(v, (len(v), -1))
+    acc = np.empty((space.ncoef, nb, vals.shape[-1]))
+    term = np.empty_like(acc)
+    d = []
+    for s, step in enumerate(steps):
+        # step s reads offset i at row s * noff + i, a padded slot the zero row
+        at = np.where(idx < noff, s * noff + idx, 2 * noff)
+        acc.fill(0.0)
+        for p in range(idx.shape[1]):
+            # in-range rows: "clip" lets take write to out unbuffered
+            np.take(vals, at[:, p], axis=0, out=term, mode="clip")
+            np.multiply(wts[:, p, None, None], term, out=term)
+            acc += term
+        # (ncoef, nb, F) -> (F, ncoef, nb), C-ordered as downstream
+        # contractions round by memory layout; divided by step^degree.
+        d.append(np.ascontiguousarray(np.moveaxis(acc, -1, 0)))
+        d[s] /= np.array([step ** sum(m) for m in space.monomials])[:, None]
+    d1, c = d
+    # (4 D_{h/2} - D_h) / 3 / fac, in place
+    c *= 4.0
+    c -= d1
+    c /= 3.0
+    c /= fac[:, None]
     # The value row needs no extrapolation; keep it exact.
-    c[:, 0, :] = vals[0, 0].T
-    return {name: Jet(space, c[lo:lo + n].reshape(*t, space.ncoef, nb))
-            for (name, t), lo, n in zip(shapes.items(), starts, sizes)}
+    c[:, 0, :] = vals[0].T
+    return {name: Jet(space, c[cols[name]].reshape(*t, space.ncoef, nb))
+            for name, t in shapes.items()}

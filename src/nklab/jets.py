@@ -53,10 +53,20 @@ batches, where einsum runs along the contiguous batch axis, while matmul
 needs the batch axis outside its matrices and pays a transposing copy.
 Both were tried on matmul, and the fd lab got slower (24% for ``jj``,
 6% for ``jc``).
+
+A batch too large to hold at once is cut by one rule, :func:`chunks`:
+the ``suites`` sessions cut their sample points with it, and ``findiff``
+its stencil points.  Every part starts at a multiple of
+:data:`MIN_CHUNK`, so each point keeps its place in the 8-point blocks of
+numpy's vector loops, and no part holds fewer than :data:`MIN_CHUNK`
+points unless the whole batch does.  Measured: parts like that round
+every point as one batch does, bit for bit, while a part of one to three
+points takes other numpy paths.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,7 +101,32 @@ __all__ = [
     "COS_SQRT",
     "VERSINE_RATIO",
     "SINC_DEFECT",
+    "MIN_CHUNK",
+    "chunks",
 ]
+
+#: The fewest points in a part of a batch (:func:`chunks`); parts start at
+#: its multiples.
+MIN_CHUNK = 8
+
+
+def chunks(n: int, size: int, ends=()) -> list[slice]:
+    """Consecutive slices of ``size`` points covering ``range(n)`` in
+    order, each starting at a multiple of :data:`MIN_CHUNK`.  A slice start
+    less than :data:`MIN_CHUNK` points below ``n`` or one of ``ends`` (where
+    a caller's own shorter batches end) moves down by :data:`MIN_CHUNK`
+    when the slice before keeps that many points, and goes otherwise; so
+    no slice, and no part of one up to an end, holds fewer than
+    :data:`MIN_CHUNK` points unless it starts at 0."""
+    bounds = [*range(0, n, size), n]
+    for end in sorted({*ends, n}):
+        i = bisect.bisect_left(bounds, end) - 1   # the slice that holds end
+        if i > 0 and end - bounds[i] < MIN_CHUNK:
+            if bounds[i] - bounds[i - 1] >= 2 * MIN_CHUNK:
+                bounds[i] -= MIN_CHUNK
+            else:
+                del bounds[i]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _monomials(nvars: int, order: int):

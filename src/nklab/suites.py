@@ -10,15 +10,13 @@ model, and emits one :class:`~nklab.report.CheckResult` per check.
 
 The run goes model by model, and each model's session walks its points
 chunk by chunk.  The session's points are cut into consecutive chunks of
-:data:`CHUNK` points, in order (:meth:`_Session.chunks`).  No chunk, and
-no key's part of a chunk (below), holds fewer than :data:`MIN_CHUNK`
-points unless the whole session or key does: a chunk start that falls
-less than that below the last point of the session or of a key moves
-down by :data:`MIN_CHUNK` points (:func:`_chunks`).  So every chunk
-starts at a multiple of 8, and each point keeps its place in the 8-point
-blocks of numpy's vector loops; with parts of at least 8 points, every
-source's per-point arrays then agree bit for bit with one large batch.
-Measured: a part of one to three points takes other numpy paths, and a
+:data:`CHUNK` points, in order (:meth:`_Session.chunks`), by the batch
+rule of :func:`~nklab.jets.chunks`.  No chunk, and no key's part of a
+chunk (below), holds fewer than 8 points unless the whole session or key
+does: a chunk start that falls less than that below the last point of the
+session or of a key moves down by 8 points.  So every chunk starts at a
+multiple of 8, and with parts of at least 8 points every source's
+per-point arrays agree bit for bit with one large batch.  Measured: a
 chunk starting at 60, 65 or 68 of 260 points changes exact rows.  The
 loop is chunk-major.  For each chunk, the model computes the
 shared sources its selected checks read on that chunk's share of their
@@ -111,7 +109,6 @@ residual is *supposed* to exceed the tolerance on a particular model
 """
 from __future__ import annotations
 
-import bisect
 import time
 import weakref
 from dataclasses import dataclass
@@ -119,6 +116,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ansatz as A
+from . import jets as J
 from . import models as M
 from . import nkcore as NK
 from . import reduction as R
@@ -383,29 +381,6 @@ def checks_for(suite: str, model: str) -> list[CheckSpec]:
 #: this many at a time.
 CHUNK = 64
 
-#: The fewest points in a chunk, and in a key's part of one; chunks start
-#: at its multiples.
-MIN_CHUNK = 8
-
-
-def _chunks(n: int, ends=()) -> list[slice]:
-    """Consecutive slices of :data:`CHUNK` points covering ``range(n)`` in
-    order, each starting at a multiple of :data:`MIN_CHUNK`.  A slice start
-    less than :data:`MIN_CHUNK` points below ``n`` or one of ``ends`` (the
-    point counts of the keys) moves down by :data:`MIN_CHUNK` when the
-    slice before keeps that many points, and goes otherwise; so no slice,
-    and no part of one up to an end, holds fewer than :data:`MIN_CHUNK`
-    points unless it starts at 0."""
-    bounds = [*range(0, n, CHUNK), n]
-    for end in sorted({*ends, n}):
-        i = bisect.bisect_left(bounds, end) - 1   # the slice that holds end
-        if i > 0 and end - bounds[i] < MIN_CHUNK:
-            if bounds[i] - bounds[i - 1] >= 2 * MIN_CHUNK:
-                bounds[i] -= MIN_CHUNK
-            else:
-                del bounds[i]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
 
 def _stripped(e: Exception) -> Exception:
     """``e`` with its tracebacks, and those of its causes, dropped, so a
@@ -508,12 +483,13 @@ class _Session:
         return self._ctx[key]
 
     def chunks(self) -> list[slice]:
-        """The session's chunks (:func:`_chunks`), cut so that no key's
-        part of a chunk holds fewer than :data:`MIN_CHUNK` points unless
-        the key does.  The keys come from :data:`_SOURCES`, not from the
-        sources a run selects, so every run cuts the points alike."""
+        """The session's chunks (:func:`~nklab.jets.chunks`), cut so that no
+        key's part of a chunk holds fewer than :data:`~nklab.jets.MIN_CHUNK`
+        points unless the key does.  The keys come from :data:`_SOURCES`,
+        not from the sources a run selects, so every run cuts the points
+        alike."""
         keys = {key for key, _ in _SOURCES.values() if key is not None}
-        return _chunks(self.samples, {self.npoints(key) for key in keys})
+        return J.chunks(self.samples, CHUNK, {self.npoints(key) for key in keys})
 
     def _rows(self, key: tuple) -> slice:
         """The indices of the key's points in the current chunk."""
@@ -691,7 +667,7 @@ def _src_homothety(s):
         alpha = np.concatenate([
             NK.constant_type_samples(EvalContext(chart, pts[rows], 1, mode=s.mode),
                                      _Probes(draws, rng, n, rows))
-            for rows in _chunks(n)])
+            for rows in J.chunks(n, CHUNK)])
         per_scale.append(np.abs(factor * alpha - 1.0).max(axis=1))
     return {"scaled_spread": np.max(per_scale, axis=0)}
 

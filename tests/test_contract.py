@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 import nklab
+from nklab import chart as C
+from nklab import findiff as F
+from nklab import jets as J
+from nklab import suites
 from nklab.chart import _contract_plan, contract
 
 _SRC = Path(nklab.__file__).resolve().parent
@@ -68,6 +72,40 @@ def test_contract_equals_einsum(module, spec, batch):
     got = contract(spec, *ops)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_batch_of_8_points_or_more_is_planned_once(monkeypatch):
+    # every (spec, shapes) the lab plans, exact and fd: the greedy order at
+    # 8 points is the one at a 64-point chunk and at the largest stencil
+    # block, so planning at 8 for all of them changes no arithmetic
+    seen = set()
+
+    def spy(spec, shapes):
+        seen.add((spec, shapes))
+        return _contract_plan(spec, shapes)
+
+    monkeypatch.setattr(C, "_contract_plan", spy)
+    for mode in ("exact", "fd"):
+        suites.run(samples=8, mode=mode)
+    assert len({spec for spec, _ in seen}) >= 25
+    for spec, shapes in seen:
+        batched = C._batch_operands(spec)
+        assert batched, spec
+        assert all(shapes[i][0] <= J.MIN_CHUNK for i in batched), (spec, shapes)
+
+        def plan(nb):
+            at = list(shapes)
+            for i in batched:
+                at[i] = (nb, *at[i][1:])
+            return _contract_plan.__wrapped__(spec, tuple(at))
+
+        assert plan(8) == plan(64) == plan(F.BLOCK + J.MIN_CHUNK - 1), (spec, shapes)
+
+
+def test_the_batch_letter_leads_the_output_and_its_operands():
+    assert C._batch_operands("zai,zab,zbj->zij") == (0, 1, 2)
+    assert C._batch_operands("ai,zab,bj->zij") == (1,)
+    assert C._batch_operands("iaj,i,j->a") == ()
 
 
 def test_no_multi_operand_einsum_outside_contract():

@@ -1,5 +1,7 @@
-"""Richardson stencil jets: one batched call per context, exact arithmetic order kept."""
+"""Richardson stencil jets: one stencil per context, evaluated block by block, exact
+arithmetic order kept."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from nklab import chart as C
 from nklab import findiff as F
 from nklab import jets as J
 from nklab import models as M
+from nklab import suites
 from nklab.chart import (ChartMap, DegenerateFrameError, EvalContext, OutOfDomainError,
                          sample_points)
 from nklab.findiff import fd_jet
@@ -58,17 +61,28 @@ def points(rng):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_one_call_on_every_stencil_point(points, order):
+def test_one_call_on_every_stencil_point(monkeypatch, points, order):
+    # 64-point blocks: each stencil point goes to f once, in order, in the
+    # blocks of the batch rule; at order 1 a 6-point remainder would be left
+    # of the 70 points, so the last block starts 8 points earlier
+    monkeypatch.setattr(F, "BLOCK", 64)
     space = J.jetspace(3, order)
-    noff = len({off for m in space.monomials for off, _ in F._stencil_for(m)})
+    h = F.default_step(order)
+    offsets = F._plan(space)[0]
+    stencil = points + np.array([h, h / 2.0])[:, None, None, None] * offsets[None, :, None, :]
+    stencil = stencil.reshape(-1, 3)
     calls = []
 
     def f(p):
-        calls.append(p.shape)
+        calls.append(p)
         return {"x": _sin_ax(p)}
 
-    F.fd_jet(f, points, space)
-    assert calls == [(2 * noff * len(points), 3)]
+    jet = F.fd_jet(f, points, space)["x"]
+    assert [len(p) for p in calls] == [rows.stop - rows.start
+                                       for rows in J.chunks(len(stencil), 64)]
+    assert order > 1 or [len(p) for p in calls] == [56, 14]
+    assert np.array_equal(np.concatenate(calls), stencil)
+    assert np.array_equal(jet.c, _reference(_sin_ax, points, space, h))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -176,6 +190,66 @@ def test_one_stencil_call_per_context(model, stencil_calls):
             assert stencil_calls == [sorted(chart.evaluators)], (chart.name, order)
             for name, jet in jets.items():
                 assert np.array_equal(jet.c, _per_root(ctx, name)), (chart.name, order, name)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_roots_from_small_blocks_equal_the_whole_stencil(monkeypatch, model):
+    # 64-point blocks: almost every stencil of 3 points spans several of
+    # them, and on s2s2 the order-2 one (198 points) would leave a 6-point
+    # remainder, so its last block starts 8 points earlier
+    monkeypatch.setattr(F, "BLOCK", 64)
+    for chart in M.build_model(model).charts:
+        pts = sample_points(chart, 3, np.random.default_rng(1))
+        for order in (1, 2, 3, 4):
+            ctx = EvalContext(chart, pts, order, mode="fd")
+            for name in chart.evaluators:
+                assert np.array_equal(ctx.root(name).c, _per_root(ctx, name)), (
+                    chart.name, order, name)
+
+
+@pytest.mark.parametrize("model", ["s6", "ansatz"])
+def test_fd_memory_is_that_of_exact(model):
+    # the whole lab of a model at 64 samples: the fd roots of a 64-point
+    # chunk (9344 stencil points at order 2) peak no higher than 1.5x the
+    # exact lab; with each stencil as one batch it read 2.1x on s6 and 2.2x
+    # on ansatz
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for mode in ("exact", "fd"):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            suites.run(models=(model,), samples=64, mode=mode)
+            peaks[mode] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks["fd"] <= 1.5 * peaks["exact"], peaks
+
+
+def test_a_field_failing_on_a_later_block_is_left_out(monkeypatch, stencil_calls):
+    # 8-point blocks of a 36-point stencil; only the first block holds the
+    # context's first point
+    monkeypatch.setattr(F, "BLOCK", 8)
+    pts = np.array([[0.0, 0.0], [0.3, -0.2]])
+    seen = []
+
+    def bad(ctx):
+        seen.append(ctx.nbatch)
+        if ctx.nbatch > 2 and not np.array_equal(ctx.points[0], pts[0]):
+            raise DegenerateFrameError("no frame past the first block")
+        return ctx.coord(0)
+
+    def metric(ctx):
+        return J.jconst(ctx.space, np.broadcast_to(np.eye(2), (ctx.nbatch, 2, 2)).copy())
+
+    chart = ChartMap("flat", [(-1.0, 1.0)] * 2, {"metric": metric, "bad": bad})
+    ctx = EvalContext(chart, pts, order=2, mode="fd")
+    seen.clear()
+    assert ctx.root("metric").c.shape == (2, 2, 6, 2)
+    assert stencil_calls == [["metric"]]
+    assert seen == [8, 8]       # tried on the second block, then no more
+    with pytest.raises(DegenerateFrameError):
+        ctx.root("bad")
 
 
 def test_a_field_failing_on_the_stencil_raises_only_when_requested(stencil_calls):

@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from nklab import jets as J
 from nklab import nkcore as NK
 from nklab import suites
 from nklab.chart import EvalContext
@@ -528,29 +529,27 @@ class TestQuantiles:
 class TestChunks:
     @pytest.mark.parametrize("n", [2, 7, 8, 63, 64, 65, 71, 72, 100, 128, 135, 136, 1000])
     def test_chunks_cover_every_point_once_in_order(self, n):
-        chunks = suites._chunks(n)
+        chunks = J.chunks(n, suites.CHUNK)
         assert [i for rows in chunks for i in range(n)[rows]] == list(range(n))
         sizes = [rows.stop - rows.start for rows in chunks]
-        assert min(sizes) >= min(n, suites.MIN_CHUNK), sizes
-        assert max(sizes) < suites.CHUNK + suites.MIN_CHUNK, sizes
+        assert min(sizes) >= min(n, J.MIN_CHUNK), sizes
+        assert max(sizes) < suites.CHUNK + J.MIN_CHUNK, sizes
         # a chunk starts where a whole batch has whole SIMD blocks
-        assert all(rows.start % suites.MIN_CHUNK == 0 for rows in chunks)
+        assert all(rows.start % J.MIN_CHUNK == 0 for rows in chunks)
 
-    def test_a_small_remainder_takes_points_from_the_chunk_before(self, monkeypatch):
-        assert suites._chunks(130) == [slice(0, 64), slice(64, 120), slice(120, 130)]
-        monkeypatch.setattr(suites, "CHUNK", 8)
+    def test_a_small_remainder_takes_points_from_the_chunk_before(self):
+        assert J.chunks(130, 64) == [slice(0, 64), slice(64, 120), slice(120, 130)]
         # with 8-point chunks, moving down reaches the start before: it goes
-        assert suites._chunks(20) == [slice(0, 8), slice(8, 20)]
-        assert suites._chunks(24) == [slice(0, 8), slice(8, 16), slice(16, 24)]
-        assert suites._chunks(5) == [slice(0, 5)]
+        assert J.chunks(20, 8) == [slice(0, 8), slice(8, 20)]
+        assert J.chunks(24, 8) == [slice(0, 8), slice(8, 16), slice(16, 24)]
+        assert J.chunks(5, 8) == [slice(0, 5)]
 
-    def test_a_chunk_start_just_below_a_keys_end_moves_down(self, monkeypatch):
+    def test_a_chunk_start_just_below_a_keys_end_moves_down(self):
         # 260 samples: [0:64] + [64:65] would leave the 65-point quarter key
         # a 1-point part
-        assert suites._chunks(260, {65, 260}) == [
+        assert J.chunks(260, 64, {65, 260}) == [
             slice(0, 56), slice(56, 128), slice(128, 192), slice(192, 248), slice(248, 260)]
-        monkeypatch.setattr(suites, "CHUNK", 16)
-        assert suites._chunks(68, {17, 68}) == [
+        assert J.chunks(68, 16, {17, 68}) == [
             slice(0, 8), slice(8, 32), slice(32, 48), slice(48, 56), slice(56, 68)]
 
     def test_no_keys_part_of_a_chunk_is_small(self):
@@ -561,13 +560,13 @@ class TestChunks:
             n = s.samples
             assert [i for rows in chunks for i in range(n)[rows]] == list(range(n))
             sizes = [rows.stop - rows.start for rows in chunks]
-            assert min(sizes) >= min(n, suites.MIN_CHUNK), (n, sizes)
-            assert max(sizes) <= suites.CHUNK + suites.MIN_CHUNK, (n, sizes)
-            assert all(rows.start % suites.MIN_CHUNK == 0 for rows in chunks), n
+            assert min(sizes) >= min(n, J.MIN_CHUNK), (n, sizes)
+            assert max(sizes) <= suites.CHUNK + J.MIN_CHUNK, (n, sizes)
+            assert all(rows.start % J.MIN_CHUNK == 0 for rows in chunks), n
             for share in shares:
                 k = s.npoints((0, share))
                 parts = [min(rows.stop, k) - rows.start for rows in chunks if rows.start < k]
-                assert min(parts) >= min(k, suites.MIN_CHUNK), (n, share, parts)
+                assert min(parts) >= min(k, J.MIN_CHUNK), (n, share, parts)
 
 
 def _computed(monkeypatch, chunk, model, mode, samples, sources):

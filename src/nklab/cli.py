@@ -17,7 +17,8 @@ Compare two reports row by row (status changes, largest residual drift)::
 Exit status: 0 when every check passed (expected failures count as
 passing), 1 when any check failed, 2 for usage errors, 3 when the run
 itself raised (an internal error).  With ``--diff``: 0 when no row changed
-status, 1 when one did, 2 when a report cannot be read.
+status, 1 when one did, 2 when a report cannot be read or holds no
+rows.
 """
 from __future__ import annotations
 

@@ -59,14 +59,14 @@ the ``suites`` sessions cut their sample points with it, and ``findiff``
 its stencil points.  Every part starts at a multiple of
 :data:`MIN_CHUNK`, so each point keeps its place in the 8-point blocks of
 numpy's vector loops, and no part holds fewer than :data:`MIN_CHUNK`
-points unless the whole batch does.  Measured: parts like that round
-every point as one batch does, bit for bit, while a part of one to three
-points takes other numpy paths.
+points unless the whole batch does; a prefix of whole :data:`MIN_CHUNK`
+blocks keeps both properties.  Measured: parts like that round every
+point as one batch does, bit for bit, while a part of one to three points
+takes other numpy paths.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,22 +110,20 @@ __all__ = [
 MIN_CHUNK = 8
 
 
-def chunks(n: int, size: int, ends=()) -> list[slice]:
+def chunks(n: int, size: int) -> list[slice]:
     """Consecutive slices of ``size`` points covering ``range(n)`` in
-    order, each starting at a multiple of :data:`MIN_CHUNK`.  A slice start
-    less than :data:`MIN_CHUNK` points below ``n`` or one of ``ends`` (where
-    a caller's own shorter batches end) moves down by :data:`MIN_CHUNK`
-    when the slice before keeps that many points, and goes otherwise; so
-    no slice, and no part of one up to an end, holds fewer than
-    :data:`MIN_CHUNK` points unless it starts at 0."""
+    order, ``size`` being a multiple of :data:`MIN_CHUNK`.  A last slice
+    start less than :data:`MIN_CHUNK` points below ``n`` moves down by
+    :data:`MIN_CHUNK` when the slice before keeps that many points, and
+    goes otherwise; so every slice starts at a multiple of
+    :data:`MIN_CHUNK`, and none holds fewer than :data:`MIN_CHUNK` points
+    unless it starts at 0."""
     bounds = [*range(0, n, size), n]
-    for end in sorted({*ends, n}):
-        i = bisect.bisect_left(bounds, end) - 1   # the slice that holds end
-        if i > 0 and end - bounds[i] < MIN_CHUNK:
-            if bounds[i] - bounds[i - 1] >= 2 * MIN_CHUNK:
-                bounds[i] -= MIN_CHUNK
-            else:
-                del bounds[i]
+    if len(bounds) > 2 and n - bounds[-2] < MIN_CHUNK:
+        if bounds[-2] - bounds[-3] >= 2 * MIN_CHUNK:
+            bounds[-2] -= MIN_CHUNK
+        else:
+            del bounds[-2]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -277,9 +275,6 @@ class Jet:
             sp = _lower(self, other)
             return Jet(sp, self.truncate(sp).c - other.truncate(sp).c)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return Jet(self.space, -self.c)

@@ -70,7 +70,8 @@ def write_jsonl(results, path: str) -> str:
 
 
 def read_jsonl(path: str) -> list[CheckResult]:
-    """The rows of a report written by :func:`write_jsonl`."""
+    """The rows of a report written by :func:`write_jsonl`; a report with
+    no rows raises ``ValueError``, so comparing it shows nothing."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -80,6 +81,8 @@ def read_jsonl(path: str) -> list[CheckResult]:
             if d.pop("schema", None) != SCHEMA_VERSION:
                 raise ValueError(f"{path}: not a schema-{SCHEMA_VERSION} report row")
             rows.append(CheckResult(**d))
+    if not rows:
+        raise ValueError(f"{path}: a report with no rows")
     return rows
 
 

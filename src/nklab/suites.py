@@ -10,15 +10,14 @@ model, and emits one :class:`~nklab.report.CheckResult` per check.
 
 The run goes model by model, and each model's session walks its points
 chunk by chunk.  The session's points are cut into consecutive chunks of
-:data:`CHUNK` points, in order (:meth:`_Session.chunks`), by the batch
-rule of :func:`~nklab.jets.chunks`.  No chunk, and no key's part of a
-chunk (below), holds fewer than 8 points unless the whole session or key
-does: a chunk start that falls less than that below the last point of the
-session or of a key moves down by 8 points.  So every chunk starts at a
-multiple of 8, and with parts of at least 8 points every source's
-per-point arrays agree bit for bit with one large batch.  Measured: a
-chunk starting at 60, 65 or 68 of 260 points changes exact rows.  The
-loop is chunk-major.  For each chunk, the model computes the
+:data:`CHUNK` points, in order, by the batch rule of
+:func:`~nklab.jets.chunks`: every chunk starts at a multiple of 8, and
+none holds fewer than 8 points unless the whole session does.  A key's
+points (below) are whole 8-point blocks or all the session's points, so
+its part of every chunk obeys the same rule, and every source's per-point
+arrays agree bit for bit with one large batch.  Measured: a chunk
+starting at 60, 65 or 68 of 260 points changes exact rows.  The loop is
+chunk-major.  For each chunk, the model computes the
 shared sources its selected checks read on that chunk's share of their
 points, grouped by the context key each source declares in
 :data:`_SOURCES`: by ascending key, in check order within a key.  A
@@ -45,15 +44,18 @@ Each model of a run gets one session.  Its ``ctx(key)`` is the one place
 that decides where a check looks: every source computation is handed the
 session's context of its declared key ``(order, share)``, so all of them
 share the run's points and derivative backend (``mode``).  A key's points
-are the first ``samples // share`` points of the session (at least 2); the
-part of them inside a chunk is a prefix of the chunk, which the context
-holds, with jets of ``order``; a chunk with none of them skips the key.  A
+are the first ``samples / share`` points of the session, rounded up to
+whole 8-point blocks, or all of them if that is fewer
+(:meth:`_Session.npoints`); the part of them inside a chunk is a prefix
+of the chunk, which the context holds, with jets of ``order``; a chunk
+with none of them skips the key.  A
 source's order is the lowest one whose jets its reads still trust:
 every check reads values only, so a source that differentiates its chart
 fields k times declares order k, and one order lower it raises
 ``ValueError``.  ``share`` thins the points of the costly sources:
 ``einstein``, ``lapom``, ``norms``, ``g0conn``, ``kahler``, ``canon`` and
-``sek`` read the first quarter.
+``sek`` read the first quarter, in whole 8-point blocks: 16 points at 50
+samples, 8 at 20.
 
 A point's residuals do not depend on its chunk.  The sources with random
 probes (``ortho``, ``type``, ``frame``, ``elem``, ``ctype``, ``sek``'s frame
@@ -466,8 +468,10 @@ class _Session:
 
     def npoints(self, key: tuple) -> int:
         """How many of the session's points a source of ``key = (order,
-        share)`` reads: the first ``samples // share``, at least 2."""
-        return max(2, self.samples // key[1])
+        share)`` reads: the first ``samples / share``, rounded up to whole
+        :data:`~nklab.jets.MIN_CHUNK` blocks, or all of them."""
+        block = J.MIN_CHUNK
+        return min(self.samples, block * -(-self.samples // (block * key[1])))
 
     def ctx(self, key: tuple) -> EvalContext:
         """The context of ``key = (order, share)`` on the current chunk: jets
@@ -481,15 +485,6 @@ class _Session:
             self._ctx[key] = EvalContext(self.chart, self.pts[self._rows(key)], order,
                                          mode=self.mode, roots=roots)
         return self._ctx[key]
-
-    def chunks(self) -> list[slice]:
-        """The session's chunks (:func:`~nklab.jets.chunks`), cut so that no
-        key's part of a chunk holds fewer than :data:`~nklab.jets.MIN_CHUNK`
-        points unless the key does.  The keys come from :data:`_SOURCES`,
-        not from the sources a run selects, so every run cuts the points
-        alike."""
-        keys = {key for key, _ in _SOURCES.values() if key is not None}
-        return J.chunks(self.samples, CHUNK, {self.npoints(key) for key in keys})
 
     def _rows(self, key: tuple) -> slice:
         """The indices of the key's points in the current chunk."""
@@ -558,7 +553,7 @@ class _Session:
         merged = dict.fromkeys(keyed)   # None, then the arrays, or the error
         clock = dict.fromkeys(todo, 0.0)
         try:
-            for self._chunk in self.chunks():
+            for self._chunk in J.chunks(self.samples, CHUNK):
                 live = [name for name in keyed if not isinstance(merged[name], Exception)
                         and self._chunk.start < self.npoints(_SOURCES[name][0])]
                 for name, nxt in zip(live, live[1:] + [None]):
@@ -718,7 +713,7 @@ def _src_base(s, ctx):
 
 
 def _src_sek(s, ctx):
-    return R.sekigawa_terms_at(ctx, s.probes("sek", 0))
+    return R.sekigawa_terms_at(ctx, s.probes("sek", s.seed + 8))
 
 
 def _finish_sek(out):

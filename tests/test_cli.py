@@ -1,5 +1,7 @@
 """Command-line front end: argument handling, exit codes, report files."""
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +210,32 @@ class TestDiff:
         assert cli.main(["--diff", str(bad), str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
         assert cli.main(["--diff", str(tmp_path / "none.jsonl"), str(bad)]) == 2
+
+    def test_empty_reports_are_refused(self, tmp_path, capsys):
+        # two empty reports agree on nothing: no rows is no evidence
+        for name in ("e1.jsonl", "e2.jsonl"):
+            (tmp_path / name).write_text("")
+        assert cli.main(["--diff", str(tmp_path / "e1.jsonl"),
+                         str(tmp_path / "e2.jsonl")]) == 2
+        assert "no rows" in capsys.readouterr().err
+
+
+def _rows_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "rows.py"
+    spec = importlib.util.spec_from_file_location("rows_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rows_compare_refuses_directories_without_reports(tmp_path, capsys):
+    rows = _rows_tool()
+    full = tmp_path / "full"
+    full.mkdir()
+    row = report.CheckResult("c", "s", "m", "pass", 1e-9, 1e-8)
+    report.write_jsonl([row], str(full / "lab-seed0.jsonl"))
+    assert rows.compare(full, full) == 0
+    assert rows.compare(tmp_path / "no-such-a", tmp_path / "no-such-b") == 1
+    assert rows.compare(full, tmp_path / "no-such") == 1
+    assert rows.compare(tmp_path / "no-such", full) == 1
+    assert "no *.jsonl report" in capsys.readouterr().out

@@ -183,6 +183,22 @@ class TestSessions:
         assert _models(contexts, "root") == {"s6", "ansatz", "s3s3"}
         assert not alive_contexts
 
+    def test_sek_frames_follow_the_seed(self, monkeypatch):
+        # the Sekigawa frame seeds are the probes of a generator seeded
+        # seed + 8: different at another seed, the same at the same one
+        monkeypatch.setattr(suites.R, "sekigawa_terms_at", lambda ctx, rng: {
+            "frames": rng.standard_normal((ctx.nbatch, 2, 4))})
+        monkeypatch.setitem(suites._FINISH, "sek", lambda out: out)
+
+        def frames(seed):
+            return suites._Sessions(32, seed, "exact")["s2s2"].get("sek")["frames"]
+
+        for seed in (0, 1):
+            want = np.random.default_rng(seed + 8).standard_normal((8, 2, 4))
+            assert np.array_equal(frames(seed), want), seed
+        assert np.array_equal(frames(1), frames(1))
+        assert not np.array_equal(frames(0), frames(1))
+
 
 def _track_contexts(monkeypatch):
     """(model, kind, weakref, chunk start) for every context a session builds
@@ -439,13 +455,14 @@ class TestSchedule:
         assert results and not any(r.status == "error" for r in results)
         assert not asked, f"contexts asked for outside compute: {asked}"
         assert not crowded, f"contexts built while another was alive: {crowded}"
-        chunks = suites._Sessions(samples, 0, mode)["s3s3"].chunks()
+        s = suites._Sessions(samples, 0, mode)["s3s3"]
+        chunks = J.chunks(samples, chunk)
         assert len(chunks) == (2 if chunk == 8 else 1)
         for model, source, start, order, points in calls:
             key = suites._SOURCES[source][0]
             if key is None:
                 continue
-            n = max(2, samples // key[1])
+            n = s.npoints(key)
             (rows,) = [c for c in chunks if c.start == start]
             assert start < n and order == key[0], (model, source, start)
             assert points == min(rows.stop, n) - start, (model, source, start)
@@ -544,19 +561,13 @@ class TestChunks:
         assert J.chunks(24, 8) == [slice(0, 8), slice(8, 16), slice(16, 24)]
         assert J.chunks(5, 8) == [slice(0, 5)]
 
-    def test_a_chunk_start_just_below_a_keys_end_moves_down(self):
-        # 260 samples: [0:64] + [64:65] would leave the 65-point quarter key
-        # a 1-point part
-        assert J.chunks(260, 64, {65, 260}) == [
-            slice(0, 56), slice(56, 128), slice(128, 192), slice(192, 248), slice(248, 260)]
-        assert J.chunks(68, 16, {17, 68}) == [
-            slice(0, 8), slice(8, 32), slice(32, 48), slice(48, 56), slice(56, 68)]
-
     def test_no_keys_part_of_a_chunk_is_small(self):
+        # a key's points are whole 8-point blocks or the whole session, so
+        # the session's chunks leave no key a small part
         s = suites._Session.__new__(suites._Session)
         shares = {key[1] for key, _ in suites._SOURCES.values() if key is not None}
         for s.samples in [*range(2, 300), 1000, 1027, 4099, 10_000]:
-            chunks = s.chunks()
+            chunks = J.chunks(s.samples, suites.CHUNK)
             n = s.samples
             assert [i for rows in chunks for i in range(n)[rows]] == list(range(n))
             sizes = [rows.stop - rows.start for rows in chunks]
@@ -589,11 +600,9 @@ def _assert_same(a, b, where):
 @pytest.mark.parametrize("model", suites.MODEL_NAMES)
 def test_a_points_results_do_not_depend_on_its_chunk(monkeypatch, model, mode):
     # each source with a context, on 16 of its points as one chunk and as the
-    # chunks [0:8] and [8:16]: its probes are drawn for all its points at once;
-    # and the quarter-share ones on 17 points, which 16-point chunks would
-    # leave a 1-point part: [0:8] and [8:17]
+    # chunks [0:8] and [8:16]: its probes are drawn for all its points at once
     sources = _lab_sources()[model]
-    for share, points, chunk in ((1, 16, 8), (4, 16, 8), (4, 17, 16)):
+    for share, points, chunk in ((1, 16, 8), (4, 16, 8)):
         mine = [source for source in sources if suites._SOURCES[source][0][1] == share]
         whole = _computed(monkeypatch, 64, model, mode, points * share, mine)
         split = _computed(monkeypatch, chunk, model, mode, points * share, mine)
@@ -621,18 +630,19 @@ def test_chunked_rows_equal_one_chunk(monkeypatch, mode):
     assert _fields(got) == _fields(want)
 
 
-def test_memory_does_not_grow_with_the_samples(monkeypatch):
+@pytest.mark.parametrize("model", suites.MODEL_NAMES)
+def test_memory_does_not_grow_with_the_samples(monkeypatch, model):
     # with 8-point chunks, 64 samples peak as 16 do: one chunk's contexts,
     # plus the per-point arrays
     monkeypatch.setattr(suites, "CHUNK", 8)
-    suites.run(models=("s3s3",), samples=16)
+    suites.run(models=(model,), samples=16)
     peaks = {}
     tracemalloc.start()
     try:
         for samples in (16, 64):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            suites.run(models=("s3s3",), samples=samples)
+            suites.run(models=(model,), samples=samples)
             peaks[samples] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -13,7 +13,8 @@ this repository's) once per workload configuration of
 such directories file by file with ``nklab.report.diff_reports`` and says,
 per file and overall, whether the rows are bit-identical: the same rows,
 statuses, residuals, values and quantiles.  It exits 0 when every status
-is kept and 1 when any row changed status or a file is missing.
+is kept, and 1 when any row changed status, a file is missing, or either
+directory holds no report.
 
 To compare a change with its parent, write the parent's rows from a second
 checkout (``git archive HEAD~1 | tar x -C /tmp/parent``)::
@@ -72,6 +73,10 @@ def identical(d: dict) -> bool:
 
 
 def compare(old: Path, new: Path) -> int:
+    for side in (old, new):
+        if not any(side.glob("*.jsonl")):
+            print(f"{side}: no *.jsonl report to compare")
+            return 1
     names = sorted({p.name for p in (*old.glob("*.jsonl"), *new.glob("*.jsonl"))})
     kept, same = True, True
     for name in names:

@@ -51,7 +51,6 @@ from .chart import (
 )
 from .exterior import d_form, wedge_jet
 from .models import ModelBundle, sphere_rotation
-from .reduction import Reduction, verify_killing_unit
 
 __all__ = [
     "BASE_RADIUS",
@@ -67,7 +66,6 @@ __all__ = [
     "GaugeSearchResult",
     "gauge_search",
     "assemble",
-    "certify_nk",
     "gauge_equivalence_residual",
 ]
 
@@ -365,46 +363,6 @@ def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
         default_killing="fiber",
         meta={"gauge": g, "conjugate": conjugate, "shift": tuple(shift)},
     )
-
-
-# ---------------------------------------------------------------------------
-# certification against the structure equations
-
-
-def certify_nk(bundle: ModelBundle = None, samples: int = 20, seed: int = 0) -> dict:
-    """Residual battery for the assembled model.
-
-    Covers the defining conditions (almost complex, metric-compatible,
-    skew covariant derivative), the type constant, the Einstein anchors,
-    the Killing property of the fiber field, the curvature anchors of the
-    two connection forms, and the twisted parallel equation.  Residuals are
-    per point of each check's context; the two ``alpha_*`` entries are scalars.
-    """
-    if bundle is None:
-        bundle = assemble()
-    chart = bundle.chart
-    rng = np.random.default_rng(seed)
-    pts = sample_points(chart, samples, rng)
-    ctx1 = EvalContext(chart, pts, order=1)
-    out = dict(NK.check_nearly_kahler(ctx1))
-
-    alpha = NK.constant_type_samples(ctx1, rng)
-    out["alpha_mean_err"] = float(abs(np.mean(alpha) - 1.0))
-    out["alpha_spread"] = float(np.max(alpha) - np.min(alpha))
-
-    ctx3 = EvalContext(chart, pts[: max(2, samples // 3)], order=3)
-    out.update(NK.einstein_and_ricci_star_check(ctx3))
-
-    red = Reduction(bundle.killing[bundle.default_killing])
-    ctx2 = EvalContext(chart, pts[: max(2, samples // 2)], order=2)
-    for k, v in verify_killing_unit(ctx2, red).items():
-        out[f"fiber_{k}"] = v
-
-    out.update(connection_residuals(ctx1, bundle.meta.get("shift", (0, 0))))
-    out["twisted_parallel"] = twisted_parallel_residual(
-        ctx1, bundle.meta["gauge"], bundle.meta["conjugate"],
-        bundle.meta.get("shift", (0, 0)))
-    return out
 
 
 def gauge_equivalence_residual(reference: ModelBundle, shift=(1, -1),

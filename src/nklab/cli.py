@@ -23,6 +23,7 @@ rows.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import report as REP
@@ -53,9 +54,13 @@ def split_tolerance_args(argv):
             if not check:
                 raise ValueError("empty check name in tolerance override")
             try:
-                overrides[check] = float(val)
+                tol = float(val)
             except ValueError:
                 raise ValueError(f"bad tolerance '{val}' for '{check}'") from None
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"tolerance for '{check}' must be finite and "
+                                 f"positive, got '{val}'")
+            overrides[check] = tol
         else:
             rest.append(arg)
         i += 1
@@ -86,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="comma-separated suites or 'all'; known: "
                         f"{', '.join(S.SUITES)}")
-    p.add_argument("--samples", type=_int_at_least(1), default=20,
-                   help="sample points per chart (default 20)")
+    p.add_argument("--samples", type=_int_at_least(2), default=20,
+                   help="sample points per chart, at least 2 (default 20)")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="random seed for sampling (default 0)")
     p.add_argument("--deriv-mode", choices=("exact", "fd"), default="exact",

@@ -90,9 +90,6 @@ __all__ = [
     "jgrad",
     "jsin",
     "jcos",
-    "jexp",
-    "jsqrt",
-    "jlog",
     "jrecip",
     "jentire",
     "jcompose",
@@ -623,32 +620,9 @@ def jcos(u: Jet) -> Jet:
     return _series_cycle(u, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)
 
 
-def jexp(u: Jet) -> Jet:
-    u0 = u.value_row
-    e = np.exp(u0)
-    coeffs = [e / math.factorial(k) for k in range(u.space.order + 1)]
-    return jcompose(u, coeffs)
-
-
-def jsqrt(u: Jet) -> Jet:
-    u0 = u.value_row
-    coeffs = [np.sqrt(u0)]
-    for k in range(1, u.space.order + 1):
-        coeffs.append(coeffs[-1] * (0.5 - (k - 1)) / (k * u0))
-    return jcompose(u, coeffs)
-
-
 def jrecip(u: Jet) -> Jet:
     u0 = u.value_row
     coeffs = [(-1.0) ** k * u0 ** (-k - 1) for k in range(u.space.order + 1)]
-    return jcompose(u, coeffs)
-
-
-def jlog(u: Jet) -> Jet:
-    u0 = u.value_row
-    coeffs = [np.log(u0)]
-    for k in range(1, u.space.order + 1):
-        coeffs.append((-1.0) ** (k + 1) * u0 ** (-k) / k)
     return jcompose(u, coeffs)
 
 

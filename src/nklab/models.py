@@ -26,7 +26,7 @@ import numpy as np
 
 from . import jets as J
 from .calculus import metric_inv
-from .chart import ChartMap, ConfigError, EvalContext, contract, sample_points
+from .chart import ChartMap, ConfigError, EvalContext, contract
 from .exterior import wedge, wedge_packed
 
 __all__ = [
@@ -36,10 +36,7 @@ __all__ = [
     "build_s6",
     "build_s2s2",
     "build_model",
-    "build_killing_field",
-    "build_flat_kahler",
     "MODEL_BUILDERS",
-    "calibrate_scale",
     "S3S3_SCALE",
     "S2S2_RADIUS",
     "qmul_v",
@@ -52,7 +49,7 @@ __all__ = [
 
 # Metric scale for which S3 x S3 has constant type 1 (scal = 30): the type
 # constant at scale 1 measures 4/9 and scales inversely with the metric, so
-# c = 4/9.  The value is re-derived at test time by calibrate_scale().
+# c = 4/9.  The tests check it through that homothety law.
 S3S3_SCALE = 4.0 / 9.0
 
 S2S2_RADIUS = 1.0 / (2.0 * math.sqrt(3.0))
@@ -175,6 +172,10 @@ _J_ALG = np.kron(np.array([[-1.0, 2.0], [-2.0, 1.0]]) / math.sqrt(3.0), np.eye(3
 _J_SWAP = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(3))
 # tensor-axis blocks of the two S3 factors
 _XX, _YY, _XY, _YX = np.s_[:3, :3], np.s_[3:, 3:], np.s_[:3, 3:], np.s_[3:, :3]
+# Killing generators at unit metric scale: the diagonal right translation
+# by k on both factors, and the left translation by the quaternion i
+_XI_DIAG = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+_XI_LEFT = np.array([0.0, 1.0, 0.0, 0.0])
 
 
 def _s3s3_frames(ctx: EvalContext):
@@ -210,9 +211,8 @@ def _s3s3_J_evaluator(jalg: np.ndarray):
     return ev
 
 
-def _s3s3_xi_diag_evaluator(c_scale: float, axis=(0.0, 0.0, 1.0)):
-    a = np.array(axis) / np.linalg.norm(axis) / math.sqrt(c_scale)
-    v6 = np.concatenate([a, a])
+def _s3s3_xi_diag_evaluator(c_scale: float):
+    v6 = _XI_DIAG / math.sqrt(c_scale)
 
     def ev(ctx):
         _, minv = _s3s3_frames(ctx)
@@ -221,9 +221,8 @@ def _s3s3_xi_diag_evaluator(c_scale: float, axis=(0.0, 0.0, 1.0)):
     return ev
 
 
-def _s3s3_xi_left_evaluator(c_scale: float, p0: np.ndarray, axis=(1.0, 0.0, 0.0)):
-    b = np.array(axis) / np.linalg.norm(axis) / math.sqrt(c_scale)
-    bq = np.concatenate([[0.0], b])
+def _s3s3_xi_left_evaluator(c_scale: float, p0: np.ndarray):
+    bq = _XI_LEFT / math.sqrt(c_scale)
     bp = qmul_v(qmul_v(qconj_v(p0), bq), p0)  # Ad_{p0^{-1}} b
     right_bp = np.einsum("ijk,k->ij", _QT, bp)  # q -> q bp, as a matrix
 
@@ -300,21 +299,6 @@ def transition_s3s3(bundle: ModelBundle, i_from: int, i_to: int, coords: np.ndar
     x2 = qlog_v(qmul_v(qconj_v(pb), p))
     y2 = qlog_v(qmul_v(qconj_v(qb), q))
     return np.concatenate([x2, y2], axis=-1)
-
-
-def calibrate_scale(samples: int = 12, seed: int = 0) -> float:
-    """Metric scale on S3 x S3 giving constant type 1.
-
-    Measures the type constant at scale 1 and applies the homothety law
-    alpha(c) = alpha(1)/c.
-    """
-    from .nkcore import constant_type_samples
-
-    chart = build_s3s3(scale=1.0, charts=("a",)).chart
-    rng = np.random.default_rng(seed)
-    ctx = EvalContext(chart, sample_points(chart, samples, rng), 1)
-    alphas = constant_type_samples(ctx, rng)
-    return float(np.mean(alphas))
 
 
 # ---------------------------------------------------------------------------
@@ -458,48 +442,6 @@ def build_s2s2(radii: tuple[float, float] | None = None) -> ModelBundle:
     }
     ch = ChartMap("s2s2:main", box, ev, orientation=1.0)
     return ModelBundle(name="s2s2", charts=[ch])
-
-
-def build_killing_field(bundle: ModelBundle, direction=(0.0, 0.0, 1.0), family: str = "diag") -> str:
-    """Register an extra Killing-candidate evaluator on every chart of an
-    S3 x S3 bundle and return its name.
-
-    ``family`` selects the diagonal right-translation generator or the
-    left-translation generator on the first factor.  The field is scaled
-    so that it has unit length when the model metric is the calibrated
-    one (|xi|^2 = scale * |a|^2 for the diagonal family).
-    """
-    if bundle.name != "s3s3":
-        raise ConfigError("build_killing_field only applies to the s3s3 model")
-    a = np.asarray(direction, dtype=float)
-    if np.linalg.norm(a) < 1e-12:
-        raise ConfigError("direction must be nonzero")
-    c_scale = bundle.meta["scale"]
-    name = f"xi:{family}:{','.join(f'{v:g}' for v in a)}"
-    for ch in bundle.charts:
-        if family == "diag":
-            ch.evaluators[name] = _s3s3_xi_diag_evaluator(c_scale, tuple(a))
-        elif family == "left":
-            ch.evaluators[name] = _s3s3_xi_left_evaluator(c_scale, ch.meta["centers"][0], tuple(a))
-        else:
-            raise ConfigError(f"unknown Killing family '{family}'")
-    bundle.killing[name] = name
-    return name
-
-
-def build_flat_kahler() -> ModelBundle:
-    """Flat C^3: constant metric and constant compatible J (for trivial
-    controls -- nabla J = 0 so every NK residual vanishes identically)."""
-    jmat = np.kron(np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]))
-
-    def ev_g(ctx):
-        return J.jconst(ctx.space, np.broadcast_to(np.eye(6), (ctx.nbatch, 6, 6)).copy())
-
-    def ev_j(ctx):
-        return J.jconst(ctx.space, np.broadcast_to(jmat, (ctx.nbatch, 6, 6)).copy())
-
-    ch = ChartMap("flat:c3", [(-1.0, 1.0)] * 6, {"metric": ev_g, "J": ev_j}, orientation=1.0)
-    return ModelBundle(name="flat", charts=[ch])
 
 
 MODEL_BUILDERS = {

@@ -8,8 +8,7 @@ torsion, the classical first-order identities, the constant-type property
 with its four-argument polarization, adapted frames with the canonical
 expansions of the torsion 3-form, the Einstein and star-Ricci
 normalizations, and the Laplacian eigenvalue equations of the fundamental
-2-form.  The one check without a context, :func:`constant_type_at`, takes
-a chart, one point and one tangent pair, and uses exact jets.
+2-form.
 
 Residual functions return ``{name: array}`` dictionaries: each residual
 is a float array of shape ``(nbatch,)``, the max of its absolute value at
@@ -31,7 +30,6 @@ import numpy as np
 from . import calculus as C
 from . import jets as J
 from .chart import (
-    ChartMap,
     DegenerateFrameError,
     DegeneratePairError,
     EvalContext,
@@ -62,7 +60,6 @@ __all__ = [
     "gray_identities_check",
     "orthogonality_residuals",
     "type_tensor_check",
-    "constant_type_at",
     "constant_type_samples",
     "frame_expansion_check",
     "elementary_identity_check",
@@ -240,30 +237,6 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
 
 # ---------------------------------------------------------------------------
 # constant type
-
-
-def constant_type_at(chart: ChartMap, p, x, y) -> float:
-    """Rayleigh quotient |(nabla_X J)Y|^2 / (|X|^2 |Y|^2 - g(X,Y)^2 - g(JX,Y)^2).
-
-    Evaluated with exact jets at the single chart point ``p``.  Raises
-    ``DegeneratePairError`` when Y lies in the J-invariant plane spanned by
-    X and JX, where the denominator vanishes.
-    """
-    ctx = EvalContext(chart, p, order=1)
-    g = C.metric(ctx).val[0]
-    jv = j_field(ctx).val[0]
-    nj = nabla_j(ctx).val[0]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx2 = x @ g @ x
-    ny2 = y @ g @ y
-    den = nx2 * ny2 - (x @ g @ y) ** 2 - (np.einsum("ai,i->a", jv, x) @ g @ y) ** 2
-    if den <= 1e-10 * max(nx2 * ny2, 1e-30):
-        raise DegeneratePairError(
-            "constant-type quotient undefined: second vector lies in the "
-            "J-plane of the first")
-    v = contract("iaj,i,j->a", nj, x, y)
-    return float((v @ g @ v) / den)
 
 
 def constant_type_samples(ctx: EvalContext, rng) -> np.ndarray:

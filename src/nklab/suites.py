@@ -122,7 +122,7 @@ from . import jets as J
 from . import models as M
 from . import nkcore as NK
 from . import reduction as R
-from .chart import EvalContext, sample_points
+from .chart import ConfigError, EvalContext, sample_points
 from .report import CheckResult
 
 __all__ = [
@@ -449,7 +449,7 @@ class _Session:
     def __init__(self, model: str, samples: int, seed: int, mode: str,
                  peers: _Sessions):
         self.model = model
-        self.samples = max(2, int(samples))
+        self.samples = int(samples)
         self.seed = int(seed)
         self.mode = mode
         self.bundle = M.build_model(model)
@@ -876,8 +876,10 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     chunk by chunk (:meth:`_Session.compute`), and keeps no context after,
     nor, but for :data:`_PEER`, any result once its rows are out.
     The rows come back in suite order, as if the suites had run one after
-    the other.
+    the other.  ``samples`` below 2 raises :class:`~nklab.chart.ConfigError`.
     """
+    if samples < 2:
+        raise ConfigError(f"samples must be at least 2, got {samples}")
     suite_names = list(SUITES) if suites is None else list(suites)
     pairs = []
     for suite in suite_names:

@@ -4,6 +4,7 @@ import pytest
 
 from nklab import ansatz as A
 from nklab import jets as J
+from nklab import nkcore as NK
 from nklab import reduction as R
 from nklab.chart import (
     ConfigError,
@@ -12,6 +13,12 @@ from nklab.chart import (
     InvariantViolation,
     sample_points,
 )
+
+
+def _points(bundle, n, seed):
+    """n sample points of the bundle's chart, and the rng left after drawing them."""
+    rng = np.random.default_rng(seed)
+    return sample_points(bundle.chart, n, rng), rng
 
 
 @pytest.fixture(scope="module")
@@ -95,19 +102,26 @@ class TestAssembly:
 
     def test_wrong_gauge_breaks_structure_not_algebra(self):
         b = A.assemble(gauge=(0, 0), certify=False)
-        cert = A.certify_nk(b, samples=6, seed=23)
-        assert np.max(cert["j_square"]) < 1e-12          # pointwise algebra intact
-        assert np.max(cert["nk_condition"]) > 0.1        # geometry broken
-        assert cert["alpha_spread"] > 0.1
+        pts, rng = _points(b, 6, seed=23)
+        ctx = EvalContext(b.chart, pts, order=1)
+        res = NK.check_nearly_kahler(ctx)
+        assert np.max(res["j_square"]) < 1e-12          # pointwise algebra intact
+        assert np.max(res["nk_condition"]) > 0.1        # geometry broken
+        alpha = NK.constant_type_samples(ctx, rng)
+        assert np.max(alpha) - np.min(alpha) > 0.1
 
     def test_certification_dict(self, ansatz_bundle):
-        cert = A.certify_nk(ansatz_bundle, samples=10, seed=24)
-        assert np.max(cert["nk_condition"]) < 1e-12
-        assert cert["alpha_mean_err"] < 1e-12
-        assert abs(np.mean(cert["scal_value"]) - 30.0) < 1e-11
-        assert np.max(cert["fiber_unit_length"]) == 0.0
-        assert np.max(cert["fiber_killing"]) == 0.0
-        assert np.max(cert["twisted_parallel"]) < 1e-13
+        ch = ansatz_bundle.chart
+        pts, rng = _points(ansatz_bundle, 10, seed=24)
+        ctx = EvalContext(ch, pts, order=1)
+        assert np.max(NK.check_nearly_kahler(ctx)["nk_condition"]) < 1e-12
+        assert abs(np.mean(NK.constant_type_samples(ctx, rng)) - 1.0) < 1e-12
+        scal = NK.einstein_and_ricci_star_check(EvalContext(ch, pts[:3], order=3))["scal_value"]
+        assert abs(np.mean(scal) - 30.0) < 1e-11
+        fiber = R.verify_killing_unit(EvalContext(ch, pts[:5], order=2), R.Reduction("xi:fiber"))
+        assert np.max(fiber["unit_length"]) == 0.0
+        assert np.max(fiber["killing"]) == 0.0
+        assert np.max(A.twisted_parallel_residual(ctx, A.DEFAULT_GAUGE)) < 1e-13
 
 
 class TestGaugeEquivalence:
@@ -126,9 +140,9 @@ class TestGaugeEquivalence:
 
     def test_shifted_model_still_certifies(self):
         b = A.assemble(shift=(1, -1))
-        cert = A.certify_nk(b, samples=6, seed=26)
-        assert np.max(cert["nk_condition"]) < 1e-12
-        assert np.max(cert["twisted_parallel"]) < 1e-13
+        ctx = EvalContext(b.chart, _points(b, 6, seed=26)[0], order=1)
+        assert np.max(NK.check_nearly_kahler(ctx)["nk_condition"]) < 1e-12
+        assert np.max(A.twisted_parallel_residual(ctx, A.DEFAULT_GAUGE, shift=(1, -1))) < 1e-13
 
 
 class TestReductionAgreement:

@@ -7,8 +7,10 @@ it stays.  Uses inside the package are resolved through the AST: a name
 counts where it is imported from its module, read as ``alias.name`` off an
 imported module, or read in its own module where no local variable or
 parameter shadows it.  ``perfbench`` and the README reach the package
-only through module objects, so there an attribute, an imported name or
-a name string (``perfbench`` wraps functions by name) counts.
+only through module objects, so there an attribute not read off another
+library's module, a name imported from ``nklab`` or a name string
+(``perfbench`` wraps functions by name) counts.  A :data:`KEEP` entry
+whose name has a user is stale, so the list only shrinks.
 """
 import ast
 import importlib
@@ -24,16 +26,6 @@ _MODULES = {p.stem: p for p in sorted(_SRC.glob("*.py"))}
 #: (module, name) -> why a public name that nothing above uses stays
 KEEP = {
     ("__init__", "__version__"): "the package version, for tools that read it",
-    ("jets", "jexp"): "tests build the conformal-chart Christoffel anchor with it "
-                      "and check jcompose through it",
-    ("jets", "jsqrt"): "tests check jcompose through it",
-    ("jets", "jlog"): "tests check jcompose through it",
-    ("nkcore", "constant_type_at"): "the independent single-pair route to the type "
-                                    "constant, and the only DegeneratePairError test",
-    ("ansatz", "certify_nk"): "the tests' battery for wrong-gauge and shifted assemblies",
-    ("models", "build_flat_kahler"): "the Kahler control of the tests",
-    ("models", "build_killing_field"): "tests build Killing fields with it",
-    ("models", "calibrate_scale"): "tests re-derive S3S3_SCALE with it",
     ("models", "transition_s3s3"): "the chart transition that exercising the second "
                                    "s3s3 chart needs",
 }
@@ -112,11 +104,18 @@ def _outside_names():
     readme = (_ROOT / "README.md").read_text()
     sources += re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     for text in sources:
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        # modules of other libraries, such as numpy's ``np.__version__``
+        foreign = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for a in node.names
+                   if a.name.split(".")[0] != "nklab"}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                if getattr(node.value, "id", None) not in foreign:
+                    names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                names.update(a.name for a in node.names)
+                if (node.module or "").split(".")[0] == "nklab":
+                    names.update(a.name for a in node.names)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
     # inline code such as `reduction.sekigawa_terms_at` or `gauge_search(ctx)`
@@ -140,6 +139,12 @@ _TREES, _USES, _REEXPORTED = _surface()
 _OUTSIDE = _outside_names()
 
 
+def _used(stem, name):
+    """Whether the package, ``perfbench`` or the README uses ``stem.name``."""
+    home = _REEXPORTED.get(name, stem) if stem == "__init__" else stem
+    return (home, name) in _USES or name in _OUTSIDE
+
+
 def test_scan_sees_the_package():
     assert ("calculus", "covd") in _USES           # from .calculus import covd
     assert ("jets", "jj") in _USES                 # J.jj
@@ -153,14 +158,18 @@ def test_keep_list_names_public_names():
         assert name in _public(_TREES[stem]), (stem, name)
 
 
+def test_keep_list_holds_only_names_without_another_user():
+    # an entry whose name the package, perfbench or the README now uses is stale
+    assert [f"{stem}.{name}" for stem, name in KEEP if _used(stem, name)] == []
+
+
 def test_every_public_name_has_a_user():
     unused = []
     for stem, tree in _TREES.items():
         module = importlib.import_module("nklab" if stem == "__init__" else f"nklab.{stem}")
         for name in _public(tree):
             assert hasattr(module, name), f"{stem}.{name} does not resolve"
-            home = _REEXPORTED.get(name, stem) if stem == "__init__" else stem
-            if (stem, name) in KEEP or (home, name) in _USES or name in _OUTSIDE:
+            if (stem, name) in KEEP or _used(stem, name):
                 continue
             unused.append(f"{stem}.{name}")
     assert unused == []

@@ -31,6 +31,15 @@ class TestToleranceArgs:
         with pytest.raises(ValueError):
             cli.split_tolerance_args(["--tol.=1e-4"])
 
+    @pytest.mark.parametrize("val", ["inf", "-inf", "nan", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, val, capsys):
+        # inf would pass any finite residual; nan, 0 and -1 would fail every row
+        with pytest.raises(ValueError, match="finite and positive"):
+            cli.split_tolerance_args([f"--tol.gray-5={val}"])
+        argv = ["--suite", "gray", "--model", "s3s3", "--samples", "4", "--tol.gray-5", val]
+        assert cli.main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error_unknown_suite(self, capsys):
@@ -45,7 +54,7 @@ class TestExitCodes:
         assert "unknown check" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--samples", "0"],
-                                      ["--samples", "-5"]])
+                                      ["--samples", "-5"], ["--samples", "1"]])
     def test_usage_error_out_of_range_number(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)

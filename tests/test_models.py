@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nklab import models as M
-from nklab import nkcore as NK
 from nklab.chart import ConfigError, EvalContext, sample_points
 
 small3 = st.lists(st.floats(min_value=-1.2, max_value=1.2), min_size=3, max_size=3)
@@ -95,11 +94,6 @@ class TestBundles:
         fwd = M.transition_s3s3(s3s3, 1, 0, back)
         assert np.max(np.abs(fwd - xa)) < 1e-12
 
-    def test_calibrated_scale(self):
-        # the frozen constant is re-derived, not trusted
-        measured = M.calibrate_scale(samples=10, seed=0)
-        assert abs(measured - M.S3S3_SCALE) < 1e-10
-
     def test_s6_conformal_oracle(self, s6):
         # stereographic metric is 4/(1+|x|^2)^2 times flat in 6 coordinates
         ch = s6.charts[0]
@@ -124,24 +118,6 @@ class TestKillingFields:
         assert np.max(np.abs(n2 - 1.0)) < 1e-12
         lg = C.lie_derivative(ctx, xi, g, "ll").val
         assert np.max(np.abs(lg)) < 1e-12
-
-    def test_build_killing_field_validation(self, s3s3):
-        with pytest.raises(ConfigError):
-            M.build_killing_field(M.build_model("s6"))
-        with pytest.raises(ConfigError):
-            M.build_killing_field(s3s3, direction=(0.0, 0.0, 0.0))
-
-    def test_build_killing_field_registers(self):
-        b = M.build_s3s3()
-        name = M.build_killing_field(b, direction=(1.0, 2.0, 2.0))
-        assert all(ch.has(name) for ch in b.charts)
-
-    def test_flat_control_has_no_torsion(self):
-        b = M.build_flat_kahler()
-        pts = sample_points(b.chart, 6, np.random.default_rng(0))
-        res = NK.check_nearly_kahler(EvalContext(b.chart, pts, 1))
-        assert np.max(res["torsion_scale"]) == 0.0
-        assert np.max(res["j_square"]) < 1e-14
 
 
 class TestOrientation:

@@ -5,6 +5,7 @@ import pytest
 from nklab import models as M
 from nklab import nkcore as NK
 from nklab.chart import DegeneratePairError, EvalContext, sample_points
+from oracles import constant_type_at, flat_kahler
 
 
 def _ctx(bundle, n=6, order=2, seed=0, chart=0):
@@ -98,7 +99,7 @@ class TestConstantType:
                 y = y - (y @ g @ w) / (w @ g @ w) * w
             if y @ g @ y > 1e-6:
                 break
-        val = NK.constant_type_at(nk_bundle.chart, p, x, y)
+        val = constant_type_at(nk_bundle.chart, p, x, y)
         assert abs(val - 1.0) < 1e-10
 
     def test_degenerate_pair_raises(self, nk_bundle):
@@ -107,7 +108,7 @@ class TestConstantType:
         jm = NK.j_field(ctx).val[0]
         x = np.eye(6)[0]
         with pytest.raises(DegeneratePairError):
-            NK.constant_type_at(nk_bundle.chart, p, x, jm @ x)   # y in span{x, Jx}
+            constant_type_at(nk_bundle.chart, p, x, jm @ x)   # y in span{x, Jx}
 
     def test_homothety_scaling(self):
         # alpha multiplies by 1/c when the metric multiplies by c
@@ -143,10 +144,10 @@ class TestNegativeControls:
         assert np.max(res["nk_condition"]) > 0.1        # but not nearly Kahler
 
     def test_flat_kahler_is_torsion_free(self):
-        b = M.build_flat_kahler()
-        res = NK.check_nearly_kahler(_ctx(b, n=5, order=1))
+        res = NK.check_nearly_kahler(_ctx(flat_kahler(), n=5, order=1))
         assert np.max(res["nk_condition"]) == 0.0
         assert np.max(res["torsion_scale"]) == 0.0
+        assert np.max(res["j_square"]) < 1e-14
 
 
 @pytest.mark.parametrize("batch_last", [True, False])

@@ -13,7 +13,7 @@ import pytest
 from nklab import jets as J
 from nklab import nkcore as NK
 from nklab import suites
-from nklab.chart import EvalContext
+from nklab.chart import ConfigError, EvalContext
 
 
 class TestExtract:
@@ -136,6 +136,11 @@ class TestMinimalOrders:
 
 
 class TestSessions:
+    def test_fewer_than_two_samples_are_refused(self):
+        # a session does not raise the count silently: rows would record 2
+        with pytest.raises(ConfigError, match="at least 2"):
+            suites.run(samples=1)
+
     def test_fd_run_evaluates_no_exact_derivatives(self, monkeypatch):
         # every context of order >= 1 whose roots a fd run evaluates is in fd
         # mode; order-0 contexts (chart validation, orientation, fd stencils)

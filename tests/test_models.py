@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nklab import models as M
+from nklab import nkcore as NK
 from nklab.chart import ConfigError, EvalContext, sample_points
+from oracles import flat_kahler
 
 small3 = st.lists(st.floats(min_value=-1.2, max_value=1.2), min_size=3, max_size=3)
 
@@ -118,6 +120,13 @@ class TestKillingFields:
         assert np.max(np.abs(n2 - 1.0)) < 1e-12
         lg = C.lie_derivative(ctx, xi, g, "ll").val
         assert np.max(np.abs(lg)) < 1e-12
+
+    def test_flat_control_has_no_torsion(self):
+        b = flat_kahler()
+        pts = sample_points(b.chart, 6, np.random.default_rng(0))
+        res = NK.check_nearly_kahler(EvalContext(b.chart, pts, 1))
+        assert np.max(res["torsion_scale"]) == 0.0
+        assert np.max(res["j_square"]) < 1e-14
 
 
 class TestOrientation:

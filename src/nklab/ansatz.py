@@ -316,7 +316,7 @@ def _build_chart(gauge, conjugate, shift, printed) -> ChartMap:
     ev = {
         "metric": _metric_evaluator(gauge, conjugate, shift, printed),
         "J": _j_evaluator(gauge, conjugate, shift),
-        "xi:fiber": _fiber_evaluator(),
+        "xi": _fiber_evaluator(),
     }
     return ChartMap("ansatz:main", box, ev, orientation=1.0)
 
@@ -328,7 +328,7 @@ def _certify_chart(chart: ChartMap) -> None:
     ctx = EvalContext(chart, pts, order=0)
     g = ctx.root("metric").val
     jm = ctx.root("J").val
-    xi = ctx.root("xi:fiber").val
+    xi = ctx.root("xi").val
     for identity, r in (
             ("acs_square", np.einsum("zab,zbc->zac", jm, jm) + np.eye(_DIM)),
             ("acs_compatibility", contract("zai,zab,zbj->zij", jm, g, jm) - g),
@@ -356,13 +356,8 @@ def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
     from .models import _fix_orientation_nk6
 
     _fix_orientation_nk6(ch)
-    return ModelBundle(
-        name="ansatz",
-        charts=[ch],
-        killing={"fiber": "xi:fiber"},
-        default_killing="fiber",
-        meta={"gauge": g, "conjugate": conjugate, "shift": tuple(shift)},
-    )
+    return ModelBundle(name="ansatz", charts=[ch],
+                       meta={"gauge": g, "conjugate": conjugate, "shift": tuple(shift)})
 
 
 def gauge_equivalence_residual(reference: ModelBundle, shift=(1, -1),

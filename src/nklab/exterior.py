@@ -43,7 +43,6 @@ __all__ = [
     "interior",
     "form_ip",
     "form_norm2",
-    "levi_civita",
     "hodge",
     "hodge_packed",
     "d_form",
@@ -211,25 +210,14 @@ def form_norm2(a: np.ndarray, p: int, ginv: np.ndarray, full: bool = False) -> n
     return form_ip(a, a, p, ginv, full=full)
 
 
-@lru_cache(maxsize=None)
-def levi_civita(d: int) -> np.ndarray:
-    return _unpack(np.ones(1), d, d)
-
-
 def hodge(a: np.ndarray, p: int, g: np.ndarray, ginv: np.ndarray, orientation: float = 1.0) -> np.ndarray:
-    """Hodge star of a batch-first p-form value; result is a (d-p)-form."""
+    """Hodge star of a batch-first p-form value; result is a (d-p)-form.
+
+    ``hodge_packed`` unpacked, so ``a`` must be a form and the result is
+    exactly antisymmetric.
+    """
     d = g.shape[-1]
-    q = d - p
-    sqg = np.sqrt(np.linalg.det(g))
-    eps = levi_civita(d)
-    if p == 0:
-        out = np.einsum("b,...->b...", a * sqg, eps)
-        return orientation * out
-    au = _raise_all(a, p, ginv)
-    li = _LETTERS[:p]
-    lj = _LETTERS[p:p + q]
-    out = np.einsum(f"b{li},{li}{lj}->b{lj}", au, eps) / math.factorial(p)
-    return orientation * out * sqg[(...,) + (None,) * q]
+    return np.moveaxis(_unpack(hodge_packed(a, p, g, ginv, orientation).T, d, d - p), -1, 0)
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +227,7 @@ def _complement_table(d: int, q: int):
     combos = _combinations(d, q)
     rest = np.array([[i for i in range(d) if i not in c] for c in combos.tolist()],
                     dtype=np.intp).reshape(len(combos), d - q)
-    eps = levi_civita(d).reshape(-1)
+    _, eps = _unpack_table(d, d)
     return _flat(rest, d), eps[_flat(np.concatenate([rest, combos], axis=1), d)]
 
 
@@ -249,9 +237,7 @@ def hodge_packed(a: np.ndarray, p: int, g: np.ndarray, ginv: np.ndarray,
 
     Shape ``(nbatch, C(d, d - p))``, columns in lexicographic order of the
     multi-indices; ``a`` must be a form, since only the increasing component
-    of each complement is read.  For p <= 1 the components equal those of
-    ``hodge`` bit for bit; above, ``hodge`` sums p! equal terms and divides,
-    so the two differ by rounding.
+    of each complement is read.
     """
     d = g.shape[-1]
     slot, sign = _complement_table(d, d - p)

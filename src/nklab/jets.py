@@ -95,7 +95,6 @@ __all__ = [
     "jcompose",
     "jmatinv",
     "SINC_SQRT",
-    "COS_SQRT",
     "VERSINE_RATIO",
     "SINC_DEFECT",
     "MIN_CHUNK",
@@ -660,10 +659,9 @@ def _entire_coeffs(fn, M: int = 40) -> np.ndarray:
     return np.array([fn(m) for m in range(M)])
 
 
-# sin(sqrt(s))/sqrt(s), cos(sqrt(s)) and friends -- analytic in s = |v|^2,
+# sin(sqrt(s))/sqrt(s) and friends -- analytic in s = |v|^2,
 # which sidesteps the sqrt branch point at v = 0 in exponential charts.
 SINC_SQRT = _entire_coeffs(lambda m: (-1.0) ** m / math.factorial(2 * m + 1))
-COS_SQRT = _entire_coeffs(lambda m: (-1.0) ** m / math.factorial(2 * m))
 # (1 - cos(2 sqrt(s))) / (2 s)
 VERSINE_RATIO = _entire_coeffs(lambda j: (-1.0) ** j * 4.0 ** (j + 1) / (2 * math.factorial(2 * j + 2)))
 # (1 - sinc(2 sqrt(s))) / s

@@ -108,20 +108,6 @@ def qlog_v(q: np.ndarray) -> np.ndarray:
 # quaternion helpers (jet level)
 
 
-def _jqmul(a: J.Jet, b: J.Jet) -> J.Jet:
-    outer = J.jj("j,k->jk", a, b)
-    return J.jc("ijk,jk->i", _QT, outer)
-
-
-def _qexp_jet(x: J.Jet) -> J.Jet:
-    """exp of a pure-imaginary (3,)-jet -> (4,)-jet, entire in |x|^2."""
-    s = J.jj("a,a->", x, x)
-    c = J.jentire(s, J.COS_SQRT)
-    sc = J.jentire(s, J.SINC_SQRT)
-    vec = J.jj(",a->a", sc, x)
-    return J.jassemble((4,), [(0, c), (np.s_[1:], vec)])
-
-
 def _transport_jet(x: J.Jet) -> J.Jet:
     """T(x): coordinate basis -> left-trivialized Lie algebra, (3,3)-jet."""
     s = J.jj("a,a->", x, x)
@@ -140,12 +126,15 @@ def _transport_jet(x: J.Jet) -> J.Jet:
 
 @dataclass
 class ModelBundle:
-    """A registered geometry: charts plus roles of its field evaluators."""
+    """A registered geometry: its charts, and facts about how it was built.
+
+    A chart that carries the Killing field the reduction runs on names its
+    evaluator ``xi``: unit on ``s3s3`` and ``ansatz``, a rotation that is
+    nowhere unit on ``s6``.
+    """
 
     name: str
     charts: list
-    killing: dict = field(default_factory=dict)   # candidate -> evaluator name
-    default_killing: str | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -172,10 +161,9 @@ _J_ALG = np.kron(np.array([[-1.0, 2.0], [-2.0, 1.0]]) / math.sqrt(3.0), np.eye(3
 _J_SWAP = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(3))
 # tensor-axis blocks of the two S3 factors
 _XX, _YY, _XY, _YX = np.s_[:3, :3], np.s_[3:, 3:], np.s_[:3, 3:], np.s_[3:, :3]
-# Killing generators at unit metric scale: the diagonal right translation
-# by k on both factors, and the left translation by the quaternion i
+# Killing generator at unit metric scale: the diagonal right translation by
+# k on both factors
 _XI_DIAG = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-_XI_LEFT = np.array([0.0, 1.0, 0.0, 0.0])
 
 
 def _s3s3_frames(ctx: EvalContext):
@@ -221,27 +209,6 @@ def _s3s3_xi_diag_evaluator(c_scale: float):
     return ev
 
 
-def _s3s3_xi_left_evaluator(c_scale: float, p0: np.ndarray):
-    bq = _XI_LEFT / math.sqrt(c_scale)
-    bp = qmul_v(qmul_v(qconj_v(p0), bq), p0)  # Ad_{p0^{-1}} b
-    right_bp = np.einsum("ijk,k->ij", _QT, bp)  # q -> q bp, as a matrix
-
-    def ev(ctx):
-        e = _qexp_jet(ctx.coords[:3])
-        w = _jqmul(J.jc("ij,j->i", right_bp, _qconj_jet(e)), e)
-        _, minv = _s3s3_frames(ctx)
-        v = J.jassemble((6,), [(np.s_[:3], w[1:])])
-        return J.jj("AB,B->A", minv, v)
-
-    return ev
-
-
-def _qconj_jet(q: J.Jet) -> J.Jet:
-    c = q.c.copy()
-    c[1:] *= -1
-    return J.Jet(q.space, c)
-
-
 _S3S3_CENTERS = {
     "a": (np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])),
     "b": (qexp_v(np.array([0.4, 0.0, 0.0]))[0], qexp_v(np.array([0.0, 0.3, 0.1]))[0]),
@@ -258,19 +225,12 @@ def build_s3s3(scale: float | None = None, charts=("a", "b")) -> ModelBundle:
         ev = {
             "metric": _s3s3_metric_evaluator(c_scale),
             "J": _s3s3_J_evaluator(_J_ALG),
-            "xi:diag": _s3s3_xi_diag_evaluator(c_scale),
-            "xi:left": _s3s3_xi_left_evaluator(c_scale, p0),
+            "xi": _s3s3_xi_diag_evaluator(c_scale),
         }
         ch = ChartMap(f"s3s3:{key}", box, ev, meta={"centers": (p0, q0)})
         _fix_orientation_nk6(ch)
         chart_list.append(ch)
-    return ModelBundle(
-        name="s3s3",
-        charts=chart_list,
-        killing={"diag": "xi:diag", "left": "xi:left"},
-        default_killing="diag",
-        meta={"scale": c_scale},
-    )
+    return ModelBundle(name="s3s3", charts=chart_list, meta={"scale": c_scale})
 
 
 def build_s3s3_product() -> ModelBundle:
@@ -379,25 +339,14 @@ def so7_generator(i: int, j: int) -> np.ndarray:
 def build_s6() -> ModelBundle:
     """Round unit 6-sphere with the octonion cross-product structure."""
     box = [(-0.7, 0.7)] * 6
-    rot_specs = {
-        "rot01": so7_generator(0, 1),
-        "rot23": so7_generator(2, 3),
-        "rot-mixed": so7_generator(0, 4) + 0.5 * so7_generator(1, 6),
-    }
     charts = []
     for key, pole in (("north", 1.0), ("south", -1.0)):
-        ev = {"metric": _s6_metric_evaluator(pole), "J": _s6_J_evaluator(pole)}
-        for rname, amat in rot_specs.items():
-            ev[f"xi:{rname}"] = _s6_rotation_evaluator(pole, amat)
+        ev = {"metric": _s6_metric_evaluator(pole), "J": _s6_J_evaluator(pole),
+              "xi": _s6_rotation_evaluator(pole, so7_generator(0, 1))}
         ch = ChartMap(f"s6:{key}", box, ev)
         _fix_orientation_nk6(ch)
         charts.append(ch)
-    return ModelBundle(
-        name="s6",
-        charts=charts,
-        killing={k: f"xi:{k}" for k in rot_specs},
-        default_killing="rot01",
-    )
+    return ModelBundle(name="s6", charts=charts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Reduction of a nearly Kahler six-manifold by a unit Killing field.
 
-Given a chart with ``metric`` and ``J`` evaluators and the name of a unit
-Killing vector field evaluator, this module builds the induced objects --
-the dual 1-forms, the vertical/horizontal splitting, the three transversal
-anticommuting almost complex structures, the endomorphisms entering the
-torsion of the splitting, the deformed metric whose horizontal part is
-Kahler, and the canonical Hermitian connection -- as context-memoized
-jets behind the accessors of :class:`Reduction`, and measures the
-residuals of the identities they satisfy.
+Given a chart with ``metric`` and ``J`` evaluators and its unit Killing
+vector field as the evaluator ``xi``, this module builds the induced
+objects -- the dual 1-forms, the vertical/horizontal splitting, the three
+transversal anticommuting almost complex structures, the endomorphisms
+entering the torsion of the splitting, the deformed metric whose
+horizontal part is Kahler, and the canonical Hermitian connection -- as
+jets memoized on the context, and measures the residuals of the
+identities they satisfy.
 
 Conventions: endomorphism arrays are indexed ``E[a, i]`` for E^a_i (apply
 on the left), 2-forms of an endomorphism are ``omega_E(X, Y) = g(E X, Y)``,
@@ -40,7 +40,27 @@ from .exterior import (
 from .nkcore import _maxabs, d_omega, j_field, nabla_j, omega_field
 
 __all__ = [
-    "Reduction",
+    "zeta_form",
+    "jxi_field",
+    "jzeta_form",
+    "dzeta_form",
+    "djzeta_form",
+    "nabla_xi",
+    "i_endo",
+    "k_endo",
+    "jhat_endo",
+    "sigma_endo",
+    "pi_h",
+    "omega_endo",
+    "g0_metric",
+    "g0_christoffel",
+    "i0_endo",
+    "omega_j_form",
+    "omega_k_split",
+    "psi_form",
+    "zeta_prime",
+    "omega0_jhat",
+    "gamma_bar",
     "verify_killing_unit",
     "foliation_checks",
     "acs_check",
@@ -62,165 +82,159 @@ _EINSTEIN_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# field accessors
+# fields induced by the chart's unit Killing field ``xi``, memoized on the
+# context like ``nkcore.j_field`` and ``omega_field``
 
 
-class Reduction:
-    """Lazy, context-memoized fields induced by one Killing evaluator."""
+def zeta_form(ctx: EvalContext) -> J.Jet:
+    """Dual 1-form zeta = g(xi, .)."""
+    return ctx.memo(("red", "zeta"), lambda c: J.jj("ij,j->i", C.metric(c), c.root("xi")))
 
-    def __init__(self, killing_name: str = "xi:diag"):
-        self.name = killing_name
 
-    def _m(self, ctx: EvalContext, item: str, build):
-        return ctx.memo(("red", self.name, item), build)
+def jxi_field(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "jxi"), lambda c: J.jj("ai,i->a", j_field(c), c.root("xi")))
 
-    # -- vertical data ----------------------------------------------------
-    def xi(self, ctx) -> J.Jet:
-        return ctx.root(self.name)
 
-    def zeta(self, ctx) -> J.Jet:
-        return self._m(ctx, "zeta", lambda c: J.jj("ij,j->i", C.metric(c), self.xi(c)))
+def jzeta_form(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "jzeta"), lambda c: J.jj("ij,j->i", C.metric(c), jxi_field(c)))
 
-    def jxi(self, ctx) -> J.Jet:
-        return self._m(ctx, "jxi", lambda c: J.jj("ai,i->a", j_field(c), self.xi(c)))
 
-    def jzeta(self, ctx) -> J.Jet:
-        return self._m(ctx, "jzeta", lambda c: J.jj("ij,j->i", C.metric(c), self.jxi(c)))
+def dzeta_form(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "dzeta"), lambda c: d_form(zeta_form(c), 1))
 
-    def dzeta(self, ctx) -> J.Jet:
-        return self._m(ctx, "dzeta", lambda c: d_form(self.zeta(c), 1))
 
-    def djzeta(self, ctx) -> J.Jet:
-        return self._m(ctx, "djzeta", lambda c: d_form(self.jzeta(c), 1))
+def djzeta_form(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "djzeta"), lambda c: d_form(jzeta_form(c), 1))
 
-    def nabla_xi(self, ctx) -> J.Jet:
-        """Endomorphism (nabla xi)[a, i] = nabla_i xi^a."""
 
-        def build(c):
-            cov = C.covd(c, self.xi(c), "u")
-            return J.junary("ia->ai", cov)
+def nabla_xi(ctx: EvalContext) -> J.Jet:
+    """Endomorphism (nabla xi)[a, i] = nabla_i xi^a."""
+    return ctx.memo(("red", "nabla_xi"),
+                    lambda c: J.junary("ia->ai", C.covd(c, c.root("xi"), "u")))
 
-        return self._m(ctx, "nabla_xi", build)
 
-    # -- transversal endomorphisms ---------------------------------------
-    def i_endo(self, ctx) -> J.Jet:
-        return self._m(ctx, "I", lambda c: J.jj("i,iaj->aj", self.xi(c), nabla_j(c)))
+# -- transversal endomorphisms -------------------------------------------
+def i_endo(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "I"), lambda c: J.jj("i,iaj->aj", c.root("xi"), nabla_j(c)))
 
-    def k_endo(self, ctx) -> J.Jet:
-        return self._m(ctx, "K", lambda c: J.jj("i,iaj->aj", self.jxi(c), nabla_j(c)))
 
-    def jhat(self, ctx) -> J.Jet:
-        return self._m(ctx, "jhat",
-                       lambda c: self.nabla_xi(c) + 0.5 * self.k_endo(c))
+def k_endo(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "K"), lambda c: J.jj("i,iaj->aj", jxi_field(c), nabla_j(c)))
 
-    def sigma(self, ctx) -> J.Jet:
-        return self._m(ctx, "sigma",
-                       lambda c: J.jj("ab,bi->ai", self.k_endo(c), self.jhat(c)))
 
-    def pi_h(self, ctx) -> J.Jet:
-        """Orthogonal projection onto the horizontal distribution."""
+def jhat_endo(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "jhat"), lambda c: nabla_xi(c) + 0.5 * k_endo(c))
 
-        def build(c):
-            eye = J.jconst(c.space, np.broadcast_to(np.eye(c.chart.dim),
-                                                    (c.nbatch,) + (c.chart.dim,) * 2).copy())
-            t1 = J.jj("a,i->ai", self.xi(c), self.zeta(c))
-            t2 = J.jj("a,i->ai", self.jxi(c), self.jzeta(c))
-            return eye - t1 - t2
 
-        return self._m(ctx, "pi_h", build)
+def sigma_endo(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "sigma"), lambda c: J.jj("ab,bi->ai", k_endo(c), jhat_endo(c)))
 
-    def omega_endo(self, ctx, endo_item: str) -> J.Jet:
-        getter = {"I": self.i_endo, "K": self.k_endo, "jhat": self.jhat,
-                  "sigma": self.sigma}[endo_item]
-        return self._m(ctx, f"omega_{endo_item}",
-                       lambda c: J.jj("ai,aj->ij", getter(c), C.metric(c)))
 
-    # -- deformed metric ---------------------------------------------------
-    def g0(self, ctx) -> J.Jet:
-        def build(c):
-            sflat = J.jj("ia,aj->ij", C.metric(c), self.sigma(c))
-            return C.metric(c) + 0.5 * sflat
+def pi_h(ctx: EvalContext) -> J.Jet:
+    """Orthogonal projection onto the horizontal distribution."""
 
-        return self._m(ctx, "g0", build)
+    def build(c):
+        eye = J.jconst(c.space, np.broadcast_to(np.eye(c.chart.dim),
+                                                (c.nbatch,) + (c.chart.dim,) * 2).copy())
+        t1 = J.jj("a,i->ai", c.root("xi"), zeta_form(c))
+        t2 = J.jj("a,i->ai", jxi_field(c), jzeta_form(c))
+        return eye - t1 - t2
 
-    def g0_inv_val(self, ctx) -> np.ndarray:
-        return np.linalg.inv(self.g0(ctx).val)
+    return ctx.memo(("red", "pi_h"), build)
 
-    def g0_christoffel(self, ctx) -> J.Jet:
-        return C.christoffel_of(ctx, self.g0, key=("red", self.name, "g0"))
 
-    # -- reduced Kahler structure -----------------------------------------
-    def i0(self, ctx) -> J.Jet:
-        """Normalized transversal structure (2/sqrt3)(1 - sigma/2) I."""
+def omega_endo(ctx: EvalContext, item: str) -> J.Jet:
+    """2-form g(E ., .) of the endomorphism E named ``item``."""
+    endo = {"I": i_endo, "K": k_endo, "jhat": jhat_endo, "sigma": sigma_endo}[item]
+    return ctx.memo(("red", f"omega_{item}"),
+                    lambda c: J.jj("ai,aj->ij", endo(c), C.metric(c)))
 
-        def build(c):
-            si = J.jj("ab,bi->ai", self.sigma(c), self.i_endo(c))
-            return (2.0 / _SQ3) * (self.i_endo(c) - 0.5 * si)
 
-        return self._m(ctx, "i0", build)
+# -- deformed metric -------------------------------------------------------
+def g0_metric(ctx: EvalContext) -> J.Jet:
+    def build(c):
+        sflat = J.jj("ia,aj->ij", C.metric(c), sigma_endo(c))
+        return C.metric(c) + 0.5 * sflat
 
-    def omega_j_form(self, ctx) -> J.Jet:
-        """Horizontal part of the fundamental form: Omega - zeta ^ J zeta."""
+    return ctx.memo(("red", "g0"), build)
 
-        def build(c):
-            return omega_field(c) - wedge_jet(self.zeta(c), 1, self.jzeta(c), 1)
 
-        return self._m(ctx, "omega_j", build)
+def g0_christoffel(ctx: EvalContext) -> J.Jet:
+    return C.christoffel_of(ctx, g0_metric, key=("red", "g0"))
 
-    def omega_k_split(self, ctx):
-        """I0-invariant and I0-anti-invariant parts of omega_K."""
 
-        def build(c):
-            om_k = self.omega_endo(c, "K")
-            i0 = self.i0(c)
-            half_moved = J.jj("ai,ab->ib", i0, om_k)
-            moved = J.jj("bj,ib->ij", i0, half_moved)
-            return ((om_k + moved) * 0.5, (om_k - moved) * 0.5)
+# -- reduced Kahler structure ---------------------------------------------
+def i0_endo(ctx: EvalContext) -> J.Jet:
+    """Normalized transversal structure (2/sqrt3)(1 - sigma/2) I."""
 
-        return self._m(ctx, "omega_k_split", build)
+    def build(c):
+        si = J.jj("ab,bi->ai", sigma_endo(c), i_endo(c))
+        return (2.0 / _SQ3) * (i_endo(c) - 0.5 * si)
 
-    def psi_form(self, ctx):
-        """Complex 2-form sqrt3 * (anti-invariant part of omega_K) + 2i omega_J.
+    return ctx.memo(("red", "i0"), build)
 
-        Returns the pair (real jet, imaginary jet).
-        """
 
-        def build(c):
-            _, anti = self.omega_k_split(c)
-            return (_SQ3 * anti, 2.0 * self.omega_j_form(c))
+def omega_j_form(ctx: EvalContext) -> J.Jet:
+    """Horizontal part of the fundamental form: Omega - zeta ^ J zeta."""
+    return ctx.memo(("red", "omega_j"),
+                    lambda c: omega_field(c) - wedge_jet(zeta_form(c), 1, jzeta_form(c), 1))
 
-        return self._m(ctx, "psi", build)
 
-    def zeta_prime(self, ctx) -> J.Jet:
-        return self._m(ctx, "zeta_prime", lambda c: (2.0 * _SQ3) * self.jzeta(c))
+def omega_k_split(ctx: EvalContext):
+    """I0-invariant and I0-anti-invariant parts of omega_K."""
 
-    def omega0_jhat(self, ctx) -> J.Jet:
-        """g0-lowered form of jhat (equals dzeta/2)."""
+    def build(c):
+        om_k = omega_endo(c, "K")
+        i0 = i0_endo(c)
+        half_moved = J.jj("ai,ab->ib", i0, om_k)
+        moved = J.jj("bj,ib->ij", i0, half_moved)
+        return ((om_k + moved) * 0.5, (om_k - moved) * 0.5)
 
-        def build(c):
-            return J.jj("ai,aj->ij", self.jhat(c), self.g0(c))
+    return ctx.memo(("red", "omega_k_split"), build)
 
-        return self._m(ctx, "omega0_jhat", build)
 
-    # -- canonical Hermitian connection -----------------------------------
-    def gamma_bar(self, ctx) -> J.Jet:
-        """Christoffel symbols of nabla + (1/2) (nabla J) J."""
+def psi_form(ctx: EvalContext):
+    """Complex 2-form sqrt3 * (anti-invariant part of omega_K) + 2i omega_J.
 
-        def build(c):
-            corr = 0.5 * J.jj("iam,mj->aij", nabla_j(c), j_field(c))
-            return C.christoffel(c) + corr
+    Returns the pair (real jet, imaginary jet).
+    """
 
-        return self._m(ctx, "gamma_bar", build)
+    def build(c):
+        _, anti = omega_k_split(c)
+        return (_SQ3 * anti, 2.0 * omega_j_form(c))
+
+    return ctx.memo(("red", "psi"), build)
+
+
+def zeta_prime(ctx: EvalContext) -> J.Jet:
+    return ctx.memo(("red", "zeta_prime"), lambda c: (2.0 * _SQ3) * jzeta_form(c))
+
+
+def omega0_jhat(ctx: EvalContext) -> J.Jet:
+    """g0-lowered form of jhat (equals dzeta/2)."""
+    return ctx.memo(("red", "omega0_jhat"),
+                    lambda c: J.jj("ai,aj->ij", jhat_endo(c), g0_metric(c)))
+
+
+# -- canonical Hermitian connection ---------------------------------------
+def gamma_bar(ctx: EvalContext) -> J.Jet:
+    """Christoffel symbols of nabla + (1/2) (nabla J) J."""
+
+    def build(c):
+        corr = 0.5 * J.jj("iam,mj->aij", nabla_j(c), j_field(c))
+        return C.christoffel(c) + corr
+
+    return ctx.memo(("red", "gamma_bar"), build)
 
 
 # ---------------------------------------------------------------------------
 # Killing field and foliation
 
 
-def verify_killing_unit(ctx: EvalContext, red: Reduction) -> dict:
+def verify_killing_unit(ctx: EvalContext) -> dict:
     """Unit length and invariance of g, J, Omega and d Omega (order >= 2)."""
     g = C.metric(ctx)
-    xi = red.xi(ctx)
+    xi = ctx.root("xi")
     n2 = contract("zi,zij,zj->z", xi.val, g.val, xi.val)
     out = {"unit_length": _maxabs(np.sqrt(n2) - 1.0)}
     out["killing"] = _maxabs(C.lie_derivative(ctx, xi, g, "ll").val)
@@ -230,9 +244,9 @@ def verify_killing_unit(ctx: EvalContext, red: Reduction) -> dict:
     return out
 
 
-def foliation_checks(ctx: EvalContext, red: Reduction) -> dict:
+def foliation_checks(ctx: EvalContext) -> dict:
     """The orbits of xi and J xi are totally geodesic and commute."""
-    xi, jxi = red.xi(ctx), red.jxi(ctx)
+    xi, jxi = ctx.root("xi"), jxi_field(ctx)
     cov_xi = C.covd(ctx, xi, "u").val       # (z, i, a)
     cov_jxi = C.covd(ctx, jxi, "u").val
     xv, jv = xi.val, jxi.val
@@ -243,7 +257,7 @@ def foliation_checks(ctx: EvalContext, red: Reduction) -> dict:
         "acc_jxi_jxi": _maxabs(np.einsum("zi,zia->za", jv, cov_jxi)),
         "commutator": _maxabs(C.lie_derivative(ctx, xi, jxi, "u").val),
     }
-    dz = red.dzeta(ctx).val
+    dz = dzeta_form(ctx).val
     out["interior_xi_dzeta"] = _maxabs(np.einsum("zi,zij->zj", xv, dz))
     out["interior_jxi_dzeta"] = _maxabs(np.einsum("zi,zij->zj", jv, dz))
     return out
@@ -253,16 +267,16 @@ def foliation_checks(ctx: EvalContext, red: Reduction) -> dict:
 # transversal algebra
 
 
-def acs_check(ctx: EvalContext, red: Reduction) -> dict:
+def acs_check(ctx: EvalContext) -> dict:
     """Algebra of the three transversal structures and the split of dzeta."""
     g = C.metric(ctx).val
     jv = j_field(ctx).val
-    i_e = red.i_endo(ctx).val
-    k_e = red.k_endo(ctx).val
-    jh = red.jhat(ctx).val
-    sg = red.sigma(ctx).val
-    pi = red.pi_h(ctx).val
-    xi, jxi = red.xi(ctx).val, red.jxi(ctx).val
+    i_e = i_endo(ctx).val
+    k_e = k_endo(ctx).val
+    jh = jhat_endo(ctx).val
+    sg = sigma_endo(ctx).val
+    pi = pi_h(ctx).val
+    xi, jxi = ctx.root("xi").val, jxi_field(ctx).val
 
     def mm(a, b):
         return np.einsum("zab,zbi->zai", a, b)
@@ -289,17 +303,17 @@ def acs_check(ctx: EvalContext, red: Reduction) -> dict:
 
     # split of the exterior derivative of the dual 1-form
     gi = C.metric_inv(ctx, 0).val
-    dz = red.dzeta(ctx).val
+    dz = dzeta_form(ctx).val
     a_endo = np.einsum("zij,zja->zai", dz, gi)   # dzeta(X,Y) = g(AX, Y)
     jaj = contract("zab,zbc,zci->zai", jv, a_endo, jv)
     out["dzeta_invariant_part"] = _maxabs(0.5 * (a_endo - jaj) - 2.0 * jh)
     out["dzeta_anti_part"] = _maxabs(0.5 * (a_endo + jaj) + k_e)
-    out["a_is_2_nabla_xi"] = _maxabs(a_endo - 2.0 * red.nabla_xi(ctx).val)
+    out["a_is_2_nabla_xi"] = _maxabs(a_endo - 2.0 * nabla_xi(ctx).val)
 
     # torsion in terms of I and K on horizontal arguments
     nj = nabla_j(ctx).val
-    om_i = red.omega_endo(ctx, "I").val
-    om_k = red.omega_endo(ctx, "K").val
+    om_i = omega_endo(ctx, "I").val
+    om_k = omega_endo(ctx, "K").val
     rhs = (np.einsum("za,zpq->zpaq", xi, om_i)
            + np.einsum("za,zpq->zpaq", jxi, om_k))
     resid = contract("zpi,zpaq,zqj->ziaj", pi, nj - rhs, pi)
@@ -307,14 +321,14 @@ def acs_check(ctx: EvalContext, red: Reduction) -> dict:
     return out
 
 
-def transversal_parallel_check(ctx: EvalContext, red: Reduction) -> dict:
+def transversal_parallel_check(ctx: EvalContext) -> dict:
     """I and K are parallel in horizontal directions for the induced
     partial connection: all-horizontal components of nabla I, nabla K
     vanish."""
     g = C.metric(ctx).val
-    pi = red.pi_h(ctx).val
+    pi = pi_h(ctx).val
     out = {}
-    for item, getter in (("i", red.i_endo), ("k", red.k_endo)):
+    for item, getter in (("i", i_endo), ("k", k_endo)):
         cov = C.covd(ctx, getter(ctx), "ul").val  # (z, x, a, j)
         low = np.einsum("zxaj,zab->zxbj", cov, g)
         proj = contract("zxp,zxbj,zbc,zjq->zpcq", pi, low, pi, pi)
@@ -326,19 +340,19 @@ def transversal_parallel_check(ctx: EvalContext, red: Reduction) -> dict:
 # norms, Laplacians and the contraction identities of the torsion
 
 
-def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
+def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
     """Pinned norms of the reduced data and eigenform equations."""
     g = C.metric(ctx).val
     jv = j_field(ctx).val
-    dz = red.dzeta(ctx).val
+    dz = dzeta_form(ctx).val
     out = {}
 
     # eigenform equations of the dual 1-forms
-    lap_z = form_laplacian_field(red.zeta, 1)(ctx).val
-    out["laplacian_zeta"] = _maxabs(lap_z - 10.0 * red.zeta(ctx).val)
-    lap_jz = form_laplacian_field(red.jzeta, 1)(ctx).val
-    out["laplacian_jzeta"] = _maxabs(lap_jz - 18.0 * red.jzeta(ctx).val)
-    out["codifferential_jzeta"] = _maxabs(codifferential(ctx, red.jzeta(ctx), 1).val)
+    lap_z = form_laplacian_field(zeta_form, 1)(ctx).val
+    out["laplacian_zeta"] = _maxabs(lap_z - 10.0 * zeta_form(ctx).val)
+    lap_jz = form_laplacian_field(jzeta_form, 1)(ctx).val
+    out["laplacian_jzeta"] = _maxabs(lap_jz - 18.0 * jzeta_form(ctx).val)
+    out["codifferential_jzeta"] = _maxabs(codifferential(ctx, jzeta_form(ctx), 1).val)
 
     # read after J and the codifferentials, which ask the inverse at higher
     # orders, so that its value is cut from theirs
@@ -352,12 +366,12 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     out["norm_dzeta20"] = n20
     out["norm_dzeta20_dev"] = _maxabs(n20 - 2.0)
 
-    jh = red.jhat(ctx).val
+    jh = jhat_endo(ctx).val
     n_jh = contract("zai,zbj,zab,zij->z", jh, jh, g, gi)
     out["norm_jhat"] = n_jh
     out["norm_jhat_dev"] = _maxabs(n_jh - 4.0)
 
-    djz = red.djzeta(ctx).val
+    djz = djzeta_form(ctx).val
     n_djz = form_norm2(djz, 2, gi, full=True)
     out["norm_djzeta"] = n_djz
     out["norm_djzeta_dev"] = _maxabs(n_djz - 36.0)
@@ -366,20 +380,20 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
     out["ip_dzeta_omega"] = _maxabs(form_ip(dz, om, 2, gi))
     out["ip_dzeta11_omega"] = _maxabs(form_ip(dz11, om, 2, gi))
 
-    om_i = red.omega_endo(ctx, "I").val
-    om_k = red.omega_endo(ctx, "K").val
+    om_i = omega_endo(ctx, "I").val
+    om_k = omega_endo(ctx, "K").val
     out["djzeta_is_m3_omega_i"] = _maxabs(djz + 3.0 * om_i)
     dom = d_omega(ctx).val
     out["interior_xi_domega"] = _maxabs(
-        np.einsum("zi,zijk->zjk", red.xi(ctx).val, dom) - 3.0 * om_i)
+        np.einsum("zi,zijk->zjk", ctx.root("xi").val, dom) - 3.0 * om_i)
     out["interior_jxi_domega"] = _maxabs(
-        np.einsum("zi,zijk->zjk", red.jxi(ctx).val, dom) - 3.0 * om_k)
+        np.einsum("zi,zijk->zjk", jxi_field(ctx).val, dom) - 3.0 * om_k)
 
     # contraction of nabla Omega against nabla xi
     n_om = C.covd_field(ctx, omega_field, "ll", key="omega").val  # (z,a,i,j)
-    n_xi = C.covd(ctx, red.xi(ctx), "u").val                     # (z,b,m)
+    n_xi = C.covd(ctx, ctx.root("xi"), "u").val                   # (z,b,m)
     contr = contract("zab,zamj,zbm->zj", gi, n_om, n_xi)
-    out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * red.jzeta(ctx).val)
+    out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * jzeta_form(ctx).val)
 
     # spectrum of the deformed metric relative to g, and of sigma
     ell = np.linalg.cholesky(g)
@@ -390,10 +404,10 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
         m = np.swapaxes(np.linalg.solve(ell, np.swapaxes(x, 1, 2)), 1, 2)
         return np.sort(np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))), axis=1)
 
-    g0 = red.g0(ctx).val
+    g0 = g0_metric(ctx).val
     out["g0_spectrum"] = _maxabs(g_spectrum(g0) - np.array([0.5, 0.5, 1.0, 1.0, 1.5, 1.5]))
 
-    sg = red.sigma(ctx).val
+    sg = sigma_endo(ctx).val
     out["sigma_trace"] = _maxabs(np.einsum("zaa->z", sg))
     sflat = np.einsum("zia,zaj->zij", g, sg)
     out["sigma_spectrum"] = _maxabs(g_spectrum(sflat)
@@ -401,19 +415,19 @@ def norms_and_laplacian_checks(ctx: EvalContext, red: Reduction) -> dict:
 
     # reconstruction of g from the deformed metric
     rec = (4.0 / 3.0) * (g0 - 0.5 * np.einsum("zia,zaj->zij", g0, sg))
-    pi = red.pi_h(ctx).val
+    pi = pi_h(ctx).val
     out["g_from_g0"] = _maxabs(contract("zpi,zpq,zqj->zij", pi, rec - g, pi))
     return out
 
 
-def djxi_check(ctx: EvalContext, red: Reduction) -> dict:
+def djxi_check(ctx: EvalContext) -> dict:
     """Exterior derivative of the contraction of J xi into d Omega."""
 
     def beta_field(c):
-        return J.jj("i,iab->ab", red.jxi(c), d_omega(c))
+        return J.jj("i,iab->ab", jxi_field(c), d_omega(c))
 
     dbeta = d_form(beta_field(ctx), 2).val
-    rhs = -12.0 * wedge(red.jzeta(ctx).val, 1, omega_field(ctx).val, 2)
+    rhs = -12.0 * wedge(jzeta_form(ctx).val, 1, omega_field(ctx).val, 2)
     return {"d_interior_jxi_domega": _maxabs(dbeta - rhs)}
 
 
@@ -421,11 +435,11 @@ def djxi_check(ctx: EvalContext, red: Reduction) -> dict:
 # Lie derivatives along J xi
 
 
-def lie_derivative_suite(ctx: EvalContext, red: Reduction) -> dict:
+def lie_derivative_suite(ctx: EvalContext) -> dict:
     """Flow of J xi applied to every structure of the reduction."""
     g = C.metric(ctx)
     jv = j_field(ctx)
-    jxi = red.jxi(ctx)
+    jxi = jxi_field(ctx)
     gval = g.val
     out = {}
 
@@ -435,31 +449,31 @@ def lie_derivative_suite(ctx: EvalContext, red: Reduction) -> dict:
     def lower(endo_val):
         return np.einsum("zai,zaj->zij", endo_val, gval)
 
-    jh = red.jhat(ctx)
-    i_e = red.i_endo(ctx)
-    k_e = red.k_endo(ctx)
+    jh = jhat_endo(ctx)
+    i_e = i_endo(ctx)
+    k_e = k_endo(ctx)
     jjh = J.jj("ab,bi->ai", jv, jh)
 
     # metric: L g = 2 g(J jhat . , .)
     out["metric"] = _maxabs(lie(g, "ll") - 2.0 * lower(jjh.val))
 
     # closed forms stay closed under any flow
-    out["dzeta"] = _maxabs(lie(red.dzeta(ctx), "ll"))
-    out["djzeta"] = _maxabs(lie(red.djzeta(ctx), "ll"))
+    out["dzeta"] = _maxabs(lie(dzeta_form(ctx), "ll"))
+    out["djzeta"] = _maxabs(lie(djzeta_form(ctx), "ll"))
 
-    om_k = red.omega_endo(ctx, "K")
-    om_jh = red.omega_endo(ctx, "jhat")
-    om_i = red.omega_endo(ctx, "I")
-    zjz_w = wedge_jet(red.zeta(ctx), 1, red.jzeta(ctx), 1)
+    om_k = omega_endo(ctx, "K")
+    om_jh = omega_endo(ctx, "jhat")
+    om_i = omega_endo(ctx, "I")
+    zjz_w = wedge_jet(zeta_form(ctx), 1, jzeta_form(ctx), 1)
 
     out["omega"] = _maxabs(lie(omega_field(ctx), "ll")
                            - 4.0 * om_k.val + 2.0 * om_jh.val)
     cartan = (np.einsum("zi,zijk->zjk", jxi.val, d_omega(ctx).val)
-              - red.dzeta(ctx).val)
+              - dzeta_form(ctx).val)
     out["omega_cartan_route"] = _maxabs(lie(omega_field(ctx), "ll") - cartan)
     out["j_endo"] = _maxabs(lie(jv, "ul") - 4.0 * k_e.val)
 
-    pi = red.pi_h(ctx)
+    pi = pi_h(ctx)
     j_h = J.jj("ab,bi->ai", jv, pi)
     ijh = J.jj("ab,bi->ai", i_e, jh)
     out["omega_k"] = _maxabs(lie(om_k, "ll")
@@ -474,11 +488,11 @@ def lie_derivative_suite(ctx: EvalContext, red: Reduction) -> dict:
     out["omega_i"] = _maxabs(lie(om_i, "ll"))
     out["i_endo"] = _maxabs(lie(i_e, "ul") - 2.0 * jhk.val)
 
-    out["two_omega_jhat"] = _maxabs(2.0 * om_jh.val - red.dzeta(ctx).val - om_k.val)
+    out["two_omega_jhat"] = _maxabs(2.0 * om_jh.val - dzeta_form(ctx).val - om_k.val)
 
-    sflat = J.jj("ia,aj->ij", g, red.sigma(ctx))
+    sflat = J.jj("ia,aj->ij", g, sigma_endo(ctx))
     out["sigma_flat"] = _maxabs(lie(sflat, "ll") + 4.0 * lower(jjh.val))
-    out["g0"] = _maxabs(lie(red.g0(ctx), "ll"))
+    out["g0"] = _maxabs(lie(g0_metric(ctx), "ll"))
 
     # transport formula: for alpha = g(A.,.), L alpha = g((L A).,.) + (L g)(A.,.)
     lg = lie(g, "ll")
@@ -489,10 +503,10 @@ def lie_derivative_suite(ctx: EvalContext, red: Reduction) -> dict:
         out[f"transport_{nm}"] = _maxabs(direct - via)
 
     # everything is also invariant along xi itself
-    xi = red.xi(ctx)
+    xi = ctx.root("xi")
     out["xi_invariance"] = np.max(
         [_maxabs(C.lie_derivative(ctx, xi, t, kinds).val)
-         for t, kinds in ((red.g0(ctx), "ll"), (om_i, "ll"), (om_k, "ll"), (jh, "ul"))],
+         for t, kinds in ((g0_metric(ctx), "ll"), (om_i, "ll"), (om_k, "ll"), (jh, "ul"))],
         axis=0)
     return out
 
@@ -501,7 +515,7 @@ def lie_derivative_suite(ctx: EvalContext, red: Reduction) -> dict:
 # the deformed metric is Kahler in horizontal directions
 
 
-def g0_connection_check(ctx: EvalContext, red: Reduction) -> dict:
+def g0_connection_check(ctx: EvalContext) -> dict:
     """Horizontal difference tensor between the two Levi-Civita connections.
 
     Route one computes the Christoffel symbols of the deformed metric
@@ -509,18 +523,18 @@ def g0_connection_check(ctx: EvalContext, red: Reduction) -> dict:
     through the derivatives of sigma and of jhat.  Both are compared after
     projecting every slot horizontally.
     """
-    g0 = red.g0(ctx)
+    g0 = g0_metric(ctx)
     gam = C.christoffel(ctx).val
-    gam0 = red.g0_christoffel(ctx).val
-    pi = red.pi_h(ctx).val
-    sg = red.sigma(ctx).val
+    gam0 = g0_christoffel(ctx).val
+    pi = pi_h(ctx).val
+    sg = sigma_endo(ctx).val
     g0v = g0.val
 
     diff = np.einsum("zaxy,zaq->zxyq", gam0 - gam, g0v)
 
-    cov_sigma = C.covd(ctx, red.sigma(ctx), "ul").val   # (z, x, a, y)
-    cov_jhat = C.covd(ctx, red.jhat(ctx), "ul").val
-    k_e = red.k_endo(ctx).val
+    cov_sigma = C.covd(ctx, sigma_endo(ctx), "ul").val   # (z, x, a, y)
+    cov_jhat = C.covd(ctx, jhat_endo(ctx), "ul").val
+    k_e = k_endo(ctx).val
     term = cov_sigma + np.einsum("zmx,zmay->zxay", k_e, cov_jhat)
     half = term - 0.5 * np.einsum("zab,zxby->zxay", sg, term)
     rhs = (1.0 / 3.0) * np.einsum("zxay,zaq->zxyq", half, g0v)
@@ -538,14 +552,14 @@ def g0_connection_check(ctx: EvalContext, red: Reduction) -> dict:
 # Kahler projection
 
 
-def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
+def kahler_projection_check(ctx: EvalContext) -> dict:
     """The reduced data projects to a Kahler structure: normalized
     transversal structure, type decomposition, parallelism under the
     deformed connection, and the circle-action phase equation."""
-    g0 = red.g0(ctx)
+    g0 = g0_metric(ctx)
     g0v = g0.val
-    pi = red.pi_h(ctx).val
-    i0 = red.i0(ctx)
+    pi = pi_h(ctx).val
+    i0 = i0_endo(ctx)
     i0v = i0.val
     out = {}
 
@@ -554,27 +568,27 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
     out["i0_compatible"] = _maxabs(
         contract("zpi,zpq,zqj->zij", pi, moved_g0 - g0v, pi))
 
-    om_i = red.omega_endo(ctx, "I").val
+    om_i = omega_endo(ctx, "I").val
     out["omega_i_via_i0"] = _maxabs(om_i - (2.0 / _SQ3)
                                     * np.einsum("zai,zaj->zij", i0v, g0v))
 
     # omega0_jhat = dzeta / 2, and it is closed
-    om0 = red.omega0_jhat(ctx)
-    out["omega0_jhat_half_dzeta"] = _maxabs(om0.val - 0.5 * red.dzeta(ctx).val)
+    om0 = omega0_jhat(ctx)
+    out["omega0_jhat_half_dzeta"] = _maxabs(om0.val - 0.5 * dzeta_form(ctx).val)
     out["omega0_jhat_closed"] = _maxabs(d_form(om0, 2).val)
 
     # type split of omega_K with respect to i0
-    om_k = red.omega_endo(ctx, "K").val
-    om_jh = red.omega_endo(ctx, "jhat").val
-    inv, anti = red.omega_k_split(ctx)
+    om_k = omega_endo(ctx, "K").val
+    om_jh = omega_endo(ctx, "jhat").val
+    inv, anti = omega_k_split(ctx)
     out["omega_k_invariant_part"] = _maxabs(inv.val + (om_k - 2.0 * om_jh) / 3.0)
     out["omega_k_anti_part"] = _maxabs(anti.val - (2.0 / 3.0) * (2.0 * om_k - om_jh))
 
-    om_j = red.omega_j_form(ctx)
+    om_j = omega_j_form(ctx)
     moved_j = contract("zai,zbj,zab->zij", i0v, i0v, om_j.val)
     out["omega_j_anti_invariant"] = _maxabs(moved_j + om_j.val)
 
-    re_p, im_p = red.psi_form(ctx)
+    re_p, im_p = psi_form(ctx)
     psi = re_p.val + 1j * im_p.val
     out["psi_type"] = _maxabs(np.einsum("zai,zaj->zij", i0v, psi) + 1j * psi)
     out["psi_intermediate_j"] = _maxabs(
@@ -582,13 +596,13 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
     out["psi_intermediate_k"] = _maxabs(
         np.einsum("zai,zaj->zij", i0v, anti.val) - (2.0 / _SQ3) * om_j.val)
 
-    k_e = red.k_endo(ctx).val
+    k_e = k_endo(ctx).val
     i0k = np.einsum("zab,zbi->zai", i0v, k_e)
     target = (4.0 / _SQ3) * (np.einsum("zai,zaj->zij", k_e, g0v)
                              - 1j * np.einsum("zai,zaj->zij", i0k, g0v))
     out["psi_via_k"] = _maxabs(psi - target)
 
-    g0i = red.g0_inv_val(ctx)
+    g0i = np.linalg.inv(g0v)
     n2 = form_norm2(re_p.val, 2, g0i) + form_norm2(im_p.val, 2, g0i)
     out["psi_norm"] = n2
     out["psi_norm_dev"] = _maxabs(n2 - 64.0 / 3.0)
@@ -598,10 +612,10 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
         # cov: (z, x, a, j) endo-valued; sandwich all slots with pi
         return contract("zxp,zab,zxbq,zqj->zpaj", pi, pi, cov, pi)
 
-    gam0 = red.g0_christoffel(ctx)
+    gam0 = g0_christoffel(ctx)
     cov_i0 = C.covd(ctx, i0, "ul", gamma=gam0).val
     out["i0_parallel"] = _maxabs(hproj(cov_i0))
-    cov_k = C.covd(ctx, red.k_endo(ctx), "ul", gamma=gam0).val
+    cov_k = C.covd(ctx, k_endo(ctx), "ul", gamma=gam0).val
     out["k_parallel"] = _maxabs(hproj(cov_k))
 
     def fproj(cov):
@@ -613,8 +627,8 @@ def kahler_projection_check(ctx: EvalContext, red: Reduction) -> dict:
     out["psi_parallel"] = np.maximum(_maxabs(fproj(cov_re)), _maxabs(fproj(cov_im)))
 
     # normalized circle action: zeta'(xi') = 1 and L_{xi'} Psi = i Psi
-    zp = red.zeta_prime(ctx)
-    xip = (1.0 / (2.0 * _SQ3)) * red.jxi(ctx)
+    zp = zeta_prime(ctx)
+    xip = (1.0 / (2.0 * _SQ3)) * jxi_field(ctx)
     out["zeta_prime_pairing"] = _maxabs(
         np.einsum("zi,zi->z", zp.val, xip.val) - 1.0)
     dzp = d_form(zp, 1).val
@@ -777,34 +791,34 @@ def base_kahler_check(ctx: EvalContext) -> dict:
 # canonical Hermitian connection
 
 
-def canonical_connection_checks(ctx: EvalContext, red: Reduction, rng) -> dict:
+def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
     """The torsion-adapted connection preserves g, J and the splitting
     into the two parallel rank-3 distributions exchanged by J."""
-    gb = red.gamma_bar(ctx)
+    gb = gamma_bar(ctx)
     g = C.metric(ctx)
     out = {}
     out["metric_parallel"] = _maxabs(C.covd(ctx, g, "ll", gamma=gb).val)
     out["j_parallel"] = _maxabs(C.covd(ctx, j_field(ctx), "ul", gamma=gb).val)
 
-    cov_xi = C.covd(ctx, red.xi(ctx), "u", gamma=gb).val  # (z, i, a)
-    sg = red.sigma(ctx).val
-    jh = red.jhat(ctx).val
+    cov_xi = C.covd(ctx, ctx.root("xi"), "u", gamma=gb).val  # (z, i, a)
+    sg = sigma_endo(ctx).val
+    jh = jhat_endo(ctx).val
     target = np.einsum("zab,zbi->zai", sg + np.eye(ctx.chart.dim), jh)
     out["xi_derivative"] = _maxabs(np.swapaxes(cov_xi, 1, 2) - target)
 
     # horizontal-horizontal part of nabla sigma (Levi-Civita) vanishes
-    pi = red.pi_h(ctx).val
-    cov_sg = C.covd(ctx, red.sigma(ctx), "ul").val
+    pi = pi_h(ctx).val
+    cov_sg = C.covd(ctx, sigma_endo(ctx), "ul").val
     proj = contract("zxp,zab,zxbj,zjq->zpaq", pi, pi, cov_sg, pi)
     out["sigma_transversal_parallel"] = _maxabs(proj)
 
     # distributions spanned by xi with the +1 eigenspace of sigma, and its
     # J-image: both are preserved by the connection
-    p_plus = 0.5 * (red.pi_h(ctx) + red.sigma(ctx))
-    p_minus = 0.5 * (red.pi_h(ctx) - red.sigma(ctx))
+    p_plus = 0.5 * (pi_h(ctx) + sigma_endo(ctx))
+    p_minus = 0.5 * (pi_h(ctx) - sigma_endo(ctx))
     # the products are computed in the projectors' space
-    pi_e = p_plus + J.jj("a,i->ai", red.xi(ctx).truncate(p_plus.space), red.zeta(ctx))
-    pi_f = p_minus + J.jj("a,i->ai", red.jxi(ctx).truncate(p_minus.space), red.jzeta(ctx))
+    pi_e = p_plus + J.jj("a,i->ai", ctx.root("xi").truncate(p_plus.space), zeta_form(ctx))
+    pi_f = p_minus + J.jj("a,i->ai", jxi_field(ctx).truncate(p_minus.space), jzeta_form(ctx))
 
     jval = j_field(ctx).val
     out["j_maps_e_to_f"] = _maxabs(

@@ -364,7 +364,6 @@ CHECKS: list[CheckSpec] = [
     _spec("ansatz-constant-type", "ansatz", "ctype", "constant_type", 1e-5),
     _spec("ansatz-scal", "ansatz", "einstein", "scal", 1e-4,
           value_key="scal_value"),
-    _spec("ansatz-killing-unit", "ansatz", "killing", "unit_length", 1e-6),
     _spec("ansatz-agreement", "ansatz", "agree",
           ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta",
            "psi_norm"), 1e-4),
@@ -510,11 +509,6 @@ class _Session:
         source results stay."""
         self._ctx.clear()
         self._roots = None
-
-    @property
-    def red(self) -> R.Reduction:
-        name = self.bundle.killing[self.bundle.default_killing]
-        return R.Reduction(name)
 
     def get(self, source: str) -> dict:
         """The result of ``source``, computed on first use.
@@ -668,44 +662,43 @@ def _src_homothety(s):
 
 
 def _src_killing(s, ctx):
-    return R.verify_killing_unit(ctx, s.red)
+    return R.verify_killing_unit(ctx)
 
 
 def _src_foliation(s, ctx):
-    return R.foliation_checks(ctx, s.red)
+    return R.foliation_checks(ctx)
 
 
 def _src_acs(s, ctx):
-    return R.acs_check(ctx, s.red)
+    return R.acs_check(ctx)
 
 
 def _src_tpar(s, ctx):
-    return R.transversal_parallel_check(ctx, s.red)
+    return R.transversal_parallel_check(ctx)
 
 
 def _src_norms(s, ctx):
-    return R.norms_and_laplacian_checks(ctx, s.red)
+    return R.norms_and_laplacian_checks(ctx)
 
 
 def _src_djxi(s, ctx):
-    return R.djxi_check(ctx, s.red)
+    return R.djxi_check(ctx)
 
 
 def _src_lie(s, ctx):
-    return R.lie_derivative_suite(ctx, s.red)
+    return R.lie_derivative_suite(ctx)
 
 
 def _src_g0conn(s, ctx):
-    return R.g0_connection_check(ctx, s.red)
+    return R.g0_connection_check(ctx)
 
 
 def _src_kahler(s, ctx):
-    return R.kahler_projection_check(ctx, s.red)
+    return R.kahler_projection_check(ctx)
 
 
 def _src_canon(s, ctx):
-    return R.canonical_connection_checks(ctx, s.red,
-                                         rng=np.random.default_rng(s.seed + 7))
+    return R.canonical_connection_checks(ctx, rng=np.random.default_rng(s.seed + 7))
 
 
 def _src_base(s, ctx):

@@ -17,6 +17,7 @@ from nklab import reduction as R
 from nklab import report as REP
 from nklab import suites
 from nklab.chart import EvalContext, sample_points
+from oracles import S6_ROTATIONS, with_xi
 
 SAMPLES = 50          # cheap (order <= 2) checks
 SAMPLES_DEEP = 12     # third-order contexts
@@ -50,10 +51,6 @@ class _Battery:
 def _ctx(bundle, order, n, seed=0):
     pts = sample_points(bundle.chart, n, np.random.default_rng(seed))
     return EvalContext(bundle.chart, pts, order)
-
-
-def _red(bundle):
-    return R.Reduction(bundle.killing[bundle.default_killing])
 
 
 def test_01_curvature_anchors(s6, s2s2):
@@ -125,7 +122,7 @@ def test_04_laplacian_anchors(s3s3):
             lap["rough_laplacian"], 1e-6)
     b.below("Hodge Laplacian of the fundamental form is 12 times the form",
             lap["hodge_laplacian"], 1e-6)
-    norms = R.norms_and_laplacian_checks(ctx, _red(s3s3))
+    norms = R.norms_and_laplacian_checks(ctx)
     b.below("Hodge Laplacian of the Killing covector is 10 times it",
             norms["laplacian_zeta"], 1e-5)
     b.below("Hodge Laplacian of the rotated covector is 18 times it",
@@ -137,19 +134,18 @@ def test_04_laplacian_anchors(s3s3):
 
 def test_05_reduction_invariants(s3s3):
     b = _Battery()
-    red = _red(s3s3)
     ctx2 = _ctx(s3s3, 2, SAMPLES)
     ctx3 = _ctx(s3s3, 3, SAMPLES_DEEP)
-    acs = R.acs_check(ctx2, red)
+    acs = R.acs_check(ctx2)
     b.below("transversal endomorphism algebra, all identities",
             list(acs.values()), 1e-8)
-    tpar = R.transversal_parallel_check(ctx2, red)
-    fol = R.foliation_checks(ctx2, red)
+    tpar = R.transversal_parallel_check(ctx2)
+    fol = R.foliation_checks(ctx2)
     b.below("transversal structures parallel along the flow",
             list(tpar.values()), 1e-6)
     b.below("vertical distribution behaviour under the flow",
             list(fol.values()), 1e-6)
-    norms = R.norms_and_laplacian_checks(ctx3, red)
+    norms = R.norms_and_laplacian_checks(ctx3)
     b.below("invariant part of the Killing 2-form has square norm 8",
             norms["norm_dzeta11_dev"], 1e-6)
     b.below("anti-invariant part has square norm 2",
@@ -169,7 +165,7 @@ def test_05_reduction_invariants(s3s3):
 
 def test_06_flow_derivative_formulas(s3s3):
     b = _Battery()
-    lie = R.lie_derivative_suite(_ctx(s3s3, 2, SAMPLES), _red(s3s3))
+    lie = R.lie_derivative_suite(_ctx(s3s3, 2, SAMPLES))
     b.below(f"flow-derivative identity suite, all {len(lie)} residuals",
             list(lie.values()), 1e-7)
     assert len(lie) >= 11
@@ -178,7 +174,7 @@ def test_06_flow_derivative_formulas(s3s3):
 
 def test_07_projected_kahler_structure(s3s3):
     b = _Battery()
-    kah = R.kahler_projection_check(_ctx(s3s3, 3, SAMPLES_DEEP), _red(s3s3))
+    kah = R.kahler_projection_check(_ctx(s3s3, 3, SAMPLES_DEEP))
     b.below("reduced complex structure is parallel for the reduced metric",
             kah["i0_parallel"], 1e-6)
     b.below("anti-invariant rotation is parallel for the reduced metric",
@@ -198,7 +194,6 @@ def test_07_projected_kahler_structure(s3s3):
 def test_08_canonical_connection(s3s3):
     b = _Battery()
     canon = R.canonical_connection_checks(_ctx(s3s3, 3, SAMPLES_DEEP),
-                                          _red(s3s3),
                                           rng=np.random.default_rng(8))
     b.below("canonical connection preserves the metric",
             canon["metric_parallel"], 1e-8)
@@ -239,13 +234,13 @@ def test_10_assembled_model(ansatz_bundle, s3s3):
             max(abs(np.mean(alpha) - 1.0), np.max(alpha) - np.min(alpha)), 1e-5)
     scal = NK.einstein_and_ricci_star_check(EvalContext(ch, pts[:6], 3))["scal_value"]
     b.below("assembled model: scalar curvature is 30", abs(np.mean(scal) - 30.0), 1e-4)
-    fiber = R.verify_killing_unit(EvalContext(ch, pts[:10], 2), _red(ansatz_bundle))
+    fiber = R.verify_killing_unit(EvalContext(ch, pts[:10], 2))
     b.below("assembled model: fiber field is a unit Killing field",
             [fiber["unit_length"], fiber["killing"]], 1e-6)
 
     ctx = _ctx(ansatz_bundle, 1, SAMPLES, seed=11)
     _, mu = A.connection_forms(ctx)
-    zeta = _red(ansatz_bundle).zeta(ctx)
+    zeta = R.zeta_form(ctx)
     b.below("assembled model: Killing covector equals the second potential",
             np.max(np.abs(zeta.val - mu.val)), 1e-6)
 
@@ -253,15 +248,14 @@ def test_10_assembled_model(ansatz_bundle, s3s3):
     b.below("gauge shift is a pure coordinate change",
             max(eq["metric"], eq["J"]), 1e-8)
 
-    red_a, red_h = _red(ansatz_bundle), _red(s3s3)
     ctx_a = _ctx(ansatz_bundle, 3, SAMPLES_DEEP, seed=13)
     ctx_h = _ctx(s3s3, 3, SAMPLES_DEEP, seed=14)
-    na = R.norms_and_laplacian_checks(ctx_a, red_a)
-    nh = R.norms_and_laplacian_checks(ctx_h, red_h)
+    na = R.norms_and_laplacian_checks(ctx_a)
+    nh = R.norms_and_laplacian_checks(ctx_h)
     diff = max(abs(np.mean(na[k]) - np.mean(nh[k])) for k in
                ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta"))
-    diff = max(diff, abs(np.mean(R.kahler_projection_check(ctx_a, red_a)["psi_norm"])
-                         - np.mean(R.kahler_projection_check(ctx_h, red_h)["psi_norm"])))
+    diff = max(diff, abs(np.mean(R.kahler_projection_check(ctx_a)["psi_norm"])
+                         - np.mean(R.kahler_projection_check(ctx_h)["psi_norm"])))
     b.below("reduced scalar invariants agree with the homogeneous model",
             diff, 1e-4)
     b.finish()
@@ -269,10 +263,13 @@ def test_10_assembled_model(ansatz_bundle, s3s3):
 
 def test_11_negative_controls(s6, s3s3_product):
     b = _Battery()
-    ctx = _ctx(s6, 2, SAMPLES)
+    pts = sample_points(s6.chart, SAMPLES, np.random.default_rng(0))
     worst_dev = np.inf
-    for name, ev in s6.killing.items():
-        res = R.verify_killing_unit(ctx, R.Reduction(ev))
+    fields = {"rot01": s6.chart.evaluators["xi"],
+              **{name: M._s6_rotation_evaluator(1.0, amat)
+                 for name, amat in S6_ROTATIONS.items()}}
+    for name, ev in fields.items():
+        res = R.verify_killing_unit(EvalContext(with_xi(s6.chart, ev), pts, 2))
         b.below(f"six-sphere field '{name}' is Killing", res["killing"], 1e-8)
         worst_dev = min(worst_dev, np.max(res["unit_length"]))
     b.above("no six-sphere candidate has constant unit length",

@@ -82,7 +82,7 @@ class TestGaugeScan:
 
 class TestAssembly:
     def test_assemble_certifies(self, ansatz_bundle):
-        assert ansatz_bundle.default_killing == "fiber"
+        assert "xi" in ansatz_bundle.chart.evaluators
         assert ansatz_bundle.meta["gauge"] == A.DEFAULT_GAUGE
 
     def test_printed_coefficients_degenerate(self):
@@ -95,7 +95,7 @@ class TestAssembly:
 
     def test_nan_fiber_field_fails_certification(self):
         ch = A._build_chart(A.DEFAULT_GAUGE, False, (0, 0), False)
-        ch.evaluators["xi:fiber"] = lambda ctx: J.jconst(
+        ch.evaluators["xi"] = lambda ctx: J.jconst(
             ctx.space, np.full((ctx.nbatch, 6), np.nan))
         with pytest.raises(InvariantViolation, match="fiber_unit_length"):
             A._certify_chart(ch)
@@ -118,7 +118,7 @@ class TestAssembly:
         assert abs(np.mean(NK.constant_type_samples(ctx, rng)) - 1.0) < 1e-12
         scal = NK.einstein_and_ricci_star_check(EvalContext(ch, pts[:3], order=3))["scal_value"]
         assert abs(np.mean(scal) - 30.0) < 1e-11
-        fiber = R.verify_killing_unit(EvalContext(ch, pts[:5], order=2), R.Reduction("xi:fiber"))
+        fiber = R.verify_killing_unit(EvalContext(ch, pts[:5], order=2))
         assert np.max(fiber["unit_length"]) == 0.0
         assert np.max(fiber["killing"]) == 0.0
         assert np.max(A.twisted_parallel_residual(ctx, A.DEFAULT_GAUGE)) < 1e-13
@@ -147,27 +147,24 @@ class TestGaugeEquivalence:
 
 class TestReductionAgreement:
     def test_fiber_reduction_matches_homogeneous_invariants(self, ansatz_bundle, s3s3):
-        red_a = R.Reduction("xi:fiber")
-        red_h = R.Reduction("xi:diag")
         ctx_a = EvalContext(ansatz_bundle.chart,
                             sample_points(ansatz_bundle.chart, 3,
                                           np.random.default_rng(27)), 3)
         ctx_h = EvalContext(s3s3.chart,
                             sample_points(s3s3.chart, 3,
                                           np.random.default_rng(28)), 3)
-        na = R.norms_and_laplacian_checks(ctx_a, red_a)
-        nh = R.norms_and_laplacian_checks(ctx_h, red_h)
+        na = R.norms_and_laplacian_checks(ctx_a)
+        nh = R.norms_and_laplacian_checks(ctx_h)
         for key in ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta"):
             assert abs(np.mean(na[key]) - np.mean(nh[key])) < 1e-11, key
-        pa = np.mean(R.kahler_projection_check(ctx_a, red_a)["psi_norm"])
-        ph = np.mean(R.kahler_projection_check(ctx_h, red_h)["psi_norm"])
+        pa = np.mean(R.kahler_projection_check(ctx_a)["psi_norm"])
+        ph = np.mean(R.kahler_projection_check(ctx_h)["psi_norm"])
         assert abs(pa - ph) < 1e-11
 
     def test_zeta_prime_is_first_connection_form(self, ansatz_bundle):
         # the rescaled rotated dual recovers theta: d zeta' = -12 omega_I0
         ch = ansatz_bundle.chart
         ctx = EvalContext(ch, sample_points(ch, 4, np.random.default_rng(29)), 2)
-        red = R.Reduction("xi:fiber")
-        zp = red.zeta_prime(ctx)
+        zp = R.zeta_prime(ctx)
         theta, _ = A.connection_forms(ctx)
         assert np.max(np.abs(zp.val - theta.val)) < 1e-12

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nklab import jets as J
+from oracles import COS_SQRT
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
                    allow_nan=False, allow_infinity=False)
@@ -514,7 +515,7 @@ class TestFunctionKernels:
     @pytest.mark.parametrize("name", ["SINC_SQRT", "COS_SQRT", "VERSINE_RATIO", "SINC_DEFECT"])
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
     def test_jentire_matches_maclaurin_sum(self, name, order):
-        series = getattr(J, name)
+        series = COS_SQRT if name == "COS_SQRT" else getattr(J, name)
         rng = np.random.default_rng(order)
         # a square norm like the exponential charts' s = |x|^2, 4 s included
         x = _random_jet(rng, 3, order, (3,), 6)

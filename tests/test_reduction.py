@@ -14,6 +14,7 @@ from nklab import models as M
 from nklab import reduction as R
 from nklab.chart import EvalContext, NonEinsteinBaseError, sample_points
 from nklab.exterior import form_ip
+from oracles import left_translation_xi, with_xi
 
 
 def _assert_all_below(res: dict, tol: float, skip=()):
@@ -24,42 +25,38 @@ def _assert_all_below(res: dict, tol: float, skip=()):
 @pytest.fixture(scope="module")
 def setup(s3s3):
     ch = s3s3.chart
-    red = R.Reduction("xi:diag")
     pts = sample_points(ch, 6, np.random.default_rng(11))
-    return ch, red, pts
+    return ch, pts
 
 
 @pytest.fixture(scope="module")
 def ctx2(setup):
-    ch, red, pts = setup
+    ch, pts = setup
     return EvalContext(ch, pts, order=2)
 
 
 @pytest.fixture(scope="module")
 def ctx3(setup):
-    ch, red, pts = setup
+    ch, pts = setup
     return EvalContext(ch, pts[:3], order=3)
 
 
 class TestKillingData:
-    def test_unit_killing(self, ctx2, setup):
-        _, red, _ = setup
-        _assert_all_below(R.verify_killing_unit(ctx2, red), 1e-12)
+    def test_unit_killing(self, ctx2):
+        _assert_all_below(R.verify_killing_unit(ctx2), 1e-12)
 
     def test_unit_killing_needs_order_two(self, setup):
-        ch, red, pts = setup
+        ch, pts = setup
         with pytest.raises(ValueError, match="derivative orders"):
-            R.verify_killing_unit(EvalContext(ch, pts, order=1), red)
+            R.verify_killing_unit(EvalContext(ch, pts, order=1))
 
-    def test_foliation(self, ctx2, setup):
-        _, red, _ = setup
-        _assert_all_below(R.foliation_checks(ctx2, red), 1e-12)
+    def test_foliation(self, ctx2):
+        _assert_all_below(R.foliation_checks(ctx2), 1e-12)
 
-    def test_build_killing_data(self, ctx2, setup):
-        _, red, _ = setup
+    def test_build_killing_data(self, ctx2):
         from nklab import calculus as C
 
-        xi, zeta, dzeta = red.xi(ctx2).val, red.zeta(ctx2).val, red.dzeta(ctx2).val
+        xi, zeta, dzeta = ctx2.root("xi").val, R.zeta_form(ctx2).val, R.dzeta_form(ctx2).val
         assert xi.shape[-1] == 6
         g = C.metric(ctx2).val
         assert np.max(np.abs(zeta - np.einsum("zij,zj->zi", g, xi))) < 1e-14
@@ -67,39 +64,31 @@ class TestKillingData:
 
     def test_scaled_field_fails_unit_check(self, s3s3):
         # |2 xi|^2 - 1 = 3: the advertised failure of the doubled field
-        ch = s3s3.chart
-        orig = ch.evaluators["xi:diag"]
-        ch.evaluators["xi:double"] = lambda ctx: 2.0 * orig(ctx)
-        try:
-            ctx = EvalContext(ch, sample_points(ch, 4, np.random.default_rng(0)), 1)
-            from nklab import calculus as C
+        orig = s3s3.chart.evaluators["xi"]
+        ch = with_xi(s3s3.chart, lambda ctx: 2.0 * orig(ctx))
+        ctx = EvalContext(ch, sample_points(ch, 4, np.random.default_rng(0)), 1)
+        from nklab import calculus as C
 
-            xi = ctx.root("xi:double")
-            n2 = np.einsum("zi,zij,zj->z", xi.val, C.metric(ctx).val, xi.val)
-            dev = np.max(np.abs(n2 - 1.0))
-            assert abs(dev - 3.0) < 1e-10
-        finally:
-            del ch.evaluators["xi:double"]
+        xi = ctx.root("xi")
+        n2 = np.einsum("zi,zij,zj->z", xi.val, C.metric(ctx).val, xi.val)
+        dev = np.max(np.abs(n2 - 1.0))
+        assert abs(dev - 3.0) < 1e-10
 
 
 class TestTransversalStructures:
-    def test_acs_algebra(self, ctx2, setup):
-        _, red, _ = setup
-        _assert_all_below(R.acs_check(ctx2, red), 1e-12)
+    def test_acs_algebra(self, ctx2):
+        _assert_all_below(R.acs_check(ctx2), 1e-12)
 
-    def test_parallel_along_xi(self, ctx2, setup):
-        _, red, _ = setup
-        _assert_all_below(R.transversal_parallel_check(ctx2, red), 1e-12)
+    def test_parallel_along_xi(self, ctx2):
+        _assert_all_below(R.transversal_parallel_check(ctx2), 1e-12)
 
-    def test_build_transversals(self, ctx2, setup):
-        _, red, _ = setup
-        h = red.pi_h(ctx2).val
+    def test_build_transversals(self, ctx2):
+        h = R.pi_h(ctx2).val
         assert np.max(np.abs(np.einsum("zab,zbc->zac", h, h) - h)) < 1e-12
-        assert np.max(np.abs(np.trace(red.sigma(ctx2).val, axis1=1, axis2=2))) < 1e-12
+        assert np.max(np.abs(np.trace(R.sigma_endo(ctx2).val, axis1=1, axis2=2))) < 1e-12
 
-    def test_norms_and_laplacians(self, ctx3, setup):
-        _, red, _ = setup
-        res = R.norms_and_laplacian_checks(ctx3, red)
+    def test_norms_and_laplacians(self, ctx3):
+        res = R.norms_and_laplacian_checks(ctx3)
         assert abs(np.mean(res["norm_dzeta11"]) - 8.0) < 1e-12
         assert abs(np.mean(res["norm_dzeta20"]) - 2.0) < 1e-12
         assert abs(np.mean(res["norm_jhat"]) - 4.0) < 1e-12
@@ -107,51 +96,42 @@ class TestTransversalStructures:
         _assert_all_below(res, 1e-11, skip=("norm_dzeta11", "norm_dzeta20",
                                             "norm_jhat", "norm_djzeta"))
 
-    def test_djxi(self, ctx2, setup):
-        _, red, _ = setup
-        _assert_all_below(R.djxi_check(ctx2, red), 1e-12)
+    def test_djxi(self, ctx2):
+        _assert_all_below(R.djxi_check(ctx2), 1e-12)
 
 
 class TestLieDerivatives:
-    def test_full_suite(self, ctx2, setup):
-        _, red, _ = setup
-        res = R.lie_derivative_suite(ctx2, red)
+    def test_full_suite(self, ctx2):
+        res = R.lie_derivative_suite(ctx2)
         assert len(res) >= 19
         _assert_all_below(res, 1e-12)
 
     def test_left_family_agrees(self, s3s3):
-        ch = s3s3.chart
-        red = R.Reduction("xi:left")
+        ch = with_xi(s3s3.chart, left_translation_xi(s3s3))
         ctx = EvalContext(ch, sample_points(ch, 4, np.random.default_rng(12)), 2)
-        _assert_all_below(R.verify_killing_unit(ctx, red), 1e-12)
-        _assert_all_below(R.lie_derivative_suite(ctx, red), 1e-11)
+        _assert_all_below(R.verify_killing_unit(ctx), 1e-12)
+        _assert_all_below(R.lie_derivative_suite(ctx), 1e-11)
 
 
 class TestReducedKahler:
-    def test_g0_connection(self, ctx3, setup):
-        _, red, _ = setup
-        _assert_all_below(R.g0_connection_check(ctx3, red), 1e-12)
+    def test_g0_connection(self, ctx3):
+        _assert_all_below(R.g0_connection_check(ctx3), 1e-12)
 
-    def test_projection_block(self, ctx3, setup):
-        _, red, _ = setup
-        res = R.kahler_projection_check(ctx3, red)
+    def test_projection_block(self, ctx3):
+        res = R.kahler_projection_check(ctx3)
         assert abs(np.mean(res["psi_norm"]) - 64.0 / 3.0) < 1e-11
         _assert_all_below(res, 1e-11, skip=("psi_norm",))
 
-    def test_build_reduced_kahler(self, ctx3, setup):
-        _, red, _ = setup
-        assert red.zeta_prime(ctx3).val.shape[-1] == 6
+    def test_build_reduced_kahler(self, ctx3):
+        assert R.zeta_prime(ctx3).val.shape[-1] == 6
 
-    def test_canonical_connection(self, ctx3, setup):
-        _, red, _ = setup
-        res = R.canonical_connection_checks(ctx3, red,
-                                            rng=np.random.default_rng(13))
+    def test_canonical_connection(self, ctx3):
+        res = R.canonical_connection_checks(ctx3, rng=np.random.default_rng(13))
         _assert_all_below(res, 1e-12)
 
 
-    def test_nan_direction_fails_splitting(self, ctx3, setup):
+    def test_nan_direction_fails_splitting(self, ctx3):
         # the second of the three random directions is NaN: one of six terms
-        _, red, _ = setup
         rng = np.random.default_rng(13)
         draws = iter([rng.standard_normal(6), np.full(6, np.nan), rng.standard_normal(6)])
 
@@ -159,7 +139,7 @@ class TestReducedKahler:
             def standard_normal(self, d):
                 return next(draws)
 
-        res = R.canonical_connection_checks(ctx3, red, rng=Draws())
+        res = R.canonical_connection_checks(ctx3, rng=Draws())
         assert np.isnan(np.max(res["splitting_parallel"]))
 
 
@@ -243,11 +223,10 @@ def _norm_r_anti_per_point(ctx, rl):
 class TestReductionOnS6:
     def test_rotation_is_killing_but_not_unit(self, s6):
         ch = s6.chart
-        red = R.Reduction("xi:rot01")
         ctx = EvalContext(ch, sample_points(ch, 5, np.random.default_rng(17)), 1)
         from nklab import calculus as C
 
-        xi = ctx.root("xi:rot01")
+        xi = ctx.root("xi")
         lg = C.lie_derivative(ctx, xi, C.metric(ctx), "ll").val
         assert np.max(np.abs(lg)) < 1e-12
         n = np.sqrt(np.einsum("zi,zij,zj->z", xi.val, C.metric(ctx).val, xi.val))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nklab import jets as J
+from nklab import models as M
 from nklab import nkcore as NK
 from nklab import suites
 from nklab.chart import ConfigError, EvalContext
@@ -160,6 +161,23 @@ class TestSessions:
         declared = {key[0] for key, _ in suites._SOURCES.values() if key is not None}
         assert {o for _, o, _ in seen} >= declared
 
+    def test_every_evaluator_of_each_lab_chart_is_read(self, monkeypatch):
+        # a field that no row reads is dead weight, and the fd backend still
+        # evaluates every field of a chart on each stencil
+        read = set()
+        root = EvalContext.root
+
+        def spy(ctx, name):
+            read.add((ctx.chart.name, name))
+            return root(ctx, name)
+
+        monkeypatch.setattr(EvalContext, "root", spy)
+        suites.run(samples=8)
+        charts = [M.build_model(model).chart for model in suites.MODEL_NAMES]
+        unread = [f"{ch.name}/{name}" for ch in charts for name in ch.evaluators
+                  if (ch.name, name) not in read]
+        assert unread == []
+
     def test_run_releases_its_sessions(self, monkeypatch):
         # with the cycle collector off, only reference counts can free the
         # sessions: a reference cycle through the session table would keep
@@ -303,7 +321,7 @@ class TestModelMajor:
             alive = _alive(made)
         finally:
             gc.enable()
-        assert len(results) == 212
+        assert len(results) == 211
         assert not strays
         assert not alive
         assert set(computed) == set(suites.MODEL_NAMES)

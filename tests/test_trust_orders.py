@@ -35,7 +35,6 @@ from nklab.exterior import d_form, wedge_jet
 
 ORDERS = [1, 2, 3, 4]
 MODELS = ["s3s3", "s6"]
-XI = {"s3s3": "xi:diag", "s6": "xi:rot01"}
 
 
 def _ctx(bundle, order):
@@ -205,7 +204,7 @@ def test_riemann(request, model, order, spy):
 @pytest.mark.parametrize("model", MODELS)
 def test_lie_derivative(request, model, order, monkeypatch):
     ctx = _ctx(request.getfixturevalue(model), order)
-    xi = ctx.root(XI[model])
+    xi = ctx.root("xi")
     cases = [(C.metric(ctx), "ll"), (NK.j_field(ctx), "ul")]
     if order >= 2:
         cases.append((NK.nabla_j(ctx), "lul"))  # lower than the field

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets as J
-from .calculus import covd, metric_inv
+from .calculus import covd, covd_field, metric_inv
 
 __all__ = [
     "wedge",
@@ -258,21 +258,30 @@ def d_form(w: J.Jet, p: int) -> J.Jet:
 
 def codifferential(ctx, w: J.Jet, p: int) -> J.Jet:
     """delta w = -g^{ij} (nabla w)_{i j ...} -> (p-1)-form jet."""
-    nab = covd(ctx, w, "l" * p)
+    return _trace_covd(ctx, covd(ctx, w, "l" * p), p)
+
+
+def _trace_covd(ctx, nab: J.Jet, p: int) -> J.Jet:
+    """-g^{ij} nab_{i j ...}: delta of a p-form from its covariant derivative."""
     gi = metric_inv(ctx, nab.space.order)
     rest = _LETTERS[2:p + 1]
     return -1.0 * J.jj(f"ij,ij{rest}->{rest}", gi, nab)
 
 
-def form_laplacian_field(field, p: int):
-    """Return ctx -> Jet computing (d delta + delta d) of a p-form field."""
+def form_laplacian_field(field, p: int, key):
+    """Return ctx -> Jet computing (d delta + delta d) of a p-form field.
+
+    delta of the field reads its covariant derivative memoized under
+    ``key`` (:func:`~nklab.calculus.covd_field`), which the context's
+    other readers of that derivative share.
+    """
 
     def lap(ctx):
         w = field(ctx)
         if p == 0:
             return codifferential(ctx, d_form(w, p), p + 1)
         # delta w first: it reads the metric inverse one order above delta d w
-        t2 = d_form(codifferential(ctx, w, p), p - 1)
+        t2 = d_form(_trace_covd(ctx, covd_field(ctx, field, "l" * p, key), p), p - 1)
         return codifferential(ctx, d_form(w, p), p + 1) + t2
 
     return lap

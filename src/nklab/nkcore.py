@@ -300,15 +300,13 @@ _STAR_PSI_PATTERN = _frame_form(3, {(1, 3, 5): -1.0, (1, 2, 4): 1.0,
 _OMEGA_PATTERN = _frame_form(2, {(0, 1): 1.0, (2, 3): 1.0, (4, 5): 1.0})
 
 
-def frame_expansion_check(ctx: EvalContext, rng=None) -> dict:
+def frame_expansion_check(ctx: EvalContext, rng) -> dict:
     """Expand psi, its Hodge dual, and Omega in adapted frames.
 
-    One frame per context point.  The frame components must reproduce the
-    fixed integer patterns; this pins the normalization and the
-    orientation conventions at once.
+    One frame per context point, from seeds ``rng`` draws.  The frame
+    components must reproduce the fixed integer patterns; this pins the
+    normalization and the orientation conventions at once.
     """
-    if rng is None:
-        rng = np.random.default_rng(1)
     g = C.metric(ctx).val
     gi = C.metric_inv(ctx, 0).val
     om = omega_field(ctx).val
@@ -407,7 +405,7 @@ def laplacian_omega_check(ctx: EvalContext) -> dict:
     The two routes are tied together by the curvature term of the
     Weitzenboeck formula on 2-forms, which is verified as well.
     """
-    lap = form_laplacian_field(omega_field, 2)(ctx).val
+    lap = form_laplacian_field(omega_field, 2, "omega")(ctx).val
     gi = C.metric_inv(ctx, 0).val  # after lap, whose codifferentials ask higher orders
     om = omega_field(ctx).val
     d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val

@@ -12,23 +12,20 @@ The run goes model by model, and each model's session walks its points
 chunk by chunk.  The session's points are cut into consecutive chunks of
 :data:`CHUNK` points, in order, by the batch rule of
 :func:`~nklab.jets.chunks`: every chunk starts at a multiple of 8, and
-none holds fewer than 8 points unless the whole session does.  A key's
-points (below) are whole 8-point blocks or all the session's points, so
-its part of every chunk obeys the same rule, and every source's per-point
-arrays agree bit for bit with one large batch.  Measured: a chunk
-starting at 60, 65 or 68 of 260 points changes exact rows.  The loop is
-chunk-major.  For each chunk, the model computes the
-shared sources its selected checks read on that chunk's share of their
-points, grouped by the context key each source declares in
-:data:`_SOURCES`: by ascending key, in check order within a key.  A
-working context, with all its memoized jets, is released as soon as the
-chunk's last source of its key is done, the chunk's root context (below)
-after its last source whose context reads it, and every context at the
+none holds fewer than 8 points unless the whole session does, so every
+source's per-point arrays agree bit for bit with one large batch.
+Measured: a chunk starting at 60, 65 or 68 of 260 points changes exact
+rows.  The loop is chunk-major.  For each chunk, the model computes the
+shared sources its selected checks read on that chunk's points, grouped
+by the context order each source declares in :data:`_SOURCES`: by
+ascending order, in check order within an order.  A working context, with
+all its memoized jets, is released before the context of the next order
+is built, and every context, the chunk's root context (below) too, at the
 chunk's end.  So one working context on one chunk is alive at a time,
 beside that chunk's root context, and peak memory follows the largest
 context on one chunk, not the sample count.  Each source returns per-point
 arrays for a chunk, which are written to their rows of the source's
-arrays for all its points.  After the last chunk, its finishing step
+arrays for all the points.  After the last chunk, its finishing step
 (:data:`_FINISH`, if it has one) computes its scalar keys from those,
 once.  A multi-chunk run thus computes the same arrays as one batch, and
 every scalar by the same formula.  The context-free sources run last,
@@ -38,55 +35,53 @@ and emitted in suite order, as if the suites had run one after the other;
 a source that raised on any chunk is cached as its error, and every row
 that reads it reports that error.  A session keeps only its source
 results, and once its model's rows are out only the ``s3s3`` session
-keeps them, for the ``agree`` of a later model.
+keeps some: ``norms`` and ``kahler``, for the ``agree`` of a later model.
 
-Each model of a run gets one session.  Its ``ctx(key)`` is the one place
-that decides where a check looks: every source computation is handed the
-session's context of its declared key ``(order, share)``, so all of them
-share the run's points and derivative backend (``mode``).  A key's points
-are the first ``samples / share`` points of the session, rounded up to
-whole 8-point blocks, or all of them if that is fewer
-(:meth:`_Session.npoints`); the part of them inside a chunk is a prefix
-of the chunk, which the context holds, with jets of ``order``; a chunk
-with none of them skips the key.  A
-source's order is the lowest one whose jets its reads still trust:
-every check reads values only, so a source that differentiates its chart
-fields k times declares order k, and one order lower it raises
-``ValueError``.  ``share`` thins the points of the costly sources:
-``einstein``, ``lapom``, ``norms``, ``g0conn``, ``kahler``, ``canon`` and
-``sek`` read the first quarter, in whole 8-point blocks: 16 points at 50
-samples, 8 at 20.
+Each model of a run gets one session.  Its ``ctx(order)`` is the one
+place that decides where a check looks: every source with a context is
+handed the session's context of its declared order, jets of that order on
+the whole current chunk, so all of them read every point of the run with
+its derivative backend (``mode``).  A source's order is the lowest one
+whose jets its reads still trust: every check reads values only, so a
+source that differentiates its chart fields k times declares order k, and
+one order lower it raises ``ValueError``.
 
 A point's residuals do not depend on its chunk.  The sources with random
-probes (``ortho``, ``type``, ``frame``, ``elem``, ``ctype``, ``sek``'s frame
-seeds and ``homothety``) draw them through :meth:`_Session.probes`: each
-draw is made once, from the source's own seed and in the source's order,
-for all the points the source reads, and each chunk reads its rows.  With
-one chunk these are the generator's own draws.  ``canon``'s three probe
-directions are the same at every point, drawn from the same seed per chunk.
+probes (``ortho``, ``type``, ``frame``, ``elem`` and ``ctype``) draw them
+through :meth:`_Session.probes`: each draw is made once, from the source's
+own seed and in the source's order, for all the session's points, and each
+chunk reads its rows.  With one chunk these are the generator's own draws.
+``canon``'s three probe directions are the same at every point, drawn from
+the same seed per chunk.
 
 In exact mode the chart's root jets (metric, J, Killing fields) are built
 once per chunk, in its root context: jets of the root order on the chunk's
-points, each field evaluated on its first read.  Every exact context at or
-below that order reads them cut to its own order and point prefix
+points, each field evaluated on its first read.  Every exact session
+context reads them cut to its own order
 (:class:`~nklab.chart.EvalContext` ``roots``); truncation of a Taylor jet
 is exact, so only rounding tells the cut jets from ones built at their
-own order.  The root order of a model is the highest order of the share-1
-keys of the sources its checks read (2, and 1 for ``s3s3-product``), fixed
-by :data:`CHECKS` and :data:`_SOURCES` rather than by the sources a run
-selects, so every run and every suite order rounds the roots alike.  A
-context above it (``sek``'s order 4) builds its own roots, and so do fd
-contexts: the Richardson step depends on the order, so an fd jet cut to a
-lower order is not that order's fd jet.
+own order.  The root order of a model is the highest context order of the
+sources its checks read (2, and 1 for ``s3s3-product``), fixed by
+:data:`CHECKS` and :data:`_SOURCES` rather than by the sources a run
+selects, so every run and every suite order rounds the roots alike.  fd
+contexts build their own roots: the Richardson step depends on the order,
+so an fd jet cut to a lower order is not that order's fd jet.
 
-The gauge scan of ``gauge`` takes the first 6 points.  Two sources also
-look at other charts: ``homothety`` builds contexts on rescaled copies of
-``s3s3`` with the session's backend, on its own ``max(4, samples // 2)``
-points, chunked by the same rule, and ``gauge`` compares the session's
-``ansatz`` with a gauge-shifted copy (values only, no derivatives of chart
-fields).  ``agree`` compares with the cached results of the ``s3s3``
-session of the same run, building that session first when the run has not
-visited ``s3s3`` yet.
+Two context-free sources take points of their own, and evaluate them
+chunk by chunk by the same rule in contexts of their own (:func:`_chunked`),
+with probes drawn for all their points at once.  ``homothety`` reads
+rescaled copies of ``s3s3`` on its own ``max(4, samples // 2)`` points.
+``sek`` reads the first quarter of the session's points, in whole 8-point
+blocks (16 at 50 samples, 8 at 20), with jets of order 4 and frame seeds
+drawn from its own generator.  It alone keeps a quarter: on every point
+its order-4 contexts raised the exact lab's peak RSS at 50 samples by
+15% (56.3 to 64.5 MB) and its pass time by a quarter, while the order-2
+sources cost little once they share the order-2 context and its memo.  The gauge scan of ``gauge``
+takes the first 6 points, and ``gauge`` compares the session's ``ansatz``
+with a gauge-shifted copy (values only, no derivatives of chart fields).
+``agree`` compares with the cached results of the ``s3s3`` session of the
+same run, building that session first when the run has not visited
+``s3s3`` yet.
 
 Residuals are reduced here and nowhere else.  For each key a check reads,
 a source returns a float array of shape ``(nbatch,)``: the max of |residual|
@@ -378,7 +373,7 @@ def checks_for(suite: str, model: str) -> list[CheckSpec]:
 # shared per-model computations
 
 
-#: Points per chunk: a session, and ``homothety``, evaluate their points
+#: Points per chunk: a session, and :func:`_chunked`, evaluate their points
 #: this many at a time.
 CHUNK = 64
 
@@ -439,8 +434,8 @@ class _Session:
 
     Contexts are built on demand for the current chunk and dropped by
     :meth:`release`; the source results in ``_cache`` stay until ``run``
-    has the model's rows, and those of :data:`_PEER` for good, so ``agree``
-    on a later model reads them without recomputing.  ``peers``, the run's
+    has the model's rows, and :data:`_PEER`'s :data:`_AGREED` for good, so
+    ``agree`` on a later model reads them without recomputing.  ``peers``, the run's
     session table, is held weakly: a strong link back would be a reference
     cycle keeping the run's sessions alive after it.
     """
@@ -465,29 +460,15 @@ class _Session:
         self._chunk = slice(0, self.samples)
         self._peers = weakref.ref(peers)
 
-    def npoints(self, key: tuple) -> int:
-        """How many of the session's points a source of ``key = (order,
-        share)`` reads: the first ``samples / share``, rounded up to whole
-        :data:`~nklab.jets.MIN_CHUNK` blocks, or all of them."""
-        block = J.MIN_CHUNK
-        return min(self.samples, block * -(-self.samples // (block * key[1])))
-
-    def ctx(self, key: tuple) -> EvalContext:
-        """The context of ``key = (order, share)`` on the current chunk: jets
-        of ``order`` on the chunk's part of the key's points, a prefix of the
-        chunk.  An exact one at or below the root order reads its root jets
-        from :meth:`roots`."""
-        if key not in self._ctx:
-            order = key[0]
-            roots = (self.roots() if self.mode == "exact" and order <= self.root_order
-                     else None)
-            self._ctx[key] = EvalContext(self.chart, self.pts[self._rows(key)], order,
-                                         mode=self.mode, roots=roots)
-        return self._ctx[key]
-
-    def _rows(self, key: tuple) -> slice:
-        """The indices of the key's points in the current chunk."""
-        return slice(self._chunk.start, min(self._chunk.stop, self.npoints(key)))
+    def ctx(self, order: int) -> EvalContext:
+        """The context of ``order`` on the current chunk: jets of ``order`` on
+        the chunk's points.  An exact one reads its root jets from
+        :meth:`roots`."""
+        if order not in self._ctx:
+            roots = self.roots() if self.mode == "exact" else None
+            self._ctx[order] = EvalContext(self.chart, self.pts[self._chunk], order,
+                                           mode=self.mode, roots=roots)
+        return self._ctx[order]
 
     def roots(self) -> EvalContext:
         """The root context: exact jets of the root order on the current
@@ -497,12 +478,11 @@ class _Session:
         return self._roots
 
     def probes(self, source: str, seed: int) -> _Probes:
-        """The probes of ``source`` at its points in the current chunk: draws
-        of a generator seeded ``seed``, each made once for all the source's
+        """The probes of ``source`` at the current chunk's points: draws of
+        a generator seeded ``seed``, each made once for all the session's
         points (:class:`_Probes`)."""
         draws = self._draws.setdefault(source, ([], np.random.default_rng(seed)))
-        key = _SOURCES[source][0]
-        return _Probes(*draws, self.npoints(key), self._rows(key))
+        return _Probes(*draws, self.samples, self._chunk)
 
     def release(self) -> None:
         """Drop the contexts, the root context too, and their jets; cached
@@ -530,16 +510,15 @@ class _Session:
     def compute(self, sources) -> None:
         """Compute those of ``sources`` not computed yet, chunk-major.
 
-        For each chunk, the sources with a context whose key has points in
-        it run by ascending key and, within a key, as listed; each working
-        context is dropped after the chunk's last source of its key, the
-        root context after the last source whose context reads it, and all
-        of them after the chunk's last source.  A source's per-point arrays
-        for a chunk go to their rows of its arrays for all its points, made
-        on its first chunk; after the last chunk they are finished and
-        cached.  The context-free sources run last, with no context alive.
-        A source that raises on a chunk skips the later ones and is cached
-        as its error.
+        For each chunk, the sources with a context run by ascending order
+        and, within an order, as listed; each working context is dropped
+        before the next order's is built, and the root context with it at
+        the chunk's end.  A source's per-point arrays for a chunk go to
+        their rows of its arrays for all the points, made on its first
+        chunk; after the last chunk they are finished and cached.  The
+        context-free sources run last, with no context alive.  A source
+        that raises on a chunk skips the later ones and is cached as its
+        error.
         """
         todo = [name for name in dict.fromkeys(sources) if name not in self._cache]
         keyed = sorted((name for name in todo if _SOURCES[name][0] is not None),
@@ -548,22 +527,20 @@ class _Session:
         clock = dict.fromkeys(todo, 0.0)
         try:
             for self._chunk in J.chunks(self.samples, CHUNK):
-                live = [name for name in keyed if not isinstance(merged[name], Exception)
-                        and self._chunk.start < self.npoints(_SOURCES[name][0])]
-                for name, nxt in zip(live, live[1:] + [None]):
-                    key, fn = _SOURCES[name]
+                for name in keyed:
+                    if isinstance(merged[name], Exception):
+                        continue
+                    order, fn = _SOURCES[name]
+                    if order not in self._ctx:
+                        self._ctx.clear()   # one working context at a time
                     t0 = time.perf_counter()
                     try:
-                        merged[name] = _stored(merged[name], fn(self, self.ctx(key)),
-                                               self._rows(key), self.npoints(key))
+                        merged[name] = _stored(merged[name], fn(self, self.ctx(order)),
+                                               self._chunk, self.samples)
                     except Exception as e:
                         merged[name] = _stripped(e)
                     clock[name] += time.perf_counter() - t0
-                    next_key = None if nxt is None else _SOURCES[nxt][0]
-                    if next_key is None or next_key[0] > self.root_order:
-                        self.release()
-                    elif next_key != key:
-                        self._ctx.clear()
+                self.release()
         finally:
             self.release()
             self._chunk = slice(0, self.samples)
@@ -643,20 +620,28 @@ def _finish_ctype(out):
             "quantiles": quantiles}
 
 
+def _chunked(fn, chart, pts, order, mode, rng) -> dict:
+    """The per-point arrays of ``fn(ctx, probes)`` on all of ``pts``, chunk
+    by chunk as a session takes its points: a context of ``order`` per
+    chunk, and probes drawn from ``rng`` once for all the points."""
+    n, draws, out = len(pts), [], None
+    for rows in J.chunks(n, CHUNK):
+        ctx = EvalContext(chart, pts[rows], order, mode=mode)
+        out = _stored(out, fn(ctx, _Probes(draws, rng, n, rows)), rows, n)
+    return out
+
+
 def _src_homothety(s):
     """alpha scales inversely with the metric: c * alpha(c * c0) == 1, per
-    point, on ``max(4, samples // 2)`` points of each rescaled chart, taken
-    chunk by chunk."""
+    point, on ``max(4, samples // 2)`` points of each rescaled chart."""
     n = max(4, s.samples // 2)
     per_scale = []
     for factor in (0.5, 1.0, 2.0):
         chart = M.build_s3s3(scale=factor * M.S3S3_SCALE, charts=("a",)).chart
         rng = np.random.default_rng(s.seed + 6)
-        pts, draws = sample_points(chart, n, rng), []   # the probes follow the points
-        alpha = np.concatenate([
-            NK.constant_type_samples(EvalContext(chart, pts[rows], 1, mode=s.mode),
-                                     _Probes(draws, rng, n, rows))
-            for rows in J.chunks(n, CHUNK)])
+        pts = sample_points(chart, n, rng)   # the probes follow the points
+        alpha = _chunked(lambda ctx, probes: {"alpha": NK.constant_type_samples(ctx, probes)},
+                         chart, pts, 1, s.mode, rng)["alpha"]
         per_scale.append(np.abs(factor * alpha - 1.0).max(axis=1))
     return {"scaled_spread": np.max(per_scale, axis=0)}
 
@@ -705,11 +690,13 @@ def _src_base(s, ctx):
     return R.base_kahler_check(ctx)
 
 
-def _src_sek(s, ctx):
-    return R.sekigawa_terms_at(ctx, s.probes("sek", s.seed + 8))
-
-
-def _finish_sek(out):
+def _src_sek(s):
+    """The Sekigawa terms on the first quarter of the session's points, in
+    whole 8-point blocks: on every point its order-4 contexts raised the
+    exact lab's peak RSS at 50 samples by 15%."""
+    n = min(s.samples, J.MIN_CHUNK * -(-s.samples // (4 * J.MIN_CHUNK)))
+    out = _chunked(R.sekigawa_terms_at, s.chart, s.pts[:n], 4, s.mode,
+                   np.random.default_rng(s.seed + 8))
     means = {k: float(np.mean(v)) for k, v in out.items() if k != "identity_residual"}
     return {**means, "identity_residual": out["identity_residual"],
             "sstar_48_dev": abs(means["sstar"] - 48.0)}
@@ -738,8 +725,9 @@ def _src_gauge(s):
     }
 
 
-#: The one model whose results a source of another model reads (``agree``).
-_PEER = "s3s3"
+#: The one model whose results a source of another model reads (``agree``),
+#: and the sources it reads there.
+_PEER, _AGREED = "s3s3", ("norms", "kahler")
 
 
 def _src_agree(s):
@@ -749,10 +737,10 @@ def _src_agree(s):
     alive.  It computes its own inputs, and the peer's, if no check read
     them; the peer's may build the whole ``s3s3`` session.
     """
-    s.compute(("norms", "kahler"))
+    s.compute(_AGREED)
     mine, psi = s.get("norms"), s.get("kahler")["psi_norm"]
     other = s._peers()[_PEER]
-    other.compute(("norms", "kahler"))
+    other.compute(_AGREED)
     theirs = other.get("norms")
     out = {k: abs(np.mean(mine[k]) - np.mean(theirs[k]))
            for k in ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta")}
@@ -760,35 +748,34 @@ def _src_agree(s):
     return out
 
 
-#: source name -> (context key, function).  A source of key ``(order, share)``
-#: is called once per chunk as ``fn(session, session.ctx(key))``, the key
-#: chosen by the rule of the module docstring, and returns per-point arrays;
-#: one of key None takes no session context and is called once as
-#: ``fn(session)``.
+#: source name -> (context order, function).  A source of order k is called
+#: once per chunk as ``fn(session, session.ctx(k))``, k being the lowest
+#: order whose jets its reads trust, and returns per-point arrays; one of
+#: order None takes no session context and is called once as ``fn(session)``.
 _SOURCES = {
-    "nk": ((1, 1), _src_nk),
-    "gray": ((2, 1), _src_gray),
-    "ortho": ((1, 1), _src_ortho),
-    "type": ((2, 1), _src_type),
-    "frame": ((1, 1), _src_frame),
-    "elem": ((1, 1), _src_elem),
-    "einstein": ((2, 4), _src_einstein),
-    "lapom": ((2, 4), _src_lapom),
-    "ctype": ((1, 1), _src_ctype),
+    "nk": (1, _src_nk),
+    "gray": (2, _src_gray),
+    "ortho": (1, _src_ortho),
+    "type": (2, _src_type),
+    "frame": (1, _src_frame),
+    "elem": (1, _src_elem),
+    "einstein": (2, _src_einstein),
+    "lapom": (2, _src_lapom),
+    "ctype": (1, _src_ctype),
     "homothety": (None, _src_homothety),
-    "killing": ((2, 1), _src_killing),
-    "foliation": ((1, 1), _src_foliation),
-    "acs": ((1, 1), _src_acs),
-    "tpar": ((2, 1), _src_tpar),
-    "norms": ((2, 4), _src_norms),
-    "djxi": ((2, 1), _src_djxi),
-    "lie": ((2, 1), _src_lie),
-    "g0conn": ((2, 4), _src_g0conn),
-    "kahler": ((2, 4), _src_kahler),
-    "canon": ((2, 4), _src_canon),
-    "base": ((2, 1), _src_base),
-    "sek": ((4, 4), _src_sek),
-    "conn": ((1, 1), _src_conn),
+    "killing": (2, _src_killing),
+    "foliation": (1, _src_foliation),
+    "acs": (1, _src_acs),
+    "tpar": (2, _src_tpar),
+    "norms": (2, _src_norms),
+    "djxi": (2, _src_djxi),
+    "lie": (2, _src_lie),
+    "g0conn": (2, _src_g0conn),
+    "kahler": (2, _src_kahler),
+    "canon": (2, _src_canon),
+    "base": (2, _src_base),
+    "sek": (None, _src_sek),
+    "conn": (1, _src_conn),
     "gauge": (None, _src_gauge),
     "agree": (None, _src_agree),
 }
@@ -797,16 +784,16 @@ _SOURCES = {
 #: source name -> its finishing step: it maps the source's merged per-point
 #: arrays to its result, computing the scalar keys.  Without one, the merged
 #: arrays are the result.
-_FINISH = {"ctype": _finish_ctype, "sek": _finish_sek}
+_FINISH = {"ctype": _finish_ctype}
 
 
 def _root_order(model: str) -> int:
-    """Order of the root context of ``model``'s sessions: the highest order
-    of the share-1 keys of the sources its checks read.  It follows from the
+    """Order of the root context of ``model``'s sessions: the highest
+    context order of the sources its checks read.  It follows from the
     tables, not from the checks a run selects, so every run of the model
     builds the same roots and rounds them alike."""
-    keys = {_SOURCES[spec.source][0] for spec in CHECKS if model in spec.models}
-    return max((order for order, share in keys - {None} if share == 1), default=0)
+    orders = {_SOURCES[spec.source][0] for spec in CHECKS if model in spec.models}
+    return max(orders - {None}, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +854,8 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     with an explicit one, only the intersection runs.  The models run in
     order of first appearance: each computes the sources its checks read,
     chunk by chunk (:meth:`_Session.compute`), and keeps no context after,
-    nor, but for :data:`_PEER`, any result once its rows are out.
+    nor, but for :data:`_PEER`'s :data:`_AGREED`, any result once its rows
+    are out.
     The rows come back in suite order, as if the suites had run one after
     the other.  ``samples`` below 2 raises :class:`~nklab.chart.ConfigError`.
     """
@@ -890,6 +878,7 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
         for i, (suite, m) in enumerate(pairs):
             if m == model:
                 rows[i] = run_suite(model, suite, sessions[model], tol_overrides)
-        if model != _PEER:
-            sessions[model]._cache.clear()   # its per-point arrays grow with the samples
+        # per-point arrays grow with the samples: keep only what agree reads
+        sessions[model]._cache = {name: out for name, out in sessions[model]._cache.items()
+                                  if model == _PEER and name in _AGREED}
     return [r for block in rows for r in block]

@@ -211,7 +211,8 @@ def test_08_canonical_connection(s3s3):
 
 def test_09_base_curvature_identity(s2s2):
     b = _Battery()
-    sek = R.sekigawa_terms_at(_ctx(s2s2, 4, SAMPLES_DEEP, seed=9))
+    sek = R.sekigawa_terms_at(_ctx(s2s2, 4, SAMPLES_DEEP, seed=9),
+                              np.random.default_rng(0))
     assert all(np.all(np.isfinite(v)) for v in sek.values())
     # the terms are per point; the lab reports their means
     mean = {k: float(np.mean(v)) for k, v in sek.items()}

@@ -248,3 +248,22 @@ def test_rows_compare_refuses_directories_without_reports(tmp_path, capsys):
     assert rows.compare(full, tmp_path / "no-such") == 1
     assert rows.compare(tmp_path / "no-such", full) == 1
     assert "no *.jsonl report" in capsys.readouterr().out
+
+
+def test_rows_compare_prints_the_worst_passing_margin(tmp_path, capsys):
+    # the passing row nearest its tolerance, old -> new; failing rows and
+    # expected failures are not margins
+    rows = _rows_tool()
+
+    def row(check, status, residual):
+        return report.CheckResult(check, "s", "m", status, residual, 1e-8)
+
+    old, new = tmp_path / "old", tmp_path / "new"
+    for side, near in ((old, 2e-9), (new, 5e-9)):
+        side.mkdir()
+        report.write_jsonl([row("a", "pass", 1e-9), row("b", "pass", near),
+                            row("c", "fail", 1.0), row("d", "xfail", 2.0)],
+                           str(side / "lab-seed0.jsonl"))
+    assert rows.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "worst passing residual/tolerance 0.2 (s/b on m) -> 0.5 (s/b on m)" in out

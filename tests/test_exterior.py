@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nklab import calculus as C
 from nklab import exterior as E
 from nklab import jets as J
+from nklab import nkcore as NK
 from nklab.chart import ChartMap, EvalContext, sample_points
 from oracles import dense_hodge
 
@@ -149,6 +150,23 @@ class TestDifferential:
         div = 2 * p[0, 0] + p[0, 2] + p[0, 0]
         got = E.codifferential(ctx, a, 1).val
         assert np.allclose(got, -div, atol=1e-12)
+
+    def test_form_laplacian_reads_the_memoized_covariant_derivative(self, s6, monkeypatch):
+        # delta of the field is the trace of its memoized covariant
+        # derivative, so a context that holds it computes only delta d w's;
+        # bit for bit the Laplacian of codifferentials of the field's jet
+        omega_field = NK.omega_field
+        ctx = EvalContext(s6.chart, sample_points(s6.chart, 5, np.random.default_rng(3)), 2)
+        w = omega_field(ctx)
+        want = (E.d_form(E.codifferential(ctx, w, 2), 1)
+                + E.codifferential(ctx, E.d_form(w, 2), 3))
+        C.covd_field(ctx, omega_field, "ll", key="omega")
+        kinds = []
+        covd = E.covd
+        monkeypatch.setattr(E, "covd", lambda c, t, k: kinds.append(k) or covd(c, t, k))
+        got = E.form_laplacian_field(omega_field, 2, "omega")(ctx)
+        assert kinds == ["lll"]
+        assert np.array_equal(got.c, want.c)
 
     @pytest.mark.parametrize("d", [4, 6])
     @pytest.mark.parametrize("order", [1, 2, 3])

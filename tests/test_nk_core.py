@@ -56,7 +56,8 @@ class TestTorsionIdentities:
 
 class TestAdaptedFrames:
     def test_frame_expansions(self, nk_bundle):
-        res = NK.frame_expansion_check(_ctx(nk_bundle, n=3, order=1, seed=5))
+        res = NK.frame_expansion_check(_ctx(nk_bundle, n=3, order=1, seed=5),
+                                       np.random.default_rng(1))
         assert np.max(res["omega"]) < 1e-11
         assert np.max(res["psi"]) < 1e-10
         assert np.max(res["star_psi"]) < 1e-10

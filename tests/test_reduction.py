@@ -150,7 +150,8 @@ class TestBaseGeometry:
 
     def test_sekigawa_trivial_case(self, s2s2):
         pts = sample_points(s2s2.chart, 3, np.random.default_rng(15))
-        terms = R.sekigawa_terms_at(EvalContext(s2s2.chart, pts, 4))
+        terms = R.sekigawa_terms_at(EvalContext(s2s2.chart, pts, 4),
+                                    np.random.default_rng(0))
         res = {k: np.mean(v) for k, v in terms.items()}   # the lab's means
         assert abs(res["scal"] - 48.0) < 1e-11
         assert abs(res["sstar"] - 48.0) < 1e-11
@@ -171,7 +172,7 @@ class TestBaseGeometry:
               - np.einsum("zik,zjl->zijkl", h, k) - np.einsum("zjl,zik->zijkl", h, k))
         fake = J.jconst(J.jetspace(4, 2), kn)
         ctx.memo("riemann_lower", lambda c: fake)
-        got = np.mean(R.sekigawa_terms_at(ctx)["norm_r_anti"])
+        got = np.mean(R.sekigawa_terms_at(ctx, np.random.default_rng(0))["norm_r_anti"])
         want = _norm_r_anti_per_point(ctx, kn)
         assert want > 1.0
         assert abs(got - want) <= 1e-13 * want
@@ -180,7 +181,7 @@ class TestBaseGeometry:
         b = M.build_s2s2(radii=(0.3, 0.5))
         pts = sample_points(b.chart, 2, np.random.default_rng(16))
         with pytest.raises(NonEinsteinBaseError):
-            R.sekigawa_terms_at(EvalContext(b.chart, pts, 4))
+            R.sekigawa_terms_at(EvalContext(b.chart, pts, 4), np.random.default_rng(0))
 
 
 def _norm_r_anti_per_point(ctx, rl):

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,17 +124,34 @@ class TestMinimalOrders:
         for model, sources in _lab_sources().items():
             s = sessions[model]
             for source in sources:
-                (order, share), fn = suites._SOURCES[source]
-                at = fn(s, s.ctx((order, share)))
+                order, fn = suites._SOURCES[source]
+                at = fn(s, s.ctx(order))
                 with pytest.raises(ValueError, match="derivative orders"):
-                    fn(s, s.ctx((order - 1, share)))
+                    fn(s, s.ctx(order - 1))
                 if source in ("einstein", "elem"):
-                    above = fn(s, s.ctx((order + 1, share)))
+                    # above the root order, so with roots of its own
+                    above = fn(s, EvalContext(s.chart, s.pts, order + 1))
                     # residuals are rounding-sized differences of O(1) terms
                     scale = max(1.0, *(np.max(np.abs(v)) for v in above.values()))
                     for key, v in above.items():
                         assert np.max(np.abs(at[key] - v)) <= 1e-13 * scale, (model, key)
             s.release()
+
+    def test_sek_reads_order_4(self, monkeypatch):
+        # sek builds its own contexts, outside the session's
+        seen = []
+        terms = suites.R.sekigawa_terms_at
+
+        def spy(ctx, rng):
+            seen.append(ctx)
+            return terms(ctx, rng)
+
+        monkeypatch.setattr(suites.R, "sekigawa_terms_at", spy)
+        suites._Sessions(4, 0, "exact")["s2s2"].get("sek")
+        (ctx,) = seen
+        assert ctx.order == 4
+        with pytest.raises(ValueError, match="derivative orders"):
+            terms(EvalContext(ctx.chart, ctx.points, 3), np.random.default_rng(0))
 
 
 class TestSessions:
@@ -158,8 +176,8 @@ class TestSessions:
         assert results
         exact = sorted((c, o) for c, o, m in seen if o >= 1 and m != "fd")
         assert not exact, f"exact contexts in a fd run: {exact}"
-        declared = {key[0] for key, _ in suites._SOURCES.values() if key is not None}
-        assert {o for _, o, _ in seen} >= declared
+        declared = {order for order, _ in suites._SOURCES.values() if order is not None}
+        assert {o for _, o, _ in seen} >= declared | {4}   # and sek's own contexts
 
     def test_every_evaluator_of_each_lab_chart_is_read(self, monkeypatch):
         # a field that no row reads is dead weight, and the fd backend still
@@ -209,12 +227,18 @@ class TestSessions:
     def test_sek_frames_follow_the_seed(self, monkeypatch):
         # the Sekigawa frame seeds are the probes of a generator seeded
         # seed + 8: different at another seed, the same at the same one
-        monkeypatch.setattr(suites.R, "sekigawa_terms_at", lambda ctx, rng: {
-            "frames": rng.standard_normal((ctx.nbatch, 2, 4))})
-        monkeypatch.setitem(suites._FINISH, "sek", lambda out: out)
+        drawn = []
+
+        def terms(ctx, rng):
+            drawn.append(rng.standard_normal((ctx.nbatch, 2, 4)))
+            return {"sstar": np.zeros(ctx.nbatch), "identity_residual": np.zeros(ctx.nbatch)}
+
+        monkeypatch.setattr(suites.R, "sekigawa_terms_at", terms)
 
         def frames(seed):
-            return suites._Sessions(32, seed, "exact")["s2s2"].get("sek")["frames"]
+            drawn.clear()
+            suites._Sessions(32, seed, "exact")["s2s2"].get("sek")
+            return np.concatenate(drawn)
 
         for seed in (0, 1):
             want = np.random.default_rng(seed + 8).standard_normal((8, 2, 4))
@@ -230,9 +254,9 @@ def _track_contexts(monkeypatch):
     made = []
     ctx, roots = suites._Session.ctx, suites._Session.roots
 
-    def tracked(self, key):
-        fresh = key not in self._ctx
-        out = ctx(self, key)
+    def tracked(self, order):
+        fresh = order not in self._ctx
+        out = ctx(self, order)
         if fresh:
             made.append((self.model, "work", weakref.ref(out), self._chunk.start))
         return out
@@ -355,6 +379,23 @@ class TestModelMajor:
         # its rows are out, and no other model reads its results
         assert not tables[0]["ansatz"]._cache
 
+    def test_the_peer_keeps_only_what_agree_reads(self, monkeypatch):
+        # per-point results grow with the samples: once the rows are out,
+        # only s3s3's norms and kahler, which a later ansatz-agreement
+        # reads, are kept
+        tables = []
+        init = suites._Sessions.__init__
+
+        def kept(self, *args):
+            init(self, *args)
+            tables.append(self)
+
+        monkeypatch.setattr(suites._Sessions, "__init__", kept)
+        suites.run(models=("s3s3", "s6"), suites=("gray", "reduction", "canonical"),
+                   samples=4)
+        assert sorted(tables[0]["s3s3"]._cache) == ["kahler", "norms"]
+        assert not tables[0]["s6"]._cache
+
     def test_peer_sources_run_after_the_requester_is_released(self, monkeypatch):
         # ansatz-agreement is ansatz's last source; the s3s3 session it
         # builds in an ansatz-only run computes with no ansatz context alive
@@ -442,30 +483,28 @@ class TestSchedule:
     ])
     def test_one_context_alive_each_built_once(self, monkeypatch, models, suite_names,
                                                mode, chunk, samples):
-        # per chunk: each key's context is built once, on the chunk's part of
-        # the key's points, with at most the model's own root context of the
-        # chunk alive beside it
+        # per chunk: each order's context is built once, on the whole chunk,
+        # with at most the model's own root context of the chunk alive beside it
         monkeypatch.setattr(suites, "CHUNK", chunk)
         made = _track_contexts(monkeypatch)
         calls = _spy_sources(monkeypatch)
         asked, built, crowded = [], [], []
         ctx, compute = suites._Session.ctx, suites._Session.compute
 
-        def spied_ctx(self, key):
-            # compute hands each source its own key's context; a source
+        def spied_ctx(self, order):
+            # compute hands each source its own order's context; a source
             # asks for none itself
             if sys._getframe(1).f_code is not compute.__code__:
-                asked.append(key)
-            if key not in self._ctx:
+                asked.append(order)
+            if order not in self._ctx:
                 start = self._chunk.start
-                built.append((self.model, start, key))
+                built.append((self.model, start, order))
                 roots = {(model, at) for model, kind, ref, at in made
                          if kind == "root" and ref() is not None}
-                if key[0] <= self.root_order:
-                    roots.discard((self.model, start))
+                roots.discard((self.model, start))
                 if _alive(made, ("work",)) or roots:
-                    crowded.append((self.model, start, key, _alive(made)))
-            return ctx(self, key)
+                    crowded.append((self.model, start, order, _alive(made)))
+            return ctx(self, order)
 
         monkeypatch.setattr(suites._Session, "ctx", spied_ctx)
         gc.collect()
@@ -478,17 +517,16 @@ class TestSchedule:
         assert results and not any(r.status == "error" for r in results)
         assert not asked, f"contexts asked for outside compute: {asked}"
         assert not crowded, f"contexts built while another was alive: {crowded}"
-        s = suites._Sessions(samples, 0, mode)["s3s3"]
         chunks = J.chunks(samples, chunk)
         assert len(chunks) == (2 if chunk == 8 else 1)
         for model, source, start, order, points in calls:
-            key = suites._SOURCES[source][0]
-            if key is None:
+            declared = suites._SOURCES[source][0]
+            if declared is None:
                 continue
-            n = s.npoints(key)
             (rows,) = [c for c in chunks if c.start == start]
-            assert start < n and order == key[0], (model, source, start)
-            assert points == min(rows.stop, n) - start, (model, source, start)
+            assert order == declared, (model, source, start)
+            # each keyed source's context holds the whole chunk
+            assert points == rows.stop - rows.start, (model, source, start)
         # each source once per chunk
         per_chunk = {(model, source, start) for model, source, start, *_ in calls}
         assert len(per_chunk) == len(calls), calls
@@ -584,23 +622,29 @@ class TestChunks:
         assert J.chunks(24, 8) == [slice(0, 8), slice(8, 16), slice(16, 24)]
         assert J.chunks(5, 8) == [slice(0, 5)]
 
-    def test_no_keys_part_of_a_chunk_is_small(self):
-        # a key's points are whole 8-point blocks or the whole session, so
-        # the session's chunks leave no key a small part
-        s = suites._Session.__new__(suites._Session)
-        shares = {key[1] for key, _ in suites._SOURCES.values() if key is not None}
-        for s.samples in [*range(2, 300), 1000, 1027, 4099, 10_000]:
-            chunks = J.chunks(s.samples, suites.CHUNK)
-            n = s.samples
-            assert [i for rows in chunks for i in range(n)[rows]] == list(range(n))
-            sizes = [rows.stop - rows.start for rows in chunks]
-            assert min(sizes) >= min(n, J.MIN_CHUNK), (n, sizes)
-            assert max(sizes) <= suites.CHUNK + J.MIN_CHUNK, (n, sizes)
-            assert all(rows.start % J.MIN_CHUNK == 0 for rows in chunks), n
-            for share in shares:
-                k = s.npoints((0, share))
-                parts = [min(rows.stop, k) - rows.start for rows in chunks if rows.start < k]
-                assert min(parts) >= min(k, J.MIN_CHUNK), (n, share, parts)
+    def test_no_keys_part_of_a_chunk_is_small(self, monkeypatch):
+        # a session context holds a whole chunk of the session's points, and
+        # sek's contexts a whole chunk of its own, which are whole 8-point
+        # blocks of the session's or all of them: no chunk is small
+        seen = []
+
+        def chunked(fn, chart, pts, *args):
+            seen.append(len(pts))
+            return {"sstar": np.zeros(1), "identity_residual": np.zeros(1)}
+
+        monkeypatch.setattr(suites, "_chunked", chunked)
+        for samples in [*range(2, 300), 1000, 1027, 4099, 10_000]:
+            suites._src_sek(SimpleNamespace(samples=samples, seed=0, chart=None,
+                                            mode="exact", pts=np.zeros((samples, 1))))
+            k = seen.pop()
+            assert k == samples or k % J.MIN_CHUNK == 0, (samples, k)
+            for n in (samples, k):
+                chunks = J.chunks(n, suites.CHUNK)
+                assert [i for rows in chunks for i in range(n)[rows]] == list(range(n))
+                sizes = [rows.stop - rows.start for rows in chunks]
+                assert min(sizes) >= min(n, J.MIN_CHUNK), (n, sizes)
+                assert max(sizes) <= suites.CHUNK + J.MIN_CHUNK, (n, sizes)
+                assert all(rows.start % J.MIN_CHUNK == 0 for rows in chunks), n
 
 
 def _computed(monkeypatch, chunk, model, mode, samples, sources):
@@ -622,24 +666,26 @@ def _assert_same(a, b, where):
 @pytest.mark.parametrize("mode", ["exact", "fd"])
 @pytest.mark.parametrize("model", suites.MODEL_NAMES)
 def test_a_points_results_do_not_depend_on_its_chunk(monkeypatch, model, mode):
-    # each source with a context, on 16 of its points as one chunk and as the
+    # each source with a context, on 16 points as one chunk and as the
     # chunks [0:8] and [8:16]: its probes are drawn for all its points at once
-    sources = _lab_sources()[model]
-    for share, points, chunk in ((1, 16, 8), (4, 16, 8)):
-        mine = [source for source in sources if suites._SOURCES[source][0][1] == share]
-        whole = _computed(monkeypatch, 64, model, mode, points * share, mine)
-        split = _computed(monkeypatch, chunk, model, mode, points * share, mine)
-        for source in mine:
-            _assert_same(whole[source], split[source], (model, mode, source, points))
+    sources = list(_lab_sources()[model])
+    whole = _computed(monkeypatch, 64, model, mode, 16, sources)
+    split = _computed(monkeypatch, 8, model, mode, 16, sources)
+    for source in sources:
+        _assert_same(whole[source], split[source], (model, mode, source))
 
 
 @pytest.mark.parametrize("mode", ["exact", "fd"])
 def test_homothety_does_not_depend_on_its_chunks(monkeypatch, mode):
-    # 32 samples: homothety's own 16 points, as one chunk and as two
-    whole = _computed(monkeypatch, 64, "s3s3", mode, 32, ["homothety"])
-    split = _computed(monkeypatch, 8, "s3s3", mode, 32, ["homothety"])
-    assert whole["homothety"]["scaled_spread"].shape == (16,)
-    _assert_same(whole["homothety"], split["homothety"], mode)
+    # the sources that take points of their own, 16 each, as one chunk and
+    # as two: homothety's max(4, samples // 2) at 32 samples, and sek's
+    # first quarter at 64
+    for model, source, samples, key in (("s3s3", "homothety", 32, "scaled_spread"),
+                                        ("s2s2", "sek", 64, "identity_residual")):
+        whole = _computed(monkeypatch, 64, model, mode, samples, [source])
+        split = _computed(monkeypatch, 8, model, mode, samples, [source])
+        assert whole[source][key].shape == (16,), source
+        _assert_same(whole[source], split[source], (mode, source))
 
 
 @pytest.mark.parametrize("mode", ["exact", "fd"])

@@ -448,8 +448,8 @@ def _session_contexts(monkeypatch):
     made = []
     ctx = suites._Session.ctx
 
-    def tracked(self, key):
-        out = ctx(self, key)
+    def tracked(self, order):
+        out = ctx(self, order)
         made.append((self.model, out))
         return out
 
@@ -478,9 +478,9 @@ def _spy_evaluators(monkeypatch):
 
 
 def test_exact_session_evaluates_each_chart_field_once(monkeypatch):
-    """The contexts sources build for themselves (homothety, the gauge scan
-    and gauge equivalence) and ``sek``'s order-4 context, above the root
-    order, evaluate their own roots."""
+    """The contexts sources build for themselves (homothety, ``sek``'s
+    order-4 contexts, the gauge scan and gauge equivalence) evaluate their
+    own roots."""
     made = _session_contexts(monkeypatch)
     calls = _spy_evaluators(monkeypatch)
     results = suites.run(samples=4)
@@ -489,7 +489,7 @@ def test_exact_session_evaluates_each_chart_field_once(monkeypatch):
                                           if c._roots is not None}
     runs = {}
     for model, field, ctx in calls:
-        if id(ctx) in session and ctx.order <= suites._root_order(model):
+        if id(ctx) in session:
             runs.setdefault((model, field), []).append((ctx.order, ctx.nbatch))
     assert {model for model, _ in runs} == set(suites.MODEL_NAMES)
     again = {k: v for k, v in runs.items() if len(v) > 1}
@@ -520,15 +520,14 @@ def test_fd_session_contexts_build_their_own_roots(monkeypatch):
 def test_shared_roots_equal_own_roots(model):
     """Each exact session context's root jets, cut from the root context,
     equal those its own evaluators make on its points and order: 1.4e-15
-    relative at most (``s3s3`` J in the (2, 4) context at 8 samples; every
-    model and key at seeds 0-3 and 4, 8 and 50 samples)."""
+    relative at most (``s3s3`` J in the order-2 context at 8 samples; every
+    model and order at seeds 0-3 and 4, 8 and 50 samples)."""
     s = suites._Sessions(8, 0, "exact")[model]
-    keys = {suites._SOURCES[spec.source][0] for spec in suites.CHECKS
-            if model in spec.models} - {None}
-    keys = {key for key in keys if key[0] <= s.root_order}
-    assert keys
-    for key in sorted(keys):
-        ctx = s.ctx(key)
+    orders = {suites._SOURCES[spec.source][0] for spec in suites.CHECKS
+              if model in spec.models} - {None}
+    assert orders
+    for order in sorted(orders):
+        ctx = s.ctx(order)
         own = EvalContext(s.chart, ctx.points, ctx.order)
         for name in s.chart.evaluators:
             _assert_same(ctx.root(name), own.root(name), rel=1e-14)

@@ -12,7 +12,9 @@ this repository's) once per workload configuration of
 ``OUT/<workload>-seed<seed>.jsonl``.  ``compare`` diffs the reports of two
 such directories file by file with ``nklab.report.diff_reports`` and says,
 per file and overall, whether the rows are bit-identical: the same rows,
-statuses, residuals, values and quantiles.  It exits 0 when every status
+statuses, residuals, values and quantiles.  For each file it also prints
+the worst passing residual/tolerance, old -> new: how close the nearest
+passing row came to failing.  It exits 0 when every status
 is kept, and 1 when any row changed status, a file is missing, or either
 directory holds no report.
 
@@ -72,6 +74,13 @@ def identical(d: dict) -> bool:
             and not d["quantile_changes"])
 
 
+def worst_margin(rows: dict) -> str:
+    """The largest residual/tolerance of the passing ``rows`` and its row."""
+    ratio, key = max(((r.residual / r.tolerance, k) for k, r in rows.items()
+                      if r.status == "pass"), default=(None, None))
+    return "-" if key is None else f"{ratio:.3g} ({key[0]}/{key[1]} on {key[2]})"
+
+
 def compare(old: Path, new: Path) -> int:
     for side in (old, new):
         if not any(side.glob("*.jsonl")):
@@ -87,6 +96,8 @@ def compare(old: Path, new: Path) -> int:
         d = REP.diff_reports(REP.read_jsonl(old / name), REP.read_jsonl(new / name))
         exact = identical(d)
         print(f"== {name}: {'bit-identical' if exact else 'differs'}")
+        print(f"worst passing residual/tolerance {worst_margin(d['old'])} -> "
+              f"{worst_margin(d['new'])}")
         if not exact:
             print(REP.format_diff(d))
         kept &= not d["changes"]

@@ -47,6 +47,7 @@ __all__ = [
     "hodge_packed",
     "d_form",
     "codifferential",
+    "codifferential_field",
     "form_laplacian_field",
 ]
 
@@ -268,20 +269,25 @@ def _trace_covd(ctx, nab: J.Jet, p: int) -> J.Jet:
     return -1.0 * J.jj(f"ij,ij{rest}->{rest}", gi, nab)
 
 
-def form_laplacian_field(field, p: int, key):
-    """Return ctx -> Jet computing (d delta + delta d) of a p-form field.
+def codifferential_field(ctx, field, p: int, key) -> J.Jet:
+    """delta of a p-form field (ctx -> Jet), memoized under ``key``: the
+    trace of its covariant derivative memoized under the same ``key``
+    (:func:`~nklab.calculus.covd_field`), which the context's other readers
+    of that derivative share."""
+    return ctx.memo(("delta", key),
+                    lambda c: _trace_covd(c, covd_field(c, field, "l" * p, key), p))
 
-    delta of the field reads its covariant derivative memoized under
-    ``key`` (:func:`~nklab.calculus.covd_field`), which the context's
-    other readers of that derivative share.
-    """
+
+def form_laplacian_field(field, p: int, key):
+    """Return ctx -> Jet computing (d delta + delta d) of a p-form field,
+    delta of the field being :func:`codifferential_field` under ``key``."""
 
     def lap(ctx):
         w = field(ctx)
         if p == 0:
             return codifferential(ctx, d_form(w, p), p + 1)
         # delta w first: it reads the metric inverse one order above delta d w
-        t2 = d_form(_trace_covd(ctx, covd_field(ctx, field, "l" * p, key), p), p - 1)
+        t2 = d_form(codifferential_field(ctx, field, p, key), p - 1)
         return codifferential(ctx, d_form(w, p), p + 1) + t2
 
     return lap

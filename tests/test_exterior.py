@@ -167,6 +167,10 @@ class TestDifferential:
         got = E.form_laplacian_field(omega_field, 2, "omega")(ctx)
         assert kinds == ["lll"]
         assert np.array_equal(got.c, want.c)
+        # and delta of the field stays memoized for its other readers
+        delta = E.codifferential_field(ctx, omega_field, 2, "omega")
+        assert kinds == ["lll"]
+        assert np.array_equal(delta.c, E.codifferential(ctx, w, 2).c)
 
     @pytest.mark.parametrize("d", [4, 6])
     @pytest.mark.parametrize("order", [1, 2, 3])

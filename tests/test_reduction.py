@@ -106,6 +106,17 @@ class TestLieDerivatives:
         assert len(res) >= 19
         _assert_all_below(res, 1e-12)
 
+    def test_each_lie_derivative_along_jxi_is_taken_once(self, setup, monkeypatch):
+        # the transport checks reread the Lie derivatives of g and of the
+        # endomorphisms and forms that earlier keys took; none is recomputed
+        ctx = EvalContext(*setup, order=2)
+        jxi, seen = R.jxi_field(ctx), []
+        lie = C.lie_derivative
+        monkeypatch.setattr(C, "lie_derivative", lambda c, x, t, k: (
+            seen.append(id(t)) if x is jxi else None) or lie(c, x, t, k))
+        R.lie_derivative_suite(ctx)
+        assert len(seen) == len(set(seen)) == 13
+
     def test_left_family_agrees(self, s3s3):
         ch = with_xi(s3s3.chart, left_translation_xi(s3s3))
         ctx = EvalContext(ch, sample_points(ch, 4, np.random.default_rng(12)), 2)

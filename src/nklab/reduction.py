@@ -109,9 +109,10 @@ def djzeta_form(ctx: EvalContext) -> J.Jet:
 
 
 def nabla_xi(ctx: EvalContext) -> J.Jet:
-    """Endomorphism (nabla xi)[a, i] = nabla_i xi^a."""
-    return ctx.memo(("red", "nabla_xi"),
-                    lambda c: J.junary("ia->ai", C.covd(c, c.root("xi"), "u")))
+    """Endomorphism (nabla xi)[a, i] = nabla_i xi^a, the transpose of the
+    memoized covariant derivative of xi."""
+    return ctx.memo(("red", "nabla_xi"), lambda c: J.junary(
+        "ia->ai", C.covd_field(c, lambda c: c.root("xi"), "u", key="xi")))
 
 
 # -- transversal endomorphisms -------------------------------------------
@@ -248,7 +249,7 @@ def verify_killing_unit(ctx: EvalContext) -> dict:
 def foliation_checks(ctx: EvalContext) -> dict:
     """The orbits of xi and J xi are totally geodesic and commute."""
     xi, jxi = ctx.root("xi"), jxi_field(ctx)
-    cov_xi = C.covd(ctx, xi, "u").val       # (z, i, a)
+    cov_xi = C.covd_field(ctx, lambda c: c.root("xi"), "u", key="xi").val  # (z, i, a)
     cov_jxi = C.covd(ctx, jxi, "u").val
     xv, jv = xi.val, jxi.val
     out = {
@@ -392,7 +393,7 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
 
     # contraction of nabla Omega against nabla xi
     n_om = C.covd_field(ctx, omega_field, "ll", key="omega").val  # (z,a,i,j)
-    n_xi = C.covd(ctx, ctx.root("xi"), "u").val                   # (z,b,m)
+    n_xi = C.covd_field(ctx, lambda c: c.root("xi"), "u", key="xi").val  # (z,b,m)
     contr = contract("zab,zamj,zbm->zj", gi, n_om, n_xi)
     out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * jzeta_form(ctx).val)
 
@@ -535,7 +536,7 @@ def g0_connection_check(ctx: EvalContext) -> dict:
 
     diff = np.einsum("zaxy,zaq->zxyq", gam0 - gam, g0v)
 
-    cov_sigma = C.covd(ctx, sigma_endo(ctx), "ul").val   # (z, x, a, y)
+    cov_sigma = C.covd_field(ctx, sigma_endo, "ul", key="sigma").val   # (z, x, a, y)
     cov_jhat = C.covd(ctx, jhat_endo(ctx), "ul").val
     k_e = k_endo(ctx).val
     term = cov_sigma + np.einsum("zmx,zmay->zxay", k_e, cov_jhat)
@@ -809,7 +810,7 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
 
     # horizontal-horizontal part of nabla sigma (Levi-Civita) vanishes
     pi = pi_h(ctx).val
-    cov_sg = C.covd(ctx, sigma_endo(ctx), "ul").val
+    cov_sg = C.covd_field(ctx, sigma_endo, "ul", key="sigma").val
     proj = contract("zxp,zab,zxbj,zjq->zpaq", pi, pi, cov_sg, pi)
     out["sigma_transversal_parallel"] = _maxabs(proj)
 

@@ -34,17 +34,16 @@ alive.  The rows are then read from the cached results
 and emitted in suite order, as if the suites had run one after the other;
 a source that raised on any chunk is cached as its error, and every row
 that reads it reports that error.  A session keeps only its source
-results, and once its model's rows are out only the ``s3s3`` session
-keeps some: ``norms`` and ``kahler``, for the ``agree`` of a later model.
+results, and is let go once its model's rows are out.
 
-Each model of a run gets one session.  Its ``ctx(order)`` is the one
-place that decides where a check looks: every source with a context is
-handed the session's context of its declared order, jets of that order on
-the whole current chunk, so all of them read every point of the run with
-its derivative backend (``mode``).  A source's order is the lowest one
-whose jets its reads still trust: every check reads values only, so a
-source that differentiates its chart fields k times declares order k, and
-one order lower it raises ``ValueError``.
+Each model of a run gets one session, which reads only that model.  Its
+``ctx(order)`` is the one place that decides where a check looks: every
+source with a context is handed the session's context of its declared
+order, jets of that order on the whole current chunk, so all of them read
+every point of the run with its derivative backend (``mode``).  A
+source's order is the lowest one whose jets its reads still trust: every
+check reads values only, so a source that differentiates its chart fields
+k times declares order k, and one order lower it raises ``ValueError``.
 
 A point's residuals do not depend on its chunk.  The sources with random
 probes (``ortho``, ``type``, ``frame``, ``elem`` and ``ctype``) draw them
@@ -79,9 +78,6 @@ its order-4 contexts raised the exact lab's peak RSS at 50 samples by
 sources cost little once they share the order-2 context and its memo.  The gauge scan of ``gauge``
 takes the first 6 points, and ``gauge`` compares the session's ``ansatz``
 with a gauge-shifted copy (values only, no derivatives of chart fields).
-``agree`` compares with the cached results of the ``s3s3`` session of the
-same run, building that session first when the run has not visited
-``s3s3`` yet.
 
 Residuals are reduced here and nowhere else.  For each key a check reads,
 a source returns a float array of shape ``(nbatch,)``: the max of |residual|
@@ -94,7 +90,6 @@ once from the per-point arrays of its source over all its points:
   with the ``ctype`` quantiles and pair count;
 * ``search_residual``: a selection over gauges, on its own 6 points;
 * ``equiv_metric``, ``equiv_j``: gauge-equivalence maxima on their own 8 points;
-* the ``agree`` keys: differences of two models' means;
 * ``sek``'s Sekigawa mean terms ``laplacian_sstar``, ``div_rho_nabla_omega``,
   ``norm_phi``, ``norm_nabla_omega``, ``norm_rough_omega``, ``norm_r_anti``,
   ``lhs``, ``rhs``, ``sstar`` and ``sstar_48_dev`` (|``sstar`` - 48|).
@@ -107,7 +102,6 @@ residual is *supposed* to exceed the tolerance on a particular model
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,9 +353,6 @@ CHECKS: list[CheckSpec] = [
     _spec("ansatz-constant-type", "ansatz", "ctype", "constant_type", 1e-5),
     _spec("ansatz-scal", "ansatz", "einstein", "scal", 1e-4,
           value_key="scal_value"),
-    _spec("ansatz-agreement", "ansatz", "agree",
-          ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta",
-           "psi_norm"), 1e-4),
 ]
 
 
@@ -413,35 +404,16 @@ class _Probes:
         return out
 
 
-class _Sessions(dict):
-    """The sessions of one run by model name, each built on first use.
-
-    A session outlives its model's last suite, but only with its source
-    results: its contexts go at the end of each chunk.
-    """
-
-    def __init__(self, samples: int, seed: int, mode: str):
-        super().__init__()
-        self.args = (samples, seed, mode)
-
-    def __missing__(self, model: str) -> "_Session":
-        session = self[model] = _Session(model, *self.args, peers=self)
-        return session
-
-
 class _Session:
     """Builds each intermediate computation once per (model, run).
 
     Contexts are built on demand for the current chunk and dropped by
-    :meth:`release`; the source results in ``_cache`` stay until ``run``
-    has the model's rows, and :data:`_PEER`'s :data:`_AGREED` for good, so
-    ``agree`` on a later model reads them without recomputing.  ``peers``, the run's
-    session table, is held weakly: a strong link back would be a reference
-    cycle keeping the run's sessions alive after it.
+    :meth:`release`; the source results in ``_cache`` live as long as the
+    session, which ``run`` lets go once the model's rows are out.  A
+    session reads only its own model.
     """
 
-    def __init__(self, model: str, samples: int, seed: int, mode: str,
-                 peers: _Sessions):
+    def __init__(self, model: str, samples: int, seed: int, mode: str):
         self.model = model
         self.samples = int(samples)
         self.seed = int(seed)
@@ -458,7 +430,6 @@ class _Session:
         self._roots: EvalContext | None = None
         # the chunk being computed; all the points outside ``compute``
         self._chunk = slice(0, self.samples)
-        self._peers = weakref.ref(peers)
 
     def ctx(self, order: int) -> EvalContext:
         """The context of ``order`` on the current chunk: jets of ``order`` on
@@ -544,8 +515,6 @@ class _Session:
         finally:
             self.release()
             self._chunk = slice(0, self.samples)
-        # every merged source is cached before a context-free one runs: those
-        # (agree) may read them
         for name in [*keyed, *(name for name in todo if name not in merged)]:
             t0 = time.perf_counter()
             try:
@@ -725,29 +694,6 @@ def _src_gauge(s):
     }
 
 
-#: The one model whose results a source of another model reads (``agree``),
-#: and the sources it reads there.
-_PEER, _AGREED = "s3s3", ("norms", "kahler")
-
-
-def _src_agree(s):
-    """Reduced invariants of the assembled model vs the homogeneous one.
-
-    ``agree`` runs after the model's sources with a context, with none
-    alive.  It computes its own inputs, and the peer's, if no check read
-    them; the peer's may build the whole ``s3s3`` session.
-    """
-    s.compute(_AGREED)
-    mine, psi = s.get("norms"), s.get("kahler")["psi_norm"]
-    other = s._peers()[_PEER]
-    other.compute(_AGREED)
-    theirs = other.get("norms")
-    out = {k: abs(np.mean(mine[k]) - np.mean(theirs[k]))
-           for k in ("norm_dzeta11", "norm_dzeta20", "norm_jhat", "norm_djzeta")}
-    out["psi_norm"] = abs(np.mean(psi) - np.mean(other.get("kahler")["psi_norm"]))
-    return out
-
-
 #: source name -> (context order, function).  A source of order k is called
 #: once per chunk as ``fn(session, session.ctx(k))``, k being the lowest
 #: order whose jets its reads trust, and returns per-point arrays; one of
@@ -777,7 +723,6 @@ _SOURCES = {
     "sek": (None, _src_sek),
     "conn": (1, _src_conn),
     "gauge": (None, _src_gauge),
-    "agree": (None, _src_agree),
 }
 
 
@@ -852,10 +797,9 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
 
     With no explicit model list, each suite runs over its default models;
     with an explicit one, only the intersection runs.  The models run in
-    order of first appearance: each computes the sources its checks read,
-    chunk by chunk (:meth:`_Session.compute`), and keeps no context after,
-    nor, but for :data:`_PEER`'s :data:`_AGREED`, any result once its rows
-    are out.
+    order of first appearance, each in a session of its own: it computes
+    the sources its checks read, chunk by chunk (:meth:`_Session.compute`),
+    and emits its rows; the next model's session replaces it.
     The rows come back in suite order, as if the suites had run one after
     the other.  ``samples`` below 2 raises :class:`~nklab.chart.ConfigError`.
     """
@@ -870,15 +814,12 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
             m for m in models if checks_for(suite, m)]
         pairs += [(suite, model) for model in targets]
     rows = [None] * len(pairs)
-    sessions = _Sessions(samples, seed, mode)
     for model in dict.fromkeys(model for _, model in pairs):
-        sessions[model].compute(dict.fromkeys(
+        session = _Session(model, samples, seed, mode)
+        session.compute(dict.fromkeys(
             spec.source for suite, m in pairs if m == model
             for spec in checks_for(suite, m)))
         for i, (suite, m) in enumerate(pairs):
             if m == model:
-                rows[i] = run_suite(model, suite, sessions[model], tol_overrides)
-        # per-point arrays grow with the samples: keep only what agree reads
-        sessions[model]._cache = {name: out for name, out in sessions[model]._cache.items()
-                                  if model == _PEER and name in _AGREED}
+                rows[i] = run_suite(model, suite, session, tol_overrides)
     return [r for block in rows for r in block]

@@ -267,3 +267,22 @@ def test_rows_compare_prints_the_worst_passing_margin(tmp_path, capsys):
     assert rows.compare(old, new) == 0
     out = capsys.readouterr().out
     assert "worst passing residual/tolerance 0.2 (s/b on m) -> 0.5 (s/b on m)" in out
+    assert "\n4 shared rows not bit-identical\n" in out
+
+
+def test_rows_compare_names_the_rows_on_one_side(tmp_path, capsys):
+    # a removed row reads as a removal, and the shared rows as bit-identical
+    rows = _rows_tool()
+
+    def row(check):
+        return report.CheckResult(check, "s", "m", "pass", 1e-9, 1e-8)
+
+    old, new = tmp_path / "old", tmp_path / "new"
+    for side, checks in ((old, "abc"), (new, "abd")):
+        side.mkdir()
+        report.write_jsonl([row(c) for c in checks], str(side / "lab-seed0.jsonl"))
+    assert rows.compare(old, new) == 1
+    out = capsys.readouterr().out
+    assert ("\n1 row only in OLD (s/c on m), 1 row only in NEW (s/d on m), "
+            "2 shared rows bit-identical\n") in out
+    assert "== lab-seed0.jsonl: differs" in out

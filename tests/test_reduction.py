@@ -140,6 +140,22 @@ class TestReducedKahler:
         res = R.canonical_connection_checks(ctx3, rng=np.random.default_rng(13))
         _assert_all_below(res, 1e-12)
 
+    def test_levi_civita_derivatives_of_xi_and_sigma_are_taken_once(self, setup,
+                                                                    monkeypatch):
+        # the sources sharing a context read its memoized Levi-Civita
+        # derivatives of xi and of sigma: foliation and acs at order 1,
+        # norms, g0conn and canon at order 2
+        ctx1, ctx2, seen = EvalContext(*setup, order=1), EvalContext(*setup, order=2), []
+        covd = C.covd
+        monkeypatch.setattr(C, "covd", lambda c, t, kinds, gamma=None: (
+            seen.append(t) if gamma is None else None) or covd(c, t, kinds, gamma))
+        R.foliation_checks(ctx1)
+        R.acs_check(ctx1)
+        R.norms_and_laplacian_checks(ctx2)
+        R.g0_connection_check(ctx2)
+        R.canonical_connection_checks(ctx2, rng=np.random.default_rng(13))
+        for field in (ctx1.root("xi"), ctx2.root("xi"), R.sigma_endo(ctx2)):
+            assert sum(t is field for t in seen) == 1
 
     def test_nan_direction_fails_splitting(self, ctx3):
         # the second of the three random directions is NaN: one of six terms

@@ -64,12 +64,11 @@ class TestNanFails:
         assert math.isnan(row.residual) and row.status == "fail"
 
 
-#: source -> its keys that are not per-point (None: all of them); the
-#: ``suites`` docstring states each one's merge rule
+#: source -> its keys that are not per-point; the ``suites`` docstring
+#: states each one's merge rule
 _SCALAR_KEYS = {
     "ctype": ("constant_type_spread",),
     "gauge": ("search_residual", "equiv_metric", "equiv_j"),
-    "agree": None,
     "sek": ("laplacian_sstar", "div_rho_nabla_omega", "norm_phi", "norm_nabla_omega",
             "norm_rough_omega", "norm_r_anti", "lhs", "rhs", "sstar", "sstar_48_dev"),
 }
@@ -77,14 +76,13 @@ _SCALAR_KEYS = {
 
 class TestPerPointContract:
     def test_scalar_keys_are_documented(self):
-        for source, keys in _SCALAR_KEYS.items():
-            for name in keys or (source,):
+        for keys in _SCALAR_KEYS.values():
+            for name in keys:
                 assert f"``{name}``" in suites.__doc__, name
 
     def test_every_read_key_is_per_point_or_a_listed_scalar(self):
-        sessions = suites._Sessions(4, 0, "exact")
         for model in suites.MODEL_NAMES:
-            s = sessions[model]
+            s = suites._Session(model, 4, 0, "exact")
             specs = [spec for spec in suites.CHECKS if model in spec.models]
             s.compute(dict.fromkeys(spec.source for spec in specs))
             for spec in specs:
@@ -97,7 +95,7 @@ class TestPerPointContract:
                 for key in keys + ((spec.value_key,) if spec.value_key else ()):
                     v = s.get(spec.source)[key]
                     where = (model, spec.source, key)
-                    if scalars is None or key in scalars:
+                    if key in scalars:
                         assert isinstance(v, float), where
                     else:
                         assert isinstance(v, np.ndarray), where
@@ -120,9 +118,8 @@ class TestMinimalOrders:
     context computes coefficients that no check reads."""
 
     def test_each_declared_order_is_the_lowest(self):
-        sessions = suites._Sessions(4, 0, "exact")
         for model, sources in _lab_sources().items():
-            s = sessions[model]
+            s = suites._Session(model, 4, 0, "exact")
             for source in sources:
                 order, fn = suites._SOURCES[source]
                 at = fn(s, s.ctx(order))
@@ -147,7 +144,7 @@ class TestMinimalOrders:
             return terms(ctx, rng)
 
         monkeypatch.setattr(suites.R, "sekigawa_terms_at", spy)
-        suites._Sessions(4, 0, "exact")["s2s2"].get("sek")
+        suites._Session("s2s2", 4, 0, "exact").get("sek")
         (ctx,) = seen
         assert ctx.order == 4
         with pytest.raises(ValueError, match="derivative orders"):
@@ -198,8 +195,8 @@ class TestSessions:
 
     def test_run_releases_its_sessions(self, monkeypatch):
         # with the cycle collector off, only reference counts can free the
-        # sessions: a reference cycle through the session table would keep
-        # every session of the run, and all its contexts, alive
+        # sessions: a reference cycle would keep a session of the run, and
+        # all its contexts, alive
         made = []
         init = suites._Session.__init__
 
@@ -219,9 +216,9 @@ class TestSessions:
         finally:
             gc.enable()
         assert {r.model for r in results} == {"s6", "ansatz"}
-        assert len(made) == 3   # and s3s3, for the ansatz agreement check
+        assert len(made) == 2   # one session per model
         assert not any(alive)
-        assert _models(contexts, "root") == {"s6", "ansatz", "s3s3"}
+        assert _models(contexts, "root") == {"s6", "ansatz"}
         assert not alive_contexts
 
     def test_sek_frames_follow_the_seed(self, monkeypatch):
@@ -237,7 +234,7 @@ class TestSessions:
 
         def frames(seed):
             drawn.clear()
-            suites._Sessions(32, seed, "exact")["s2s2"].get("sek")
+            suites._Session("s2s2", 32, seed, "exact").get("sek")
             return np.concatenate(drawn)
 
         for seed in (0, 1):
@@ -317,8 +314,8 @@ def _track_computes(monkeypatch, made):
 
 
 def _suite_major(models, suite_names, samples, mode):
-    """The rows of the suites run one after the other on one session table."""
-    sessions = suites._Sessions(samples, 0, mode)
+    """The rows of the suites run one after the other, one session per model."""
+    sessions = {m: suites._Session(m, samples, 0, mode) for m in suites.MODEL_NAMES}
     rows = []
     for suite in suite_names or suites.SUITES:
         targets = suites.SUITES[suite] if models is None else [
@@ -345,71 +342,12 @@ class TestModelMajor:
             alive = _alive(made)
         finally:
             gc.enable()
-        assert len(results) == 211
+        assert len(results) == 210
         assert not strays
         assert not alive
         assert set(computed) == set(suites.MODEL_NAMES)
         assert _models(made, "work") == set(suites.MODEL_NAMES)
         assert _models(made, "root") == set(suites.MODEL_NAMES)
-
-    def test_peer_contexts_are_released_with_the_requester(self, monkeypatch):
-        # an ansatz-only run builds the s3s3 session just for ansatz-agreement;
-        # with the run's session table held, neither session keeps a context
-        made = _track_contexts(monkeypatch)
-        tables = []
-        init = suites._Sessions.__init__
-
-        def kept(self, *args):
-            init(self, *args)
-            tables.append(self)
-
-        monkeypatch.setattr(suites._Sessions, "__init__", kept)
-        gc.collect()
-        gc.disable()
-        try:
-            results = suites.run(suites=["ansatz"], samples=4)
-            alive = _alive(made)
-        finally:
-            gc.enable()
-        assert {r.model for r in results} == {"ansatz"}
-        assert sorted(tables[0]) == ["ansatz", "s3s3"]
-        assert _models(made, "work") == _models(made, "root") == {"ansatz", "s3s3"}
-        assert not alive
-        assert {"norms", "kahler"} <= set(tables[0]["s3s3"]._cache)
-        # its rows are out, and no other model reads its results
-        assert not tables[0]["ansatz"]._cache
-
-    def test_the_peer_keeps_only_what_agree_reads(self, monkeypatch):
-        # per-point results grow with the samples: once the rows are out,
-        # only s3s3's norms and kahler, which a later ansatz-agreement
-        # reads, are kept
-        tables = []
-        init = suites._Sessions.__init__
-
-        def kept(self, *args):
-            init(self, *args)
-            tables.append(self)
-
-        monkeypatch.setattr(suites._Sessions, "__init__", kept)
-        suites.run(models=("s3s3", "s6"), suites=("gray", "reduction", "canonical"),
-                   samples=4)
-        assert sorted(tables[0]["s3s3"]._cache) == ["kahler", "norms"]
-        assert not tables[0]["s6"]._cache
-
-    def test_peer_sources_run_after_the_requester_is_released(self, monkeypatch):
-        # ansatz-agreement is ansatz's last source; the s3s3 session it
-        # builds in an ansatz-only run computes with no ansatz context alive
-        made = _track_contexts(monkeypatch)
-        computed, strays = _track_computes(monkeypatch, made)
-        gc.collect()
-        gc.disable()
-        try:
-            results = suites.run(models=["ansatz"], samples=4)
-        finally:
-            gc.enable()
-        assert {r.model for r in results} == {"ansatz"}
-        assert "s3s3" in computed
-        assert not strays
 
     @pytest.mark.parametrize("models, suite_names, mode", [
         (None, None, "exact"),
@@ -418,8 +356,6 @@ class TestModelMajor:
          "exact"),
     ])
     def test_rows_in_suite_order(self, models, suite_names, mode):
-        # the last case runs ansatz first, so s3s3 is first built as its peer
-        # and built again when its own suites run
         want = _suite_major(models, suite_names, 4, mode)
         got = suites.run(models=models, suites=suite_names, samples=4, mode=mode)
         assert _fields(got) == _fields(want)
@@ -440,34 +376,6 @@ class TestModelMajor:
         full = peaks.pop(None)
         assert full <= 1.2 * max(peaks.values()), (full, peaks)
 
-    def test_ansatz_alone_peaks_no_higher_than_the_full_lab(self, monkeypatch):
-        # the s3s3 session that ansatz-agreement builds in an ansatz-only run
-        # computes after every ansatz context is gone, so it adds only its
-        # own context's working set
-        suites.run(samples=8)
-        made = _track_contexts(monkeypatch)
-        order, agree = suites._SOURCES["agree"]
-        seen = {}
-
-        def watched(s):
-            seen["alive"] = _alive(made)
-            return agree(s)
-
-        monkeypatch.setitem(suites._SOURCES, "agree", (order, watched))
-        peaks, alive = {}, {}
-        tracemalloc.start()
-        try:
-            for models in (None, ("ansatz",)):
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                suites.run(models=models, samples=8)
-                peaks[models] = tracemalloc.get_traced_memory()[1] - base
-                alive[models] = seen["alive"]
-        finally:
-            tracemalloc.stop()
-        assert peaks[("ansatz",)] <= peaks[None], peaks
-        assert "ansatz" not in alive[("ansatz",)], alive
-
 
 class TestSchedule:
     @pytest.mark.parametrize("models, suite_names, mode, chunk, samples", [
@@ -477,9 +385,9 @@ class TestSchedule:
         # the chunks [0:8] and [8:20]
         pytest.param(None, None, "exact", 8, 20, id="None-exact-two-chunks"),
         pytest.param(None, None, "fd", 8, 20, id="None-fd-two-chunks"),
-        # agree, a context-free source, comes before norms and kahler
+        # ansatz, the ansatz suite's model, runs before the reduction suite's
         pytest.param(None, ("ansatz", "reduction"), "exact", 64, 4,
-                     id="agree-first-exact"),
+                     id="ansatz-reduction-exact"),
     ])
     def test_one_context_alive_each_built_once(self, monkeypatch, models, suite_names,
                                                mode, chunk, samples):
@@ -530,11 +438,7 @@ class TestSchedule:
         # each source once per chunk
         per_chunk = {(model, source, start) for model, source, start, *_ in calls}
         assert len(per_chunk) == len(calls), calls
-        if models is None and suite_names is None:
-            # in an ansatz-only run, agree computes ansatz's norms and kahler,
-            # which no row reads, in a second pass over the chunks; and when
-            # ansatz runs before s3s3, agree computes s3s3's in a pass of its own
-            assert len(built) == len(set(built)), built
+        assert len(built) == len(set(built)), built
 
     def test_error_rows_read_one_cached_error(self, monkeypatch):
         calls = []
@@ -557,7 +461,6 @@ class TestSchedule:
         finally:
             gc.enable()
         readers = {spec.check for spec in suites.CHECKS if spec.source == "norms"}
-        readers.add("ansatz-agreement")   # agree reads the model's norms first
         errors = [r for r in results if r.status == "error"]
         assert {r.check for r in errors} == readers
         assert len(errors) == len([r for r in results if r.check in readers])
@@ -649,7 +552,7 @@ class TestChunks:
 
 def _computed(monkeypatch, chunk, model, mode, samples, sources):
     monkeypatch.setattr(suites, "CHUNK", chunk)
-    s = suites._Sessions(samples, 0, mode)[model]
+    s = suites._Session(model, samples, 0, mode)
     s.compute(sources)
     return {source: s.get(source) for source in sources}
 
@@ -741,6 +644,4 @@ def test_the_gauge_scan_does_not_set_the_peak(monkeypatch):
     finally:
         tracemalloc.stop()
     gauge = peaks.pop("gauge")
-    # agree's peak includes the norms and kahler it computes
-    peaks.pop("agree")
     assert gauge <= max(peaks.values()), (gauge, peaks)

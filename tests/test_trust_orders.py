@@ -522,7 +522,7 @@ def test_shared_roots_equal_own_roots(model):
     equal those its own evaluators make on its points and order: 1.4e-15
     relative at most (``s3s3`` J in the order-2 context at 8 samples; every
     model and order at seeds 0-3 and 4, 8 and 50 samples)."""
-    s = suites._Sessions(8, 0, "exact")[model]
+    s = suites._Session(model, 8, 0, "exact")
     orders = {suites._SOURCES[spec.source][0] for spec in suites.CHECKS
               if model in spec.models} - {None}
     assert orders

@@ -12,11 +12,12 @@ this repository's) once per workload configuration of
 ``OUT/<workload>-seed<seed>.jsonl``.  ``compare`` diffs the reports of two
 such directories file by file with ``nklab.report.diff_reports`` and says,
 per file and overall, whether the rows are bit-identical: the same rows,
-statuses, residuals, values and quantiles.  For each file it also prints
-the worst passing residual/tolerance, old -> new: how close the nearest
-passing row came to failing.  It exits 0 when every status
-is kept, and 1 when any row changed status, a file is missing, or either
-directory holds no report.
+statuses, residuals, values and quantiles.  For each file it names the
+rows found on one side only, says whether the rows of both sides are
+bit-identical, and prints the worst passing residual/tolerance, old ->
+new: how close the nearest passing row came to failing.  It exits 0 when
+every status is kept, and 1 when any row changed status or is absent from
+one side, a file is missing, or either directory holds no report.
 
 To compare a change with its parent, write the parent's rows from a second
 checkout (``git archive HEAD~1 | tar x -C /tmp/parent``)::
@@ -67,9 +68,9 @@ def write(out: Path, src: Path) -> None:
             print(f"{path}: {done.stdout.splitlines()[0]}")
 
 
-def identical(d: dict) -> bool:
-    """True when the two runs have the same rows, bit for bit."""
-    return (not d["changes"] and len(d["old"]) == len(d["new"]) == d["compared"]
+def shared_identical(d: dict) -> bool:
+    """True when the rows found in both runs are the same, bit for bit."""
+    return (all(None in (s0, s1) for _, s0, s1 in d["changes"])
             and all(x is None or x[0] == 0.0 for x in (d["drift"], d["value_drift"]))
             and not d["quantile_changes"])
 
@@ -94,8 +95,18 @@ def compare(old: Path, new: Path) -> int:
             kept = same = False
             continue
         d = REP.diff_reports(REP.read_jsonl(old / name), REP.read_jsonl(new / name))
-        exact = identical(d)
+        shared = shared_identical(d)
+        exact = shared and len(d["old"]) == len(d["new"]) == d["compared"]
         print(f"== {name}: {'bit-identical' if exact else 'differs'}")
+        tally = []
+        for side, mine, theirs in (("OLD", d["old"], d["new"]), ("NEW", d["new"], d["old"])):
+            only = [f"{k[0]}/{k[1]} on {k[2]}" for k in mine if k not in theirs]
+            if only:
+                tally.append(f"{len(only)} row{'s' if len(only) > 1 else ''} only in "
+                             f"{side} ({', '.join(only)})")
+        tally.append(f"{d['compared']} shared rows "
+                     f"{'bit-identical' if shared else 'not bit-identical'}")
+        print(", ".join(tally))
         print(f"worst passing residual/tolerance {worst_margin(d['old'])} -> "
               f"{worst_margin(d['new'])}")
         if not exact:

@@ -330,7 +330,7 @@ def _certify_chart(chart: ChartMap) -> None:
     jm = ctx.root("J").val
     xi = ctx.root("xi").val
     for identity, r in (
-            ("acs_square", np.einsum("zab,zbc->zac", jm, jm) + np.eye(_DIM)),
+            ("acs_square", contract("zab,zbc->zac", jm, jm) + np.eye(_DIM)),
             ("acs_compatibility", contract("zai,zab,zbj->zij", jm, g, jm) - g),
             ("fiber_unit_length", np.sqrt(contract("zi,zij,zj->z", xi, g, xi)) - 1.0)):
         worst = float(np.max(np.abs(r)))

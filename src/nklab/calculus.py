@@ -176,7 +176,7 @@ def curvature_operator_value(ctx: EvalContext, alpha: np.ndarray) -> np.ndarray:
     rl = riemann_lower(ctx).val
     gi = metric_inv(ctx, 0).val
     up = contract("bka,blc,bac->bkl", gi, gi, alpha)
-    return -0.5 * np.einsum("bkl,bklij->bij", up, rl)
+    return -0.5 * contract("bkl,bklij->bij", up, rl)
 
 
 def lie_derivative(ctx: EvalContext, xfield: J.Jet, t: J.Jet, kinds: str) -> J.Jet:

@@ -273,28 +273,33 @@ def _contract_plan(spec: str, shapes: tuple) -> tuple:
 
 
 def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
-    """``np.einsum(spec, *ops)`` for three or more operands, contracted pairwise.
+    """``np.einsum(spec, *ops)`` for two or more operands, contracted pairwise.
 
-    Without ``optimize``, numpy runs a multi-operand einsum as one nested
-    loop over every index at once; a chain of two-operand einsums in the
-    order ``np.einsum_path(optimize="greedy")`` finds costs only the sum of
-    the pair sizes.  The order is planned once per spec and operand shapes,
-    a batch axis (:func:`_batch_operands`) of :data:`~nklab.jets.MIN_CHUNK`
+    Each pair is one :func:`~nklab.jets.einsum2`, the batched-matmul kernel
+    of order-0 ``jj``: a two-operand spec is that kernel alone.  Without
+    ``optimize``, numpy runs a multi-operand einsum as one nested loop over
+    every index at once; a chain of pairs in the order
+    ``np.einsum_path(optimize="greedy")`` finds costs only the sum of the
+    pair sizes.  The order is planned once per spec and operand shapes, a
+    batch axis (:func:`_batch_operands`) of :data:`~nklab.jets.MIN_CHUNK`
     points or more taken as that many: the greedy order of the lab's specs
     is the same at every such batch size, so chunks and stencil blocks of
     any size share one plan, and a batch smaller than that, which only a
-    whole batch can be, is planned at its own size.  The steps themselves
-    are plain einsums: ``optimize=`` would route them through
-    ``tensordot`` and BLAS, which raised the lab's peak memory.
+    whole batch can be, is planned at its own size.  ``optimize=`` would
+    reach the same matmul but search the path on every call: 21 us against
+    8 us here for ``zab,zbc->zac`` at 64 points.  The product is returned
+    as the kernel leaves it, a view that need not be C-contiguous.
     Explicit letters only (no ellipsis).
     """
+    if len(ops) == 2:
+        return J.einsum2(spec, *ops)
     ops = list(ops)
     shapes = [np.shape(o) for o in ops]
     for i in _batch_operands(spec):
         shapes[i] = (min(shapes[i][0], J.MIN_CHUNK), *shapes[i][1:])
     for pos, sub in _contract_plan(spec, tuple(shapes)):
         taken = [ops.pop(i) for i in pos]
-        ops.append(np.einsum(sub, *taken))
+        ops.append(J.einsum2(sub, *taken))
     return ops[0]
 
 

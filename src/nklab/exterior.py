@@ -36,6 +36,7 @@ import numpy as np
 
 from . import jets as J
 from .calculus import covd, covd_field, metric_inv
+from .chart import contract
 
 __all__ = [
     "wedge",
@@ -190,7 +191,7 @@ def _raise_all(a: np.ndarray, p: int, ginv: np.ndarray) -> np.ndarray:
         src = labels[ax]
         cur = "".join(labels)
         labels[ax] = src.upper()
-        out = np.einsum(f"b{cur},b{src}{src.upper()}->b{''.join(labels)}", out, ginv)
+        out = contract(f"b{cur},b{src}{src.upper()}->b{''.join(labels)}", out, ginv)
     # relabel back to lowercase layout (axes order unchanged)
     return out
 
@@ -201,7 +202,7 @@ def form_ip(a: np.ndarray, b: np.ndarray, p: int, ginv: np.ndarray, full: bool =
         return a * b
     bu = _raise_all(b, p, ginv)
     letters = _LETTERS[:p]
-    val = np.einsum(f"b{letters},b{letters}->b", a, bu)
+    val = contract(f"b{letters},b{letters}->b", a, bu)
     if not full:
         val = val / math.factorial(p)
     return val

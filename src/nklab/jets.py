@@ -39,20 +39,25 @@ gathers both operands through it to ``(ncoef, nbatch, S, L, W*K)`` and
 ``(ncoef, nbatch, S, W*K, R)`` (S, L, K, R: the shared, left, contracted
 and right tensor axes of the spec, each flattened), so ``np.matmul`` sums
 over pairs and contracted axes in its inner dimension.  A padded slot
-reads a zero row in both operands and adds exactly zero.  At order 0 a
-jet is its value and ``jj`` is one ``np.einsum``.  A constant enters as an
-array (``jc``, ``jb``, or ``jet + array`` on the value row), never as a jet
-built only to be multiplied.
+reads a zero row in both operands and adds exactly zero.  A constant
+enters as an array (``jc``, ``jb``, or ``jet + array`` on the value row),
+never as a jet built only to be multiplied.
+
+At order 0 a jet is its value, and ``jj`` multiplies the values with
+:func:`einsum2`, the one batched-matmul kernel of two plain arrays, which
+``chart.contract`` runs too: the batch axis is a shared letter and leads
+the matmul batch.  The product stays as the matmul wrote it, batch
+leading, and the jet's coefficients are a view of it, so ``Jet.val``
+reads it contiguously and no copy takes it back to the batch-last
+layout.  (A matmul ``jj`` that copied its product back made the fd lab
+24% slower.)  Order-0 ``jc`` and ``junary`` stay ``np.einsum``: a
+constant or a single jet, which einsum reads along the batch axis in
+place (``jc`` on matmul was 6% slower).
 
 ``jb`` (a per-batch constant times a jet) is a batched GEMM too, the
 constant being an order-0 left operand broadcast over the coefficient
 axis; the product is written through a view of the jet layout, so the
-result needs no transposing copy.  Order-0 ``jj`` and ``jc`` stay
-``np.einsum``: their big calls are the finite-difference stencil
-batches, where einsum runs along the contiguous batch axis, while matmul
-needs the batch axis outside its matrices and pays a transposing copy.
-Both were tried on matmul, and the fd lab got slower (24% for ``jj``,
-6% for ``jc``).
+result needs no transposing copy.
 
 A batch too large to hold at once is cut by one rule, :func:`chunks`:
 the ``suites`` sessions cut their sample points with it, and ``findiff``
@@ -94,6 +99,7 @@ __all__ = [
     "jentire",
     "jcompose",
     "jmatinv",
+    "einsum2",
     "SINC_SQRT",
     "VERSINE_RATIO",
     "SINC_DEFECT",
@@ -227,7 +233,8 @@ class Jet:
     @property
     def val(self) -> np.ndarray:
         """Value part, batch axis first: shape (nbatch, *tshape)."""
-        return np.moveaxis(self.value_row, -1, 0)
+        v = self.value_row
+        return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
     @property
     def value_row(self) -> np.ndarray:
@@ -353,12 +360,60 @@ _RESERVED = "pz"
 
 @lru_cache(maxsize=None)
 def _split_spec(spec: str):
-    lhs, rhs = spec.split("->")
-    a, b = lhs.split(",")
     for ch in spec:
         if ch in _RESERVED:
             raise ValueError(f"jet spec {spec!r} uses the reserved letter {ch!r}")
-    return a, b, rhs
+    return _roles(spec)[:3]
+
+
+class _Roles(NamedTuple):
+    """The letters of a two-operand spec by role, whatever the shapes."""
+
+    a: str
+    b: str
+    rhs: str
+    shared: list  # both operands and the output, in output order
+    left: list  # x and the output
+    right: list  # y and the output
+    con: list  # both operands only, in x order
+    ka: list  # letters of x not summed away first (a letter in x only is)
+    kb: list
+    sum_x: tuple  # axes of x summed away first
+    sum_y: tuple
+
+
+@lru_cache(maxsize=None)
+def _roles(spec: str) -> _Roles:
+    lhs, rhs = spec.split("->")
+    a, b = lhs.split(",")
+    if len(set(a)) != len(a) or len(set(b)) != len(b):
+        raise ValueError(f"spec {spec!r} repeats a letter within one operand")
+    if len(set(rhs)) != len(rhs) or not set(rhs) <= set(a + b):
+        raise ValueError(f"spec {spec!r} has a bad output")
+    ka = [ch for ch in a if ch in b or ch in rhs]
+    kb = [ch for ch in b if ch in a or ch in rhs]
+    return _Roles(
+        a, b, rhs,
+        shared=[ch for ch in rhs if ch in a and ch in b],
+        left=[ch for ch in rhs if ch in a and ch not in b],
+        right=[ch for ch in rhs if ch in b and ch not in a],
+        con=[ch for ch in a if ch in b and ch not in rhs],
+        ka=ka, kb=kb,
+        sum_x=tuple(i for i, ch in enumerate(a) if ch not in ka),
+        sum_y=tuple(i for i, ch in enumerate(b) if ch not in kb),
+    )
+
+
+def _sizes(spec: str, tx: tuple, ty: tuple) -> dict:
+    """Letter -> axis size of ``spec`` over shapes ``tx`` and ``ty``."""
+    r = _roles(spec)
+    if len(r.a) != len(tx) or len(r.b) != len(ty):
+        raise ValueError(f"spec {spec!r} does not fit shapes {tx}, {ty}")
+    size = dict(zip(r.a, tx))
+    for ch, n in zip(r.b, ty):
+        if size.setdefault(ch, n) != n:
+            raise ValueError(f"spec {spec!r}: axis {ch!r} has sizes {size[ch]} and {n}")
+    return size
 
 
 class _Plan(NamedTuple):
@@ -380,22 +435,10 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _jj_plan(spec: str, tx: tuple, ty: tuple) -> _Plan:
-    a, b, rhs = _split_spec(spec)
-    size = {}
-    for letters, shape in ((a, tx), (b, ty)):
-        if len(letters) != len(shape) or len(set(letters)) != len(letters):
-            raise ValueError(f"jet spec {spec!r} does not fit tensor shapes {tx}, {ty}")
-        for ch, n in zip(letters, shape):
-            if size.setdefault(ch, n) != n:
-                raise ValueError(f"jet spec {spec!r}: axis {ch!r} has sizes {size[ch]} and {n}")
-    if len(set(rhs)) != len(rhs) or not set(rhs) <= set(a + b):
-        raise ValueError(f"jet spec {spec!r} has a bad output")
-    shared = [ch for ch in rhs if ch in a and ch in b]
-    left = [ch for ch in rhs if ch in a and ch not in b]
-    right = [ch for ch in rhs if ch in b and ch not in a]
-    con = [ch for ch in a if ch in b and ch not in rhs]
-    ka = [ch for ch in a if ch in b or ch in rhs]
-    kb = [ch for ch in b if ch in a or ch in rhs]
+    _split_spec(spec)
+    r = _roles(spec)
+    size = _sizes(spec, tx, ty)
+    shared, left, right, con, ka, kb = r.shared, r.left, r.right, r.con, r.ka, r.kb
     na, nb = len(ka), len(kb)
 
     def dims(letters):
@@ -403,8 +446,8 @@ def _jj_plan(spec: str, tx: tuple, ty: tuple) -> _Plan:
 
     order = shared + left + right
     return _Plan(
-        sum_x=tuple(i for i, ch in enumerate(a) if ch not in ka),
-        sum_y=tuple(i for i, ch in enumerate(b) if ch not in kb),
+        sum_x=r.sum_x,
+        sum_y=r.sum_y,
         perm_x=(na + 1, *(ka.index(ch) for ch in shared + left), na,
                 *(ka.index(ch) for ch in con)),
         perm_y=(nb + 1, *(kb.index(ch) for ch in shared), nb,
@@ -414,8 +457,73 @@ def _jj_plan(spec: str, tx: tuple, ty: tuple) -> _Plan:
         S=math.prod(dims(shared)), L=math.prod(dims(left)),
         K=math.prod(dims(con)), R=math.prod(dims(right)),
         out_shape=dims(order),
-        out_perm=(*(2 + order.index(ch) for ch in rhs), 0, 1),
+        out_perm=(*(2 + order.index(ch) for ch in r.rhs), 0, 1),
     )
+
+
+class _PairLayout(NamedTuple):
+    """How ``einsum2`` lays out a spec as a matmul, whatever the shapes."""
+
+    spec: str  # the spec the matmul runs: the operands swapped where ``swap``
+    swap: bool
+    roles: _Roles
+    perm_x: tuple  # kept x axes -> (*shared, *left, *contracted)
+    perm_y: tuple  # kept y axes -> (*shared, *contracted, *right)
+    out_perm: tuple  # matmul result axes (*shared, *left, *right) -> rhs
+
+
+@lru_cache(maxsize=None)
+def _pair_layout(spec: str) -> _PairLayout:
+    r = _roles(spec)
+    # the matmul rows come from the operand whose output letters come first
+    rest = [ch for ch in r.rhs if ch not in r.shared]
+    if r.left and r.right and rest == r.right + r.left:
+        return _pair_layout(f"{r.b},{r.a}->{r.rhs}")._replace(swap=True)
+    order = r.shared + r.left + r.right
+    return _PairLayout(
+        spec=spec, swap=False, roles=r,
+        perm_x=tuple(r.ka.index(ch) for ch in r.shared + r.left + r.con),
+        perm_y=tuple(r.kb.index(ch) for ch in r.shared + r.con + r.right),
+        out_perm=tuple(order.index(ch) for ch in r.rhs),
+    )
+
+
+@lru_cache(maxsize=None)
+def _pair_shapes(spec: str, sx: tuple, sy: tuple) -> tuple:
+    """``(S, L, K)``, ``(S, K, R)`` and ``(*shared, *left, *right)`` sizes."""
+    r = _roles(spec)
+    size = _sizes(spec, sx, sy)
+    s, left, k, right = (math.prod(size[ch] for ch in part)
+                         for part in (r.shared, r.left, r.con, r.right))
+    return (s, left, k), (s, k, right), tuple(size[ch] for ch in r.shared + r.left + r.right)
+
+
+def einsum2(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, x, y)`` for two plain arrays, as one ``np.matmul``.
+
+    The letters of both operands and the output lead the matmul batch, the
+    other output letters of the operands are its rows and columns -- rows
+    from the operand whose output letters come first -- and the letters of
+    both operands only are summed in its inner dimension; a letter in one
+    operand only is summed away first.  The layout is planned once per
+    spec (``_pair_layout``) and the sizes once per shapes (``_pair_shapes``).
+    The product comes back as a view of the matmul result, shared letters
+    leading, with no copy into the order of the output letters: it is
+    C-contiguous when the output lists the shared letters first and each
+    operand's other letters together.  Real and complex operands alike;
+    explicit letters only (no ellipsis).
+    """
+    p = _pair_layout(spec)
+    if p.swap:
+        x, y = y, x
+    shape_x, shape_y, out_shape = _pair_shapes(p.spec, x.shape, y.shape)
+    if p.roles.sum_x:
+        x = x.sum(axis=p.roles.sum_x)
+    if p.roles.sum_y:
+        y = y.sum(axis=p.roles.sum_y)
+    out = np.matmul(x.transpose(p.perm_x).reshape(shape_x),
+                    y.transpose(p.perm_y).reshape(shape_y))
+    return out.reshape(out_shape).transpose(p.out_perm)
 
 
 def _gather(c: np.ndarray, seg: np.ndarray, perm: tuple, before: tuple, after: tuple) -> np.ndarray:
@@ -446,16 +554,16 @@ def jj(spec: str, x: Jet, y: Jet) -> Jet:
     segment tables ``sp.seg_a``/``sp.seg_b`` to ``(ncoef, nbatch, S, L,
     W*K)`` and ``(ncoef, nbatch, S, W*K, R)``, so a single ``np.matmul``
     sums over the W pairs of every output coefficient and the K contracted
-    entries at once; at order 0 it is one ``np.einsum``.  The letters in
-    ``_RESERVED`` are rejected, and so is a letter repeated within one
-    operand.
+    entries at once; at order 0 it is one :func:`einsum2` of the values.
+    The letters in ``_RESERVED`` are rejected, and so is a letter repeated
+    within one operand.
     """
     a, b, rhs = _split_spec(spec)  # refuse reserved letters before reading the operands
     p = _jj_plan(spec, x.tshape, y.tshape)
     sp = _lower(x, y)
     x, y = x.truncate(sp), y.truncate(sp)
-    if sp.order == 0:  # one pair, nothing to gather
-        return Jet(sp, np.einsum(f"{a}pz,{b}pz->{rhs}pz", x.c, y.c))
+    if sp.order == 0:  # one pair, nothing to gather: a product of values
+        return Jet(sp, einsum2(f"{a}pz,{b}pz->{rhs}pz", x.c, y.c))
     n, w = sp.seg_a.shape
     nb = x.nbatch
     ga = _gather(x.c.sum(axis=p.sum_x) if p.sum_x else x.c, sp.seg_a, p.perm_x, *p.shape_x)
@@ -587,19 +695,21 @@ def _nilpotent(x: Jet) -> Jet:
 
 
 def jcompose(u: Jet, coeffs: list[np.ndarray]) -> Jet:
-    """Compose a scalar jet with a univariate Taylor series.
+    """Compose a scalar jet with a univariate Taylor series, or with F of them.
 
-    ``coeffs[k]`` is ``f^{(k)}(u0)/k!`` as an array over the batch.  Horner
-    evaluation in the nilpotent part ``u - u0``, the coefficients entering
-    as arrays.
+    ``coeffs[k]`` is ``f^{(k)}(u0)/k!`` as an array over the batch, of shape
+    ``(nbatch,)``, or ``(F, nbatch)`` for F series at once, whose result is
+    an ``(F,)``-jet.  Horner evaluation in the nilpotent part ``u - u0``,
+    the coefficients entering as arrays.
     """
     sp = u.space
     if sp.order == 0:
         return jconst(sp, coeffs[0], batch_last=True)
     dU = _nilpotent(u)
-    res = Jet(sp, dU.c * coeffs[-1]) + coeffs[-2]
+    spec = ",->" if coeffs[0].ndim == 1 else "f,->f"
+    res = Jet(sp, dU.c * coeffs[-1][..., None, :]) + coeffs[-2]
     for k in range(len(coeffs) - 3, -1, -1):
-        res = jj(",->", res, dU) + coeffs[k]
+        res = jj(spec, res, dU) + coeffs[k]
     return res
 
 
@@ -627,32 +737,37 @@ def jrecip(u: Jet) -> Jet:
 
 @lru_cache(maxsize=None)
 def _entire_matrix(series: tuple, order: int) -> np.ndarray:
-    """``B[k, j] = a_{j+k} C(j+k, k)``: the shifted coefficients of a Maclaurin
-    series ``a`` at u0 are ``c_k = sum_j B[k, j] u0^j``."""
-    M = len(series)
-    B = np.zeros((order + 1, M))
-    for k in range(order + 1):
-        for j in range(M - k):
-            B[k, j] = series[j + k] * math.comb(j + k, k)
+    """``B[f, k, j] = a_{j+k} C(j+k, k)`` for each Maclaurin series ``a`` of
+    ``series``: its shifted coefficients at u0 are ``c_k = sum_j B[f, k, j]
+    u0^j``."""
+    M = len(series[0])
+    B = np.zeros((len(series), order + 1, M))
+    for f, a in enumerate(series):
+        for k in range(order + 1):
+            for j in range(M - k):
+                B[f, k, j] = a[j + k] * math.comb(j + k, k)
     return B
 
 
 def jentire(u: Jet, series: np.ndarray) -> Jet:
     """Compose with an entire function given by its Maclaurin coefficients.
 
-    The shifted Taylor coefficients at u0 are ``c_k = sum_m a_m C(m,k)
-    u0^{m-k}``, one GEMM of ``_entire_matrix`` with the powers of u0; for
-    the rapidly decaying series used here (sinc-type) the sum converges to
-    machine precision well before ``m = len(series)``.
+    ``series`` is one table ``(M,)``, or F tables ``(F, M)`` composed at once
+    into an ``(F,)``-jet.  The shifted Taylor coefficients at u0 are ``c_k =
+    sum_m a_m C(m,k) u0^{m-k}``, one GEMM of ``_entire_matrix`` with the
+    powers of u0; for the rapidly decaying series used here (sinc-type) the
+    sum converges to machine precision well before ``m = len(series)``.
     """
     u0 = u.value_row
-    B = _entire_matrix(tuple(series), u.space.order)
-    pw = np.empty((B.shape[1], *u0.shape))
+    table = np.atleast_2d(series)
+    B = _entire_matrix(tuple(map(tuple, table)), u.space.order)
+    pw = np.empty((table.shape[1], *u0.shape))
     pw[0] = 1.0
     pw[1:] = u0
     np.cumprod(pw, axis=0, out=pw)  # pw[j] = u0^j
-    coeffs = (B @ pw.reshape(len(pw), -1)).reshape(len(B), *u0.shape)
-    return jcompose(u, list(coeffs))
+    coeffs = (B.reshape(-1, len(pw)) @ pw.reshape(len(pw), -1)).reshape(*B.shape[:2], *u0.shape)
+    # (order + 1, *u0.shape) for one series, (order + 1, F, *u0.shape) for F
+    return jcompose(u, list(coeffs[0] if np.ndim(series) == 1 else coeffs.swapaxes(0, 1)))
 
 
 def _entire_coeffs(fn, M: int = 40) -> np.ndarray:

@@ -8,13 +8,28 @@ which has the closed form
 
 with A = sinc(2 sqrt s), V = (1 - cos(2 sqrt s))/(2 s) and U = (1 -
 A)/s -- all entire in s, so the chart is smooth through x = 0.  The
-structure J(U,V) = (2V - U, V - 2U)/sqrt3 and the quadratic form
-|U|^2 + |V|^2 - <U,V> are expressed on coordinates by conjugating with the
-block transport matrix.
+structure J(Y,Z) = (2Z - Y, Z - 2Y)/sqrt3 and the quadratic form
+|Y|^2 + |Z|^2 - <Y,Z> are expressed on coordinates by conjugating with the
+block transport matrix.  No matrix jet is inverted: with X = [x cross]
+and P = x x^T, XP = PX = 0 and X^2 = P - s I, so T = A I - V X + U P has
+
+    T^T T = V I + ((1 - V)/s) P,    T^-1 = a I + X + (V - U a) P,  a = A/V,
+
+((1 - V)/s is entire; V = (sin r / r)^2 > 0 for r = |x| < pi), and
+conjugating j (x) I3 by diag(T_x, T_y) gives the blocks [[j00 I, j01 T_x^-1
+T_y], [j10 T_y^-1 T_x, j11 I]].
 
 The 6-sphere sits in the imaginary octonions; J_p = p cross (.) is pulled
-back through stereographic charts.  S2 x S2 with radius 1/(2 sqrt 3) per
-factor is the Einstein base (Ric = 12 g) used by the reduction suite.
+back through stereographic charts u -> Phi(u) = (2 w u, pole (s - 1) w),
+w = 1/(1 + s), s = |u|^2, in closed form: with X = C Phi (the matrix of
+Phi cross) and u~ = (u, -pole),
+
+    g = 4 w^2 I,    J = X[:6, :6] - 2 w (u v^T - v u^T),  v = (X^T u~)[:6],
+
+and a rotation A in so(7) gives xi = (1/2w) [(A Phi)[:6] - 2 w (u~ . A Phi) u],
+so neither the embedding's differential nor the metric inverse is formed.
+S2 x S2 with radius 1/(2 sqrt 3) per factor is the Einstein base (Ric =
+12 g) used by the reduction suite.
 """
 
 from __future__ import annotations
@@ -25,7 +40,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
-from .calculus import metric_inv
 from .chart import ChartMap, ConfigError, EvalContext, contract
 from .exterior import wedge, wedge_packed
 
@@ -105,22 +119,6 @@ def qlog_v(q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quaternion helpers (jet level)
-
-
-def _transport_jet(x: J.Jet) -> J.Jet:
-    """T(x): coordinate basis -> left-trivialized Lie algebra, (3,3)-jet."""
-    s = J.jj("a,a->", x, x)
-    four_s = 4.0 * s
-    a = J.jentire(four_s, J.SINC_SQRT)       # sinc(2 sqrt s)
-    v = J.jentire(s, J.VERSINE_RATIO)        # (1 - cos 2 sqrt s) / (2 s)
-    u = J.jentire(s, J.SINC_DEFECT)          # (1 - a) / s
-    cross = J.jc("abc,b->ac", _EPS3, x)      # (x cross .)[a, c]
-    outer = J.jj("a,d->ad", x, x)
-    return J.jc("ad,->ad", np.eye(3), a) - J.jj(",ad->ad", v, cross) + J.jj(",ad->ad", u, outer)
-
-
-# ---------------------------------------------------------------------------
 # model bundle
 
 
@@ -148,7 +146,7 @@ def _fix_orientation_nk6(chart: ChartMap) -> None:
     ctx = EvalContext(chart, p, order=0)
     g = ctx.root("metric").val
     jm = ctx.root("J").val
-    om = np.einsum("bki,bkj->bij", jm, g)
+    om = contract("bki,bkj->bij", jm, g)
     comp = wedge_packed(wedge(om, 2, om, 2), 4, om, 2)[0, 0] / 6.0
     ref = math.sqrt(float(np.linalg.det(g[0])))
     chart.orientation = 1.0 if comp / ref > 0 else -1.0
@@ -161,27 +159,54 @@ _J_ALG = np.kron(np.array([[-1.0, 2.0], [-2.0, 1.0]]) / math.sqrt(3.0), np.eye(3
 _J_SWAP = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(3))
 # tensor-axis blocks of the two S3 factors
 _XX, _YY, _XY, _YX = np.s_[:3, :3], np.s_[3:, 3:], np.s_[:3, 3:], np.s_[3:, :3]
-# Killing generator at unit metric scale: the diagonal right translation by
-# k on both factors
-_XI_DIAG = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+
+
+# Maclaurin tables in s of A = sinc(2 sqrt s), V = (1 - cos 2 sqrt s)/(2 s),
+# U = (1 - A)/s, Q = (1 - V)/s and U - Q, all entire; (V - 1)/s is V's
+# table less its first term, padded with a zero
+_VR_TAIL = np.append(J.VERSINE_RATIO[1:], 0.0)
+_S3_SERIES = np.stack([J.SINC_SQRT * 4.0 ** np.arange(len(J.SINC_SQRT)), J.VERSINE_RATIO,
+                       J.SINC_DEFECT, -_VR_TAIL, J.SINC_DEFECT + _VR_TAIL])
+# the constant entries, on the value row, of the frames' coefficient table
+# (T^-1's 1 at X) and of their basis (I)
+_COEF_ONE = np.zeros((3, 3, 1))
+_COEF_ONE[1, 1] = 1.0
+_BASIS_EYE = np.zeros((3, 3, 3, 1))
+_BASIS_EYE[0] = np.eye(3)[..., None]
+
+
+def _s3s3_factor(x: J.Jet):
+    """(T, T^-1, T^T T) of one S3 factor at the (3,)-jet ``x``, in closed form.
+
+    T = A I - V X + U P with X = [x cross], P = x x^T, s = |x|^2.  The
+    identities XP = PX = 0 and X^2 = P - s I give T^T T = V I + Q P with Q
+    = (1 - V)/s, and T^-1 = a I + X + (V - U a) P with a = A / V.  Since
+    A^2 + s V^2 = V, V - U a = (U - Q) / V.  V = (sin r / r)^2 is positive
+    in the chart box (r = |x| < pi).  The three frames are one product of
+    their coefficient table with the basis (I, X, P).
+    """
+    s = J.jj("a,a->", x, x)
+    f = J.jentire(s, _S3_SERIES)                   # A, V, U, Q, U - Q
+    ac = J.jj("f,->f", f[[0, 4]], J.jrecip(f[1]))  # a, V - U a
+    coef = J.jassemble((3, 3), [((0, 0), f[0]), ((0, 1), -f[1]), ((0, 2), f[2]),
+                                ((1, 0), ac[0]), ((1, 2), ac[1]),
+                                ((2, 0), f[1]), ((2, 2), f[3])]) + _COEF_ONE
+    basis = J.jassemble((3, 3, 3), [(1, J.jc("abc,b->ac", _EPS3, x)),
+                                    (2, J.jj("a,d->ad", x, x))]) + _BASIS_EYE
+    frames = J.jj("fk,kad->fad", coef, basis)
+    return frames[0], frames[1], frames[2]
 
 
 def _s3s3_frames(ctx: EvalContext):
-    def build(c):
-        tx = _transport_jet(c.coords[:3])
-        ty = _transport_jet(c.coords[3:])
-        m = J.jassemble((6, 6), [(_XX, tx), (_YY, ty)])
-        minv = J.jassemble((6, 6), [(_XX, J.jmatinv(tx)), (_YY, J.jmatinv(ty))])
-        return m, minv
-
-    return ctx.memo("s3s3_frames", build)
+    """``_s3s3_factor`` of the two factors, memoized per context."""
+    return ctx.memo("s3s3_frames", lambda c: (_s3s3_factor(c.coords[:3]),
+                                              _s3s3_factor(c.coords[3:])))
 
 
 def _s3s3_metric_evaluator(c_scale: float, cross: bool = True):
     def ev(ctx):
-        m, _ = _s3s3_frames(ctx)
-        tx, ty = m[_XX], m[_YY]
-        parts = [(_XX, J.jj("ai,aj->ij", tx, tx)), (_YY, J.jj("ai,aj->ij", ty, ty))]
+        (tx, _, gx), (ty, _, gy) = _s3s3_frames(ctx)
+        parts = [(_XX, gx), (_YY, gy)]
         if cross:
             gxy = -0.5 * J.jj("ai,aj->ij", tx, ty)
             parts += [(_XY, gxy), (_YX, gxy.transpose(1, 0))]
@@ -191,20 +216,24 @@ def _s3s3_metric_evaluator(c_scale: float, cross: bool = True):
 
 
 def _s3s3_J_evaluator(jalg: np.ndarray):
+    """T^-1 jalg T with T = diag(Tx, Ty), jalg = j (x) I3 for a 2x2 j."""
+    diag = np.kron(np.diag([jalg[0, 0], jalg[3, 3]]), np.eye(3))[..., None]
+
     def ev(ctx):
-        m, minv = _s3s3_frames(ctx)
-        jm = J.jc("AB,Bj->Aj", jalg, m)
-        return J.jj("AB,Bj->Aj", minv, jm)
+        (tx, txinv, _), (ty, tyinv, _) = _s3s3_frames(ctx)
+        return J.jassemble((6, 6), [(_XY, jalg[0, 3] * J.jj("ab,bc->ac", txinv, ty)),
+                                    (_YX, jalg[3, 0] * J.jj("ab,bc->ac", tyinv, tx))]) + diag
 
     return ev
 
 
 def _s3s3_xi_diag_evaluator(c_scale: float):
-    v6 = _XI_DIAG / math.sqrt(c_scale)
-
+    """The diagonal right translation by k on both factors, unit at metric
+    scale ``c_scale``: T^-1 e_z on each factor, over sqrt(c_scale)."""
     def ev(ctx):
-        _, minv = _s3s3_frames(ctx)
-        return J.jc("B,AB->A", v6, minv)
+        (_, txinv, _), (_, tyinv, _) = _s3s3_frames(ctx)
+        return J.jassemble((6,), [(np.s_[:3], txinv[:, 2]),
+                                  (np.s_[3:], tyinv[:, 2])]) / math.sqrt(c_scale)
 
     return ev
 
@@ -277,54 +306,58 @@ def octonion_cross_table() -> np.ndarray:
 
 
 _OCT = octonion_cross_table()
+# ((u, 0) x e_7)[:6] = _OCT_E7 u
+_OCT_E7 = _OCT[:6, :6, 6]
 
 
-def _s6_embed(ctx: EvalContext, pole: float):
-    """Stereographic embedding Phi and its differential P (closed forms)."""
+def _s6_conformal(ctx: EvalContext):
+    """s = |u|^2 and w = 1 / (1 + s) of the stereographic chart."""
 
     def build(c):
-        u = c.coords
-        s = J.jj("a,a->", u, u)
-        w = J.jrecip(1.0 + s)
-        phi = J.jassemble((7,), [(np.s_[:6], J.jj(",a->a", 2.0 * w, u)),
-                                 (6, pole * (s - 1.0) * w)])
-        w2 = J.jj(",->", w, w)
-        outer = J.jj("a,i->ai", u, u)
-        # d_i Phi_a = 2 w delta_ai - 4 w^2 u_a u_i ; d_i Phi_7 = pole * 4 w^2 u_i
-        pa = J.jc("ia,->ia", np.eye(6), 2.0 * w) - J.jj(",ai->ia", 4.0 * w2, outer)
-        p = J.jassemble((6, 7), [(np.s_[:, :6], pa),
-                                 (np.s_[:, 6], J.jj(",i->i", 4.0 * pole * w2, u))])
-        return phi, p
+        s = J.jj("a,a->", c.coords, c.coords)
+        return s, J.jrecip(1.0 + s)
 
-    return ctx.memo(("s6_embed", pole), build)
+    return ctx.memo("s6_conformal", build)
 
 
-def _s6_metric_evaluator(pole: float):
-    def ev(ctx):
-        _, p = _s6_embed(ctx, pole)
-        return J.jj("iA,jA->ij", p, p)
-
-    return ev
+def _s6_metric(ctx):
+    """g = 4 w^2 I: the stereographic metric is conformally flat."""
+    _, w = _s6_conformal(ctx)
+    return J.jc("ij,->ij", 4.0 * np.eye(6), J.jj(",->", w, w))
 
 
 def _s6_J_evaluator(pole: float):
+    """J = X[:6, :6] - 2 w (u v^T - v u^T), with X = C Phi and v = (X^T u~)[:6].
+
+    Phi = (2 w u, pole (s - 1) w) is the embedding, u~ = (u, -pole), and
+    (s - 1) w = 1 - 2 w.  v = (u~ x Phi)[:6] = pole ((u, 0) x e_7)[:6],
+    since w (1 + s) = 1, so v is linear in u.
+    """
     def ev(ctx):
-        phi, p = _s6_embed(ctx, pole)
-        gi = metric_inv(ctx)
-        cross = J.jj("AC,jC->Aj", J.jc("ABC,B->AC", _OCT, phi), p)   # (Phi x P_j)_A
-        proj = J.jj("kA,Aj->kj", p, cross)
-        return J.jj("ik,kj->ij", gi, proj)
+        _, w = _s6_conformal(ctx)
+        wu = J.jj(",a->a", w, ctx.coords)
+        phi = J.jassemble((7,), [(np.s_[:6], 2.0 * wu), (6, (-2.0 * pole) * w + pole)])
+        v = J.jc("ca,a->c", pole * _OCT_E7, ctx.coords)
+        m = J.jj("a,c->ac", wu, v)
+        return J.jc("aBc,B->ac", _OCT[:6, :, :6], phi) - 2.0 * (m - m.transpose(1, 0))
 
     return ev
 
 
 def _s6_rotation_evaluator(pole: float, amat: np.ndarray):
+    """The rotation field of ``amat`` in so(7), xi = (1/2w) [(A Phi)[:6] - 2 w (u~ . A Phi) u].
+
+    With a = A[:6, 6], (A Phi)[:6] / 2w = A[:6, :6] u + pole (s - 1)/2 a
+    and u~ . A Phi = pole (a . u), so xi is a polynomial in u.
+    """
+    a66, a = amat[:6, :6], amat[:6, 6]
+
     def ev(ctx):
-        phi, p = _s6_embed(ctx, pole)
-        gi = metric_inv(ctx)
-        w = J.jc("AB,B->A", amat, phi)
-        down = J.jj("kA,A->k", p, w)
-        return J.jj("ik,k->i", gi, down)
+        u = ctx.coords
+        s, _ = _s6_conformal(ctx)
+        au = J.jc("a,a->", pole * a, u)
+        return (J.jc("ab,b->a", a66, u) + J.jc("a,->a", 0.5 * pole * a, s - 1.0)
+                - J.jj(",a->a", au, u))
 
     return ev
 
@@ -341,7 +374,7 @@ def build_s6() -> ModelBundle:
     box = [(-0.7, 0.7)] * 6
     charts = []
     for key, pole in (("north", 1.0), ("south", -1.0)):
-        ev = {"metric": _s6_metric_evaluator(pole), "J": _s6_J_evaluator(pole),
+        ev = {"metric": _s6_metric, "J": _s6_J_evaluator(pole),
               "xi": _s6_rotation_evaluator(pole, so7_generator(0, 1))}
         ch = ChartMap(f"s6:{key}", box, ev)
         _fix_orientation_nk6(ch)

@@ -135,7 +135,7 @@ def check_nearly_kahler(ctx: EvalContext) -> dict:
     psi = psi_lower(ctx).val
 
     return {
-        "j_square": _maxabs(np.einsum("zab,zbc->zac", jv, jv) + np.eye(ctx.chart.dim)),
+        "j_square": _maxabs(contract("zab,zbc->zac", jv, jv) + np.eye(ctx.chart.dim)),
         "compatible": _maxabs(contract("zai,zab,zbj->zij", jv, g, jv) - g),
         "nk_condition": _maxabs(psi + np.swapaxes(psi, 1, 2)),
         "torsion_scale": _maxabs(psi),
@@ -164,23 +164,23 @@ def gray_identities_check(ctx: EvalContext) -> dict:
     out = {}
     out["gray1"] = _maxabs(psi + np.swapaxes(psi, 1, 2))
 
-    lhs2 = np.einsum("zmi,zmaj->ziaj", jv, nj)
-    rhs2 = np.einsum("ziam,zmj->ziaj", nj, jv)
+    lhs2 = contract("zmi,zmaj->ziaj", jv, nj)
+    rhs2 = contract("ziam,zmj->ziaj", nj, jv)
     out["gray2"] = _maxabs(lhs2 - rhs2)
 
-    lhs3 = np.einsum("zab,zibj->ziaj", jv, nj)
+    lhs3 = contract("zab,zibj->ziaj", jv, nj)
     out["gray3"] = _maxabs(lhs3 + rhs2)
 
     # g(nabla_X Y, X) = g(nabla_X JY, JX) on coordinate fields
     dj = J.jgrad(j_field(ctx)).val   # (z, i, a, j) = partial_i J^a_j
-    lhs4 = np.einsum("zkij,zki->zij", gam, g)
-    cov_jy = dj + np.einsum("zaim,zmj->ziaj", gam, jv)  # nabla_i (J e_j)^a
+    lhs4 = contract("zkij,zki->zij", gam, g)
+    cov_jy = dj + contract("zaim,zmj->ziaj", gam, jv)  # nabla_i (J e_j)^a
     rhs4 = contract("ziaj,zab,zbi->zij", cov_jy, g, jv)
     out["gray4"] = _maxabs(lhs4 - rhs4)
 
     # 2 g((nabla2_{W,X} J) Y, Z) = - cyclic_{X,Y,Z} g((nabla_W J) X, (nabla_Y J) JZ)
     d2j = C.second_covd_field(ctx, j_field, "ul", key="J").val  # (z, w, x, a, j)
-    lhs5 = 2.0 * np.einsum("zwxay,zaq->zwxyq", d2j, g)
+    lhs5 = 2.0 * contract("zwxay,zaq->zwxyq", d2j, g)
     t = contract("zwax,zab,zybm,zmq->zwxyq", nj, g, nj, jv)
     rhs5 = -(t + np.einsum("zwxyq->zwqxy", t) + np.einsum("zwxyq->zwyqx", t))
     out["gray5"] = _maxabs(lhs5 - rhs5)
@@ -195,7 +195,7 @@ def orthogonality_residuals(ctx: EvalContext, rng) -> dict:
     x = unit_tangent_vectors(g, rng, 3)
     y = unit_tangent_vectors(g, rng, 3)
     v = contract("ziaj,zni,znj->zna", nj, x, y)
-    ws = (x, y, np.einsum("zai,zni->zna", jv, x), np.einsum("zai,zni->zna", jv, y))
+    ws = (x, y, contract("zai,zni->zna", jv, x), contract("zai,zni->zna", jv, y))
     return {"torsion_orthogonality": np.max(
         [_maxabs(contract("zna,zab,znb->zn", v, g, w)) for w in ws], axis=0)}
 
@@ -216,12 +216,12 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
     nj = nabla_j(ctx).val
 
     lhs = contract("zija,zklb,zab->zijkl", psi, psi, gi)
-    rhs = (np.einsum("zik,zjl->zijkl", g, g) - np.einsum("zil,zjk->zijkl", g, g)
-           - np.einsum("zik,zjl->zijkl", om, om) + np.einsum("zil,zjk->zijkl", om, om))
+    rhs = (contract("zik,zjl->zijkl", g, g) - contract("zil,zjk->zijkl", g, g)
+           - contract("zik,zjl->zijkl", om, om) + contract("zil,zjk->zijkl", om, om))
     out = {"four_argument": _maxabs(lhs - rhs)}
 
     x = unit_tangent_vectors(g, rng, 1)[:, 0]
-    jx = np.einsum("zai,zi->za", jv, x)
+    jx = contract("zai,zi->za", jv, x)
     raw = rng.standard_normal(x.shape)
     seeds = np.stack([x, jx, raw], axis=1)
     y = gram_schmidt(seeds, g)[:, 2]
@@ -230,7 +230,7 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
     out["square_minus_norm"] = _maxabs(sq + y)
 
     d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
-    rough = -np.einsum("zab,zabij->zij", gi, d2om)
+    rough = -contract("zab,zabij->zij", gi, d2om)
     out["rough_laplacian"] = _maxabs(rough - 4.0 * om)
     return out
 
@@ -248,7 +248,7 @@ def constant_type_samples(ctx: EvalContext, rng) -> np.ndarray:
     x = unit_tangent_vectors(g, rng, 4)
     y = unit_tangent_vectors(g, rng, 4)
     gxy = contract("zni,zij,znj->zn", x, g, y)
-    jx = np.einsum("zai,zni->zna", jv, x)
+    jx = contract("zai,zni->zna", jv, x)
     gjxy = contract("zna,zab,znb->zn", jx, g, y)
     den = 1.0 - gxy**2 - gjxy**2
     if np.any(den <= 1e-8):
@@ -268,7 +268,7 @@ def _adapted_frames(g, jv, nj, e1, e3) -> np.ndarray:
     Returns rows (e1, Je1, e3, Je3, e5, Je5) per point, shape (nbatch, 6, d).
     """
     e1 = e1 / np.sqrt(contract("zi,zij,zj->z", e1, g, e1))[:, None]
-    je1 = np.einsum("zai,zi->za", jv, e1)
+    je1 = contract("zai,zi->za", jv, e1)
     e3 = (e3 - contract("zi,zij,zj->z", e3, g, e1)[:, None] * e1
           - contract("zi,zij,zj->z", e3, g, je1)[:, None] * je1)
     n3 = np.sqrt(np.maximum(contract("zi,zij,zj->z", e3, g, e3), 0.0))
@@ -277,8 +277,8 @@ def _adapted_frames(g, jv, nj, e1, e3) -> np.ndarray:
             "third frame seed lies in the J-invariant plane of the first")
     e3 = e3 / n3[:, None]
     e5 = contract("ziaj,zi,zj->za", nj, e1, e3)
-    je3 = np.einsum("zai,zi->za", jv, e3)
-    je5 = np.einsum("zai,zi->za", jv, e5)
+    je3 = contract("zai,zi->za", jv, e3)
+    je5 = contract("zai,zi->za", jv, e5)
     return np.stack([e1, je1, e3, je3, e5, je5], axis=1)
 
 
@@ -338,8 +338,8 @@ def elementary_identity_check(ctx: EvalContext, rng) -> dict:
     ori = ctx.chart.orientation
 
     x = unit_tangent_vectors(g, rng, 1)[:, 0]
-    jx = np.einsum("zai,zi->za", jv, x)
-    jxf = np.einsum("za,zab->zb", jx, g)
+    jx = contract("zai,zi->za", jv, x)
+    jxf = contract("za,zab->zb", jx, g)
 
     star_om = hodge(om, 2, g, gi, ori)
     star_dom = hodge(dom, 3, g, gi, ori)
@@ -359,7 +359,7 @@ def elementary_identity_check(ctx: EvalContext, rng) -> dict:
     # packed components is the max over the full arrays
     out["omega_wedge_d_omega"] = _maxabs(wedge_packed(om, 2, dom, 3))
 
-    xf = np.einsum("za,zab->zb", x, g)
+    xf = contract("za,zab->zb", x, g)
     out["star_one_form"] = _maxabs(
         hodge_packed(xf, 1, g, gi, ori) - 0.5 * wedge_packed(jxf, 1, om_om, 4))
     out["codifferential_omega"] = _maxabs(codifferential(ctx, om_jet, 2).val)
@@ -389,13 +389,13 @@ def einstein_and_ricci_star_check(ctx: EvalContext) -> dict:
     out["scal"] = _maxabs(scal - 30.0)
     out["scal_value"] = scal.copy()   # not a view: it outlives the jet
 
-    t = np.einsum("zcj,zmibc->zmibj", jv, riem)
-    ric_star = np.einsum("zbm,zmibj->zij", jv, t)
+    t = contract("zcj,zmibc->zmibj", jv, riem)
+    ric_star = contract("zbm,zmibj->zij", jv, t)
     out["ricci_star"] = _maxabs(ric_star - g)
 
     rop = C.curvature_operator_value(ctx, om)
     out["ricci_star_operator_route"] = _maxabs(
-        ric_star - np.einsum("zim,zmj->zij", rop, jv))
+        ric_star - contract("zim,zmj->zij", rop, jv))
     return out
 
 
@@ -409,7 +409,7 @@ def laplacian_omega_check(ctx: EvalContext) -> dict:
     gi = C.metric_inv(ctx, 0).val  # after lap, whose codifferentials ask higher orders
     om = omega_field(ctx).val
     d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
-    rough = -np.einsum("zab,zabij->zij", gi, d2om)
+    rough = -contract("zab,zabij->zij", gi, d2om)
     scal = C.scalar_curvature(ctx).val
     rop = C.curvature_operator_value(ctx, om)
 

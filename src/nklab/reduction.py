@@ -253,15 +253,15 @@ def foliation_checks(ctx: EvalContext) -> dict:
     cov_jxi = C.covd(ctx, jxi, "u").val
     xv, jv = xi.val, jxi.val
     out = {
-        "acc_xi_xi": _maxabs(np.einsum("zi,zia->za", xv, cov_xi)),
-        "acc_jxi_xi": _maxabs(np.einsum("zi,zia->za", jv, cov_xi)),
-        "acc_xi_jxi": _maxabs(np.einsum("zi,zia->za", xv, cov_jxi)),
-        "acc_jxi_jxi": _maxabs(np.einsum("zi,zia->za", jv, cov_jxi)),
+        "acc_xi_xi": _maxabs(contract("zi,zia->za", xv, cov_xi)),
+        "acc_jxi_xi": _maxabs(contract("zi,zia->za", jv, cov_xi)),
+        "acc_xi_jxi": _maxabs(contract("zi,zia->za", xv, cov_jxi)),
+        "acc_jxi_jxi": _maxabs(contract("zi,zia->za", jv, cov_jxi)),
         "commutator": _maxabs(C.lie_derivative(ctx, xi, jxi, "u").val),
     }
     dz = dzeta_form(ctx).val
-    out["interior_xi_dzeta"] = _maxabs(np.einsum("zi,zij->zj", xv, dz))
-    out["interior_jxi_dzeta"] = _maxabs(np.einsum("zi,zij->zj", jv, dz))
+    out["interior_xi_dzeta"] = _maxabs(contract("zi,zij->zj", xv, dz))
+    out["interior_jxi_dzeta"] = _maxabs(contract("zi,zij->zj", jv, dz))
     return out
 
 
@@ -281,11 +281,11 @@ def acs_check(ctx: EvalContext) -> dict:
     xi, jxi = ctx.root("xi").val, jxi_field(ctx).val
 
     def mm(a, b):
-        return np.einsum("zab,zbi->zai", a, b)
+        return contract("zab,zbi->zai", a, b)
 
     out = {}
     out["kills_vertical"] = np.max(
-        [_maxabs(np.einsum("zai,zi->za", e, v))
+        [_maxabs(contract("zai,zi->za", e, v))
          for e in (i_e, k_e, jh, sg) for v in (xi, jxi)], axis=0)
     out["i_square"] = _maxabs(mm(i_e, i_e) + pi)
     out["k_square"] = _maxabs(mm(k_e, k_e) + pi)
@@ -300,13 +300,13 @@ def acs_check(ctx: EvalContext) -> dict:
     out["jhat_commutes_j"] = _maxabs(mm(jh, jv) - mm(jv, jh))
 
     for nm, e in (("i", i_e), ("k", k_e), ("jhat", jh)):
-        om = np.einsum("zai,zaj->zij", e, g)
+        om = contract("zai,zaj->zij", e, g)
         out[f"skew_{nm}"] = _maxabs(om + np.swapaxes(om, 1, 2))
 
     # split of the exterior derivative of the dual 1-form
     gi = C.metric_inv(ctx, 0).val
     dz = dzeta_form(ctx).val
-    a_endo = np.einsum("zij,zja->zai", dz, gi)   # dzeta(X,Y) = g(AX, Y)
+    a_endo = contract("zij,zja->zai", dz, gi)   # dzeta(X,Y) = g(AX, Y)
     jaj = contract("zab,zbc,zci->zai", jv, a_endo, jv)
     out["dzeta_invariant_part"] = _maxabs(0.5 * (a_endo - jaj) - 2.0 * jh)
     out["dzeta_anti_part"] = _maxabs(0.5 * (a_endo + jaj) + k_e)
@@ -316,8 +316,8 @@ def acs_check(ctx: EvalContext) -> dict:
     nj = nabla_j(ctx).val
     om_i = omega_endo(ctx, "I").val
     om_k = omega_endo(ctx, "K").val
-    rhs = (np.einsum("za,zpq->zpaq", xi, om_i)
-           + np.einsum("za,zpq->zpaq", jxi, om_k))
+    rhs = (contract("za,zpq->zpaq", xi, om_i)
+           + contract("za,zpq->zpaq", jxi, om_k))
     resid = contract("zpi,zpaq,zqj->ziaj", pi, nj - rhs, pi)
     out["torsion_via_ik"] = _maxabs(resid)
     return out
@@ -332,7 +332,7 @@ def transversal_parallel_check(ctx: EvalContext) -> dict:
     out = {}
     for item, getter in (("i", i_endo), ("k", k_endo)):
         cov = C.covd(ctx, getter(ctx), "ul").val  # (z, x, a, j)
-        low = np.einsum("zxaj,zab->zxbj", cov, g)
+        low = contract("zxaj,zab->zxbj", cov, g)
         proj = contract("zxp,zxbj,zbc,zjq->zpcq", pi, low, pi, pi)
         out[f"parallel_{item}"] = _maxabs(proj)
     return out
@@ -387,9 +387,9 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
     out["djzeta_is_m3_omega_i"] = _maxabs(djz + 3.0 * om_i)
     dom = d_omega(ctx).val
     out["interior_xi_domega"] = _maxabs(
-        np.einsum("zi,zijk->zjk", ctx.root("xi").val, dom) - 3.0 * om_i)
+        contract("zi,zijk->zjk", ctx.root("xi").val, dom) - 3.0 * om_i)
     out["interior_jxi_domega"] = _maxabs(
-        np.einsum("zi,zijk->zjk", jxi_field(ctx).val, dom) - 3.0 * om_k)
+        contract("zi,zijk->zjk", jxi_field(ctx).val, dom) - 3.0 * om_k)
 
     # contraction of nabla Omega against nabla xi
     n_om = C.covd_field(ctx, omega_field, "ll", key="omega").val  # (z,a,i,j)
@@ -411,12 +411,12 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
 
     sg = sigma_endo(ctx).val
     out["sigma_trace"] = _maxabs(np.einsum("zaa->z", sg))
-    sflat = np.einsum("zia,zaj->zij", g, sg)
+    sflat = contract("zia,zaj->zij", g, sg)
     out["sigma_spectrum"] = _maxabs(g_spectrum(sflat)
                                     - np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]))
 
     # reconstruction of g from the deformed metric
-    rec = (4.0 / 3.0) * (g0 - 0.5 * np.einsum("zia,zaj->zij", g0, sg))
+    rec = (4.0 / 3.0) * (g0 - 0.5 * contract("zia,zaj->zij", g0, sg))
     pi = pi_h(ctx).val
     out["g_from_g0"] = _maxabs(contract("zpi,zpq,zqj->zij", pi, rec - g, pi))
     return out
@@ -453,7 +453,7 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
         return done[id(t)][1]
 
     def lower(endo_val):
-        return np.einsum("zai,zaj->zij", endo_val, gval)
+        return contract("zai,zaj->zij", endo_val, gval)
 
     jh = jhat_endo(ctx)
     i_e = i_endo(ctx)
@@ -474,7 +474,7 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
 
     out["omega"] = _maxabs(lie(omega_field(ctx), "ll")
                            - 4.0 * om_k.val + 2.0 * om_jh.val)
-    cartan = (np.einsum("zi,zijk->zjk", jxi.val, d_omega(ctx).val)
+    cartan = (contract("zi,zijk->zjk", jxi.val, d_omega(ctx).val)
               - dzeta_form(ctx).val)
     out["omega_cartan_route"] = _maxabs(lie(omega_field(ctx), "ll") - cartan)
     out["j_endo"] = _maxabs(lie(jv, "ul") - 4.0 * k_e.val)
@@ -502,8 +502,8 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
 
     # transport formula: for alpha = g(A.,.), L alpha = g((L A).,.) + (L g)(A.,.)
     for nm, endo, form in (("i", i_e, om_i), ("k", k_e, om_k), ("jhat", jh, om_jh)):
-        via = (np.einsum("zai,zaj->zij", lie(endo, "ul"), gval)
-               + np.einsum("zai,zaj->zij", endo.val, lie(g, "ll")))
+        via = (contract("zai,zaj->zij", lie(endo, "ul"), gval)
+               + contract("zai,zaj->zij", endo.val, lie(g, "ll")))
         out[f"transport_{nm}"] = _maxabs(lie(form, "ll") - via)
 
     # everything is also invariant along xi itself
@@ -534,20 +534,20 @@ def g0_connection_check(ctx: EvalContext) -> dict:
     sg = sigma_endo(ctx).val
     g0v = g0.val
 
-    diff = np.einsum("zaxy,zaq->zxyq", gam0 - gam, g0v)
+    diff = contract("zaxy,zaq->zxyq", gam0 - gam, g0v)
 
     cov_sigma = C.covd_field(ctx, sigma_endo, "ul", key="sigma").val   # (z, x, a, y)
     cov_jhat = C.covd(ctx, jhat_endo(ctx), "ul").val
     k_e = k_endo(ctx).val
-    term = cov_sigma + np.einsum("zmx,zmay->zxay", k_e, cov_jhat)
-    half = term - 0.5 * np.einsum("zab,zxby->zxay", sg, term)
-    rhs = (1.0 / 3.0) * np.einsum("zxay,zaq->zxyq", half, g0v)
+    term = cov_sigma + contract("zmx,zmay->zxay", k_e, cov_jhat)
+    half = term - 0.5 * contract("zab,zxby->zxay", sg, term)
+    rhs = (1.0 / 3.0) * contract("zxay,zaq->zxyq", half, g0v)
 
     resid = contract("zxp,zyq,zwr,zxyw->zpqr", pi, pi, pi, diff - rhs)
     out = {"difference_tensor": _maxabs(resid)}
 
     # (pi + sigma/2)(pi - sigma/2) = (3/4) pi
-    lhs = np.einsum("zab,zbi->zai", pi + 0.5 * sg, pi - 0.5 * sg)
+    lhs = contract("zab,zbi->zai", pi + 0.5 * sg, pi - 0.5 * sg)
     out["projector_algebra"] = _maxabs(lhs - 0.75 * pi)
     return out
 
@@ -567,14 +567,14 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
     i0v = i0.val
     out = {}
 
-    out["i0_square"] = _maxabs(np.einsum("zab,zbi->zai", i0v, i0v) + pi)
+    out["i0_square"] = _maxabs(contract("zab,zbi->zai", i0v, i0v) + pi)
     moved_g0 = contract("zai,zbj,zab->zij", i0v, i0v, g0v)
     out["i0_compatible"] = _maxabs(
         contract("zpi,zpq,zqj->zij", pi, moved_g0 - g0v, pi))
 
     om_i = omega_endo(ctx, "I").val
     out["omega_i_via_i0"] = _maxabs(om_i - (2.0 / _SQ3)
-                                    * np.einsum("zai,zaj->zij", i0v, g0v))
+                                    * contract("zai,zaj->zij", i0v, g0v))
 
     # omega0_jhat = dzeta / 2, and it is closed
     om0 = omega0_jhat(ctx)
@@ -594,16 +594,16 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
 
     re_p, im_p = psi_form(ctx)
     psi = re_p.val + 1j * im_p.val
-    out["psi_type"] = _maxabs(np.einsum("zai,zaj->zij", i0v, psi) + 1j * psi)
+    out["psi_type"] = _maxabs(contract("zai,zaj->zij", i0v, psi) + 1j * psi)
     out["psi_intermediate_j"] = _maxabs(
-        np.einsum("zai,zaj->zij", i0v, om_j.val) + (_SQ3 / 2.0) * anti.val)
+        contract("zai,zaj->zij", i0v, om_j.val) + (_SQ3 / 2.0) * anti.val)
     out["psi_intermediate_k"] = _maxabs(
-        np.einsum("zai,zaj->zij", i0v, anti.val) - (2.0 / _SQ3) * om_j.val)
+        contract("zai,zaj->zij", i0v, anti.val) - (2.0 / _SQ3) * om_j.val)
 
     k_e = k_endo(ctx).val
-    i0k = np.einsum("zab,zbi->zai", i0v, k_e)
-    target = (4.0 / _SQ3) * (np.einsum("zai,zaj->zij", k_e, g0v)
-                             - 1j * np.einsum("zai,zaj->zij", i0k, g0v))
+    i0k = contract("zab,zbi->zai", i0v, k_e)
+    target = (4.0 / _SQ3) * (contract("zai,zaj->zij", k_e, g0v)
+                             - 1j * contract("zai,zaj->zij", i0k, g0v))
     out["psi_via_k"] = _maxabs(psi - target)
 
     g0i = np.linalg.inv(g0v)
@@ -634,11 +634,11 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
     zp = zeta_prime(ctx)
     xip = (1.0 / (2.0 * _SQ3)) * jxi_field(ctx)
     out["zeta_prime_pairing"] = _maxabs(
-        np.einsum("zi,zi->z", zp.val, xip.val) - 1.0)
+        contract("zi,zi->z", zp.val, xip.val) - 1.0)
     dzp = d_form(zp, 1).val
     out["dzeta_prime_omega_i"] = _maxabs(dzp + 6.0 * _SQ3 * om_i)
     out["dzeta_prime_i0"] = _maxabs(
-        dzp + 12.0 * np.einsum("zai,zaj->zij", i0v, g0v))
+        dzp + 12.0 * contract("zai,zaj->zij", i0v, g0v))
     lre = C.lie_derivative(ctx, xip, re_p, "ll").val
     lim = C.lie_derivative(ctx, xip, im_p, "ll").val
     out["phase_equation"] = np.maximum(_maxabs(lre + im_p.val), _maxabs(lim - re_p.val))
@@ -719,7 +719,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
 
     # phi(X, Y) = <nabla_{Jhat X} Omega, nabla_Y Omega>
     inner = contract("zxij,zia,zjb,zyab->zxy", no, giv, giv, no) / 2.0
-    phi = np.einsum("zmx,zmy->zxy", jhat, inner)
+    phi = contract("zmx,zmy->zxy", jhat, inner)
     norm_phi = contract("zxy,zxa,zyb,zab->z", phi, giv, giv, phi)
     out["norm_phi"] = norm_phi
 
@@ -727,17 +727,17 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
     norm_nabla_om = contract("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0
     out["norm_nabla_omega"] = norm_nabla_om
     d2om = C.second_covd_field(ctx, om_f, "ll", key="base_omega").val
-    rough = -np.einsum("zab,zabij->zij", giv, d2om)
+    rough = -contract("zab,zabij->zij", giv, d2om)
     norm_rough = form_norm2(rough, 2, giv)
     out["norm_rough_omega"] = norm_rough
 
     # curvature block on anti-invariant 2-forms, anti-linear part, in the
     # basis b1, b2 built from a Jhat-adapted frame f1, Jhat f1, f3, Jhat f3
     seeds = rng.standard_normal((ctx.nbatch, 2, 4))
-    jseed = np.einsum("zai,zi->za", jhat, seeds[:, 0])
+    jseed = contract("zai,zi->za", jhat, seeds[:, 0])
     f = gram_schmidt(np.stack([seeds[:, 0], jseed, seeds[:, 1]], axis=1), gv)
-    f = np.concatenate([f, np.einsum("zai,zi->za", jhat, f[:, 2])[:, None]], axis=1)
-    cov = np.einsum("zij,zkj->kzi", gv, f)
+    f = np.concatenate([f, contract("zai,zi->za", jhat, f[:, 2])[:, None]], axis=1)
+    cov = contract("zij,zkj->kzi", gv, f)
     b1 = (wedge(cov[0], 1, cov[2], 1) - wedge(cov[1], 1, cov[3], 1)) / math.sqrt(2.0)
     b2 = (wedge(cov[0], 1, cov[3], 1) + wedge(cov[1], 1, cov[2], 1)) / math.sqrt(2.0)
     basis = (b1, b2)
@@ -774,7 +774,7 @@ def base_kahler_check(ctx: EvalContext) -> dict:
         e = ctx.root(nm)
         ev = e.val
         out[f"{nm.lower()}_square"] = _maxabs(
-            np.einsum("zab,zbi->zai", ev, ev) + eye)
+            contract("zab,zbi->zai", ev, ev) + eye)
         out[f"{nm.lower()}_compatible"] = _maxabs(
             contract("zai,zbj,zab->zij", ev, ev, gv) - gv)
         out[f"{nm.lower()}_parallel"] = _maxabs(
@@ -785,7 +785,7 @@ def base_kahler_check(ctx: EvalContext) -> dict:
     i0 = ctx.root("I0").val
     jh = ctx.root("Jhat").val
     out["i0_jhat_commute"] = _maxabs(
-        np.einsum("zab,zbi->zai", i0, jh) - np.einsum("zab,zbi->zai", jh, i0))
+        contract("zab,zbi->zai", i0, jh) - contract("zab,zbi->zai", jh, i0))
     return out
 
 
@@ -805,7 +805,7 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
     cov_xi = C.covd(ctx, ctx.root("xi"), "u", gamma=gb).val  # (z, i, a)
     sg = sigma_endo(ctx).val
     jh = jhat_endo(ctx).val
-    target = np.einsum("zab,zbi->zai", sg + np.eye(ctx.chart.dim), jh)
+    target = contract("zab,zbi->zai", sg + np.eye(ctx.chart.dim), jh)
     out["xi_derivative"] = _maxabs(np.swapaxes(cov_xi, 1, 2) - target)
 
     # horizontal-horizontal part of nabla sigma (Levi-Civita) vanishes
@@ -824,8 +824,8 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
 
     jval = j_field(ctx).val
     out["j_maps_e_to_f"] = _maxabs(
-        np.einsum("zab,zbi->zai", jval, pi_e.val)
-        - np.einsum("zab,zbi->zai", pi_f.val, np.einsum("zab,zbi->zai", jval, pi_e.val)))
+        contract("zab,zbi->zai", jval, pi_e.val)
+        - contract("zab,zbi->zai", pi_f.val, contract("zab,zbi->zai", jval, pi_e.val)))
 
     out["e_projector_parallel"] = _maxabs(C.covd(ctx, pi_e, "ul", gamma=gb).val)
 
@@ -836,6 +836,6 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
         w = rng.standard_normal(d)
         for proj in (pi_e, pi_f):
             cov = C.covd(ctx, J.jc("i,ai->a", w, proj), "u", gamma=gb).val  # (z, u, a)
-            split.append(_maxabs(np.einsum("zab,zub->zua", eye - proj.val, cov)))
+            split.append(_maxabs(contract("zab,zub->zua", eye - proj.val, cov)))
     out["splitting_parallel"] = np.max(split, axis=0)
     return out

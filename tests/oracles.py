@@ -10,7 +10,11 @@ None is reached by a lab run:
   besides the one each model reduces by, installed as a chart's ``xi`` by
   :func:`with_xi`;
 * :func:`dense_hodge` is the Hodge star through the dense Levi-Civita
-  symbol, against which the packed ``exterior.hodge_packed`` is held.
+  symbol, against which the packed ``exterior.hodge_packed`` is held;
+* :func:`generic_fields` builds a chart's fields the generic way the
+  models' closed forms replace: the S^6 pullback P P^T and g^-1 P (Phi x
+  P)^T through the embedding's differential P, and the S^3 x S^3 frames
+  with T^-1 from ``jets.jmatinv``.
 """
 import copy
 import math
@@ -97,6 +101,71 @@ def _qconj_jet(q: J.Jet) -> J.Jet:
     return J.Jet(q.space, c)
 
 
+def _transport_jet(x: J.Jet) -> J.Jet:
+    """T(x) = A I - V (x cross .) + U x x^T, the S^3 left-trivialization."""
+    s = J.jj("a,a->", x, x)
+    a = J.jentire(4.0 * s, J.SINC_SQRT)
+    v = J.jentire(s, J.VERSINE_RATIO)
+    u = J.jentire(s, J.SINC_DEFECT)
+    cross = J.jc("abc,b->ac", M._EPS3, x)
+    outer = J.jj("a,d->ad", x, x)
+    return J.jc("ad,->ad", np.eye(3), a) - J.jj(",ad->ad", v, cross) + J.jj(",ad->ad", u, outer)
+
+
+def generic_s3s3_frames(ctx):
+    """(T, T^-1, T^T T) per factor: T^-1 by ``jmatinv``, T^T T by ``jj``."""
+    out = []
+    for x in (ctx.coords[:3], ctx.coords[3:]):
+        t = _transport_jet(x)
+        out.append((t, J.jmatinv(t), J.jj("ai,aj->ij", t, t)))
+    return tuple(out)
+
+
+def _s6_embed(ctx, pole):
+    """Stereographic embedding Phi and its differential P."""
+    u = ctx.coords
+    s = J.jj("a,a->", u, u)
+    w = J.jrecip(1.0 + s)
+    phi = J.jassemble((7,), [(np.s_[:6], J.jj(",a->a", 2.0 * w, u)),
+                             (6, pole * (s - 1.0) * w)])
+    w2 = J.jj(",->", w, w)
+    outer = J.jj("a,i->ai", u, u)
+    # d_i Phi_a = 2 w delta_ai - 4 w^2 u_a u_i ; d_i Phi_7 = pole * 4 w^2 u_i
+    pa = J.jc("ia,->ia", np.eye(6), 2.0 * w) - J.jj(",ai->ia", 4.0 * w2, outer)
+    p = J.jassemble((6, 7), [(np.s_[:, :6], pa),
+                             (np.s_[:, 6], J.jj(",i->i", 4.0 * pole * w2, u))])
+    return phi, p
+
+
+def generic_fields(chart: ChartMap, ctx, amat=None) -> dict:
+    """``metric``, ``J`` and, where the chart has one, ``xi`` of an ``s6``,
+    ``s3s3`` or ``s3s3-product`` chart, built the generic way; ``amat``
+    is the so(7) generator of the ``s6`` rotation field."""
+    model, key = chart.name.split(":")
+    if model == "s6":
+        pole = 1.0 if key == "north" else -1.0
+        phi, p = _s6_embed(ctx, pole)
+        g = J.jj("iA,jA->ij", p, p)
+        gi = J.jmatinv(g)
+        cross = J.jj("AC,jC->Aj", J.jc("ABC,B->AC", M._OCT, phi), p)   # (Phi x P_j)_A
+        jm = J.jj("ik,kj->ij", gi, J.jj("kA,Aj->kj", p, cross))
+        amat = M.so7_generator(0, 1) if amat is None else amat
+        down = J.jj("kA,A->k", p, J.jc("AB,B->A", amat, phi))
+        return {"metric": g, "J": jm, "xi": J.jj("ik,k->i", gi, down)}
+    (tx, txinv, _), (ty, tyinv, _) = generic_s3s3_frames(ctx)
+    m = J.jassemble((6, 6), [(M._XX, tx), (M._YY, ty)])
+    minv = J.jassemble((6, 6), [(M._XX, txinv), (M._YY, tyinv)])
+    g = J.jj("ai,aj->ij", m, m)
+    if model == "s3s3-product":
+        return {"metric": g, "J": J.jj("AB,Bj->Aj", minv, J.jc("AB,Bj->Aj", M._J_SWAP, m))}
+    cross = J.jassemble((6, 6), [(M._XY, J.jj("ai,aj->ij", tx, ty)),
+                                 (M._YX, J.jj("ai,aj->ij", ty, tx))])
+    v6 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0]) / math.sqrt(M.S3S3_SCALE)
+    return {"metric": M.S3S3_SCALE * (g - 0.5 * cross),
+            "J": J.jj("AB,Bj->Aj", minv, J.jc("AB,Bj->Aj", M._J_ALG, m)),
+            "xi": J.jc("B,AB->A", v6, minv)}
+
+
 def left_translation_xi(bundle: ModelBundle):
     """Evaluator, on the first chart of an ``s3s3`` bundle, of the unit
     Killing field of left translation by the quaternion i on the first
@@ -109,9 +178,8 @@ def left_translation_xi(bundle: ModelBundle):
     def ev(ctx):
         e = _qexp_jet(ctx.coords[:3])
         w = _jqmul(J.jc("ij,j->i", right_bp, _qconj_jet(e)), e)
-        _, minv = M._s3s3_frames(ctx)
-        v = J.jassemble((6,), [(np.s_[:3], w[1:])])
-        return J.jj("AB,B->A", minv, v)
+        (_, txinv, _), _ = M._s3s3_frames(ctx)
+        return J.jassemble((6,), [(np.s_[:3], J.jj("ab,b->a", txinv, w[1:]))])
 
     return ev
 

@@ -230,8 +230,12 @@ class TestDiff:
 
 
 def _rows_tool():
-    path = Path(__file__).resolve().parent.parent / "tools" / "rows.py"
-    spec = importlib.util.spec_from_file_location("rows_tool", path)
+    return _tool("rows")
+
+
+def _tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_tool", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -286,3 +290,44 @@ def test_rows_compare_names_the_rows_on_one_side(tmp_path, capsys):
     assert ("\n1 row only in OLD (s/c on m), 1 row only in NEW (s/d on m), "
             "2 shared rows bit-identical\n") in out
     assert "== lab-seed0.jsonl: differs" in out
+
+
+def test_pairs_summary_on_synthetic_runs():
+    pairs = _tool("pairs")
+    better = pairs.end_to_end()
+    assert better == {"lab_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower",
+                      "pass_frac": "higher", "residual_digits": "higher"}
+    old = [{"lab_s": t, "digits": 14.0} for t in (0.10, 0.12, 0.14, 0.16, 0.18)]
+    new = [{"lab_s": t, "digits": d} for t, d in ((0.08, 14.0), (0.09, 14.2), (0.15, 14.1),
+                                                  (0.10, 14.3), (0.11, 13.9))]
+    rows = {r["metric"]: r for r in pairs.summary(old, new, {"lab_s": "lower",
+                                                             "digits": "higher"})}
+    t = rows["lab_s"]
+    assert (t["old_median"], t["new_median"]) == (0.14, 0.10)
+    assert (t["old_q1"], t["old_q3"]) == pytest.approx((0.12, 0.16))
+    assert (t["wins"], t["pairs"]) == (4, 5)  # 0.15 against 0.14 is a loss
+    assert t["gain"] == pytest.approx(0.04)
+    assert not t["clears_iqr"]  # a gain of 0.04 inside the old IQR of 0.04
+    d = rows["digits"]
+    assert d["gain"] == pytest.approx(0.1) and d["clears_iqr"]  # IQR 0: any gain clears
+    assert d["wins"] == 3  # higher is better; 14.0 against 14.0 is a tie, not a win
+    text = pairs.format_rows(list(rows.values()))
+    assert "lab_s" in text and "wins 4/5" in text and "inside the old IQR" in text
+    assert "clears the old IQR" in text
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path, capsys):
+    pairs = _tool("pairs")
+    order = []
+
+    def run(checkout, workload, seconds, seed):
+        order.append(checkout.name)
+        return {name: 1.0 for name in pairs.end_to_end()}
+
+    monkeypatch.setattr(pairs, "run", run)
+    for side in ("old", "new"):
+        (tmp_path / side).mkdir()
+    assert pairs.main([str(tmp_path / "old"), str(tmp_path / "new"), "--workload",
+                       "lab-wide", "--pairs", "3", "--seconds", "1"]) == 0
+    assert order == ["old", "new", "new", "old", "old", "new"]
+    assert "lab_s" in capsys.readouterr().out

@@ -118,3 +118,32 @@ def test_no_multi_operand_einsum_outside_contract():
             if starred or len(call.args) >= 4:
                 offenders.append(f"{path.name}:{call.lineno}")
     assert offenders == []
+
+
+def test_two_operands_run_the_kernel_without_a_plan(monkeypatch):
+    # a two-operand spec needs no contraction order: contract is the kernel
+    def no_plan(spec, shapes):
+        raise AssertionError("a two-operand contraction was planned")
+
+    monkeypatch.setattr(C, "_contract_plan", no_plan)
+    rng = np.random.default_rng(2)
+    for spec, shapes in (("zab,zbc->zac", ((20, 6, 6), (20, 6, 6))),
+                         ("zij,zkj->kzi", ((20, 6, 4), (20, 3, 4))),
+                         ("zi,zijk->zjk", ((20, 6), (20, 6, 6, 6)))):
+        x, y = (rng.standard_normal(s) for s in shapes)
+        want = np.einsum(spec, x, y)
+        got = contract(spec, x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_two_operand_einsums_outside_the_kernel_are_few():
+    # the checks contract two arrays through contract, which is the kernel;
+    # np.einsum keeps jc and junary (a constant or one jet operand), the
+    # unary specs and interior's ellipsis spec
+    left = []
+    for path in _MODULES:
+        for call, fn in _calls(ast.parse(path.read_text())):
+            if _name(call.func) == "einsum" and len(call.args) == 3:
+                left.append((path.stem, fn))
+    assert sorted(left) == [("exterior", "interior"), ("jets", "jc")]

@@ -376,6 +376,101 @@ class TestOrderZero:
         assert np.max(np.abs(got[fin] - want[fin])) <= 1e-13 * np.max(np.abs(want[fin]))
 
 
+def _batched(spec):
+    """``spec`` with a batch letter z leading both operands and the output."""
+    lhs, rhs = spec.split("->")
+    a, b = lhs.split(",")
+    return f"z{a},z{b}->z{rhs}"
+
+
+# specs beyond the order-0 jj ones, over plain arrays (z: the batch letter)
+_PAIR_SPECS = {
+    "zab,zc->zc": ((3, 4), (5,)),  # a and b summed away before the product
+    "z,z->z": ((), ()),  # scalar operands
+    "z,zab->zab": ((), (3, 4)),
+    ",->": ((), ()),  # no batch at all
+    "zij,zkj->kzi": ((3, 4), (5, 4)),  # the batch letter inside the output
+    "ab,zbc->zac": ((3, 4), (4, 2)),  # an operand without the batch letter
+}
+
+
+def _pair_operands(spec, shapes, nbatch, dtype, rng):
+    ops = []
+    for term, shape in zip(spec.split("->")[0].split(","), shapes):
+        full = (nbatch, *shape) if term.startswith("z") else shape
+        op = rng.uniform(-1.0, 1.0, size=full)
+        if dtype is complex:
+            op = op + 1j * rng.uniform(-1.0, 1.0, size=full)
+        ops.append(op)
+    return ops
+
+
+_ALL_PAIR_SPECS = {**{_batched(k): v for k, v in _ORDER0_SPECS.items()}, **_PAIR_SPECS}
+
+
+class TestPairKernel:
+    """``einsum2``: the one matmul kernel of order-0 ``jj`` and ``chart.contract``."""
+
+    @pytest.mark.parametrize("spec", sorted(_ALL_PAIR_SPECS))
+    @pytest.mark.parametrize("nbatch", [1, 8, 37])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_einsum(self, spec, nbatch, dtype):
+        rng = np.random.default_rng(nbatch)
+        x, y = _pair_operands(spec, _ALL_PAIR_SPECS[spec], nbatch, dtype, rng)
+        want = np.einsum(spec, x, y)
+        got = J.einsum2(spec, x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want))
+
+    def test_a_complex_operand_with_a_real_one(self):
+        rng = np.random.default_rng(0)
+        x = _pair_operands("zab,zbc->zac", ((3, 4), (4, 2)), 5, complex, rng)[0]
+        y = rng.uniform(-1.0, 1.0, size=(5, 4, 2))
+        want = np.einsum("zab,zbc->zac", x, y)
+        assert np.max(np.abs(J.einsum2("zab,zbc->zac", x, y) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec,shapes", [("zab,zbc->zac", ((3, 4), (4, 2))),
+                                             ("zbm,zam->zab", ((3, 4), (2, 4))),
+                                             ("zab,zc->zc", ((3, 4), (5,))),
+                                             ("z,zab->zab", ((), (3, 4)))])
+    def test_nan_reaches_the_same_entries(self, spec, shapes):
+        # a zero in the other operand does not stop a NaN, as in einsum
+        rng = np.random.default_rng(3)
+        x, y = _pair_operands(spec, shapes, 5, float, rng)
+        x[(1,) * x.ndim] = np.nan
+        y[(1,) * y.ndim] = 0.0
+        y[(3,) + (0,) * (y.ndim - 1)] = np.nan
+        want = np.einsum(spec, x, y)
+        with np.errstate(invalid="ignore"):
+            got = J.einsum2(spec, x, y)
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+
+    @pytest.mark.parametrize("spec", sorted(_ORDER0_SPECS))
+    def test_order0_jj_values_lead_with_the_batch(self, spec):
+        # the product is the matmul result, batch-leading, as the checks read
+        # it; C-contiguous unless the output interleaves the two operands'
+        # letters ("mic,abm->iabc": i, c from one operand, a, b between)
+        rng = np.random.default_rng(5)
+        ta, tb = _ORDER0_SPECS[spec]
+        got = J.jj(spec, _random_jet(rng, 6, 0, ta, 37), _random_jet(rng, 6, 0, tb, 37)).val
+        assert got.strides[0] == got.itemsize * math.prod(got.shape[1:])
+        assert got.flags.c_contiguous == (spec != "mic,abm->iabc")
+
+    @pytest.mark.parametrize("spec,shapes", [("zab,zbc->zac", ((6, 6), (6, 6))),
+                                             ("zmia,zmbc->ziabc", ((6, 6, 6), (6, 6, 6))),
+                                             ("z,zab->zab", ((), (3, 4))),
+                                             ("zai,zi->za", ((6, 6), (6,))),
+                                             ("zbm,zam->zab", ((3, 4), (2, 4)))])
+    def test_a_points_product_does_not_depend_on_its_chunk(self, spec, shapes):
+        # 37 points at once and as the chunks [0:16], [16:37], bit for bit
+        rng = np.random.default_rng(11)
+        x, y = _pair_operands(spec, shapes, 37, float, rng)
+        whole = J.einsum2(spec, x, y)
+        parts = [J.einsum2(spec, x[rows], y[rows]) for rows in J.chunks(37, 16)]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+
 def _neumann_matinv(g):
     """``jmatinv`` with I and g0^-1 as constant jets: order + 1 products."""
     sp = g.space
@@ -524,6 +619,19 @@ class TestFunctionKernels:
         want = _maclaurin_sum(u, series)
         assert got.space is u.space
         assert np.max(np.abs(got.c - want.c)) <= 2e-15 * np.max(np.abs(want.c))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_stacked_series_compose_at_once(self, order):
+        # F Maclaurin tables give the (F,)-jet of the F functions, each as
+        # its own table gives it, in one Horner chain of "f,->f" products
+        table = np.stack([J.SINC_SQRT, J.VERSINE_RATIO, COS_SQRT, -J.SINC_DEFECT])
+        x = _random_jet(np.random.default_rng(order), 3, order, (3,), 6)
+        u = 2.0 * J.jj("a,a->", x, x)
+        got = J.jentire(u, table)
+        assert got.space is u.space and got.tshape == (4,)
+        for f, series in enumerate(table):
+            want = _maclaurin_sum(u, series)
+            assert np.max(np.abs(got[f].c - want.c)) <= 2e-15 * np.max(np.abs(want.c)), f
 
     @pytest.mark.parametrize("nvars,order", [(1, 0), (2, 1), (4, 3), (6, 2)])
     def test_jgrad_stacks_the_partials(self, nvars, order):

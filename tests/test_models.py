@@ -1,13 +1,19 @@
 """Model construction oracles: group charts, embeddings, Killing fields."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nklab import calculus as C
+from nklab import jets as J
 from nklab import models as M
 from nklab import nkcore as NK
 from nklab.chart import ConfigError, EvalContext, sample_points
-from oracles import flat_kahler, left_translation_xi, with_xi
+from oracles import (S6_ROTATIONS, flat_kahler, generic_fields, generic_s3s3_frames,
+                     left_translation_xi, with_xi)
 
 small3 = st.lists(st.floats(min_value=-1.2, max_value=1.2), min_size=3, max_size=3)
 
@@ -104,6 +110,80 @@ class TestBundles:
         conf = 4.0 / (1.0 + np.sum(pts**2, axis=1)) ** 2
         want = conf[:, None, None] * np.eye(6)
         assert np.max(np.abs(g - want)) < 1e-13
+
+
+_CLOSED_FORM_CHARTS = [("s3s3", 0), ("s3s3", 1), ("s6", 0), ("s6", 1), ("s3s3-product", 0)]
+
+
+def _chart_ctx(name, index, order=3):
+    ch = M.build_model(name).charts[index]
+    return ch, EvalContext(ch, sample_points(ch, 9, np.random.default_rng(7 + index)), order)
+
+
+def _assert_close(got, want, where, rtol=1e-13):
+    assert got.space is want.space and got.c.shape == want.c.shape, where
+    assert np.max(np.abs(got.c - want.c)) <= rtol * np.max(np.abs(want.c)), where
+
+
+class TestClosedForms:
+    """The chart fields in closed form against their generic constructions."""
+
+    @pytest.mark.parametrize("name,index", _CLOSED_FORM_CHARTS)
+    def test_each_field_equals_its_generic_construction(self, name, index):
+        ch, ctx = _chart_ctx(name, index)
+        want = generic_fields(ch, ctx)
+        assert set(want) == set(ch.evaluators)
+        for field, jet in want.items():
+            _assert_close(ctx.root(field), jet, (ch.name, field))
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("rotation", sorted(S6_ROTATIONS))
+    def test_s6_rotations_off_the_pole_axis(self, index, rotation):
+        # rot-mixed moves the pole (amat[:6, 6] != 0), so every term of the
+        # polynomial form is exercised
+        ch, ctx = _chart_ctx("s6", index)
+        pole = 1.0 if index == 0 else -1.0
+        amat = S6_ROTATIONS[rotation]
+        got = M._s6_rotation_evaluator(pole, amat)(ctx)
+        _assert_close(got, generic_fields(ch, ctx, amat)["xi"], (ch.name, rotation))
+
+    @pytest.mark.parametrize("name,index", [("s3s3", 0), ("s3s3", 1), ("s3s3-product", 0)])
+    def test_s3s3_frames(self, name, index):
+        # T^-1 T = I and T^T T = V I + ((1 - V)/s) P, both exactly in jets
+        ch, ctx = _chart_ctx(name, index)
+        frames = M._s3s3_frames(ctx)
+        for (t, tinv, gram), (gt, gtinv, ggram) in zip(frames, generic_s3s3_frames(ctx)):
+            _assert_close(t, gt, ch.name)
+            _assert_close(tinv, gtinv, ch.name)
+            _assert_close(gram, ggram, ch.name)
+            eye = J.jj("ab,bc->ac", tinv, t)
+            eye.value_row[...] -= np.eye(3)[..., None]
+            assert np.max(np.abs(eye.c)) <= 1e-13, ch.name
+            _assert_close(gram, J.jj("ai,aj->ij", t, t), ch.name)
+        x = ctx.coords[:3]
+        s = J.jj("a,a->", x, x)
+        v = J.jentire(s, J.VERSINE_RATIO)
+        q = J.jentire(s, -J.VERSINE_RATIO[1:])
+        want = J.jc("ad,->ad", np.eye(3), v) + J.jj(",ad->ad", q, J.jj("a,d->ad", x, x))
+        _assert_close(frames[0][2], want, ch.name)
+
+    def test_no_matrix_jet_is_inverted(self, monkeypatch):
+        # no chart evaluator of s3s3, s6 or s3s3-product inverts a matrix jet
+        # or reads the metric inverse; models.py names neither function
+        tree = ast.parse(Path(M.__file__).read_text())
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & {"jmatinv", "metric_inv"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chart field inverted a matrix jet")
+
+        monkeypatch.setattr(J, "jmatinv", refuse)
+        monkeypatch.setattr(C, "metric_inv", refuse)
+        for name, index in _CLOSED_FORM_CHARTS:
+            ch, ctx = _chart_ctx(name, index, order=2)
+            for field in ch.evaluators:
+                ctx.root(field)
 
 
 class TestKillingFields:

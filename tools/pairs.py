@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Alternate benchmark runs of two checkouts and compare their metrics.
+
+::
+
+    python3 tools/pairs.py OLD NEW --workload lab-wide --pairs 10 --seconds 8
+
+``OLD`` and ``NEW`` are checkout roots, each with its own
+``perfbench/run.py`` and ``src/``.  Each pair runs ``perfbench/run.py
+--workload W --seconds S --seed SEED --trace 0`` once in each checkout,
+one after the other; which side runs first alternates from pair to pair,
+so neither side always meets the machine as the other left it.  The last
+line of each run's standard output is its JSON result.
+
+For every end-to-end metric of ``BENCHMARK.json`` it prints the median of
+each side, the quartiles of OLD, how many pairs NEW won (better in the
+metric's direction; a tie is no win) and whether the median gap, in the
+better direction, exceeds the interquartile range of OLD's runs.  A gain
+that does not clear OLD's IQR cannot be told from the spread of OLD
+alone.  The script only runs ``perfbench/``; it writes nothing but the
+runs' own output under ``perfbench/out/`` of each checkout.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def end_to_end(path: Path = ROOT / "BENCHMARK.json") -> dict:
+    """{metric: "lower" or "higher"} of the declared end-to-end metrics."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def run(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``: its metric values."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds",
+         str(seconds), "--seed", str(seed), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"{checkout}: no JSON result (exit {done.returncode})\n{done.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: the run broke the correctness gate\n{done.stdout}")
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def quartiles(values: list) -> tuple:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summary(old: list, new: list, better: dict) -> list:
+    """Per metric, the comparison of paired runs ``old[i]``/``new[i]``.
+
+    ``old`` and ``new`` are lists of {metric: value}, one per pair;
+    ``better`` maps each metric to "lower" or "higher".  Each row holds
+    both medians, OLD's quartiles, NEW's wins, the median gap signed so
+    that a positive gap is a gain, and whether that gain exceeds OLD's IQR.
+    """
+    rows = []
+    for name, direction in better.items():
+        a = [r[name] for r in old]
+        b = [r[name] for r in new]
+        sign = 1.0 if direction == "lower" else -1.0
+        q1, q3 = quartiles(a)
+        gain = sign * (statistics.median(a) - statistics.median(b))
+        rows.append({
+            "metric": name, "better": direction,
+            "old_median": statistics.median(a), "new_median": statistics.median(b),
+            "old_q1": q1, "old_q3": q3,
+            "wins": sum(sign * (x - y) > 0 for x, y in zip(a, b)), "pairs": len(a),
+            "gain": gain, "clears_iqr": gain > q3 - q1,
+        })
+    return rows
+
+
+def format_rows(rows: list) -> str:
+    out = []
+    for r in rows:
+        rel = r["gain"] / r["old_median"] if r["old_median"] else float("nan")
+        out.append(f"{r['metric']:16s} ({r['better']} is better)  old {r['old_median']:.5g}"
+                   f" [q1 {r['old_q1']:.5g}, q3 {r['old_q3']:.5g}]  new {r['new_median']:.5g}"
+                   f"  gain {rel:+.1%}  wins {r['wins']}/{r['pairs']}"
+                   f"  {'clears' if r['clears_iqr'] else 'inside'} the old IQR")
+    return "\n".join(out)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=8.0)
+    p.add_argument("--seed", type=int, default=0)
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+    sides = {"old": args.old.resolve(), "new": args.new.resolve()}
+    runs = {"old": [], "new": []}
+    for i in range(args.pairs):
+        for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
+            runs[side].append(run(sides[side], args.workload, args.seconds, args.seed))
+        print(f"pair {i + 1}: lab_s old {runs['old'][-1].get('lab_s', float('nan')):.4f}"
+              f" new {runs['new'][-1].get('lab_s', float('nan')):.4f}", flush=True)
+    print(format_rows(summary(runs["old"], runs["new"], end_to_end())))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

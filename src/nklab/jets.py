@@ -43,21 +43,19 @@ reads a zero row in both operands and adds exactly zero.  A constant
 enters as an array (``jc``, ``jb``, or ``jet + array`` on the value row),
 never as a jet built only to be multiplied.
 
-At order 0 a jet is its value, and ``jj`` multiplies the values with
-:func:`einsum2`, the one batched-matmul kernel of two plain arrays, which
-``chart.contract`` runs too: the batch axis is a shared letter and leads
-the matmul batch.  The product stays as the matmul wrote it, batch
-leading, and the jet's coefficients are a view of it, so ``Jet.val``
-reads it contiguously and no copy takes it back to the batch-last
-layout.  (A matmul ``jj`` that copied its product back made the fd lab
-24% slower.)  Order-0 ``jc`` and ``junary`` stay ``np.einsum``: a
-constant or a single jet, which einsum reads along the batch axis in
-place (``jc`` on matmul was 6% slower).
-
-``jb`` (a per-batch constant times a jet) is a batched GEMM too, the
-constant being an order-0 left operand broadcast over the coefficient
-axis; the product is written through a view of the jet layout, so the
-result needs no transposing copy.
+Every two-operand product reads one layout plan, ``_pair_layout``, with
+its sizes from ``_pair_shapes``.  :func:`einsum2`, the batched-matmul
+kernel of two plain arrays, runs it for ``chart.contract``, for ``jj`` at
+order 0, where a jet is its value, and for ``jb`` (a per-batch constant
+times a jet, whose coefficient axis is one more output letter): the batch
+axis is a shared letter and leads the matmul batch.  The product stays as
+the matmul wrote it, batch leading, and the jet's coefficients are a view
+of it, so ``Jet.val`` reads it contiguously with no copy back to the
+batch-last layout.  (A matmul ``jj`` that copied its product back made
+the fd lab 24% slower.)  ``jj`` at order >= 1 gathers its pairs into the
+same layout.  ``jc`` and ``junary`` stay ``np.einsum``: a constant or a
+single jet, read along the batch axis in place (order-0 ``jc`` on matmul
+was 6% slower).
 
 A batch too large to hold at once is cut by one rule, :func:`chunks`:
 the ``suites`` sessions cut their sample points with it, and ``findiff``
@@ -416,59 +414,17 @@ def _sizes(spec: str, tx: tuple, ty: tuple) -> dict:
     return size
 
 
-class _Plan(NamedTuple):
-    """How ``jj`` lays out one ``(spec, tshape x, tshape y)`` as a matmul."""
-
-    sum_x: tuple  # axes of x summed away (letter in x only)
-    sum_y: tuple
-    perm_x: tuple  # x.c axes -> (nbatch, *shared, *left, coef, *contracted)
-    perm_y: tuple  # y.c axes -> (nbatch, *shared, coef, *contracted, *right)
-    shape_x: tuple  # (*shared, *left) and (*contracted) sizes around coef
-    shape_y: tuple  # (*shared) and (*contracted, *right) sizes around coef
-    S: int
-    L: int
-    K: int
-    R: int
-    out_shape: tuple  # (*shared, *left, *right)
-    out_perm: tuple  # matmul result axes -> (*rhs, coef, nbatch)
-
-
-@lru_cache(maxsize=None)
-def _jj_plan(spec: str, tx: tuple, ty: tuple) -> _Plan:
-    _split_spec(spec)
-    r = _roles(spec)
-    size = _sizes(spec, tx, ty)
-    shared, left, right, con, ka, kb = r.shared, r.left, r.right, r.con, r.ka, r.kb
-    na, nb = len(ka), len(kb)
-
-    def dims(letters):
-        return tuple(size[ch] for ch in letters)
-
-    order = shared + left + right
-    return _Plan(
-        sum_x=r.sum_x,
-        sum_y=r.sum_y,
-        perm_x=(na + 1, *(ka.index(ch) for ch in shared + left), na,
-                *(ka.index(ch) for ch in con)),
-        perm_y=(nb + 1, *(kb.index(ch) for ch in shared), nb,
-                *(kb.index(ch) for ch in con + right)),
-        shape_x=(dims(shared + left), dims(con)),
-        shape_y=(dims(shared), dims(con + right)),
-        S=math.prod(dims(shared)), L=math.prod(dims(left)),
-        K=math.prod(dims(con)), R=math.prod(dims(right)),
-        out_shape=dims(order),
-        out_perm=(*(2 + order.index(ch) for ch in r.rhs), 0, 1),
-    )
-
-
 class _PairLayout(NamedTuple):
-    """How ``einsum2`` lays out a spec as a matmul, whatever the shapes."""
+    """How a two-operand spec runs as a matmul, whatever the shapes: the
+    one layout plan of ``einsum2`` and of ``jj`` at every order."""
 
     spec: str  # the spec the matmul runs: the operands swapped where ``swap``
     swap: bool
     roles: _Roles
     perm_x: tuple  # kept x axes -> (*shared, *left, *contracted)
     perm_y: tuple  # kept y axes -> (*shared, *contracted, *right)
+    cut_x: int  # axes of perm_x before the contracted ones
+    cut_y: int
     out_perm: tuple  # matmul result axes (*shared, *left, *right) -> rhs
 
 
@@ -484,6 +440,7 @@ def _pair_layout(spec: str) -> _PairLayout:
         spec=spec, swap=False, roles=r,
         perm_x=tuple(r.ka.index(ch) for ch in r.shared + r.left + r.con),
         perm_y=tuple(r.kb.index(ch) for ch in r.shared + r.con + r.right),
+        cut_x=len(r.shared + r.left), cut_y=len(r.shared),
         out_perm=tuple(order.index(ch) for ch in r.rhs),
     )
 
@@ -506,7 +463,8 @@ def einsum2(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     from the operand whose output letters come first -- and the letters of
     both operands only are summed in its inner dimension; a letter in one
     operand only is summed away first.  The layout is planned once per
-    spec (``_pair_layout``) and the sizes once per shapes (``_pair_shapes``).
+    spec (``_pair_layout``), the one plan of every two-operand product,
+    ``jj``'s too, and the sizes once per shapes (``_pair_shapes``).
     The product comes back as a view of the matmul result, shared letters
     leading, with no copy into the order of the output letters: it is
     C-contiguous when the output lists the shared letters first and each
@@ -526,52 +484,67 @@ def einsum2(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out.reshape(out_shape).transpose(p.out_perm)
 
 
-def _gather(c: np.ndarray, seg: np.ndarray, perm: tuple, before: tuple, after: tuple) -> np.ndarray:
+def _gather(c: np.ndarray, seg: np.ndarray, cut: int) -> np.ndarray:
     """Coefficient rows ``seg`` of ``c``, laid out as ``(nbatch, B, ncoef, W, A)``.
 
-    ``c`` holds the ncoef coefficients ``seg`` addresses.  ``perm`` moves
-    its axes to ``(nbatch, *before, coef, *after)``; the tensor axes before
-    and after the coefficient axis merge into B and A.  Index ``ncoef`` in
-    ``seg`` reads a zero row appended after the coefficients.
+    ``c`` is laid out ``(nbatch, *before, coef, *after)``, with ``cut``
+    tensor axes before its coefficient axis, which holds the ncoef
+    coefficients ``seg`` addresses; the tensor axes before and after it
+    merge into B and A.  Index ``ncoef`` in ``seg`` reads a zero row
+    appended after the coefficients.
     """
     n = seg.shape[0]
-    nb = c.shape[-1]
-    lead = (slice(None),) * (1 + len(before))
-    rows = np.empty((nb, *before, n + 1, *after))
-    rows[lead + (slice(None, n),)] = c.transpose(perm)
-    rows[lead + (n,)] = 0.0
-    return rows.reshape(nb, math.prod(before), n + 1, math.prod(after)).take(seg, axis=2)
+    lead, after = c.shape[:1 + cut], c.shape[2 + cut:]
+    at = (slice(None),) * (1 + cut)
+    rows = np.empty((*lead, n + 1, *after))
+    rows[at + (slice(None, n),)] = c
+    rows[at + (n,)] = 0.0
+    return rows.reshape(lead[0], math.prod(lead[1:]), n + 1, math.prod(after)).take(seg, axis=2)
+
+
+def _jet_axes(perm: tuple, cut: int) -> tuple:
+    """Jet axes ``(*kept, coef, nbatch)`` -> ``(nbatch, *perm[:cut], coef, *perm[cut:])``."""
+    k = len(perm)
+    return (k + 1, *perm[:cut], k, *perm[cut:])
 
 
 def jj(spec: str, x: Jet, y: Jet) -> Jet:
     """Binary einsum over tensor axes of two jets, e.g. ``jj('ab,b->a', g, v)``.
 
     Works in the lower-order operand's space ``sp``: both operands are
-    truncated to it first.  Tensor letters are sorted into shared (both
-    operands and the output), left (x and the output), contracted (both
-    operands only) and right (y and the output); a letter in one operand
-    only is summed away first.  Both operands are gathered through the
-    segment tables ``sp.seg_a``/``sp.seg_b`` to ``(ncoef, nbatch, S, L,
-    W*K)`` and ``(ncoef, nbatch, S, W*K, R)``, so a single ``np.matmul``
-    sums over the W pairs of every output coefficient and the K contracted
-    entries at once; at order 0 it is one :func:`einsum2` of the values.
-    The letters in ``_RESERVED`` are rejected, and so is a letter repeated
-    within one operand.
+    truncated to it first.  The layout is ``einsum2``'s (``_pair_layout``):
+    tensor letters are sorted into shared (both operands and the output),
+    left (x and the output), contracted (both operands only) and right (y
+    and the output); a letter in one operand only is summed away first.
+    Both operands are gathered through the segment tables
+    ``sp.seg_a``/``sp.seg_b`` to ``(ncoef, nbatch, S, L, W*K)`` and
+    ``(ncoef, nbatch, S, W*K, R)`` -- where the layout swaps the operands,
+    their tables swap with them -- so a single ``np.matmul`` sums over the
+    W pairs of every output coefficient and the K contracted entries at
+    once; at order 0 it is one :func:`einsum2` of the values.  The letters
+    in ``_RESERVED`` are rejected, and so is a letter repeated within one
+    operand.
     """
     a, b, rhs = _split_spec(spec)  # refuse reserved letters before reading the operands
-    p = _jj_plan(spec, x.tshape, y.tshape)
     sp = _lower(x, y)
     x, y = x.truncate(sp), y.truncate(sp)
     if sp.order == 0:  # one pair, nothing to gather: a product of values
         return Jet(sp, einsum2(f"{a}pz,{b}pz->{rhs}pz", x.c, y.c))
-    n, w = sp.seg_a.shape
+    p = _pair_layout(spec)
+    seg_a, seg_b = sp.seg_a, sp.seg_b
+    if p.swap:
+        x, y, seg_a, seg_b = y, x, seg_b, seg_a
+    (S, L, K), (_, _, R), out_shape = _pair_shapes(p.spec, x.tshape, y.tshape)
+    xc = x.c.sum(axis=p.roles.sum_x) if p.roles.sum_x else x.c
+    yc = y.c.sum(axis=p.roles.sum_y) if p.roles.sum_y else y.c
+    n, w = seg_a.shape
     nb = x.nbatch
-    ga = _gather(x.c.sum(axis=p.sum_x) if p.sum_x else x.c, sp.seg_a, p.perm_x, *p.shape_x)
-    gb = _gather(y.c.sum(axis=p.sum_y) if p.sum_y else y.c, sp.seg_b, p.perm_y, *p.shape_y)
-    prod = np.matmul(ga.reshape(nb, p.S, p.L, n, w * p.K).transpose(3, 0, 1, 2, 4),
-                     gb.transpose(2, 0, 1, 3, 4).reshape(n, nb, p.S, w * p.K, p.R))
+    ga = _gather(xc.transpose(_jet_axes(p.perm_x, p.cut_x)), seg_a, p.cut_x)
+    gb = _gather(yc.transpose(_jet_axes(p.perm_y, p.cut_y)), seg_b, p.cut_y)
+    prod = np.matmul(ga.reshape(nb, S, L, n, w * K).transpose(3, 0, 1, 2, 4),
+                     gb.transpose(2, 0, 1, 3, 4).reshape(n, nb, S, w * K, R))
     del ga, gb  # free the gathers before the output copy
-    out = prod.reshape(n, nb, *p.out_shape).transpose(p.out_perm)
+    out = prod.reshape(n, nb, *out_shape).transpose(*(2 + i for i in p.out_perm), 0, 1)
     return Jet(sp, np.ascontiguousarray(out))
 
 
@@ -582,74 +555,16 @@ def jc(spec: str, const: np.ndarray, x: Jet) -> Jet:
     return Jet(x.space, out)
 
 
-class _BPlan(NamedTuple):
-    """How ``jb`` lays out one ``(spec, cshape, tshape)`` as a matmul.
-
-    Every output letter but one of the constant's (the matrix row) and one
-    of the jet's (the matrix column) is a broadcast axis of its own, so the
-    result is written through a view of the final ``(*rhs, ncoef, nbatch)``
-    array.
-    """
-
-    sum_c: tuple  # constant axes summed away (letter in the constant only)
-    sum_x: tuple
-    perm_c: tuple  # constant axes (*kept, nbatch) -> (nbatch, *outer, row, *con)
-    perm_x: tuple  # jet axes (*kept, coef, nbatch) -> (coef, nbatch, *outer, *con, col)
-    shape_c: tuple  # (*outer or 1, row or 1, K)
-    shape_x: tuple  # (*outer or 1, K, col or 1)
-    rhs_shape: tuple  # (*rhs)
-    out_shape: tuple  # (*rhs, 1 for a missing row, 1 for a missing col)
-    out_perm: tuple  # (*out_shape, coef, nbatch) -> (coef, nbatch, *outer, row, col)
-
-
-@lru_cache(maxsize=None)
-def _jb_plan(spec: str, tc: tuple, tx: tuple) -> _BPlan:
-    p = _jj_plan(spec, tc, tx)  # checks the spec against the shapes
-    a, b, rhs = _split_spec(spec)
-    size = dict(zip(a, tc)) | dict(zip(b, tx))
-    ka = [ch for ch in a if ch in b or ch in rhs]
-    kb = [ch for ch in b if ch in a or ch in rhs]
-    con = [ch for ch in ka if ch not in rhs]
-    row = [ch for ch in rhs if ch not in b][-1:]
-    col = [ch for ch in rhs if ch not in a][-1:]
-    outer = [ch for ch in rhs if ch not in row + col]
-    r, u = len(rhs), 2 - len(row) - len(col)  # u unit axes stand in for a missing row or col
-    return _BPlan(
-        sum_c=p.sum_x, sum_x=p.sum_y,
-        perm_c=(len(ka), *(ka.index(ch) for ch in outer + row + con if ch in ka)),
-        perm_x=(len(kb), len(kb) + 1, *(kb.index(ch) for ch in outer + con + col if ch in kb)),
-        shape_c=(*(size[ch] if ch in ka else 1 for ch in outer),
-                 math.prod(size[ch] for ch in row), math.prod(size[ch] for ch in con)),
-        shape_x=(*(size[ch] if ch in kb else 1 for ch in outer),
-                 math.prod(size[ch] for ch in con), math.prod(size[ch] for ch in col)),
-        rhs_shape=tuple(size[ch] for ch in rhs),
-        out_shape=(*(size[ch] for ch in rhs), *(1,) * u),
-        out_perm=(r + u, r + u + 1, *(rhs.index(ch) for ch in outer),
-                  rhs.index(row[0]) if row else r,
-                  rhs.index(col[0]) if col else r + u - 1),
-    )
-
-
 def jb(spec: str, const_b: np.ndarray, x: Jet) -> Jet:
     """Einsum of a per-batch constant (shape (nbatch, *cshape)) with a jet.
 
-    One ``np.matmul``: the constant, ``(nbatch, *outer, row, K)``, is
-    broadcast over the coefficient axis of the jet, ``(ncoef, nbatch,
-    *outer, K, col)`` (``_jb_plan``), and the product is written straight
-    into the jet layout, with no transposing copy of the result.
+    One :func:`einsum2`, the batch letter shared and the coefficient axis
+    one more output letter of the jet, so the constant is broadcast over
+    it.  Like order-0 ``jj``, the product stays the kernel's batch-leading
+    view, with no copy back to the jet layout.
     """
-    _split_spec(spec)  # refuse reserved letters before reading the operands
-    const_b = np.asarray(const_b, dtype=float)
-    p = _jb_plan(spec, const_b.shape[1:], x.tshape)
-    cb = np.moveaxis(const_b, 0, -1)  # (*cshape, nbatch)
-    cb = cb.sum(axis=p.sum_c) if p.sum_c else cb
-    xc = x.c.sum(axis=p.sum_x) if p.sum_x else x.c
-    n, nb = xc.shape[-2:]
-    out = np.empty((*p.rhs_shape, n, nb))
-    view = out.reshape(*p.out_shape, n, nb).transpose(p.out_perm)  # unit axes only: a view
-    np.matmul(cb.transpose(p.perm_c).reshape(nb, *p.shape_c),
-              xc.transpose(p.perm_x).reshape(n, nb, *p.shape_x), out=view)
-    return Jet(x.space, out)
+    a, b, rhs = _split_spec(spec)  # refuse reserved letters before reading the operands
+    return Jet(x.space, einsum2(f"z{a},{b}pz->{rhs}pz", np.asarray(const_b, dtype=float), x.c))
 
 
 def junary(spec: str, x: Jet) -> Jet:

@@ -300,8 +300,8 @@ def test_pairs_summary_on_synthetic_runs():
     old = [{"lab_s": t, "digits": 14.0} for t in (0.10, 0.12, 0.14, 0.16, 0.18)]
     new = [{"lab_s": t, "digits": d} for t, d in ((0.08, 14.0), (0.09, 14.2), (0.15, 14.1),
                                                   (0.10, 14.3), (0.11, 13.9))]
-    rows = {r["metric"]: r for r in pairs.summary(old, new, {"lab_s": "lower",
-                                                             "digits": "higher"})}
+    rows = {r["metric"]: r for r in pairs.summary(old, new, {"lab_s": "lower", "digits": "higher"},
+                                                  {"lab_s": 0.25, "digits": 0.05})}
     t = rows["lab_s"]
     assert (t["old_median"], t["new_median"]) == (0.14, 0.10)
     assert (t["old_q1"], t["old_q3"]) == pytest.approx((0.12, 0.16))
@@ -314,6 +314,28 @@ def test_pairs_summary_on_synthetic_runs():
     text = pairs.format_rows(list(rows.values()))
     assert "lab_s" in text and "wins 4/5" in text and "inside the old IQR" in text
     assert "clears the old IQR" in text
+
+
+def test_pairs_verdict_on_synthetic_runs():
+    pairs = _tool("pairs")
+    assert pairs.bounds() == {"lab_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1,
+                              "pass_frac": 0.05, "residual_digits": 0.05}
+    old = [{"t": t, "d": 14.0} for t in (0.10, 0.11, 0.12, 0.13, 0.14)]
+
+    def verdicts(new_t, new_d, bound=0.25):
+        new = [{"t": t, "d": d} for t, d in zip(new_t, new_d)]
+        rows = pairs.summary(old, new, {"t": "lower", "d": "higher"}, {"t": bound, "d": 0.05})
+        return [r["verdict"] for r in rows]
+
+    # median 0.12 -> 0.16 is 33% worse, beyond 25%; 14.0 -> 13.2 is 5.7% worse
+    assert verdicts((0.15, 0.16, 0.16, 0.17, 0.15), (13.2,) * 5) == ["worse beyond bound"] * 2
+    # 0.12 -> 0.13 is 8% worse, and OLD's IQR of 0.02 is inside the 0.03 margin
+    assert verdicts((0.12, 0.13, 0.14, 0.13, 0.12), (13.5,) * 5) == ["within bound"] * 2
+    # at a bound of 0.1 the margin is 0.012: OLD's IQR cannot tell 0.13 from 0.12
+    assert verdicts((0.12, 0.13, 0.14, 0.13, 0.12), (14.0,) * 5, bound=0.1)[0] == "unresolved"
+    # every NEW run beats every OLD run: resolved whatever OLD's spread
+    assert verdicts((0.05, 0.06, 0.07, 0.08, 0.09), (14.0,) * 5, bound=0.1)[0] == "within bound"
+    assert "within bound" in pairs.format_rows(pairs.summary(old, old, {"t": "lower"}, {"t": 0.25}))
 
 
 def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path, capsys):

@@ -120,6 +120,15 @@ def test_no_multi_operand_einsum_outside_contract():
     assert offenders == []
 
 
+def test_matmul_runs_only_in_the_jet_kernels():
+    # one batched-matmul kernel of two arrays (einsum2) and the gathered
+    # order >= 1 jet product (jj); every other product goes through them
+    callers = sorted({(path.stem, fn) for path in _MODULES
+                      for call, fn in _calls(ast.parse(path.read_text()))
+                      if _name(call.func) == "matmul"})
+    assert callers == [("jets", "einsum2"), ("jets", "jj")]
+
+
 def test_two_operands_run_the_kernel_without_a_plan(monkeypatch):
     # a two-operand spec needs no contraction order: contract is the kernel
     def no_plan(spec, shapes):

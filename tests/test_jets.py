@@ -281,7 +281,13 @@ _KERNEL_SPECS = {
     "mic,abm->iabc": ((2, 3, 2), (3, 2, 2)),
     "xac,ac->x": ((2, 3, 2), (3, 2)),
     "ab,bc->c": ((3, 2), (2, 3)),  # a summed away before the product
+    "bj,ib->ij": ((2, 3), (4, 2)),  # swapped: the rows come from y
+    "a,b->ba": ((2,), (3,)),
 }
+
+# each swapped spec, and the same product with its two output letters in the
+# order that does not swap
+_SWAPPED = {"bj,ib->ij": "bj,ib->ji", "a,b->ba": "a,b->ab"}
 
 
 def _random_jet(rng, nvars, order, tshape, nbatch):
@@ -308,6 +314,22 @@ class TestSegmentKernel:
             assert got.space is J._lower(u, v)
             assert got.c.shape == want.shape
             assert np.max(np.abs(got.c - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", sorted(_SWAPPED))
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_swap_carries_the_segment_tables(self, spec, order):
+        # x keeps seg_a when the rows come from y, so each coefficient sums
+        # the same pairs in the same order: equal bit for bit to the
+        # product that does not swap
+        rng = np.random.default_rng(order)
+        ta, tb = _KERNEL_SPECS[spec]
+        x = _random_jet(rng, 6, order, ta, 9)
+        y = _random_jet(rng, 6, order, tb, 9)
+        plain = _SWAPPED[spec]
+        assert J._pair_layout(spec).swap and not J._pair_layout(plain).swap
+        got = J.jj(spec, x, y).c
+        want = J.jj(plain, x, y).c
+        assert np.array_equal(got, want.swapaxes(0, 1))
 
     @pytest.mark.parametrize("nvars,order", [(1, 0), (2, 1), (4, 3), (6, 3), (4, 4)])
     def test_segment_table_lists_every_pair_once(self, nvars, order):
@@ -409,7 +431,9 @@ _ALL_PAIR_SPECS = {**{_batched(k): v for k, v in _ORDER0_SPECS.items()}, **_PAIR
 
 
 class TestPairKernel:
-    """``einsum2``: the one matmul kernel of order-0 ``jj`` and ``chart.contract``."""
+    """``einsum2``: the one matmul kernel of plain arrays, which order-0
+    ``jj``, ``jb`` and ``chart.contract`` run, on the layout plan that
+    ``jj`` reads at every order."""
 
     @pytest.mark.parametrize("spec", sorted(_ALL_PAIR_SPECS))
     @pytest.mark.parametrize("nbatch", [1, 8, 37])

@@ -17,7 +17,9 @@ each side, the quartiles of OLD, how many pairs NEW won (better in the
 metric's direction; a tie is no win) and whether the median gap, in the
 better direction, exceeds the interquartile range of OLD's runs.  A gain
 that does not clear OLD's IQR cannot be told from the spread of OLD
-alone.  The script only runs ``perfbench/``; it writes nothing but the
+alone.  Each metric also gets the verdict a change that claims no gain
+faces, against the metric's ``bound`` in ``BENCHMARK.json`` (``verdict``).
+The script only runs ``perfbench/``; it writes nothing but the
 runs' own output under ``perfbench/out/`` of each checkout.
 """
 from __future__ import annotations
@@ -36,6 +38,13 @@ def end_to_end(path: Path = ROOT / "BENCHMARK.json") -> dict:
     """{metric: "lower" or "higher"} of the declared end-to-end metrics."""
     spec = json.loads(path.read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def bounds(path: Path = ROOT / "BENCHMARK.json") -> dict:
+    """{metric: bound} of the declared end-to-end metrics: the share of
+    OLD's median by which NEW's may be worse."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def run(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -58,13 +67,32 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def summary(old: list, new: list, better: dict) -> list:
+def verdict(a: list, b: list, sign: float, bound: float) -> str:
+    """No-regression verdict of NEW's runs ``b`` against OLD's ``a``.
+
+    ``sign`` is 1 where lower is better and -1 where higher is.  "worse
+    beyond bound" when NEW's median is worse than OLD's by more than
+    ``bound`` times OLD's median; "unresolved" when OLD's IQR exceeds that
+    margin and not every NEW run beats every OLD run; "within bound"
+    otherwise.
+    """
+    margin = bound * abs(statistics.median(a))
+    if sign * (statistics.median(b) - statistics.median(a)) > margin:
+        return "worse beyond bound"
+    q1, q3 = quartiles(a)
+    if q3 - q1 > margin and not all(sign * (x - y) > 0 for x in a for y in b):
+        return "unresolved"
+    return "within bound"
+
+
+def summary(old: list, new: list, better: dict, bound: dict) -> list:
     """Per metric, the comparison of paired runs ``old[i]``/``new[i]``.
 
     ``old`` and ``new`` are lists of {metric: value}, one per pair;
-    ``better`` maps each metric to "lower" or "higher".  Each row holds
-    both medians, OLD's quartiles, NEW's wins, the median gap signed so
-    that a positive gap is a gain, and whether that gain exceeds OLD's IQR.
+    ``better`` maps each metric to "lower" or "higher", and ``bound`` to
+    its bound.  Each row holds both medians, OLD's quartiles, NEW's wins,
+    the median gap signed so that a positive gap is a gain, whether that
+    gain exceeds OLD's IQR, and the metric's :func:`verdict`.
     """
     rows = []
     for name, direction in better.items():
@@ -79,6 +107,7 @@ def summary(old: list, new: list, better: dict) -> list:
             "old_q1": q1, "old_q3": q3,
             "wins": sum(sign * (x - y) > 0 for x, y in zip(a, b)), "pairs": len(a),
             "gain": gain, "clears_iqr": gain > q3 - q1,
+            "verdict": verdict(a, b, sign, bound[name]),
         })
     return rows
 
@@ -90,7 +119,7 @@ def format_rows(rows: list) -> str:
         out.append(f"{r['metric']:16s} ({r['better']} is better)  old {r['old_median']:.5g}"
                    f" [q1 {r['old_q1']:.5g}, q3 {r['old_q3']:.5g}]  new {r['new_median']:.5g}"
                    f"  gain {rel:+.1%}  wins {r['wins']}/{r['pairs']}"
-                   f"  {'clears' if r['clears_iqr'] else 'inside'} the old IQR")
+                   f"  {'clears' if r['clears_iqr'] else 'inside'} the old IQR  {r['verdict']}")
     return "\n".join(out)
 
 
@@ -112,7 +141,7 @@ def main(argv=None) -> int:
             runs[side].append(run(sides[side], args.workload, args.seconds, args.seed))
         print(f"pair {i + 1}: lab_s old {runs['old'][-1].get('lab_s', float('nan')):.4f}"
               f" new {runs['new'][-1].get('lab_s', float('nan')):.4f}", flush=True)
-    print(format_rows(summary(runs["old"], runs["new"], end_to_end())))
+    print(format_rows(summary(runs["old"], runs["new"], end_to_end(), bounds())))
     return 0
 
 

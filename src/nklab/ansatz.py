@@ -40,7 +40,7 @@ import numpy as np
 
 from . import jets as J
 from . import nkcore as NK
-from .calculus import metric_inv
+from .calculus import metric
 from .chart import (
     ChartMap,
     EvalContext,
@@ -298,7 +298,7 @@ def _j_evaluator(gauge, conjugate, shift):
         theta, mu = connection_forms(ctx, shift)
         _, im = tautological_pair(ctx, gauge, conjugate, shift)
         om = _CROSS_WEIGHT * wedge_jet(mu, 1, theta, 1) + 0.5 * im
-        gi = metric_inv(ctx)
+        gi = J.jmatinv(metric(ctx))  # a root field: every order
         return J.jj("aj,jm->ma", om, gi)
 
     return ev

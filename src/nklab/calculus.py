@@ -20,8 +20,9 @@ the derivative's space first (``Jet.truncate``).  ``covd`` does so for
 its Christoffel corrections, ``riemann`` for its Gamma.Gamma term and
 ``lie_derivative`` for its transport terms.  Memoized jets are kept at
 their full order, since other consumers read all of it -- except the
-metric inverse, which ``metric_inv`` builds at the order it is asked
-for: most of its readers take only its value or a low order.
+inverse of a metric field, built once per context of order k at order
+max(k - 1, 0) (``inverse_of``): its readers take its value or a product
+with a derivative of g.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .chart import EvalContext, contract
 
 __all__ = [
     "metric",
+    "inverse_of",
     "metric_inv",
     "christoffel",
     "christoffel_of",
@@ -52,39 +54,41 @@ def metric(ctx: EvalContext) -> J.Jet:
     return ctx.root("metric")
 
 
-def metric_inv(ctx: EvalContext, order: int | None = None) -> J.Jet:
-    """g^{-1} at ``order`` (the context's by default), memoized per order.
+def inverse_of(ctx: EvalContext, metric_field, key) -> J.Jet:
+    """The inverse of a metric field (ctx -> Jet), memoized under ``key``.
 
-    An inverse already built at ``order`` or above is truncated, not
-    recomputed.  A value reader asks for order 0, a product for its own
-    order, so that ``jj`` truncates no inverse it is given.
+    Built once per context, at order max(k - 1, 0) for a context of order
+    k: no reader needs more, and ``jj`` cuts it to a lower operand's order.
     """
-    order = ctx.order if order is None else order
-    space = J.jetspace(ctx.space.nvars, order)
-    built = ctx.memo("metric_inv", lambda c: {})  # order -> inverse
-    for k in range(order, ctx.order + 1):
-        if k in built:
-            return built[k].truncate(space)
-    built[order] = J.jmatinv(metric(ctx).truncate(space))
-    return built[order]
+
+    def build(c):
+        space = J.jetspace(c.space.nvars, max(c.order - 1, 0))
+        return J.jmatinv(metric_field(c).truncate(space))
+
+    return ctx.memo(("inverse", key), build)
 
 
-def _christoffel_from(g: J.Jet) -> J.Jet:
+def metric_inv(ctx: EvalContext) -> J.Jet:
+    """g^{-1} of the chart metric (:func:`inverse_of`)."""
+    return inverse_of(ctx, metric, "metric")
+
+
+def _christoffel_from(g: J.Jet, ginv: J.Jet) -> J.Jet:
     dg = J.jgrad(g)  # (i, a, b) = d_i g_ab
-    ginv = J.jmatinv(g.truncate(dg.space))  # it only meets s, one order lower
     s = J.junary("ijl->lij", dg) + J.junary("jil->lij", dg) - J.junary("lij->lij", dg)
     return 0.5 * J.jj("kl,lij->kij", ginv, s)
 
 
 def christoffel(ctx: EvalContext) -> J.Jet:
     """Gamma^k_{ij} of the chart metric; tensor shape (k, i, j)."""
-    return ctx.memo("christoffel", lambda c: _christoffel_from(metric(c)))
+    return christoffel_of(ctx, metric, "metric")
 
 
-def christoffel_of(ctx: EvalContext, metric_field, key: str) -> J.Jet:
-    """Christoffel symbols of an alternative metric field (e.g. the Kahler
-    quotient metric), memoized under ``key``."""
-    return ctx.memo(("christoffel_of", key), lambda c: _christoffel_from(metric_field(c)))
+def christoffel_of(ctx: EvalContext, metric_field, key) -> J.Jet:
+    """Christoffel symbols of a metric field (e.g. the Kahler quotient
+    metric), memoized under ``key``, like its inverse (:func:`inverse_of`)."""
+    return ctx.memo(("christoffel", key), lambda c: _christoffel_from(
+        metric_field(c), inverse_of(c, metric_field, key)))
 
 
 def covd(ctx: EvalContext, t: J.Jet, kinds: str, gamma: J.Jet | None = None) -> J.Jet:
@@ -161,11 +165,7 @@ def ricci(ctx: EvalContext) -> J.Jet:
 
 
 def scalar_curvature(ctx: EvalContext) -> J.Jet:
-    def build(c):
-        ric = ricci(c)
-        return J.jj("jk,jk->", ric, metric_inv(c, ric.space.order))
-
-    return ctx.memo("scalar_curvature", build)
+    return ctx.memo("scalar_curvature", lambda c: J.jj("jk,jk->", ricci(c), metric_inv(c)))
 
 
 def curvature_operator_value(ctx: EvalContext, alpha: np.ndarray) -> np.ndarray:
@@ -174,7 +174,7 @@ def curvature_operator_value(ctx: EvalContext, alpha: np.ndarray) -> np.ndarray:
     ``alpha`` is (nbatch, d, d) covariant antisymmetric.
     """
     rl = riemann_lower(ctx).val
-    gi = metric_inv(ctx, 0).val
+    gi = metric_inv(ctx).val
     up = contract("bka,blc,bac->bkl", gi, gi, alpha)
     return -0.5 * contract("bkl,bklij->bij", up, rl)
 

@@ -265,9 +265,8 @@ def codifferential(ctx, w: J.Jet, p: int) -> J.Jet:
 
 def _trace_covd(ctx, nab: J.Jet, p: int) -> J.Jet:
     """-g^{ij} nab_{i j ...}: delta of a p-form from its covariant derivative."""
-    gi = metric_inv(ctx, nab.space.order)
     rest = _LETTERS[2:p + 1]
-    return -1.0 * J.jj(f"ij,ij{rest}->{rest}", gi, nab)
+    return -1.0 * J.jj(f"ij,ij{rest}->{rest}", metric_inv(ctx), nab)
 
 
 def codifferential_field(ctx, field, p: int, key) -> J.Jet:
@@ -284,11 +283,9 @@ def form_laplacian_field(field, p: int, key):
     delta of the field being :func:`codifferential_field` under ``key``."""
 
     def lap(ctx):
-        w = field(ctx)
+        out = codifferential(ctx, d_form(field(ctx), p), p + 1)
         if p == 0:
-            return codifferential(ctx, d_form(w, p), p + 1)
-        # delta w first: it reads the metric inverse one order above delta d w
-        t2 = d_form(codifferential_field(ctx, field, p, key), p - 1)
-        return codifferential(ctx, d_form(w, p), p + 1) + t2
+            return out
+        return out + d_form(codifferential_field(ctx, field, p, key), p - 1)
 
     return lap

@@ -209,7 +209,7 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
     fundamental form.
     """
     g = C.metric(ctx).val
-    gi = C.metric_inv(ctx, 0).val
+    gi = C.metric_inv(ctx).val
     jv = j_field(ctx).val
     om = omega_field(ctx).val
     psi = psi_lower(ctx).val
@@ -308,7 +308,7 @@ def frame_expansion_check(ctx: EvalContext, rng) -> dict:
     normalization and the orientation conventions at once.
     """
     g = C.metric(ctx).val
-    gi = C.metric_inv(ctx, 0).val
+    gi = C.metric_inv(ctx).val
     om = omega_field(ctx).val
     psi = psi_lower(ctx).val
     star_psi = hodge(psi, 3, g, gi, ctx.chart.orientation)
@@ -330,7 +330,7 @@ def frame_expansion_check(ctx: EvalContext, rng) -> dict:
 def elementary_identity_check(ctx: EvalContext, rng) -> dict:
     """Pointwise interior-product, Hodge and wedge identities of Omega."""
     g = C.metric(ctx).val
-    gi = C.metric_inv(ctx, 0).val
+    gi = C.metric_inv(ctx).val
     jv = j_field(ctx).val
     om_jet = omega_field(ctx)
     om = om_jet.val
@@ -406,7 +406,7 @@ def laplacian_omega_check(ctx: EvalContext) -> dict:
     Weitzenboeck formula on 2-forms, which is verified as well.
     """
     lap = form_laplacian_field(omega_field, 2, "omega")(ctx).val
-    gi = C.metric_inv(ctx, 0).val  # after lap, whose codifferentials ask higher orders
+    gi = C.metric_inv(ctx).val
     om = omega_field(ctx).val
     d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
     rough = -contract("zab,zabij->zij", gi, d2om)

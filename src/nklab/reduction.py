@@ -304,7 +304,7 @@ def acs_check(ctx: EvalContext) -> dict:
         out[f"skew_{nm}"] = _maxabs(om + np.swapaxes(om, 1, 2))
 
     # split of the exterior derivative of the dual 1-form
-    gi = C.metric_inv(ctx, 0).val
+    gi = C.metric_inv(ctx).val
     dz = dzeta_form(ctx).val
     a_endo = contract("zij,zja->zai", dz, gi)   # dzeta(X,Y) = g(AX, Y)
     jaj = contract("zab,zbc,zci->zai", jv, a_endo, jv)
@@ -356,9 +356,7 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
     out["laplacian_jzeta"] = _maxabs(lap_jz - 18.0 * jzeta_form(ctx).val)
     out["codifferential_jzeta"] = _maxabs(codifferential_field(ctx, jzeta_form, 1, "jzeta").val)
 
-    # read after J and the codifferentials, which ask the inverse at higher
-    # orders, so that its value is cut from theirs
-    gi = C.metric_inv(ctx, 0).val
+    gi = C.metric_inv(ctx).val
     dz_moved = contract("zai,zbj,zab->zij", jv, jv, dz)
     dz11 = 0.5 * (dz + dz_moved)
     dz20 = 0.5 * (dz - dz_moved)
@@ -606,7 +604,7 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
                              - 1j * contract("zai,zaj->zij", i0k, g0v))
     out["psi_via_k"] = _maxabs(psi - target)
 
-    g0i = np.linalg.inv(g0v)
+    g0i = C.inverse_of(ctx, g0_metric, key=("red", "g0")).val
     n2 = form_norm2(re_p.val, 2, g0i) + form_norm2(im_p.val, 2, g0i)
     out["psi_norm"] = n2
     out["psi_norm_dev"] = _maxabs(n2 - 64.0 / 3.0)
@@ -675,7 +673,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
     def rop_f(c):
         def build(c):
             rl = C.riemann_lower(c)
-            gic = C.metric_inv(c, rl.space.order)
+            gic = C.metric_inv(c).truncate(rl.space)  # omu meets rl only
             omu1 = J.jj("ka,kl->al", gic, om_f(c))
             omu = J.jj("lb,al->ab", gic, omu1)
             return -0.5 * J.jj("kl,klij->ij", omu, rl)
@@ -685,7 +683,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
     def sstar_f(c):
         def build(c):
             rop = rop_f(c)
-            gic = C.metric_inv(c, rop.space.order)
+            gic = C.metric_inv(c)
             r1 = J.jj("ia,ij->aj", gic, rop)
             ru = J.jj("jb,aj->ab", gic, r1)
             return J.jj("ab,ab->", ru, om_f(c))
@@ -702,7 +700,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
 
     def pair_f(c):
         rop = rop_f(c)
-        gic = C.metric_inv(c, rop.space.order)
+        gic = C.metric_inv(c).truncate(rop.space)  # up meets rop only
         no = C.covd_field(c, om_f, "ll", key="base_omega")
         up1 = J.jj("ia,xij->xaj", gic, no)
         up = J.jj("jc,xaj->xac", gic, up1)
@@ -711,9 +709,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
     delta_pair = codifferential(ctx, pair_f(ctx), 1).val
     out["div_rho_nabla_omega"] = np.abs(delta_pair)
 
-    # read after rop_f and codifferential, so the value is cut from their
-    # inverse, not built on its own
-    gv, giv = g.val, C.metric_inv(ctx, 0).val
+    gv, giv = g.val, C.metric_inv(ctx).val
     jhat = ctx.root("Jhat").val
     no = nab_om.val                          # (z, x, i, j)
 

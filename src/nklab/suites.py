@@ -801,15 +801,19 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     the sources its checks read, chunk by chunk (:meth:`_Session.compute`),
     and emits its rows; the next model's session replaces it.
     The rows come back in suite order, as if the suites had run one after
-    the other.  ``samples`` below 2 raises :class:`~nklab.chart.ConfigError`.
+    the other.  A model or suite named twice runs once, an unknown one raises
+    ``KeyError`` and ``samples`` below 2 :class:`~nklab.chart.ConfigError`.
     """
     if samples < 2:
         raise ConfigError(f"samples must be at least 2, got {samples}")
-    suite_names = list(SUITES) if suites is None else list(suites)
+    suite_names = list(dict.fromkeys(SUITES if suites is None else suites))
+    models = None if models is None else list(dict.fromkeys(models))
+    for kind, names, known in (("suite", suite_names, SUITES), ("model", models or (), MODEL_NAMES)):
+        for name in names:
+            if name not in known:
+                raise KeyError(f"unknown {kind} '{name}' (known: {sorted(known)})")
     pairs = []
     for suite in suite_names:
-        if suite not in SUITES:
-            raise KeyError(f"unknown suite '{suite}' (known: {sorted(SUITES)})")
         targets = SUITES[suite] if models is None else [
             m for m in models if checks_for(suite, m)]
         pairs += [(suite, model) for model in targets]

@@ -1,4 +1,5 @@
 """Command-line front end: argument handling, exit codes, report files."""
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -241,6 +242,31 @@ def _tool(name):
     return module
 
 
+def _perfbench_workloads():
+    """``perfbench/run.py``'s ``WORKLOADS``, read as a literal: importing the
+    script would set its BLAS thread variables."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["WORKLOADS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} assigns no WORKLOADS")
+
+
+def test_rows_runs_the_benchmark_workloads():
+    # tools/rows.py copies the benchmark's workloads as nklab arguments
+    bench = _perfbench_workloads()
+    rows = _rows_tool()
+    assert set(rows.WORKLOADS) == set(bench)
+    for name, argv in rows.WORKLOADS.items():
+        args = cli.build_parser().parse_args(argv)
+        got = (None if args.model is None else tuple(args.model.split(",")),
+               None if args.suite == "all" else tuple(args.suite.split(",")),
+               args.samples, args.deriv_mode)
+        w = bench[name]
+        assert got == (w["models"], w["suites"], w["samples"], w["mode"]), name
+
+
 def test_rows_compare_refuses_directories_without_reports(tmp_path, capsys):
     rows = _rows_tool()
     full = tmp_path / "full"
@@ -338,13 +364,30 @@ def test_pairs_verdict_on_synthetic_runs():
     assert "within bound" in pairs.format_rows(pairs.summary(old, old, {"t": "lower"}, {"t": 0.25}))
 
 
+def test_pairs_failures_on_synthetic_runs():
+    # the acceptance gate also refuses a change that fails a larger share of
+    # its operations; a share, so more runs with the same rate are no rise
+    pairs = _tool("pairs")
+
+    def runs(*counts):
+        return [{"lab_s": 0.1, "failed": f, "attempted": a} for f, a in counts]
+
+    clean = runs((0, 420), (0, 420))
+    assert pairs.failures(clean, clean) == "failed operations  old 0/840  new 0/840"
+    assert pairs.failures(clean, runs((0, 420), (2, 420))).endswith(
+        "new 2/840  more operations failed")
+    assert "more" not in pairs.failures(runs((2, 420), (2, 420)), runs((1, 420), (3, 420)))
+    assert "more" not in pairs.failures(runs((1, 100)), runs((2, 200), (1, 200)))
+    assert "more" not in pairs.failures(runs((1, 420)), clean)
+
+
 def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path, capsys):
     pairs = _tool("pairs")
     order = []
 
     def run(checkout, workload, seconds, seed):
         order.append(checkout.name)
-        return {name: 1.0 for name in pairs.end_to_end()}
+        return {**{name: 1.0 for name in pairs.end_to_end()}, "failed": 0, "attempted": 6}
 
     monkeypatch.setattr(pairs, "run", run)
     for side in ("old", "new"):
@@ -352,4 +395,5 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path, capsys):
     assert pairs.main([str(tmp_path / "old"), str(tmp_path / "new"), "--workload",
                        "lab-wide", "--pairs", "3", "--seconds", "1"]) == 0
     assert order == ["old", "new", "new", "old", "old", "new"]
-    assert "lab_s" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "lab_s" in out and "failed operations  old 0/18  new 0/18\n" in out

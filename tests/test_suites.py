@@ -157,6 +157,19 @@ class TestSessions:
         with pytest.raises(ConfigError, match="at least 2"):
             suites.run(samples=1)
 
+    def test_a_repeated_model_or_suite_runs_once(self):
+        once = suites.run(models=["s3s3"], suites=["gray"], samples=4)
+        again = suites.run(models=["s3s3", "s3s3"], suites=["gray", "gray"], samples=4)
+        assert len(once) == 13
+        assert _fields(again) == _fields(once)
+
+    @pytest.mark.parametrize("models, suite_names", [(["s3s33"], None),
+                                                     (["s3s3", "s3s33"], ["gray"]),
+                                                     (None, ["grey"])])
+    def test_an_unknown_model_or_suite_raises(self, models, suite_names):
+        with pytest.raises(KeyError, match="unknown"):
+            suites.run(models=models, suites=suite_names, samples=4)
+
     def test_fd_run_evaluates_no_exact_derivatives(self, monkeypatch):
         # every context of order >= 1 whose roots a fd run evaluates is in fd
         # mode; order-0 contexts (chart validation, orientation, fd stencils)

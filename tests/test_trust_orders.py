@@ -7,10 +7,10 @@ order higher, its top order is thrown away by ``+``.  These tests spy on
 a whole lab run compute no coefficient that is then discarded, and they
 compare each truncated function with its untruncated formula, kept here.
 A product with a constant jet spends its pair work on zeros, so the lab
-is also checked to multiply no jet built by ``jconst``.  The metric
-inverse is built per order, and each product is checked to be handed it
-at its own order.  In exact mode a session evaluates each chart field
-once, at its root order, and its contexts read the cut root jets.
+is also checked to multiply no jet built by ``jconst``.  Outside the
+chart fields, each context inverts each metric field once, one order
+below its own.  In exact mode a session evaluates each chart field once,
+at its root order, and its contexts read the cut root jets.
 """
 import importlib
 import pkgutil
@@ -177,11 +177,11 @@ def test_covd(request, model, order, monkeypatch):
 @pytest.mark.parametrize("model", MODELS)
 def test_christoffel(request, model, order, monkeypatch):
     ctx = _ctx(request.getfixturevalue(model), order)
-    g = C.metric(ctx)
+    g, ginv = C.metric(ctx), C.metric_inv(ctx)
     outs = []
     with monkeypatch.context() as mp:
         _wrap_jj(mp, lambda spec, x, y, out: outs.append(out))
-        new = C._christoffel_from(g)
+        new = C._christoffel_from(g, ginv)
     _assert_products_in(outs, new.space)
     _assert_same(new, _christoffel_ref(g), g)
     _assert_same(C.christoffel(ctx), new, rel=0.0)
@@ -355,87 +355,36 @@ def test_lab_multiplies_no_constant_jet(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (g) the metric inverse is built at the order its reader needs
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_metric_inv_per_order(request, model):
-    bundle = request.getfixturevalue(model)
-    ctx = _ctx(bundle, 3)
-    g = C.metric(ctx)
-    full = C.metric_inv(ctx)
-    assert full.space is ctx.space
-    for k in range(ctx.order + 1):
-        sp = J.jetspace(ctx.space.nvars, k)
-        got = C.metric_inv(ctx, k)
-        assert got.space is sp
-        _assert_same(got, J.jmatinv(g.truncate(sp)), g)
-        # truncated from the full-order memo, not recomputed
-        assert np.array_equal(got.c, full.truncate(sp).c)
-        assert np.shares_memory(got.c, full.c)
-    # an order above every one built so far is built, not cut from below
-    ctx = _ctx(bundle, 3)
-    low = C.metric_inv(ctx, 1)
-    assert C.metric_inv(ctx, 2).space.order == 2
-    assert C.metric_inv(ctx, 1) is low
-
-
-def test_lab_takes_each_metric_inverse_at_its_product_order(monkeypatch):
-    """A product handed a metric inverse above its own order computes
-    coefficients of the inverse that ``jj`` truncates away."""
-    inverses = {}
-    where = Counter()
-
-    def after_metric_inv(out, *args):
-        inverses[id(out)] = out  # held, so the id is not reused
-
-    def after_jj(out, spec, x, y):
-        for operand in (x, y):
-            if id(operand) in inverses and operand.space.order > out.space.order:
-                caller = sys._getframe(2).f_code  # after <- wrapper <- caller
-                where[f"{caller.co_qualname} ({spec})"] += 1
-
-    _wrap(monkeypatch, C.metric_inv, after_metric_inv)
-    _wrap(monkeypatch, J.jj, after_jj)
-    results = suites.run(samples=4, mode="exact")
-    assert results and inverses
-    assert not where, f"{sum(where.values())} products truncate a metric inverse: {dict(where)}"
-
-
-def _inverse_builds(monkeypatch):
-    """ctx id -> (ctx, orders of the metric inverses it builds), from here on."""
-    builds = {}
-
-    def after_jmatinv(out, g):
-        frame = sys._getframe(2)  # after <- wrapper <- caller
-        if frame.f_code is C.metric_inv.__code__:
-            ctx = frame.f_locals["ctx"]  # held, so the id is not reused
-            builds.setdefault(id(ctx), (ctx, []))[1].append(out.space.order)
-
-    _wrap(monkeypatch, J.jmatinv, after_jmatinv)
-    return builds
+# (g) each context inverts each metric field once, one order below its own
 
 
 @pytest.mark.parametrize("mode", ["exact", "fd"])
-def test_reduction_and_base_build_one_metric_inverse_per_context(monkeypatch, mode):
-    """A check that reads the inverse's value and multiplies by it too reads
-    the value last, so the value is cut from the product's inverse and the
-    context builds no second, order-0 one (``norms_and_laplacian_checks``,
-    ``sekigawa_terms_at``, ``form_laplacian_field``)."""
-    builds = _inverse_builds(monkeypatch)
-    results = suites.run(suites=["reduction", "base"], samples=4, mode=mode)
-    assert results and builds
-    twice = {ctx.order: orders for ctx, orders in builds.values() if len(orders) > 1}
-    assert not twice, f"contexts (by order) that build more than one inverse: {twice}"
+def test_each_context_inverts_each_metric_once(monkeypatch, mode):
+    """Every reader of a metric inverse meets a derivative of the metric
+    first or reads its value, so a context of order k needs it at order
+    max(k - 1, 0) alone.  A chart field that inverts a matrix (the
+    ``ansatz`` J) is a root, evaluated at every order, and is not counted."""
+    inverses = {}  # (context id, metric values) -> (context, orders built)
 
+    def after_jmatinv(out, g):
+        frame, ctx = sys._getframe(2), None  # after <- wrapper <- caller
+        while frame is not None:
+            if frame.f_code is EvalContext.root.__code__:
+                return
+            if ctx is None:
+                ctx = next((v for v in frame.f_locals.values()
+                            if isinstance(v, EvalContext)), None)
+            frame = frame.f_back
+        key = (id(ctx), hash(g.val.tobytes()))  # the context is held: ids are not reused
+        inverses.setdefault(key, (ctx, []))[1].append(out.space.order)
 
-@pytest.mark.parametrize("model", MODELS)
-def test_laplacian_omega_check_builds_one_metric_inverse(request, monkeypatch, model):
-    ctx = _ctx(request.getfixturevalue(model), 2)
-    builds = _inverse_builds(monkeypatch)
-    NK.laplacian_omega_check(ctx)
-    # order 1 for the codifferentials, or 2 where the chart's J reads it
-    assert [len(orders) for _, orders in builds.values()] == [1]
+    _wrap(monkeypatch, J.jmatinv, after_jmatinv)
+    results = suites.run(samples=4, mode=mode)
+    assert results and inverses
+    assert all(ctx is not None for ctx, _ in inverses.values())
+    bad = Counter((ctx.order, tuple(orders)) for ctx, orders in inverses.values()
+                  if orders != [max(ctx.order - 1, 0)])
+    assert not bad, f"(context order, inverse orders built) off the rule: {dict(bad)}"
 
 
 # ---------------------------------------------------------------------------

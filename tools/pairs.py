@@ -19,6 +19,8 @@ better direction, exceeds the interquartile range of OLD's runs.  A gain
 that does not clear OLD's IQR cannot be told from the spread of OLD
 alone.  Each metric also gets the verdict a change that claims no gain
 faces, against the metric's ``bound`` in ``BENCHMARK.json`` (``verdict``).
+Last it prints the failed and attempted operations each side summed over
+its runs, and ``more operations failed`` when NEW's share is higher.
 The script only runs ``perfbench/``; it writes nothing but the
 runs' own output under ``perfbench/out/`` of each checkout.
 """
@@ -48,7 +50,8 @@ def bounds(path: Path = ROOT / "BENCHMARK.json") -> dict:
 
 
 def run(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``: its metric values."""
+    """One ``perfbench/run.py`` run in ``checkout``: its metric values, and
+    its ``failed`` and ``attempted`` operation counts."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds",
          str(seconds), "--seed", str(seed), "--trace", "0"],
@@ -59,7 +62,8 @@ def run(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise SystemExit(f"{checkout}: the run broke the correctness gate\n{done.stdout}")
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    return {**{k: v["value"] for k, v in result["metrics"].items()},
+            "failed": result["failed"], "attempted": result["attempted"]}
 
 
 def quartiles(values: list) -> tuple:
@@ -123,6 +127,17 @@ def format_rows(rows: list) -> str:
     return "\n".join(out)
 
 
+def failures(old: list, new: list) -> str:
+    """Each side's failed/attempted operations over its runs, flagged when
+    NEW fails a larger share of them than OLD."""
+    (fo, ao), (fn, an) = ((sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
+                          for runs in (old, new))
+    line = f"failed operations  old {fo}/{ao}  new {fn}/{an}"
+    if fn * ao > fo * an:  # fn/an > fo/ao without dividing by zero
+        line += "  more operations failed"
+    return line
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old", type=Path)
@@ -142,6 +157,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}: lab_s old {runs['old'][-1].get('lab_s', float('nan')):.4f}"
               f" new {runs['new'][-1].get('lab_s', float('nan')):.4f}", flush=True)
     print(format_rows(summary(runs["old"], runs["new"], end_to_end(), bounds())))
+    print(failures(runs["old"], runs["new"]))
     return 0
 
 

@@ -356,7 +356,7 @@ def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
     from .models import _fix_orientation_nk6
 
     _fix_orientation_nk6(ch)
-    return ModelBundle(name="ansatz", charts=[ch],
+    return ModelBundle(name="ansatz", chart=ch,
                        meta={"gauge": g, "conjugate": conjugate, "shift": tuple(shift)})
 
 

@@ -96,7 +96,7 @@ class ChartMap:
         Sign of the preferred volume form against the coordinate one.
     """
 
-    def __init__(self, name, box, evaluators, orientation=1.0, meta=None):
+    def __init__(self, name, box, evaluators, orientation=1.0):
         self.name = name
         self.box = [(float(a), float(b)) for a, b in box]
         self.dim = len(self.box)
@@ -104,7 +104,6 @@ class ChartMap:
             raise ConfigError(f"chart '{name}' has no metric evaluator")
         self.evaluators = dict(evaluators)
         self.orientation = float(orientation)
-        self.meta = dict(meta or {})
         self._validate_metric()
 
     def _validate_metric(self):
@@ -126,9 +125,6 @@ class ChartMap:
 
     def center(self) -> np.ndarray:
         return np.array([(a + b) / 2.0 for a, b in self.box])
-
-    def has(self, name: str) -> bool:
-        return name in self.evaluators
 
 
 class EvalContext:

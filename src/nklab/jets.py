@@ -690,7 +690,7 @@ def _entire_coeffs(fn, M: int = 40) -> np.ndarray:
 
 
 # sin(sqrt(s))/sqrt(s) and friends -- analytic in s = |v|^2,
-# which sidesteps the sqrt branch point at v = 0 in exponential charts.
+# which sidesteps the sqrt branch point at v = 0 in the exponential chart.
 SINC_SQRT = _entire_coeffs(lambda m: (-1.0) ** m / math.factorial(2 * m + 1))
 # (1 - cos(2 sqrt(s))) / (2 s)
 VERSINE_RATIO = _entire_coeffs(lambda j: (-1.0) ** j * 4.0 ** (j + 1) / (2 * math.factorial(2 * j + 2)))

@@ -1,8 +1,8 @@
 """Concrete chart models: S3 x S3, the round 6-sphere, and S2 x S2.
 
-S3 x S3 uses exponential charts on each factor.  Tangent vectors are
-left-trivialized through the differential of the quaternion exponential,
-which has the closed form
+Each model has one chart.  On S3 x S3 it is the quaternion exponential at
+the identity on each factor, and tangent vectors are left-trivialized
+through its differential, which has the closed form
 
     T(x) w = A(s) w - V(s) x cross w + U(s) <x, w> x,     s = |x|^2,
 
@@ -20,9 +20,9 @@ conjugating j (x) I3 by diag(T_x, T_y) gives the blocks [[j00 I, j01 T_x^-1
 T_y], [j10 T_y^-1 T_x, j11 I]].
 
 The 6-sphere sits in the imaginary octonions; J_p = p cross (.) is pulled
-back through stereographic charts u -> Phi(u) = (2 w u, pole (s - 1) w),
+back through the stereographic chart u -> Phi(u) = (2 w u, (s - 1) w),
 w = 1/(1 + s), s = |u|^2, in closed form: with X = C Phi (the matrix of
-Phi cross) and u~ = (u, -pole),
+Phi cross) and u~ = (u, -1),
 
     g = 4 w^2 I,    J = X[:6, :6] - 2 w (u v^T - v u^T),  v = (X^T u~)[:6],
 
@@ -53,12 +53,7 @@ __all__ = [
     "MODEL_BUILDERS",
     "S3S3_SCALE",
     "S2S2_RADIUS",
-    "qmul_v",
-    "qconj_v",
-    "qexp_v",
-    "qlog_v",
     "octonion_cross_table",
-    "transition_s3s3",
 ]
 
 # Metric scale for which S3 x S3 has constant type 1 (scal = 30): the type
@@ -70,61 +65,12 @@ S2S2_RADIUS = 1.0 / (2.0 * math.sqrt(3.0))
 
 
 # ---------------------------------------------------------------------------
-# quaternion helpers (value level)
-
-_QT = np.zeros((4, 4, 4))
-_QT[0, 0, 0] = 1
-for _i in range(1, 4):
-    _QT[0, _i, _i] = -1
-    _QT[_i, 0, _i] = 1
-    _QT[_i, _i, 0] = 1
-for _i, _j, _k in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
-    _QT[_k, _i, _j] = 1
-    _QT[_k, _j, _i] = -1
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _EPS3[_i, _j, _k] = 1
-    _EPS3[_i, _k, _j] = -1
-
-
-def qmul_v(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.broadcast_arrays(a, b)
-    return contract("ijk,zj,zk->zi", _QT, a.reshape(-1, 4), b.reshape(-1, 4)).reshape(a.shape)
-
-
-def qconj_v(q: np.ndarray) -> np.ndarray:
-    out = np.array(q, dtype=float, copy=True)
-    out[..., 1:] *= -1
-    return out
-
-
-def qexp_v(v: np.ndarray) -> np.ndarray:
-    """Exponential of a pure-imaginary quaternion given as a 3-vector."""
-    v = np.atleast_2d(v)
-    th = np.linalg.norm(v, axis=-1, keepdims=True)
-    sinc = np.where(th > 1e-12, np.sin(th) / np.where(th > 0, th, 1.0), 1.0)
-    return np.concatenate([np.cos(th), sinc * v], axis=-1)
-
-
-def qlog_v(q: np.ndarray) -> np.ndarray:
-    """Inverse of qexp_v for unit quaternions with positive real part branch."""
-    q = np.atleast_2d(q)
-    w = np.clip(q[..., :1], -1.0, 1.0)
-    v = q[..., 1:]
-    nv = np.linalg.norm(v, axis=-1, keepdims=True)
-    th = np.arctan2(nv, w)
-    fac = np.where(nv > 1e-12, th / np.where(nv > 0, nv, 1.0), 1.0)
-    return fac * v
-
-
-# ---------------------------------------------------------------------------
 # model bundle
 
 
 @dataclass
 class ModelBundle:
-    """A registered geometry: its charts, and facts about how it was built.
+    """A registered geometry: its chart, and facts about how it was built.
 
     A chart that carries the Killing field the reduction runs on names its
     evaluator ``xi``: unit on ``s3s3`` and ``ansatz``, a rotation that is
@@ -132,12 +78,8 @@ class ModelBundle:
     """
 
     name: str
-    charts: list
+    chart: ChartMap
     meta: dict = field(default_factory=dict)
-
-    @property
-    def chart(self) -> ChartMap:
-        return self.charts[0]
 
 
 def _fix_orientation_nk6(chart: ChartMap) -> None:
@@ -157,6 +99,10 @@ def _fix_orientation_nk6(chart: ChartMap) -> None:
 
 _J_ALG = np.kron(np.array([[-1.0, 2.0], [-2.0, 1.0]]) / math.sqrt(3.0), np.eye(3))
 _J_SWAP = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(3))
+_EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+    _EPS3[_i, _j, _k] = 1
+    _EPS3[_i, _k, _j] = -1
 # tensor-axis blocks of the two S3 factors
 _XX, _YY, _XY, _YX = np.s_[:3, :3], np.s_[3:, 3:], np.s_[:3, 3:], np.s_[3:, :3]
 
@@ -238,28 +184,17 @@ def _s3s3_xi_diag_evaluator(c_scale: float):
     return ev
 
 
-_S3S3_CENTERS = {
-    "a": (np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])),
-    "b": (qexp_v(np.array([0.4, 0.0, 0.0]))[0], qexp_v(np.array([0.0, 0.3, 0.1]))[0]),
-}
-
-
-def build_s3s3(scale: float | None = None, charts=("a", "b")) -> ModelBundle:
+def build_s3s3(scale: float | None = None) -> ModelBundle:
     """Nearly Kahler S3 x S3; ``scale`` defaults to the calibrated value."""
     c_scale = S3S3_SCALE if scale is None else float(scale)
-    box = [(-0.8, 0.8)] * 6
-    chart_list = []
-    for key in charts:
-        p0, q0 = _S3S3_CENTERS[key]
-        ev = {
-            "metric": _s3s3_metric_evaluator(c_scale),
-            "J": _s3s3_J_evaluator(_J_ALG),
-            "xi": _s3s3_xi_diag_evaluator(c_scale),
-        }
-        ch = ChartMap(f"s3s3:{key}", box, ev, meta={"centers": (p0, q0)})
-        _fix_orientation_nk6(ch)
-        chart_list.append(ch)
-    return ModelBundle(name="s3s3", charts=chart_list, meta={"scale": c_scale})
+    ev = {
+        "metric": _s3s3_metric_evaluator(c_scale),
+        "J": _s3s3_J_evaluator(_J_ALG),
+        "xi": _s3s3_xi_diag_evaluator(c_scale),
+    }
+    ch = ChartMap("s3s3:a", [(-0.8, 0.8)] * 6, ev)
+    _fix_orientation_nk6(ch)
+    return ModelBundle(name="s3s3", chart=ch, meta={"scale": c_scale})
 
 
 def build_s3s3_product() -> ModelBundle:
@@ -274,20 +209,7 @@ def build_s3s3_product() -> ModelBundle:
     }
     ch = ChartMap("s3s3-product:a", box, ev)
     _fix_orientation_nk6(ch)
-    return ModelBundle(name="s3s3-product", charts=[ch])
-
-
-def transition_s3s3(bundle: ModelBundle, i_from: int, i_to: int, coords: np.ndarray) -> np.ndarray:
-    """Express chart-i coordinates in chart-j coordinates (value level)."""
-    pa, qa = bundle.charts[i_from].meta["centers"]
-    pb, qb = bundle.charts[i_to].meta["centers"]
-    coords = np.atleast_2d(coords)
-    x, y = coords[:, :3], coords[:, 3:]
-    p = qmul_v(pa, qexp_v(x))
-    q = qmul_v(qa, qexp_v(y))
-    x2 = qlog_v(qmul_v(qconj_v(pb), p))
-    y2 = qlog_v(qmul_v(qconj_v(qb), q))
-    return np.concatenate([x2, y2], axis=-1)
+    return ModelBundle(name="s3s3-product", chart=ch)
 
 
 # ---------------------------------------------------------------------------
@@ -326,37 +248,34 @@ def _s6_metric(ctx):
     return J.jc("ij,->ij", 4.0 * np.eye(6), J.jj(",->", w, w))
 
 
-def _s6_J_evaluator(pole: float):
+def _s6_J(ctx):
     """J = X[:6, :6] - 2 w (u v^T - v u^T), with X = C Phi and v = (X^T u~)[:6].
 
-    Phi = (2 w u, pole (s - 1) w) is the embedding, u~ = (u, -pole), and
-    (s - 1) w = 1 - 2 w.  v = (u~ x Phi)[:6] = pole ((u, 0) x e_7)[:6],
-    since w (1 + s) = 1, so v is linear in u.
+    Phi = (2 w u, (s - 1) w) is the embedding, u~ = (u, -1), and (s - 1) w
+    = 1 - 2 w.  v = (u~ x Phi)[:6] = ((u, 0) x e_7)[:6], since w (1 + s) =
+    1, so v is linear in u.
     """
-    def ev(ctx):
-        _, w = _s6_conformal(ctx)
-        wu = J.jj(",a->a", w, ctx.coords)
-        phi = J.jassemble((7,), [(np.s_[:6], 2.0 * wu), (6, (-2.0 * pole) * w + pole)])
-        v = J.jc("ca,a->c", pole * _OCT_E7, ctx.coords)
-        m = J.jj("a,c->ac", wu, v)
-        return J.jc("aBc,B->ac", _OCT[:6, :, :6], phi) - 2.0 * (m - m.transpose(1, 0))
-
-    return ev
+    _, w = _s6_conformal(ctx)
+    wu = J.jj(",a->a", w, ctx.coords)
+    phi = J.jassemble((7,), [(np.s_[:6], 2.0 * wu), (6, -2.0 * w + 1.0)])
+    v = J.jc("ca,a->c", _OCT_E7, ctx.coords)
+    m = J.jj("a,c->ac", wu, v)
+    return J.jc("aBc,B->ac", _OCT[:6, :, :6], phi) - 2.0 * (m - m.transpose(1, 0))
 
 
-def _s6_rotation_evaluator(pole: float, amat: np.ndarray):
+def _s6_rotation_evaluator(amat: np.ndarray):
     """The rotation field of ``amat`` in so(7), xi = (1/2w) [(A Phi)[:6] - 2 w (u~ . A Phi) u].
 
-    With a = A[:6, 6], (A Phi)[:6] / 2w = A[:6, :6] u + pole (s - 1)/2 a
-    and u~ . A Phi = pole (a . u), so xi is a polynomial in u.
+    With a = A[:6, 6], (A Phi)[:6] / 2w = A[:6, :6] u + (s - 1)/2 a and
+    u~ . A Phi = a . u, so xi is a polynomial in u.
     """
     a66, a = amat[:6, :6], amat[:6, 6]
 
     def ev(ctx):
         u = ctx.coords
         s, _ = _s6_conformal(ctx)
-        au = J.jc("a,a->", pole * a, u)
-        return (J.jc("ab,b->a", a66, u) + J.jc("a,->a", 0.5 * pole * a, s - 1.0)
+        au = J.jc("a,a->", a, u)
+        return (J.jc("ab,b->a", a66, u) + J.jc("a,->a", 0.5 * a, s - 1.0)
                 - J.jj(",a->a", au, u))
 
     return ev
@@ -371,15 +290,10 @@ def so7_generator(i: int, j: int) -> np.ndarray:
 
 def build_s6() -> ModelBundle:
     """Round unit 6-sphere with the octonion cross-product structure."""
-    box = [(-0.7, 0.7)] * 6
-    charts = []
-    for key, pole in (("north", 1.0), ("south", -1.0)):
-        ev = {"metric": _s6_metric, "J": _s6_J_evaluator(pole),
-              "xi": _s6_rotation_evaluator(pole, so7_generator(0, 1))}
-        ch = ChartMap(f"s6:{key}", box, ev)
-        _fix_orientation_nk6(ch)
-        charts.append(ch)
-    return ModelBundle(name="s6", charts=charts)
+    ev = {"metric": _s6_metric, "J": _s6_J, "xi": _s6_rotation_evaluator(so7_generator(0, 1))}
+    ch = ChartMap("s6:north", [(-0.7, 0.7)] * 6, ev)
+    _fix_orientation_nk6(ch)
+    return ModelBundle(name="s6", chart=ch)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +337,7 @@ def build_s2s2(radii: tuple[float, float] | None = None) -> ModelBundle:
         "Jhat": lambda ctx: sphere_rotation(ctx, 4, (1.0, -1.0)),
     }
     ch = ChartMap("s2s2:main", box, ev, orientation=1.0)
-    return ModelBundle(name="s2s2", charts=[ch])
+    return ModelBundle(name="s2s2", chart=ch)
 
 
 MODEL_BUILDERS = {

@@ -67,7 +67,7 @@ def flat_kahler() -> ModelBundle:
         return J.jconst(ctx.space, np.broadcast_to(jmat, (ctx.nbatch, 6, 6)).copy())
 
     ch = ChartMap("flat:c3", [(-1.0, 1.0)] * 6, {"metric": ev_g, "J": ev_j}, orientation=1.0)
-    return ModelBundle(name="flat", charts=[ch])
+    return ModelBundle(name="flat", chart=ch)
 
 
 def with_xi(chart: ChartMap, evaluator) -> ChartMap:
@@ -77,9 +77,21 @@ def with_xi(chart: ChartMap, evaluator) -> ChartMap:
     return out
 
 
+#: (4, 4, 4) quaternion product table: (a b)_i = _QT[i, j, k] a_j b_k.
+_QT = np.zeros((4, 4, 4))
+_QT[0, 0, 0] = 1
+for _i in range(1, 4):
+    _QT[0, _i, _i] = -1
+    _QT[_i, 0, _i] = 1
+    _QT[_i, _i, 0] = 1
+for _i, _j, _k in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
+    _QT[_k, _i, _j] = 1
+    _QT[_k, _j, _i] = -1
+
+
 def _jqmul(a: J.Jet, b: J.Jet) -> J.Jet:
     outer = J.jj("j,k->jk", a, b)
-    return J.jc("ijk,jk->i", M._QT, outer)
+    return J.jc("ijk,jk->i", _QT, outer)
 
 
 #: Maclaurin coefficients of cos(sqrt(s)), for ``jets.jentire``.
@@ -121,19 +133,19 @@ def generic_s3s3_frames(ctx):
     return tuple(out)
 
 
-def _s6_embed(ctx, pole):
+def _s6_embed(ctx):
     """Stereographic embedding Phi and its differential P."""
     u = ctx.coords
     s = J.jj("a,a->", u, u)
     w = J.jrecip(1.0 + s)
     phi = J.jassemble((7,), [(np.s_[:6], J.jj(",a->a", 2.0 * w, u)),
-                             (6, pole * (s - 1.0) * w)])
+                             (6, (s - 1.0) * w)])
     w2 = J.jj(",->", w, w)
     outer = J.jj("a,i->ai", u, u)
-    # d_i Phi_a = 2 w delta_ai - 4 w^2 u_a u_i ; d_i Phi_7 = pole * 4 w^2 u_i
+    # d_i Phi_a = 2 w delta_ai - 4 w^2 u_a u_i ; d_i Phi_7 = 4 w^2 u_i
     pa = J.jc("ia,->ia", np.eye(6), 2.0 * w) - J.jj(",ai->ia", 4.0 * w2, outer)
     p = J.jassemble((6, 7), [(np.s_[:, :6], pa),
-                             (np.s_[:, 6], J.jj(",i->i", 4.0 * pole * w2, u))])
+                             (np.s_[:, 6], J.jj(",i->i", 4.0 * w2, u))])
     return phi, p
 
 
@@ -141,10 +153,9 @@ def generic_fields(chart: ChartMap, ctx, amat=None) -> dict:
     """``metric``, ``J`` and, where the chart has one, ``xi`` of an ``s6``,
     ``s3s3`` or ``s3s3-product`` chart, built the generic way; ``amat``
     is the so(7) generator of the ``s6`` rotation field."""
-    model, key = chart.name.split(":")
+    model = chart.name.split(":")[0]
     if model == "s6":
-        pole = 1.0 if key == "north" else -1.0
-        phi, p = _s6_embed(ctx, pole)
+        phi, p = _s6_embed(ctx)
         g = J.jj("iA,jA->ij", p, p)
         gi = J.jmatinv(g)
         cross = J.jj("AC,jC->Aj", J.jc("ABC,B->AC", M._OCT, phi), p)   # (Phi x P_j)_A
@@ -167,17 +178,15 @@ def generic_fields(chart: ChartMap, ctx, amat=None) -> dict:
 
 
 def left_translation_xi(bundle: ModelBundle):
-    """Evaluator, on the first chart of an ``s3s3`` bundle, of the unit
-    Killing field of left translation by the quaternion i on the first
-    factor (the chart's own ``xi`` is the diagonal right translation)."""
-    p0 = bundle.chart.meta["centers"][0]
-    bq = np.array([0.0, 1.0, 0.0, 0.0]) / math.sqrt(bundle.meta["scale"])
-    bp = M.qmul_v(M.qmul_v(M.qconj_v(p0), bq), p0)  # Ad_{p0^{-1}} b
-    right_bp = np.einsum("ijk,k->ij", M._QT, bp)  # q -> q bp, as a matrix
+    """Evaluator, on the chart of an ``s3s3`` bundle, of the unit Killing
+    field of left translation by the quaternion i on the first factor (the
+    chart's own ``xi`` is the diagonal right translation)."""
+    b = np.array([0.0, 1.0, 0.0, 0.0]) / math.sqrt(bundle.meta["scale"])
+    right_b = np.einsum("ijk,k->ij", _QT, b)  # q -> q b, as a matrix
 
     def ev(ctx):
         e = _qexp_jet(ctx.coords[:3])
-        w = _jqmul(J.jc("ij,j->i", right_bp, _qconj_jet(e)), e)
+        w = _jqmul(J.jc("ij,j->i", right_b, _qconj_jet(e)), e)
         (_, txinv, _), _ = M._s3s3_frames(ctx)
         return J.jassemble((6,), [(np.s_[:3], J.jj("ab,b->a", txinv, w[1:]))])
 

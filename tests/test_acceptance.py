@@ -104,7 +104,7 @@ def test_03_constant_type(s3s3, s6):
                 f"({bundle.name})", np.max(alpha) - np.min(alpha), 1e-7)
     worst = 0.0
     for factor in (0.5, 1.0, 2.0):
-        sb = M.build_s3s3(scale=factor * M.S3S3_SCALE, charts=("a",))
+        sb = M.build_s3s3(scale=factor * M.S3S3_SCALE)
         rng = np.random.default_rng(4)
         pts = sample_points(sb.chart, 20, rng)
         alpha = NK.constant_type_samples(EvalContext(sb.chart, pts, 1), rng)
@@ -267,7 +267,7 @@ def test_11_negative_controls(s6, s3s3_product):
     pts = sample_points(s6.chart, SAMPLES, np.random.default_rng(0))
     worst_dev = np.inf
     fields = {"rot01": s6.chart.evaluators["xi"],
-              **{name: M._s6_rotation_evaluator(1.0, amat)
+              **{name: M._s6_rotation_evaluator(amat)
                  for name, amat in S6_ROTATIONS.items()}}
     for name, ev in fields.items():
         res = R.verify_killing_unit(EvalContext(with_xi(s6.chart, ev), pts, 2))

@@ -26,8 +26,6 @@ _MODULES = {p.stem: p for p in sorted(_SRC.glob("*.py"))}
 #: (module, name) -> why a public name that nothing above uses stays
 KEEP = {
     ("__init__", "__version__"): "the package version, for tools that read it",
-    ("models", "transition_s3s3"): "the chart transition that exercising the second "
-                                   "s3s3 chart needs",
 }
 
 

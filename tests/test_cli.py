@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from nklab import cli, report, suites
+from nklab.chart import ConfigError
 
 
 class TestToleranceArgs:
@@ -35,8 +36,9 @@ class TestToleranceArgs:
     @pytest.mark.parametrize("val", ["inf", "-inf", "nan", "0", "-1"])
     def test_tolerance_must_be_finite_and_positive(self, val, capsys):
         # inf would pass any finite residual; nan, 0 and -1 would fail every row
-        with pytest.raises(ValueError, match="finite and positive"):
-            cli.split_tolerance_args([f"--tol.gray-5={val}"])
+        with pytest.raises(ConfigError, match="finite and positive"):
+            suites.run(models=["s3s3"], suites=["gray"], samples=4,
+                       tol_overrides={"gray-5": float(val)})
         argv = ["--suite", "gray", "--model", "s3s3", "--samples", "4", "--tol.gray-5", val]
         assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err
@@ -53,6 +55,12 @@ class TestExitCodes:
     def test_usage_error_unknown_check_override(self, capsys):
         assert cli.main(["--tol.no-such-check=1e-4"]) == 2
         assert "unknown check" in capsys.readouterr().err
+
+    def test_usage_error_names_every_unknown_name(self, capsys):
+        assert cli.main(["--suite", "grey,nonsense", "--model", "s7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(name in err for name in ("grey", "nonsense", "s7"))
 
     @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--samples", "0"],
                                       ["--samples", "-5"], ["--samples", "1"]])

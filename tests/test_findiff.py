@@ -181,15 +181,15 @@ def stencil_calls(monkeypatch):
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_one_stencil_call_per_context(model, stencil_calls):
-    for chart in M.build_model(model).charts:
-        pts = sample_points(chart, 3, np.random.default_rng(1))
-        for order in (1, 2, 3, 4):
-            ctx = EvalContext(chart, pts, order, mode="fd")
-            stencil_calls.clear()
-            jets = {name: ctx.root(name) for name in chart.evaluators}
-            assert stencil_calls == [sorted(chart.evaluators)], (chart.name, order)
-            for name, jet in jets.items():
-                assert np.array_equal(jet.c, _per_root(ctx, name)), (chart.name, order, name)
+    chart = M.build_model(model).chart
+    pts = sample_points(chart, 3, np.random.default_rng(1))
+    for order in (1, 2, 3, 4):
+        ctx = EvalContext(chart, pts, order, mode="fd")
+        stencil_calls.clear()
+        jets = {name: ctx.root(name) for name in chart.evaluators}
+        assert stencil_calls == [sorted(chart.evaluators)], (chart.name, order)
+        for name, jet in jets.items():
+            assert np.array_equal(jet.c, _per_root(ctx, name)), (chart.name, order, name)
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
@@ -198,13 +198,13 @@ def test_roots_from_small_blocks_equal_the_whole_stencil(monkeypatch, model):
     # them, and on s2s2 the order-2 one (198 points) would leave a 6-point
     # remainder, so its last block starts 8 points earlier
     monkeypatch.setattr(F, "BLOCK", 64)
-    for chart in M.build_model(model).charts:
-        pts = sample_points(chart, 3, np.random.default_rng(1))
-        for order in (1, 2, 3, 4):
-            ctx = EvalContext(chart, pts, order, mode="fd")
-            for name in chart.evaluators:
-                assert np.array_equal(ctx.root(name).c, _per_root(ctx, name)), (
-                    chart.name, order, name)
+    chart = M.build_model(model).chart
+    pts = sample_points(chart, 3, np.random.default_rng(1))
+    for order in (1, 2, 3, 4):
+        ctx = EvalContext(chart, pts, order, mode="fd")
+        for name in chart.evaluators:
+            assert np.array_equal(ctx.root(name).c, _per_root(ctx, name)), (
+                chart.name, order, name)
 
 
 @pytest.mark.parametrize("model", ["s6", "ansatz"])

@@ -636,7 +636,7 @@ class TestFunctionKernels:
     def test_jentire_matches_maclaurin_sum(self, name, order):
         series = COS_SQRT if name == "COS_SQRT" else getattr(J, name)
         rng = np.random.default_rng(order)
-        # a square norm like the exponential charts' s = |x|^2, 4 s included
+        # a square norm like the exponential chart's s = |x|^2, 4 s included
         x = _random_jet(rng, 3, order, (3,), 6)
         u = 2.0 * J.jj("a,a->", x, x)
         got = J.jentire(u, series)

@@ -4,8 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nklab import calculus as C
 from nklab import jets as J
@@ -14,37 +12,6 @@ from nklab import nkcore as NK
 from nklab.chart import ConfigError, EvalContext, sample_points
 from oracles import (S6_ROTATIONS, flat_kahler, generic_fields, generic_s3s3_frames,
                      left_translation_xi, with_xi)
-
-small3 = st.lists(st.floats(min_value=-1.2, max_value=1.2), min_size=3, max_size=3)
-
-
-class TestQuaternionOracles:
-    @given(v=small3)
-    @settings(max_examples=40, deadline=None)
-    def test_exp_unit_norm(self, v):
-        q = M.qexp_v(np.array(v))
-        assert abs(np.linalg.norm(q) - 1.0) < 1e-12
-
-    @given(v=small3)
-    @settings(max_examples=40, deadline=None)
-    def test_exp_log_roundtrip(self, v):
-        v = np.array(v)
-        if np.linalg.norm(v) >= np.pi - 0.05:   # stay on the principal branch
-            v = v * (np.pi - 0.1) / np.linalg.norm(v)
-        back = M.qlog_v(M.qexp_v(v))
-        assert np.allclose(back, np.atleast_2d(v), atol=1e-12)
-
-    def test_mul_is_associative(self, rng):
-        a, b, c = (M.qexp_v(rng.normal(size=3)) for _ in range(3))
-        lhs = M.qmul_v(M.qmul_v(a, b), c)
-        rhs = M.qmul_v(a, M.qmul_v(b, c))
-        assert np.allclose(lhs, rhs, atol=1e-14)
-
-    def test_conj_reverses_products(self, rng):
-        a, b = (M.qexp_v(rng.normal(size=3)) for _ in range(2))
-        assert np.allclose(M.qconj_v(M.qmul_v(a, b)),
-                           M.qmul_v(M.qconj_v(b), M.qconj_v(a)), atol=1e-14)
-
 
 class TestOctonionOracle:
     def test_cross_norm_identity(self, rng):
@@ -70,41 +37,21 @@ class TestBundles:
     def test_registry_contents(self):
         for name in ("s3s3", "s6", "s2s2", "s3s3-product", "ansatz"):
             b = M.build_model(name)
-            assert b.chart.has("metric")
+            assert "metric" in b.chart.evaluators
         with pytest.raises(ConfigError):
             M.build_model("nope")
 
     def test_j_square_exact(self, s3s3, s6):
         for b in (s3s3, s6):
-            for ch in b.charts:
-                ctx = EvalContext(ch, sample_points(ch, 6, np.random.default_rng(0)), 0)
-                jm = ctx.root("J").val
-                res = np.einsum("zab,zbc->zac", jm, jm) + np.eye(6)
-                assert np.max(np.abs(res)) < 1e-12, ch.name
-
-    def test_s3s3_chart_overlap(self, s3s3):
-        # scalar invariants agree at identified points of the two charts
-        rng = np.random.default_rng(3)
-        xa = rng.uniform(-0.25, 0.25, size=(4, 6))
-        xb = M.transition_s3s3(s3s3, 0, 1, xa)
-        assert np.all(s3s3.charts[1].contains(xb))
-        from nklab import calculus as C
-
-        sa = C.scalar_curvature(EvalContext(s3s3.charts[0], xa, 3)).val
-        sb = C.scalar_curvature(EvalContext(s3s3.charts[1], xb, 3)).val
-        assert np.max(np.abs(sa - sb)) < 1e-8
-        assert np.max(np.abs(sa - 30.0)) < 1e-9
-
-    def test_transition_roundtrip(self, s3s3):
-        rng = np.random.default_rng(4)
-        xa = rng.uniform(-0.3, 0.3, size=(5, 6))
-        back = M.transition_s3s3(s3s3, 0, 1, xa)
-        fwd = M.transition_s3s3(s3s3, 1, 0, back)
-        assert np.max(np.abs(fwd - xa)) < 1e-12
+            ch = b.chart
+            ctx = EvalContext(ch, sample_points(ch, 6, np.random.default_rng(0)), 0)
+            jm = ctx.root("J").val
+            res = np.einsum("zab,zbc->zac", jm, jm) + np.eye(6)
+            assert np.max(np.abs(res)) < 1e-12, ch.name
 
     def test_s6_conformal_oracle(self, s6):
         # stereographic metric is 4/(1+|x|^2)^2 times flat in 6 coordinates
-        ch = s6.charts[0]
+        ch = s6.chart
         pts = sample_points(ch, 5, np.random.default_rng(5))
         g = EvalContext(ch, pts, 0).root("metric").val
         conf = 4.0 / (1.0 + np.sum(pts**2, axis=1)) ** 2
@@ -112,12 +59,12 @@ class TestBundles:
         assert np.max(np.abs(g - want)) < 1e-13
 
 
-_CLOSED_FORM_CHARTS = [("s3s3", 0), ("s3s3", 1), ("s6", 0), ("s6", 1), ("s3s3-product", 0)]
+_CLOSED_FORM_MODELS = ["s3s3", "s6", "s3s3-product"]
 
 
-def _chart_ctx(name, index, order=3):
-    ch = M.build_model(name).charts[index]
-    return ch, EvalContext(ch, sample_points(ch, 9, np.random.default_rng(7 + index)), order)
+def _chart_ctx(name, order=3):
+    ch = M.build_model(name).chart
+    return ch, EvalContext(ch, sample_points(ch, 9, np.random.default_rng(7)), order)
 
 
 def _assert_close(got, want, where, rtol=1e-13):
@@ -128,29 +75,27 @@ def _assert_close(got, want, where, rtol=1e-13):
 class TestClosedForms:
     """The chart fields in closed form against their generic constructions."""
 
-    @pytest.mark.parametrize("name,index", _CLOSED_FORM_CHARTS)
-    def test_each_field_equals_its_generic_construction(self, name, index):
-        ch, ctx = _chart_ctx(name, index)
+    @pytest.mark.parametrize("name", _CLOSED_FORM_MODELS)
+    def test_each_field_equals_its_generic_construction(self, name):
+        ch, ctx = _chart_ctx(name)
         want = generic_fields(ch, ctx)
         assert set(want) == set(ch.evaluators)
         for field, jet in want.items():
             _assert_close(ctx.root(field), jet, (ch.name, field))
 
-    @pytest.mark.parametrize("index", [0, 1])
     @pytest.mark.parametrize("rotation", sorted(S6_ROTATIONS))
-    def test_s6_rotations_off_the_pole_axis(self, index, rotation):
+    def test_s6_rotations_off_the_pole_axis(self, rotation):
         # rot-mixed moves the pole (amat[:6, 6] != 0), so every term of the
         # polynomial form is exercised
-        ch, ctx = _chart_ctx("s6", index)
-        pole = 1.0 if index == 0 else -1.0
+        ch, ctx = _chart_ctx("s6")
         amat = S6_ROTATIONS[rotation]
-        got = M._s6_rotation_evaluator(pole, amat)(ctx)
+        got = M._s6_rotation_evaluator(amat)(ctx)
         _assert_close(got, generic_fields(ch, ctx, amat)["xi"], (ch.name, rotation))
 
-    @pytest.mark.parametrize("name,index", [("s3s3", 0), ("s3s3", 1), ("s3s3-product", 0)])
-    def test_s3s3_frames(self, name, index):
+    @pytest.mark.parametrize("name", ["s3s3", "s3s3-product"])
+    def test_s3s3_frames(self, name):
         # T^-1 T = I and T^T T = V I + ((1 - V)/s) P, both exactly in jets
-        ch, ctx = _chart_ctx(name, index)
+        ch, ctx = _chart_ctx(name)
         frames = M._s3s3_frames(ctx)
         for (t, tinv, gram), (gt, gtinv, ggram) in zip(frames, generic_s3s3_frames(ctx)):
             _assert_close(t, gt, ch.name)
@@ -180,8 +125,8 @@ class TestClosedForms:
 
         monkeypatch.setattr(J, "jmatinv", refuse)
         monkeypatch.setattr(C, "metric_inv", refuse)
-        for name, index in _CLOSED_FORM_CHARTS:
-            ch, ctx = _chart_ctx(name, index, order=2)
+        for name in _CLOSED_FORM_MODELS:
+            ch, ctx = _chart_ctx(name, order=2)
             for field in ch.evaluators:
                 ctx.root(field)
 
@@ -191,7 +136,7 @@ class TestKillingFields:
     def test_unit_killing_families(self, s3s3, family):
         from nklab import calculus as C
 
-        ch = s3s3.charts[0]
+        ch = s3s3.chart
         if family == "left":
             ch = with_xi(ch, left_translation_xi(s3s3))
         ctx = EvalContext(ch, sample_points(ch, 6, np.random.default_rng(6)), 2)
@@ -217,7 +162,7 @@ class TestOrientation:
         from nklab.exterior import hodge, wedge
 
         for b in (s3s3, s6):
-            ch = b.charts[0]
+            ch = b.chart
             ctx = EvalContext(ch, ch.center()[None, :], 0)
             g = ctx.root("metric").val
             jm = ctx.root("J").val
@@ -227,9 +172,9 @@ class TestOrientation:
             assert om3 * vol > 0
 
     def test_nk6_chart_orientations_pinned(self, s3s3, s6, s3s3_product, ansatz_bundle):
-        # the orientation _fix_orientation_nk6 chose for every chart of every
-        # nk6 model, second charts included; a wrong top-degree read flips one
+        # the orientation _fix_orientation_nk6 chose for the chart of every
+        # nk6 model; a wrong top-degree read flips one
         bundles = (s3s3, s6, s3s3_product, ansatz_bundle)
-        got = {ch.name: ch.orientation for b in bundles for ch in b.charts}
-        assert got == {"s3s3:a": 1.0, "s3s3:b": 1.0, "s6:north": 1.0, "s6:south": -1.0,
-                       "s3s3-product:a": -1.0, "ansatz:main": -1.0}
+        got = {b.chart.name: b.chart.orientation for b in bundles}
+        assert got == {"s3s3:a": 1.0, "s6:north": 1.0, "s3s3-product:a": -1.0,
+                       "ansatz:main": -1.0}

@@ -8,8 +8,8 @@ from nklab.chart import DegeneratePairError, EvalContext, sample_points
 from oracles import constant_type_at, flat_kahler
 
 
-def _ctx(bundle, n=6, order=2, seed=0, chart=0):
-    ch = bundle.charts[chart]
+def _ctx(bundle, n=6, order=2, seed=0):
+    ch = bundle.chart
     pts = sample_points(ch, n, np.random.default_rng(seed))
     return EvalContext(ch, pts, order)
 
@@ -114,7 +114,7 @@ class TestConstantType:
     def test_homothety_scaling(self):
         # alpha multiplies by 1/c when the metric multiplies by c
         for factor in (0.5, 2.0):
-            b = M.build_s3s3(scale=factor * M.S3S3_SCALE, charts=("a",))
+            b = M.build_s3s3(scale=factor * M.S3S3_SCALE)
             rng = np.random.default_rng(8)
             pts = sample_points(b.chart, 6, rng)
             alpha = NK.constant_type_samples(EvalContext(b.chart, pts, 1), rng)

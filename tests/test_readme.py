@@ -1,0 +1,16 @@
+"""The README's examples run as written."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _python_block(heading: str) -> str:
+    """The first python code block under the ``## heading`` section."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_use_runs_as_written(capsys):
+    exec(compile(_python_block("Library use"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("{'gray1'")

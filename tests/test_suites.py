@@ -165,10 +165,24 @@ class TestSessions:
 
     @pytest.mark.parametrize("models, suite_names", [(["s3s33"], None),
                                                      (["s3s3", "s3s33"], ["gray"]),
-                                                     (None, ["grey"])])
+                                                     (None, ["grey"]),
+                                                     (["s7", "s3s3", "s3s33"], ["grey", "gray"])])
     def test_an_unknown_model_or_suite_raises(self, models, suite_names):
-        with pytest.raises(KeyError, match="unknown"):
+        # one error names every unknown name
+        with pytest.raises(ConfigError, match="unknown") as info:
             suites.run(models=models, suites=suite_names, samples=4)
+        unknown = {*(models or ()), *(suite_names or ())} - {*suites.MODEL_NAMES, *suites.SUITES}
+        assert all(name in str(info.value) for name in unknown)
+
+    def test_an_override_no_row_can_fail_or_an_unknown_check_is_refused(self):
+        # at tolerance inf, nk-condition on the product structure read xpass,
+        # and the unknown check was ignored
+        with pytest.raises(ConfigError) as info:
+            suites.run(models=["s3s3-product"], suites=["nk-core"], samples=4,
+                       tol_overrides={"nk-condition": math.inf, "no-such-check": 1e-3})
+        assert str(info.value) == ("unknown check(s) in tolerance override: no-such-check; "
+                                   "tolerance for 'nk-condition' must be finite and positive, "
+                                   "got inf")
 
     def test_fd_run_evaluates_no_exact_derivatives(self, monkeypatch):
         # every context of order >= 1 whose roots a fd run evaluates is in fd

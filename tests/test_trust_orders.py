@@ -414,12 +414,12 @@ def _spy_evaluators(monkeypatch):
 
     def spied(name):
         bundle = build(name)
-        for chart in bundle.charts:
-            for field, fn in chart.evaluators.items():
-                def ev(ctx, fn=fn, field=field):
-                    calls.append((name, field, ctx))
-                    return fn(ctx)
-                chart.evaluators[field] = ev
+        evaluators = bundle.chart.evaluators
+        for field, fn in evaluators.items():
+            def ev(ctx, fn=fn, field=field):
+                calls.append((name, field, ctx))
+                return fn(ctx)
+            evaluators[field] = ev
         return bundle
 
     monkeypatch.setattr(M, "build_model", spied)

@@ -47,13 +47,13 @@ from .chart import (
     ConfigError,
     InvariantViolation,
     contract,
+    memoized,
     sample_points,
 )
 from .exterior import d_form, wedge_jet
-from .models import ModelBundle, sphere_rotation
+from .models import S2S2_RADIUS, ModelBundle, _fix_orientation_nk6, sphere_rotation
 
 __all__ = [
-    "BASE_RADIUS",
     "TAUT_NORMALIZATION",
     "DEFAULT_GAUGE",
     "base_coframe",
@@ -68,9 +68,6 @@ __all__ = [
     "assemble",
     "gauge_equivalence_residual",
 ]
-
-#: Radius of each base sphere; makes the base Einstein with Ric = 12 g.
-BASE_RADIUS = 1.0 / (2.0 * math.sqrt(3.0))
 
 #: Scale of the tautological 2-form.  Pinned by matching the transversal
 #: complex volume form of the reduced homogeneous model, whose squared
@@ -103,53 +100,42 @@ def _one_form(comps: dict) -> J.Jet:
 # base geometry, pulled back to the 6-dimensional chart
 
 
+@memoized
 def base_coframe(ctx: EvalContext):
-    """Orthonormal coframe (a1, a2, b1, b2) of the two sphere factors."""
-
-    def build(c):
-        r = BASE_RADIUS
-        s1 = J.jsin(c.coord(0))
-        s2 = J.jsin(c.coord(2))
-        a1 = _one_form({0: _scalar_const(c, r)})
-        a2 = _one_form({1: r * s1})
-        b1 = _one_form({2: _scalar_const(c, r)})
-        b2 = _one_form({3: r * s2})
-        return a1, a2, b1, b2
-
-    return ctx.memo(("ansatz", "coframe"), build)
+    """Orthonormal coframe (a1, a2, b1, b2) of the two sphere factors, each
+    of radius ``models.S2S2_RADIUS``."""
+    r = S2S2_RADIUS
+    s1 = J.jsin(ctx.coord(0))
+    s2 = J.jsin(ctx.coord(2))
+    a1 = _one_form({0: _scalar_const(ctx, r)})
+    a2 = _one_form({1: r * s1})
+    b1 = _one_form({2: _scalar_const(ctx, r)})
+    b2 = _one_form({3: r * s2})
+    return a1, a2, b1, b2
 
 
+@memoized
 def base_metric_jet(ctx: EvalContext) -> J.Jet:
     """Pullback of the base metric: a 6 x 6 jet supported on axes 0-3."""
-
-    def build(c):
-        frame = base_coframe(c)
-        out = J.jj("i,j->ij", frame[0], frame[0])
-        for e in frame[1:]:
-            out = out + J.jj("i,j->ij", e, e)
-        return out
-
-    return ctx.memo(("ansatz", "g0"), build)
+    frame = base_coframe(ctx)
+    out = J.jj("i,j->ij", frame[0], frame[0])
+    for e in frame[1:]:
+        out = out + J.jj("i,j->ij", e, e)
+    return out
 
 
+@memoized
 def base_rotations(ctx: EvalContext):
     """Endomorphism jets (I0, Jhat): both rotate each factor by 90 degrees,
     with equal orientations for I0 and opposite ones for Jhat."""
-
-    def build(c):
-        return tuple(sphere_rotation(c, _DIM, (1.0, s2_sign)) for s2_sign in (1.0, -1.0))
-
-    return ctx.memo(("ansatz", "rotations"), build)
+    return tuple(sphere_rotation(ctx, _DIM, (1.0, s2_sign)) for s2_sign in (1.0, -1.0))
 
 
+@memoized
 def _area_forms(ctx: EvalContext):
     """(omega_1, omega_2): the area forms of the two factors."""
-
-    def build(c):
-        a1, a2, b1, b2 = base_coframe(c)
-        return wedge_jet(a1, 1, a2, 1), wedge_jet(b1, 1, b2, 1)
-
-    return ctx.memo(("ansatz", "areas"), build)
+    a1, a2, b1, b2 = base_coframe(ctx)
+    return wedge_jet(a1, 1, a2, 1), wedge_jet(b1, 1, b2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +149,25 @@ def connection_forms(ctx: EvalContext, shift=(0, 0)):
     first connection; gauge-equivalent models compensate it in the phase
     of the tautological form.
     """
-    p1, p2 = shift
+    return _connection_forms(ctx, float(shift[0]), float(shift[1]))
 
-    def build(c):
-        one = _scalar_const(c, 1.0)
-        c1 = J.jcos(c.coord(0))
-        c2 = J.jcos(c.coord(2))
-        theta = _one_form({
-            1: (c1 - one) + _scalar_const(c, float(p1)),
-            3: (c2 - one) + _scalar_const(c, float(p2)),
-            4: one,
-        })
-        mu = _one_form({
-            1: (one - c1) * (1.0 / 6.0),
-            3: (c2 - one) * (1.0 / 6.0),
-            5: one,
-        })
-        return theta, mu
 
-    return ctx.memo(("ansatz", "conn", (p1, p2)), build)
+@memoized
+def _connection_forms(ctx: EvalContext, p1: float, p2: float):
+    one = _scalar_const(ctx, 1.0)
+    c1 = J.jcos(ctx.coord(0))
+    c2 = J.jcos(ctx.coord(2))
+    theta = _one_form({
+        1: (c1 - one) + _scalar_const(ctx, p1),
+        3: (c2 - one) + _scalar_const(ctx, p2),
+        4: one,
+    })
+    mu = _one_form({
+        1: (one - c1) * (1.0 / 6.0),
+        3: (c2 - one) * (1.0 / 6.0),
+        5: one,
+    })
+    return theta, mu
 
 
 def connection_residuals(ctx: EvalContext, shift=(0, 0)) -> dict:
@@ -212,17 +198,18 @@ def _phi(ctx: EvalContext, n1, n2, s):
     return re, im
 
 
+#: ``_phi`` on a scalar gauge and sign; ``gauge_search`` passes it arrays.
+_phi_memoized = memoized(_phi)
+
+
 def tautological_pair(ctx: EvalContext, gauge, conjugate: bool = False, shift=(0, 0)):
     """(Re Phi, Im Phi) for Phi = TAUT_NORMALIZATION e^{i gamma} (a1 - i a2)^(b1 - i b2).
 
     ``gamma = t1 + n1 psi1 + n2 psi2`` with (n1, n2) = gauge + shift.
     ``conjugate`` replaces the factor 1-forms by their complex conjugates.
     """
-    n1 = gauge[0] + shift[0]
-    n2 = gauge[1] + shift[1]
-    s = -1.0 if conjugate else 1.0
-    return ctx.memo(("ansatz", "taut", (n1, n2, s)),
-                    lambda c: _phi(c, float(n1), float(n2), s))
+    return _phi_memoized(ctx, float(gauge[0] + shift[0]), float(gauge[1] + shift[1]),
+                         -1.0 if conjugate else 1.0)
 
 
 def _twisted_parallel(ctx: EvalContext, re: J.Jet, im: J.Jet, shift=(0, 0)) -> np.ndarray:
@@ -353,8 +340,6 @@ def assemble(gauge=None, conjugate: bool = False, shift=(0, 0),
     ch = _build_chart(g, conjugate, tuple(shift), printed_coefficients)
     if certify:
         _certify_chart(ch)
-    from .models import _fix_orientation_nk6
-
     _fix_orientation_nk6(ch)
     return ModelBundle(name="ansatz", chart=ch,
                        meta={"gauge": g, "conjugate": conjugate, "shift": tuple(shift)})

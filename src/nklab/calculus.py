@@ -12,7 +12,7 @@ Sign conventions (pinned by the quantitative anchors in the test suite):
   (identity operator on round spheres).
 
 All functions take an :class:`~nklab.chart.EvalContext` and return jets;
-derived jets are memoized on the context.
+derived jets are memoized on the context (:func:`~nklab.chart.memoized`).
 
 Orders: a derivative lands one order below its argument, so a caller
 that adds a product to a derivative truncates the product's operands to
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets as J
-from .chart import EvalContext, contract
+from .chart import EvalContext, contract, memoized
 
 __all__ = [
     "metric",
@@ -54,23 +54,20 @@ def metric(ctx: EvalContext) -> J.Jet:
     return ctx.root("metric")
 
 
-def inverse_of(ctx: EvalContext, metric_field, key) -> J.Jet:
-    """The inverse of a metric field (ctx -> Jet), memoized under ``key``.
+@memoized
+def inverse_of(ctx: EvalContext, metric_field) -> J.Jet:
+    """The inverse of a metric field (ctx -> Jet).
 
     Built once per context, at order max(k - 1, 0) for a context of order
     k: no reader needs more, and ``jj`` cuts it to a lower operand's order.
     """
-
-    def build(c):
-        space = J.jetspace(c.space.nvars, max(c.order - 1, 0))
-        return J.jmatinv(metric_field(c).truncate(space))
-
-    return ctx.memo(("inverse", key), build)
+    space = J.jetspace(ctx.space.nvars, max(ctx.order - 1, 0))
+    return J.jmatinv(metric_field(ctx).truncate(space))
 
 
 def metric_inv(ctx: EvalContext) -> J.Jet:
     """g^{-1} of the chart metric (:func:`inverse_of`)."""
-    return inverse_of(ctx, metric, "metric")
+    return inverse_of(ctx, metric)
 
 
 def _christoffel_from(g: J.Jet, ginv: J.Jet) -> J.Jet:
@@ -81,14 +78,14 @@ def _christoffel_from(g: J.Jet, ginv: J.Jet) -> J.Jet:
 
 def christoffel(ctx: EvalContext) -> J.Jet:
     """Gamma^k_{ij} of the chart metric; tensor shape (k, i, j)."""
-    return christoffel_of(ctx, metric, "metric")
+    return christoffel_of(ctx, metric)
 
 
-def christoffel_of(ctx: EvalContext, metric_field, key) -> J.Jet:
+@memoized
+def christoffel_of(ctx: EvalContext, metric_field) -> J.Jet:
     """Christoffel symbols of a metric field (e.g. the Kahler quotient
-    metric), memoized under ``key``, like its inverse (:func:`inverse_of`)."""
-    return ctx.memo(("christoffel", key), lambda c: _christoffel_from(
-        metric_field(c), inverse_of(c, metric_field, key)))
+    metric), read from its inverse (:func:`inverse_of`)."""
+    return _christoffel_from(metric_field(ctx), inverse_of(ctx, metric_field))
 
 
 def covd(ctx: EvalContext, t: J.Jet, kinds: str, gamma: J.Jet | None = None) -> J.Jet:
@@ -118,54 +115,48 @@ def covd(ctx: EvalContext, t: J.Jet, kinds: str, gamma: J.Jet | None = None) -> 
     return out
 
 
-def covd_field(ctx: EvalContext, field, kinds: str, key) -> J.Jet:
-    """Memoized covariant derivative of a field callable (ctx -> Jet)."""
-    return ctx.memo(("covd", key), lambda c: covd(c, field(c), kinds))
+@memoized
+def covd_field(ctx: EvalContext, field, kinds: str) -> J.Jet:
+    """Covariant derivative of a field callable (ctx -> Jet) of ``kinds``."""
+    return covd(ctx, field(ctx), kinds)
 
 
-def second_covd_field(ctx: EvalContext, field, kinds: str, key) -> J.Jet:
+@memoized
+def second_covd_field(ctx: EvalContext, field, kinds: str) -> J.Jet:
     """nabla^2_{i,j} of a field: covd applied twice; axes (i, j, ...).
 
-    The inner derivative is ``covd_field(ctx, field, kinds, key)``.
+    The inner derivative is ``covd_field(ctx, field, kinds)``.
     """
-
-    def build(c):
-        return covd(c, covd_field(c, field, kinds, key), "l" + kinds)
-
-    return ctx.memo(("covd2", key), build)
+    return covd(ctx, covd_field(ctx, field, kinds), "l" + kinds)
 
 
+@memoized
 def riemann(ctx: EvalContext) -> J.Jet:
     """R^l_{ijk} with R(e_i,e_j)e_k = R^l_{ijk} e_l; tensor shape (l,i,j,k)."""
-
-    def build(c):
-        gam = christoffel(c)
-        dgam = J.jgrad(gam)  # (i, l, j, k)
-        gam = gam.truncate(dgam.space)
-        t1 = J.junary("iljk->lijk", dgam)
-        t2 = J.junary("jlik->lijk", dgam)
-        q1 = J.jj("lim,mjk->lijk", gam, gam)
-        q2 = q1.transpose(0, 2, 1, 3)  # Gamma^l_{jm} Gamma^m_{ik}: q1 with i <-> j
-        return t1 - t2 + q1 - q2
-
-    return ctx.memo("riemann", build)
+    gam = christoffel(ctx)
+    dgam = J.jgrad(gam)  # (i, l, j, k)
+    gam = gam.truncate(dgam.space)
+    t1 = J.junary("iljk->lijk", dgam)
+    t2 = J.junary("jlik->lijk", dgam)
+    q1 = J.jj("lim,mjk->lijk", gam, gam)
+    q2 = q1.transpose(0, 2, 1, 3)  # Gamma^l_{jm} Gamma^m_{ik}: q1 with i <-> j
+    return t1 - t2 + q1 - q2
 
 
+@memoized
 def riemann_lower(ctx: EvalContext) -> J.Jet:
     """R_{ijkl} = g(R(e_i,e_j)e_k, e_l)."""
-
-    def build(c):
-        return J.jj("mijk,ml->ijkl", riemann(c), metric(c))
-
-    return ctx.memo("riemann_lower", build)
+    return J.jj("mijk,ml->ijkl", riemann(ctx), metric(ctx))
 
 
+@memoized
 def ricci(ctx: EvalContext) -> J.Jet:
-    return ctx.memo("ricci", lambda c: J.junary("iijk->jk", riemann(c)))
+    return J.junary("iijk->jk", riemann(ctx))
 
 
+@memoized
 def scalar_curvature(ctx: EvalContext) -> J.Jet:
-    return ctx.memo("scalar_curvature", lambda c: J.jj("jk,jk->", ricci(c), metric_inv(c)))
+    return J.jj("jk,jk->", ricci(ctx), metric_inv(ctx))
 
 
 def curvature_operator_value(ctx: EvalContext, alpha: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ while all *derived* computations stay identical.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "ConfigError",
     "ChartMap",
     "EvalContext",
+    "memoized",
     "sample_points",
     "unit_tangent_vectors",
     "gram_schmidt",
@@ -218,10 +219,25 @@ class EvalContext:
             self._memo[("root", n)] = jet
 
     def memo(self, key, builder):
-        """Cache arbitrary derived jets under a hashable key."""
+        """``builder(self)``, built once per hashable ``key`` (:func:`memoized`)."""
         if key not in self._memo:
             self._memo[key] = builder(self)
         return self._memo[key]
+
+
+def memoized(fn):
+    """Memoize ``fn(ctx, *args)`` on the context under ``(fn, *args)``.
+
+    Keyed by the function that defines it, no derived jet can read
+    another's entry.  Arguments are positional and hashable: a field passed
+    as one must be a stable function, as a fresh ``lambda`` never hits.
+    The key holds ``fn``, not the name the wrapper is bound to, so a
+    tracer that rebinds that name shares the entries."""
+
+    def cached(ctx, *args):
+        return ctx.memo((fn, *args), lambda c: fn(c, *args))
+
+    return update_wrapper(cached, fn)
 
 
 # ---------------------------------------------------------------------------

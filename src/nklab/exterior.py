@@ -36,7 +36,7 @@ import numpy as np
 
 from . import jets as J
 from .calculus import covd, covd_field, metric_inv
-from .chart import contract
+from .chart import contract, memoized
 
 __all__ = [
     "wedge",
@@ -269,23 +269,18 @@ def _trace_covd(ctx, nab: J.Jet, p: int) -> J.Jet:
     return -1.0 * J.jj(f"ij,ij{rest}->{rest}", metric_inv(ctx), nab)
 
 
-def codifferential_field(ctx, field, p: int, key) -> J.Jet:
-    """delta of a p-form field (ctx -> Jet), memoized under ``key``: the
-    trace of its covariant derivative memoized under the same ``key``
-    (:func:`~nklab.calculus.covd_field`), which the context's other readers
-    of that derivative share."""
-    return ctx.memo(("delta", key),
-                    lambda c: _trace_covd(c, covd_field(c, field, "l" * p, key), p))
+@memoized
+def codifferential_field(ctx, field, p: int) -> J.Jet:
+    """delta of a p-form field (ctx -> Jet): the trace of its memoized
+    covariant derivative (:func:`~nklab.calculus.covd_field`), which the
+    context's other readers of that derivative share."""
+    return _trace_covd(ctx, covd_field(ctx, field, "l" * p), p)
 
 
-def form_laplacian_field(field, p: int, key):
-    """Return ctx -> Jet computing (d delta + delta d) of a p-form field,
-    delta of the field being :func:`codifferential_field` under ``key``."""
-
-    def lap(ctx):
-        out = codifferential(ctx, d_form(field(ctx), p), p + 1)
-        if p == 0:
-            return out
-        return out + d_form(codifferential_field(ctx, field, p, key), p - 1)
-
-    return lap
+def form_laplacian_field(ctx, field, p: int) -> J.Jet:
+    """(d delta + delta d) of a p-form field (ctx -> Jet), delta of the
+    field being :func:`codifferential_field`."""
+    out = codifferential(ctx, d_form(field(ctx), p), p + 1)
+    if p == 0:
+        return out
+    return out + d_form(codifferential_field(ctx, field, p), p - 1)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
-from .chart import ChartMap, ConfigError, EvalContext, contract
+from .chart import ChartMap, ConfigError, EvalContext, contract, memoized
 from .exterior import wedge, wedge_packed
 
 __all__ = [
@@ -61,6 +61,8 @@ __all__ = [
 # c = 4/9.  The tests check it through that homothety law.
 S3S3_SCALE = 4.0 / 9.0
 
+#: Radius of each sphere of the Einstein base S2 x S2 (Ric = 12 g), which
+#: is also the base of the ``ansatz`` model.
 S2S2_RADIUS = 1.0 / (2.0 * math.sqrt(3.0))
 
 
@@ -143,10 +145,10 @@ def _s3s3_factor(x: J.Jet):
     return frames[0], frames[1], frames[2]
 
 
+@memoized
 def _s3s3_frames(ctx: EvalContext):
     """``_s3s3_factor`` of the two factors, memoized per context."""
-    return ctx.memo("s3s3_frames", lambda c: (_s3s3_factor(c.coords[:3]),
-                                              _s3s3_factor(c.coords[3:])))
+    return _s3s3_factor(ctx.coords[:3]), _s3s3_factor(ctx.coords[3:])
 
 
 def _s3s3_metric_evaluator(c_scale: float, cross: bool = True):
@@ -232,14 +234,11 @@ _OCT = octonion_cross_table()
 _OCT_E7 = _OCT[:6, :6, 6]
 
 
+@memoized
 def _s6_conformal(ctx: EvalContext):
     """s = |u|^2 and w = 1 / (1 + s) of the stereographic chart."""
-
-    def build(c):
-        s = J.jj("a,a->", c.coords, c.coords)
-        return s, J.jrecip(1.0 + s)
-
-    return ctx.memo("s6_conformal", build)
+    s = J.jj("a,a->", ctx.coords, ctx.coords)
+    return s, J.jrecip(1.0 + s)
 
 
 def _s6_metric(ctx):
@@ -340,19 +339,23 @@ def build_s2s2(radii: tuple[float, float] | None = None) -> ModelBundle:
     return ModelBundle(name="s2s2", chart=ch)
 
 
+def _build_ansatz() -> ModelBundle:
+    """The :mod:`nklab.ansatz` model, imported here as it imports this module."""
+    from .ansatz import assemble
+
+    return assemble()
+
+
 MODEL_BUILDERS = {
     "s3s3": build_s3s3,
     "s6": build_s6,
     "s2s2": build_s2s2,
     "s3s3-product": build_s3s3_product,
+    "ansatz": _build_ansatz,
 }
 
 
 def build_model(name: str) -> ModelBundle:
-    if name == "ansatz":
-        from .ansatz import assemble
-
-        return assemble()
     if name not in MODEL_BUILDERS:
-        raise ConfigError(f"unknown model '{name}' (known: {sorted(MODEL_BUILDERS) + ['ansatz']})")
+        raise ConfigError(f"unknown model '{name}' (known: {sorted(MODEL_BUILDERS)})")
     return MODEL_BUILDERS[name]()

@@ -35,6 +35,7 @@ from .chart import (
     EvalContext,
     contract,
     gram_schmidt,
+    memoized,
     unit_tangent_vectors,
 )
 from .exterior import (
@@ -77,6 +78,7 @@ def j_field(ctx: EvalContext) -> J.Jet:
     return ctx.root("J")
 
 
+@memoized
 def omega_field(ctx: EvalContext) -> J.Jet:
     """Fundamental 2-form Omega_{ij} = g(J e_i, e_j), antisymmetrized.
 
@@ -84,33 +86,24 @@ def omega_field(ctx: EvalContext) -> J.Jet:
     jets hold only to their accuracy in their derivative coefficients; the
     form routines read one triangle, so Omega is made a form here.
     """
-
-    def build(c):
-        jg = J.jj("ki,kj->ij", c.root("J"), C.metric(c))
-        return 0.5 * (jg - jg.transpose(1, 0))
-
-    return ctx.memo("omega", build)
+    jg = J.jj("ki,kj->ij", ctx.root("J"), C.metric(ctx))
+    return 0.5 * (jg - jg.transpose(1, 0))
 
 
 def nabla_j(ctx: EvalContext) -> J.Jet:
     """Covariant derivative of J; axes (i, a, j) for (nabla_i J)^a_j."""
-    return C.covd_field(ctx, j_field, "ul", key="J")
+    return C.covd_field(ctx, j_field, "ul")
 
 
+@memoized
 def psi_lower(ctx: EvalContext) -> J.Jet:
     """Torsion 3-tensor psi[i, j, k] = g((nabla_i J) e_j, e_k)."""
-
-    def build(c):
-        return J.jj("iaj,ak->ijk", nabla_j(c), C.metric(c))
-
-    return ctx.memo("psi", build)
+    return J.jj("iaj,ak->ijk", nabla_j(ctx), C.metric(ctx))
 
 
+@memoized
 def d_omega(ctx: EvalContext) -> J.Jet:
-    def build(c):
-        return d_form(omega_field(c), 2)
-
-    return ctx.memo("domega", build)
+    return d_form(omega_field(ctx), 2)
 
 
 def _maxabs(a) -> np.ndarray:
@@ -179,7 +172,7 @@ def gray_identities_check(ctx: EvalContext) -> dict:
     out["gray4"] = _maxabs(lhs4 - rhs4)
 
     # 2 g((nabla2_{W,X} J) Y, Z) = - cyclic_{X,Y,Z} g((nabla_W J) X, (nabla_Y J) JZ)
-    d2j = C.second_covd_field(ctx, j_field, "ul", key="J").val  # (z, w, x, a, j)
+    d2j = C.second_covd_field(ctx, j_field, "ul").val  # (z, w, x, a, j)
     lhs5 = 2.0 * contract("zwxay,zaq->zwxyq", d2j, g)
     t = contract("zwax,zab,zybm,zmq->zwxyq", nj, g, nj, jv)
     rhs5 = -(t + np.einsum("zwxyq->zwqxy", t) + np.einsum("zwxyq->zwyqx", t))
@@ -229,7 +222,7 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
     sq = contract("ziaj,zi,zj->za", nj, x, ajy)
     out["square_minus_norm"] = _maxabs(sq + y)
 
-    d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
+    d2om = C.second_covd_field(ctx, omega_field, "ll").val
     rough = -contract("zab,zabij->zij", gi, d2om)
     out["rough_laplacian"] = _maxabs(rough - 4.0 * om)
     return out
@@ -405,10 +398,10 @@ def laplacian_omega_check(ctx: EvalContext) -> dict:
     The two routes are tied together by the curvature term of the
     Weitzenboeck formula on 2-forms, which is verified as well.
     """
-    lap = form_laplacian_field(omega_field, 2, "omega")(ctx).val
+    lap = form_laplacian_field(ctx, omega_field, 2).val
     gi = C.metric_inv(ctx).val
     om = omega_field(ctx).val
-    d2om = C.second_covd_field(ctx, omega_field, "ll", key="omega").val
+    d2om = C.second_covd_field(ctx, omega_field, "ll").val
     rough = -contract("zab,zabij->zij", gi, d2om)
     scal = C.scalar_curvature(ctx).val
     rop = C.curvature_operator_value(ctx, om)

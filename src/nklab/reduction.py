@@ -27,7 +27,7 @@ import numpy as np
 
 from . import calculus as C
 from . import jets as J
-from .chart import EvalContext, NonEinsteinBaseError, contract, gram_schmidt
+from .chart import EvalContext, NonEinsteinBaseError, contract, gram_schmidt, memoized
 from .exterior import (
     codifferential,
     codifferential_field,
@@ -41,6 +41,7 @@ from .exterior import (
 from .nkcore import _maxabs, d_omega, j_field, nabla_j, omega_field
 
 __all__ = [
+    "xi_field",
     "zeta_form",
     "jxi_field",
     "jzeta_form",
@@ -84,149 +85,147 @@ _EINSTEIN_TOL = 1e-6
 
 # ---------------------------------------------------------------------------
 # fields induced by the chart's unit Killing field ``xi``, memoized on the
-# context like ``nkcore.j_field`` and ``omega_field``
+# context like ``nkcore.omega_field``
 
 
+def xi_field(ctx: EvalContext) -> J.Jet:
+    """The unit Killing field, the chart's ``xi`` evaluator."""
+    return ctx.root("xi")
+
+
+@memoized
 def zeta_form(ctx: EvalContext) -> J.Jet:
     """Dual 1-form zeta = g(xi, .)."""
-    return ctx.memo(("red", "zeta"), lambda c: J.jj("ij,j->i", C.metric(c), c.root("xi")))
+    return J.jj("ij,j->i", C.metric(ctx), ctx.root("xi"))
 
 
+@memoized
 def jxi_field(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "jxi"), lambda c: J.jj("ai,i->a", j_field(c), c.root("xi")))
+    return J.jj("ai,i->a", j_field(ctx), ctx.root("xi"))
 
 
+@memoized
 def jzeta_form(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "jzeta"), lambda c: J.jj("ij,j->i", C.metric(c), jxi_field(c)))
+    return J.jj("ij,j->i", C.metric(ctx), jxi_field(ctx))
 
 
+@memoized
 def dzeta_form(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "dzeta"), lambda c: d_form(zeta_form(c), 1))
+    return d_form(zeta_form(ctx), 1)
 
 
+@memoized
 def djzeta_form(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "djzeta"), lambda c: d_form(jzeta_form(c), 1))
+    return d_form(jzeta_form(ctx), 1)
 
 
+@memoized
 def nabla_xi(ctx: EvalContext) -> J.Jet:
     """Endomorphism (nabla xi)[a, i] = nabla_i xi^a, the transpose of the
     memoized covariant derivative of xi."""
-    return ctx.memo(("red", "nabla_xi"), lambda c: J.junary(
-        "ia->ai", C.covd_field(c, lambda c: c.root("xi"), "u", key="xi")))
+    return J.junary("ia->ai", C.covd_field(ctx, xi_field, "u"))
 
 
 # -- transversal endomorphisms -------------------------------------------
+@memoized
 def i_endo(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "I"), lambda c: J.jj("i,iaj->aj", c.root("xi"), nabla_j(c)))
+    return J.jj("i,iaj->aj", ctx.root("xi"), nabla_j(ctx))
 
 
+@memoized
 def k_endo(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "K"), lambda c: J.jj("i,iaj->aj", jxi_field(c), nabla_j(c)))
+    return J.jj("i,iaj->aj", jxi_field(ctx), nabla_j(ctx))
 
 
+@memoized
 def jhat_endo(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "jhat"), lambda c: nabla_xi(c) + 0.5 * k_endo(c))
+    return nabla_xi(ctx) + 0.5 * k_endo(ctx)
 
 
+@memoized
 def sigma_endo(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "sigma"), lambda c: J.jj("ab,bi->ai", k_endo(c), jhat_endo(c)))
+    return J.jj("ab,bi->ai", k_endo(ctx), jhat_endo(ctx))
 
 
+@memoized
 def pi_h(ctx: EvalContext) -> J.Jet:
     """Orthogonal projection onto the horizontal distribution."""
-
-    def build(c):
-        eye = J.jconst(c.space, np.broadcast_to(np.eye(c.chart.dim),
-                                                (c.nbatch,) + (c.chart.dim,) * 2).copy())
-        t1 = J.jj("a,i->ai", c.root("xi"), zeta_form(c))
-        t2 = J.jj("a,i->ai", jxi_field(c), jzeta_form(c))
-        return eye - t1 - t2
-
-    return ctx.memo(("red", "pi_h"), build)
+    eye = J.jconst(ctx.space, np.broadcast_to(np.eye(ctx.chart.dim),
+                                              (ctx.nbatch,) + (ctx.chart.dim,) * 2).copy())
+    t1 = J.jj("a,i->ai", ctx.root("xi"), zeta_form(ctx))
+    t2 = J.jj("a,i->ai", jxi_field(ctx), jzeta_form(ctx))
+    return eye - t1 - t2
 
 
+@memoized
 def omega_endo(ctx: EvalContext, item: str) -> J.Jet:
     """2-form g(E ., .) of the endomorphism E named ``item``."""
     endo = {"I": i_endo, "K": k_endo, "jhat": jhat_endo, "sigma": sigma_endo}[item]
-    return ctx.memo(("red", f"omega_{item}"),
-                    lambda c: J.jj("ai,aj->ij", endo(c), C.metric(c)))
+    return J.jj("ai,aj->ij", endo(ctx), C.metric(ctx))
 
 
 # -- deformed metric -------------------------------------------------------
+@memoized
 def g0_metric(ctx: EvalContext) -> J.Jet:
-    def build(c):
-        sflat = J.jj("ia,aj->ij", C.metric(c), sigma_endo(c))
-        return C.metric(c) + 0.5 * sflat
-
-    return ctx.memo(("red", "g0"), build)
+    sflat = J.jj("ia,aj->ij", C.metric(ctx), sigma_endo(ctx))
+    return C.metric(ctx) + 0.5 * sflat
 
 
 def g0_christoffel(ctx: EvalContext) -> J.Jet:
-    return C.christoffel_of(ctx, g0_metric, key=("red", "g0"))
+    return C.christoffel_of(ctx, g0_metric)
 
 
 # -- reduced Kahler structure ---------------------------------------------
+@memoized
 def i0_endo(ctx: EvalContext) -> J.Jet:
     """Normalized transversal structure (2/sqrt3)(1 - sigma/2) I."""
-
-    def build(c):
-        si = J.jj("ab,bi->ai", sigma_endo(c), i_endo(c))
-        return (2.0 / _SQ3) * (i_endo(c) - 0.5 * si)
-
-    return ctx.memo(("red", "i0"), build)
+    si = J.jj("ab,bi->ai", sigma_endo(ctx), i_endo(ctx))
+    return (2.0 / _SQ3) * (i_endo(ctx) - 0.5 * si)
 
 
+@memoized
 def omega_j_form(ctx: EvalContext) -> J.Jet:
     """Horizontal part of the fundamental form: Omega - zeta ^ J zeta."""
-    return ctx.memo(("red", "omega_j"),
-                    lambda c: omega_field(c) - wedge_jet(zeta_form(c), 1, jzeta_form(c), 1))
+    return omega_field(ctx) - wedge_jet(zeta_form(ctx), 1, jzeta_form(ctx), 1)
 
 
+@memoized
 def omega_k_split(ctx: EvalContext):
     """I0-invariant and I0-anti-invariant parts of omega_K."""
-
-    def build(c):
-        om_k = omega_endo(c, "K")
-        i0 = i0_endo(c)
-        half_moved = J.jj("ai,ab->ib", i0, om_k)
-        moved = J.jj("bj,ib->ij", i0, half_moved)
-        return ((om_k + moved) * 0.5, (om_k - moved) * 0.5)
-
-    return ctx.memo(("red", "omega_k_split"), build)
+    om_k = omega_endo(ctx, "K")
+    i0 = i0_endo(ctx)
+    half_moved = J.jj("ai,ab->ib", i0, om_k)
+    moved = J.jj("bj,ib->ij", i0, half_moved)
+    return ((om_k + moved) * 0.5, (om_k - moved) * 0.5)
 
 
+@memoized
 def psi_form(ctx: EvalContext):
     """Complex 2-form sqrt3 * (anti-invariant part of omega_K) + 2i omega_J.
 
     Returns the pair (real jet, imaginary jet).
     """
-
-    def build(c):
-        _, anti = omega_k_split(c)
-        return (_SQ3 * anti, 2.0 * omega_j_form(c))
-
-    return ctx.memo(("red", "psi"), build)
+    _, anti = omega_k_split(ctx)
+    return (_SQ3 * anti, 2.0 * omega_j_form(ctx))
 
 
+@memoized
 def zeta_prime(ctx: EvalContext) -> J.Jet:
-    return ctx.memo(("red", "zeta_prime"), lambda c: (2.0 * _SQ3) * jzeta_form(c))
+    return (2.0 * _SQ3) * jzeta_form(ctx)
 
 
+@memoized
 def omega0_jhat(ctx: EvalContext) -> J.Jet:
     """g0-lowered form of jhat (equals dzeta/2)."""
-    return ctx.memo(("red", "omega0_jhat"),
-                    lambda c: J.jj("ai,aj->ij", jhat_endo(c), g0_metric(c)))
+    return J.jj("ai,aj->ij", jhat_endo(ctx), g0_metric(ctx))
 
 
 # -- canonical Hermitian connection ---------------------------------------
+@memoized
 def gamma_bar(ctx: EvalContext) -> J.Jet:
     """Christoffel symbols of nabla + (1/2) (nabla J) J."""
-
-    def build(c):
-        corr = 0.5 * J.jj("iam,mj->aij", nabla_j(c), j_field(c))
-        return C.christoffel(c) + corr
-
-    return ctx.memo(("red", "gamma_bar"), build)
+    corr = 0.5 * J.jj("iam,mj->aij", nabla_j(ctx), j_field(ctx))
+    return C.christoffel(ctx) + corr
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def verify_killing_unit(ctx: EvalContext) -> dict:
 def foliation_checks(ctx: EvalContext) -> dict:
     """The orbits of xi and J xi are totally geodesic and commute."""
     xi, jxi = ctx.root("xi"), jxi_field(ctx)
-    cov_xi = C.covd_field(ctx, lambda c: c.root("xi"), "u", key="xi").val  # (z, i, a)
+    cov_xi = C.covd_field(ctx, xi_field, "u").val  # (z, i, a)
     cov_jxi = C.covd(ctx, jxi, "u").val
     xv, jv = xi.val, jxi.val
     out = {
@@ -350,11 +349,11 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
     out = {}
 
     # eigenform equations of the dual 1-forms
-    lap_z = form_laplacian_field(zeta_form, 1, "zeta")(ctx).val
+    lap_z = form_laplacian_field(ctx, zeta_form, 1).val
     out["laplacian_zeta"] = _maxabs(lap_z - 10.0 * zeta_form(ctx).val)
-    lap_jz = form_laplacian_field(jzeta_form, 1, "jzeta")(ctx).val
+    lap_jz = form_laplacian_field(ctx, jzeta_form, 1).val
     out["laplacian_jzeta"] = _maxabs(lap_jz - 18.0 * jzeta_form(ctx).val)
-    out["codifferential_jzeta"] = _maxabs(codifferential_field(ctx, jzeta_form, 1, "jzeta").val)
+    out["codifferential_jzeta"] = _maxabs(codifferential_field(ctx, jzeta_form, 1).val)
 
     gi = C.metric_inv(ctx).val
     dz_moved = contract("zai,zbj,zab->zij", jv, jv, dz)
@@ -390,8 +389,8 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
         contract("zi,zijk->zjk", jxi_field(ctx).val, dom) - 3.0 * om_k)
 
     # contraction of nabla Omega against nabla xi
-    n_om = C.covd_field(ctx, omega_field, "ll", key="omega").val  # (z,a,i,j)
-    n_xi = C.covd_field(ctx, lambda c: c.root("xi"), "u", key="xi").val  # (z,b,m)
+    n_om = C.covd_field(ctx, omega_field, "ll").val  # (z,a,i,j)
+    n_xi = C.covd_field(ctx, xi_field, "u").val  # (z,b,m)
     contr = contract("zab,zamj,zbm->zj", gi, n_om, n_xi)
     out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * jzeta_form(ctx).val)
 
@@ -443,54 +442,47 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
     gval = g.val
     out = {}
 
-    done = {}  # id(t) -> (t, value), t held so no id is reused: the transport checks reread them
-
     def lie(t, kinds):
-        if id(t) not in done:
-            done[id(t)] = t, C.lie_derivative(ctx, jxi, t, kinds).val
-        return done[id(t)][1]
+        return C.lie_derivative(ctx, jxi, t, kinds).val
 
     def lower(endo_val):
         return contract("zai,zaj->zij", endo_val, gval)
 
-    jh = jhat_endo(ctx)
-    i_e = i_endo(ctx)
-    k_e = k_endo(ctx)
+    jh, i_e, k_e = jhat_endo(ctx), i_endo(ctx), k_endo(ctx)
     jjh = J.jj("ab,bi->ai", jv, jh)
+    om_k, om_jh, om_i = omega_endo(ctx, "K"), omega_endo(ctx, "jhat"), omega_endo(ctx, "I")
+    zjz_w = wedge_jet(zeta_form(ctx), 1, jzeta_form(ctx), 1)
+
+    # the derivatives that two checks read
+    lie_g, lie_om = lie(g, "ll"), lie(omega_field(ctx), "ll")
+    lie_i, lie_k, lie_jh = lie(i_e, "ul"), lie(k_e, "ul"), lie(jh, "ul")
+    lie_om_i, lie_om_k, lie_om_jh = lie(om_i, "ll"), lie(om_k, "ll"), lie(om_jh, "ll")
 
     # metric: L g = 2 g(J jhat . , .)
-    out["metric"] = _maxabs(lie(g, "ll") - 2.0 * lower(jjh.val))
+    out["metric"] = _maxabs(lie_g - 2.0 * lower(jjh.val))
 
     # closed forms stay closed under any flow
     out["dzeta"] = _maxabs(lie(dzeta_form(ctx), "ll"))
     out["djzeta"] = _maxabs(lie(djzeta_form(ctx), "ll"))
 
-    om_k = omega_endo(ctx, "K")
-    om_jh = omega_endo(ctx, "jhat")
-    om_i = omega_endo(ctx, "I")
-    zjz_w = wedge_jet(zeta_form(ctx), 1, jzeta_form(ctx), 1)
-
-    out["omega"] = _maxabs(lie(omega_field(ctx), "ll")
-                           - 4.0 * om_k.val + 2.0 * om_jh.val)
+    out["omega"] = _maxabs(lie_om - 4.0 * om_k.val + 2.0 * om_jh.val)
     cartan = (contract("zi,zijk->zjk", jxi.val, d_omega(ctx).val)
               - dzeta_form(ctx).val)
-    out["omega_cartan_route"] = _maxabs(lie(omega_field(ctx), "ll") - cartan)
+    out["omega_cartan_route"] = _maxabs(lie_om - cartan)
     out["j_endo"] = _maxabs(lie(jv, "ul") - 4.0 * k_e.val)
 
     pi = pi_h(ctx)
     j_h = J.jj("ab,bi->ai", jv, pi)
     ijh = J.jj("ab,bi->ai", i_e, jh)
-    out["omega_k"] = _maxabs(lie(om_k, "ll")
-                             + 4.0 * omega_field(ctx).val - 4.0 * zjz_w.val)
-    out["k_endo"] = _maxabs(lie(k_e, "ul") + 4.0 * j_h.val + 2.0 * ijh.val)
+    out["omega_k"] = _maxabs(lie_om_k + 4.0 * omega_field(ctx).val - 4.0 * zjz_w.val)
+    out["k_endo"] = _maxabs(lie_k + 4.0 * j_h.val + 2.0 * ijh.val)
 
-    out["omega_jhat"] = _maxabs(lie(om_jh, "ll")
-                                + 2.0 * omega_field(ctx).val - 2.0 * zjz_w.val)
-    out["jhat_endo"] = _maxabs(lie(jh, "ul"))
+    out["omega_jhat"] = _maxabs(lie_om_jh + 2.0 * omega_field(ctx).val - 2.0 * zjz_w.val)
+    out["jhat_endo"] = _maxabs(lie_jh)
 
     jhk = J.jj("ab,bi->ai", jh, k_e)
-    out["omega_i"] = _maxabs(lie(om_i, "ll"))
-    out["i_endo"] = _maxabs(lie(i_e, "ul") - 2.0 * jhk.val)
+    out["omega_i"] = _maxabs(lie_om_i)
+    out["i_endo"] = _maxabs(lie_i - 2.0 * jhk.val)
 
     out["two_omega_jhat"] = _maxabs(2.0 * om_jh.val - dzeta_form(ctx).val - om_k.val)
 
@@ -499,10 +491,11 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
     out["g0"] = _maxabs(lie(g0_metric(ctx), "ll"))
 
     # transport formula: for alpha = g(A.,.), L alpha = g((L A).,.) + (L g)(A.,.)
-    for nm, endo, form in (("i", i_e, om_i), ("k", k_e, om_k), ("jhat", jh, om_jh)):
-        via = (contract("zai,zaj->zij", lie(endo, "ul"), gval)
-               + contract("zai,zaj->zij", endo.val, lie(g, "ll")))
-        out[f"transport_{nm}"] = _maxabs(lie(form, "ll") - via)
+    for nm, endo, lie_endo, lie_form in (("i", i_e, lie_i, lie_om_i), ("k", k_e, lie_k, lie_om_k),
+                                         ("jhat", jh, lie_jh, lie_om_jh)):
+        via = (contract("zai,zaj->zij", lie_endo, gval)
+               + contract("zai,zaj->zij", endo.val, lie_g))
+        out[f"transport_{nm}"] = _maxabs(lie_form - via)
 
     # everything is also invariant along xi itself
     xi = ctx.root("xi")
@@ -534,7 +527,7 @@ def g0_connection_check(ctx: EvalContext) -> dict:
 
     diff = contract("zaxy,zaq->zxyq", gam0 - gam, g0v)
 
-    cov_sigma = C.covd_field(ctx, sigma_endo, "ul", key="sigma").val   # (z, x, a, y)
+    cov_sigma = C.covd_field(ctx, sigma_endo, "ul").val   # (z, x, a, y)
     cov_jhat = C.covd(ctx, jhat_endo(ctx), "ul").val
     k_e = k_endo(ctx).val
     term = cov_sigma + contract("zmx,zmay->zxay", k_e, cov_jhat)
@@ -604,7 +597,7 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
                              - 1j * contract("zai,zaj->zij", i0k, g0v))
     out["psi_via_k"] = _maxabs(psi - target)
 
-    g0i = C.inverse_of(ctx, g0_metric, key=("red", "g0")).val
+    g0i = C.inverse_of(ctx, g0_metric).val
     n2 = form_norm2(re_p.val, 2, g0i) + form_norm2(im_p.val, 2, g0i)
     out["psi_norm"] = n2
     out["psi_norm_dev"] = _maxabs(n2 - 64.0 / 3.0)
@@ -666,42 +659,38 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
             f"base metric is not Einstein (residual {ein:.3e}); "
             "the integrand identity does not apply")
 
+    @memoized
     def om_f(c):
-        return c.memo(("sek", "omega"),
-                      lambda c: J.jj("ai,aj->ij", c.root("Jhat"), C.metric(c)))
+        return J.jj("ai,aj->ij", c.root("Jhat"), C.metric(c))
 
+    @memoized
     def rop_f(c):
-        def build(c):
-            rl = C.riemann_lower(c)
-            gic = C.metric_inv(c).truncate(rl.space)  # omu meets rl only
-            omu1 = J.jj("ka,kl->al", gic, om_f(c))
-            omu = J.jj("lb,al->ab", gic, omu1)
-            return -0.5 * J.jj("kl,klij->ij", omu, rl)
+        rl = C.riemann_lower(c)
+        gic = C.metric_inv(c).truncate(rl.space)  # omu meets rl only
+        omu1 = J.jj("ka,kl->al", gic, om_f(c))
+        omu = J.jj("lb,al->ab", gic, omu1)
+        return -0.5 * J.jj("kl,klij->ij", omu, rl)
 
-        return c.memo(("sek", "rop"), build)
-
+    @memoized
     def sstar_f(c):
-        def build(c):
-            rop = rop_f(c)
-            gic = C.metric_inv(c)
-            r1 = J.jj("ia,ij->aj", gic, rop)
-            ru = J.jj("jb,aj->ab", gic, r1)
-            return J.jj("ab,ab->", ru, om_f(c))
-
-        return c.memo(("sek", "sstar"), build)
+        rop = rop_f(c)
+        gic = C.metric_inv(c)
+        r1 = J.jj("ia,ij->aj", gic, rop)
+        ru = J.jj("jb,aj->ab", gic, r1)
+        return J.jj("ab,ab->", ru, om_f(c))
 
     out = {"scal": scal, "sstar": sstar_f(ctx).val}
 
-    lap_sstar = form_laplacian_field(sstar_f, 0, "sstar")(ctx).val
+    lap_sstar = form_laplacian_field(ctx, sstar_f, 0).val
     out["laplacian_sstar"] = lap_sstar
 
     # divergence of the pairing of the star-Ricci form with nabla Omega
-    nab_om = C.covd_field(ctx, om_f, "ll", key="base_omega")
+    nab_om = C.covd_field(ctx, om_f, "ll")
 
     def pair_f(c):
         rop = rop_f(c)
         gic = C.metric_inv(c).truncate(rop.space)  # up meets rop only
-        no = C.covd_field(c, om_f, "ll", key="base_omega")
+        no = C.covd_field(c, om_f, "ll")
         up1 = J.jj("ia,xij->xaj", gic, no)
         up = J.jj("jc,xaj->xac", gic, up1)
         return 0.5 * J.jj("xac,ac->x", up, rop)
@@ -722,7 +711,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
     # |nabla Omega|^2 and the rough Laplacian of Omega
     norm_nabla_om = contract("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0
     out["norm_nabla_omega"] = norm_nabla_om
-    d2om = C.second_covd_field(ctx, om_f, "ll", key="base_omega").val
+    d2om = C.second_covd_field(ctx, om_f, "ll").val
     rough = -contract("zab,zabij->zij", giv, d2om)
     norm_rough = form_norm2(rough, 2, giv)
     out["norm_rough_omega"] = norm_rough
@@ -806,7 +795,7 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
 
     # horizontal-horizontal part of nabla sigma (Levi-Civita) vanishes
     pi = pi_h(ctx).val
-    cov_sg = C.covd_field(ctx, sigma_endo, "ul", key="sigma").val
+    cov_sg = C.covd_field(ctx, sigma_endo, "ul").val
     proj = contract("zxp,zab,zxbj,zjq->zpaq", pi, pi, cov_sg, pi)
     out["sigma_transversal_parallel"] = _maxabs(proj)
 

@@ -126,7 +126,7 @@ __all__ = [
     "run",
 ]
 
-MODEL_NAMES = (*M.MODEL_BUILDERS, "ansatz")
+MODEL_NAMES = tuple(M.MODEL_BUILDERS)
 
 #: suite name -> models it covers by default
 SUITES = {

@@ -11,12 +11,15 @@ import pytest
 
 from nklab import calculus as C
 from nklab import jets as J
+from nklab import nkcore as NK
+from nklab import reduction as R
 from nklab.chart import (
     ChartMap,
     ConfigError,
     DegenerateMetricError,
     EvalContext,
     OutOfDomainError,
+    memoized,
     sample_points,
     unit_tangent_vectors,
 )
@@ -179,3 +182,47 @@ class TestKernel:
         pts = np.array([[0.15, -0.3], [0.2, 0.1], [-0.4, 0.5]])
         with pytest.raises(ConfigError):
             EvalContext(ch, pts[rows], order, mode=mode, roots=EvalContext(ch, pts, 3))
+
+
+class TestMemoized:
+    def test_keyed_by_function_and_arguments(self):
+        ctx = EvalContext(_flat_chart(), np.zeros((1, 3)), order=1)
+        calls = []
+
+        @memoized
+        def f(c, n):
+            calls.append(n)
+            return [n]
+
+        @memoized
+        def g(c, n):
+            return [n]
+
+        assert f(ctx, 1) is f(ctx, 1) and f(ctx, 2) == [2]
+        assert g(ctx, 1) is not f(ctx, 1)
+        assert calls == [1, 2]
+        assert f.__name__ == "f" and f.__wrapped__(ctx, 3) == [3]
+
+    def test_a_rebound_wrapper_shares_the_entries(self, monkeypatch):
+        # a tracer rebinds module attributes; the key is the function the
+        # decorator closed over, so what ricci built through the rebound
+        # name is what the original name reads
+        ctx = EvalContext(_conformal_chart(), np.array([[0.15, -0.3]]), order=2)
+        orig, seen = C.riemann, []
+        monkeypatch.setattr(C, "riemann", lambda c: seen.append(orig(c)) or seen[-1])
+        C.ricci(ctx)
+        monkeypatch.undo()
+        assert len(seen) == 1 and C.riemann(ctx) is seen[0]
+
+    def test_kinds_and_fields_are_separate_entries(self, s3s3):
+        # a key written by hand once let a field or kinds read another's jet
+        pts = sample_points(s3s3.chart, 4, np.random.default_rng(0))
+        ctx = EvalContext(s3s3.chart, pts, order=2)
+        C.covd_field(ctx, NK.omega_field, "ll")
+        assert np.array_equal(NK.nabla_j(ctx).c, C.covd(ctx, NK.j_field(ctx), "ul").c)
+        ul = C.covd_field(ctx, R.sigma_endo, "ul")
+        ll = C.covd_field(ctx, R.sigma_endo, "ll")
+        assert ul is not ll and ul is C.covd_field(ctx, R.sigma_endo, "ul")
+        assert np.array_equal(ul.c, C.covd(ctx, R.sigma_endo(ctx), "ul").c)
+        assert np.array_equal(ll.c, C.covd(ctx, R.sigma_endo(ctx), "ll").c)
+        assert np.max(np.abs(ul.val - ll.val)) > 0.1

@@ -160,15 +160,15 @@ class TestDifferential:
         w = omega_field(ctx)
         want = (E.d_form(E.codifferential(ctx, w, 2), 1)
                 + E.codifferential(ctx, E.d_form(w, 2), 3))
-        C.covd_field(ctx, omega_field, "ll", key="omega")
+        C.covd_field(ctx, omega_field, "ll")
         kinds = []
         covd = E.covd
         monkeypatch.setattr(E, "covd", lambda c, t, k: kinds.append(k) or covd(c, t, k))
-        got = E.form_laplacian_field(omega_field, 2, "omega")(ctx)
+        got = E.form_laplacian_field(ctx, omega_field, 2)
         assert kinds == ["lll"]
         assert np.array_equal(got.c, want.c)
         # and delta of the field stays memoized for its other readers
-        delta = E.codifferential_field(ctx, omega_field, 2, "omega")
+        delta = E.codifferential_field(ctx, omega_field, 2)
         assert kinds == ["lll"]
         assert np.array_equal(delta.c, E.codifferential(ctx, w, 2).c)
 

@@ -1,4 +1,4 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and its figures match the code."""
 import re
 from pathlib import Path
 
@@ -14,3 +14,10 @@ def _python_block(heading: str) -> str:
 def test_library_use_runs_as_written(capsys):
     exec(compile(_python_block("Library use"), "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("{'gray1'")
+
+
+def test_check_count_matches_the_registry():
+    from nklab import suites
+
+    counts = re.findall(r"\((\d+) checks\)", README.read_text())
+    assert counts and all(int(n) == len(suites.CHECKS) for n in counts)

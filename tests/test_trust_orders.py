@@ -239,19 +239,19 @@ def test_twisted_parallel_residual(ansatz_bundle, order, monkeypatch):
 
 @pytest.mark.parametrize("order", [2, 3])
 @pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("field,kinds,key", [(NK.j_field, "ul", "J"),
-                                             (NK.omega_field, "ll", "omega")])
-def test_second_covd_reuses_covd_field(request, model, order, field, kinds, key, spy):
+@pytest.mark.parametrize("field,kinds", [pytest.param(NK.j_field, "ul", id="j_field-ul-J"),
+                                         pytest.param(NK.omega_field, "ll", id="omega_field-ll-omega")])
+def test_second_covd_reuses_covd_field(request, model, order, field, kinds, spy):
     ctx = _ctx(request.getfixturevalue(model), order)
-    first = C.covd_field(ctx, field, kinds, key)
+    first = C.covd_field(ctx, field, kinds)
     field(ctx)
     spy.clear()
-    new = C.second_covd_field(ctx, field, kinds, key)
+    new = C.second_covd_field(ctx, field, kinds)
     # only the outer derivative's slot corrections, one per slot of first
     assert len(spy) == len(kinds) + 1
     assert all(o.tshape == new.tshape for o in spy)
     _assert_same(new, _covd_ref(ctx, _covd_ref(ctx, field(ctx), kinds), "l" + kinds), first)
-    assert first is C.covd_field(ctx, field, kinds, key)
+    assert first is C.covd_field(ctx, field, kinds)
 
 
 # ---------------------------------------------------------------------------

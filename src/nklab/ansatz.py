@@ -170,14 +170,16 @@ def _connection_forms(ctx: EvalContext, p1: float, p2: float):
     return theta, mu
 
 
-def connection_residuals(ctx: EvalContext, shift=(0, 0)) -> dict:
-    """Curvature anchors d theta = -12 omega_I0 and d mu = 2 omega_Jhat, per point."""
-    theta, mu = connection_forms(ctx, shift)
+def connection_residuals(ctx: EvalContext) -> dict:
+    """Curvature anchors d theta = -12 omega_I0 and d mu = 2 omega_Jhat, and
+    the twisted parallelism of Phi at :data:`DEFAULT_GAUGE`, per point."""
+    theta, mu = connection_forms(ctx)
     w1, w2 = _area_forms(ctx)
     r1 = d_form(theta, 1) + 12.0 * (w1 + w2)
     r2 = d_form(mu, 1) - 2.0 * (w1 - w2)
     return {"dtheta_plus_12_omega_i0": NK._maxabs(r1.val),
-            "dmu_minus_2_omega_jhat": NK._maxabs(r2.val)}
+            "dmu_minus_2_omega_jhat": NK._maxabs(r2.val),
+            "twisted_parallel": twisted_parallel_residual(ctx, DEFAULT_GAUGE)}
 
 
 # ---------------------------------------------------------------------------

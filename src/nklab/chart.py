@@ -23,7 +23,7 @@ from functools import lru_cache, update_wrapper
 import numpy as np
 
 from . import jets as J
-from .findiff import fd_jet
+from .findiff import MAX_ORDER, fd_jet
 
 __all__ = [
     "NKLabError",
@@ -34,6 +34,7 @@ __all__ = [
     "NonEinsteinBaseError",
     "InvariantViolation",
     "ConfigError",
+    "MODES",
     "ChartMap",
     "EvalContext",
     "memoized",
@@ -79,6 +80,10 @@ class InvariantViolation(NKLabError):
 
 class ConfigError(NKLabError):
     pass
+
+
+#: The derivative backends: exact jets, or finite differences (``findiff``).
+MODES = ("exact", "fd")
 
 
 class ChartMap:
@@ -134,7 +139,8 @@ class EvalContext:
     ``order`` is the derivative budget: root jets live in
     ``jetspace(dim, order)``, every derivative taken lands one order lower,
     and reading the value of a jet differentiated more than ``order`` times
-    raises instead of returning garbage.
+    raises instead of returning garbage.  It runs from 0, and in fd mode
+    up to :data:`~nklab.findiff.MAX_ORDER`, the highest its stencils reach.
 
     ``roots``, optional, is an exact context of the same chart at ``order``
     or above whose points start with this one's.  The root jets are then
@@ -151,8 +157,11 @@ class EvalContext:
             raise ConfigError("points do not match chart dimension")
         if not np.all(chart.contains(points)):
             raise OutOfDomainError(f"points outside the domain of chart '{chart.name}'")
-        if mode not in ("exact", "fd"):
+        if mode not in MODES:
             raise ConfigError(f"unknown derivative mode '{mode}'")
+        if order < 0 or (mode == "fd" and order > MAX_ORDER):
+            raise ConfigError(f"no {mode} context of order {order}: orders run from 0"
+                              + (f" to {MAX_ORDER}" if mode == "fd" else ""))
         if roots is not None and not (
                 mode == roots.mode == "exact" and roots.chart is chart
                 and roots.order >= order and roots.nbatch >= len(points)

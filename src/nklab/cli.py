@@ -27,7 +27,7 @@ import sys
 
 from . import report as REP
 from . import suites as S
-from .chart import ConfigError
+from .chart import MODES, ConfigError
 
 __all__ = ["main", "build_parser", "split_tolerance_args"]
 
@@ -65,19 +65,6 @@ def split_tolerance_args(argv):
     return rest, overrides
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= ``low``; anything else is a usage error."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"      # argparse reports "invalid int value: 'x'"
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nklab",
@@ -89,11 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="comma-separated suites or 'all'; known: "
                         f"{', '.join(S.SUITES)}")
-    p.add_argument("--samples", type=_int_at_least(2), default=20,
+    p.add_argument("--samples", type=int, default=20,
                    help="sample points per chart, at least 2 (default 20)")
-    p.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="random seed for sampling (default 0)")
-    p.add_argument("--deriv-mode", choices=("exact", "fd"), default="exact",
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed for sampling, at least 0 (default 0)")
+    p.add_argument("--deriv-mode", choices=MODES, default="exact",
                    help="derivative backend: exact jets or finite differences")
     p.add_argument("--out", default=None,
                    help="write a JSONL report here (default: "

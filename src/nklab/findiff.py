@@ -27,7 +27,7 @@ import numpy as np
 
 from .jets import Jet, JetSpace, chunks
 
-__all__ = ["fd_jet", "default_step"]
+__all__ = ["fd_jet", "default_step", "MAX_ORDER"]
 
 #: Stencil points per call of the value function.
 BLOCK = 1024
@@ -41,10 +41,13 @@ _STENCILS = {
     4: [(-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)],
 }
 
+#: The highest jet order the stencils reach.
+MAX_ORDER = max(_STENCILS)
+
 
 def default_step(order: int) -> float:
     # Balance truncation against roundoff amplification ~ eps / h^order.
-    return {0: 1e-2, 1: 1e-4, 2: 5e-3, 3: 2e-2, 4: 4e-2}.get(order, 5e-2)
+    return {0: 1e-2, 1: 1e-4, 2: 5e-3, 3: 2e-2, 4: 4e-2}[order]
 
 
 def _stencil_for(multi) -> list[tuple[tuple, float]]:

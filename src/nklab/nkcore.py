@@ -232,9 +232,9 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
 # constant type
 
 
-def constant_type_samples(ctx: EvalContext, rng) -> np.ndarray:
-    """Type-constant samples over 4 random tangent pairs at each of the
-    context's points, shape (nbatch, 4)."""
+def constant_type_samples(ctx: EvalContext, rng) -> dict:
+    """``alpha``: type-constant samples over 4 random tangent pairs at each
+    of the context's points, shape (nbatch, 4)."""
     g = C.metric(ctx).val
     jv = j_field(ctx).val
     nj = nabla_j(ctx).val
@@ -248,7 +248,7 @@ def constant_type_samples(ctx: EvalContext, rng) -> np.ndarray:
         raise DegeneratePairError("sampled tangent pair too close to a J-plane")
     v = contract("ziaj,zni,znj->zna", nj, x, y)
     num = contract("zna,zab,znb->zn", v, g, v)
-    return num / den
+    return {"alpha": num / den}
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,18 @@ source's order is the lowest one whose jets its reads still trust: every
 check reads values only, so a source that differentiates its chart fields
 k times declares order k, and one order lower it raises ``ValueError``.
 
+Most sources only call one check on the session's context; each of those
+is one :data:`_SOURCES` entry made by :func:`_check`, which names the
+check's module and function, and the seed offset of its probes if it
+draws any.
+
 A point's residuals do not depend on its chunk.  The sources with random
 probes (``ortho``, ``type``, ``frame``, ``elem`` and ``ctype``) draw them
-through :meth:`_Session.probes`: each draw is made once, from the source's
-own seed and in the source's order, for all the session's points, and each
-chunk reads its rows.  With one chunk these are the generator's own draws.
-``canon``'s three probe directions are the same at every point, drawn from
-the same seed per chunk.
+through :meth:`_Session.probes`: each draw is made once, from the session's
+seed plus the source's own offset and in the source's order, for all the
+session's points, and each chunk reads its rows.  With one chunk these are
+the generator's own draws.  ``canon``'s three probe directions are the same
+at every point, drawn from the same seed per chunk.
 
 In exact mode the chart's root jets (metric, J, Killing fields) are built
 once per chunk, in its root context: jets of the root order on the chunk's
@@ -102,6 +107,7 @@ residual is *supposed* to exceed the tolerance on a particular model
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -112,7 +118,7 @@ from . import jets as J
 from . import models as M
 from . import nkcore as NK
 from . import reduction as R
-from .chart import ConfigError, EvalContext, sample_points
+from .chart import MODES, ConfigError, EvalContext, sample_points
 from .report import CheckResult
 
 __all__ = [
@@ -449,11 +455,12 @@ class _Session:
             self._roots = EvalContext(self.chart, self.pts[self._chunk], self.root_order)
         return self._roots
 
-    def probes(self, source: str, seed: int) -> _Probes:
-        """The probes of ``source`` at the current chunk's points: draws of
-        a generator seeded ``seed``, each made once for all the session's
-        points (:class:`_Probes`)."""
-        draws = self._draws.setdefault(source, ([], np.random.default_rng(seed)))
+    def probes(self, offset: int) -> _Probes:
+        """The probes of seed offset ``offset`` at the current chunk's
+        points: draws of a generator seeded ``seed + offset``, each made
+        once for all the session's points (:class:`_Probes`) and kept
+        until :meth:`compute` has walked its chunks."""
+        draws = self._draws.setdefault(offset, ([], np.random.default_rng(self.seed + offset)))
         return _Probes(*draws, self.samples, self._chunk)
 
     def release(self) -> None:
@@ -488,9 +495,9 @@ class _Session:
         the chunk's end.  A source's per-point arrays for a chunk go to
         their rows of its arrays for all the points, made on its first
         chunk; after the last chunk they are finished and cached.  The
-        context-free sources run last, with no context alive.  A source
-        that raises on a chunk skips the later ones and is cached as its
-        error.
+        context-free sources run last, with no context alive, and the probe
+        draws are dropped before them.  A source that raises on a chunk
+        skips the later ones and is cached as its error.
         """
         todo = [name for name in dict.fromkeys(sources) if name not in self._cache]
         keyed = sorted((name for name in todo if _SOURCES[name][0] is not None),
@@ -515,6 +522,7 @@ class _Session:
                 self.release()
         finally:
             self.release()
+            self._draws.clear()
             self._chunk = slice(0, self.samples)
         for name in [*keyed, *(name for name in todo if name not in merged)]:
             t0 = time.perf_counter()
@@ -527,7 +535,6 @@ class _Session:
                         out = _FINISH[name](out)
             except Exception as e:
                 out = _stripped(e)
-            self._draws.pop(name, None)
             self._cache[name] = out
             self._unbilled[name] = clock[name] + time.perf_counter() - t0
 
@@ -542,43 +549,6 @@ def _stored(out: dict | None, part: dict, rows: slice, n: int) -> dict:
     for k, v in part.items():
         out[k][rows] = v
     return out
-
-
-def _src_nk(s, ctx):
-    return NK.check_nearly_kahler(ctx)
-
-
-def _src_gray(s, ctx):
-    return NK.gray_identities_check(ctx)
-
-
-def _src_ortho(s, ctx):
-    return NK.orthogonality_residuals(ctx, s.probes("ortho", s.seed + 1))
-
-
-def _src_type(s, ctx):
-    return NK.type_tensor_check(ctx, s.probes("type", s.seed + 2))
-
-
-def _src_frame(s, ctx):
-    return NK.frame_expansion_check(ctx, s.probes("frame", s.seed + 3))
-
-
-def _src_elem(s, ctx):
-    return NK.elementary_identity_check(ctx, s.probes("elem", s.seed + 4))
-
-
-def _src_einstein(s, ctx):
-    return NK.einstein_and_ricci_star_check(ctx)
-
-
-def _src_lapom(s, ctx):
-    return NK.laplacian_omega_check(ctx)
-
-
-def _src_ctype(s, ctx):
-    # (nbatch, pairs per point)
-    return {"alpha": NK.constant_type_samples(ctx, s.probes("ctype", s.seed + 5))}
 
 
 def _finish_ctype(out):
@@ -610,54 +580,13 @@ def _src_homothety(s):
         chart = M.build_s3s3(scale=factor * M.S3S3_SCALE).chart
         rng = np.random.default_rng(s.seed + 6)
         pts = sample_points(chart, n, rng)   # the probes follow the points
-        alpha = _chunked(lambda ctx, probes: {"alpha": NK.constant_type_samples(ctx, probes)},
-                         chart, pts, 1, s.mode, rng)["alpha"]
+        alpha = _chunked(NK.constant_type_samples, chart, pts, 1, s.mode, rng)["alpha"]
         per_scale.append(np.abs(factor * alpha - 1.0).max(axis=1))
     return {"scaled_spread": np.max(per_scale, axis=0)}
 
 
-def _src_killing(s, ctx):
-    return R.verify_killing_unit(ctx)
-
-
-def _src_foliation(s, ctx):
-    return R.foliation_checks(ctx)
-
-
-def _src_acs(s, ctx):
-    return R.acs_check(ctx)
-
-
-def _src_tpar(s, ctx):
-    return R.transversal_parallel_check(ctx)
-
-
-def _src_norms(s, ctx):
-    return R.norms_and_laplacian_checks(ctx)
-
-
-def _src_djxi(s, ctx):
-    return R.djxi_check(ctx)
-
-
-def _src_lie(s, ctx):
-    return R.lie_derivative_suite(ctx)
-
-
-def _src_g0conn(s, ctx):
-    return R.g0_connection_check(ctx)
-
-
-def _src_kahler(s, ctx):
-    return R.kahler_projection_check(ctx)
-
-
 def _src_canon(s, ctx):
     return R.canonical_connection_checks(ctx, rng=np.random.default_rng(s.seed + 7))
-
-
-def _src_base(s, ctx):
-    return R.base_kahler_check(ctx)
 
 
 def _src_sek(s):
@@ -670,15 +599,6 @@ def _src_sek(s):
     means = {k: float(np.mean(v)) for k, v in out.items() if k != "identity_residual"}
     return {**means, "identity_residual": out["identity_residual"],
             "sstar_48_dev": abs(means["sstar"] - 48.0)}
-
-
-def _src_conn(s, ctx):
-    meta = s.bundle.meta
-    out = dict(A.connection_residuals(ctx, meta.get("shift", (0, 0))))
-    out["twisted_parallel"] = A.twisted_parallel_residual(
-        ctx, meta["gauge"], meta.get("conjugate", False),
-        meta.get("shift", (0, 0)))
-    return out
 
 
 def _src_gauge(s):
@@ -695,40 +615,54 @@ def _src_gauge(s):
     }
 
 
+def _check(module, name: str, probes: int | None = None):
+    """The source that calls the check ``module.name`` on the session's
+    context, handing it the session's probes of seed offset ``probes``
+    (:meth:`_Session.probes`) as its second argument if given.
+
+    The check is looked up through its module at each call: the benchmark
+    tracer wraps a check by rebinding the module attributes that hold it,
+    so a source holding the check function itself would keep calling the
+    unwrapped one, and the per-layer ``nkcore.*``, ``reduction.*`` and
+    ``ansatz.*`` metrics would read zero without any error.  A name the
+    module does not have raises ``AttributeError`` here, when the table is
+    built.
+    """
+    getattr(module, name)
+    if probes is None:
+        return lambda s, ctx: getattr(module, name)(ctx)
+    return lambda s, ctx: getattr(module, name)(ctx, s.probes(probes))
+
+
 #: source name -> (context order, function).  A source of order k is called
 #: once per chunk as ``fn(session, session.ctx(k))``, k being the lowest
 #: order whose jets its reads trust, and returns per-point arrays; one of
 #: order None takes no session context and is called once as ``fn(session)``.
-#: Each ``_src_*`` looks its check up through its module (``NK.``, ``R.``,
-#: ``A.``) at call time: the benchmark tracer wraps a check by rebinding the
-#: module attributes that hold it, so a table holding the check functions
-#: themselves would keep calling the unwrapped ones, and the per-layer
-#: ``nkcore.*``, ``reduction.*`` and ``ansatz.*`` metrics would read zero
-#: without any error.
+#: A source that only calls one check is made by :func:`_check`.
 _SOURCES = {
-    "nk": (1, _src_nk),
-    "gray": (2, _src_gray),
-    "ortho": (1, _src_ortho),
-    "type": (2, _src_type),
-    "frame": (1, _src_frame),
-    "elem": (1, _src_elem),
-    "einstein": (2, _src_einstein),
-    "lapom": (2, _src_lapom),
-    "ctype": (1, _src_ctype),
+    "nk": (1, _check(NK, "check_nearly_kahler")),
+    "gray": (2, _check(NK, "gray_identities_check")),
+    "ortho": (1, _check(NK, "orthogonality_residuals", 1)),
+    "type": (2, _check(NK, "type_tensor_check", 2)),
+    "frame": (1, _check(NK, "frame_expansion_check", 3)),
+    "elem": (1, _check(NK, "elementary_identity_check", 4)),
+    "einstein": (2, _check(NK, "einstein_and_ricci_star_check")),
+    "lapom": (2, _check(NK, "laplacian_omega_check")),
+    "ctype": (1, _check(NK, "constant_type_samples", 5)),
     "homothety": (None, _src_homothety),
-    "killing": (2, _src_killing),
-    "foliation": (1, _src_foliation),
-    "acs": (1, _src_acs),
-    "tpar": (2, _src_tpar),
-    "norms": (2, _src_norms),
-    "djxi": (2, _src_djxi),
-    "lie": (2, _src_lie),
-    "g0conn": (2, _src_g0conn),
-    "kahler": (2, _src_kahler),
+    "killing": (2, _check(R, "verify_killing_unit")),
+    "foliation": (1, _check(R, "foliation_checks")),
+    "acs": (1, _check(R, "acs_check")),
+    "tpar": (2, _check(R, "transversal_parallel_check")),
+    "norms": (2, _check(R, "norms_and_laplacian_checks")),
+    "djxi": (2, _check(R, "djxi_check")),
+    "lie": (2, _check(R, "lie_derivative_suite")),
+    "g0conn": (2, _check(R, "g0_connection_check")),
+    "kahler": (2, _check(R, "kahler_projection_check")),
     "canon": (2, _src_canon),
-    "base": (2, _src_base),
+    "base": (2, _check(R, "base_kahler_check")),
     "sek": (None, _src_sek),
-    "conn": (1, _src_conn),
+    "conn": (1, _check(A, "connection_residuals")),
     "gauge": (None, _src_gauge),
 }
 
@@ -810,21 +744,25 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
     The rows come back in suite order, as if the suites had run one after
     the other.  A model or suite named twice runs once.
 
-    Before any work, :class:`~nklab.chart.ConfigError` refuses ``samples``
-    below 2, and then, in one message, every unknown suite, model and
-    override check and every override that is not finite and positive: a
-    tolerance of inf passes any finite residual, and one of 0 or NaN fails
-    every row.
+    Before any work, :class:`~nklab.chart.ConfigError` refuses, in one
+    message, a ``samples`` that is not an integer of at least 2, a ``seed``
+    that is not one of at least 0, an unknown derivative ``mode``, every
+    unknown suite, model and override check, and every override that is
+    not finite and positive: a tolerance of inf passes any finite
+    residual, and one of 0 or NaN fails every row.
     """
-    if samples < 2:
-        raise ConfigError(f"samples must be at least 2, got {samples}")
+    problems = [f"{name} must be an integer of at least {low}, got {value!r}"
+                for name, value, low in (("samples", samples, 2), ("seed", seed, 0))
+                if not (isinstance(value, numbers.Integral) and value >= low)]
+    if mode not in MODES:
+        problems.append(f"unknown derivative mode '{mode}'")
     tol_overrides = tol_overrides or {}
     suite_names = list(dict.fromkeys(SUITES if suites is None else suites))
     models = None if models is None else list(dict.fromkeys(models))
     unknown = (("suite(s)", set(suite_names) - set(SUITES)),
                ("model(s)", set(models or ()) - set(MODEL_NAMES)),
                ("check(s) in tolerance override", set(tol_overrides) - {c.check for c in CHECKS}))
-    problems = [f"unknown {kind}: {', '.join(sorted(bad))}" for kind, bad in unknown if bad]
+    problems += [f"unknown {kind}: {', '.join(sorted(bad))}" for kind, bad in unknown if bad]
     problems += [f"tolerance for '{check}' must be finite and positive, got {tol!r}"
                  for check, tol in sorted(tol_overrides.items())
                  if not (math.isfinite(tol) and tol > 0)]

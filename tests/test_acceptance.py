@@ -98,7 +98,7 @@ def test_03_constant_type(s3s3, s6):
     for bundle in (s3s3, s6):
         rng = np.random.default_rng(3)
         pts = sample_points(bundle.chart, 50, rng)
-        alpha = NK.constant_type_samples(EvalContext(bundle.chart, pts, 1), rng)
+        alpha = NK.constant_type_samples(EvalContext(bundle.chart, pts, 1), rng)["alpha"]
         assert alpha.size == 200
         b.below(f"type constant alpha = 1 over 200 point/plane pairs "
                 f"({bundle.name})", np.max(alpha) - np.min(alpha), 1e-7)
@@ -107,7 +107,7 @@ def test_03_constant_type(s3s3, s6):
         sb = M.build_s3s3(scale=factor * M.S3S3_SCALE)
         rng = np.random.default_rng(4)
         pts = sample_points(sb.chart, 20, rng)
-        alpha = NK.constant_type_samples(EvalContext(sb.chart, pts, 1), rng)
+        alpha = NK.constant_type_samples(EvalContext(sb.chart, pts, 1), rng)["alpha"]
         worst = max(worst, float(np.max(np.abs(factor * alpha - 1.0))))
     b.below("alpha scales as the inverse metric factor across three scales",
             worst, 1e-8)
@@ -230,7 +230,7 @@ def test_10_assembled_model(ansatz_bundle, s3s3):
     ch = ansatz_bundle.chart
     rng = np.random.default_rng(10)
     pts = sample_points(ch, 20, rng)
-    alpha = NK.constant_type_samples(EvalContext(ch, pts, 1), rng)
+    alpha = NK.constant_type_samples(EvalContext(ch, pts, 1), rng)["alpha"]
     b.below("assembled model: type constant is 1",
             max(abs(np.mean(alpha) - 1.0), np.max(alpha) - np.min(alpha)), 1e-5)
     scal = NK.einstein_and_ricci_star_check(EvalContext(ch, pts[:6], 3))["scal_value"]

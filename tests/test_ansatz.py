@@ -107,7 +107,7 @@ class TestAssembly:
         res = NK.check_nearly_kahler(ctx)
         assert np.max(res["j_square"]) < 1e-12          # pointwise algebra intact
         assert np.max(res["nk_condition"]) > 0.1        # geometry broken
-        alpha = NK.constant_type_samples(ctx, rng)
+        alpha = NK.constant_type_samples(ctx, rng)["alpha"]
         assert np.max(alpha) - np.min(alpha) > 0.1
 
     def test_certification_dict(self, ansatz_bundle):
@@ -115,7 +115,7 @@ class TestAssembly:
         pts, rng = _points(ansatz_bundle, 10, seed=24)
         ctx = EvalContext(ch, pts, order=1)
         assert np.max(NK.check_nearly_kahler(ctx)["nk_condition"]) < 1e-12
-        assert abs(np.mean(NK.constant_type_samples(ctx, rng)) - 1.0) < 1e-12
+        assert abs(np.mean(NK.constant_type_samples(ctx, rng)["alpha"]) - 1.0) < 1e-12
         scal = NK.einstein_and_ricci_star_check(EvalContext(ch, pts[:3], order=3))["scal_value"]
         assert abs(np.mean(scal) - 30.0) < 1e-11
         fiber = R.verify_killing_unit(EvalContext(ch, pts[:5], order=2))

@@ -271,3 +271,15 @@ def test_a_field_failing_on_the_stencil_raises_only_when_requested(stencil_calls
         ctx.root("bad")
     with pytest.raises(DegenerateFrameError):
         EvalContext(chart, pts, order=2, mode="fd").root("bad")
+
+
+@pytest.mark.parametrize("mode, order", [("fd", 5), ("fd", -1), ("exact", -1)])
+def test_a_context_of_an_order_its_backend_cannot_reach_is_refused(mode, order):
+    # an fd context of order 5 raised a bare KeyError on its first root(), and
+    # order -1 an IndexError while seeding its coordinates
+    ch = M.build_model("s6").chart
+    pts = sample_points(ch, 2, np.random.default_rng(0))
+    with pytest.raises(C.ConfigError, match=f"order {order}"):
+        EvalContext(ch, pts, order, mode=mode)
+    assert F.MAX_ORDER == 4     # the highest order with a stencil
+    EvalContext(ch, pts, F.MAX_ORDER, mode="fd")

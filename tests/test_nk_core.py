@@ -81,7 +81,7 @@ class TestConstantType:
         ch = nk_bundle.chart
         rng = np.random.default_rng(6)
         pts = sample_points(ch, 12, rng)
-        alpha = NK.constant_type_samples(EvalContext(ch, pts, 1), rng)
+        alpha = NK.constant_type_samples(EvalContext(ch, pts, 1), rng)["alpha"]
         assert np.max(np.abs(alpha - 1.0)) < 1e-12
 
     def test_single_pair_route(self, nk_bundle):
@@ -117,7 +117,7 @@ class TestConstantType:
             b = M.build_s3s3(scale=factor * M.S3S3_SCALE)
             rng = np.random.default_rng(8)
             pts = sample_points(b.chart, 6, rng)
-            alpha = NK.constant_type_samples(EvalContext(b.chart, pts, 1), rng)
+            alpha = NK.constant_type_samples(EvalContext(b.chart, pts, 1), rng)["alpha"]
             assert np.max(np.abs(factor * alpha - 1.0)) < 1e-10
 
 

@@ -39,7 +39,7 @@ class TestNanFails:
 
     def test_homothety(self, monkeypatch):
         monkeypatch.setattr(NK, "constant_type_samples",
-                            lambda ctx, rng: np.full((ctx.nbatch, 4), np.nan))
+                            lambda ctx, rng: {"alpha": np.full((ctx.nbatch, 4), np.nan)})
         row = _row(suites.run(models=("s3s3",), suites=("nk-core",), samples=4),
                    "homothety")
         assert math.isnan(row.residual) and row.status == "fail"
@@ -156,6 +156,26 @@ class TestSessions:
         # a session does not raise the count silently: rows would record 2
         with pytest.raises(ConfigError, match="at least 2"):
             suites.run(samples=1)
+
+    def test_mode_seed_and_samples_are_refused_in_one_message(self):
+        # at the parent a bad mode gave 13 error rows, samples=2.7 ran on 2
+        # points, and seed=-1 raised numpy's ValueError after the model build
+        with pytest.raises(ConfigError) as info:
+            suites.run(models=["s6"], suites=["gray"], samples=2.7, seed=-1, mode="FD")
+        assert str(info.value) == ("samples must be an integer of at least 2, got 2.7; "
+                                   "seed must be an integer of at least 0, got -1; "
+                                   "unknown derivative mode 'FD'")
+        for bad in (dict(mode="FD"), dict(samples=2.7), dict(seed=-1), dict(seed=0.0)):
+            with pytest.raises(ConfigError):
+                suites.run(models=["s6"], suites=["gray"], **{"samples": 4, **bad})
+        rows = suites.run(models=["s6"], suites=["gray"], samples=np.int64(4), seed=np.int32(1))
+        assert rows and all(r.status == "pass" for r in rows)
+
+    def test_a_misspelt_check_is_refused_when_its_source_is_made(self):
+        with pytest.raises(AttributeError, match="no_such_check"):
+            suites._check(NK, "no_such_check")
+        with pytest.raises(AttributeError, match="orthogonality_residual"):
+            suites._check(NK, "orthogonality_residual", 1)
 
     def test_a_repeated_model_or_suite_runs_once(self):
         once = suites.run(models=["s3s3"], suites=["gray"], samples=4)

@@ -29,6 +29,7 @@ checkout (``git archive HEAD~1 | tar x -C /tmp/parent``)::
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -39,14 +40,26 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from nklab import report as REP  # noqa: E402
 
-#: The workload configurations of ``perfbench/run.py`` (``WORKLOADS``), as
-#: ``nklab`` arguments.
-WORKLOADS = {
-    "lab-exact": ["--samples", "50"],
-    "lab-wide": ["--model", "s3s3,s6,s3s3-product", "--suite", "gray,nk-core",
-                 "--samples", "100"],
-    "lab-fd": ["--samples", "20", "--deriv-mode", "fd"],
-}
+
+def _workloads() -> dict:
+    """The workload configurations of ``perfbench/run.py`` (``WORKLOADS``),
+    as ``nklab`` arguments.  The table is read as a literal: importing the
+    script would set its BLAS thread variables."""
+    path = ROOT / "perfbench" / "run.py"
+    table = next(node.value for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"])
+    out = {}
+    for name, w in ast.literal_eval(table).items():
+        argv = ["--samples", str(w["samples"]), "--deriv-mode", w["mode"]]
+        for option, key in (("--model", "models"), ("--suite", "suites")):
+            if w[key] is not None:
+                argv += [option, ",".join(w[key])]
+        out[name] = argv
+    return out
+
+
+WORKLOADS = _workloads()
 
 #: The seeds each workload runs at.
 SEEDS = (0, 1, 2, 3)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import jets as J
 from . import nkcore as NK
-from .calculus import metric
+from .calculus import cut, metric
 from .chart import (
     ChartMap,
     EvalContext,
@@ -133,8 +133,10 @@ def base_rotations(ctx: EvalContext):
 
 @memoized
 def _area_forms(ctx: EvalContext):
-    """(omega_1, omega_2): the area forms of the two factors."""
-    a1, a2, b1, b2 = base_coframe(ctx)
+    """(omega_1, omega_2): the area forms of the two factors, at order
+    max(k - 1, 0) in a context of order k, that of d theta and d mu, beside
+    which they are read."""
+    a1, a2, b1, b2 = (cut(x, max(ctx.order - 1, 0)) for x in base_coframe(ctx))
     return wedge_jet(a1, 1, a2, 1), wedge_jet(b1, 1, b2, 1)
 
 

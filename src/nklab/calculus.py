@@ -18,11 +18,23 @@ Orders: a derivative lands one order below its argument, so a caller
 that adds a product to a derivative truncates the product's operands to
 the derivative's space first (``Jet.truncate``).  ``covd`` does so for
 its Christoffel corrections, ``riemann`` for its Gamma.Gamma term and
-``lie_derivative`` for its transport terms.  Memoized jets are kept at
-their full order, since other consumers read all of it -- except the
-inverse of a metric field, built once per context of order k at order
-max(k - 1, 0) (``inverse_of``): its readers take its value or a product
-with a derivative of g.
+``lie_derivative`` for its transport terms.  The value of a derivative
+reads its argument only to order 1, so a check that reads a ``covd`` or a
+``lie_derivative`` only as a value hands it the tensor cut to order 1
+(:func:`cut`): the derivative lands at order 0, and the products inside
+it are products of values (``jets.einsum2``), not segment GEMMs whose
+derivative coefficients no one reads.  Memoized jets are kept at their
+full order, since other consumers read all of it -- except the fields
+that no reader differentiates that far, each built from operands cut to
+the order its readers need:
+
+* at order max(k - 1, 0) in a context of order k: the inverse of a metric
+  field (``inverse_of``), read as a value or in a product with a
+  derivative of g; ``reduction.pi_h``, read as a value or through one
+  value-read derivative; ``ansatz._area_forms``, read beside d theta;
+* at order 0, read as values only: ``scalar_curvature``,
+  ``nkcore.psi_lower``, and ``reduction.gamma_bar``, read only as the
+  connection of a value-read ``covd``.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from . import jets as J
 from .chart import EvalContext, contract, memoized
 
 __all__ = [
+    "cut",
     "metric",
     "inverse_of",
     "metric_inv",
@@ -50,6 +63,12 @@ __all__ = [
 ]
 
 
+def cut(x: J.Jet, order: int = 1) -> J.Jet:
+    """``x`` cut to ``order`` (``Jet.truncate``, a view), by default 1: all
+    that the value of one derivative of ``x`` reads."""
+    return x.truncate(J.jetspace(x.space.nvars, order))
+
+
 def metric(ctx: EvalContext) -> J.Jet:
     return ctx.root("metric")
 
@@ -61,8 +80,7 @@ def inverse_of(ctx: EvalContext, metric_field) -> J.Jet:
     Built once per context, at order max(k - 1, 0) for a context of order
     k: no reader needs more, and ``jj`` cuts it to a lower operand's order.
     """
-    space = J.jetspace(ctx.space.nvars, max(ctx.order - 1, 0))
-    return J.jmatinv(metric_field(ctx).truncate(space))
+    return J.jmatinv(cut(metric_field(ctx), max(ctx.order - 1, 0)))
 
 
 def metric_inv(ctx: EvalContext) -> J.Jet:
@@ -156,7 +174,8 @@ def ricci(ctx: EvalContext) -> J.Jet:
 
 @memoized
 def scalar_curvature(ctx: EvalContext) -> J.Jet:
-    return J.jj("jk,jk->", ricci(ctx), metric_inv(ctx))
+    """Built at order 0: every reader takes its value."""
+    return J.jj("jk,jk->", cut(ricci(ctx), 0), metric_inv(ctx))
 
 
 def curvature_operator_value(ctx: EvalContext, alpha: np.ndarray) -> np.ndarray:
@@ -181,7 +200,7 @@ def lie_derivative(ctx: EvalContext, xfield: J.Jet, t: J.Jet, kinds: str) -> J.J
     base = "".join(letters)
     out = J.jj(f"m,m{base}->{base}", xfield, J.jgrad(t))
     # so each term is computed in out's space
-    dX = J.jgrad(xfield).truncate(out.space)  # (i, a) = d_i X^a
+    dX = J.jgrad(cut(xfield, out.space.order + 1))  # (i, a) = d_i X^a
     t = t.truncate(out.space)
     for q, kind in enumerate(kinds):
         src = letters[q]

@@ -152,21 +152,29 @@ class JetSpace:
         self.ncoef = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
 
+        # Each monomial as one integer, its exponents the digits in base
+        # order + 2: no exponent of a product in the space, nor of a monomial
+        # times one variable, reaches the base, so codes add like monomials
+        # multiply, and the codes of the graded lex order need not be sorted.
+        expo = np.array(self.monomials, dtype=np.int64).reshape(self.ncoef, nvars)
+        digit = (order + 2) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+        code = expo @ digit
+        by_code = np.argsort(code)
+        deg = expo.sum(axis=1)
+
+        def index_of(codes):
+            return by_code[np.searchsorted(code, codes, sorter=by_code)]
+
         # Multiplication table: all coefficient pairs (a, b) whose monomial
-        # product still fits in the space, sorted by target index.  jj reads
-        # only the segment table below; the flat one gives the pair count.
-        pairs = []
-        for ia, ma in enumerate(self.monomials):
-            da = sum(ma)
-            for ib, mb in enumerate(self.monomials):
-                if da + sum(mb) > order:
-                    continue
-                mt = tuple(x + y for x, y in zip(ma, mb))
-                pairs.append((self.index[mt], ia, ib))
-        pairs.sort()
-        tgt = np.array([p[0] for p in pairs], dtype=np.int64)
-        self.mul_a = np.array([p[1] for p in pairs], dtype=np.int64)
-        self.mul_b = np.array([p[2] for p in pairs], dtype=np.int64)
+        # product still fits in the space, sorted by target index (stably,
+        # so by a, then b, within one target).  jj reads only the segment
+        # table below; the flat one gives the pair count.
+        ia, ib = np.nonzero(deg[:, None] + deg[None, :] <= order)
+        tgt = index_of(code[ia] + code[ib])
+        by_tgt = np.argsort(tgt, kind="stable")
+        tgt = tgt[by_tgt]
+        self.mul_a = ia[by_tgt].astype(np.int64)
+        self.mul_b = ib[by_tgt].astype(np.int64)
         # Segment table: row t lists the pairs whose product lands on
         # coefficient t, padded to the longest segment W with index ncoef.
         # jj appends a zero row at index ncoef to both operands, so a padded
@@ -180,20 +188,13 @@ class JetSpace:
         self.seg_b[tgt, slot] = self.mul_b
 
         # Partial-derivative tables: d/dx_v of coefficient of m comes from
-        # the coefficient of m + e_v scaled by (m_v + 1).
+        # the coefficient of m + e_v scaled by (m_v + 1); a monomial of the
+        # top degree reads coefficient 0 scaled by 0.
+        low = deg < order
         self.dsrc = np.zeros((nvars, self.ncoef), dtype=np.int64)
         self.dfac = np.zeros((nvars, self.ncoef))
-        for v in range(nvars):
-            for i, m in enumerate(self.monomials):
-                up = list(m)
-                up[v] += 1
-                j = self.index.get(tuple(up))
-                if j is None:
-                    self.dsrc[v, i] = 0
-                    self.dfac[v, i] = 0.0
-                else:
-                    self.dsrc[v, i] = j
-                    self.dfac[v, i] = m[v] + 1
+        self.dsrc[:, low] = index_of(code[low] + digit[:, None])
+        self.dfac[:, low] = expo[low].T + 1
 
     def __repr__(self):  # pragma: no cover
         return f"JetSpace(nvars={self.nvars}, order={self.order}, ncoef={self.ncoef})"
@@ -468,8 +469,10 @@ def einsum2(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The product comes back as a view of the matmul result, shared letters
     leading, with no copy into the order of the output letters: it is
     C-contiguous when the output lists the shared letters first and each
-    operand's other letters together.  Real and complex operands alike;
-    explicit letters only (no ellipsis).
+    operand's other letters together.  A product with nothing to contract
+    (K = 1: a scalar times a tensor, an outer product) is one broadcast
+    multiply in the same layout, not a matmul with an empty inner sum.
+    Real and complex operands alike; explicit letters only (no ellipsis).
     """
     p = _pair_layout(spec)
     if p.swap:
@@ -479,8 +482,14 @@ def einsum2(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = x.sum(axis=p.roles.sum_x)
     if p.roles.sum_y:
         y = y.sum(axis=p.roles.sum_y)
-    out = np.matmul(x.transpose(p.perm_x).reshape(shape_x),
-                    y.transpose(p.perm_y).reshape(shape_y))
+    x = x.transpose(p.perm_x).reshape(shape_x)
+    y = y.transpose(p.perm_y).reshape(shape_y)
+    if shape_x[2] == 1:  # nothing to contract: one product per entry, no matmul
+        # multiplied in the operands' memory order, then laid out as the
+        # matmul's product; a C-order multiply of transposed operands is slower
+        out = np.ascontiguousarray(x * y)
+    else:
+        out = np.matmul(x, y)
     return out.reshape(out_shape).transpose(p.out_perm)
 
 

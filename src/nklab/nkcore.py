@@ -97,8 +97,10 @@ def nabla_j(ctx: EvalContext) -> J.Jet:
 
 @memoized
 def psi_lower(ctx: EvalContext) -> J.Jet:
-    """Torsion 3-tensor psi[i, j, k] = g((nabla_i J) e_j, e_k)."""
-    return J.jj("iaj,ak->ijk", nabla_j(ctx), C.metric(ctx))
+    """Torsion 3-tensor psi[i, j, k] = g((nabla_i J) e_j, e_k).
+
+    Built at order 0: every reader takes its value."""
+    return J.jj("iaj,ak->ijk", C.cut(nabla_j(ctx), 0), C.metric(ctx))
 
 
 @memoized

@@ -149,11 +149,16 @@ def sigma_endo(ctx: EvalContext) -> J.Jet:
 
 @memoized
 def pi_h(ctx: EvalContext) -> J.Jet:
-    """Orthogonal projection onto the horizontal distribution."""
-    eye = J.jconst(ctx.space, np.broadcast_to(np.eye(ctx.chart.dim),
-                                              (ctx.nbatch,) + (ctx.chart.dim,) * 2).copy())
-    t1 = J.jj("a,i->ai", ctx.root("xi"), zeta_form(ctx))
-    t2 = J.jj("a,i->ai", jxi_field(ctx), jzeta_form(ctx))
+    """Orthogonal projection onto the horizontal distribution.
+
+    Built at order max(k - 1, 0) in a context of order k: its readers take
+    its value, or the value of one derivative (``C.cut``).
+    """
+    sp = J.jetspace(ctx.space.nvars, max(ctx.order - 1, 0))
+    eye = J.jconst(sp, np.broadcast_to(np.eye(ctx.chart.dim),
+                                       (ctx.nbatch,) + (ctx.chart.dim,) * 2).copy())
+    t1 = J.jj("a,i->ai", ctx.root("xi").truncate(sp), zeta_form(ctx))
+    t2 = J.jj("a,i->ai", jxi_field(ctx).truncate(sp), jzeta_form(ctx))
     return eye - t1 - t2
 
 
@@ -223,9 +228,13 @@ def omega0_jhat(ctx: EvalContext) -> J.Jet:
 # -- canonical Hermitian connection ---------------------------------------
 @memoized
 def gamma_bar(ctx: EvalContext) -> J.Jet:
-    """Christoffel symbols of nabla + (1/2) (nabla J) J."""
-    corr = 0.5 * J.jj("iam,mj->aij", nabla_j(ctx), j_field(ctx))
-    return C.christoffel(ctx) + corr
+    """Christoffel symbols of nabla + (1/2) (nabla J) J.
+
+    Built at order 0: every reader takes it as the connection of a ``covd``
+    of a tensor cut to order 1 (``C.cut``), which reads only its value.
+    """
+    corr = 0.5 * J.jj("iam,mj->aij", C.cut(nabla_j(ctx), 0), j_field(ctx))
+    return C.cut(C.christoffel(ctx), 0) + corr
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +247,14 @@ def verify_killing_unit(ctx: EvalContext) -> dict:
     xi = ctx.root("xi")
     n2 = contract("zi,zij,zj->z", xi.val, g.val, xi.val)
     out = {"unit_length": _maxabs(np.sqrt(n2) - 1.0)}
-    out["killing"] = _maxabs(C.lie_derivative(ctx, xi, g, "ll").val)
-    out["preserves_j"] = _maxabs(C.lie_derivative(ctx, xi, j_field(ctx), "ul").val)
-    out["preserves_omega"] = _maxabs(C.lie_derivative(ctx, xi, omega_field(ctx), "ll").val)
-    out["preserves_d_omega"] = _maxabs(C.lie_derivative(ctx, xi, d_omega(ctx), "lll").val)
+
+    def lie(t, kinds):  # a value: the tensor cut to order 1
+        return _maxabs(C.lie_derivative(ctx, xi, C.cut(t), kinds).val)
+
+    out["killing"] = lie(g, "ll")
+    out["preserves_j"] = lie(j_field(ctx), "ul")
+    out["preserves_omega"] = lie(omega_field(ctx), "ll")
+    out["preserves_d_omega"] = lie(d_omega(ctx), "lll")
     return out
 
 
@@ -389,7 +402,7 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
         contract("zi,zijk->zjk", jxi_field(ctx).val, dom) - 3.0 * om_k)
 
     # contraction of nabla Omega against nabla xi
-    n_om = C.covd_field(ctx, omega_field, "ll").val  # (z,a,i,j)
+    n_om = C.covd(ctx, C.cut(omega_field(ctx)), "ll").val  # (z,a,i,j)
     n_xi = C.covd_field(ctx, xi_field, "u").val  # (z,b,m)
     contr = contract("zab,zamj,zbm->zj", gi, n_om, n_xi)
     out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * jzeta_form(ctx).val)
@@ -442,16 +455,19 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
     gval = g.val
     out = {}
 
-    def lie(t, kinds):
-        return C.lie_derivative(ctx, jxi, t, kinds).val
+    def lie(t, kinds, x=jxi):  # a value: the tensor cut to order 1
+        return C.lie_derivative(ctx, x, C.cut(t), kinds).val
 
     def lower(endo_val):
         return contract("zai,zaj->zij", endo_val, gval)
 
+    def mm(a, b):  # the products below are read as values only
+        return contract("zab,zbi->zai", a.val, b.val)
+
     jh, i_e, k_e = jhat_endo(ctx), i_endo(ctx), k_endo(ctx)
-    jjh = J.jj("ab,bi->ai", jv, jh)
+    jjh = mm(jv, jh)
     om_k, om_jh, om_i = omega_endo(ctx, "K"), omega_endo(ctx, "jhat"), omega_endo(ctx, "I")
-    zjz_w = wedge_jet(zeta_form(ctx), 1, jzeta_form(ctx), 1)
+    zjz_w = wedge(zeta_form(ctx).val, 1, jzeta_form(ctx).val, 1)
 
     # the derivatives that two checks read
     lie_g, lie_om = lie(g, "ll"), lie(omega_field(ctx), "ll")
@@ -459,7 +475,7 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
     lie_om_i, lie_om_k, lie_om_jh = lie(om_i, "ll"), lie(om_k, "ll"), lie(om_jh, "ll")
 
     # metric: L g = 2 g(J jhat . , .)
-    out["metric"] = _maxabs(lie_g - 2.0 * lower(jjh.val))
+    out["metric"] = _maxabs(lie_g - 2.0 * lower(jjh))
 
     # closed forms stay closed under any flow
     out["dzeta"] = _maxabs(lie(dzeta_form(ctx), "ll"))
@@ -471,23 +487,22 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
     out["omega_cartan_route"] = _maxabs(lie_om - cartan)
     out["j_endo"] = _maxabs(lie(jv, "ul") - 4.0 * k_e.val)
 
-    pi = pi_h(ctx)
-    j_h = J.jj("ab,bi->ai", jv, pi)
-    ijh = J.jj("ab,bi->ai", i_e, jh)
-    out["omega_k"] = _maxabs(lie_om_k + 4.0 * omega_field(ctx).val - 4.0 * zjz_w.val)
-    out["k_endo"] = _maxabs(lie_k + 4.0 * j_h.val + 2.0 * ijh.val)
+    j_h = mm(jv, pi_h(ctx))
+    ijh = mm(i_e, jh)
+    out["omega_k"] = _maxabs(lie_om_k + 4.0 * omega_field(ctx).val - 4.0 * zjz_w)
+    out["k_endo"] = _maxabs(lie_k + 4.0 * j_h + 2.0 * ijh)
 
-    out["omega_jhat"] = _maxabs(lie_om_jh + 2.0 * omega_field(ctx).val - 2.0 * zjz_w.val)
+    out["omega_jhat"] = _maxabs(lie_om_jh + 2.0 * omega_field(ctx).val - 2.0 * zjz_w)
     out["jhat_endo"] = _maxabs(lie_jh)
 
-    jhk = J.jj("ab,bi->ai", jh, k_e)
+    jhk = mm(jh, k_e)
     out["omega_i"] = _maxabs(lie_om_i)
-    out["i_endo"] = _maxabs(lie_i - 2.0 * jhk.val)
+    out["i_endo"] = _maxabs(lie_i - 2.0 * jhk)
 
     out["two_omega_jhat"] = _maxabs(2.0 * om_jh.val - dzeta_form(ctx).val - om_k.val)
 
     sflat = J.jj("ia,aj->ij", g, sigma_endo(ctx))
-    out["sigma_flat"] = _maxabs(lie(sflat, "ll") + 4.0 * lower(jjh.val))
+    out["sigma_flat"] = _maxabs(lie(sflat, "ll") + 4.0 * lower(jjh))
     out["g0"] = _maxabs(lie(g0_metric(ctx), "ll"))
 
     # transport formula: for alpha = g(A.,.), L alpha = g((L A).,.) + (L g)(A.,.)
@@ -500,7 +515,7 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
     # everything is also invariant along xi itself
     xi = ctx.root("xi")
     out["xi_invariance"] = np.max(
-        [_maxabs(C.lie_derivative(ctx, xi, t, kinds).val)
+        [_maxabs(lie(t, kinds, xi))
          for t, kinds in ((g0_metric(ctx), "ll"), (om_i, "ll"), (om_k, "ll"), (jh, "ul"))],
         axis=0)
     return out
@@ -630,8 +645,8 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
     out["dzeta_prime_omega_i"] = _maxabs(dzp + 6.0 * _SQ3 * om_i)
     out["dzeta_prime_i0"] = _maxabs(
         dzp + 12.0 * contract("zai,zaj->zij", i0v, g0v))
-    lre = C.lie_derivative(ctx, xip, re_p, "ll").val
-    lim = C.lie_derivative(ctx, xip, im_p, "ll").val
+    lre = C.lie_derivative(ctx, xip, C.cut(re_p), "ll").val
+    lim = C.lie_derivative(ctx, xip, C.cut(im_p), "ll").val
     out["phase_equation"] = np.maximum(_maxabs(lre + im_p.val), _maxabs(lim - re_p.val))
     return out
 
@@ -689,7 +704,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
 
     def pair_f(c):
         rop = rop_f(c)
-        gic = C.metric_inv(c).truncate(rop.space)  # up meets rop only
+        gic = C.cut(C.metric_inv(c))  # its codifferential is read as a value
         no = C.covd_field(c, om_f, "ll")
         up1 = J.jj("ia,xij->xaj", gic, no)
         up = J.jj("jc,xaj->xac", gic, up1)
@@ -711,7 +726,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
     # |nabla Omega|^2 and the rough Laplacian of Omega
     norm_nabla_om = contract("zxy,zxij,zia,zjb,zyab->z", giv, no, giv, giv, no) / 2.0
     out["norm_nabla_omega"] = norm_nabla_om
-    d2om = C.second_covd_field(ctx, om_f, "ll").val
+    d2om = C.covd(ctx, C.cut(nab_om), "lll").val
     rough = -contract("zab,zabij->zij", giv, d2om)
     norm_rough = form_norm2(rough, 2, giv)
     out["norm_rough_omega"] = norm_rough
@@ -763,7 +778,7 @@ def base_kahler_check(ctx: EvalContext) -> dict:
         out[f"{nm.lower()}_compatible"] = _maxabs(
             contract("zai,zbj,zab->zij", ev, ev, gv) - gv)
         out[f"{nm.lower()}_parallel"] = _maxabs(
-            C.covd(ctx, e, "ul").val)
+            C.covd(ctx, C.cut(e), "ul").val)
         om = J.jj("ai,aj->ij", e, g)
         out[f"{nm.lower()}_form_closed"] = _maxabs(d_form(om, 2).val)
 
@@ -782,12 +797,12 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
     """The torsion-adapted connection preserves g, J and the splitting
     into the two parallel rank-3 distributions exchanged by J."""
     gb = gamma_bar(ctx)
-    g = C.metric(ctx)
     out = {}
-    out["metric_parallel"] = _maxabs(C.covd(ctx, g, "ll", gamma=gb).val)
-    out["j_parallel"] = _maxabs(C.covd(ctx, j_field(ctx), "ul", gamma=gb).val)
+    # each derivative is read as a value: the tensor cut to order 1
+    out["metric_parallel"] = _maxabs(C.covd(ctx, C.cut(C.metric(ctx)), "ll", gamma=gb).val)
+    out["j_parallel"] = _maxabs(C.covd(ctx, C.cut(j_field(ctx)), "ul", gamma=gb).val)
 
-    cov_xi = C.covd(ctx, ctx.root("xi"), "u", gamma=gb).val  # (z, i, a)
+    cov_xi = C.covd(ctx, C.cut(ctx.root("xi")), "u", gamma=gb).val  # (z, i, a)
     sg = sigma_endo(ctx).val
     jh = jhat_endo(ctx).val
     target = contract("zab,zbi->zai", sg + np.eye(ctx.chart.dim), jh)

@@ -1,5 +1,6 @@
 """Truncated Taylor arithmetic: algebra, calculus rules, and guards."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -344,6 +345,43 @@ class TestSegmentKernel:
                       for a, b in zip(sp.mul_a, sp.mul_b))
         assert got == want
 
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 6, 7])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
+    def test_tables_equal_the_loop_construction(self, nvars, order):
+        sp = J.jetspace(nvars, order)
+        for name, want in _loop_tables(sp).items():
+            got = getattr(sp, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _loop_tables(sp):
+    """The pair, segment and derivative tables of ``sp``, built by Python
+    loops over its monomials: the reference for ``JetSpace``'s array
+    construction."""
+    pairs = []
+    for ia, ma in enumerate(sp.monomials):
+        for ib, mb in enumerate(sp.monomials):
+            if sum(ma) + sum(mb) <= sp.order:
+                pairs.append((sp.index[tuple(x + y for x, y in zip(ma, mb))], ia, ib))
+    pairs.sort()
+    out = {"mul_a": np.array([p[1] for p in pairs], dtype=np.int64),
+           "mul_b": np.array([p[2] for p in pairs], dtype=np.int64)}
+    width = max(Counter(p[0] for p in pairs).values())
+    for key in ("seg_a", "seg_b"):
+        out[key] = np.full((sp.ncoef, width), sp.ncoef, dtype=np.int64)
+    slot = Counter()
+    for t, ia, ib in pairs:
+        out["seg_a"][t, slot[t]], out["seg_b"][t, slot[t]] = ia, ib
+        slot[t] += 1
+    out["dsrc"] = np.zeros((sp.nvars, sp.ncoef), dtype=np.int64)
+    out["dfac"] = np.zeros((sp.nvars, sp.ncoef))
+    for v in range(sp.nvars):
+        for i, m in enumerate(sp.monomials):
+            j = sp.index.get(tuple(e + (w == v) for w, e in enumerate(m)))
+            if j is not None:
+                out["dsrc"][v, i], out["dfac"][v, i] = j, m[v] + 1
+    return out
+
 
 # ---------------------------------------------------------------------------
 # order 0 is one einsum; constants enter products as arrays
@@ -445,6 +483,17 @@ class TestPairKernel:
         got = J.einsum2(spec, x, y)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", [",ij->ij", "c,d->cd", "zi,zj->zij"])
+    @pytest.mark.parametrize("nbatch", [1, 64])
+    def test_nothing_to_contract_is_einsum_exactly(self, spec, nbatch):
+        # K = 1 runs as one broadcast multiply, one product per entry as in
+        # np.einsum, so the two agree bit for bit; the first axis of an
+        # operand holds the batch, any other axis 6 entries
+        rng = np.random.default_rng(nbatch)
+        x, y = (rng.uniform(-1.0, 1.0, size=[nbatch, 6][:len(term)])
+                for term in spec.split("->")[0].split(","))
+        assert np.array_equal(J.einsum2(spec, x, y), np.einsum(spec, x, y))
 
     def test_a_complex_operand_with_a_real_one(self):
         rng = np.random.default_rng(0)

@@ -133,10 +133,9 @@ def base_rotations(ctx: EvalContext):
 
 @memoized
 def _area_forms(ctx: EvalContext):
-    """(omega_1, omega_2): the area forms of the two factors, at order
-    max(k - 1, 0) in a context of order k, that of d theta and d mu, beside
-    which they are read."""
-    a1, a2, b1, b2 = (cut(x, max(ctx.order - 1, 0)) for x in base_coframe(ctx))
+    """(omega_1, omega_2): the area forms of the two factors, at order 0:
+    they are read beside the values of d theta and d mu."""
+    a1, a2, b1, b2 = (cut(x, 0) for x in base_coframe(ctx))
     return wedge_jet(a1, 1, a2, 1), wedge_jet(b1, 1, b2, 1)
 
 
@@ -177,8 +176,9 @@ def connection_residuals(ctx: EvalContext) -> dict:
     the twisted parallelism of Phi at :data:`DEFAULT_GAUGE`, per point."""
     theta, mu = connection_forms(ctx)
     w1, w2 = _area_forms(ctx)
-    r1 = d_form(theta, 1) + 12.0 * (w1 + w2)
-    r2 = d_form(mu, 1) - 2.0 * (w1 - w2)
+    # values: theta and mu cut to order 1
+    r1 = d_form(cut(theta), 1) + 12.0 * (w1 + w2)
+    r2 = d_form(cut(mu), 1) - 2.0 * (w1 - w2)
     return {"dtheta_plus_12_omega_i0": NK._maxabs(r1.val),
             "dmu_minus_2_omega_jhat": NK._maxabs(r2.val),
             "twisted_parallel": twisted_parallel_residual(ctx, DEFAULT_GAUGE)}
@@ -217,8 +217,10 @@ def tautological_pair(ctx: EvalContext, gauge, conjugate: bool = False, shift=(0
 
 
 def _twisted_parallel(ctx: EvalContext, re: J.Jet, im: J.Jet, shift=(0, 0)) -> np.ndarray:
-    """Max component of d Phi - i theta ^ Phi at each of the context's points."""
+    """Max component of d Phi - i theta ^ Phi at each of the context's
+    points: values, so Phi is cut to order 1 and theta to order 0."""
     theta, _ = connection_forms(ctx, shift)
+    re, im = cut(re), cut(im)
     d_re, d_im = d_form(re, 2), d_form(im, 2)
     theta = theta.truncate(d_re.space)  # so both wedges are computed in it
     return np.maximum(NK._maxabs((d_re + wedge_jet(theta, 1, im, 2)).val),

@@ -31,10 +31,11 @@ the order its readers need:
 * at order max(k - 1, 0) in a context of order k: the inverse of a metric
   field (``inverse_of``), read as a value or in a product with a
   derivative of g; ``reduction.pi_h``, read as a value or through one
-  value-read derivative; ``ansatz._area_forms``, read beside d theta;
+  value-read derivative;
 * at order 0, read as values only: ``scalar_curvature``,
-  ``nkcore.psi_lower``, and ``reduction.gamma_bar``, read only as the
-  connection of a value-read ``covd``.
+  ``nkcore.psi_lower``, ``ansatz._area_forms``, read beside the value of
+  d theta, and ``reduction.gamma_bar``, read only as the connection of a
+  value-read ``covd``.
 """
 
 from __future__ import annotations

@@ -141,17 +141,11 @@ class EvalContext:
     and reading the value of a jet differentiated more than ``order`` times
     raises instead of returning garbage.  It runs from 0, and in fd mode
     up to :data:`~nklab.findiff.MAX_ORDER`, the highest its stencils reach.
-
-    ``roots``, optional, is an exact context of the same chart at ``order``
-    or above whose points start with this one's.  The root jets are then
-    read from it, cut to this context's space and points (views, as
-    truncation of a Taylor jet is exact), and no evaluator runs here; the
-    derived jets are memoized here as always.  Every exact context of one
-    ``suites`` session reads its roots this way.
+    Each root jet is evaluated on its first read and memoized with the
+    derived jets.
     """
 
-    def __init__(self, chart: ChartMap, points: np.ndarray, order: int, mode: str = "exact",
-                 roots: "EvalContext | None" = None):
+    def __init__(self, chart: ChartMap, points: np.ndarray, order: int, mode: str = "exact"):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != chart.dim:
             raise ConfigError("points do not match chart dimension")
@@ -162,19 +156,12 @@ class EvalContext:
         if order < 0 or (mode == "fd" and order > MAX_ORDER):
             raise ConfigError(f"no {mode} context of order {order}: orders run from 0"
                               + (f" to {MAX_ORDER}" if mode == "fd" else ""))
-        if roots is not None and not (
-                mode == roots.mode == "exact" and roots.chart is chart
-                and roots.order >= order and roots.nbatch >= len(points)
-                and np.array_equal(roots.points[:len(points)], points)):
-            raise ConfigError("a root context must be exact, of the same chart, "
-                              "at this order or above, and start with these points")
         self.chart = chart
         self.points = points
         self.order = order
         self.mode = mode
         self.space = J.jetspace(chart.dim, order)
         self.coords = J.seed_coordinates(self.space, points)
-        self._roots = roots
         self._memo: dict = {}
 
     @property
@@ -191,12 +178,7 @@ class EvalContext:
             fn = self.chart.evaluators.get(name)
             if fn is None:
                 raise ConfigError(f"chart '{self.chart.name}' has no evaluator '{name}'")
-            if self._roots is not None:
-                jet = self._roots.root(name).truncate(self.space)
-                if jet.nbatch > self.nbatch:
-                    jet = J.Jet(self.space, jet.c[..., :self.nbatch])
-                self._memo[key] = jet
-            elif self.mode == "exact":
+            if self.mode == "exact":
                 self._memo[key] = fn(self)
             else:
                 self._fd_roots(name)

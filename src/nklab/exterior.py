@@ -196,20 +196,17 @@ def _raise_all(a: np.ndarray, p: int, ginv: np.ndarray) -> np.ndarray:
     return out
 
 
-def form_ip(a: np.ndarray, b: np.ndarray, p: int, ginv: np.ndarray, full: bool = False) -> np.ndarray:
-    """<a,b> per batch point; 1/p! convention unless ``full``."""
+def form_ip(a: np.ndarray, b: np.ndarray, p: int, ginv: np.ndarray) -> np.ndarray:
+    """<a,b> per batch point, 1/p! convention."""
     if p == 0:
         return a * b
     bu = _raise_all(b, p, ginv)
     letters = _LETTERS[:p]
-    val = contract(f"b{letters},b{letters}->b", a, bu)
-    if not full:
-        val = val / math.factorial(p)
-    return val
+    return contract(f"b{letters},b{letters}->b", a, bu) / math.factorial(p)
 
 
-def form_norm2(a: np.ndarray, p: int, ginv: np.ndarray, full: bool = False) -> np.ndarray:
-    return form_ip(a, a, p, ginv, full=full)
+def form_norm2(a: np.ndarray, p: int, ginv: np.ndarray) -> np.ndarray:
+    return form_ip(a, a, p, ginv)
 
 
 def hodge(a: np.ndarray, p: int, g: np.ndarray, ginv: np.ndarray, orientation: float = 1.0) -> np.ndarray:

@@ -262,14 +262,15 @@ def foliation_checks(ctx: EvalContext) -> dict:
     """The orbits of xi and J xi are totally geodesic and commute."""
     xi, jxi = ctx.root("xi"), jxi_field(ctx)
     cov_xi = C.covd_field(ctx, xi_field, "u").val  # (z, i, a)
-    cov_jxi = C.covd(ctx, jxi, "u").val
+    # values: J xi cut to order 1
+    cov_jxi = C.covd(ctx, C.cut(jxi), "u").val
     xv, jv = xi.val, jxi.val
     out = {
         "acc_xi_xi": _maxabs(contract("zi,zia->za", xv, cov_xi)),
         "acc_jxi_xi": _maxabs(contract("zi,zia->za", jv, cov_xi)),
         "acc_xi_jxi": _maxabs(contract("zi,zia->za", xv, cov_jxi)),
         "acc_jxi_jxi": _maxabs(contract("zi,zia->za", jv, cov_jxi)),
-        "commutator": _maxabs(C.lie_derivative(ctx, xi, jxi, "u").val),
+        "commutator": _maxabs(C.lie_derivative(ctx, xi, C.cut(jxi), "u").val),
     }
     dz = dzeta_form(ctx).val
     out["interior_xi_dzeta"] = _maxabs(contract("zi,zij->zj", xv, dz))
@@ -384,7 +385,7 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
     out["norm_jhat_dev"] = _maxabs(n_jh - 4.0)
 
     djz = djzeta_form(ctx).val
-    n_djz = form_norm2(djz, 2, gi, full=True)
+    n_djz = 2.0 * form_norm2(djz, 2, gi)  # the full contraction, no 1/2!
     out["norm_djzeta"] = n_djz
     out["norm_djzeta_dev"] = _maxabs(n_djz - 36.0)
 

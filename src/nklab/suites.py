@@ -18,32 +18,41 @@ Measured: a chunk starting at 60, 65 or 68 of 260 points changes exact
 rows.  The loop is chunk-major.  For each chunk, the model computes the
 shared sources its selected checks read on that chunk's points, grouped
 by the context order each source declares in :data:`_SOURCES`: by
-ascending order, in check order within an order.  A working context, with
-all its memoized jets, is released before the context of the next order
-is built, and every context, the chunk's root context (below) too, at the
-chunk's end.  So one working context on one chunk is alive at a time,
-beside that chunk's root context, and peak memory follows the largest
-context on one chunk, not the sample count.  Each source returns per-point
-arrays for a chunk, which are written to their rows of the source's
-arrays for all the points.  After the last chunk, its finishing step
-(:data:`_FINISH`, if it has one) computes its scalar keys from those,
-once.  A multi-chunk run thus computes the same arrays as one batch, and
-every scalar by the same formula.  The context-free sources run last,
-once every source with a context is finished and cached, with no context
-alive.  The rows are then read from the cached results
-and emitted in suite order, as if the suites had run one after the other;
-a source that raised on any chunk is cached as its error, and every row
-that reads it reports that error.  A session keeps only its source
-results, and is let go once its model's rows are out.
+ascending order, in check order within an order.  A context, with all
+its memoized jets, is released before the next one is built, and at the
+chunk's end.  So one context on one chunk is alive at a time, and peak
+memory follows the largest context on one chunk, not the sample count.
+Each source returns per-point arrays for a chunk, which are written to
+their rows of the source's arrays for all the points.  After the last
+chunk, its finishing step (:data:`_FINISH`, if it has one) computes its
+scalar keys from those, once.  A multi-chunk run thus computes the same
+arrays as one batch, and every scalar by the same formula.  The
+context-free sources run last, once every source with a context is
+finished and cached, with no context alive.  The rows are then read from
+the cached results and emitted in suite order, as if the suites had run
+one after the other; a source that raised on any chunk is cached as its
+error, and every row that reads it reports that error.  A session keeps
+only its source results, and is let go once its model's rows are out.
 
 Each model of a run gets one session, which reads only that model.  Its
 ``ctx(order)`` is the one place that decides where a check looks: every
-source with a context is handed the session's context of its declared
-order, jets of that order on the whole current chunk, so all of them read
-every point of the run with its derivative backend (``mode``).  A
-source's order is the lowest one whose jets its reads still trust: every
-check reads values only, so a source that differentiates its chart fields
-k times declares order k, and one order lower it raises ``ValueError``.
+source with a context is handed the session's context for its declared
+order on the whole current chunk, so all of them read every point of the
+run with its derivative backend (``mode``).  A source's order is the
+lowest one whose jets its reads still trust: every check reads values
+only, so a source that differentiates its chart fields k times declares
+order k, and one order lower it raises ``ValueError``.
+
+Contexts, exact: one per chunk; fd: one per order.  Every source of an
+exact chunk reads one context of the model's root order
+(:func:`_root_order`; 2, and 1 for ``s3s3-product``): truncation of a
+Taylor jet is exact, so it holds all that a lower order reads, and a
+derivative read only as a value takes its argument cut to order 1
+(:func:`~nklab.calculus.cut`).  The root order follows from the tables,
+not from the sources a run selects, so every run rounds the jets alike.
+The Richardson step depends on the order, so an fd jet cut to a lower
+order is not that order's fd jet: an fd chunk gets one context per
+declared order.
 
 Most sources only call one check on the session's context; each of those
 is one :data:`_SOURCES` entry made by :func:`_check`, which names the
@@ -57,19 +66,6 @@ seed plus the source's own offset and in the source's order, for all the
 session's points, and each chunk reads its rows.  With one chunk these are
 the generator's own draws.  ``canon``'s three probe directions are the same
 at every point, drawn from the same seed per chunk.
-
-In exact mode the chart's root jets (metric, J, Killing fields) are built
-once per chunk, in its root context: jets of the root order on the chunk's
-points, each field evaluated on its first read.  Every exact session
-context reads them cut to its own order
-(:class:`~nklab.chart.EvalContext` ``roots``); truncation of a Taylor jet
-is exact, so only rounding tells the cut jets from ones built at their
-own order.  The root order of a model is the highest context order of the
-sources its checks read (2, and 1 for ``s3s3-product``), fixed by
-:data:`CHECKS` and :data:`_SOURCES` rather than by the sources a run
-selects, so every run and every suite order rounds the roots alike.  fd
-contexts build their own roots: the Richardson step depends on the order,
-so an fd jet cut to a lower order is not that order's fd jet.
 
 Two context-free sources take points of their own, and evaluate them
 chunk by chunk by the same rule in contexts of their own (:func:`_chunked`),
@@ -414,10 +410,10 @@ class _Probes:
 class _Session:
     """Builds each intermediate computation once per (model, run).
 
-    Contexts are built on demand for the current chunk and dropped by
-    :meth:`release`; the source results in ``_cache`` live as long as the
-    session, which ``run`` lets go once the model's rows are out.  A
-    session reads only its own model.
+    The one context of the current chunk, ``_ctx``, is built on demand by
+    :meth:`ctx` and dropped by :meth:`release`; the source results in
+    ``_cache`` live as long as the session, which ``run`` lets go once the
+    model's rows are out.  A session reads only its own model.
     """
 
     def __init__(self, model: str, samples: int, seed: int, mode: str):
@@ -431,29 +427,22 @@ class _Session:
                                  np.random.default_rng(seed))
         self._cache: dict = {}
         self._unbilled: dict = {}
-        self._ctx: dict = {}
+        self._ctx: EvalContext | None = None
         self._draws: dict = {}
         self.root_order = _root_order(model)
-        self._roots: EvalContext | None = None
         # the chunk being computed; all the points outside ``compute``
         self._chunk = slice(0, self.samples)
 
     def ctx(self, order: int) -> EvalContext:
-        """The context of ``order`` on the current chunk: jets of ``order`` on
-        the chunk's points.  An exact one reads its root jets from
-        :meth:`roots`."""
-        if order not in self._ctx:
-            roots = self.roots() if self.mode == "exact" else None
-            self._ctx[order] = EvalContext(self.chart, self.pts[self._chunk], order,
-                                           mode=self.mode, roots=roots)
-        return self._ctx[order]
-
-    def roots(self) -> EvalContext:
-        """The root context: exact jets of the root order on the current
-        chunk's points, each chart field evaluated on its first read."""
-        if self._roots is None:
-            self._roots = EvalContext(self.chart, self.pts[self._chunk], self.root_order)
-        return self._roots
+        """The context for a source of ``order`` on the current chunk: exact
+        jets of the root order, or fd jets of ``order``.  It replaces a held
+        context of another order, dropped first."""
+        if self.mode == "exact":
+            order = self.root_order
+        if self._ctx is None or self._ctx.order != order:
+            self._ctx = None
+            self._ctx = EvalContext(self.chart, self.pts[self._chunk], order, mode=self.mode)
+        return self._ctx
 
     def probes(self, offset: int) -> _Probes:
         """The probes of seed offset ``offset`` at the current chunk's
@@ -464,10 +453,8 @@ class _Session:
         return _Probes(*draws, self.samples, self._chunk)
 
     def release(self) -> None:
-        """Drop the contexts, the root context too, and their jets; cached
-        source results stay."""
-        self._ctx.clear()
-        self._roots = None
+        """Drop the context and its jets; cached source results stay."""
+        self._ctx = None
 
     def get(self, source: str) -> dict:
         """The result of ``source``, computed on first use.
@@ -490,10 +477,9 @@ class _Session:
         """Compute those of ``sources`` not computed yet, chunk-major.
 
         For each chunk, the sources with a context run by ascending order
-        and, within an order, as listed; each working context is dropped
-        before the next order's is built, and the root context with it at
-        the chunk's end.  A source's per-point arrays for a chunk go to
-        their rows of its arrays for all the points, made on its first
+        and, within an order, as listed, each on :meth:`ctx` of its order,
+        dropped at the chunk's end.  A source's per-point arrays for a chunk
+        go to their rows of its arrays for all the points, made on its first
         chunk; after the last chunk they are finished and cached.  The
         context-free sources run last, with no context alive, and the probe
         draws are dropped before them.  A source that raises on a chunk
@@ -510,8 +496,6 @@ class _Session:
                     if isinstance(merged[name], Exception):
                         continue
                     order, fn = _SOURCES[name]
-                    if order not in self._ctx:
-                        self._ctx.clear()   # one working context at a time
                     t0 = time.perf_counter()
                     try:
                         merged[name] = _stored(merged[name], fn(self, self.ctx(order)),
@@ -674,10 +658,9 @@ _FINISH = {"ctype": _finish_ctype}
 
 
 def _root_order(model: str) -> int:
-    """Order of the root context of ``model``'s sessions: the highest
-    context order of the sources its checks read.  It follows from the
-    tables, not from the checks a run selects, so every run of the model
-    builds the same roots and rounds them alike."""
+    """Order of the context of each chunk of ``model``'s exact sessions:
+    the highest context order of the sources its checks read, whichever
+    checks a run selects."""
     orders = {_SOURCES[spec.source][0] for spec in CHECKS if model in spec.models}
     return max(orders - {None}, default=0)
 
@@ -746,14 +729,16 @@ def run(models=None, suites=None, samples: int = 20, seed: int = 0,
 
     Before any work, :class:`~nklab.chart.ConfigError` refuses, in one
     message, a ``samples`` that is not an integer of at least 2, a ``seed``
-    that is not one of at least 0, an unknown derivative ``mode``, every
+    that is not one of at least 0 (a ``bool`` is neither), an unknown
+    derivative ``mode``, every
     unknown suite, model and override check, and every override that is
     not finite and positive: a tolerance of inf passes any finite
     residual, and one of 0 or NaN fails every row.
     """
     problems = [f"{name} must be an integer of at least {low}, got {value!r}"
                 for name, value, low in (("samples", samples, 2), ("seed", seed, 0))
-                if not (isinstance(value, numbers.Integral) and value >= low)]
+                if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                        and value >= low)]
     if mode not in MODES:
         problems.append(f"unknown derivative mode '{mode}'")
     tol_overrides = tol_overrides or {}

@@ -162,28 +162,6 @@ class TestKernel:
         assert len(calls) == 1
 
 
-    def test_roots_read_from_a_root_context(self):
-        ch = _conformal_chart()
-        pts = np.array([[0.15, -0.3], [0.2, 0.1], [-0.4, 0.5]])
-        top = EvalContext(ch, pts, 3)
-        ctx = EvalContext(ch, pts[:2], 1, roots=top)
-        g = ctx.root("metric")
-        assert g.space is ctx.space and g.nbatch == 2
-        assert np.shares_memory(g.c, top.root("metric").c)
-        assert np.array_equal(g.c, EvalContext(ch, pts[:2], 1).root("metric").c)
-
-    @pytest.mark.parametrize("order, mode, rows", [
-        (4, "exact", slice(0, 2)),      # above the root context's order
-        (1, "fd", slice(0, 2)),
-        (1, "exact", slice(1, 3)),      # not a prefix of its points
-    ])
-    def test_root_context_must_hold_the_jets(self, order, mode, rows):
-        ch = _conformal_chart()
-        pts = np.array([[0.15, -0.3], [0.2, 0.1], [-0.4, 0.5]])
-        with pytest.raises(ConfigError):
-            EvalContext(ch, pts[rows], order, mode=mode, roots=EvalContext(ch, pts, 3))
-
-
 class TestMemoized:
     def test_keyed_by_function_and_arguments(self):
         ctx = EvalContext(_flat_chart(), np.zeros((1, 3)), order=1)

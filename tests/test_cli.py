@@ -403,3 +403,36 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path, capsys):
     assert order == ["old", "new", "new", "old", "old", "new"]
     out = capsys.readouterr().out
     assert "lab_s" in out and "failed operations  old 0/18  new 0/18\n" in out
+
+
+@pytest.mark.parametrize("new_lab_s, new_pass, new_failed, verdict, code", [
+    pytest.param((0.1, 0.2, 0.3, 0.3), 1.0, 0, "within bound", 0, id="faster"),
+    pytest.param((1.4, 1.5, 1.4, 1.5), 1.0, 0, "worse beyond bound", 1, id="slower"),
+    pytest.param((0.1, 0.2, 0.3, 0.3), 0.9, 0, "within bound", 1, id="pass_frac-worse"),
+    pytest.param((0.1, 0.2, 0.3, 0.3), 1.0, 1, "within bound", 1, id="more-failed"),
+    # 1.0 -> 1.2 is inside the 25% bound, but OLD's IQR of 0.6 exceeds it
+    pytest.param((1.2, 1.2, 1.2, 1.2), 1.0, 0, "unresolved", 0, id="unresolved"),
+])
+def test_pairs_exit_code_gates_on_the_verdicts(monkeypatch, tmp_path, capsys, new_lab_s,
+                                               new_pass, new_failed, verdict, code):
+    # exit 1 on "worse beyond bound" or a larger share of failed operations,
+    # 0 otherwise; "unresolved" is printed and exits 0
+    pairs = _tool("pairs")
+    lab_s = {"old": iter((0.4, 0.8, 1.2, 1.6)), "new": iter(new_lab_s)}
+
+    def run(checkout, workload, seconds, seed):
+        new = checkout.name == "new"
+        return {**{name: 1.0 for name in pairs.end_to_end()},
+                "lab_s": next(lab_s[checkout.name]), "pass_frac": new_pass if new else 1.0,
+                "failed": new_failed if new else 0, "attempted": 6}
+
+    monkeypatch.setattr(pairs, "run", run)
+    argv = [str(tmp_path / "old"), str(tmp_path / "new"), "--workload", "lab-wide",
+            "--pairs", "4", "--seconds", "1"]
+    assert pairs.main(argv) == code
+    out = capsys.readouterr().out
+    rows = {line.split()[0]: line for line in out.splitlines() if "is better" in line}
+    assert set(rows) == set(pairs.end_to_end())
+    assert rows["lab_s"].endswith(verdict)
+    assert rows["pass_frac"].endswith("worse beyond bound" if new_pass < 1.0 else "within bound")
+    assert out.rstrip().endswith("more operations failed") == bool(new_failed)

@@ -151,11 +151,13 @@ def traced_run(**kwargs) -> Demand:
 
 
 #: The order >= 1 products a lab run at seed 0 leaves unread, per mode.
-#: ``acs_check`` reads ``reduction.pi_h`` in the order-1 context, and
-#: ``pi_h`` reads the memoized ``jzeta_form``, whose order-1 product
-#: (``ij,j->i``, on ``s3s3`` and ``ansatz``) only ``pi_h`` reads there; the
-#: order-2 contexts differentiate it, so it stays at its full order.
-LEFT = {"exact": 2, "fd": 2}
+#: An exact chunk has one context, in which ``jzeta_form`` is also
+#: differentiated.  In an fd chunk ``acs_check`` reads ``reduction.pi_h`` in
+#: the order-1 context, and ``pi_h`` reads the memoized ``jzeta_form``,
+#: whose order-1 product (``ij,j->i``, on ``s3s3`` and ``ansatz``) only
+#: ``pi_h`` reads there; the order-2 contexts differentiate it, so it stays
+#: at its full order.
+LEFT = {"exact": 0, "fd": 2}
 
 
 def _sites(unread) -> str:

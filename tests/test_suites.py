@@ -122,17 +122,16 @@ class TestMinimalOrders:
             s = suites._Session(model, 4, 0, "exact")
             for source in sources:
                 order, fn = suites._SOURCES[source]
-                at = fn(s, s.ctx(order))
+                at = fn(s, EvalContext(s.chart, s.pts, order))
                 with pytest.raises(ValueError, match="derivative orders"):
-                    fn(s, s.ctx(order - 1))
-                if source in ("einstein", "elem"):
-                    # above the root order, so with roots of its own
-                    above = fn(s, EvalContext(s.chart, s.pts, order + 1))
-                    # residuals are rounding-sized differences of O(1) terms
-                    scale = max(1.0, *(np.max(np.abs(v)) for v in above.values()))
-                    for key, v in above.items():
-                        assert np.max(np.abs(at[key] - v)) <= 1e-13 * scale, (model, key)
-            s.release()
+                    fn(s, EvalContext(s.chart, s.pts, order - 1))
+                # one order up, as an order-1 source reads the session's
+                # order-2 context, the residuals agree to rounding
+                above = fn(s, EvalContext(s.chart, s.pts, order + 1))
+                # residuals are rounding-sized differences of O(1) terms
+                scale = max(1.0, *(np.max(np.abs(v)) for v in above.values()))
+                for key, v in above.items():
+                    assert np.max(np.abs(at[key] - v)) <= 1e-13 * scale, (model, source, key)
 
     def test_sek_reads_order_4(self, monkeypatch):
         # sek builds its own contexts, outside the session's
@@ -170,6 +169,17 @@ class TestSessions:
                 suites.run(models=["s6"], suites=["gray"], **{"samples": 4, **bad})
         rows = suites.run(models=["s6"], suites=["gray"], samples=np.int64(4), seed=np.int32(1))
         assert rows and all(r.status == "pass" for r in rows)
+
+    def test_a_bool_samples_or_seed_is_refused(self):
+        # bool counts as an integer: at the parent run(seed=True) ran seed 1
+        # and wrote "seed": 1 to every row
+        with pytest.raises(ConfigError) as info:
+            suites.run(models=["s6"], suites=["gray"], samples=True, seed=True)
+        assert str(info.value) == ("samples must be an integer of at least 2, got True; "
+                                   "seed must be an integer of at least 0, got True")
+        for bad in (dict(seed=True), dict(seed=False), dict(samples=np.int64(4), seed=True)):
+            with pytest.raises(ConfigError, match="seed must be"):
+                suites.run(models=["s6"], suites=["gray"], **{"samples": 4, **bad})
 
     def test_a_misspelt_check_is_refused_when_its_source_is_made(self):
         with pytest.raises(AttributeError, match="no_such_check"):
@@ -265,7 +275,7 @@ class TestSessions:
         assert {r.model for r in results} == {"s6", "ansatz"}
         assert len(made) == 2   # one session per model
         assert not any(alive)
-        assert _models(contexts, "root") == {"s6", "ansatz"}
+        assert _models(contexts) == {"s6", "ansatz"}
         assert not alive_contexts
 
     def test_sek_frames_follow_the_seed(self, monkeypatch):
@@ -292,38 +302,29 @@ class TestSessions:
 
 
 def _track_contexts(monkeypatch):
-    """(model, kind, weakref, chunk start) for every context a session builds
-    from now on: kind "root" for a chunk's root context, "work" for the
-    contexts it hands to sources."""
+    """(model, order, weakref, chunk start) for every context a session
+    hands to a source from now on, once per context."""
     made = []
-    ctx, roots = suites._Session.ctx, suites._Session.roots
+    ctx = suites._Session.ctx
 
     def tracked(self, order):
-        fresh = order not in self._ctx
+        # a weak reference, so the held context can be dropped
+        held = None if self._ctx is None else weakref.ref(self._ctx)
         out = ctx(self, order)
-        if fresh:
-            made.append((self.model, "work", weakref.ref(out), self._chunk.start))
-        return out
-
-    def tracked_roots(self):
-        fresh = self._roots is None
-        out = roots(self)
-        if fresh:
-            made.append((self.model, "root", weakref.ref(out), self._chunk.start))
+        if held is None or held() is not out:
+            made.append((self.model, out.order, weakref.ref(out), self._chunk.start))
         return out
 
     monkeypatch.setattr(suites._Session, "ctx", tracked)
-    monkeypatch.setattr(suites._Session, "roots", tracked_roots)
     return made
 
 
-def _alive(made, kinds=("work", "root")):
-    return sorted({model for model, kind, ref, _ in made
-                   if kind in kinds and ref() is not None})
+def _alive(made):
+    return sorted({model for model, _, ref, _ in made if ref() is not None})
 
 
-def _models(made, kind):
-    return {model for model, k, _, _ in made if k == kind}
+def _models(made):
+    return {model for model, *_ in made}
 
 
 def _spy_sources(monkeypatch, before=None):
@@ -379,7 +380,7 @@ def _fields(rows):
 class TestModelMajor:
     def test_only_the_current_model_has_contexts(self, monkeypatch):
         # with the cycle collector off, reference counts alone must free a
-        # model's contexts, its root context too, once its last suite is done
+        # model's contexts once its last suite is done
         made = _track_contexts(monkeypatch)
         computed, strays = _track_computes(monkeypatch, made)
         gc.collect()
@@ -393,8 +394,7 @@ class TestModelMajor:
         assert not strays
         assert not alive
         assert set(computed) == set(suites.MODEL_NAMES)
-        assert _models(made, "work") == set(suites.MODEL_NAMES)
-        assert _models(made, "root") == set(suites.MODEL_NAMES)
+        assert _models(made) == set(suites.MODEL_NAMES)
 
     @pytest.mark.parametrize("models, suite_names, mode", [
         (None, None, "exact"),
@@ -438,30 +438,35 @@ class TestSchedule:
     ])
     def test_one_context_alive_each_built_once(self, monkeypatch, models, suite_names,
                                                mode, chunk, samples):
-        # per chunk: each order's context is built once, on the whole chunk,
-        # with at most the model's own root context of the chunk alive beside it
+        # per chunk: each context is built once, on the whole chunk, with no
+        # other context alive
         monkeypatch.setattr(suites, "CHUNK", chunk)
         made = _track_contexts(monkeypatch)
         calls = _spy_sources(monkeypatch)
-        asked, built, crowded = [], [], []
-        ctx, compute = suites._Session.ctx, suites._Session.compute
+        asked, built, crowded, building = [], [], [], []
+        ctx, compute, make = suites._Session.ctx, suites._Session.compute, suites.EvalContext
 
         def spied_ctx(self, order):
             # compute hands each source its own order's context; a source
             # asks for none itself
             if sys._getframe(1).f_code is not compute.__code__:
                 asked.append(order)
-            if order not in self._ctx:
-                start = self._chunk.start
-                built.append((self.model, start, order))
-                roots = {(model, at) for model, kind, ref, at in made
-                         if kind == "root" and ref() is not None}
-                roots.discard((self.model, start))
-                if _alive(made, ("work",)) or roots:
-                    crowded.append((self.model, start, order, _alive(made)))
-            return ctx(self, order)
+            building.append(self)
+            try:
+                return ctx(self, order)
+            finally:
+                building.pop()
+
+        def spied_make(chart, points, order, **kwargs):
+            if building:   # a session context, built inside ctx
+                s = building[-1]
+                built.append((s.model, s._chunk.start, order))
+                if _alive(made):
+                    crowded.append((s.model, s._chunk.start, order, _alive(made)))
+            return make(chart, points, order, **kwargs)
 
         monkeypatch.setattr(suites._Session, "ctx", spied_ctx)
+        monkeypatch.setattr(suites, "EvalContext", spied_make)
         gc.collect()
         gc.disable()
         try:
@@ -479,13 +484,50 @@ class TestSchedule:
             if declared is None:
                 continue
             (rows,) = [c for c in chunks if c.start == start]
-            assert order == declared, (model, source, start)
+            # an exact chunk's one context is of the model's root order
+            want = suites._root_order(model) if mode == "exact" else declared
+            assert order == want, (model, source, start)
             # each keyed source's context holds the whole chunk
             assert points == rows.stop - rows.start, (model, source, start)
         # each source once per chunk
         per_chunk = {(model, source, start) for model, source, start, *_ in calls}
         assert len(per_chunk) == len(calls), calls
         assert len(built) == len(set(built)), built
+
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    def test_exact_builds_one_context_per_chunk_fd_one_per_order(self, monkeypatch, mode):
+        # every context a session builds, on the chunks [0:8] and [8:20]:
+        # exact, one per chunk, of the root order; fd, one per declared
+        # order, by ascending order.  At the parent an exact chunk built a
+        # root context and, beside it, one context per declared order.
+        monkeypatch.setattr(suites, "CHUNK", 8)
+        make = suites.EvalContext
+        for model, sources in _lab_sources().items():
+            built, crowded = [], []
+
+            def spied(chart, points, order, **kwargs):
+                live = [(n, o) for n, o, ref in built if ref() is not None]
+                if live:
+                    crowded.append((len(points), order, live))
+                out = make(chart, points, order, **kwargs)
+                built.append((len(points), order, weakref.ref(out)))
+                return out
+
+            monkeypatch.setattr(suites, "EvalContext", spied)
+            s = suites._Session(model, 20, 0, mode)
+            gc.collect()
+            gc.disable()
+            try:
+                s.compute(sources)
+                alive = [(n, o) for n, o, ref in built if ref() is not None]
+            finally:
+                gc.enable()
+            assert not crowded, (model, crowded)
+            assert not alive, (model, alive)
+            orders = ([suites._root_order(model)] if mode == "exact" else
+                      sorted({suites._SOURCES[source][0] for source in sources}))
+            want = [(n, o) for n in (8, 12) for o in orders]
+            assert [(n, o) for n, o, _ in built] == want, model
 
     def test_error_rows_read_one_cached_error(self, monkeypatch):
         calls = []

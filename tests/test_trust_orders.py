@@ -9,8 +9,8 @@ compare each truncated function with its untruncated formula, kept here.
 A product with a constant jet spends its pair work on zeros, so the lab
 is also checked to multiply no jet built by ``jconst``.  Outside the
 chart fields, each context inverts each metric field once, one order
-below its own.  In exact mode a session evaluates each chart field once,
-at its root order, and its contexts read the cut root jets.
+below its own.  In exact mode a session evaluates each chart field once
+per chunk, in its one context of the root order.
 """
 import importlib
 import pkgutil
@@ -219,8 +219,9 @@ def test_lie_derivative(request, model, order, monkeypatch):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_twisted_parallel_residual(ansatz_bundle, order, monkeypatch):
+    # a value: Phi is cut to order 1, so its products are values
     ctx = _ctx(ansatz_bundle, order)
-    wedge_space = J.jetspace(ctx.space.nvars, order - 1)
+    wedge_space = J.jetspace(ctx.space.nvars, 0)
     for gauge, conjugate in ((A.DEFAULT_GAUGE, False), ((0, 0), False), ((1, -2), True)):
         A.tautological_pair(ctx, gauge, conjugate)
         A.connection_forms(ctx)
@@ -427,15 +428,15 @@ def _spy_evaluators(monkeypatch):
 
 
 def test_exact_session_evaluates_each_chart_field_once(monkeypatch):
-    """The contexts sources build for themselves (homothety, ``sek``'s
-    order-4 contexts, the gauge scan and gauge equivalence) evaluate their
-    own roots."""
+    """Every source of a chunk reads the session's one context, so each
+    chart field is evaluated there once, at the root order.  The contexts
+    sources build for themselves (homothety, ``sek``'s order-4 contexts,
+    the gauge scan and gauge equivalence) evaluate their own roots."""
     made = _session_contexts(monkeypatch)
     calls = _spy_evaluators(monkeypatch)
     results = suites.run(samples=4)
     assert results and calls
-    session = {id(c) for _, c in made} | {id(c._roots) for _, c in made
-                                          if c._roots is not None}
+    session = {id(c) for _, c in made}
     runs = {}
     for model, field, ctx in calls:
         if id(ctx) in session:
@@ -443,6 +444,9 @@ def test_exact_session_evaluates_each_chart_field_once(monkeypatch):
     assert {model for model, _ in runs} == set(suites.MODEL_NAMES)
     again = {k: v for k, v in runs.items() if len(v) > 1}
     assert not again, f"fields evaluated more than once (order, points): {again}"
+    off = {k: v for k, v in runs.items()
+           if any(order != suites._root_order(k[0]) for order, _ in v)}
+    assert not off, f"fields evaluated off the root order (order, points): {off}"
 
 
 def test_fd_session_contexts_build_their_own_roots(monkeypatch):
@@ -463,20 +467,3 @@ def test_fd_session_contexts_build_their_own_roots(monkeypatch):
     missing = sorted({(model, c.order, c.nbatch) for model, c in made
                       if (id(c.points), id(c.space)) not in stencils})
     assert not missing, f"session contexts without their own fd roots: {missing}"
-
-
-@pytest.mark.parametrize("model", suites.MODEL_NAMES)
-def test_shared_roots_equal_own_roots(model):
-    """Each exact session context's root jets, cut from the root context,
-    equal those its own evaluators make on its points and order: 1.4e-15
-    relative at most (``s3s3`` J in the order-2 context at 8 samples; every
-    model and order at seeds 0-3 and 4, 8 and 50 samples)."""
-    s = suites._Session(model, 8, 0, "exact")
-    orders = {suites._SOURCES[spec.source][0] for spec in suites.CHECKS
-              if model in spec.models} - {None}
-    assert orders
-    for order in sorted(orders):
-        ctx = s.ctx(order)
-        own = EvalContext(s.chart, ctx.points, ctx.order)
-        for name in s.chart.evaluators:
-            _assert_same(ctx.root(name), own.root(name), rel=1e-14)

@@ -21,7 +21,9 @@ alone.  Each metric also gets the verdict a change that claims no gain
 faces, against the metric's ``bound`` in ``BENCHMARK.json`` (``verdict``).
 Last it prints the failed and attempted operations each side summed over
 its runs, and ``more operations failed`` when NEW's share is higher.
-The script only runs ``perfbench/``; it writes nothing but the
+It exits 1 when a metric reads ``worse beyond bound`` or more operations
+failed, and 0 otherwise, ``unresolved`` included (:func:`rejected`), so
+a script can gate on the exit code.  The script only runs ``perfbench/``; it writes nothing but the
 runs' own output under ``perfbench/out/`` of each checkout.
 """
 from __future__ import annotations
@@ -127,15 +129,33 @@ def format_rows(rows: list) -> str:
     return "\n".join(out)
 
 
+def _operations(runs: list) -> tuple:
+    """(failed, attempted) operations summed over ``runs``."""
+    return sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+
+
+def more_failed(old: list, new: list) -> bool:
+    """Whether NEW fails a larger share of its operations than OLD."""
+    (fo, ao), (fn, an) = _operations(old), _operations(new)
+    return fn * ao > fo * an  # fn/an > fo/ao without dividing by zero
+
+
 def failures(old: list, new: list) -> str:
     """Each side's failed/attempted operations over its runs, flagged when
     NEW fails a larger share of them than OLD."""
-    (fo, ao), (fn, an) = ((sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
-                          for runs in (old, new))
+    (fo, ao), (fn, an) = _operations(old), _operations(new)
     line = f"failed operations  old {fo}/{ao}  new {fn}/{an}"
-    if fn * ao > fo * an:  # fn/an > fo/ao without dividing by zero
+    if more_failed(old, new):
         line += "  more operations failed"
     return line
+
+
+def rejected(rows: list, old: list, new: list) -> bool:
+    """Whether NEW fails the gate of a change that claims no gain: a
+    metric of ``rows`` (:func:`summary`) reads "worse beyond bound", or
+    NEW fails a larger share of its operations.  "unresolved" passes."""
+    return (any(r["verdict"] == "worse beyond bound" for r in rows)
+            or more_failed(old, new))
 
 
 def main(argv=None) -> int:
@@ -156,9 +176,10 @@ def main(argv=None) -> int:
             runs[side].append(run(sides[side], args.workload, args.seconds, args.seed))
         print(f"pair {i + 1}: lab_s old {runs['old'][-1].get('lab_s', float('nan')):.4f}"
               f" new {runs['new'][-1].get('lab_s', float('nan')):.4f}", flush=True)
-    print(format_rows(summary(runs["old"], runs["new"], end_to_end(), bounds())))
+    rows = summary(runs["old"], runs["new"], end_to_end(), bounds())
+    print(format_rows(rows))
     print(failures(runs["old"], runs["new"]))
-    return 0
+    return int(rejected(rows, runs["old"], runs["new"]))
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ concrete models (S3 x S3, the round 6-sphere, S2 x S2 and an inverse
 construction over S2 x S2) and reports residuals against pinned
 tolerances.  Everything is built on truncated multivariate Taylor
 arithmetic (``jets``) so that curvature and Laplacian identities are
-checked to near machine precision, with an independent finite-difference
-mode as a cross-check.
+checked to near machine precision, with finite-difference root jets
+(``findiff.fd_chart``) as a cross-check of the chart fields' derivatives.
 """
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
-from . import nkcore as NK
 from .calculus import cut, metric
 from .chart import (
     ChartMap,
@@ -47,6 +46,7 @@ from .chart import (
     ConfigError,
     InvariantViolation,
     contract,
+    maxabs,
     memoized,
     sample_points,
 )
@@ -179,8 +179,8 @@ def connection_residuals(ctx: EvalContext) -> dict:
     # values: theta and mu cut to order 1
     r1 = d_form(cut(theta), 1) + 12.0 * (w1 + w2)
     r2 = d_form(cut(mu), 1) - 2.0 * (w1 - w2)
-    return {"dtheta_plus_12_omega_i0": NK._maxabs(r1.val),
-            "dmu_minus_2_omega_jhat": NK._maxabs(r2.val),
+    return {"dtheta_plus_12_omega_i0": maxabs(r1.val),
+            "dmu_minus_2_omega_jhat": maxabs(r2.val),
             "twisted_parallel": twisted_parallel_residual(ctx, DEFAULT_GAUGE)}
 
 
@@ -223,8 +223,8 @@ def _twisted_parallel(ctx: EvalContext, re: J.Jet, im: J.Jet, shift=(0, 0)) -> n
     re, im = cut(re), cut(im)
     d_re, d_im = d_form(re, 2), d_form(im, 2)
     theta = theta.truncate(d_re.space)  # so both wedges are computed in it
-    return np.maximum(NK._maxabs((d_re + wedge_jet(theta, 1, im, 2)).val),
-                      NK._maxabs((d_im - wedge_jet(theta, 1, re, 2)).val))
+    return np.maximum(maxabs((d_re + wedge_jet(theta, 1, im, 2)).val),
+                      maxabs((d_im - wedge_jet(theta, 1, re, 2)).val))
 
 
 def twisted_parallel_residual(ctx: EvalContext, gauge, conjugate: bool = False,
@@ -247,7 +247,8 @@ def gauge_search(ctx: EvalContext) -> GaugeSearchResult:
     points (order >= 1); smallest residual wins, with the non-conjugate
     representative preferred on ties.  The 50 candidates run in batches of
     at most ``_SCAN_POINTS`` points (and at least one candidate): the
-    points tiled once per candidate, gauge and sign as arrays over them."""
+    points tiled once per candidate, gauge and sign as arrays over them.
+    It reads no root field, so an fd chart gives the same scan."""
     cands = [(n1, n2, conj) for n1 in range(-2, 3) for n2 in range(-2, 3)
              for conj in (False, True)]
     step = max(1, _SCAN_POINTS // ctx.nbatch)
@@ -256,8 +257,7 @@ def gauge_search(ctx: EvalContext) -> GaugeSearchResult:
         batch = cands[i:i + step]
         n1, n2, conj = (np.repeat(np.array(col, dtype=float), ctx.nbatch)
                         for col in zip(*batch))
-        tiled = EvalContext(ctx.chart, np.tile(ctx.points, (len(batch), 1)), ctx.order,
-                            mode=ctx.mode)
+        tiled = EvalContext(ctx.chart, np.tile(ctx.points, (len(batch), 1)), ctx.order)
         worst = _twisted_parallel(tiled, *_phi(tiled, n1, n2, 1.0 - 2.0 * conj))
         table.update(zip(batch, map(float, worst.reshape(len(batch), -1).max(axis=1))))
     best = min(table, key=lambda k: (table[k], k[2]))  # the first of equal keys

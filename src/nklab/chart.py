@@ -6,14 +6,6 @@ an :class:`EvalContext` and returns a :class:`~nklab.jets.Jet`.  Because a
 context seeded at order ``k`` carries full Taylor data, every derived
 quantity (curvature, Laplacians, Lie derivatives) is obtained by exact
 coefficient manipulation -- no re-evaluation, no step size.
-
-The context also implements the "extrapolated-differences" engine mode:
-the first root a context needs makes it sample every chart evaluator at
-once, at order 0, on the Richardson stencil of the batch, one block of
-stencil points at a time (:data:`~nklab.findiff.BLOCK`), so the roots
-share the model intermediates they have in common within a block; each
-jet is then rebuilt by finite differences (:func:`~nklab.findiff.fd_jet`),
-while all *derived* computations stay identical.
 """
 
 from __future__ import annotations
@@ -23,7 +15,6 @@ from functools import lru_cache, update_wrapper
 import numpy as np
 
 from . import jets as J
-from .findiff import MAX_ORDER, fd_jet
 
 __all__ = [
     "NKLabError",
@@ -34,7 +25,6 @@ __all__ = [
     "NonEinsteinBaseError",
     "InvariantViolation",
     "ConfigError",
-    "MODES",
     "ChartMap",
     "EvalContext",
     "memoized",
@@ -42,6 +32,7 @@ __all__ = [
     "unit_tangent_vectors",
     "gram_schmidt",
     "contract",
+    "maxabs",
 ]
 
 
@@ -80,10 +71,6 @@ class InvariantViolation(NKLabError):
 
 class ConfigError(NKLabError):
     pass
-
-
-#: The derivative backends: exact jets, or finite differences (``findiff``).
-MODES = ("exact", "fd")
 
 
 class ChartMap:
@@ -139,27 +126,21 @@ class EvalContext:
     ``order`` is the derivative budget: root jets live in
     ``jetspace(dim, order)``, every derivative taken lands one order lower,
     and reading the value of a jet differentiated more than ``order`` times
-    raises instead of returning garbage.  It runs from 0, and in fd mode
-    up to :data:`~nklab.findiff.MAX_ORDER`, the highest its stencils reach.
-    Each root jet is evaluated on its first read and memoized with the
-    derived jets.
+    raises instead of returning garbage.  It runs from 0.  Each root jet is
+    evaluated on its first read and memoized with the derived jets.
     """
 
-    def __init__(self, chart: ChartMap, points: np.ndarray, order: int, mode: str = "exact"):
+    def __init__(self, chart: ChartMap, points: np.ndarray, order: int):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != chart.dim:
             raise ConfigError("points do not match chart dimension")
         if not np.all(chart.contains(points)):
             raise OutOfDomainError(f"points outside the domain of chart '{chart.name}'")
-        if mode not in MODES:
-            raise ConfigError(f"unknown derivative mode '{mode}'")
-        if order < 0 or (mode == "fd" and order > MAX_ORDER):
-            raise ConfigError(f"no {mode} context of order {order}: orders run from 0"
-                              + (f" to {MAX_ORDER}" if mode == "fd" else ""))
+        if order < 0:
+            raise ConfigError(f"no context of order {order}: orders run from 0")
         self.chart = chart
         self.points = points
         self.order = order
-        self.mode = mode
         self.space = J.jetspace(chart.dim, order)
         self.coords = J.seed_coordinates(self.space, points)
         self._memo: dict = {}
@@ -178,36 +159,8 @@ class EvalContext:
             fn = self.chart.evaluators.get(name)
             if fn is None:
                 raise ConfigError(f"chart '{self.chart.name}' has no evaluator '{name}'")
-            if self.mode == "exact":
-                self._memo[key] = fn(self)
-            else:
-                self._fd_roots(name)
+            self._memo[key] = fn(self)
         return self._memo[key]
-
-    def _fd_roots(self, name: str) -> None:
-        """Memoize the fd root jets of every field not memoized yet.
-
-        For each block of stencil points, one order-0 context evaluates
-        them all, so they share its intermediates, and is dropped
-        afterwards.  A field other than ``name`` that raises on a block is
-        left out from then on: it raises when it is requested itself.
-        """
-        names = [n for n in self.chart.evaluators if ("root", n) not in self._memo]
-
-        def values(pts):
-            sub = EvalContext(self.chart, pts, order=0)
-            out = {}
-            for n in tuple(names):
-                try:
-                    out[n] = self.chart.evaluators[n](sub).val
-                except Exception:
-                    if n == name:
-                        raise
-                    names.remove(n)
-            return out
-
-        for n, jet in fd_jet(values, self.points, self.space).items():
-            self._memo[("root", n)] = jet
 
     def memo(self, key, builder):
         """``builder(self)``, built once per hashable ``key`` (:func:`memoized`)."""
@@ -304,6 +257,11 @@ def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
         taken = [ops.pop(i) for i in pos]
         ops.append(J.einsum2(sub, *taken))
     return ops[0]
+
+
+def maxabs(a) -> np.ndarray:
+    """max |a| at each point: over every axis but the first (batch) one."""
+    return np.abs(a).max(axis=tuple(range(1, np.ndim(a))))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import sys
 
 from . import report as REP
 from . import suites as S
-from .chart import MODES, ConfigError
+from .chart import ConfigError
 
 __all__ = ["main", "build_parser", "split_tolerance_args"]
 
@@ -80,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample points per chart, at least 2 (default 20)")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed for sampling, at least 0 (default 0)")
-    p.add_argument("--deriv-mode", choices=MODES, default="exact",
-                   help="derivative backend: exact jets or finite differences")
+    p.add_argument("--deriv-mode", choices=S.MODES, default="exact",
+                   help="derivative backend: exact jets, or fd root fields; the full "
+                        "fd lab fails three base rows on s2s2 by design and exits 1")
     p.add_argument("--out", default=None,
                    help="write a JSONL report here (default: "
                         "$NKLAB_REPORT_DIR/nklab-report-<stamp>.jsonl if set)")

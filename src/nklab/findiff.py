@@ -2,9 +2,9 @@
 
 ``fd_jet`` builds :class:`~nklab.jets.Jet` objects for black-box value
 functions by stencil evaluation: one function returns every field, keyed by
-name, and each gets its jet.  Plugging these in as the root jets of a chart
-gives the "extrapolated-differences" engine mode -- an independent
-cross-check of the exact-propagation arithmetic.
+name, and each gets its jet.  ``fd_chart`` plugs these in as the root jets
+of a chart: a cross-check of the root jets' own derivatives, as every
+derived computation runs the same jet arithmetic on either chart.
 
 Central differences have O(h^2) truncation error; one Richardson level
 ((4 D_{h/2} - D_h)/3) pushes that to O(h^4).  The stencil points of both
@@ -19,15 +19,17 @@ so every coefficient still sums its terms in stencil order.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from .chart import ChartMap, ConfigError, EvalContext
 from .jets import Jet, JetSpace, chunks
 
-__all__ = ["fd_jet", "default_step", "MAX_ORDER"]
+__all__ = ["fd_chart", "fd_jet", "default_step", "MAX_ORDER"]
 
 #: Stencil points per call of the value function.
 BLOCK = 1024
@@ -147,3 +149,37 @@ def fd_jet(f, points: np.ndarray, space: JetSpace) -> dict[str, Jet]:
     c[:, 0, :] = vals[0].T
     return {name: Jet(space, c[cols[name]].reshape(*t, space.ncoef, nb))
             for name, t in shapes.items()}
+
+
+def fd_chart(chart: ChartMap) -> ChartMap:
+    """A shallow copy of ``chart``, not validated again, whose evaluators
+    make fd root jets: the first root a context reads evaluates every field
+    the context lacks at order 0 on its stencil, block by block, and
+    memoizes each one's jet.  A field other than the one read that raises
+    on a block is left out, to raise when it is read itself.  An order
+    above :data:`MAX_ORDER` raises ``ConfigError``."""
+
+    def root(name, ctx):
+        if ctx.order > MAX_ORDER:
+            raise ConfigError(f"no fd context of order {ctx.order}: stencils reach {MAX_ORDER}")
+        names = [n for n in chart.evaluators if ("root", n) not in ctx._memo]
+
+        def values(pts):
+            sub = EvalContext(chart, pts, order=0)
+            out = {}
+            for n in tuple(names):
+                try:
+                    out[n] = chart.evaluators[n](sub).val
+                except Exception:
+                    if n == name:
+                        raise
+                    names.remove(n)
+            return out
+
+        jets = fd_jet(values, ctx.points, ctx.space)
+        ctx._memo.update({("root", n): jet for n, jet in jets.items()})
+        return jets[name]
+
+    fd = copy.copy(chart)
+    fd.evaluators = {name: partial(root, name) for name in chart.evaluators}
+    return fd

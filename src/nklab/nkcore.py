@@ -35,6 +35,7 @@ from .chart import (
     EvalContext,
     contract,
     gram_schmidt,
+    maxabs,
     memoized,
     unit_tangent_vectors,
 )
@@ -108,11 +109,6 @@ def d_omega(ctx: EvalContext) -> J.Jet:
     return d_form(omega_field(ctx), 2)
 
 
-def _maxabs(a) -> np.ndarray:
-    """max |a| at each point: over every axis but the first (batch) one."""
-    return np.abs(a).max(axis=tuple(range(1, np.ndim(a))))
-
-
 # ---------------------------------------------------------------------------
 # defining condition
 
@@ -130,10 +126,10 @@ def check_nearly_kahler(ctx: EvalContext) -> dict:
     psi = psi_lower(ctx).val
 
     return {
-        "j_square": _maxabs(contract("zab,zbc->zac", jv, jv) + np.eye(ctx.chart.dim)),
-        "compatible": _maxabs(contract("zai,zab,zbj->zij", jv, g, jv) - g),
-        "nk_condition": _maxabs(psi + np.swapaxes(psi, 1, 2)),
-        "torsion_scale": _maxabs(psi),
+        "j_square": maxabs(contract("zab,zbc->zac", jv, jv) + np.eye(ctx.chart.dim)),
+        "compatible": maxabs(contract("zai,zab,zbj->zij", jv, g, jv) - g),
+        "nk_condition": maxabs(psi + np.swapaxes(psi, 1, 2)),
+        "torsion_scale": maxabs(psi),
     }
 
 
@@ -157,28 +153,28 @@ def gray_identities_check(ctx: EvalContext) -> dict:
     psi = psi_lower(ctx).val         # (z, i, j, k)
 
     out = {}
-    out["gray1"] = _maxabs(psi + np.swapaxes(psi, 1, 2))
+    out["gray1"] = maxabs(psi + np.swapaxes(psi, 1, 2))
 
     lhs2 = contract("zmi,zmaj->ziaj", jv, nj)
     rhs2 = contract("ziam,zmj->ziaj", nj, jv)
-    out["gray2"] = _maxabs(lhs2 - rhs2)
+    out["gray2"] = maxabs(lhs2 - rhs2)
 
     lhs3 = contract("zab,zibj->ziaj", jv, nj)
-    out["gray3"] = _maxabs(lhs3 + rhs2)
+    out["gray3"] = maxabs(lhs3 + rhs2)
 
     # g(nabla_X Y, X) = g(nabla_X JY, JX) on coordinate fields
     dj = J.jgrad(j_field(ctx)).val   # (z, i, a, j) = partial_i J^a_j
     lhs4 = contract("zkij,zki->zij", gam, g)
     cov_jy = dj + contract("zaim,zmj->ziaj", gam, jv)  # nabla_i (J e_j)^a
     rhs4 = contract("ziaj,zab,zbi->zij", cov_jy, g, jv)
-    out["gray4"] = _maxabs(lhs4 - rhs4)
+    out["gray4"] = maxabs(lhs4 - rhs4)
 
     # 2 g((nabla2_{W,X} J) Y, Z) = - cyclic_{X,Y,Z} g((nabla_W J) X, (nabla_Y J) JZ)
     d2j = C.second_covd_field(ctx, j_field, "ul").val  # (z, w, x, a, j)
     lhs5 = 2.0 * contract("zwxay,zaq->zwxyq", d2j, g)
     t = contract("zwax,zab,zybm,zmq->zwxyq", nj, g, nj, jv)
     rhs5 = -(t + np.einsum("zwxyq->zwqxy", t) + np.einsum("zwxyq->zwyqx", t))
-    out["gray5"] = _maxabs(lhs5 - rhs5)
+    out["gray5"] = maxabs(lhs5 - rhs5)
     return out
 
 
@@ -192,7 +188,7 @@ def orthogonality_residuals(ctx: EvalContext, rng) -> dict:
     v = contract("ziaj,zni,znj->zna", nj, x, y)
     ws = (x, y, contract("zai,zni->zna", jv, x), contract("zai,zni->zna", jv, y))
     return {"torsion_orthogonality": np.max(
-        [_maxabs(contract("zna,zab,znb->zn", v, g, w)) for w in ws], axis=0)}
+        [maxabs(contract("zna,zab,znb->zn", v, g, w)) for w in ws], axis=0)}
 
 
 def type_tensor_check(ctx: EvalContext, rng) -> dict:
@@ -213,7 +209,7 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
     lhs = contract("zija,zklb,zab->zijkl", psi, psi, gi)
     rhs = (contract("zik,zjl->zijkl", g, g) - contract("zil,zjk->zijkl", g, g)
            - contract("zik,zjl->zijkl", om, om) + contract("zil,zjk->zijkl", om, om))
-    out = {"four_argument": _maxabs(lhs - rhs)}
+    out = {"four_argument": maxabs(lhs - rhs)}
 
     x = unit_tangent_vectors(g, rng, 1)[:, 0]
     jx = contract("zai,zi->za", jv, x)
@@ -222,11 +218,11 @@ def type_tensor_check(ctx: EvalContext, rng) -> dict:
     y = gram_schmidt(seeds, g)[:, 2]
     ajy = contract("ziaj,zi,zj->za", nj, x, y)
     sq = contract("ziaj,zi,zj->za", nj, x, ajy)
-    out["square_minus_norm"] = _maxabs(sq + y)
+    out["square_minus_norm"] = maxabs(sq + y)
 
     d2om = C.second_covd_field(ctx, omega_field, "ll").val
     rough = -contract("zab,zabij->zij", gi, d2om)
-    out["rough_laplacian"] = _maxabs(rough - 4.0 * om)
+    out["rough_laplacian"] = maxabs(rough - 4.0 * om)
     return out
 
 
@@ -313,9 +309,9 @@ def frame_expansion_check(ctx: EvalContext, rng) -> dict:
     pf = contract("zai,zbj,zck,zijk->zabc", e, e, e, psi)
     spf = contract("zai,zbj,zck,zijk->zabc", e, e, e, star_psi)
     of = contract("zai,zbj,zij->zab", e, e, om)
-    return {"psi": _maxabs(pf - _PSI_PATTERN),
-            "star_psi": _maxabs(spf - _STAR_PSI_PATTERN),
-            "omega": _maxabs(of - _OMEGA_PATTERN)}
+    return {"psi": maxabs(pf - _PSI_PATTERN),
+            "star_psi": maxabs(spf - _STAR_PSI_PATTERN),
+            "omega": maxabs(of - _OMEGA_PATTERN)}
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +337,24 @@ def elementary_identity_check(ctx: EvalContext, rng) -> dict:
     om_om = wedge(om, 2, om, 2)
 
     out = {}
-    out["interior_omega"] = _maxabs(interior(x, om) - jxf)
-    out["interior_star_omega"] = _maxabs(interior(x, star_om) - wedge(jxf, 1, om, 2))
-    out["interior_d_omega"] = _maxabs(interior(x, dom) - interior(jx, star_dom))
-    out["norm_omega"] = _maxabs(form_norm2(om, 2, gi) - 3.0)
-    out["star_omega"] = _maxabs(star_om - 0.5 * om_om)
+    out["interior_omega"] = maxabs(interior(x, om) - jxf)
+    out["interior_star_omega"] = maxabs(interior(x, star_om) - wedge(jxf, 1, om, 2))
+    out["interior_d_omega"] = maxabs(interior(x, dom) - interior(jx, star_dom))
+    out["norm_omega"] = maxabs(form_norm2(om, 2, gi) - 3.0)
+    out["star_omega"] = maxabs(star_om - 0.5 * om_om)
 
     om3 = wedge_packed(om, 2, om_om, 4)[:, 0] / 6.0
     vol = ori * np.sqrt(np.linalg.det(g))
-    out["volume"] = _maxabs(om3 - vol)
+    out["volume"] = maxabs(om3 - vol)
     # the 5-forms are exactly antisymmetric: the max over their C(6, 5)
     # packed components is the max over the full arrays
-    out["omega_wedge_d_omega"] = _maxabs(wedge_packed(om, 2, dom, 3))
+    out["omega_wedge_d_omega"] = maxabs(wedge_packed(om, 2, dom, 3))
 
     xf = contract("za,zab->zb", x, g)
-    out["star_one_form"] = _maxabs(
+    out["star_one_form"] = maxabs(
         hodge_packed(xf, 1, g, gi, ori) - 0.5 * wedge_packed(jxf, 1, om_om, 4))
     # a value: Omega cut to order 1
-    out["codifferential_omega"] = _maxabs(codifferential(ctx, C.cut(om_jet), 2).val)
+    out["codifferential_omega"] = maxabs(codifferential(ctx, C.cut(om_jet), 2).val)
     return out
 
 
@@ -381,16 +377,16 @@ def einstein_and_ricci_star_check(ctx: EvalContext) -> dict:
     om = omega_field(ctx).val
 
     out = {}
-    out["ricci"] = _maxabs(ric - 5.0 * g)
-    out["scal"] = _maxabs(scal - 30.0)
+    out["ricci"] = maxabs(ric - 5.0 * g)
+    out["scal"] = maxabs(scal - 30.0)
     out["scal_value"] = scal.copy()   # not a view: it outlives the jet
 
     t = contract("zcj,zmibc->zmibj", jv, riem)
     ric_star = contract("zbm,zmibj->zij", jv, t)
-    out["ricci_star"] = _maxabs(ric_star - g)
+    out["ricci_star"] = maxabs(ric_star - g)
 
     rop = C.curvature_operator_value(ctx, om)
-    out["ricci_star_operator_route"] = _maxabs(
+    out["ricci_star_operator_route"] = maxabs(
         ric_star - contract("zim,zmj->zij", rop, jv))
     return out
 
@@ -410,8 +406,8 @@ def laplacian_omega_check(ctx: EvalContext) -> dict:
     rop = C.curvature_operator_value(ctx, om)
 
     out = {}
-    out["rough_laplacian"] = _maxabs(rough - 4.0 * om)
-    out["hodge_laplacian"] = _maxabs(lap - 12.0 * om)
+    out["rough_laplacian"] = maxabs(rough - 4.0 * om)
+    out["hodge_laplacian"] = maxabs(lap - 12.0 * om)
     weitz = rough + (scal[:, None, None] / 3.0) * om - 2.0 * rop
-    out["weitzenboeck"] = _maxabs(lap - weitz)
+    out["weitzenboeck"] = maxabs(lap - weitz)
     return out

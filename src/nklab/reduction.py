@@ -27,7 +27,7 @@ import numpy as np
 
 from . import calculus as C
 from . import jets as J
-from .chart import EvalContext, NonEinsteinBaseError, contract, gram_schmidt, memoized
+from .chart import EvalContext, NonEinsteinBaseError, contract, gram_schmidt, maxabs, memoized
 from .exterior import (
     codifferential,
     codifferential_field,
@@ -38,7 +38,7 @@ from .exterior import (
     wedge,
     wedge_jet,
 )
-from .nkcore import _maxabs, d_omega, j_field, nabla_j, omega_field
+from .nkcore import d_omega, j_field, nabla_j, omega_field
 
 __all__ = [
     "xi_field",
@@ -246,10 +246,10 @@ def verify_killing_unit(ctx: EvalContext) -> dict:
     g = C.metric(ctx)
     xi = ctx.root("xi")
     n2 = contract("zi,zij,zj->z", xi.val, g.val, xi.val)
-    out = {"unit_length": _maxabs(np.sqrt(n2) - 1.0)}
+    out = {"unit_length": maxabs(np.sqrt(n2) - 1.0)}
 
     def lie(t, kinds):  # a value: the tensor cut to order 1
-        return _maxabs(C.lie_derivative(ctx, xi, C.cut(t), kinds).val)
+        return maxabs(C.lie_derivative(ctx, xi, C.cut(t), kinds).val)
 
     out["killing"] = lie(g, "ll")
     out["preserves_j"] = lie(j_field(ctx), "ul")
@@ -266,15 +266,15 @@ def foliation_checks(ctx: EvalContext) -> dict:
     cov_jxi = C.covd(ctx, C.cut(jxi), "u").val
     xv, jv = xi.val, jxi.val
     out = {
-        "acc_xi_xi": _maxabs(contract("zi,zia->za", xv, cov_xi)),
-        "acc_jxi_xi": _maxabs(contract("zi,zia->za", jv, cov_xi)),
-        "acc_xi_jxi": _maxabs(contract("zi,zia->za", xv, cov_jxi)),
-        "acc_jxi_jxi": _maxabs(contract("zi,zia->za", jv, cov_jxi)),
-        "commutator": _maxabs(C.lie_derivative(ctx, xi, C.cut(jxi), "u").val),
+        "acc_xi_xi": maxabs(contract("zi,zia->za", xv, cov_xi)),
+        "acc_jxi_xi": maxabs(contract("zi,zia->za", jv, cov_xi)),
+        "acc_xi_jxi": maxabs(contract("zi,zia->za", xv, cov_jxi)),
+        "acc_jxi_jxi": maxabs(contract("zi,zia->za", jv, cov_jxi)),
+        "commutator": maxabs(C.lie_derivative(ctx, xi, C.cut(jxi), "u").val),
     }
     dz = dzeta_form(ctx).val
-    out["interior_xi_dzeta"] = _maxabs(contract("zi,zij->zj", xv, dz))
-    out["interior_jxi_dzeta"] = _maxabs(contract("zi,zij->zj", jv, dz))
+    out["interior_xi_dzeta"] = maxabs(contract("zi,zij->zj", xv, dz))
+    out["interior_jxi_dzeta"] = maxabs(contract("zi,zij->zj", jv, dz))
     return out
 
 
@@ -298,32 +298,32 @@ def acs_check(ctx: EvalContext) -> dict:
 
     out = {}
     out["kills_vertical"] = np.max(
-        [_maxabs(contract("zai,zi->za", e, v))
+        [maxabs(contract("zai,zi->za", e, v))
          for e in (i_e, k_e, jh, sg) for v in (xi, jxi)], axis=0)
-    out["i_square"] = _maxabs(mm(i_e, i_e) + pi)
-    out["k_square"] = _maxabs(mm(k_e, k_e) + pi)
-    out["jhat_square"] = _maxabs(mm(jh, jh) + pi)
-    out["sigma_square"] = _maxabs(mm(sg, sg) - pi)
-    out["k_is_ij"] = _maxabs(k_e - mm(i_e, jv))
-    out["ij_anticommute"] = _maxabs(mm(i_e, jv) + mm(jv, i_e))
-    out["ik_anticommute"] = _maxabs(mm(i_e, k_e) + mm(k_e, i_e))
-    out["jk_anticommute"] = _maxabs(mm(jv, k_e) + mm(k_e, jv))
-    out["jhat_commutes_i"] = _maxabs(mm(jh, i_e) - mm(i_e, jh))
-    out["jhat_commutes_k"] = _maxabs(mm(jh, k_e) - mm(k_e, jh))
-    out["jhat_commutes_j"] = _maxabs(mm(jh, jv) - mm(jv, jh))
+    out["i_square"] = maxabs(mm(i_e, i_e) + pi)
+    out["k_square"] = maxabs(mm(k_e, k_e) + pi)
+    out["jhat_square"] = maxabs(mm(jh, jh) + pi)
+    out["sigma_square"] = maxabs(mm(sg, sg) - pi)
+    out["k_is_ij"] = maxabs(k_e - mm(i_e, jv))
+    out["ij_anticommute"] = maxabs(mm(i_e, jv) + mm(jv, i_e))
+    out["ik_anticommute"] = maxabs(mm(i_e, k_e) + mm(k_e, i_e))
+    out["jk_anticommute"] = maxabs(mm(jv, k_e) + mm(k_e, jv))
+    out["jhat_commutes_i"] = maxabs(mm(jh, i_e) - mm(i_e, jh))
+    out["jhat_commutes_k"] = maxabs(mm(jh, k_e) - mm(k_e, jh))
+    out["jhat_commutes_j"] = maxabs(mm(jh, jv) - mm(jv, jh))
 
     for nm, e in (("i", i_e), ("k", k_e), ("jhat", jh)):
         om = contract("zai,zaj->zij", e, g)
-        out[f"skew_{nm}"] = _maxabs(om + np.swapaxes(om, 1, 2))
+        out[f"skew_{nm}"] = maxabs(om + np.swapaxes(om, 1, 2))
 
     # split of the exterior derivative of the dual 1-form
     gi = C.metric_inv(ctx).val
     dz = dzeta_form(ctx).val
     a_endo = contract("zij,zja->zai", dz, gi)   # dzeta(X,Y) = g(AX, Y)
     jaj = contract("zab,zbc,zci->zai", jv, a_endo, jv)
-    out["dzeta_invariant_part"] = _maxabs(0.5 * (a_endo - jaj) - 2.0 * jh)
-    out["dzeta_anti_part"] = _maxabs(0.5 * (a_endo + jaj) + k_e)
-    out["a_is_2_nabla_xi"] = _maxabs(a_endo - 2.0 * nabla_xi(ctx).val)
+    out["dzeta_invariant_part"] = maxabs(0.5 * (a_endo - jaj) - 2.0 * jh)
+    out["dzeta_anti_part"] = maxabs(0.5 * (a_endo + jaj) + k_e)
+    out["a_is_2_nabla_xi"] = maxabs(a_endo - 2.0 * nabla_xi(ctx).val)
 
     # torsion in terms of I and K on horizontal arguments
     nj = nabla_j(ctx).val
@@ -332,7 +332,7 @@ def acs_check(ctx: EvalContext) -> dict:
     rhs = (contract("za,zpq->zpaq", xi, om_i)
            + contract("za,zpq->zpaq", jxi, om_k))
     resid = contract("zpi,zpaq,zqj->ziaj", pi, nj - rhs, pi)
-    out["torsion_via_ik"] = _maxabs(resid)
+    out["torsion_via_ik"] = maxabs(resid)
     return out
 
 
@@ -347,7 +347,7 @@ def transversal_parallel_check(ctx: EvalContext) -> dict:
         cov = C.covd(ctx, getter(ctx), "ul").val  # (z, x, a, j)
         low = contract("zxaj,zab->zxbj", cov, g)
         proj = contract("zxp,zxbj,zbc,zjq->zpcq", pi, low, pi, pi)
-        out[f"parallel_{item}"] = _maxabs(proj)
+        out[f"parallel_{item}"] = maxabs(proj)
     return out
 
 
@@ -364,10 +364,10 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
 
     # eigenform equations of the dual 1-forms
     lap_z = form_laplacian_field(ctx, zeta_form, 1).val
-    out["laplacian_zeta"] = _maxabs(lap_z - 10.0 * zeta_form(ctx).val)
+    out["laplacian_zeta"] = maxabs(lap_z - 10.0 * zeta_form(ctx).val)
     lap_jz = form_laplacian_field(ctx, jzeta_form, 1).val
-    out["laplacian_jzeta"] = _maxabs(lap_jz - 18.0 * jzeta_form(ctx).val)
-    out["codifferential_jzeta"] = _maxabs(codifferential_field(ctx, jzeta_form, 1).val)
+    out["laplacian_jzeta"] = maxabs(lap_jz - 18.0 * jzeta_form(ctx).val)
+    out["codifferential_jzeta"] = maxabs(codifferential_field(ctx, jzeta_form, 1).val)
 
     gi = C.metric_inv(ctx).val
     dz_moved = contract("zai,zbj,zab->zij", jv, jv, dz)
@@ -375,38 +375,38 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
     dz20 = 0.5 * (dz - dz_moved)
     n11, n20 = form_norm2(dz11, 2, gi), form_norm2(dz20, 2, gi)
     out["norm_dzeta11"] = n11
-    out["norm_dzeta11_dev"] = _maxabs(n11 - 8.0)
+    out["norm_dzeta11_dev"] = maxabs(n11 - 8.0)
     out["norm_dzeta20"] = n20
-    out["norm_dzeta20_dev"] = _maxabs(n20 - 2.0)
+    out["norm_dzeta20_dev"] = maxabs(n20 - 2.0)
 
     jh = jhat_endo(ctx).val
     n_jh = contract("zai,zbj,zab,zij->z", jh, jh, g, gi)
     out["norm_jhat"] = n_jh
-    out["norm_jhat_dev"] = _maxabs(n_jh - 4.0)
+    out["norm_jhat_dev"] = maxabs(n_jh - 4.0)
 
     djz = djzeta_form(ctx).val
     n_djz = 2.0 * form_norm2(djz, 2, gi)  # the full contraction, no 1/2!
     out["norm_djzeta"] = n_djz
-    out["norm_djzeta_dev"] = _maxabs(n_djz - 36.0)
+    out["norm_djzeta_dev"] = maxabs(n_djz - 36.0)
 
     om = omega_field(ctx).val
-    out["ip_dzeta_omega"] = _maxabs(form_ip(dz, om, 2, gi))
-    out["ip_dzeta11_omega"] = _maxabs(form_ip(dz11, om, 2, gi))
+    out["ip_dzeta_omega"] = maxabs(form_ip(dz, om, 2, gi))
+    out["ip_dzeta11_omega"] = maxabs(form_ip(dz11, om, 2, gi))
 
     om_i = omega_endo(ctx, "I").val
     om_k = omega_endo(ctx, "K").val
-    out["djzeta_is_m3_omega_i"] = _maxabs(djz + 3.0 * om_i)
+    out["djzeta_is_m3_omega_i"] = maxabs(djz + 3.0 * om_i)
     dom = d_omega(ctx).val
-    out["interior_xi_domega"] = _maxabs(
+    out["interior_xi_domega"] = maxabs(
         contract("zi,zijk->zjk", ctx.root("xi").val, dom) - 3.0 * om_i)
-    out["interior_jxi_domega"] = _maxabs(
+    out["interior_jxi_domega"] = maxabs(
         contract("zi,zijk->zjk", jxi_field(ctx).val, dom) - 3.0 * om_k)
 
     # contraction of nabla Omega against nabla xi
     n_om = C.covd(ctx, C.cut(omega_field(ctx)), "ll").val  # (z,a,i,j)
     n_xi = C.covd_field(ctx, xi_field, "u").val  # (z,b,m)
     contr = contract("zab,zamj,zbm->zj", gi, n_om, n_xi)
-    out["nabla_omega_nabla_xi"] = _maxabs(contr + 2.0 * jzeta_form(ctx).val)
+    out["nabla_omega_nabla_xi"] = maxabs(contr + 2.0 * jzeta_form(ctx).val)
 
     # spectrum of the deformed metric relative to g, and of sigma
     ell = np.linalg.cholesky(g)
@@ -418,18 +418,18 @@ def norms_and_laplacian_checks(ctx: EvalContext) -> dict:
         return np.sort(np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))), axis=1)
 
     g0 = g0_metric(ctx).val
-    out["g0_spectrum"] = _maxabs(g_spectrum(g0) - np.array([0.5, 0.5, 1.0, 1.0, 1.5, 1.5]))
+    out["g0_spectrum"] = maxabs(g_spectrum(g0) - np.array([0.5, 0.5, 1.0, 1.0, 1.5, 1.5]))
 
     sg = sigma_endo(ctx).val
-    out["sigma_trace"] = _maxabs(np.einsum("zaa->z", sg))
+    out["sigma_trace"] = maxabs(np.einsum("zaa->z", sg))
     sflat = contract("zia,zaj->zij", g, sg)
-    out["sigma_spectrum"] = _maxabs(g_spectrum(sflat)
+    out["sigma_spectrum"] = maxabs(g_spectrum(sflat)
                                     - np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]))
 
     # reconstruction of g from the deformed metric
     rec = (4.0 / 3.0) * (g0 - 0.5 * contract("zia,zaj->zij", g0, sg))
     pi = pi_h(ctx).val
-    out["g_from_g0"] = _maxabs(contract("zpi,zpq,zqj->zij", pi, rec - g, pi))
+    out["g_from_g0"] = maxabs(contract("zpi,zpq,zqj->zij", pi, rec - g, pi))
     return out
 
 
@@ -441,7 +441,7 @@ def djxi_check(ctx: EvalContext) -> dict:
 
     dbeta = d_form(beta_field(ctx), 2).val
     rhs = -12.0 * wedge(jzeta_form(ctx).val, 1, omega_field(ctx).val, 2)
-    return {"d_interior_jxi_domega": _maxabs(dbeta - rhs)}
+    return {"d_interior_jxi_domega": maxabs(dbeta - rhs)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,47 +476,47 @@ def lie_derivative_suite(ctx: EvalContext) -> dict:
     lie_om_i, lie_om_k, lie_om_jh = lie(om_i, "ll"), lie(om_k, "ll"), lie(om_jh, "ll")
 
     # metric: L g = 2 g(J jhat . , .)
-    out["metric"] = _maxabs(lie_g - 2.0 * lower(jjh))
+    out["metric"] = maxabs(lie_g - 2.0 * lower(jjh))
 
     # closed forms stay closed under any flow
-    out["dzeta"] = _maxabs(lie(dzeta_form(ctx), "ll"))
-    out["djzeta"] = _maxabs(lie(djzeta_form(ctx), "ll"))
+    out["dzeta"] = maxabs(lie(dzeta_form(ctx), "ll"))
+    out["djzeta"] = maxabs(lie(djzeta_form(ctx), "ll"))
 
-    out["omega"] = _maxabs(lie_om - 4.0 * om_k.val + 2.0 * om_jh.val)
+    out["omega"] = maxabs(lie_om - 4.0 * om_k.val + 2.0 * om_jh.val)
     cartan = (contract("zi,zijk->zjk", jxi.val, d_omega(ctx).val)
               - dzeta_form(ctx).val)
-    out["omega_cartan_route"] = _maxabs(lie_om - cartan)
-    out["j_endo"] = _maxabs(lie(jv, "ul") - 4.0 * k_e.val)
+    out["omega_cartan_route"] = maxabs(lie_om - cartan)
+    out["j_endo"] = maxabs(lie(jv, "ul") - 4.0 * k_e.val)
 
     j_h = mm(jv, pi_h(ctx))
     ijh = mm(i_e, jh)
-    out["omega_k"] = _maxabs(lie_om_k + 4.0 * omega_field(ctx).val - 4.0 * zjz_w)
-    out["k_endo"] = _maxabs(lie_k + 4.0 * j_h + 2.0 * ijh)
+    out["omega_k"] = maxabs(lie_om_k + 4.0 * omega_field(ctx).val - 4.0 * zjz_w)
+    out["k_endo"] = maxabs(lie_k + 4.0 * j_h + 2.0 * ijh)
 
-    out["omega_jhat"] = _maxabs(lie_om_jh + 2.0 * omega_field(ctx).val - 2.0 * zjz_w)
-    out["jhat_endo"] = _maxabs(lie_jh)
+    out["omega_jhat"] = maxabs(lie_om_jh + 2.0 * omega_field(ctx).val - 2.0 * zjz_w)
+    out["jhat_endo"] = maxabs(lie_jh)
 
     jhk = mm(jh, k_e)
-    out["omega_i"] = _maxabs(lie_om_i)
-    out["i_endo"] = _maxabs(lie_i - 2.0 * jhk)
+    out["omega_i"] = maxabs(lie_om_i)
+    out["i_endo"] = maxabs(lie_i - 2.0 * jhk)
 
-    out["two_omega_jhat"] = _maxabs(2.0 * om_jh.val - dzeta_form(ctx).val - om_k.val)
+    out["two_omega_jhat"] = maxabs(2.0 * om_jh.val - dzeta_form(ctx).val - om_k.val)
 
     sflat = J.jj("ia,aj->ij", g, sigma_endo(ctx))
-    out["sigma_flat"] = _maxabs(lie(sflat, "ll") + 4.0 * lower(jjh))
-    out["g0"] = _maxabs(lie(g0_metric(ctx), "ll"))
+    out["sigma_flat"] = maxabs(lie(sflat, "ll") + 4.0 * lower(jjh))
+    out["g0"] = maxabs(lie(g0_metric(ctx), "ll"))
 
     # transport formula: for alpha = g(A.,.), L alpha = g((L A).,.) + (L g)(A.,.)
     for nm, endo, lie_endo, lie_form in (("i", i_e, lie_i, lie_om_i), ("k", k_e, lie_k, lie_om_k),
                                          ("jhat", jh, lie_jh, lie_om_jh)):
         via = (contract("zai,zaj->zij", lie_endo, gval)
                + contract("zai,zaj->zij", endo.val, lie_g))
-        out[f"transport_{nm}"] = _maxabs(lie_form - via)
+        out[f"transport_{nm}"] = maxabs(lie_form - via)
 
     # everything is also invariant along xi itself
     xi = ctx.root("xi")
     out["xi_invariance"] = np.max(
-        [_maxabs(lie(t, kinds, xi))
+        [maxabs(lie(t, kinds, xi))
          for t, kinds in ((g0_metric(ctx), "ll"), (om_i, "ll"), (om_k, "ll"), (jh, "ul"))],
         axis=0)
     return out
@@ -551,11 +551,11 @@ def g0_connection_check(ctx: EvalContext) -> dict:
     rhs = (1.0 / 3.0) * contract("zxay,zaq->zxyq", half, g0v)
 
     resid = contract("zxp,zyq,zwr,zxyw->zpqr", pi, pi, pi, diff - rhs)
-    out = {"difference_tensor": _maxabs(resid)}
+    out = {"difference_tensor": maxabs(resid)}
 
     # (pi + sigma/2)(pi - sigma/2) = (3/4) pi
     lhs = contract("zab,zbi->zai", pi + 0.5 * sg, pi - 0.5 * sg)
-    out["projector_algebra"] = _maxabs(lhs - 0.75 * pi)
+    out["projector_algebra"] = maxabs(lhs - 0.75 * pi)
     return out
 
 
@@ -574,49 +574,49 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
     i0v = i0.val
     out = {}
 
-    out["i0_square"] = _maxabs(contract("zab,zbi->zai", i0v, i0v) + pi)
+    out["i0_square"] = maxabs(contract("zab,zbi->zai", i0v, i0v) + pi)
     moved_g0 = contract("zai,zbj,zab->zij", i0v, i0v, g0v)
-    out["i0_compatible"] = _maxabs(
+    out["i0_compatible"] = maxabs(
         contract("zpi,zpq,zqj->zij", pi, moved_g0 - g0v, pi))
 
     om_i = omega_endo(ctx, "I").val
-    out["omega_i_via_i0"] = _maxabs(om_i - (2.0 / _SQ3)
+    out["omega_i_via_i0"] = maxabs(om_i - (2.0 / _SQ3)
                                     * contract("zai,zaj->zij", i0v, g0v))
 
     # omega0_jhat = dzeta / 2, and it is closed
     om0 = omega0_jhat(ctx)
-    out["omega0_jhat_half_dzeta"] = _maxabs(om0.val - 0.5 * dzeta_form(ctx).val)
-    out["omega0_jhat_closed"] = _maxabs(d_form(om0, 2).val)
+    out["omega0_jhat_half_dzeta"] = maxabs(om0.val - 0.5 * dzeta_form(ctx).val)
+    out["omega0_jhat_closed"] = maxabs(d_form(om0, 2).val)
 
     # type split of omega_K with respect to i0
     om_k = omega_endo(ctx, "K").val
     om_jh = omega_endo(ctx, "jhat").val
     inv, anti = omega_k_split(ctx)
-    out["omega_k_invariant_part"] = _maxabs(inv.val + (om_k - 2.0 * om_jh) / 3.0)
-    out["omega_k_anti_part"] = _maxabs(anti.val - (2.0 / 3.0) * (2.0 * om_k - om_jh))
+    out["omega_k_invariant_part"] = maxabs(inv.val + (om_k - 2.0 * om_jh) / 3.0)
+    out["omega_k_anti_part"] = maxabs(anti.val - (2.0 / 3.0) * (2.0 * om_k - om_jh))
 
     om_j = omega_j_form(ctx)
     moved_j = contract("zai,zbj,zab->zij", i0v, i0v, om_j.val)
-    out["omega_j_anti_invariant"] = _maxabs(moved_j + om_j.val)
+    out["omega_j_anti_invariant"] = maxabs(moved_j + om_j.val)
 
     re_p, im_p = psi_form(ctx)
     psi = re_p.val + 1j * im_p.val
-    out["psi_type"] = _maxabs(contract("zai,zaj->zij", i0v, psi) + 1j * psi)
-    out["psi_intermediate_j"] = _maxabs(
+    out["psi_type"] = maxabs(contract("zai,zaj->zij", i0v, psi) + 1j * psi)
+    out["psi_intermediate_j"] = maxabs(
         contract("zai,zaj->zij", i0v, om_j.val) + (_SQ3 / 2.0) * anti.val)
-    out["psi_intermediate_k"] = _maxabs(
+    out["psi_intermediate_k"] = maxabs(
         contract("zai,zaj->zij", i0v, anti.val) - (2.0 / _SQ3) * om_j.val)
 
     k_e = k_endo(ctx).val
     i0k = contract("zab,zbi->zai", i0v, k_e)
     target = (4.0 / _SQ3) * (contract("zai,zaj->zij", k_e, g0v)
                              - 1j * contract("zai,zaj->zij", i0k, g0v))
-    out["psi_via_k"] = _maxabs(psi - target)
+    out["psi_via_k"] = maxabs(psi - target)
 
     g0i = C.inverse_of(ctx, g0_metric).val
     n2 = form_norm2(re_p.val, 2, g0i) + form_norm2(im_p.val, 2, g0i)
     out["psi_norm"] = n2
-    out["psi_norm_dev"] = _maxabs(n2 - 64.0 / 3.0)
+    out["psi_norm_dev"] = maxabs(n2 - 64.0 / 3.0)
 
     # parallelism under the deformed connection, horizontally projected
     def hproj(cov):
@@ -625,9 +625,9 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
 
     gam0 = g0_christoffel(ctx)
     cov_i0 = C.covd(ctx, i0, "ul", gamma=gam0).val
-    out["i0_parallel"] = _maxabs(hproj(cov_i0))
+    out["i0_parallel"] = maxabs(hproj(cov_i0))
     cov_k = C.covd(ctx, k_endo(ctx), "ul", gamma=gam0).val
-    out["k_parallel"] = _maxabs(hproj(cov_k))
+    out["k_parallel"] = maxabs(hproj(cov_k))
 
     def fproj(cov):
         # cov: (z, x, i, j) form-valued
@@ -635,20 +635,20 @@ def kahler_projection_check(ctx: EvalContext) -> dict:
 
     cov_re = C.covd(ctx, re_p, "ll", gamma=gam0).val
     cov_im = C.covd(ctx, im_p, "ll", gamma=gam0).val
-    out["psi_parallel"] = np.maximum(_maxabs(fproj(cov_re)), _maxabs(fproj(cov_im)))
+    out["psi_parallel"] = np.maximum(maxabs(fproj(cov_re)), maxabs(fproj(cov_im)))
 
     # normalized circle action: zeta'(xi') = 1 and L_{xi'} Psi = i Psi
     zp = zeta_prime(ctx)
     xip = (1.0 / (2.0 * _SQ3)) * jxi_field(ctx)
-    out["zeta_prime_pairing"] = _maxabs(
+    out["zeta_prime_pairing"] = maxabs(
         contract("zi,zi->z", zp.val, xip.val) - 1.0)
     dzp = d_form(zp, 1).val
-    out["dzeta_prime_omega_i"] = _maxabs(dzp + 6.0 * _SQ3 * om_i)
-    out["dzeta_prime_i0"] = _maxabs(
+    out["dzeta_prime_omega_i"] = maxabs(dzp + 6.0 * _SQ3 * om_i)
+    out["dzeta_prime_i0"] = maxabs(
         dzp + 12.0 * contract("zai,zaj->zij", i0v, g0v))
     lre = C.lie_derivative(ctx, xip, C.cut(re_p), "ll").val
     lim = C.lie_derivative(ctx, xip, C.cut(im_p), "ll").val
-    out["phase_equation"] = np.maximum(_maxabs(lre + im_p.val), _maxabs(lim - re_p.val))
+    out["phase_equation"] = np.maximum(maxabs(lre + im_p.val), maxabs(lim - re_p.val))
     return out
 
 
@@ -753,7 +753,7 @@ def sekigawa_terms_at(ctx: EvalContext, rng) -> dict:
     rhs = -8.0 * r2 - norm_rough - norm_phi - (scal / 4.0) * norm_nabla_om
     out["lhs"] = np.abs(lhs)
     out["rhs"] = np.abs(rhs)
-    out["identity_residual"] = _maxabs(lhs - rhs)
+    out["identity_residual"] = maxabs(lhs - rhs)
     return out
 
 
@@ -768,24 +768,24 @@ def base_kahler_check(ctx: EvalContext) -> dict:
     g = C.metric(ctx)
     gv = g.val
     ric = C.ricci(ctx).val
-    out = {"einstein_12": _maxabs(ric - 12.0 * gv)}
+    out = {"einstein_12": maxabs(ric - 12.0 * gv)}
 
     eye = np.eye(ctx.chart.dim)
     for nm in ("I0", "Jhat"):
         e = ctx.root(nm)
         ev = e.val
-        out[f"{nm.lower()}_square"] = _maxabs(
+        out[f"{nm.lower()}_square"] = maxabs(
             contract("zab,zbi->zai", ev, ev) + eye)
-        out[f"{nm.lower()}_compatible"] = _maxabs(
+        out[f"{nm.lower()}_compatible"] = maxabs(
             contract("zai,zbj,zab->zij", ev, ev, gv) - gv)
-        out[f"{nm.lower()}_parallel"] = _maxabs(
+        out[f"{nm.lower()}_parallel"] = maxabs(
             C.covd(ctx, C.cut(e), "ul").val)
         om = J.jj("ai,aj->ij", e, g)
-        out[f"{nm.lower()}_form_closed"] = _maxabs(d_form(om, 2).val)
+        out[f"{nm.lower()}_form_closed"] = maxabs(d_form(om, 2).val)
 
     i0 = ctx.root("I0").val
     jh = ctx.root("Jhat").val
-    out["i0_jhat_commute"] = _maxabs(
+    out["i0_jhat_commute"] = maxabs(
         contract("zab,zbi->zai", i0, jh) - contract("zab,zbi->zai", jh, i0))
     return out
 
@@ -800,20 +800,20 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
     gb = gamma_bar(ctx)
     out = {}
     # each derivative is read as a value: the tensor cut to order 1
-    out["metric_parallel"] = _maxabs(C.covd(ctx, C.cut(C.metric(ctx)), "ll", gamma=gb).val)
-    out["j_parallel"] = _maxabs(C.covd(ctx, C.cut(j_field(ctx)), "ul", gamma=gb).val)
+    out["metric_parallel"] = maxabs(C.covd(ctx, C.cut(C.metric(ctx)), "ll", gamma=gb).val)
+    out["j_parallel"] = maxabs(C.covd(ctx, C.cut(j_field(ctx)), "ul", gamma=gb).val)
 
     cov_xi = C.covd(ctx, C.cut(ctx.root("xi")), "u", gamma=gb).val  # (z, i, a)
     sg = sigma_endo(ctx).val
     jh = jhat_endo(ctx).val
     target = contract("zab,zbi->zai", sg + np.eye(ctx.chart.dim), jh)
-    out["xi_derivative"] = _maxabs(np.swapaxes(cov_xi, 1, 2) - target)
+    out["xi_derivative"] = maxabs(np.swapaxes(cov_xi, 1, 2) - target)
 
     # horizontal-horizontal part of nabla sigma (Levi-Civita) vanishes
     pi = pi_h(ctx).val
     cov_sg = C.covd_field(ctx, sigma_endo, "ul").val
     proj = contract("zxp,zab,zxbj,zjq->zpaq", pi, pi, cov_sg, pi)
-    out["sigma_transversal_parallel"] = _maxabs(proj)
+    out["sigma_transversal_parallel"] = maxabs(proj)
 
     # distributions spanned by xi with the +1 eigenspace of sigma, and its
     # J-image: both are preserved by the connection
@@ -824,11 +824,11 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
     pi_f = p_minus + J.jj("a,i->ai", jxi_field(ctx).truncate(p_minus.space), jzeta_form(ctx))
 
     jval = j_field(ctx).val
-    out["j_maps_e_to_f"] = _maxabs(
+    out["j_maps_e_to_f"] = maxabs(
         contract("zab,zbi->zai", jval, pi_e.val)
         - contract("zab,zbi->zai", pi_f.val, contract("zab,zbi->zai", jval, pi_e.val)))
 
-    out["e_projector_parallel"] = _maxabs(C.covd(ctx, pi_e, "ul", gamma=gb).val)
+    out["e_projector_parallel"] = maxabs(C.covd(ctx, pi_e, "ul", gamma=gb).val)
 
     d = ctx.chart.dim
     eye = np.eye(d)
@@ -837,6 +837,6 @@ def canonical_connection_checks(ctx: EvalContext, rng) -> dict:
         w = rng.standard_normal(d)
         for proj in (pi_e, pi_f):
             cov = C.covd(ctx, J.jc("i,ai->a", w, proj), "u", gamma=gb).val  # (z, u, a)
-            split.append(_maxabs(contract("zab,zub->zua", eye - proj.val, cov)))
+            split.append(maxabs(contract("zab,zub->zua", eye - proj.val, cov)))
     out["splitting_parallel"] = np.max(split, axis=0)
     return out

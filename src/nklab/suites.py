@@ -37,11 +37,13 @@ only its source results, and is let go once its model's rows are out.
 Each model of a run gets one session, which reads only that model.  Its
 ``ctx(order)`` is the one place that decides where a check looks: every
 source with a context is handed the session's context for its declared
-order on the whole current chunk, so all of them read every point of the
-run with its derivative backend (``mode``).  A source's order is the
-lowest one whose jets its reads still trust: every check reads values
-only, so a source that differentiates its chart fields k times declares
-order k, and one order lower it raises ``ValueError``.
+order on the whole current chunk of the session's chart, so all of them
+read every point of the run.  The chart is the model's, or its
+:func:`~nklab.findiff.fd_chart` in ``mode`` "fd" (:meth:`_Session.backend`).
+A source's order is the lowest one whose jets its reads still trust:
+every check reads values only, so a source that differentiates its chart
+fields k times declares order k, and one order lower it raises
+``ValueError``.
 
 Contexts, exact: one per chunk; fd: one per order.  Every source of an
 exact chunk reads one context of the model's root order
@@ -76,9 +78,10 @@ blocks (16 at 50 samples, 8 at 20), with jets of order 4 and frame seeds
 drawn from its own generator.  It alone keeps a quarter: on every point
 its order-4 contexts raised the exact lab's peak RSS at 50 samples by
 15% (56.3 to 64.5 MB) and its pass time by a quarter, while the order-2
-sources cost little once they share the order-2 context and its memo.  The gauge scan of ``gauge``
-takes the first 6 points, and ``gauge`` compares the session's ``ansatz``
-with a gauge-shifted copy (values only, no derivatives of chart fields).
+sources cost little once they share the order-2 context and its memo.
+The gauge scan of ``gauge`` reads the first 6 points and no root field,
+and ``gauge`` compares the session's ``ansatz`` with a gauge-shifted copy
+by values only, in exact contexts of its own.
 
 Residuals are reduced here and nowhere else.  For each key a check reads,
 a source returns a float array of shape ``(nbatch,)``: the max of |residual|
@@ -114,7 +117,8 @@ from . import jets as J
 from . import models as M
 from . import nkcore as NK
 from . import reduction as R
-from .chart import MODES, ConfigError, EvalContext, sample_points
+from .chart import ConfigError, EvalContext, sample_points
+from .findiff import fd_chart
 from .report import CheckResult
 
 __all__ = [
@@ -123,12 +127,15 @@ __all__ = [
     "SUITES",
     "XFAIL",
     "MODEL_NAMES",
+    "MODES",
     "checks_for",
     "run_suite",
     "run",
 ]
 
 MODEL_NAMES = tuple(M.MODEL_BUILDERS)
+
+MODES = ("exact", "fd")  #: derivative backends: exact jets, or fd root jets (``findiff``)
 
 #: suite name -> models it covers by default
 SUITES = {
@@ -422,7 +429,7 @@ class _Session:
         self.seed = int(seed)
         self.mode = mode
         self.bundle = M.build_model(model)
-        self.chart = self.bundle.chart
+        self.chart = self.backend(self.bundle.chart)
         self.pts = sample_points(self.chart, self.samples,
                                  np.random.default_rng(seed))
         self._cache: dict = {}
@@ -433,6 +440,10 @@ class _Session:
         # the chunk being computed; all the points outside ``compute``
         self._chunk = slice(0, self.samples)
 
+    def backend(self, chart):
+        """``chart``, or its fd chart in an fd session."""
+        return chart if self.mode == "exact" else fd_chart(chart)
+
     def ctx(self, order: int) -> EvalContext:
         """The context for a source of ``order`` on the current chunk: exact
         jets of the root order, or fd jets of ``order``.  It replaces a held
@@ -441,7 +452,7 @@ class _Session:
             order = self.root_order
         if self._ctx is None or self._ctx.order != order:
             self._ctx = None
-            self._ctx = EvalContext(self.chart, self.pts[self._chunk], order, mode=self.mode)
+            self._ctx = EvalContext(self.chart, self.pts[self._chunk], order)
         return self._ctx
 
     def probes(self, offset: int) -> _Probes:
@@ -544,13 +555,13 @@ def _finish_ctype(out):
             "quantiles": quantiles}
 
 
-def _chunked(fn, chart, pts, order, mode, rng) -> dict:
+def _chunked(fn, chart, pts, order, rng) -> dict:
     """The per-point arrays of ``fn(ctx, probes)`` on all of ``pts``, chunk
     by chunk as a session takes its points: a context of ``order`` per
     chunk, and probes drawn from ``rng`` once for all the points."""
     n, draws, out = len(pts), [], None
     for rows in J.chunks(n, CHUNK):
-        ctx = EvalContext(chart, pts[rows], order, mode=mode)
+        ctx = EvalContext(chart, pts[rows], order)
         out = _stored(out, fn(ctx, _Probes(draws, rng, n, rows)), rows, n)
     return out
 
@@ -561,10 +572,10 @@ def _src_homothety(s):
     n = max(4, s.samples // 2)
     per_scale = []
     for factor in (0.5, 1.0, 2.0):
-        chart = M.build_s3s3(scale=factor * M.S3S3_SCALE).chart
+        chart = s.backend(M.build_s3s3(scale=factor * M.S3S3_SCALE).chart)
         rng = np.random.default_rng(s.seed + 6)
         pts = sample_points(chart, n, rng)   # the probes follow the points
-        alpha = _chunked(NK.constant_type_samples, chart, pts, 1, s.mode, rng)["alpha"]
+        alpha = _chunked(NK.constant_type_samples, chart, pts, 1, rng)["alpha"]
         per_scale.append(np.abs(factor * alpha - 1.0).max(axis=1))
     return {"scaled_spread": np.max(per_scale, axis=0)}
 
@@ -575,20 +586,18 @@ def _src_canon(s, ctx):
 
 def _src_sek(s):
     """The Sekigawa terms on the first quarter of the session's points, in
-    whole 8-point blocks: on every point its order-4 contexts raised the
-    exact lab's peak RSS at 50 samples by 15%."""
+    whole 8-point blocks."""
     n = min(s.samples, J.MIN_CHUNK * -(-s.samples // (4 * J.MIN_CHUNK)))
-    out = _chunked(R.sekigawa_terms_at, s.chart, s.pts[:n], 4, s.mode,
-                   np.random.default_rng(s.seed + 8))
+    out = _chunked(R.sekigawa_terms_at, s.chart, s.pts[:n], 4, np.random.default_rng(s.seed + 8))
     means = {k: float(np.mean(v)) for k, v in out.items() if k != "identity_residual"}
     return {**means, "identity_residual": out["identity_residual"],
             "sstar_48_dev": abs(means["sstar"] - 48.0)}
 
 
 def _src_gauge(s):
-    # 6 points: the 50-gauge scan takes 0.05 s there and 0.2 s at 50 points
+    # 6 points: the 50-gauge scan takes 8 ms there and 64 ms at 50 points
     # (2-vCPU Xeon); at seeds 0-3 the best wrong gauge still reads > 0.15
-    found = A.gauge_search(EvalContext(s.chart, s.pts[:6], 1, mode=s.mode))
+    found = A.gauge_search(EvalContext(s.chart, s.pts[:6], 1))
     ok = found.gauge == A.DEFAULT_GAUGE and not found.conjugate
     eq = A.gauge_equivalence_residual(s.bundle, (1, -1),
                                       samples=min(8, s.samples), seed=s.seed)

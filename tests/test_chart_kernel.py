@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nklab import calculus as C
+from nklab import findiff as F
 from nklab import jets as J
 from nklab import nkcore as NK
 from nklab import reduction as R
@@ -19,6 +20,7 @@ from nklab.chart import (
     DegenerateMetricError,
     EvalContext,
     OutOfDomainError,
+    maxabs,
     memoized,
     sample_points,
     unit_tangent_vectors,
@@ -145,7 +147,7 @@ class TestKernel:
         ch = _conformal_chart()
         pts = np.array([[0.15, -0.3]])
         exact = C.christoffel(EvalContext(ch, pts, 2)).val
-        approx = C.christoffel(EvalContext(ch, pts, 2, mode="fd")).val
+        approx = C.christoffel(EvalContext(F.fd_chart(ch), pts, 2)).val
         assert np.allclose(exact, approx, atol=1e-8)
 
     def test_memo_caches(self):
@@ -204,3 +206,18 @@ class TestMemoized:
         assert np.array_equal(ul.c, C.covd(ctx, R.sigma_endo(ctx), "ul").c)
         assert np.array_equal(ll.c, C.covd(ctx, R.sigma_endo(ctx), "ll").c)
         assert np.max(np.abs(ul.val - ll.val)) > 0.1
+
+
+@pytest.mark.parametrize("batch_last", [True, False])
+def test_maxabs_is_the_max_per_point_and_fails_nan(batch_last):
+    """``maxabs`` reads a ``Jet.val`` view (batch axis last in memory) and a
+    batch-first array alike, and a NaN anywhere in a point makes its max NaN."""
+    c = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 5, 3, 2, 6))
+    a = np.moveaxis(c[..., 0, :], -1, 0)  # (6, 4, 5, 3), strided like Jet.val
+    a = a if batch_last else np.ascontiguousarray(a)
+    a[2, 3, 4, 1] = np.nan
+    got = maxabs(a)
+    want = np.array([np.max(np.abs(a[z])) for z in range(6)])
+    assert got.shape == (6,)
+    assert np.array_equal(np.isnan(got), np.arange(6) == 2)
+    assert np.array_equal(got, want, equal_nan=True)

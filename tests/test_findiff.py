@@ -1,5 +1,6 @@
 """Richardson stencil jets: one stencil per context, evaluated block by block, exact
 arithmetic order kept."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -117,7 +118,7 @@ def test_stencil_leaving_the_box_raises():
     chart = ChartMap("flat", [(-1.0, 1.0)] * 2, {"metric": metric})
     near_wall = np.array([[0.0, 0.0], [0.999, 0.0]])
     assert EvalContext(chart, near_wall, order=3).root("metric").c.shape == (2, 2, 10, 2)
-    ctx = EvalContext(chart, near_wall, order=3, mode="fd")
+    ctx = EvalContext(F.fd_chart(chart), near_wall, order=3)
     with pytest.raises(OutOfDomainError):
         ctx.root("metric")
 
@@ -136,9 +137,10 @@ def test_fields_combined_side_by_side(points):
 # fd root jets of a context: one stencil evaluation for all of its fields
 
 
-def _per_root(ctx, name):
-    """A root's fd jet the per-root way: a fresh order-0 stencil context for
-    this field alone, then one Richardson term at a time."""
+def _per_root(chart, ctx, name):
+    """A root's fd jet the per-root way: a fresh order-0 stencil context of
+    the plain ``chart`` for this field alone, then one Richardson term at a
+    time."""
     space, nb = ctx.space, ctx.nbatch
     index = {(0,) * space.nvars: 0}
     terms = [[(index.setdefault(off, len(index)), w) for off, w in F._stencil_for(m)]
@@ -146,8 +148,8 @@ def _per_root(ctx, name):
     offsets = np.array(list(index), dtype=float)
     steps = (F.default_step(space.order), F.default_step(space.order) / 2.0)
     pts = ctx.points + np.array(steps)[:, None, None, None] * offsets[None, :, None, :]
-    sub = EvalContext(ctx.chart, pts.reshape(-1, space.nvars), order=0)
-    flat = np.asarray(ctx.chart.evaluators[name](sub).val, dtype=float)
+    sub = EvalContext(chart, pts.reshape(-1, space.nvars), order=0)
+    flat = np.asarray(chart.evaluators[name](sub).val, dtype=float)
     vals = flat.reshape(2, len(offsets), nb, *flat.shape[1:])
     raw = []
     for row in terms:
@@ -167,7 +169,7 @@ def _per_root(ctx, name):
 
 @pytest.fixture()
 def stencil_calls(monkeypatch):
-    """The field names of every ``fd_jet`` call ``chart`` makes from now on."""
+    """The field names of every ``fd_jet`` call an fd chart makes from now on."""
     calls = []
 
     def spy(f, points, space):
@@ -175,7 +177,7 @@ def stencil_calls(monkeypatch):
         calls.append(sorted(out))
         return out
 
-    monkeypatch.setattr(C, "fd_jet", spy)
+    monkeypatch.setattr(F, "fd_jet", spy)
     return calls
 
 
@@ -184,12 +186,12 @@ def test_one_stencil_call_per_context(model, stencil_calls):
     chart = M.build_model(model).chart
     pts = sample_points(chart, 3, np.random.default_rng(1))
     for order in (1, 2, 3, 4):
-        ctx = EvalContext(chart, pts, order, mode="fd")
+        ctx = EvalContext(F.fd_chart(chart), pts, order)
         stencil_calls.clear()
         jets = {name: ctx.root(name) for name in chart.evaluators}
         assert stencil_calls == [sorted(chart.evaluators)], (chart.name, order)
         for name, jet in jets.items():
-            assert np.array_equal(jet.c, _per_root(ctx, name)), (chart.name, order, name)
+            assert np.array_equal(jet.c, _per_root(chart, ctx, name)), (chart.name, order, name)
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
@@ -201,9 +203,9 @@ def test_roots_from_small_blocks_equal_the_whole_stencil(monkeypatch, model):
     chart = M.build_model(model).chart
     pts = sample_points(chart, 3, np.random.default_rng(1))
     for order in (1, 2, 3, 4):
-        ctx = EvalContext(chart, pts, order, mode="fd")
+        ctx = EvalContext(F.fd_chart(chart), pts, order)
         for name in chart.evaluators:
-            assert np.array_equal(ctx.root(name).c, _per_root(ctx, name)), (
+            assert np.array_equal(ctx.root(name).c, _per_root(chart, ctx, name)), (
                 chart.name, order, name)
 
 
@@ -243,7 +245,7 @@ def test_a_field_failing_on_a_later_block_is_left_out(monkeypatch, stencil_calls
         return J.jconst(ctx.space, np.broadcast_to(np.eye(2), (ctx.nbatch, 2, 2)).copy())
 
     chart = ChartMap("flat", [(-1.0, 1.0)] * 2, {"metric": metric, "bad": bad})
-    ctx = EvalContext(chart, pts, order=2, mode="fd")
+    ctx = EvalContext(F.fd_chart(chart), pts, order=2)
     seen.clear()
     assert ctx.root("metric").c.shape == (2, 2, 6, 2)
     assert stencil_calls == [["metric"]]
@@ -264,22 +266,44 @@ def test_a_field_failing_on_the_stencil_raises_only_when_requested(stencil_calls
     chart = ChartMap("flat", [(-1.0, 1.0)] * 2, {"metric": metric, "bad": bad})
     pts = np.array([[0.0, 0.0], [0.3, -0.2]])
     assert EvalContext(chart, pts, order=2).root("bad").c.shape == (6, 2)
-    ctx = EvalContext(chart, pts, order=2, mode="fd")
+    ctx = EvalContext(F.fd_chart(chart), pts, order=2)
     assert ctx.root("metric").c.shape == (2, 2, 6, 2)
     assert stencil_calls == [["metric"]]
     with pytest.raises(DegenerateFrameError):
         ctx.root("bad")
     with pytest.raises(DegenerateFrameError):
-        EvalContext(chart, pts, order=2, mode="fd").root("bad")
+        EvalContext(F.fd_chart(chart), pts, order=2).root("bad")
 
 
 @pytest.mark.parametrize("mode, order", [("fd", 5), ("fd", -1), ("exact", -1)])
 def test_a_context_of_an_order_its_backend_cannot_reach_is_refused(mode, order):
     # an fd context of order 5 raised a bare KeyError on its first root(), and
-    # order -1 an IndexError while seeding its coordinates
-    ch = M.build_model("s6").chart
+    # order -1 an IndexError while seeding its coordinates; the fd chart
+    # refuses the order on the first root, the context a negative order
+    plain = M.build_model("s6").chart
+    ch = {"exact": plain, "fd": F.fd_chart(plain)}[mode]
     pts = sample_points(ch, 2, np.random.default_rng(0))
     with pytest.raises(C.ConfigError, match=f"order {order}"):
-        EvalContext(ch, pts, order, mode=mode)
+        EvalContext(ch, pts, order).root("metric")
     assert F.MAX_ORDER == 4     # the highest order with a stencil
-    EvalContext(ch, pts, F.MAX_ORDER, mode="fd")
+    EvalContext(F.fd_chart(plain), plain.center(), F.MAX_ORDER).root("metric")
+
+
+#: The ``ansatz`` rows that read no root field: coordinate formulas only.
+_ROOTLESS = ("ansatz-connection", "ansatz-twisted-parallel", "ansatz-gauge-search",
+             "ansatz-gauge-equivalence")
+
+
+def test_an_fd_chart_moves_only_the_rows_that_read_root_fields():
+    # the backend swaps a chart's root jets and nothing else: the rows that
+    # read none are bit-identical, and nk-condition, which reads nabla J,
+    # moves (4.0e-15 exact, 2.9e-11 fd), so the fd backend was live
+    rows = {}
+    for mode in ("exact", "fd"):
+        got = suites.run(models=["ansatz"], suites=["ansatz"], samples=8, seed=0, mode=mode)
+        rows[mode] = {r.check: dataclasses.replace(r, seconds=0.0) for r in got}
+    for check in _ROOTLESS:
+        assert rows["exact"][check] == rows["fd"][check], check
+    nk = [rows[mode]["ansatz-nk-condition"] for mode in ("exact", "fd")]
+    assert nk[0].status == nk[1].status == "pass"
+    assert nk[0].residual < 1e-13 < nk[1].residual, nk

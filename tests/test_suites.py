@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nklab import findiff as F
 from nklab import jets as J
 from nklab import models as M
 from nklab import nkcore as NK
@@ -215,20 +216,27 @@ class TestSessions:
                                    "got inf")
 
     def test_fd_run_evaluates_no_exact_derivatives(self, monkeypatch):
-        # every context of order >= 1 whose roots a fd run evaluates is in fd
-        # mode; order-0 contexts (chart validation, orientation, fd stencils)
-        # need no derivatives
-        seen = set()
-        root = EvalContext.root
+        # every context of order >= 1 whose roots a fd run evaluates builds
+        # them from its own stencil; order-0 contexts (chart validation,
+        # orientation, fd stencils) need no derivatives
+        seen, stencils, held = set(), set(), []   # held, so ids are not reused
+        root, fd_jet = EvalContext.root, F.fd_jet
 
         def spy(ctx, name):
-            seen.add((ctx.chart.name, ctx.order, ctx.mode))
+            held.append(ctx.points)
+            seen.add((ctx.chart.name, ctx.order, id(ctx.points)))
             return root(ctx, name)
 
+        def stencil(values, points, space):
+            held.append(points)
+            stencils.add(id(points))
+            return fd_jet(values, points, space)
+
         monkeypatch.setattr(EvalContext, "root", spy)
+        monkeypatch.setattr(F, "fd_jet", stencil)
         results = suites.run(mode="fd", samples=4)
         assert results
-        exact = sorted((c, o) for c, o, m in seen if o >= 1 and m != "fd")
+        exact = sorted({(c, o) for c, o, key in seen if o >= 1 and key not in stencils})
         assert not exact, f"exact contexts in a fd run: {exact}"
         declared = {order for order, _ in suites._SOURCES.values() if order is not None}
         assert {o for _, o, _ in seen} >= declared | {4}   # and sek's own contexts
@@ -627,7 +635,7 @@ class TestChunks:
         monkeypatch.setattr(suites, "_chunked", chunked)
         for samples in [*range(2, 300), 1000, 1027, 4099, 10_000]:
             suites._src_sek(SimpleNamespace(samples=samples, seed=0, chart=None,
-                                            mode="exact", pts=np.zeros((samples, 1))))
+                                            pts=np.zeros((samples, 1))))
             k = seen.pop()
             assert k == samples or k % J.MIN_CHUNK == 0, (samples, k)
             for n in (samples, k):

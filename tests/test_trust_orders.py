@@ -25,7 +25,7 @@ import nklab
 from nklab import ansatz as A
 from nklab import calculus as C
 from nklab import exterior as E
-from nklab import chart as CH
+from nklab import findiff as F
 from nklab import jets as J
 from nklab import models as M
 from nklab import nkcore as NK
@@ -454,13 +454,13 @@ def test_fd_session_contexts_build_their_own_roots(monkeypatch):
     Richardson step depends on the order), so fd contexts share no roots."""
     made = _session_contexts(monkeypatch)
     seen = []
-    orig = CH.fd_jet
+    orig = F.fd_jet
 
     def fd_jet(values, points, space):
         seen.append((points, space))   # held, so ids are not reused
         return orig(values, points, space)
 
-    monkeypatch.setattr(CH, "fd_jet", fd_jet)
+    monkeypatch.setattr(F, "fd_jet", fd_jet)
     results = suites.run(samples=4, mode="fd")
     assert results and made
     stencils = {(id(points), id(space)) for points, space in seen}

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random seed for sampling, at least 0 (default 0)")
     p.add_argument("--deriv-mode", choices=S.MODES, default="exact",
                    help="derivative backend: exact jets, or fd root fields; the full "
-                        "fd lab fails three base rows on s2s2 by design and exits 1")
+                        "fd lab fails two base rows on s2s2 by design and exits 1")
     p.add_argument("--out", default=None,
                    help="write a JSONL report here (default: "
                         "$NKLAB_REPORT_DIR/nklab-report-<stamp>.jsonl if set)")

@@ -7,11 +7,14 @@ of a chart: a cross-check of the root jets' own derivatives, as every
 derived computation runs the same jet arithmetic on either chart.
 
 Central differences have O(h^2) truncation error; one Richardson level
-((4 D_{h/2} - D_h)/3) pushes that to O(h^4).  The stencil points of both
-step sizes go to the value function in blocks of :data:`BLOCK` points, cut
-by the batch rule of :func:`~nklab.jets.chunks`, so each point rounds as
-in one batch and memory does not grow with the stencil; the zero offset is
-among them, so the value row comes from the same calls, unextrapolated.
+((4 D_{h/2} - D_h)/3) pushes that to O(h^4).  A coefficient takes the
+step of its degree (:func:`default_step`) whatever the jet's order, so an
+fd jet cut to a lower order is that order's fd jet, bit for bit.  The
+stencil points of both steps go to the value function in blocks of
+:data:`BLOCK` points, cut by the batch rule of :func:`~nklab.jets.chunks`,
+so each point rounds as in one batch and memory does not grow with the
+stencil; the zero offset is among them, so the value row comes from the
+same calls, unextrapolated.
 Each block's values go straight into one value table.  The combination
 runs over all fields at once, one slot of a padded term table at a time,
 so every coefficient still sums its terms in stencil order.
@@ -47,9 +50,11 @@ _STENCILS = {
 MAX_ORDER = max(_STENCILS)
 
 
-def default_step(order: int) -> float:
-    # Balance truncation against roundoff amplification ~ eps / h^order.
-    return {0: 1e-2, 1: 1e-4, 2: 5e-3, 3: 2e-2, 4: 4e-2}[order]
+def default_step(degree: int) -> float:
+    # Balance truncation against roundoff ~ eps / h^degree; the value takes
+    # none.  Degree 1 on the fd lab: 1e-3 and 2e-3 keep every pass at seeds
+    # 0-9; 1e-4 loses 0.9 residual_digits; 5e-3 fails s6 elementary-identities.
+    return {0: 0.0, 1: 1e-3, 2: 5e-3, 3: 2e-2, 4: 4e-2}[degree]
 
 
 def _stencil_for(multi) -> list[tuple[tuple, float]]:
@@ -69,43 +74,47 @@ def _stencil_for(multi) -> list[tuple[tuple, float]]:
 
 @lru_cache(maxsize=None)
 def _plan(space: JetSpace):
-    """Stencil plan of a jet space: (offsets, idx, wts, fac).
+    """Stencil plan of a jet space: (offsets, steps, idx, wts, fac, hpow).
 
-    ``offsets`` (noff, nvars) lists every distinct stencil offset, the zero
-    offset first.  Row k of the padded ``(ncoef, P)`` tables ``idx`` and
-    ``wts`` holds monomial k's offset indices and weights in
+    ``offsets`` (noff, nvars) lists every distinct stencil offset, keyed by
+    the degree of the monomials that read it, the zero offset once and
+    first; ``steps`` (2, noff) holds each one's steps, h = ``default_step``
+    of its degree and h/2.  Row k of the padded ``(ncoef, P)`` tables
+    ``idx`` and ``wts`` holds monomial k's offset indices and weights in
     ``_stencil_for`` order; the slots past its stencil read offset ``noff``,
     a zero row that ``fd_jet`` appends, with weight 0.  ``fac`` holds the
-    factorial divisors.
+    factorial divisors, and ``hpow`` (2, ncoef) each monomial's steps raised
+    to its degree.
     """
-    index = {(0,) * space.nvars: 0}
-    terms = [[(index.setdefault(off, len(index)), w) for off, w in _stencil_for(m)]
-             for m in space.monomials]
+    index = {}
+    terms = [[(index.setdefault((sum(m) * any(off), off), len(index)), w)
+              for off, w in _stencil_for(m)] for m in space.monomials]
     idx = np.full((space.ncoef, max(map(len, terms))), len(index))
     wts = np.zeros(idx.shape)
     for k, row in enumerate(terms):
         idx[k, :len(row)], wts[k, :len(row)] = zip(*row)
-    offsets = np.array(list(index), dtype=float)
+    offsets = np.array([off for _, off in index], dtype=float)
+    steps = np.array([[default_step(k) / d for k, _ in index] for d in (1.0, 2.0)])
     fac = np.array([math.prod(math.factorial(mi) for mi in m) for m in space.monomials])
-    return offsets, idx, wts, fac
+    hpow = np.array([[(default_step(sum(m)) / d) ** sum(m) for m in space.monomials]
+                     for d in (1.0, 2.0)])
+    return offsets, steps, idx, wts, fac, hpow
 
 
 def fd_jet(f, points: np.ndarray, space: JetSpace) -> dict[str, Jet]:
     """Jets of black-box fields by Richardson-extrapolated stencils.
 
     ``f(points) -> {name: (npoints, *tshape)}`` is called on the stencil
-    points of steps h = ``default_step(order)`` and h/2, stacked as
-    ``(2 * noff * nbatch, nvars)`` and cut into blocks (:data:`BLOCK`);
+    points, each offset at h = ``default_step`` of its degree and at h/2,
+    stacked as ``(2 * noff * nbatch, nvars)`` and cut into blocks (:data:`BLOCK`);
     the result maps the names that every block returned to jets.  All
     fields are combined at once, over their flattened tensor axes side by
     side, one padded term slot at a time: each coefficient sums its
     stencil terms in ``_stencil_for`` order, as a per-term loop would.
     """
-    h = default_step(space.order)
-    offsets, idx, wts, fac = _plan(space)
-    steps = (h, h / 2.0)
+    offsets, steps, idx, wts, fac, hpow = _plan(space)
     noff, nb = len(offsets), points.shape[0]
-    pts = points + np.array(steps)[:, None, None, None] * offsets[None, :, None, :]
+    pts = points + steps[:, :, None, None] * offsets[None, :, None, :]
     pts = pts.reshape(-1, points.shape[1])
     # (2 * noff + 1, nb, F): every field's values, step by step, then the
     # zero row that padded slots read
@@ -126,7 +135,7 @@ def fd_jet(f, points: np.ndarray, space: JetSpace) -> dict[str, Jet]:
     acc = np.empty((space.ncoef, nb, vals.shape[-1]))
     term = np.empty_like(acc)
     d = []
-    for s, step in enumerate(steps):
+    for s in range(2):
         # step s reads offset i at row s * noff + i, a padded slot the zero row
         at = np.where(idx < noff, s * noff + idx, 2 * noff)
         acc.fill(0.0)
@@ -138,7 +147,7 @@ def fd_jet(f, points: np.ndarray, space: JetSpace) -> dict[str, Jet]:
         # (ncoef, nb, F) -> (F, ncoef, nb), C-ordered as downstream
         # contractions round by memory layout; divided by step^degree.
         d.append(np.ascontiguousarray(np.moveaxis(acc, -1, 0)))
-        d[s] /= np.array([step ** sum(m) for m in space.monomials])[:, None]
+        d[s] /= hpow[s][:, None]
     d1, c = d
     # (4 D_{h/2} - D_h) / 3 / fac, in place
     c *= 4.0
@@ -169,7 +178,7 @@ def fd_chart(chart: ChartMap) -> ChartMap:
             out = {}
             for n in tuple(names):
                 try:
-                    out[n] = chart.evaluators[n](sub).val
+                    out[n] = sub.root(n).val
                 except Exception:
                     if n == name:
                         raise

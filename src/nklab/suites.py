@@ -16,13 +16,11 @@ none holds fewer than 8 points unless the whole session does, so every
 source's per-point arrays agree bit for bit with one large batch.
 Measured: a chunk starting at 60, 65 or 68 of 260 points changes exact
 rows.  The loop is chunk-major.  For each chunk, the model computes the
-shared sources its selected checks read on that chunk's points, grouped
-by the context order each source declares in :data:`_SOURCES`: by
-ascending order, in check order within an order.  A context, with all
-its memoized jets, is released before the next one is built, and at the
-chunk's end.  So one context on one chunk is alive at a time, and peak
-memory follows the largest context on one chunk, not the sample count.
-Each source returns per-point arrays for a chunk, which are written to
+shared sources its selected checks read on that chunk's points, in check
+order, in the chunk's one context, which is released, with all its
+memoized jets, at the chunk's end.  So one context on one chunk is alive
+at a time, and peak memory follows it, not the sample count.  Each
+source returns per-point arrays for a chunk, which are written to
 their rows of the source's arrays for all the points.  After the last
 chunk, its finishing step (:data:`_FINISH`, if it has one) computes its
 scalar keys from those, once.  A multi-chunk run thus computes the same
@@ -35,26 +33,24 @@ error, and every row that reads it reports that error.  A session keeps
 only its source results, and is let go once its model's rows are out.
 
 Each model of a run gets one session, which reads only that model.  Its
-``ctx(order)`` is the one place that decides where a check looks: every
-source with a context is handed the session's context for its declared
-order on the whole current chunk of the session's chart, so all of them
-read every point of the run.  The chart is the model's, or its
-:func:`~nklab.findiff.fd_chart` in ``mode`` "fd" (:meth:`_Session.backend`).
-A source's order is the lowest one whose jets its reads still trust:
-every check reads values only, so a source that differentiates its chart
-fields k times declares order k, and one order lower it raises
-``ValueError``.
+``ctx()`` is the one place that decides where a check looks: every
+source with a context is handed the session's one context on the whole
+current chunk of the session's chart, so all of them read every point
+of the run.  The chart is the model's, or its
+:func:`~nklab.findiff.fd_chart` in ``mode`` "fd" (:meth:`_Session.backend`);
+the mode does nothing else.  A source's order is the lowest one whose
+jets its reads still trust: every check reads values only, so a source
+that differentiates its chart fields k times declares order k, and one
+order lower it raises ``ValueError``.
 
-Contexts, exact: one per chunk; fd: one per order.  Every source of an
-exact chunk reads one context of the model's root order
+One context per chunk, in both modes, of the model's root order
 (:func:`_root_order`; 2, and 1 for ``s3s3-product``): truncation of a
-Taylor jet is exact, so it holds all that a lower order reads, and a
-derivative read only as a value takes its argument cut to order 1
+Taylor jet is exact, and an fd coefficient takes the Richardson step of
+its degree whatever the order (:func:`~nklab.findiff.default_step`), so
+the context holds all that a lower order reads, and a derivative read
+only as a value takes its argument cut to order 1
 (:func:`~nklab.calculus.cut`).  The root order follows from the tables,
 not from the sources a run selects, so every run rounds the jets alike.
-The Richardson step depends on the order, so an fd jet cut to a lower
-order is not that order's fd jet: an fd chunk gets one context per
-declared order.
 
 Most sources only call one check on the session's context; each of those
 is one :data:`_SOURCES` entry made by :func:`_check`, which names the
@@ -444,15 +440,10 @@ class _Session:
         """``chart``, or its fd chart in an fd session."""
         return chart if self.mode == "exact" else fd_chart(chart)
 
-    def ctx(self, order: int) -> EvalContext:
-        """The context for a source of ``order`` on the current chunk: exact
-        jets of the root order, or fd jets of ``order``.  It replaces a held
-        context of another order, dropped first."""
-        if self.mode == "exact":
-            order = self.root_order
-        if self._ctx is None or self._ctx.order != order:
-            self._ctx = None
-            self._ctx = EvalContext(self.chart, self.pts[self._chunk], order)
+    def ctx(self) -> EvalContext:
+        """The context of the current chunk: jets of the root order."""
+        if self._ctx is None:
+            self._ctx = EvalContext(self.chart, self.pts[self._chunk], self.root_order)
         return self._ctx
 
     def probes(self, offset: int) -> _Probes:
@@ -487,18 +478,17 @@ class _Session:
     def compute(self, sources) -> None:
         """Compute those of ``sources`` not computed yet, chunk-major.
 
-        For each chunk, the sources with a context run by ascending order
-        and, within an order, as listed, each on :meth:`ctx` of its order,
-        dropped at the chunk's end.  A source's per-point arrays for a chunk
-        go to their rows of its arrays for all the points, made on its first
-        chunk; after the last chunk they are finished and cached.  The
-        context-free sources run last, with no context alive, and the probe
-        draws are dropped before them.  A source that raises on a chunk
-        skips the later ones and is cached as its error.
+        For each chunk, the sources with a context run as listed, all on
+        :meth:`ctx`, dropped at the chunk's end.  A source's per-point
+        arrays for a chunk go to their rows of its arrays for all the
+        points, made on its first chunk; after the last chunk they are
+        finished and cached.  The context-free sources run last, with no
+        context alive, and the probe draws are dropped before them.  A
+        source that raises on a chunk skips the later ones and is cached
+        as its error.
         """
         todo = [name for name in dict.fromkeys(sources) if name not in self._cache]
-        keyed = sorted((name for name in todo if _SOURCES[name][0] is not None),
-                       key=lambda name: _SOURCES[name][0])
+        keyed = [name for name in todo if _SOURCES[name][0] is not None]
         merged = dict.fromkeys(keyed)   # None, then the arrays, or the error
         clock = dict.fromkeys(todo, 0.0)
         try:
@@ -506,10 +496,10 @@ class _Session:
                 for name in keyed:
                     if isinstance(merged[name], Exception):
                         continue
-                    order, fn = _SOURCES[name]
+                    fn = _SOURCES[name][1]
                     t0 = time.perf_counter()
                     try:
-                        merged[name] = _stored(merged[name], fn(self, self.ctx(order)),
+                        merged[name] = _stored(merged[name], fn(self, self.ctx()),
                                                self._chunk, self.samples)
                     except Exception as e:
                         merged[name] = _stripped(e)
@@ -627,10 +617,11 @@ def _check(module, name: str, probes: int | None = None):
     return lambda s, ctx: getattr(module, name)(ctx, s.probes(probes))
 
 
-#: source name -> (context order, function).  A source of order k is called
-#: once per chunk as ``fn(session, session.ctx(k))``, k being the lowest
-#: order whose jets its reads trust, and returns per-point arrays; one of
-#: order None takes no session context and is called once as ``fn(session)``.
+#: source name -> (context order, function).  A source's order k, the lowest
+#: whose jets its reads trust, bounds its model's root order; it is called
+#: once per chunk as ``fn(session, session.ctx())`` and returns per-point
+#: arrays; one of order None takes no session context and is called once as
+#: ``fn(session)``.
 #: A source that only calls one check is made by :func:`_check`.
 _SOURCES = {
     "nk": (1, _check(NK, "check_nearly_kahler")),
@@ -667,7 +658,7 @@ _FINISH = {"ctype": _finish_ctype}
 
 
 def _root_order(model: str) -> int:
-    """Order of the context of each chunk of ``model``'s exact sessions:
+    """Order of the context of each chunk of ``model``'s sessions:
     the highest context order of the sources its checks read, whichever
     checks a run selects."""
     orders = {_SOURCES[spec.source][0] for spec in CHECKS if model in spec.models}

@@ -150,14 +150,10 @@ def traced_run(**kwargs) -> Demand:
     return demand
 
 
-#: The order >= 1 products a lab run at seed 0 leaves unread, per mode.
-#: An exact chunk has one context, in which ``jzeta_form`` is also
-#: differentiated.  In an fd chunk ``acs_check`` reads ``reduction.pi_h`` in
-#: the order-1 context, and ``pi_h`` reads the memoized ``jzeta_form``,
-#: whose order-1 product (``ij,j->i``, on ``s3s3`` and ``ansatz``) only
-#: ``pi_h`` reads there; the order-2 contexts differentiate it, so it stays
-#: at its full order.
-LEFT = {"exact": 0, "fd": 2}
+#: The order >= 1 products a lab run at seed 0 may leave unread: none.  A
+#: chunk has one context in either mode, in which ``jzeta_form``, read as
+#: a value by ``reduction.pi_h``, is also differentiated.
+LEFT = 0
 
 
 def _sites(unread) -> str:
@@ -170,7 +166,7 @@ def test_every_order_one_product_feeds_a_derivative(mode):
     demand = traced_run(samples=8, seed=0, mode=mode)
     assert demand.products and demand.grad_args  # it reached jj and jgrad
     unread = demand.unread()
-    assert len(unread) <= LEFT[mode], _sites(unread)
+    assert len(unread) <= LEFT, _sites(unread)
 
 
 def test_the_tracker_tells_a_read_product_from_an_unread_one():

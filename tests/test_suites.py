@@ -89,7 +89,7 @@ class TestPerPointContract:
             for spec in specs:
                 order = suites._SOURCES[spec.source][0]
                 # homothety evaluates on its own max(4, samples // 2) points
-                n = s.ctx(order).nbatch if order is not None else max(4, s.samples // 2)
+                n = s.ctx().nbatch if order is not None else max(4, s.samples // 2)
                 s.release()
                 keys = spec.key if isinstance(spec.key, tuple) else (spec.key,)
                 scalars = _SCALAR_KEYS.get(spec.source, ())
@@ -315,10 +315,10 @@ def _track_contexts(monkeypatch):
     made = []
     ctx = suites._Session.ctx
 
-    def tracked(self, order):
+    def tracked(self):
         # a weak reference, so the held context can be dropped
         held = None if self._ctx is None else weakref.ref(self._ctx)
-        out = ctx(self, order)
+        out = ctx(self)
         if held is None or held() is not out:
             made.append((self.model, out.order, weakref.ref(out), self._chunk.start))
         return out
@@ -454,14 +454,14 @@ class TestSchedule:
         asked, built, crowded, building = [], [], [], []
         ctx, compute, make = suites._Session.ctx, suites._Session.compute, suites.EvalContext
 
-        def spied_ctx(self, order):
-            # compute hands each source its own order's context; a source
-            # asks for none itself
+        def spied_ctx(self):
+            # compute hands each source the chunk's context; a source asks
+            # for none itself
             if sys._getframe(1).f_code is not compute.__code__:
-                asked.append(order)
+                asked.append(self.model)
             building.append(self)
             try:
-                return ctx(self, order)
+                return ctx(self)
             finally:
                 building.pop()
 
@@ -492,9 +492,8 @@ class TestSchedule:
             if declared is None:
                 continue
             (rows,) = [c for c in chunks if c.start == start]
-            # an exact chunk's one context is of the model's root order
-            want = suites._root_order(model) if mode == "exact" else declared
-            assert order == want, (model, source, start)
+            # a chunk's one context is of the model's root order
+            assert order == suites._root_order(model), (model, source, start)
             # each keyed source's context holds the whole chunk
             assert points == rows.stop - rows.start, (model, source, start)
         # each source once per chunk
@@ -503,11 +502,9 @@ class TestSchedule:
         assert len(built) == len(set(built)), built
 
     @pytest.mark.parametrize("mode", ["exact", "fd"])
-    def test_exact_builds_one_context_per_chunk_fd_one_per_order(self, monkeypatch, mode):
+    def test_one_context_per_chunk_of_the_root_order(self, monkeypatch, mode):
         # every context a session builds, on the chunks [0:8] and [8:20]:
-        # exact, one per chunk, of the root order; fd, one per declared
-        # order, by ascending order.  At the parent an exact chunk built a
-        # root context and, beside it, one context per declared order.
+        # one per chunk, of the root order, in both modes
         monkeypatch.setattr(suites, "CHUNK", 8)
         make = suites.EvalContext
         for model, sources in _lab_sources().items():
@@ -532,9 +529,7 @@ class TestSchedule:
                 gc.enable()
             assert not crowded, (model, crowded)
             assert not alive, (model, alive)
-            orders = ([suites._root_order(model)] if mode == "exact" else
-                      sorted({suites._SOURCES[source][0] for source in sources}))
-            want = [(n, o) for n in (8, 12) for o in orders]
+            want = [(n, suites._root_order(model)) for n in (8, 12)]
             assert [(n, o) for n, o, _ in built] == want, model
 
     def test_error_rows_read_one_cached_error(self, monkeypatch):

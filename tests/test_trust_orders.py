@@ -9,8 +9,8 @@ compare each truncated function with its untruncated formula, kept here.
 A product with a constant jet spends its pair work on zeros, so the lab
 is also checked to multiply no jet built by ``jconst``.  Outside the
 chart fields, each context inverts each metric field once, one order
-below its own.  In exact mode a session evaluates each chart field once
-per chunk, in its one context of the root order.
+below its own.  A session evaluates each chart field once per chunk, for
+its one context of the root order, in either mode.
 """
 import importlib
 import pkgutil
@@ -389,7 +389,7 @@ def test_each_context_inverts_each_metric_once(monkeypatch, mode):
 
 
 # ---------------------------------------------------------------------------
-# (h) an exact session evaluates each chart field once, at its root order
+# (h) a session evaluates each chart field once, at its root order
 
 
 def _session_contexts(monkeypatch):
@@ -398,8 +398,8 @@ def _session_contexts(monkeypatch):
     made = []
     ctx = suites._Session.ctx
 
-    def tracked(self, order):
-        out = ctx(self, order)
+    def tracked(self):
+        out = ctx(self)
         made.append((self.model, out))
         return out
 
@@ -427,43 +427,43 @@ def _spy_evaluators(monkeypatch):
     return calls
 
 
-def test_exact_session_evaluates_each_chart_field_once(monkeypatch):
+@pytest.mark.parametrize("mode", suites.MODES)
+def test_session_evaluates_each_chart_field_once(monkeypatch, mode):
     """Every source of a chunk reads the session's one context, so each
-    chart field is evaluated there once, at the root order.  The contexts
-    sources build for themselves (homothety, ``sek``'s order-4 contexts,
-    the gauge scan and gauge equivalence) evaluate their own roots."""
+    chart field is evaluated for it once, at the root order: on the context
+    itself when exact, and in fd in the one stencil evaluation of its roots,
+    which 4 samples fit in one block.  The contexts sources build for
+    themselves (homothety, ``sek``'s order-4 contexts, the gauge scan and
+    gauge equivalence) evaluate their own roots."""
     made = _session_contexts(monkeypatch)
     calls = _spy_evaluators(monkeypatch)
-    results = suites.run(samples=4)
+    stencils = []   # (points, first call, end call) of each fd_jet call
+    fd_jet = F.fd_jet
+
+    def spied(values, points, space):
+        start = len(calls)
+        out = fd_jet(values, points, space)
+        stencils.append((points, start, len(calls)))
+        return out
+
+    monkeypatch.setattr(F, "fd_jet", spied)
+    results = suites.run(samples=4, mode=mode)
     assert results and calls
-    session = {id(c) for _, c in made}
+    # the points of the context each evaluator call serves: its own, or
+    # those of the stencil evaluation it runs in
+    served = [ctx.points for _, _, ctx in calls]
+    for points, a, b in stencils:
+        served[a:b] = [points] * (b - a)
+    session = {id(c.points): c for _, c in made}
     runs = {}
-    for model, field, ctx in calls:
-        if id(ctx) in session:
-            runs.setdefault((model, field), []).append((ctx.order, ctx.nbatch))
+    for (model, field, _), points in zip(calls, served):
+        if id(points) in session:
+            c = session[id(points)]
+            runs.setdefault((model, field), []).append((c.order, c.nbatch))
+    assert set(session) <= {id(p) for p in served}, "session contexts without roots"
     assert {model for model, _ in runs} == set(suites.MODEL_NAMES)
     again = {k: v for k, v in runs.items() if len(v) > 1}
     assert not again, f"fields evaluated more than once (order, points): {again}"
     off = {k: v for k, v in runs.items()
            if any(order != suites._root_order(k[0]) for order, _ in v)}
     assert not off, f"fields evaluated off the root order (order, points): {off}"
-
-
-def test_fd_session_contexts_build_their_own_roots(monkeypatch):
-    """An fd jet cut to a lower order is not that order's fd jet (the
-    Richardson step depends on the order), so fd contexts share no roots."""
-    made = _session_contexts(monkeypatch)
-    seen = []
-    orig = F.fd_jet
-
-    def fd_jet(values, points, space):
-        seen.append((points, space))   # held, so ids are not reused
-        return orig(values, points, space)
-
-    monkeypatch.setattr(F, "fd_jet", fd_jet)
-    results = suites.run(samples=4, mode="fd")
-    assert results and made
-    stencils = {(id(points), id(space)) for points, space in seen}
-    missing = sorted({(model, c.order, c.nbatch) for model, c in made
-                      if (id(c.points), id(c.space)) not in stencils})
-    assert not missing, f"session contexts without their own fd roots: {missing}"
